@@ -7,6 +7,8 @@ the same tables arise from the signed recursive cocycle on XOR groups.
 
 import itertools
 
+import numpy as np
+
 from ringlab import (QQ, bales_alpha, bales_twisted_ring, cayley_tower,
                      center, is_simple, probe_properties)
 
@@ -18,7 +20,7 @@ print("associative:", [probe_properties(r).associative for r in tower.rings])
 for n in range(1, 5):
     tw = bales_twisted_ring(QQ, n)
     print(f"level {n}: twisted table == doubling table:",
-          tw.ring.constants == tower.rings[n].constants)
+          np.array_equal(tw.ring.constants, tower.rings[n].constants))
 
 # the sign table is anticommutative away from the diagonal
 print("alpha(2,3) =", bales_alpha(2, 3), " alpha(3,2) =", bales_alpha(3, 2))

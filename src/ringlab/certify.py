@@ -21,12 +21,12 @@ from . import linalg
 from .constructions.crossed import CrossedProduct, _is_unit, is_G_invariant
 from .constructions.doubling import CayleyDoubling, CayleyTower
 from .constructions.dynamics import DynamicsRing
-from .errors import Disagreement
 from .gradings import (Grading, grading_flags, graded_ideal_associativity,
                        support_degree_map, verify_degree_map)
 from .ideals import (DEFAULT_ELEMENT_CAP, DEFAULT_SEED, IdealBasis, Subring,
                      center, centralizer, check_ideal_associativity,
-                     enumerate_ideals, enumerate_subring_ideals, ideal_closure, identity_property, is_A_invariant,
+                     enumerate_ideals, enumerate_subring_ideals, ideal_closure,
+                     identity_property, is_A_invariant, is_A_simple,
                      is_maximal_commutative, is_simple)
 from .rings import StructureAlgebra
 from .subgroups import full_subgroup, product_span, triple_product_span, zero_subgroup
@@ -216,21 +216,11 @@ def certify_necessity(ring, B: Subring, grading: Grading | None = None,
                        "simplicity forces the base to be invariantly simple",
                        premises, None, meta={"cap": cap, "seed": seed})
     if all(p.status in ("verified", "assumed") for p in premises):
-        asv = _a_simple_verdict(ring, B, ideals_of_B)
+        asv = is_A_simple(ring, B, ideals=ideals_of_B)
         cert.verdict = "ASimple"
         cert.oracle = "agrees" if asv.holds else "disagrees"
         cert.oracle_detail = repr(asv)
     return cert
-
-
-def _a_simple_verdict(ring, B, ideals_of_B):
-    from .ideals import ASimpleVerdict
-    for I in ideals_of_B:
-        if I.is_zero() or I.is_full_in(B.span):
-            continue
-        if is_A_invariant(ring, B, I):
-            return ASimpleVerdict("NotASimple", I)
-    return ASimpleVerdict("ASimple")
 
 
 # ---------------------------------------------------------------------------
@@ -250,14 +240,7 @@ def certify_sufficiency(ring, B: Subring, degree_map=None,
     premises.append(Premise("the centralizer of B is multiplicatively closed",
                             "verified" if closed else "failed"))
     if closed:
-        ideals_of_C = enumerate_subring_ideals(ring, C, cap=cap)
-        wit = None
-        for I in ideals_of_C:
-            if I.is_zero() or I.is_full_in(C.span):
-                continue
-            if is_A_invariant(ring, C, I):
-                wit = I
-                break
+        wit = is_A_simple(ring, C, cap=cap).witness
         premises.append(Premise("the centralizer is invariantly simple",
                                 "failed" if wit else "verified", wit))
         bad = None
@@ -337,7 +320,7 @@ def certify_groupoid_graded(ring, grading: Grading, cap=DEFAULT_ELEMENT_CAP,
             _oracle_cross_check(cert, ring, cap, seed)
             return cert
 
-    asv = _a_simple_verdict(ring, B, enumerate_subring_ideals(ring, B, cap=cap))
+    asv = is_A_simple(ring, B, cap=cap)
     premises.append(Premise("the object part is invariantly simple",
                             "verified" if asv.holds else "failed",
                             None if asv.holds else asv.witness))
@@ -662,7 +645,7 @@ def certify_matrix(mr: CrossedProduct, component_hints=None,
         gens = []
         for v in witness_ideal.spanning():
             gens.append(mr.embed(cat.identity[i], v))
-        J = ideal_closure(mr.ring, gens, cap=cap)
+        J = ideal_closure(mr.ring, gens)
         proper = not J.span.is_full() and not J.is_zero()
         cert.notes += (f"witness: matrix ideal over the non-simple base at {i} "
                        f"(proper={proper})",)

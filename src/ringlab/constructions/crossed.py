@@ -24,7 +24,6 @@ from ..gradings import Grading
 from ..ideals import IdealBasis, Subring, enumerate_subring_ideals
 from ..rings import (Element, Ring, StructureAlgebra, TableRing)
 from ..subgroups import TableSubgroup
-from ..scalars import Rationals
 
 TABLE_PRODUCT_CAP = 4096
 
@@ -41,11 +40,7 @@ class RingMap:
         self.target = target
         self.anti = bool(anti)
         if matrix is not None:
-            if source.modulus is not None:
-                self.matrix = np.array(matrix, dtype=np.int64) % source.modulus
-            else:
-                from fractions import Fraction
-                self.matrix = tuple(tuple(Fraction(x) for x in row) for row in matrix)
+            self.matrix = source.F.reduce(matrix)
             self.perm = None
         elif perm is not None:
             self.perm = tuple(int(x) for x in perm)
@@ -57,23 +52,15 @@ class RingMap:
     def identity(cls, ring):
         if ring.is_table:
             return cls(ring, ring, perm=range(ring.n))
-        if ring.modulus is not None:
-            return cls(ring, ring, matrix=np.eye(ring.dim, dtype=np.int64))
-        from fractions import Fraction
-        eye = [[Fraction(int(i == j)) for j in range(ring.dim)] for i in range(ring.dim)]
-        return cls(ring, ring, matrix=eye)
+        return cls(ring, ring, matrix=np.eye(ring.dim, dtype=np.int64))
 
     def apply(self, elt: Element) -> Element:
         if elt.ring is not self.source:
             raise ShapeMismatch("element is not in the map's source ring")
         if self.perm is not None:
             return self.target.element(self.perm[elt.data])
-        if self.source.modulus is not None:
-            v = (np.array(elt.data, dtype=np.int64) @ self.matrix) % self.source.modulus
-            return self.target.element(tuple(int(x) for x in v))
-        coords = [sum(elt.data[i] * self.matrix[i][j] for i in range(self.source.dim))
-                  for j in range(self.target.dim)]
-        return self.target.element(coords)
+        # element() reduces the coordinates into the field
+        return self.target.element(self.source.F.array(elt.data) @ self.matrix)
 
     def compose(self, other: "RingMap") -> "RingMap":
         """self ∘ other (apply ``other`` first)."""
@@ -83,22 +70,13 @@ class RingMap:
         if self.perm is not None:
             perm = [self.perm[other.perm[i]] for i in range(other.source.n)]
             return RingMap(other.source, self.target, perm=perm, anti=anti)
-        if other.source.modulus is not None:
-            m = (np.array(other.matrix) @ np.array(self.matrix)) % other.source.modulus
-            return RingMap(other.source, self.target, matrix=m, anti=anti)
-        sd, md, td = other.source.dim, self.source.dim, self.target.dim
-        m = [[sum(other.matrix[i][k] * self.matrix[k][j] for k in range(md))
-              for j in range(td)] for i in range(sd)]
-        return RingMap(other.source, self.target, matrix=m, anti=anti)
+        return RingMap(other.source, self.target, matrix=other.matrix @ self.matrix,
+                       anti=anti)
 
     def equals(self, other: "RingMap") -> bool:
         if self.perm is not None:
             return other.perm is not None and self.perm == other.perm
-        if self.source.modulus is not None:
-            return other.matrix is not None and np.array_equal(
-                np.array(self.matrix) % self.source.modulus,
-                np.array(other.matrix) % self.source.modulus)
-        return self.matrix == other.matrix
+        return other.matrix is not None and np.array_equal(self.matrix, other.matrix)
 
     def is_identity(self):
         return self.source is self.target and self.equals(RingMap.identity(self.source))
@@ -108,13 +86,7 @@ class RingMap:
             return sorted(self.perm) == list(range(self.source.n))
         if self.source.dim != self.target.dim:
             return False
-        if self.source.modulus is not None:
-            from .. import linalg
-            _, piv = linalg.rref_modp(np.array(self.matrix), self.source.modulus)
-            return len(piv) == self.source.dim
-        from .. import linalg
-        _, piv = linalg.rref_frac([list(r) for r in self.matrix])
-        return len(piv) == self.source.dim
+        return self.source.F.rank(self.matrix, self.target.dim) == self.source.dim
 
 
 @dataclass
@@ -156,39 +128,12 @@ def _is_unit(ring, a: Element):
             if row[x] == unit.data and col[x] == unit.data:
                 return True
         return False
-    from .. import linalg
-    d = ring.dim
     # one x with a·x = 1 and x·a = 1: stack both linear systems
-    if ring.modulus is not None:
-        left = np.tensordot(np.array(a.data, dtype=np.int64),
-                            ring.constants, axes=(0, 0)) % ring.modulus  # (j,k): a·e_j
-        right = np.tensordot(ring.constants, np.array(a.data, dtype=np.int64),
-                             axes=(1, 0)) % ring.modulus                 # (i,k): e_i·a
-        target = np.array(unit.data, dtype=np.int64)
-        A = np.vstack([left.T, right.T])
-        b = np.concatenate([target, target]).reshape(-1, 1)
-        R, piv = linalg.rref_modp(np.hstack([A, b]), ring.modulus)
-        if d in piv:
-            return False
-        sol = np.zeros(d, dtype=np.int64)
-        for ri, c in enumerate(piv):
-            sol[c] = R[ri, d]
-        x = ring.element(tuple(int(v) for v in sol))
-        return (a * x == unit) and (x * a == unit)
-    rows = []
-    for k in range(d):
-        rows.append([ring.mul_coords(a.data, ring.basis_element(i).data)[k]
-                     for i in range(d)] + [unit.data[k]])
-    for k in range(d):
-        rows.append([ring.mul_coords(ring.basis_element(i).data, a.data)[k]
-                     for i in range(d)] + [unit.data[k]])
-    R, piv = linalg.rref_frac(rows)
-    if d in piv:
+    F = ring.F
+    L, R = F.mult_matrices(ring, a.data)       # rows a·e_j and e_i·a
+    sol = F.solve(np.vstack([L.T, R.T]), F.array(unit.data + unit.data))
+    if sol is None:
         return False
-    from fractions import Fraction
-    sol = [Fraction(0)] * d
-    for ri, c in enumerate(piv):
-        sol[c] = R[ri][d]
     x = ring.element(sol)
     return (a * x == unit) and (x * a == unit)
 
@@ -368,12 +313,7 @@ def _crossed_algebra(sys, kind_tag, notes):
         dims[g] = B.dim
         at += B.dim
     total = at
-    use_np = field_dom.name != "Q"
-    if use_np:
-        C = np.zeros((total, total, total), dtype=np.int64)
-    else:
-        from fractions import Fraction
-        C = [[[Fraction(0)] * total for _ in range(total)] for _ in range(total)]
+    C = sys.base[cat.objects[0]].F.zeros((total, total, total))
     for (g, h) in cat.composable_pairs():
         gh = cat.compose(g, h)
         Bc = sys.base[cat.cod[g]]
@@ -388,10 +328,7 @@ def _crossed_algebra(sys, kind_tag, notes):
                 for k, val in enumerate(prod.data):
                     if Bc.field.is_zero(val):
                         continue
-                    if use_np:
-                        C[offsets[g] + i, offsets[h] + j, offsets[gh] + k] = val
-                    else:
-                        C[offsets[g] + i][offsets[h] + j][offsets[gh] + k] = val
+                    C[offsets[g] + i, offsets[h] + j, offsets[gh] + k] = val
     A = StructureAlgebra(field_dom, total, C)
     components = {}
     for g in cat.morphisms:

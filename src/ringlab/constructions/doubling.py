@@ -114,17 +114,9 @@ def _extend_conjugation(cd: CayleyDoubling) -> RingMap:
     A, B = cd.ring, cd.base
     if A.is_algebra:
         d = B.dim
-        if A.modulus is not None:
-            M = np.zeros((2 * d, 2 * d), dtype=np.int64)
-            M[:d, :d] = np.array(cd.sigma.matrix)
-            M[d:, d:] = (-np.eye(d, dtype=np.int64)) % A.modulus
-        else:
-            from fractions import Fraction
-            M = [[Fraction(0)] * (2 * d) for _ in range(2 * d)]
-            for i in range(d):
-                for j in range(d):
-                    M[i][j] = cd.sigma.matrix[i][j]
-                M[d + i][d + i] = Fraction(-1)
+        M = A.F.zeros((2 * d, 2 * d))
+        M[:d, :d] = cd.sigma.matrix
+        M[d:, d:] = -A.F.eye(d)
         return RingMap(A, A, matrix=M, anti=True)
     perm = []
     for idx in range(A.n):
@@ -151,16 +143,8 @@ class CayleyTower:
 
 def _diagonal_signs(m: RingMap):
     """The diagonal of a diagonal matrix map, or None."""
-    d = m.source.dim
-    signs = []
-    for i in range(d):
-        for j in range(d):
-            v = m.matrix[i][j] if m.source.modulus is None else int(m.matrix[i, j])
-            if i == j:
-                signs.append(v)
-            elif v != 0:
-                return None
-    return signs
+    signs = np.diag(m.matrix)
+    return signs.tolist() if np.array_equal(np.diag(signs), m.matrix) else None
 
 
 def _interleave(cd: CayleyDoubling):
@@ -177,44 +161,15 @@ def _interleave(cd: CayleyDoubling):
     signs = _diagonal_signs(cd.sigma)
     if signs is None:
         raise ShapeMismatch("interleaving expects a diagonal conjugation")
-    f = A.field
     # new index 2p -> old p with sign 1; 2p+1 -> old d+p with sign s_p
-    old_index = [0] * (2 * d)
-    sgn = [f.one] * (2 * d)
-    for p in range(d):
-        old_index[2 * p] = p
-        old_index[2 * p + 1] = d + p
-        sgn[2 * p + 1] = f.coerce(signs[p])
-    if A.modulus is not None:
-        C = np.zeros((2 * d, 2 * d, 2 * d), dtype=np.int64)
-        old = A.constants
-        for i in range(2 * d):
-            for j in range(2 * d):
-                row = old[old_index[i], old_index[j]]
-                for k in range(2 * d):
-                    C[i, j, k] = (sgn[i] * sgn[j] * sgn[k] * row[old_index[k]]) % A.modulus
-    else:
-        from fractions import Fraction
-        old = A.constants
-        C = [[[Fraction(0)] * (2 * d) for _ in range(2 * d)] for _ in range(2 * d)]
-        for i in range(2 * d):
-            for j in range(2 * d):
-                row = old[old_index[i]][old_index[j]]
-                for k in range(2 * d):
-                    # sgn is its own inverse, so it also converts coordinates
-                    C[i][j][k] = sgn[i] * sgn[j] * sgn[k] * row[old_index[k]]
+    old_index = np.arange(2 * d).reshape(2, d).T.ravel()
+    sgn = A.F.array([[1, s] for s in signs]).ravel()
+    # sgn is its own inverse, so it also converts coordinates
+    C = (A.constants[np.ix_(old_index, old_index, old_index)]
+         * sgn[:, None, None] * sgn[None, :, None] * sgn[None, None, :])
     newA = StructureAlgebra(A.field, 2 * d, C)
     # extended conjugation: diagonal sigma ⊕ (-1) interleaves to a diagonal
-    diag = []
-    for p in range(d):
-        diag.append(signs[p])
-        diag.append(-1)
-    if newA.modulus is not None:
-        M = np.diag(np.array(diag, dtype=np.int64)) % newA.modulus
-    else:
-        from fractions import Fraction
-        M = [[Fraction(diag[i]) if i == j else Fraction(0) for j in range(2 * d)]
-             for i in range(2 * d)]
+    M = np.diag(A.F.array([[s, -1] for s in signs]).ravel())
     return newA, RingMap(newA, newA, matrix=M, anti=True)
 
 

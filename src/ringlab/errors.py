@@ -110,11 +110,3 @@ class SchemaError(RinglabError):
 class UnknownKind(RinglabError):
     pass
 
-
-class Disagreement(RinglabError):
-    """A theorem pipeline and the brute-force oracle produced different verdicts."""
-
-    def __init__(self, instance, details):
-        super().__init__(f"pipeline/oracle disagreement on {instance}: {details}")
-        self.instance = instance
-        self.details = details

@@ -10,11 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
-import numpy as np
-
-from . import linalg
 from .errors import (FilterViolation, NotDirectSum, PreconditionUnmet)
 from .ideals import (DEFAULT_ELEMENT_CAP, IdealBasis, Subring, center,
                      enumerate_ideals, full_subring, is_A_invariant,
@@ -40,54 +36,27 @@ class Grading:
     def _build_decomposer(self):
         ring = self.ring
         if ring.is_algebra:
-            rows = []
-            slices = {}
-            at = 0
+            F = ring.F
+            rows, slices = [], {}
             for g in self.order:
-                comp = self.components[g]
-                k = comp.measure()
-                slices[g] = (at, at + k)
-                rows.extend(e.data for e in comp.spanning())
-                at += k
-            if ring.modulus is not None:
-                M = np.array([list(r) for r in rows], dtype=np.int64)
-                aug = np.hstack([M.T % ring.modulus, np.eye(ring.dim, dtype=np.int64)])
-                R, piv = linalg.rref_modp(aug, ring.modulus)
-                if len([c for c in piv if c < ring.dim]) != ring.dim:
-                    raise NotDirectSum("component bases do not span the ring")
-                Minv_T = R[:, ring.dim:]
-                # coords c with c @ M = v  <=>  M^T c^T = v^T
-                def coords_of(vec):
-                    return (Minv_T @ (np.array(vec, dtype=np.int64) % ring.modulus)) % ring.modulus
-            else:
-                mt = [[Fraction(rows[j][i]) for j in range(len(rows))] for i in range(ring.dim)]
-
-                def coords_of(vec):
-                    aug_rows = [mt[i] + [Fraction(vec[i])] for i in range(ring.dim)]
-                    R, piv = linalg.rref_frac(aug_rows, width=ring.dim + 1)
-                    c = [Fraction(0)] * ring.dim
-                    for ri, col in enumerate(piv):
-                        c[col] = R[ri][ring.dim]
-                    return c
-            basis_rows = rows
+                span = self.components[g].spanning()
+                slices[g] = slice(len(rows), len(rows) + len(span))
+                rows.extend(e.data for e in span)
+            M = F.matrix(rows, ring.dim)
+            # coordinates c with c @ M = v are inverse @ v; the inverse is
+            # solved for on the first call, so an undecomposed grading costs
+            # no row reduction
+            inverse = None
 
             def decompose(a):
-                c = coords_of(a.data)
-                out = {}
-                f = ring.field
-                for g in self.order:
-                    lo, hi = slices[g]
-                    acc = [f.zero] * ring.dim
-                    nonzero = False
-                    for idx in range(lo, hi):
-                        coef = c[idx]
-                        if not f.is_zero(f.coerce(coef)):
-                            nonzero = True
-                            row = basis_rows[idx]
-                            acc = [f.add(x, f.mul(f.coerce(coef), y)) for x, y in zip(acc, row)]
-                    if nonzero:
-                        out[g] = Element(ring, tuple(acc))
-                return out
+                nonlocal inverse
+                if inverse is None:
+                    inverse = F.solve(M.T, F.eye(ring.dim))
+                    if inverse is None:
+                        raise NotDirectSum("component bases do not span the ring")
+                c = F.reduce(inverse @ F.array(a.data))
+                return {g: Element(ring, F.coords(F.reduce(c[s] @ M[s])))
+                        for g, s in slices.items() if any(c[s])}
 
             return decompose
 
@@ -285,21 +254,15 @@ def _pairing_nondegenerate(ring, comp, inv_comp, side):
             if side == "left" and all((w * x).is_zero() for w in ws):
                 return False
         return True
-    f = ring.field
-    rows = []
-    for s, w in enumerate(ws):
-        for k in range(ring.dim):
-            row = []
-            for b in xs:
-                prod = (b * w) if side == "right" else (w * b)
-                row.append(prod.data[k])
-            rows.append(row)
-    if ring.modulus is not None:
-        A = np.array(rows, dtype=np.int64) % ring.modulus
-        kern, _ = linalg.kernel_modp(A, ring.modulus)
-        return kern.shape[0] == 0
-    kern = linalg.kernel_frac(rows, len(xs))
-    return len(kern) == 0
+    F = ring.F
+    X, W = [x.data for x in xs], [w.data for w in ws]
+    # column b holds the products of x_b with every w: no nonzero
+    # combination of the columns may vanish
+    if side == "right":
+        P = F.array(F.products(ring, X, W)).reshape(len(X), len(W), -1)
+    else:
+        P = F.array(F.products(ring, W, X)).reshape(len(W), len(X), -1).transpose(1, 0, 2)
+    return F.rank(P.reshape(len(X), -1).T, len(X)) == len(X)
 
 
 # ---------------------------------------------------------------------------

@@ -195,7 +195,7 @@ def _materialize_subring(ring, span):
 # ideal closure
 # ---------------------------------------------------------------------------
 
-def ideal_closure(ring, gens, cap=DEFAULT_ELEMENT_CAP, within: Subring | None = None) -> IdealBasis:
+def ideal_closure(ring, gens, within: Subring | None = None) -> IdealBasis:
     """Smallest ideal (of the ring, or of ``within``) containing ``gens``.
 
     Fixed-point iteration: adjoin a·x and x·a for a over the multiplier
@@ -275,8 +275,8 @@ def _nonzero_vectors_projective(p, d):
             yield np.array(prefix + tail, dtype=np.int64)
 
 
-def principal_ideal(ring, elt, cap=DEFAULT_ELEMENT_CAP) -> IdealBasis:
-    return ideal_closure(ring, [elt], cap=cap)
+def principal_ideal(ring, elt) -> IdealBasis:
+    return ideal_closure(ring, [elt])
 
 
 def enumerate_ideals(ring, cap=DEFAULT_ELEMENT_CAP):
@@ -448,32 +448,13 @@ def centralizer(ring, gens_of_b) -> Subring:
                 members.append(i)
         span = TableSubgroup(ring, members)
         return Subring(ring, span, check=False)
-    d = ring.dim
-    f = ring.field
-    if ring.modulus is not None:
-        C = ring.constants
-        p = ring.modulus
-        blocks = []
-        for b in spanning:
-            vb = np.array(b.data, dtype=np.int64)
-            right = np.tensordot(C, vb, axes=(1, 0)) % p   # (i,k): e_i · b
-            left = np.tensordot(vb, C, axes=(0, 0)) % p    # (i,k): b · e_i
-            blocks.append((right - left) % p)
-        D = np.hstack(blocks) if blocks else np.zeros((d, 0), dtype=np.int64)
-        rows, pivots = linalg.kernel_modp(D.T, p)
-        return Subring(ring, Subspace(ring, rows, pivots), check=False)
-    eqs = []
-    for b in spanning:
-        for k in range(d):
-            # coefficient of e_k in x·b − b·x, linear in x
-            row = []
-            for i in range(d):
-                xb = ring.mul_coords(ring.basis_element(i).data, b.data)[k]
-                bx = ring.mul_coords(b.data, ring.basis_element(i).data)[k]
-                row.append(xb - bx)
-            eqs.append(row)
-    rows = linalg.kernel_frac(eqs, d)
-    return Subring(ring, subspace_from_vectors(ring, rows), check=False)
+    F, d = ring.F, ring.dim
+    # x commutes with b iff the e_k coefficients of x·b − b·x, linear in x,
+    # all vanish: one equation per (b, k)
+    eqs = [R - L for L, R in (F.mult_matrices(ring, b.data) for b in spanning)]
+    D = F.reduce(np.hstack(eqs)) if eqs else F.zeros((d, 0))
+    rows, pivots = F.kernel(D.T, d)
+    return Subring(ring, Subspace(ring, rows, pivots), check=False)
 
 
 def center(ring) -> Subring:
@@ -522,9 +503,12 @@ def enumerate_subring_ideals(ring, B: Subring, cap=DEFAULT_ELEMENT_CAP):
     return out
 
 
-def is_A_simple(ring, B: Subring, cap=DEFAULT_ELEMENT_CAP) -> ASimpleVerdict:
-    """No non-trivial ideal of B is A-invariant."""
-    for I in enumerate_subring_ideals(ring, B, cap=cap):
+def is_A_simple(ring, B: Subring, cap=DEFAULT_ELEMENT_CAP, ideals=None) -> ASimpleVerdict:
+    """No non-trivial ideal of B is A-invariant.  ``ideals`` is the ideal
+    list of B when the caller already has it."""
+    if ideals is None:
+        ideals = enumerate_subring_ideals(ring, B, cap=cap)
+    for I in ideals:
         if I.is_zero() or I.is_full_in(B.span):
             continue
         if is_A_invariant(ring, B, I):

@@ -1,8 +1,26 @@
-"""Exact linear algebra over F_p (numpy, vectorized) and Q (Fractions).
+"""Exact linear algebra over the two scalar fields, F_p and Q.
 
-Subspaces are always kept in reduced row echelon form, which is a canonical
-representation: two subspaces are equal iff their rref bases are identical.
-All routines are pure; nothing mutates its inputs.
+This is the only module that knows how a field's vectors are stored and
+reduced.  Each field has one backend object, and both backends have the same
+small method set:
+
+* ``ModP(p)``: F_p, rows are 2-D int64 arrays with entries in [0, p),
+  reduced by vectorized numpy elimination;
+* ``Rational``: Q, rows are tuples of ``Fraction``s, matrices are numpy
+  object arrays of ``Fraction``s, reduced by exact Python elimination.
+
+A structure algebra picks its backend once, from its scalar field
+(:func:`backend`); every caller then works through it and never asks which
+field it is on.  Matrices are numpy arrays in both cases, so shape-level code
+(transpose, slicing, ``@``) is shared, and the backend's ``reduce`` takes the
+place of ``% p``.  Subspaces are kept in reduced row echelon form, which is
+canonical: two subspaces are equal iff their rref bases are identical.  All
+routines are pure; nothing mutates its inputs.
+
+The row-reduction kernels (``rref_modp``, ``reduce_rows_modp``,
+``merge_modp``, ``kernel_modp``, ``rref_frac``, ``merge_frac``,
+``kernel_frac``) are module-level functions; the backends look them up by
+name at call time.
 """
 
 from __future__ import annotations
@@ -169,3 +187,178 @@ def kernel_frac(rows, n):
             v[c] = -R[ri][f]
         out.append(v)
     return rref_frac(out, width=n)[0] if out else ()
+
+
+# ---------------------------------------------------------------------------
+# field backends
+# ---------------------------------------------------------------------------
+
+class _Field:
+    """The methods both backends share, written once on top of the kernels.
+
+    Subclasses provide ``dtype``, ``modulus``, ``reduce``, ``coords``,
+    ``rows``, ``key``, ``rref``, ``member``, ``merge``, ``kernel``,
+    ``products``, ``mult_matrices`` and ``associator_witness``.
+    """
+
+    def array(self, x):
+        """``x`` as a numpy array of this field's dtype (not reduced)."""
+        return np.asarray(x, dtype=self.dtype)
+
+    def matrix(self, rows, width):
+        """``rows`` as a reduced 2-D array of shape (len(rows), width)."""
+        return self.reduce(self.array(rows).reshape(-1, width))
+
+    def zeros(self, shape):
+        return self.reduce(np.zeros(shape, dtype=np.int64))
+
+    def eye(self, n):
+        return self.reduce(np.eye(n, dtype=np.int64))
+
+    def rank(self, rows, width):
+        return len(self.rref(rows, width)[1])
+
+    def intersect(self, U, W, width):
+        """Rref basis and pivots of span(U) ∩ span(W), by Zassenhaus: rows of
+        the rref of [[U U], [W 0]] whose left half vanishes carry the
+        intersection in their right half."""
+        U, W = self.matrix(U, width), self.matrix(W, width)
+        R, _ = self.rref(np.vstack([np.hstack([U, U]), np.hstack([W, 0 * W])]),
+                         2 * width)
+        return self.rref([row[width:] for row in R if not any(row[:width])], width)
+
+    def solve(self, A, b):
+        """One x with A x = b, or None when there is none.  ``b`` is a vector,
+        or a matrix whose columns are right-hand sides (x is then a matrix)."""
+        A = self.array(A)
+        B = self.array(b).reshape(A.shape[0], -1)
+        n = A.shape[1]
+        R, pivots = self.rref(np.hstack([A, B]), n + B.shape[1])
+        if pivots and pivots[-1] >= n:
+            return None
+        x = self.zeros((n, B.shape[1]))
+        for ri, c in enumerate(pivots):
+            x[c] = R[ri][n:]
+        return x if np.ndim(b) == 2 else x[:, 0]
+
+
+class ModP(_Field):
+    """F_p: int64 arrays, vectorized elimination, dense contractions."""
+
+    dtype = np.int64
+
+    def __init__(self, p):
+        self.modulus = self.p = p
+
+    def reduce(self, M):
+        return np.asarray(M, dtype=np.int64) % self.p
+
+    def coords(self, v):
+        """A vector as a coordinate tuple of Python ints."""
+        return tuple(np.asarray(v).tolist())
+
+    def rows(self, rows, width):
+        return np.asarray(rows, dtype=np.int64).reshape(-1, width)
+
+    def key(self, rows):
+        return rows.tobytes()
+
+    def rref(self, rows, width):
+        return rref_modp(self.rows(rows, width), self.p)
+
+    def member(self, vec, basis, pivots):
+        return member_modp(np.asarray(vec, dtype=np.int64), basis, pivots, self.p)
+
+    def merge(self, basis, pivots, newrows):
+        return merge_modp(basis, pivots, newrows, self.p)
+
+    def kernel(self, A, width):
+        return kernel_modp(self.rows(A, width), self.p)
+
+    def products(self, alg, X, Y):
+        """Rows x·y for every x in X and y in Y (x-major)."""
+        T = np.tensordot(self.array(X), alg.constants, axes=(1, 0))   # (m, j, k)
+        return (np.einsum("mjk,nj->mnk", T, self.array(Y)) % self.p).reshape(-1, alg.dim)
+
+    def mult_matrices(self, alg, a):
+        """(L, R) with L[j] = a·e_j and R[i] = e_i·a."""
+        a = self.array(a)
+        return (np.tensordot(a, alg.constants, axes=(0, 0)) % self.p,
+                np.tensordot(alg.constants, a, axes=(1, 0)) % self.p)
+
+    def associator_witness(self, alg):
+        """The first basis triple (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k)."""
+        C, p = alg.constants, self.p
+        left = np.einsum("ijm,mkl->ijkl", C, C) % p
+        right = np.einsum("jkm,iml->ijkl", C, C) % p
+        bad = np.argwhere(np.any(left != right, axis=3))
+        return tuple(bad[0].tolist()) if bad.size else None
+
+
+class Rational(_Field):
+    """Q: tuples of Fractions, exact elimination, sparse contractions (two
+    full constant tensors are never contracted: the dense object-array
+    einsum is orders of magnitude slower than the sparse loops)."""
+
+    dtype = object
+    modulus = None
+
+    def reduce(self, M):
+        M = np.asarray(M, dtype=object)
+        return np.array([Fraction(x) for x in M.flat], dtype=object).reshape(M.shape)
+
+    def coords(self, v):
+        return tuple(v)
+
+    def rows(self, rows, width):
+        return tuple(tuple(Fraction(x) for x in r) for r in rows)
+
+    def key(self, rows):
+        return rows
+
+    def rref(self, rows, width):
+        return rref_frac(rows, width=width)
+
+    def member(self, vec, basis, pivots):
+        return member_frac(vec, basis, pivots)
+
+    def merge(self, basis, pivots, newrows):
+        return merge_frac(basis, pivots, newrows)
+
+    def kernel(self, A, width):
+        # kernel_frac returns an rref basis without its pivots; reducing it
+        # again (it is already reduced) recovers them
+        return rref_frac(kernel_frac(A, width), width=width)
+
+    def products(self, alg, X, Y):
+        return [alg.mul_coords(x, y) for x in X for y in Y]
+
+    def mult_matrices(self, alg, a):
+        basis = [alg.basis_element(i).data for i in range(alg.dim)]
+        return (self.array([alg.mul_coords(a, e) for e in basis]),
+                self.array([alg.mul_coords(e, a) for e in basis]))
+
+    def associator_witness(self, alg):
+        d, pairs = alg.dim, alg._pairs
+        for i in range(d):
+            for j in range(d):
+                ij = pairs.get((i, j), [])
+                for k in range(d):
+                    acc = [Fraction(0)] * d
+                    for m, c in ij:
+                        for l, c2 in pairs.get((m, k), []):
+                            acc[l] += c * c2
+                    for m, c in pairs.get((j, k), []):
+                        for l, c2 in pairs.get((i, m), []):
+                            acc[l] -= c * c2
+                    if any(acc):
+                        return i, j, k
+        return None
+
+
+RATIONAL = Rational()
+
+
+def backend(field):
+    """The backend of a scalar field (Q or a prime field F_p)."""
+    return RATIONAL if field.char == 0 else ModP(field.n)

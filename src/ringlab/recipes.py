@@ -21,7 +21,7 @@ from .constructions import (RingMap, bales_alpha, cayley_dickson,
                             matrix_ring, skew_group_ring, twisted_group_ring)
 from .errors import ParseError, SchemaError, UnknownKind
 from .ore import SigmaDerivationData
-from .rings import (field_algebra, gf_extension, make_structure_algebra,
+from .rings import (Ring, field_algebra, gf_extension, make_structure_algebra,
                     make_table_ring, zmod_ring)
 from .scalars import GF, QQ, IntegersMod
 
@@ -139,6 +139,14 @@ def _coerce_scalar(dom, value, path):
         raise SchemaError(path, f"bad scalar {value!r}: {exc}")
 
 
+def _frobenius(base_spec):
+    """The Frobenius matrix of an "F<q>" scalar base, or None for any other base."""
+    spec = base_spec.get("ring") if isinstance(base_spec, dict) else base_spec
+    if isinstance(spec, str) and spec.startswith("F") and spec[1:].isdigit():
+        return gf_extension(int(spec[1:]))[1]
+    return None
+
+
 def _ring_map(ring, spec, path, frobenius=None):
     if spec == "id":
         return RingMap.identity(ring)
@@ -210,22 +218,13 @@ def _build(doc, path):
     if kind == "skew_group_ring":
         base = _child_ring(doc["base"], f"{path}/base")
         group = _parse_group(doc["group"], f"{path}/group")
-        frob = None
-        if isinstance(doc["base"], dict) and str(doc["base"].get("ring", "")).startswith("F"):
-            spec = doc["base"]["ring"]
-            if spec[1:].isdigit():
-                _, frob = gf_extension(int(spec[1:]))
         aspec = doc["action"]
         maps = {}
         if aspec == "frobenius":
-            if frob is None:
-                raise SchemaError(f"{path}/action", "frobenius needs an F_q base")
-            gen = RingMap(base, base, matrix=frob)
+            gen = _ring_map(base, aspec, f"{path}/action", frobenius=_frobenius(doc["base"]))
             e = group.identity[group.objects[0]]
             maps[e] = RingMap.identity(base)
-            cur = RingMap.identity(base)
-            order = [g for g in group.morphisms]
-            for g in order:
+            for g in group.morphisms:
                 if g == e:
                     continue
                 # cyclic convention: morphism k acts by frobenius^k
@@ -244,7 +243,8 @@ def _build(doc, path):
         base = _child_ring(doc["base"], f"{path}/base")
         group = _parse_group(doc["group"], f"{path}/group")
         mors = list(group.morphisms)
-        sigma = {g: _ring_map(base, doc["sigma"][i], f"{path}/sigma")
+        frob = _frobenius(doc["base"])
+        sigma = {g: _ring_map(base, doc["sigma"][i], f"{path}/sigma", frobenius=frob)
                  for i, g in enumerate(mors)}
         alpha = {}
         if "alpha" in doc:
@@ -275,18 +275,12 @@ def _build(doc, path):
         return matrix_ring(n, base, alphas=alphas)
     if kind == "ore_extension":
         base = _child_ring(doc["base"], f"{path}/base")
-        frob = None
-        if isinstance(doc["base"], dict) and str(doc["base"].get("ring", "")).startswith("F"):
-            spec = doc["base"]["ring"]
-            if spec[1:].isdigit():
-                _, frob = gf_extension(int(spec[1:]))
-        sigma = _ring_map(base, doc["sigma"], f"{path}/sigma", frobenius=frob)
+        sigma = _ring_map(base, doc["sigma"], f"{path}/sigma",
+                          frobenius=_frobenius(doc["base"]))
         dspec = doc["delta"]
         if dspec == "zero":
             if base.is_algebra:
-                zero = np.zeros((base.dim, base.dim), dtype=np.int64) if base.modulus \
-                    else [[Fraction(0)] * base.dim for _ in range(base.dim)]
-                delta = RingMap(base, base, matrix=zero)
+                delta = RingMap(base, base, matrix=np.zeros((base.dim, base.dim), dtype=np.int64))
             else:
                 delta = RingMap(base, base, perm=[base.zero_index] * base.n)
         else:
@@ -306,8 +300,8 @@ def _child_ring(spec, path):
         return _build_scalar_ring(spec, path)
     if isinstance(spec, dict):
         built = _build(spec, path)
-        from .rings import Ring
-        if not isinstance(built, Ring):
-            built = getattr(built, "ring", built)
-        return built
+        ring = built if isinstance(built, Ring) else getattr(built, "ring", None)
+        if not isinstance(ring, Ring):
+            raise SchemaError(path, f"the {spec['kind']} recipe does not build a ring")
+        return ring
     raise SchemaError(path, "base must be a scalar spec or a recipe object")

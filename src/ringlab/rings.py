@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
+from . import linalg
 from .errors import (DistributivityViolation, InfiniteScalarField,
                      NotAbelianGroup, RingMismatch, ShapeMismatch, TooLarge)
-from .scalars import GF, IntegersMod, Rationals
+from .scalars import GF, IntegersMod
 
 DEFAULT_ELEMENT_CAP = 2 ** 20
 TABLE_SIZE_CAP = 4096
@@ -304,42 +304,25 @@ class StructureAlgebra(Ring):
         self.dim = int(dim)
         if self.dim < 1:
             raise ShapeMismatch("dimension must be positive")
-        self.modulus = None if isinstance(field, Rationals) else field.n
-        if self.modulus is not None:
-            C = np.array(constants, dtype=np.int64)
-            if C.shape != (self.dim, self.dim, self.dim):
-                raise ShapeMismatch(f"constants must have shape {(self.dim,)*3}")
-            self.constants = C % self.modulus
-        else:
-            rows = list(constants)
-            if len(rows) != self.dim:
-                raise ShapeMismatch("constants must be d x d x d")
-            C = []
-            for plane in rows:
-                plane = list(plane)
-                if len(plane) != self.dim:
-                    raise ShapeMismatch("constants must be d x d x d")
-                C.append(tuple(
-                    tuple(Fraction(x) for x in _checked_len(vec, self.dim))
-                    for vec in plane))
-            self.constants = tuple(C)
+        # the field's linear-algebra backend, chosen once (see linalg)
+        self.F = linalg.backend(field)
+        self.modulus = self.F.modulus
+        try:
+            C = self.F.array(constants)
+        except ValueError as exc:
+            raise ShapeMismatch(f"constants must be a d x d x d array of scalars: {exc}")
+        if C.shape != (self.dim,) * 3:
+            raise ShapeMismatch(f"constants must have shape {(self.dim,) * 3}")
+        self.constants = self.F.reduce(C)
         # sparse product table: (i, j) -> [(k, coeff), ...]
         self._pairs = self._build_pairs()
         self._props = None
 
     def _build_pairs(self):
         pairs = {}
-        d = self.dim
-        if self.modulus is not None:
-            nz = np.argwhere(self.constants != 0)
-            for i, j, k in nz:
-                pairs.setdefault((int(i), int(j)), []).append((int(k), int(self.constants[i, j, k])))
-        else:
-            for i in range(d):
-                for j in range(d):
-                    lst = [(k, c) for k, c in enumerate(self.constants[i][j]) if c != 0]
-                    if lst:
-                        pairs[(i, j)] = lst
+        C = self.constants.tolist()
+        for i, j, k in np.argwhere(self.constants != 0).tolist():
+            pairs.setdefault((i, j), []).append((k, C[i][j][k]))
         return pairs
 
     # -- elements -----------------------------------------------------
@@ -418,97 +401,31 @@ class StructureAlgebra(Ring):
 
     def _probe_associative(self):
         # basis triples suffice by trilinearity
-        d = self.dim
-        if self.modulus is not None:
-            C = self.constants
-            p = self.modulus
-            left = np.einsum("ijm,mkl->ijkl", C, C) % p
-            right = np.einsum("jkm,iml->ijkl", C, C) % p
-            bad = np.argwhere(np.any(left != right, axis=3))
-            if bad.size:
-                i, j, k = bad[0]
-                return False, (self.basis_element(int(i)), self.basis_element(int(j)),
-                               self.basis_element(int(k)))
+        bad = self.F.associator_witness(self)
+        if bad is None:
             return True, None
-        for i in range(d):
-            for j in range(d):
-                ij = self._pairs.get((i, j), [])
-                for k in range(d):
-                    acc = [Fraction(0)] * d
-                    for m, c in ij:
-                        for l, c2 in self._pairs.get((m, k), []):
-                            acc[l] += c * c2
-                    for m, c in self._pairs.get((j, k), []):
-                        for l, c2 in self._pairs.get((i, m), []):
-                            acc[l] -= c * c2
-                    if any(x != 0 for x in acc):
-                        return False, (self.basis_element(i), self.basis_element(j),
-                                       self.basis_element(k))
-        return True, None
+        return False, tuple(self.basis_element(i) for i in bad)
 
     def _probe_commutative(self):
-        d = self.dim
-        if self.modulus is not None:
-            bad = np.argwhere(np.any(self.constants != self.constants.transpose(1, 0, 2), axis=2))
-            if bad.size:
-                i, j = bad[0]
-                return False, (self.basis_element(int(i)), self.basis_element(int(j)))
-            return True, None
-        for i in range(d):
-            for j in range(i + 1, d):
-                if self.constants[i][j] != self.constants[j][i]:
-                    return False, (self.basis_element(i), self.basis_element(j))
+        C = self.constants
+        bad = np.argwhere(np.any(C != C.transpose(1, 0, 2), axis=2))
+        if bad.size:
+            i, j = bad[0].tolist()
+            return False, (self.basis_element(i), self.basis_element(j))
         return True, None
 
     def find_unit(self):
         """Solve e·basis_j = basis_j = basis_j·e for a two-sided unit."""
-        from . import linalg
-        d = self.dim
-        if self.modulus is not None:
-            C = self.constants
-            p = self.modulus
-            rows, rhs = [], []
-            for j in range(d):
-                for k in range(d):
-                    rows.append(C[:, j, k])
-                    rhs.append(1 if j == k else 0)
-                    rows.append(C[j, :, k])
-                    rhs.append(1 if j == k else 0)
-            A = np.array(rows, dtype=np.int64) % p
-            b = np.array(rhs, dtype=np.int64).reshape(-1, 1)
-            aug, pivots = linalg.rref_modp(np.hstack([A, b]), p)
-            if d in pivots:
-                return None  # inconsistent
-            e = np.zeros(d, dtype=np.int64)
-            for ri, c in enumerate(pivots):
-                e[c] = aug[ri, d]
-            return Element(self, tuple(int(x) for x in e))
-        rows, rhs = [], []
-        for j in range(d):
-            for k in range(d):
-                rows.append([self.constants[i][j][k] for i in range(d)] + [Fraction(int(j == k))])
-                rows.append([self.constants[j][i][k] for i in range(d)] + [Fraction(int(j == k))])
-        R, pivots = linalg.rref_frac(rows)
-        if d in pivots:
-            return None
-        e = [Fraction(0)] * d
-        for ri, c in enumerate(pivots):
-            e[c] = R[ri][d]
-        return Element(self, tuple(e))
+        d, C = self.dim, self.constants
+        # rows (j, k): the e_k coefficient of e·e_j, then of e_j·e, linear in e
+        A = np.vstack([C.transpose(1, 2, 0).reshape(d * d, d),
+                       C.transpose(0, 2, 1).reshape(d * d, d)])
+        e = self.F.solve(A, np.tile(self.F.eye(d).ravel(), 2))
+        return None if e is None else Element(self, self.F.coords(e))
 
     def opposite(self):
-        if self.modulus is not None:
-            return StructureAlgebra(self.field, self.dim,
-                                    self.constants.transpose(1, 0, 2).copy())
-        flipped = [[self.constants[j][i] for j in range(self.dim)] for i in range(self.dim)]
-        return StructureAlgebra(self.field, self.dim, flipped)
-
-
-def _checked_len(vec, d):
-    vec = list(vec)
-    if len(vec) != d:
-        raise ShapeMismatch("constants must be d x d x d")
-    return vec
+        return StructureAlgebra(self.field, self.dim,
+                                self.constants.transpose(1, 0, 2).copy())
 
 
 def make_structure_algebra(dim, field, constants) -> StructureAlgebra:
@@ -619,15 +536,6 @@ def full_matrix_algebra(n: int, domain) -> StructureAlgebra:
     def idx(i, j):
         return i * n + j
 
-    if isinstance(domain, Rationals):
-        C = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for l in range(n):
-                        if j == k:
-                            C[idx(i, j)][idx(k, l)][idx(i, l)] = Fraction(1)
-        return StructureAlgebra(domain, d, C)
     C = np.zeros((d, d, d), dtype=np.int64)
     for i in range(n):
         for j in range(n):
@@ -648,20 +556,11 @@ def direct_sum_algebra(factors):
     dims = [f.dim for f in factors]
     d = sum(dims)
     offs = np.cumsum([0] + dims)
-    if factors[0].modulus is not None:
-        C = np.zeros((d, d, d), dtype=np.int64)
-        for t, f in enumerate(factors):
-            o = offs[t]
-            k = f.dim
-            C[o:o + k, o:o + k, o:o + k] = f.constants
-    else:
-        C = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
-        for t, f in enumerate(factors):
-            o = offs[t]
-            for i in range(f.dim):
-                for j in range(f.dim):
-                    for k in range(f.dim):
-                        C[o + i][o + j][o + k] = f.constants[i][j][k]
+    C = factors[0].F.zeros((d, d, d))
+    for t, f in enumerate(factors):
+        o = offs[t]
+        k = f.dim
+        C[o:o + k, o:o + k, o:o + k] = f.constants
     alg = StructureAlgebra(field, d, C)
     alg.product_factors = tuple((int(offs[t]), f.dim) for t, f in enumerate(factors))
     return alg
@@ -690,7 +589,6 @@ def convert_to_table(alg: StructureAlgebra, cap=TABLE_SIZE_CAP) -> TableRing:
     mul = np.zeros((total, total), dtype=np.int32)
     C = alg.constants
     for a in range(total):
-        prods = np.einsum("j,bjk->bk", digits[a], np.einsum("i,ijk->jk", digits[a], C)[None, ...]) if False else None
         # row a: (x_a · x_b)_k = sum_ij x_a[i] x_b[j] C[i,j,k]
         left = np.tensordot(digits[a], C, axes=(0, 0))  # (j, k)
         mul[a] = to_index(digits @ left)

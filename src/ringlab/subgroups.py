@@ -16,11 +16,9 @@ sets suffice because ring multiplication distributes (is bilinear).
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 import numpy as np
 
-from . import linalg
 from .errors import InfiniteScalarField, RingMismatch, TooLarge
 from .rings import Element, StructureAlgebra, TableRing
 
@@ -107,12 +105,11 @@ class TableSubgroup(AddSubgroup):
 
 
 class Subspace(AddSubgroup):
+    """``rows`` is an rref basis in the ring backend's storage (see linalg)."""
+
     def __init__(self, ring: StructureAlgebra, rows, pivots):
         self.ring = ring
-        if ring.modulus is not None:
-            self.rows = np.asarray(rows, dtype=np.int64).reshape(-1, ring.dim)
-        else:
-            self.rows = tuple(tuple(Fraction(x) for x in r) for r in rows)
+        self.rows = ring.F.rows(rows, ring.dim)
         self.pivots = tuple(pivots)
 
     @property
@@ -125,26 +122,16 @@ class Subspace(AddSubgroup):
         return self.contains_coords(elt.data)
 
     def contains_coords(self, coords):
-        if self.ring.modulus is not None:
-            return linalg.member_modp(np.array(coords, dtype=np.int64),
-                                      self.rows, self.pivots, self.ring.modulus)
-        return linalg.member_frac(coords, self.rows, self.pivots)
+        return self.ring.F.member(coords, self.rows, self.pivots)
 
     def coordinates(self, elt):
         """Coefficients of ``elt`` on this rref basis (must be a member)."""
-        if self.ring.modulus is not None:
-            if not self.contains(elt):
-                raise RingMismatch("element outside subspace")
-            v = np.array(elt.data, dtype=np.int64)
-            return tuple(int(v[c]) for c in self.pivots)
         if not self.contains(elt):
             raise RingMismatch("element outside subspace")
         return tuple(elt.data[c] for c in self.pivots)
 
     def spanning(self):
-        if self.ring.modulus is not None:
-            return [Element(self.ring, tuple(int(x) for x in row)) for row in self.rows]
-        return [Element(self.ring, row) for row in self.rows]
+        return [Element(self.ring, self.ring.F.coords(row)) for row in self.rows]
 
     def elements(self, cap=1 << 20):
         if self.ring.modulus is None:
@@ -164,33 +151,11 @@ class Subspace(AddSubgroup):
         return out
 
     def join(self, other):
-        if self.ring.modulus is not None:
-            rows, pivots, _ = linalg.merge_modp(self.rows, self.pivots,
-                                                other.rows, self.ring.modulus)
-            return Subspace(self.ring, rows, pivots)
-        rows, pivots, _ = linalg.merge_frac(self.rows, self.pivots, other.rows)
+        rows, pivots, _ = self.ring.F.merge(self.rows, self.pivots, other.rows)
         return Subspace(self.ring, rows, pivots)
 
     def intersect(self, other):
-        # Zassenhaus: rref of [[U U],[W 0]]; rows with zero left half carry
-        # the intersection in their right half.
-        d = self.ring.dim
-        if self.ring.modulus is not None:
-            p = self.ring.modulus
-            U = self.rows
-            W = other.rows
-            top = np.hstack([U, U]) if U.size else np.zeros((0, 2 * d), dtype=np.int64)
-            bot = np.hstack([W, np.zeros_like(W)]) if W.size else np.zeros((0, 2 * d), dtype=np.int64)
-            R, _ = linalg.rref_modp(np.vstack([top, bot]), p)
-            inter = [row[d:] for row in R if not row[:d].any()]
-            rows, pivots = linalg.rref_modp(np.array(inter, dtype=np.int64) if inter
-                                            else np.zeros((0, d), dtype=np.int64), p)
-            return Subspace(self.ring, rows, pivots)
-        top = [list(r) + list(r) for r in self.rows]
-        bot = [list(r) + [Fraction(0)] * d for r in other.rows]
-        R, _ = linalg.rref_frac(top + bot, width=2 * d)
-        inter = [row[d:] for row in R if all(x == 0 for x in row[:d])]
-        rows, pivots = linalg.rref_frac(inter, width=d)
+        rows, pivots = self.ring.F.intersect(self.rows, other.rows, self.ring.dim)
         return Subspace(self.ring, rows, pivots)
 
     def is_zero(self):
@@ -200,9 +165,7 @@ class Subspace(AddSubgroup):
         return self.dim == self.ring.dim
 
     def key(self):
-        if self.ring.modulus is not None:
-            return (self.pivots, self.rows.tobytes())
-        return (self.pivots, self.rows)
+        return (self.pivots, self.ring.F.key(self.rows))
 
     def measure(self):
         return self.dim
@@ -228,16 +191,7 @@ def full_subgroup(ring):
 
 
 def subspace_from_vectors(ring: StructureAlgebra, vectors):
-    if ring.modulus is not None:
-        if isinstance(vectors, np.ndarray):
-            mat = vectors.reshape(-1, ring.dim)
-        elif len(vectors):
-            mat = np.array([list(v) for v in vectors], dtype=np.int64)
-        else:
-            mat = np.zeros((0, ring.dim), dtype=np.int64)
-        rows, pivots = linalg.rref_modp(mat, ring.modulus)
-    else:
-        rows, pivots = linalg.rref_frac([list(v) for v in vectors], width=ring.dim)
+    rows, pivots = ring.F.rref(vectors, ring.dim)
     return Subspace(ring, rows, pivots)
 
 
@@ -281,16 +235,10 @@ def product_span(ring, left, right) -> AddSubgroup:
         return _table_additive_closure(ring, prods.tolist())
     xs = left.spanning() if isinstance(left, AddSubgroup) else list(left)
     ys = right.spanning() if isinstance(right, AddSubgroup) else list(right)
-    if ring.modulus is not None:
-        if not xs or not ys:
-            return zero_subgroup(ring)
-        X = np.array([e.data for e in xs], dtype=np.int64)
-        Y = np.array([e.data for e in ys], dtype=np.int64)
-        T = np.tensordot(X, ring.constants, axes=(1, 0))       # (m, j, k)
-        P = np.einsum("mjk,nj->mnk", T, Y) % ring.modulus      # (m, n, k)
-        return subspace_from_vectors(ring, P.reshape(-1, ring.dim))
-    prods = [x * y for x in xs for y in ys]
-    return additive_span(ring, prods)
+    if not xs or not ys:
+        return zero_subgroup(ring)
+    return subspace_from_vectors(ring, ring.F.products(
+        ring, [e.data for e in xs], [e.data for e in ys]))
 
 
 def triple_product_span(ring, X, Y, Z) -> AddSubgroup:

@@ -5,6 +5,7 @@ Everything here is exact arithmetic; random searches carry a fixed seed.
 
 import itertools
 
+import numpy as np
 import pytest
 
 from ringlab import (GF, QQ, bales_alpha, bales_twisted_ring, cayley_tower,
@@ -42,7 +43,7 @@ def test_criterion_02_twisted_matches_tower():
     mismatches = 0
     for n in range(1, 5):
         tw = bales_twisted_ring(QQ, n)
-        if tw.ring.constants != tower.rings[n].constants:
+        if not np.array_equal(tw.ring.constants, tower.rings[n].constants):
             mismatches += 1
     assert mismatches == 0
     _report(2, "twisted group tables equal doubling tables entrywise, n = 1..4")

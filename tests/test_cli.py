@@ -87,6 +87,28 @@ def test_certify_command(tmp_path, capsys):
     assert cert["verdict"] == "Simple" and cert["oracle"] == "agrees"
 
 
+def test_certify_crossed_product_with_frobenius(tmp_path, capsys):
+    path = _write(tmp_path, "cp.json",
+                  {"kind": "crossed_product", "group": "Z2", "sigma": ["id", "frobenius"],
+                   "base": {"kind": "scalar", "ring": "F9"}})
+    code, doc = _run(capsys, "certify", path)
+    assert code == 0
+    cert = doc["certificates"][0]
+    assert cert["verdict"] == "Simple" and cert["oracle"] == "agrees"
+
+
+def test_base_recipe_that_builds_no_ring(tmp_path, capsys):
+    doc = {"kind": "matrix_ring", "size": 2,
+           "base": {"kind": "cayley_tower", "base": "Fp:3", "levels": 1}}
+    with pytest.raises(SchemaError) as err:
+        build_recipe(parse_recipe_text(json.dumps(doc)))
+    assert err.value.path == "/base"
+    code = main(["build", _write(tmp_path, "tower-base.json", doc)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: /base:") and "Traceback" not in captured.err
+
+
 def test_certify_ore_recipe(tmp_path, capsys):
     path = _write(tmp_path, "ore.json",
                   {"kind": "ore_extension",

@@ -5,6 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringlab import linalg
+from ringlab.rings import StructureAlgebra
+from ringlab.scalars import GF, QQ
+from ringlab.subgroups import subspace_from_vectors
 
 
 def _matrices(p, rows=3, cols=4):
@@ -66,3 +69,25 @@ def test_kernel_frac():
     assert len(K) == 2
     for v in K:
         assert sum(Fraction(a) * x for a, x in zip(rows[0], v)) == 0
+
+
+_SMALL_ROWS = st.lists(st.lists(st.integers(-2, 2), min_size=4, max_size=4),
+                       max_size=4)
+
+
+@given(_SMALL_ROWS, _SMALL_ROWS)
+@settings(max_examples=60, deadline=None)
+def test_subspace_lattice_agrees_over_q_and_fp(u_rows, w_rows):
+    """Both field backends through the same Subspace code.  With entries in
+    [-2, 2] every minor of a width-4 matrix is at most 256 in absolute value
+    (Hadamard), so no rank drops modulo 10007 and the dimensions agree."""
+    dims = []
+    for field in (QQ, GF(10007)):
+        ring = StructureAlgebra(field, 4, np.zeros((4, 4, 4), dtype=np.int64))
+        U = subspace_from_vectors(ring, u_rows)
+        W = subspace_from_vectors(ring, w_rows)
+        meet, join = U.intersect(W), U.join(W)
+        assert U.dim + W.dim == join.dim + meet.dim
+        assert U.contains_subgroup(meet) and W.contains_subgroup(meet)
+        dims.append((U.dim, W.dim, join.dim, meet.dim))
+    assert dims[0] == dims[1]
