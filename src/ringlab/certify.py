@@ -1,6 +1,6 @@
 """Certificate pipelines: run a structural simplicity statement on a concrete
 instance, record which premises were verified (or sampled, or assumed), state
-the conclusion, and cross-check it against the brute-force oracle whenever one
+the conclusion, and cross-check it against the simplicity oracle whenever one
 exists.
 
 A certificate never asserts a conclusion from a failed premise; pipelines
@@ -117,7 +117,9 @@ def _is_perfect_square(f: Fraction) -> bool:
 def recognize_field(ring, cap=DEFAULT_ELEMENT_CAP):
     """True/False when decidable, None otherwise.
 
-    Finite case: commutative, unital, every nonzero element invertible.
+    Finite case: commutative, unital, every nonzero element invertible.  An
+    F_p algebra is tested on its left multiplications L_{e_i}, which span a
+    copy of it because it has a unit.
     Over Q: dimension 1 (unital); dimension 2 commutative associative unital
     via the discriminant of the minimal polynomial of a non-scalar basis
     element.
@@ -127,6 +129,8 @@ def recognize_field(ring, cap=DEFAULT_ELEMENT_CAP):
         return False
     size = ring.size()
     if size is not None and size <= cap:
+        if ring.is_algebra:
+            return linalg.is_field_modp(ring.constants, ring.modulus)
         for a in ring.enumerate_elements(cap):
             if not a.is_zero() and not _is_unit(ring, a):
                 return False
@@ -947,63 +951,13 @@ def simple_by_density(ring: StructureAlgebra) -> bool:
 
     Ideals are the invariant subspaces of the left/right multiplication
     operators.  The ring is simple iff its square is nonzero, the commutant
-    of those operators is a division algebra D, and the algebra they generate
-    has dimension dim^2 / dim(D) (density).  Both directions are classical
-    and the computation is plain linear algebra, so this is a second
-    independent oracle for sizes the element scan cannot reach.
+    of those operators is a field D (tested through Frobenius, since a
+    finite division ring is commutative), and the algebra they generate has
+    dimension dim^2 / dim(D) (density); see
+    :func:`ringlab.linalg.density_simple_modp`.  The computation is plain
+    linear algebra, so this is a second independent oracle for sizes the
+    element scan cannot reach.
     """
     if not (ring.is_algebra and ring.modulus is not None):
         raise ValueError("density decision needs an F_p structure algebra")
-    p, d = ring.modulus, ring.dim
-    C = np.asarray(ring.constants)
-    if not C.any():
-        return False
-    gens = [np.eye(d, dtype=np.int64) % p]
-    for i in range(d):
-        gens.append(C[i, :, :] % p)          # left multiplication by e_i
-        gens.append(C[:, i, :].copy() % p)   # right multiplication by e_i
-    G = np.stack(gens)
-
-    # commutant: intersect kernels of phi -> phi@g - g@phi
-    K = np.zeros((d * d, d, d), dtype=np.int64)
-    for a in range(d * d):
-        K[a, a // d, a % d] = 1
-    for g in gens[1:]:
-        M = np.einsum("aij,jk->aik", K, g) - np.einsum("ij,ajk->aik", g, K)
-        M = (M % p).reshape(K.shape[0], d * d)
-        # coefficient vectors t with sum_a t_a M_a = 0
-        tbasis, _ = linalg.kernel_modp(M.T, p)
-        if tbasis.shape[0] == 0:
-            K = np.zeros((0, d, d), dtype=np.int64)
-            break
-        K = np.tensordot(tbasis, K, axes=(1, 0)) % p
-    dim_comm = K.shape[0]
-    if dim_comm == 0:
-        return False
-    # the commutant must be a division algebra (no singular nonzero element)
-    if p ** dim_comm > 4096:
-        raise ValueError("commutant too large to scan")
-    for coeffs in itertools.product(range(p), repeat=dim_comm):
-        if not any(coeffs):
-            continue
-        mat = np.zeros((d, d), dtype=np.int64)
-        for c, k in zip(coeffs, K):
-            mat = (mat + c * k) % p
-        _, piv = linalg.rref_modp(mat, p)
-        if len(piv) < d:
-            return False
-    # density: the multiplication algebra has dimension d^2 / dim_comm
-    basis, pivots = linalg.rref_modp(G.reshape(-1, d * d), p)
-    frontier = basis
-    while frontier.shape[0]:
-        prods = np.einsum("gij,fjk->gfik", G, frontier.reshape(-1, d, d)) % p
-        rem = linalg.reduce_rows_modp(prods.reshape(-1, d * d), basis, pivots, p)
-        rem = rem[np.any(rem != 0, axis=1)]
-        if rem.shape[0] == 0:
-            break
-        fresh, _ = linalg.rref_modp(rem, p)
-        basis, pivots, _ = linalg.merge_modp(basis, pivots, fresh, p)
-        frontier = fresh
-    if (d * d) % dim_comm != 0:
-        return False
-    return basis.shape[0] == (d * d) // dim_comm
+    return linalg.density_simple_modp(ring.constants, ring.modulus)

@@ -1,5 +1,5 @@
 """The built-in instance corpus: one construction of every kind, exercised by
-both a certificate pipeline and the brute-force oracle, with the two verdicts
+both a certificate pipeline and the simplicity oracle, with the two verdicts
 required to agree wherever both exist.
 
 Everything here is deterministic for a fixed seed; the corpus is what the

@@ -275,6 +275,18 @@ def _nonzero_vectors_projective(p, d):
             yield np.array(prefix + tail, dtype=np.int64)
 
 
+def first_proper_line_ideal(ring):
+    """The principal ideal of the first line of F_p^d, in the order of
+    :func:`_nonzero_vectors_projective`, that is proper, as a Subspace; None
+    when every line generates the whole algebra."""
+    p, d = ring.modulus, ring.dim
+    for vec in _nonzero_vectors_projective(p, d):
+        rows, pivots = _closure_modp(ring, vec.reshape(1, -1))
+        if len(pivots) < d:
+            return Subspace(ring, rows, pivots)
+    return None
+
+
 def principal_ideal(ring, elt) -> IdealBasis:
     return ideal_closure(ring, [elt])
 
@@ -357,11 +369,15 @@ def _random_element(ring, rng):
 
 def is_simple(ring, cap=DEFAULT_ELEMENT_CAP, seed=DEFAULT_SEED,
               samples=DEFAULT_WITNESS_SAMPLES) -> SimpleVerdict:
-    """Brute-force simplicity oracle.
+    """Simplicity oracle.
 
     Finite case (size under cap): Simple iff R·R is nonzero and every nonzero
-    principal ideal is the whole ring; the scan over F_p algebras walks one
-    representative per scalar line, which covers every principal ideal.
+    principal ideal is the whole ring.  An F_p algebra is decided by the
+    density criterion on its multiplication algebra
+    (:func:`ringlab.linalg.density_simple_modp`), without enumerating
+    anything; when it is not simple, the witness is the principal ideal of
+    the first proper line (:func:`first_proper_line_ideal`).  A table ring
+    closes the principal ideal of every element.
     Otherwise: witness search only (basis elements plus seeded pseudorandom
     elements); a proper nonzero principal ideal refutes, nothing confirms.
 
@@ -387,13 +403,12 @@ def _is_simple_uncached(ring, cap, seed, samples) -> SimpleVerdict:
     size = ring.size()
     if size is not None and size <= cap:
         if ring.is_algebra:
-            p, d = ring.modulus, ring.dim
-            for vec in _nonzero_vectors_projective(p, d):
-                rows, pivots = _closure_modp(ring, vec.reshape(1, -1))
-                if len(pivots) < d:
-                    sub = Subspace(ring, rows, pivots)
-                    return SimpleVerdict("NotSimple", IdealBasis(ring, sub, check=False))
-            return SimpleVerdict("Simple")
+            if linalg.density_simple_modp(ring.constants, ring.modulus):
+                return SimpleVerdict("Simple")
+            sub = first_proper_line_ideal(ring)
+            if sub is None:
+                raise RuntimeError("the density criterion and the line walk disagree")
+            return SimpleVerdict("NotSimple", IdealBasis(ring, sub, check=False))
         for i in range(ring.n):
             if i == ring.zero_index:
                 continue

@@ -20,7 +20,9 @@ routines are pure; nothing mutates its inputs.
 The row-reduction kernels (``rref_modp``, ``reduce_rows_modp``,
 ``merge_modp``, ``kernel_modp``, ``rref_frac``, ``merge_frac``,
 ``kernel_frac``) are module-level functions; the backends look them up by
-name at call time.
+name at call time.  So do the two F_p decisions built on them,
+``is_field_modp`` and ``density_simple_modp``, which ideals and certificates
+use to decide simplicity without enumerating elements.
 """
 
 from __future__ import annotations
@@ -104,6 +106,95 @@ def kernel_modp(A, p):
     if not rows:
         return np.zeros((0, n), dtype=np.int64), ()
     return rref_modp(np.array(rows), p)
+
+
+def _matpow_modp(M, e, p):
+    """M^e mod p for a stack of square matrices, by repeated squaring."""
+    out = np.broadcast_to(np.eye(M.shape[-1], dtype=np.int64), M.shape).copy()
+    while e:
+        if e & 1:
+            out = (out @ M) % p
+        M = (M @ M) % p
+        e >>= 1
+    return out
+
+
+def is_field_modp(mats, p):
+    """Is the span of the square matrices ``mats`` over F_p a field?
+
+    ``mats`` is a basis of an algebra of matrices: closed under products.  A
+    finite division ring is a field (Wedderburn), so a non-commutative span
+    is not one.  On a commutative one x -> x^p is F_p-linear; it is injective
+    iff the algebra has no nilpotents, that is iff it is a product of finite
+    fields, and then its fixed space has one dimension per factor.
+    """
+    K = np.asarray(mats, dtype=np.int64) % p
+    k = K.shape[0]
+    if k == 0:
+        return False
+    for i in range(k - 1):
+        if ((K[i] @ K[i + 1:] - K[i + 1:] @ K[i]) % p).any():
+            return False
+    frob = _matpow_modp(K, p, p).reshape(k, -1)
+    if len(rref_modp(frob, p)[1]) < k:
+        return False
+    return len(rref_modp((frob - K.reshape(k, -1)) % p, p)[1]) == k - 1
+
+
+def density_simple_modp(C, p):
+    """Is the F_p-algebra with structure constants ``C`` simple?
+
+    Its ideals are the subspaces invariant under its multiplication algebra
+    M, the unital algebra of operators generated by the left and right
+    multiplications L_{e_i}, R_{e_i}.  So it is simple iff its square is
+    nonzero and it is an irreducible M-module.  By Schur and Jacobson density
+    that holds iff the commutant D of M is a division algebra, hence a field
+    of some dimension k, and dim M = d^2 / k, the dimension of End_D(A) for
+    the D-space A.  All of it is linear algebra polynomial in d.
+
+    Operators act on row vectors, x -> x @ X: L_{e_i} = C[i], R_{e_i} =
+    C[:, i].  That reverses products, which changes neither the commutant
+    nor the dimension of the algebra generated.
+    """
+    C = np.asarray(C, dtype=np.int64) % p
+    d = C.shape[0]
+    if not C.any():
+        return False
+    gens = np.concatenate([C, C.transpose(1, 0, 2)])
+    # the commutant, one generator at a time; the scalars always commute, so
+    # a one-dimensional K is final
+    K = np.eye(d * d, dtype=np.int64).reshape(d * d, d, d)
+    for g in gens:
+        if K.shape[0] == 1:
+            break
+        eqs = ((K @ g - g @ K) % p).reshape(K.shape[0], d * d)
+        coeffs, _ = kernel_modp(eqs.T, p)
+        K = np.tensordot(coeffs, K, axes=(1, 0)) % p
+    k = K.shape[0]
+    # a field D makes A a D-space, so k divides d
+    if d % k or not is_field_modp(K, p):
+        return False
+    # M lies in End_D(A), so reaching its dimension d^2 / k is equality;
+    # words in the generators are closed from the left, one generator at a
+    # time to keep the products at most d^2 matrices
+    target = d * d // k
+    basis, pivots = rref_modp(
+        np.concatenate([np.eye(d, dtype=np.int64)[None], gens]).reshape(-1, d * d), p)
+    frontier = basis
+    while frontier.shape[0] and len(pivots) < target:
+        grown = []
+        for g in gens:
+            rem = reduce_rows_modp((g @ frontier.reshape(-1, d, d)).reshape(-1, d * d),
+                                   basis, pivots, p)
+            rem = rem[np.any(rem != 0, axis=1)]
+            if rem.shape[0]:
+                fresh, _ = rref_modp(rem, p)
+                basis, pivots, _ = merge_modp(basis, pivots, fresh, p)
+                grown.append(fresh)
+                if len(pivots) == target:
+                    break
+        frontier = np.concatenate(grown) if grown else basis[:0]
+    return len(pivots) == target
 
 
 # ---------------------------------------------------------------------------

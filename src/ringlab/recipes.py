@@ -94,32 +94,42 @@ def _validate_node(doc, path):
 # ---------------------------------------------------------------------------
 
 def _parse_domain(spec, path):
-    if spec == "Q":
-        return QQ
-    if isinstance(spec, str) and spec.startswith("Fp:"):
-        return GF(int(spec[3:]))
-    if isinstance(spec, str) and spec.startswith("Zn:"):
-        return IntegersMod(int(spec[3:]))
+    try:
+        if spec == "Q":
+            return QQ
+        if isinstance(spec, str) and spec.startswith("Fp:"):
+            return GF(int(spec[3:]))
+        if isinstance(spec, str) and spec.startswith("Zn:"):
+            return IntegersMod(int(spec[3:]))
+    except ValueError as exc:
+        raise SchemaError(path, f"bad scalar domain {spec!r}: {exc}") from None
     raise SchemaError(path, f"unknown scalar domain {spec!r}")
 
 
 def _build_scalar_ring(spec, path):
     """"Q", "Fp:p", "Zn:n" or "F<q>" as a ring."""
-    if spec == "Q":
-        return field_algebra(QQ)
-    if isinstance(spec, str) and spec.startswith("Fp:"):
-        return field_algebra(GF(int(spec[3:])))
-    if isinstance(spec, str) and spec.startswith("Zn:"):
-        return zmod_ring(int(spec[3:]))
-    if isinstance(spec, str) and spec.startswith("F") and spec[1:].isdigit():
-        alg, _ = gf_extension(int(spec[1:]))
-        return alg
+    try:
+        if spec == "Q":
+            return field_algebra(QQ)
+        if isinstance(spec, str) and spec.startswith("Fp:"):
+            return field_algebra(GF(int(spec[3:])))
+        if isinstance(spec, str) and spec.startswith("Zn:"):
+            return zmod_ring(int(spec[3:]))
+        if isinstance(spec, str) and spec.startswith("F") and spec[1:].isdigit():
+            alg, _ = gf_extension(int(spec[1:]))
+            return alg
+    except ValueError as exc:
+        raise SchemaError(path, f"bad scalar ring {spec!r}: {exc}") from None
     raise SchemaError(path, f"unknown scalar ring {spec!r}")
+
+
+def _is_cyclic_spec(spec):
+    return isinstance(spec, str) and spec.startswith("Z") and spec[1:].isdigit()
 
 
 def _parse_group(spec, path):
     if isinstance(spec, str):
-        if spec.startswith("Z") and spec[1:].isdigit():
+        if _is_cyclic_spec(spec):
             return cyclic_group(int(spec[1:]))
         if spec.startswith("xor:"):
             return xor_group(int(spec[4:]))
@@ -137,6 +147,24 @@ def _coerce_scalar(dom, value, path):
         return dom.coerce(int(value))
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise SchemaError(path, f"bad scalar {value!r}: {exc}")
+
+
+def _integer(doc, key, path):
+    try:
+        return int(doc[key])
+    except (TypeError, ValueError):
+        raise SchemaError(f"{path}/{key}", f"expected an integer, got {doc[key]!r}") from None
+
+
+def _array(value, shape, path):
+    """``value`` if it is nested lists of the given shape; else a SchemaError."""
+    def fits(v, dims):
+        return not dims or (isinstance(v, list) and len(v) == dims[0]
+                            and all(fits(x, dims[1:]) for x in v))
+    if not fits(value, shape):
+        raise SchemaError(path, "expected an array of shape "
+                          + " x ".join(str(n) for n in shape))
+    return value
 
 
 def _frobenius(base_spec):
@@ -177,15 +205,18 @@ def _build(doc, path):
                                doc.get("zero", 0))
     if kind == "structure_algebra":
         dom = _parse_domain(doc["field"], f"{path}/field")
-        d = int(doc["dim"])
+        d = _integer(doc, "dim", path)
         C = [[[_coerce_scalar(dom, x, f"{path}/constants") for x in vec]
-              for vec in plane] for plane in doc["constants"]]
+              for vec in plane]
+             for plane in _array(doc["constants"], (d, d, d), f"{path}/constants")]
         return make_structure_algebra(d, dom, C)
     if kind == "cayley_tower":
         dom = _parse_domain(doc["base"], f"{path}/base") if isinstance(doc["base"], str) \
             else _parse_domain(doc["base"].get("ring", "Q"), f"{path}/base")
-        levels = int(doc["levels"])
+        levels = _integer(doc, "levels", path)
         alphas = doc.get("alpha")
+        if alphas is not None:
+            _array(alphas, (levels,), f"{path}/alpha")
         return cayley_tower(dom, levels, alphas=alphas)
     if kind == "cayley_dickson":
         base = _child_ring(doc["base"], f"{path}/base")
@@ -210,6 +241,7 @@ def _build(doc, path):
             return twisted_group_ring(base, group, lambda g, h: bales_alpha(g, h))
         table = {}
         mors = list(group.morphisms)
+        _array(aspec, (len(mors), len(mors)), f"{path}/alpha")
         for i, g in enumerate(mors):
             for j, h in enumerate(mors):
                 table[(g, h)] = _coerce_scalar(base.field, aspec[i][j],
@@ -221,6 +253,9 @@ def _build(doc, path):
         aspec = doc["action"]
         maps = {}
         if aspec == "frobenius":
+            if not _is_cyclic_spec(doc["group"]):
+                raise SchemaError(f"{path}/action",
+                                  "the frobenius action needs a cyclic group Z<n>")
             gen = _ring_map(base, aspec, f"{path}/action", frobenius=_frobenius(doc["base"]))
             e = group.identity[group.objects[0]]
             maps[e] = RingMap.identity(base)
@@ -234,6 +269,7 @@ def _build(doc, path):
                 maps[g] = mk
         else:
             mors = list(group.morphisms)
+            _array(aspec, (len(mors),), f"{path}/action")
             for i, g in enumerate(mors):
                 maps[g] = _ring_map(base, aspec[i], f"{path}/action")
         return skew_group_ring(base, group, maps)
@@ -244,10 +280,12 @@ def _build(doc, path):
         group = _parse_group(doc["group"], f"{path}/group")
         mors = list(group.morphisms)
         frob = _frobenius(doc["base"])
-        sigma = {g: _ring_map(base, doc["sigma"][i], f"{path}/sigma", frobenius=frob)
-                 for i, g in enumerate(mors)}
+        n = len(mors)
+        sigma = {g: _ring_map(base, spec, f"{path}/sigma", frobenius=frob)
+                 for g, spec in zip(mors, _array(doc["sigma"], (n,), f"{path}/sigma"))}
         alpha = {}
         if "alpha" in doc:
+            _array(doc["alpha"], (n, n), f"{path}/alpha")
             for i, g in enumerate(mors):
                 for j, h in enumerate(mors):
                     alpha[(g, h)] = base.scalar_mul(
@@ -255,6 +293,7 @@ def _build(doc, path):
                         base.probe_properties().unit)
         twists = {}
         if "twists" in doc:
+            _array(doc["twists"], (n, n), f"{path}/twists")
             for i, g in enumerate(mors):
                 for j, h in enumerate(mors):
                     twists[(g, h)] = doc["twists"][i][j]
@@ -263,13 +302,17 @@ def _build(doc, path):
         return crossed_product(sys)
     if kind == "matrix_ring":
         base = _child_ring(doc["base"], f"{path}/base")
-        n = int(doc["size"])
+        n = _integer(doc, "size", path)
         alphas = None
         if "alphas" in doc:
             alphas = {}
             unit = base.probe_properties().unit
             for key, val in doc["alphas"].items():
-                i, j, k = (int(x) for x in key.split(","))
+                try:
+                    i, j, k = (int(x) for x in key.split(","))
+                except ValueError:
+                    raise SchemaError(f"{path}/alphas",
+                                      f"bad key {key!r}, expected \"i,j,k\"") from None
                 alphas[(i, j, k)] = base.scalar_mul(
                     _coerce_scalar(base.field, val, f"{path}/alphas"), unit)
         return matrix_ring(n, base, alphas=alphas)
@@ -290,8 +333,10 @@ def _build(doc, path):
         group = _parse_group(doc["group"], f"{path}/group")
         dom = _parse_domain(doc["field"], f"{path}/field")
         mors = list(group.morphisms)
-        action = {g: tuple(doc["action"][i]) for i, g in enumerate(mors)}
-        return dynamics_skew_group_ring(int(doc["points"]), group, action, dom)
+        points = _integer(doc, "points", path)
+        action = {g: tuple(row) for g, row in
+                  zip(mors, _array(doc["action"], (len(mors), points), f"{path}/action"))}
+        return dynamics_skew_group_ring(points, group, action, dom)
     raise UnknownKind(kind)
 
 

@@ -475,7 +475,7 @@ def gf_extension(q: int):
     for cand in (2, 3, 5, 7, 11, 13):
         k = 0
         m = q
-        while m % cand == 0:
+        while m > 1 and m % cand == 0:
             m //= cand
             k += 1
         if m == 1 and k >= 1:

@@ -13,7 +13,8 @@ from ringlab.corpus import (build_f4_frobenius_ring, build_group_algebra,
                             build_nonminimal_dynamics, build_rotation_dynamics,
                             tower_q)
 from ringlab.constructions import bales_twisted_ring, twisted_group_ring
-from ringlab.rings import direct_sum_algebra, full_matrix_algebra, functions_ring
+from ringlab.rings import (direct_sum_algebra, full_matrix_algebra, functions_ring,
+                           gf_extension, make_structure_algebra)
 
 
 def test_necessity_on_frobenius_ring():
@@ -190,6 +191,10 @@ def test_recognize_field():
     assert recognize_field(zmod_ring(5)) is True
     split = direct_sum_algebra([field_algebra(QQ), field_algebra(QQ)])
     assert recognize_field(split) is False
+    assert recognize_field(gf_extension(9)[0]) is True
+    assert recognize_field(direct_sum_algebra([field_algebra(GF(3))] * 2)) is False
+    dual = make_structure_algebra(2, GF(3), [[[1, 0], [0, 1]], [[0, 1], [0, 0]]])
+    assert recognize_field(dual) is False
 
 
 def test_density_criterion():
@@ -200,6 +205,14 @@ def test_density_criterion():
     assert simple_by_density(h3)
     o3 = cayley_tower(GF(3), 3).rings[3]
     assert simple_by_density(o3)
+    # the commutant of F3^8 is F3^8 itself: commutative and reduced, but its
+    # Frobenius fixes all 8 dimensions
+    assert not simple_by_density(direct_sum_algebra([field_algebra(GF(3))] * 8))
+    # F3[x]/(x^2): the commutant is commutative but x is nilpotent
+    dual = make_structure_algebra(2, GF(3), [[[1, 0], [0, 1]], [[0, 1], [0, 0]]])
+    assert not simple_by_density(dual)
+    # F9 over F3: a two-dimensional commutant, a field
+    assert simple_by_density(gf_extension(9)[0])
 
 
 def test_corpus_properties():

@@ -109,6 +109,41 @@ def test_base_recipe_that_builds_no_ring(tmp_path, capsys):
     assert captured.err.startswith("error: /base:") and "Traceback" not in captured.err
 
 
+F4 = {"kind": "scalar", "ring": "F4"}
+
+
+@pytest.mark.parametrize("doc, path", [
+    ({"kind": "scalar", "ring": "F6"}, "/ring"),
+    ({"kind": "scalar", "ring": "F0"}, "/ring"),
+    ({"kind": "scalar", "ring": "Fp:x"}, "/ring"),
+    ({"kind": "cayley_tower", "base": "Q", "levels": "x"}, "/levels"),
+    ({"kind": "structure_algebra", "field": "Fp:3", "dim": 1, "constants": [[1]]},
+     "/constants"),
+    ({"kind": "twisted_group_ring", "base": {"kind": "scalar", "ring": "Fp:2"},
+      "group": "Z2", "alpha": [[1]]}, "/alpha"),
+    ({"kind": "skew_group_ring", "base": F4, "group": "Z2xZ2", "action": "frobenius"},
+     "/action"),
+    ({"kind": "skew_group_ring", "base": F4, "group": "Z2", "action": ["id"]}, "/action"),
+    ({"kind": "crossed_product", "base": F4, "group": "Z2", "sigma": ["id"]}, "/sigma"),
+    ({"kind": "crossed_product", "base": F4, "group": "Z2", "sigma": ["id", "id"],
+      "twists": [[0]]}, "/twists"),
+    ({"kind": "cayley_tower", "base": "Q", "levels": 2, "alpha": [-1]}, "/alpha"),
+    ({"kind": "matrix_ring", "size": 2, "base": "Fp:3", "alphas": {"x": 1}}, "/alphas"),
+    ({"kind": "dynamics", "points": 2, "group": "Z2", "action": [0, 1], "field": "Fp:3"},
+     "/action"),
+], ids=["F6", "F0", "Fp:x", "tower-levels", "constants", "twisted-alpha",
+        "frobenius-Z2xZ2", "skew-action", "crossed-sigma", "crossed-twists",
+        "tower-alpha", "matrix-alphas", "dynamics-action"])
+def test_malformed_recipe_exits_2(tmp_path, capsys, doc, path):
+    with pytest.raises(SchemaError) as err:
+        build_recipe(parse_recipe_text(json.dumps(doc)))
+    assert err.value.path == path
+    code = main(["build", _write(tmp_path, "bad.json", doc)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: {path}:") and "Traceback" not in captured.err
+
+
 def test_certify_ore_recipe(tmp_path, capsys):
     path = _write(tmp_path, "ore.json",
                   {"kind": "ore_extension",

@@ -10,8 +10,11 @@ from ringlab import (GF, QQ, cayley_tower, center, centralizer,
                      is_A_invariant, is_A_simple, is_maximal_commutative,
                      is_simple, apply_i_and_p, make_structure_algebra,
                      subring_closure, zmod_ring)
+from ringlab import ideals, linalg
+from ringlab.constructions import bales_twisted_ring
 from ringlab.errors import BNotCommutative, NotAInvariant
-from ringlab.ideals import IdealBasis
+from ringlab.ideals import IdealBasis, first_proper_line_ideal
+from ringlab.rings import functions_ring
 from ringlab.subgroups import full_subgroup, product_span
 
 
@@ -86,6 +89,56 @@ def test_is_simple_verdicts():
 def test_zero_multiplication_is_never_simple():
     null = make_structure_algebra(1, GF(2), [[[0]]])
     assert is_simple(null).status == "NotSimple"
+
+
+@st.composite
+def _small_algebras(draw):
+    """Random constants; half of them split into a direct sum of two blocks,
+    which gives commutants with idempotents."""
+    p = draw(st.sampled_from([2, 3]))
+    d = draw(st.integers(1, 4))
+    flat = draw(st.lists(st.integers(0, p - 1), min_size=d ** 3, max_size=d ** 3))
+    C = np.array(flat).reshape(d, d, d)
+    if d > 1 and draw(st.booleans()):
+        block = np.arange(d) < draw(st.integers(1, d - 1))
+        same = np.equal.outer(block, block)
+        C = C * (same[:, :, None] & same[None, :, :])
+    return make_structure_algebra(d, GF(p), C.tolist())
+
+
+@given(_small_algebras())
+@settings(max_examples=80, deadline=None)
+def test_density_agrees_with_line_walk(ring):
+    simple = ring.constants.any() and first_proper_line_ideal(ring) is None
+    assert linalg.density_simple_modp(ring.constants, ring.modulus) == simple
+    assert is_simple(ring).is_simple == simple
+
+
+def _count_closures(monkeypatch):
+    calls = []
+    original = ideals._closure_modp
+
+    def counted(ring, seed_rows):
+        calls.append(ring)
+        return original(ring, seed_rows)
+
+    monkeypatch.setattr(ideals, "_closure_modp", counted)
+    return calls
+
+
+def test_simple_verdicts_close_no_ideal(monkeypatch):
+    calls = _count_closures(monkeypatch)
+    assert is_simple(full_matrix_algebra(3, GF(3))).is_simple
+    assert is_simple(bales_twisted_ring(GF(3), 3).ring).is_simple
+    assert calls == []
+
+
+def test_not_simple_witness_is_the_first_proper_line(monkeypatch):
+    calls = _count_closures(monkeypatch)
+    v = is_simple(functions_ring(2, GF(3)))
+    assert v.status == "NotSimple"
+    assert v.witness.span.rows.tolist() == [[1, 0]]
+    assert len(calls) == 1
 
 
 def test_centralizers():

@@ -91,3 +91,17 @@ def test_subspace_lattice_agrees_over_q_and_fp(u_rows, w_rows):
         assert U.contains_subgroup(meet) and W.contains_subgroup(meet)
         dims.append((U.dim, W.dim, join.dim, meet.dim))
     assert dims[0] == dims[1]
+
+
+def test_is_field_modp():
+    I, A, B = np.eye(2, dtype=np.int64), np.array([[0, 1], [2, 0]]), np.array([[1, 1], [1, 2]])
+    # F9 = F3[i], i^2 = -1, as 2x2 matrices
+    assert linalg.is_field_modp([I, A], 3)
+    # M2(F3) on the basis 1, i, j, ij with i^2 = j^2 = -1, ij = -ji: each
+    # basis element has x^3 = ±x, so Frobenius alone does not see that it
+    # is no field; commutativity does
+    assert not linalg.is_field_modp([I, A, B, A @ B % 3], 3)
+    # F3 x F3 fixes two dimensions; F3[x]/(x^2) has a nilpotent
+    assert not linalg.is_field_modp([np.diag([1, 0]), np.diag([0, 1])], 3)
+    assert not linalg.is_field_modp([I, np.array([[0, 1], [0, 0]])], 3)
+    assert not linalg.is_field_modp(np.zeros((0, 2, 2), dtype=np.int64), 3)
