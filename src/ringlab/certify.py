@@ -21,6 +21,7 @@ from . import linalg
 from .constructions.crossed import CrossedProduct, _is_unit, is_G_invariant
 from .constructions.doubling import CayleyDoubling, CayleyTower
 from .constructions.dynamics import DynamicsRing
+from .errors import CriterionDisagreement
 from .gradings import (Grading, grading_flags, graded_ideal_associativity,
                        support_degree_map, verify_degree_map)
 from .ideals import (DEFAULT_ELEMENT_CAP, DEFAULT_SEED, IdealBasis, Subring,
@@ -732,7 +733,7 @@ def certify_dynamics(dyn: DynamicsRing, cap=DEFAULT_ELEMENT_CAP,
     premises.append(Premise("the base is action-simple",
                             "verified" if g_simple else "failed", gwit))
     if g_simple != dyn.minimal:
-        raise AssertionError("action-simplicity must match minimality on finite sets")
+        raise CriterionDisagreement("action-simplicity must match minimality on finite sets")
     premises.append(Premise("action-simple iff minimal (checked both ways)", "verified",
                             f"minimal={dyn.minimal}"))
     mc = is_maximal_commutative(ring, B)
@@ -742,11 +743,11 @@ def certify_dynamics(dyn: DynamicsRing, cap=DEFAULT_ELEMENT_CAP,
     # and minimal+faithful forces it (a faithful transitive abelian action is
     # regular); the conjunctions therefore agree instance by instance
     if mc and not dyn.faithful:
-        raise AssertionError("maximal commutativity must imply faithfulness")
+        raise CriterionDisagreement("maximal commutativity must imply faithfulness")
     if dyn.minimal and dyn.faithful and not mc:
-        raise AssertionError("minimal+faithful must force maximal commutativity")
+        raise CriterionDisagreement("minimal+faithful must force maximal commutativity")
     if (g_simple and mc) != (dyn.minimal and dyn.faithful):
-        raise AssertionError("premise conjunction must match minimal+faithful")
+        raise CriterionDisagreement("premise conjunction must match minimal+faithful")
     premises.append(Premise("action-simple and maximal commutative iff minimal "
                             "and faithful (checked on the instance)", "verified",
                             f"faithful={dyn.faithful}"))
@@ -762,7 +763,7 @@ def certify_dynamics(dyn: DynamicsRing, cap=DEFAULT_ELEMENT_CAP,
         ok = J is not None and not J.is_zero() and not J.span.is_full()
         cert.notes += (f"non-faithful witness ideal proper and nonzero: {ok}",)
         if not ok:
-            raise AssertionError("non-faithful witness ideal must be proper and nonzero")
+            raise CriterionDisagreement("non-faithful witness ideal must be proper and nonzero")
     if not dyn.minimal:
         J = minimality_witness_ideal(dyn)
         ok = J is not None and not J.is_zero() and not J.span.is_full()

@@ -21,7 +21,7 @@ from .certify import (certify_cayley, certify_crossed_product,
                       certify_twisted)
 from .constructions.crossed import CrossedProduct
 from .constructions.doubling import CayleyTower
-from .errors import RinglabError
+from .errors import CriterionDisagreement, RinglabError
 from .ideals import DEFAULT_ELEMENT_CAP, DEFAULT_SEED, is_simple
 from .ore import (SigmaDerivationData, is_sigma_delta_simple,
                   validate_sigma_derivation)
@@ -83,6 +83,10 @@ def main(argv=None) -> int:
     t0 = time.monotonic()
     try:
         return _dispatch(args, t0)
+    except CriterionDisagreement as exc:
+        # a defect, not bad input: reported like a pipeline/oracle disagreement
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except RinglabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

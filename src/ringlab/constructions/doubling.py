@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..categories import cyclic_group, xor_group
-from ..errors import AlphaNotCentralUnit, ShapeMismatch, SigmaNotInvolutive, TooLarge
+from ..errors import (AlphaNotCentralUnit, CriterionDisagreement, ShapeMismatch,
+                      SigmaNotInvolutive, TooLarge)
 from ..rings import Element, Ring, StructureAlgebra, field_algebra
 from .crossed import (CrossedProduct, CrossedSystem, RingMap,
                       _associates_and_commutes, _is_unit, crossed_product,
@@ -131,7 +132,7 @@ def _assert_anti_automorphism(A, m: RingMap):
     for x in A.spanning_elements():
         for y in A.spanning_elements():
             if m.apply(x * y) != m.apply(y) * m.apply(x):
-                raise AssertionError("extended map fails to reverse products")
+                raise CriterionDisagreement("extended map fails to reverse products")
 
 
 @dataclass

@@ -42,6 +42,11 @@ class BNotCommutative(RinglabError):
     pass
 
 
+class CriterionDisagreement(RinglabError):
+    """Two computations that a theorem says must agree gave different
+    answers on one instance: a defect in ringlab, not in its input."""
+
+
 class NotAInvariant(RinglabError):
     pass
 

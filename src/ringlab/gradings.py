@@ -11,7 +11,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import (FilterViolation, NotDirectSum, PreconditionUnmet)
+import numpy as np
+
+from .errors import (CriterionDisagreement, FilterViolation, NotDirectSum,
+                     PreconditionUnmet)
 from .ideals import (DEFAULT_ELEMENT_CAP, IdealBasis, Subring, center,
                      enumerate_ideals, full_subring, is_A_invariant,
                      principal_ideal)
@@ -21,46 +24,41 @@ from .subgroups import (AddSubgroup, additive_span,
 
 
 class Grading:
-    """A validated decomposition A = ⊕_g A_g over a finite category."""
+    """A validated decomposition A = ⊕_g A_g over a finite category.
+
+    Every question about components is read off one kernel,
+    :meth:`support_matrix`, which works on a whole block of elements (see
+    ``Ring.element_blocks``).  For an algebra it multiplies the rows by the
+    inverse of the stacked component bases, solved for on first use, and
+    asks each component's slice of coefficients whether it is nonzero.  A
+    table ring tabulates every element's decomposition at construction and
+    indexes that table.
+    """
 
     def __init__(self, ring, cat, components):
         self.ring = ring
         self.cat = cat
         self.components = dict(components)
         self.order = list(cat.morphisms)
-        self._decomp = self._build_decomposer()
+        if ring.is_algebra:
+            rows, self._slices = [], []
+            for g in self.order:
+                span = self.components[g].spanning()
+                self._slices.append(slice(len(rows), len(rows) + len(span)))
+                rows.extend(e.data for e in span)
+            self._basis = ring.F.matrix(rows, ring.dim)
+            # solved for on the first call, so an undecomposed grading costs
+            # no row reduction
+            self._inverse = None
+        else:
+            self._parts = self._tabulate()
         self._vertex_units = None
         self._zero_part = None
 
     # -- decomposition --------------------------------------------------
-    def _build_decomposer(self):
+    def _tabulate(self):
+        """Table ring: row i holds the component indices summing to element i."""
         ring = self.ring
-        if ring.is_algebra:
-            F = ring.F
-            rows, slices = [], {}
-            for g in self.order:
-                span = self.components[g].spanning()
-                slices[g] = slice(len(rows), len(rows) + len(span))
-                rows.extend(e.data for e in span)
-            M = F.matrix(rows, ring.dim)
-            # coordinates c with c @ M = v are inverse @ v; the inverse is
-            # solved for on the first call, so an undecomposed grading costs
-            # no row reduction
-            inverse = None
-
-            def decompose(a):
-                nonlocal inverse
-                if inverse is None:
-                    inverse = F.solve(M.T, F.eye(ring.dim))
-                    if inverse is None:
-                        raise NotDirectSum("component bases do not span the ring")
-                c = F.reduce(inverse @ F.array(a.data))
-                return {g: Element(ring, F.coords(F.reduce(c[s] @ M[s])))
-                        for g, s in slices.items() if any(c[s])}
-
-            return decompose
-
-        # table ring: tabulate every decomposition once
         lists = [sorted(self.components[g].members) for g in self.order]
         table = {}
         add = ring.add_table
@@ -71,24 +69,45 @@ class Grading:
             table[s] = combo
         if len(table) != ring.n:
             raise NotDirectSum("components do not decompose every element uniquely")
-        zero = ring.zero_index
+        return np.array([table[i] for i in range(ring.n)], dtype=np.int64)
 
-        def decompose(a):
-            combo = table[a.data]
-            return {g: ring.element(i)
-                    for g, i in zip(self.order, combo) if i != zero}
+    def _coefficients(self, rows):
+        """Algebra: coefficients c with c @ basis = row, one row per row."""
+        F = self.ring.F
+        if self._inverse is None:
+            inverse = F.solve(self._basis.T, F.eye(self.ring.dim))
+            if inverse is None:
+                raise NotDirectSum("component bases do not span the ring")
+            self._inverse = inverse.T
+        return F.reduce(F.array(rows) @ self._inverse)
 
-        return decompose
+    def support_matrix(self, block):
+        """Boolean matrix: entry (i, j) says whether element i of the block
+        has a nonzero component at ``order[j]``.  ``block`` is a block of
+        the ring or a list of element data."""
+        if self.ring.is_table:
+            return self._parts[np.asarray(block, dtype=np.int64)] != self.ring.zero_index
+        C = self._coefficients(block)
+        return np.stack([(C[:, s] != 0).any(axis=1) for s in self._slices], axis=1)
 
     def decompose(self, a):
         """Nonzero homogeneous components of ``a``, keyed by morphism."""
-        return self._decomp(a)
+        ring = self.ring
+        if ring.is_table:
+            return {g: ring.element(i)
+                    for g, i in zip(self.order, self._parts[a.data].tolist())
+                    if i != ring.zero_index}
+        F = ring.F
+        c = self._coefficients([a.data])[0]
+        return {g: Element(ring, F.coords(F.reduce(c[s] @ self._basis[s])))
+                for g, s in zip(self.order, self._slices) if any(c[s] != 0)}
 
     def component_of(self, a, g):
         return self.decompose(a).get(g, self.ring.zero())
 
     def support(self, a):
-        return frozenset(self.decompose(a).keys())
+        row = self.support_matrix([a.data])[0]
+        return frozenset(g for g, nonzero in zip(self.order, row.tolist()) if nonzero)
 
     # -- derived subrings ------------------------------------------------
     def zero_part_subring(self) -> Subring:
@@ -288,6 +307,24 @@ class DegreeMap:
     def degree(self, a):
         return self.d(a)
 
+    def degrees(self, block):
+        """d on every element of a block of the ring, as an array.  A
+        support map reads it off the grading's support matrix; any other
+        ``d`` is called on the block's Elements one by one."""
+        if isinstance(self.d, _SupportDegree):
+            return self.d.grading.support_matrix(block).sum(axis=1)
+        return np.array([self.d(a) for a in self.ring.block_elements(block)])
+
+
+class _SupportDegree:
+    """d(a) = |Supp(a)|, read off the grading's support matrix."""
+
+    def __init__(self, grading):
+        self.grading = grading
+
+    def __call__(self, a):
+        return int(self.grading.support_matrix([a.data])[0].sum())
+
 
 @dataclass
 class DegreeMapVerdict:
@@ -320,30 +357,7 @@ def support_degree_map(grading: Grading, b_choice="center_of_A0") -> DegreeMap:
         desc = "support degree map over homogeneous elements"
     else:
         raise ValueError("b_choice must be center_of_A0 or homogeneous_elements")
-
-    def d(a):
-        return len(grading.support(a))
-
-    return DegreeMap(ring, B, X, d, desc, grading=grading)
-
-
-def _d2_candidates(dm: DegreeMap, a):
-    """Cheap candidates for the degree-drop witness, tried before the
-    exhaustive principal-ideal scan."""
-    yield a
-    g_hint = dm.grading
-    if g_hint is None or not g_hint.cat.is_groupoid:
-        return
-    comps = g_hint.decompose(a)
-    objects = {g_hint.cat.identity[e] for e in g_hint.cat.objects}
-    if set(comps) & objects:
-        return
-    for g in comps:
-        ginv = g_hint.cat.inverse[g]
-        for c in g_hint.components[ginv].spanning():
-            cand = a * c
-            if not cand.is_zero():
-                yield cand
+    return DegreeMap(ring, B, X, _SupportDegree(grading), desc, grading=grading)
 
 
 def verify_degree_map(dm: DegreeMap, cap=DEFAULT_ELEMENT_CAP) -> DegreeMapVerdict:
@@ -352,48 +366,73 @@ def verify_degree_map(dm: DegreeMap, cap=DEFAULT_ELEMENT_CAP) -> DegreeMapVerdic
 
     Reduction soundness: for an ideal I and nonzero a in I, a witness found
     inside <a> also lies in I, and conversely (d2) applied to I at a yields
-    a witness valid for <a> evaluated at a.  A qualifying witness found early
-    settles the existential; only failures fall back to the full scan.
+    a witness valid for <a> evaluated at a.
+
+    Elements are checked a block at a time (``Ring.element_blocks``), so
+    degrees come from ``DegreeMap.degrees`` and products from block
+    arithmetic: over F_p, [a, b] = a·(R_b − L_b) is one matrix product for
+    the whole block.  (d1) runs over every block before (d2) starts.  For
+    (d2) each a first tries a' = a itself; those that fail try the groupoid
+    candidates a·c, c spanning A_{g^-1} for g in Supp(a), when a has no
+    object component.  Only elements still unsettled scan all of <a>.  The
+    first failing a in enumeration order is the witness.
     """
     ring = dm.ring
     zero = ring.zero()
     if dm.degree(zero) != 0:
         return DegreeMapVerdict("D1Violation", zero)
-    elements = ring.enumerate_elements(cap)
-    for a in elements:
-        da = dm.degree(a)
-        if (da == 0) != a.is_zero():
-            return DegreeMapVerdict("D1Violation", a)
-    for a in elements:
-        if a.is_zero():
-            continue
-        da = dm.degree(a)
-        if _find_d2_witness(dm, a, da) is None:
-            return DegreeMapVerdict("D2Violation", (principal_ideal(ring, a), a))
+    for block in ring.element_blocks(cap):
+        bad = np.flatnonzero((dm.degrees(block) == 0) == ring.block_nonzero(block))
+        if bad.size:
+            return DegreeMapVerdict("D1Violation", ring.block_elements(block[bad[:1]])[0])
+    for block in ring.element_blocks(cap):
+        block = block[ring.block_nonzero(block)]
+        da = dm.degrees(block)
+        settled = _qualifying(dm, block, da)
+        if not settled.all():
+            rest = ~settled
+            settled[rest] = _groupoid_candidates_qualify(dm, block[rest], da[rest])
+        for i in np.flatnonzero(~settled):
+            a = ring.block_elements(block[i:i + 1])[0]
+            ideal = principal_ideal(ring, a)
+            if not any(_qualifying(dm, cands, da[i]).any()
+                       for cands in ideal.span.element_blocks(cap)):
+                return DegreeMapVerdict("D2Violation", (ideal, a))
     return DegreeMapVerdict("Valid")
 
 
-def _qualifies(dm, cand, da):
-    if cand.is_zero() or dm.degree(cand) > da:
-        return False
-    for b in dm.X:
-        if dm.degree(cand * b - b * cand) >= da:
-            return False
-    return True
-
-
-def _find_d2_witness(dm: DegreeMap, a, da):
-    # the cheap candidates (a itself, a·c) lie in <a> by construction, so
-    # the principal ideal is only materialized for the exhaustive fallback
+def _qualifying(dm, cands, bound):
+    """Mask of the candidates a' with a' != 0, d(a') <= bound and
+    d(a'b − ba') < bound for every b in X (``bound`` per row or scalar)."""
     ring = dm.ring
-    for cand in _d2_candidates(dm, a):
-        if _qualifies(dm, cand, da):
-            return cand
-    ideal = principal_ideal(ring, a)
-    for cand in ideal.span.elements():
-        if _qualifies(dm, cand, da):
-            return cand
-    return None
+    bound = np.broadcast_to(bound, (len(cands),))
+    ok = ring.block_nonzero(cands)
+    ok[ok] = dm.degrees(cands[ok]) <= bound[ok]
+    for b in dm.X:
+        if not ok.any():
+            break
+        ok[ok] = dm.degrees(ring.block_commutators(cands[ok], b)) < bound[ok]
+    return ok
+
+
+def _groupoid_candidates_qualify(dm, block, da):
+    """Mask of the elements a of the block for which some a·c qualifies,
+    c spanning A_{g^-1} for g in Supp(a), when a has no object component.
+    These candidates lie in <a>, so they settle (d2) without scanning it."""
+    found = np.zeros(len(block), dtype=bool)
+    grading = dm.grading
+    if grading is None or not grading.cat.is_groupoid or not len(block):
+        return found
+    cat = grading.cat
+    supp = grading.support_matrix(block)
+    objects = {cat.identity[e] for e in cat.objects}
+    eligible = ~supp[:, [g in objects for g in grading.order]].any(axis=1)
+    for j, g in enumerate(grading.order):
+        for c in grading.components[cat.inverse[g]].spanning():
+            rows = eligible & supp[:, j] & ~found
+            if rows.any():
+                found[rows] = _qualifying(dm, dm.ring.block_mul(block[rows], c), da[rows])
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +500,7 @@ def check_invariance_componentwise(grading: Grading, I: IdealBasis,
             break
     direct = is_A_invariant(ring, grading.zero_part_subring(), I)
     if plain != direct:
-        raise AssertionError("componentwise criterion disagrees with AI ⊆ IA")
+        raise CriterionDisagreement("componentwise criterion disagrees with AI ⊆ IA")
     conjugation = None
     pre_b = cat.is_groupoid and flags.strongly_graded and \
         graded_ideal_associativity(grading, I)
@@ -477,7 +516,7 @@ def check_invariance_componentwise(grading: Grading, I: IdealBasis,
                 conjugation = False
                 break
         if conjugation != plain:
-            raise AssertionError("conjugation criterion disagrees with the plain one")
+            raise CriterionDisagreement("conjugation criterion disagrees with the plain one")
     elif strict:
         raise PreconditionUnmet("strong groupoid grading with graded ideal associativity")
     return ComponentwiseInvariance(plain, conjugation, True)
@@ -525,5 +564,5 @@ def local_units_full_ideal_test(grading: Grading, I: IdealBasis, part="a") -> bo
     else:
         raise ValueError("part must be 'a' or 'b'")
     if crit != direct:
-        raise AssertionError("vertex-unit criterion disagrees with I = A")
+        raise CriterionDisagreement("vertex-unit criterion disagrees with I = A")
     return crit

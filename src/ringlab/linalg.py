@@ -22,7 +22,9 @@ The row-reduction kernels (``rref_modp``, ``reduce_rows_modp``,
 ``kernel_frac``) are module-level functions; the backends look them up by
 name at call time.  So do the two F_p decisions built on them,
 ``is_field_modp`` and ``density_simple_modp``, which ideals and certificates
-use to decide simplicity without enumerating elements.
+use to decide simplicity without enumerating elements.  Where elements must
+be enumerated, ``combinations_modp`` yields them as fixed-size blocks of
+rows, so scans over them are matrix products.
 """
 
 from __future__ import annotations
@@ -106,6 +108,28 @@ def kernel_modp(A, p):
     if not rows:
         return np.zeros((0, n), dtype=np.int64), ()
     return rref_modp(np.array(rows), p)
+
+
+# rows per block of enumerated elements: large enough that numpy, not the
+# interpreter, does the work; small enough that a block of a 2^20-element
+# scan stays a few MB
+BLOCK_ROWS = 1 << 12
+
+
+def combinations_modp(rows, p):
+    """Every F_p combination of ``rows``, as blocks of at most BLOCK_ROWS rows.
+
+    Combination number ``i`` has the coefficient tuple that
+    ``itertools.product(range(p), repeat=len(rows))`` yields at position ``i``,
+    so the all-zero combination comes first.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    r = rows.shape[0]
+    weights = p ** np.arange(r - 1, -1, -1, dtype=np.int64)
+    total = p ** r
+    for start in range(0, total, BLOCK_ROWS):
+        index = np.arange(start, min(start + BLOCK_ROWS, total), dtype=np.int64)
+        yield ((index[:, None] // weights) % p) @ rows % p
 
 
 def _matpow_modp(M, e, p):

@@ -137,6 +137,32 @@ class Ring:
         raise NotImplementedError
 
     def enumerate_elements(self, cap=DEFAULT_ELEMENT_CAP):
+        return [a for block in self.element_blocks(cap)
+                for a in self.block_elements(block)]
+
+    # -- blocks of elements -------------------------------------------
+    # A block holds many elements at once: an index array for a table
+    # ring, an (n, dim) array of coordinate rows for an F_p algebra.  Scans
+    # over every element work on blocks, so their arithmetic is array
+    # indexing or matrix products rather than one Element at a time.
+    def element_blocks(self, cap=DEFAULT_ELEMENT_CAP):
+        """Every element, in ``enumerate_elements`` order, as blocks."""
+        raise NotImplementedError
+
+    def block_elements(self, block):
+        """The elements of a block, as Elements."""
+        raise NotImplementedError
+
+    def block_nonzero(self, block):
+        """Boolean mask of the nonzero elements of a block."""
+        raise NotImplementedError
+
+    def block_mul(self, block, c):
+        """The block of products x·c, for x in ``block``."""
+        raise NotImplementedError
+
+    def block_commutators(self, block, b):
+        """The block of commutators x·b − b·x, for x in ``block``."""
         raise NotImplementedError
 
     def probe_properties(self) -> PropertyReport:
@@ -198,11 +224,24 @@ class TableRing(Ring):
     def spanning_elements(self):
         return [Element(self, i) for i in range(self.n)]
 
-    def enumerate_elements(self, cap=DEFAULT_ELEMENT_CAP):
+    def element_blocks(self, cap=DEFAULT_ELEMENT_CAP):
         if self.n > cap:
             raise TooLarge(f"{self.n} elements exceeds cap {cap}")
         order = [self.zero_index] + [i for i in range(self.n) if i != self.zero_index]
-        return [Element(self, i) for i in order]
+        return index_blocks(order)
+
+    def block_elements(self, block):
+        return [Element(self, i) for i in block.tolist()]
+
+    def block_nonzero(self, block):
+        return block != self.zero_index
+
+    def block_mul(self, block, c):
+        return self.mul_table[block, c.data]
+
+    def block_commutators(self, block, b):
+        return self.add_table[self.mul_table[block, b.data],
+                              self.neg_table[self.mul_table[b.data, block]]]
 
     def _probe(self):
         n, add, mul = self.n, self.add_table, self.mul_table
@@ -381,16 +420,26 @@ class StructureAlgebra(Ring):
     def spanning_elements(self):
         return [self.basis_element(i) for i in range(self.dim)]
 
-    def enumerate_elements(self, cap=DEFAULT_ELEMENT_CAP):
+    def element_blocks(self, cap=DEFAULT_ELEMENT_CAP):
         if self.modulus is None:
             raise InfiniteScalarField("cannot enumerate an algebra over Q")
         total = self.modulus ** self.dim
         if total > cap:
             raise TooLarge(f"{total} elements exceeds cap {cap}")
-        out = []
-        for coords in itertools.product(range(self.modulus), repeat=self.dim):
-            out.append(Element(self, coords))
-        return out
+        return linalg.combinations_modp(self.F.eye(self.dim), self.modulus)
+
+    def block_elements(self, block):
+        return [Element(self, tuple(row)) for row in block.tolist()]
+
+    def block_nonzero(self, block):
+        return block.any(axis=1)
+
+    def block_mul(self, block, c):
+        return self.F.reduce(block @ self.F.mult_matrices(self, c.data)[1])
+
+    def block_commutators(self, block, b):
+        L, R = self.F.mult_matrices(self, b.data)
+        return self.F.reduce(block @ (R - L))
 
     def _probe(self):
         assoc, assoc_wit = self._probe_associative()
@@ -443,6 +492,13 @@ def opposite(ring: Ring) -> Ring:
 
 def enumerate_elements(ring: Ring, cap=DEFAULT_ELEMENT_CAP):
     return ring.enumerate_elements(cap)
+
+
+def index_blocks(indices):
+    """Element indices of a table ring, as blocks of at most BLOCK_ROWS."""
+    indices = np.asarray(indices, dtype=np.int64)
+    return (indices[i:i + linalg.BLOCK_ROWS]
+            for i in range(0, len(indices), linalg.BLOCK_ROWS))
 
 
 # ---------------------------------------------------------------------------

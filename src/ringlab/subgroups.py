@@ -15,12 +15,11 @@ sets suffice because ring multiplication distributes (is bilinear).
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .errors import InfiniteScalarField, RingMismatch, TooLarge
-from .rings import Element, StructureAlgebra, TableRing
+from .linalg import combinations_modp
+from .rings import Element, StructureAlgebra, TableRing, index_blocks
 
 
 class AddSubgroup:
@@ -34,6 +33,11 @@ class AddSubgroup:
         raise NotImplementedError
 
     def elements(self, cap=1 << 20):
+        return [a for block in self.element_blocks(cap)
+                for a in self.ring.block_elements(block)]
+
+    def element_blocks(self, cap=1 << 20):
+        """Every element, as blocks of the ring (see ``Ring.element_blocks``)."""
         raise NotImplementedError
 
     def join(self, other):
@@ -78,8 +82,8 @@ class TableSubgroup(AddSubgroup):
     def spanning(self):
         return [self.ring.element(i) for i in sorted(self.members)]
 
-    def elements(self, cap=1 << 20):
-        return self.spanning()
+    def element_blocks(self, cap=1 << 20):
+        return index_blocks(sorted(self.members))
 
     def join(self, other):
         return additive_span(self.ring,
@@ -133,22 +137,14 @@ class Subspace(AddSubgroup):
     def spanning(self):
         return [Element(self.ring, self.ring.F.coords(row)) for row in self.rows]
 
-    def elements(self, cap=1 << 20):
+    def element_blocks(self, cap=1 << 20):
         if self.ring.modulus is None:
             raise InfiniteScalarField("cannot enumerate a Q-subspace")
         p = self.ring.modulus
         r = self.dim
         if p ** r > cap:
             raise TooLarge(f"{p ** r} elements exceeds cap {cap}")
-        out = []
-        rows = self.rows
-        for coeffs in itertools.product(range(p), repeat=r):
-            v = np.zeros(self.ring.dim, dtype=np.int64)
-            for c, row in zip(coeffs, rows):
-                if c:
-                    v = (v + c * row) % p
-            out.append(Element(self.ring, tuple(int(x) for x in v)))
-        return out
+        return combinations_modp(self.rows, p)
 
     def join(self, other):
         rows, pivots, _ = self.ring.F.merge(self.rows, self.pivots, other.rows)

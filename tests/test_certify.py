@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from ringlab import (GF, QQ, RingMap, cayley_dickson, cayley_tower,
@@ -7,12 +9,15 @@ from ringlab import (GF, QQ, RingMap, cayley_dickson, cayley_tower,
                      cross_check_corpus, cyclic_group, field_algebra,
                      full_subring, matrix_ring, simple_by_density,
                      skew_group_ring, trivial_grading, zmod_ring)
+from ringlab import certify
 from ringlab.certify import recognize_field
+from ringlab.cli import main
 from ringlab.corpus import (build_f4_frobenius_ring, build_group_algebra,
                             build_m3f2_block_graded, build_nonfaithful_dynamics,
                             build_nonminimal_dynamics, build_rotation_dynamics,
                             tower_q)
 from ringlab.constructions import bales_twisted_ring, twisted_group_ring
+from ringlab.errors import CriterionDisagreement
 from ringlab.rings import (direct_sum_algebra, full_matrix_algebra, functions_ring,
                            gf_extension, make_structure_algebra)
 
@@ -182,6 +187,21 @@ def test_dynamics_certificates():
     assert any("non-faithful witness" in n for n in cert.notes)
     cert = certify_dynamics(build_nonminimal_dynamics())
     assert cert.verdict == "NotSimple" and cert.oracle == "agrees"
+
+
+def test_dynamics_disagreement_is_typed(monkeypatch, tmp_path, capsys):
+    # the rotation action is minimal and faithful, so the base must be
+    # maximal commutative; a check saying otherwise is a defect
+    monkeypatch.setattr(certify, "is_maximal_commutative", lambda ring, B: False)
+    with pytest.raises(CriterionDisagreement):
+        certify_dynamics(build_rotation_dynamics())
+    recipe = tmp_path / "rot3.json"
+    recipe.write_text(json.dumps({"kind": "dynamics", "points": 3, "group": "Z3",
+                                  "action": [[0, 1, 2], [1, 2, 0], [2, 0, 1]],
+                                  "field": "Fp:2"}))
+    assert main(["certify", str(recipe)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: minimal+faithful") and "Traceback" not in err
 
 
 def test_recognize_field():

@@ -10,8 +10,9 @@ from ringlab import (GF, QQ, RingMap, bales_alpha, bales_twisted_ring,
                      validate_crossed_system, validate_grading, zmod_ring,
                      enumerate_subring_ideals, is_A_invariant)
 from ringlab.constructions.crossed import CrossedSystem, crossed_product
+from ringlab.constructions import doubling
 from ringlab.errors import (AlphaNotCentralUnit, CoherenceViolation,
-                            NotAnAction, SigmaNotInvolutive, TooLarge,
+                            CriterionDisagreement, NotAnAction, SigmaNotInvolutive, TooLarge,
                             ValidationFailure)
 
 
@@ -115,6 +116,14 @@ def test_cayley_dickson_rejects_bad_inputs():
         cayley_dickson(b, flip, b.scalar_mul(-1, b.probe_properties().unit))
     with pytest.raises(AlphaNotCentralUnit):
         cayley_dickson(b, RingMap.identity(b), b.zero())
+
+
+def test_doubling_disagreement_is_typed(monkeypatch):
+    # the identity does not reverse the products of the quaternions
+    monkeypatch.setattr(doubling, "_extend_conjugation",
+                        lambda result: RingMap.identity(result.ring))
+    with pytest.raises(CriterionDisagreement):
+        cayley_tower(GF(3), 2)
 
 
 def test_quaternion_products_and_tower_dims():

@@ -15,9 +15,9 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "ringlab"
 # (file, enclosing function) -> why the test is about the field itself
 MODULUS_TESTS = {
     ("rings.py", "StructureAlgebra.size"): "finite: p^dim elements",
-    ("rings.py", "StructureAlgebra.enumerate_elements"): "finite fields only",
+    ("rings.py", "StructureAlgebra.element_blocks"): "finite fields only",
     ("rings.py", "convert_to_table"): "finite fields only",
-    ("subgroups.py", "Subspace.elements"): "finite fields only",
+    ("subgroups.py", "Subspace.element_blocks"): "finite fields only",
     ("ideals.py", "enumerate_ideals"): "finite fields only",
     ("ideals.py", "ideal_closure"): "F_p closure fast path",
     ("ideals.py", "_random_element"): "samples from the finite field",

@@ -1,18 +1,26 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ringlab import (GF, QQ, FiniteCategory, abelian_group, cyclic_group,
-                     check_invariance_componentwise, enumerate_subring_ideals,
+                     check_invariance_componentwise, dynamics_skew_group_ring,
+                     enumerate_ideals, enumerate_subring_ideals,
                      field_algebra, full_matrix_algebra, grading_flags,
                      ideal_closure, ideal_intersection_property,
                      is_A_invariant, local_units_full_ideal_test,
-                     make_structure_algebra, pair_groupoid, skew_group_ring,
-                     subring_closure, support, support_degree_map,
+                     make_structure_algebra, matrix_ring, pair_groupoid,
+                     skew_group_ring, subring_closure, support, support_degree_map,
                      trivial_grading, validate_grading, verify_degree_map,
                      xor_group, zmod_ring, RingMap, full_subring)
-from ringlab.errors import NotDirectSum, PreconditionUnmet, ValidationFailure
+from ringlab import gradings, rings
+from ringlab.errors import (CriterionDisagreement, NotDirectSum, PreconditionUnmet,
+                            ValidationFailure)
 from ringlab.gradings import DegreeMap, graded_ideal_associativity
 from ringlab.ideals import IdealBasis
+from ringlab.rings import convert_to_table
 from ringlab.subgroups import full_subgroup, subspace_from_vectors
 
 
@@ -126,6 +134,210 @@ def test_degree_map_d2_violation():
     dm = DegreeMap(t2, B, X, lambda a: 0 if a.is_zero() else 1, "flat degree")
     v = verify_degree_map(dm)
     assert v.status == "D2Violation"
+
+
+def _reference_elements(ring):
+    """Every element, in the enumeration order the verdict's witness follows:
+    coordinate tuples in product order, or the zero index then the rest."""
+    if ring.is_table:
+        return [ring.element(i) for i in
+                [ring.zero_index] + [i for i in range(ring.n) if i != ring.zero_index]]
+    return [ring.element(c) for c in itertools.product(range(ring.modulus), repeat=ring.dim)]
+
+
+def _reference_verdict(dm):
+    """(d1) and (d2) read straight off their definitions, one Element at a
+    time and over every ideal (not only principal ones).
+
+    a' qualifies for a bound t iff a' != 0, d(a') <= t and d([a', b]) < t
+    for every b in X, that is iff t >= q(a') below; so (d2) holds in I at a
+    iff the least q over I's nonzero elements is at most d(a)."""
+    ring, d = dm.ring, dm.degree
+    elements = _reference_elements(ring)
+    for a in elements:
+        if (d(a) == 0) != a.is_zero():
+            return "D1Violation", a, None
+    ideals = enumerate_ideals(ring)
+    q = [float("inf") if x.is_zero() else
+         max([d(x)] + [d(x * b - b * x) + 1 for b in dm.X]) for x in elements]
+    inside = [[I.contains(x) for x in elements] for I in ideals]
+    least = [min(qx for qx, m in zip(q, row) if m) for row in inside]
+    for i, a in enumerate(elements):
+        if a.is_zero():
+            continue
+        failing = [I for I, row, m in zip(ideals, inside, least) if row[i] and m > d(a)]
+        if failing:
+            return "D2Violation", a, min(failing, key=lambda I: I.measure())
+    return "Valid", None, None
+
+
+def _assert_matches_reference(dm):
+    v = verify_degree_map(dm)
+    status, a, ideal = _reference_verdict(dm)
+    assert v.status == status
+    if status == "D1Violation":
+        assert v.witness == a
+    elif status == "D2Violation":
+        # the smallest failing ideal containing a is <a>
+        assert v.witness[1] == a and v.witness[0].span == ideal.span
+    return v
+
+
+@st.composite
+def _dynamics_support_maps(draw):
+    """Support maps of B ⋊ Z_n for a random action on at most 3 points,
+    rings of at most 512 elements so the reference stays fast.  Some are
+    weighted, d(a) = sum of w_g over Supp(a), a callable that keeps the
+    grading, so the groupoid candidates a·c can fail too."""
+    p = draw(st.sampled_from([2, 3]))
+    n = draw(st.sampled_from([2, 3]))
+    points = draw(st.integers(1, 3))
+    assume(p ** (n * points) <= 512)
+
+    def power(s, k):
+        out = tuple(range(points))
+        for _ in range(k):
+            out = tuple(s[x] for x in out)
+        return out
+
+    perms = [s for s in itertools.permutations(range(points))
+             if power(s, n) == tuple(range(points))]
+    s = draw(st.sampled_from(perms))
+    dyn = dynamics_skew_group_ring(points, cyclic_group(n),
+                                   {g: power(s, g) for g in range(n)}, GF(p))
+    dm = support_degree_map(dyn.grading, draw(st.sampled_from(
+        ["center_of_A0", "homogeneous_elements"])))
+    if draw(st.booleans()):
+        return dm
+    weights = dict(zip(dyn.grading.order, draw(st.lists(
+        st.integers(1, 3), min_size=n, max_size=n))))
+    return DegreeMap(dm.ring, dm.B, dm.X,
+                     lambda a: sum(weights[g] for g in dyn.grading.support(a)),
+                     "weighted support", grading=dyn.grading)
+
+
+@given(_dynamics_support_maps())
+@settings(max_examples=30, deadline=None)
+def test_support_degree_maps_match_reference(dm):
+    _assert_matches_reference(dm)
+
+
+@st.composite
+def _callable_degree_maps(draw):
+    """A random algebra of dimension <= 3 over F_2 or F_3 with a random
+    degree table and X, and the same map on its convert_to_table image."""
+    p = draw(st.sampled_from([2, 3]))
+    dim = draw(st.integers(1, 3))
+    n = p ** dim
+    flat = draw(st.lists(st.integers(0, p - 1), min_size=dim ** 3, max_size=dim ** 3))
+    alg = make_structure_algebra(dim, GF(p), np.array(flat).reshape(dim, dim, dim).tolist())
+    low = draw(st.sampled_from([0, 1, 1, 1]))
+    degrees = ([draw(st.sampled_from([0, 0, 0, 1]))]
+               + draw(st.lists(st.integers(low, 3), min_size=n - 1, max_size=n - 1)))
+    xs = draw(st.lists(st.integers(0, n - 1), max_size=3))
+    weights = [p ** (dim - 1 - k) for k in range(dim)]
+    table = convert_to_table(alg)
+
+    def alg_index(a):
+        return sum(c * w for c, w in zip(a.data, weights))
+
+    coords = list(itertools.product(range(p), repeat=dim))
+    alg_dm = DegreeMap(alg, full_subring(alg), [alg.element(coords[i]) for i in xs],
+                       lambda a: degrees[alg_index(a)], "random degree table")
+    table_dm = DegreeMap(table, full_subring(table), [table.element(i) for i in xs],
+                         lambda a: degrees[a.data], "random degree table")
+    return alg_dm, table_dm, alg_index
+
+
+@given(_callable_degree_maps())
+@settings(max_examples=60, deadline=None)
+def test_callable_degree_maps_match_reference(maps):
+    alg_dm, table_dm, alg_index = maps
+    v_alg = _assert_matches_reference(alg_dm)
+    v_table = _assert_matches_reference(table_dm)
+    # convert_to_table numbers elements in the algebra's enumeration order
+    assert v_alg.status == v_table.status
+    if v_alg.status == "D1Violation":
+        assert alg_index(v_alg.witness) == v_table.witness.data
+    elif v_alg.status == "D2Violation":
+        assert alg_index(v_alg.witness[1]) == v_table.witness[1].data
+        assert alg_dm.ring.modulus ** v_alg.witness[0].measure() == \
+            v_table.witness[0].measure()
+
+
+def _upper_triangular_f2():
+    # basis E11, E12, E22
+    return make_structure_algebra(
+        3, GF(2),
+        [[[1, 0, 0], [0, 1, 0], [0, 0, 0]],
+         [[0, 0, 0], [0, 0, 0], [0, 1, 0]],
+         [[0, 0, 0], [0, 0, 0], [0, 0, 1]]])
+
+
+def test_d1_violation_wins_over_an_earlier_d2_violation():
+    t2 = _upper_triangular_f2()
+    X = [t2.basis_element(0)]
+    last = t2.element([1, 1, 1])          # the last element enumerated
+
+    def flat(a):
+        return 0 if a.is_zero() else 1
+
+    v = verify_degree_map(DegreeMap(t2, subring_closure(t2, X), X, flat, "flat"))
+    assert v.status == "D2Violation" and v.witness[1] != last
+    v = verify_degree_map(DegreeMap(t2, subring_closure(t2, X), X,
+                                    lambda a: 0 if a == last else flat(a), "flat"))
+    assert v.status == "D1Violation" and v.witness == last
+
+
+def test_exhaustive_scan_settles_what_the_candidates_cannot(monkeypatch):
+    # M2(F2), X = {E11}: E12 fails as its own a' ([E12, E11] = E12 keeps its
+    # degree) and there is no grading to offer a·c; the scan of <E12>, the
+    # whole ring, finds E11 of degree 1, which commutes with E11
+    m2 = full_matrix_algebra(2, GF(2))
+    e11, e12 = m2.basis_element(0), m2.basis_element(1)
+    dm = DegreeMap(m2, full_subring(m2), [e11],
+                   lambda a: 0 if a.is_zero() else 1 if a == e11 else 2, "two levels")
+    scanned = []
+    original = gradings.principal_ideal
+
+    def counted(ring, a):
+        scanned.append(a)
+        return original(ring, a)
+
+    monkeypatch.setattr(gradings, "principal_ideal", counted)
+    assert verify_degree_map(dm).valid
+    assert e12 in scanned
+    assert _reference_verdict(dm)[0] == "Valid"
+
+
+def test_degree_map_check_works_on_blocks(monkeypatch):
+    mr = matrix_ring(3, field_algebra(GF(3)))
+    dm = support_degree_map(mr.grading, "center_of_A0")
+    assert mr.ring.size() == 19683
+    calls = {"decompose": 0, "mul_coords": 0}
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(gradings.Grading, "decompose",
+                        counting("decompose", gradings.Grading.decompose))
+    monkeypatch.setattr(rings.StructureAlgebra, "mul_coords",
+                        counting("mul_coords", rings.StructureAlgebra.mul_coords))
+    assert verify_degree_map(dm).valid
+    assert calls["decompose"] < 100 and calls["mul_coords"] < 100
+
+
+def test_criterion_disagreement_is_typed(monkeypatch):
+    m3, gr = _m3f2_graded()
+    B = gr.zero_part_subring()
+    I = enumerate_subring_ideals(m3, B)[1]
+    original = gradings.is_A_invariant
+    monkeypatch.setattr(gradings, "is_A_invariant", lambda *args: not original(*args))
+    with pytest.raises(CriterionDisagreement):
+        check_invariance_componentwise(gr, I)
 
 
 def test_homogeneous_degree_map():
