@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .constructions.crossed import CrossedProduct, _is_unit, is_G_invariant
+from .constructions.crossed import CrossedProduct, _is_unit, is_G_simple
 from .constructions.doubling import CayleyDoubling, CayleyTower
 from .constructions.dynamics import DynamicsRing
 from .errors import CriterionDisagreement
@@ -27,8 +27,8 @@ from .gradings import (Grading, grading_flags, graded_ideal_associativity,
 from .ideals import (DEFAULT_ELEMENT_CAP, DEFAULT_SEED, IdealBasis, Subring,
                      center, centralizer, check_ideal_associativity,
                      enumerate_ideals, enumerate_subring_ideals, ideal_closure,
-                     identity_property, is_A_invariant, is_A_simple,
-                     is_maximal_commutative, is_simple)
+                     first_invariant_ideal, identity_property, is_A_invariant,
+                     is_A_simple, is_maximal_commutative, is_simple)
 from .rings import StructureAlgebra
 from .subgroups import full_subgroup, product_span, triple_product_span, zero_subgroup
 
@@ -171,11 +171,46 @@ def _simple_status(ring, cap=DEFAULT_ELEMENT_CAP, seed=DEFAULT_SEED, hint=None):
     return "Unknown", v.reason
 
 
+def _premise_status(st):
+    """The premise status of a simplicity status from :func:`_simple_status`."""
+    return {"Simple": "verified", "NotSimple": "failed"}.get(st, "assumed")
+
+
+def _proper(J):
+    """Is the witness ideal J (None when there is none) proper and nonzero?"""
+    return J is not None and not J.is_zero() and not J.span.is_full()
+
+
 def _z_is_field(ring, cap=DEFAULT_ELEMENT_CAP):
     """The center as a subring plus a True/False/None field verdict."""
     z = center(ring)
-    sub, embed, _ = z.as_ring()
+    sub, _, _ = z.as_ring()
     return z, recognize_field(sub, cap=cap)
+
+
+def _non_invariant_meet(ring, S: Subring, cap):
+    """The first ideal I of the ring whose meet I ∩ S is not invariant as
+    an ideal of S, or None."""
+    for I in enumerate_ideals(ring, cap=cap):
+        meet = IdealBasis(ring, I.span.intersect(S.span), of_subring=S, check=False)
+        if not is_A_invariant(ring, S, meet):
+            return I
+    return None
+
+
+def _vertex_premise(grading: Grading, name, ring_at, cap, seed) -> Premise:
+    """Premise ``name``: ``ring_at(A_e)`` is simple for the vertex subring
+    A_e of every object e; the detail lists the status per vertex."""
+    vd = []
+    for e in grading.cat.objects:
+        sub, _, _ = grading.vertex_subring(e).as_ring()
+        vd.append((e, _simple_status(ring_at(sub), cap=cap, seed=seed)[0]))
+    ok = all(st == "Simple" for _, st in vd)
+    return Premise(name, "verified" if ok else "failed", vd)
+
+
+def _vertex_center(sub):
+    return center(sub).as_ring()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -248,13 +283,7 @@ def certify_sufficiency(ring, B: Subring, degree_map=None,
         wit = is_A_simple(ring, C, cap=cap).witness
         premises.append(Premise("the centralizer is invariantly simple",
                                 "failed" if wit else "verified", wit))
-        bad = None
-        for I in enumerate_ideals(ring, cap=cap):
-            meet = I.span.intersect(C.span)
-            meet_ideal = IdealBasis(ring, meet, of_subring=C, check=False)
-            if not is_A_invariant(ring, C, meet_ideal):
-                bad = I
-                break
+        bad = _non_invariant_meet(ring, C, cap)
         premises.append(Premise("every intersection of the centralizer with an "
                                 "ideal is invariant",
                                 "failed" if bad else "verified", bad))
@@ -309,17 +338,11 @@ def certify_groupoid_graded(ring, grading: Grading, cap=DEFAULT_ELEMENT_CAP,
     proper_vertices = all(not grading.vertex_subring(e).span.is_full()
                           for e in cat.objects)
     if flags.strongly_graded and cat.is_connected() and proper_vertices:
-        vertex_ok, vd = True, []
-        for e in cat.objects:
-            sub, _, _ = grading.vertex_subring(e).as_ring()
-            st, detail = _simple_status(sub, cap=cap, seed=seed)
-            vd.append((e, st))
-            if st != "Simple":
-                vertex_ok = False
+        vertices = _vertex_premise(grading, "every vertex subring is simple",
+                                   lambda sub: sub, cap, seed)
         premises.append(Premise("strong grading over a connected groupoid", "verified"))
-        premises.append(Premise("every vertex subring is simple",
-                                "verified" if vertex_ok else "failed", vd))
-        if vertex_ok:
+        premises.append(vertices)
+        if vertices.status == "verified":
             cert.verdict = "Simple"
             cert.notes += ("variant: simple vertex subrings",)
             _oracle_cross_check(cert, ring, cap, seed)
@@ -333,12 +356,7 @@ def certify_groupoid_graded(ring, grading: Grading, cap=DEFAULT_ELEMENT_CAP,
     # variant 2: non-degenerate + maximal commutative object part
     if asv.holds and flags.nondegenerate_some_side and B.is_commutative() \
             and is_maximal_commutative(ring, B):
-        bad = None
-        for I in enumerate_ideals(ring, cap=cap):
-            meet = IdealBasis(ring, I.span.intersect(B.span), of_subring=B, check=False)
-            if not is_A_invariant(ring, B, meet):
-                bad = I
-                break
+        bad = _non_invariant_meet(ring, B, cap)
         premises.append(Premise("grading non-degenerate on one side", "verified"))
         premises.append(Premise("object part maximal commutative", "verified"))
         premises.append(Premise("ideal intersections with the object part are invariant",
@@ -356,19 +374,12 @@ def certify_groupoid_graded(ring, grading: Grading, cap=DEFAULT_ELEMENT_CAP,
                   for I in enumerate_subring_ideals(ring, B, cap=cap))
         premises.append(Premise("graded ideal associativity (words up to four factors)",
                                 "verified" if gia else "failed"))
-        centers_ok, cd = True, []
-        for e in cat.objects:
-            sub, _, _ = grading.vertex_subring(e).as_ring()
-            zsub, zembed, _ = center(sub).as_ring()
-            st, _ = _simple_status(zsub, cap=cap, seed=seed)
-            cd.append((e, st))
-            if st != "Simple":
-                centers_ok = False
-        premises.append(Premise("every vertex center is simple",
-                                "verified" if centers_ok else "failed", cd))
+        centers = _vertex_premise(grading, "every vertex center is simple",
+                                  _vertex_center, cap, seed)
+        premises.append(centers)
         premises.append(Premise("groupoid locally abelian (vertex groups abelian; "
                                 "interpreted)", "verified"))
-        if gia and centers_ok:
+        if gia and centers.status == "verified":
             cert.verdict = "Simple"
             cert.notes += ("variant: simple vertex centers",)
     _oracle_cross_check(cert, ring, cap, seed)
@@ -378,18 +389,6 @@ def certify_groupoid_graded(ring, grading: Grading, cap=DEFAULT_ELEMENT_CAP,
 # ---------------------------------------------------------------------------
 # crossed products
 # ---------------------------------------------------------------------------
-
-def _g_simple_premise(cp: CrossedProduct, cap):
-    B = cp.base_subring()
-    wit = None
-    for I in enumerate_subring_ideals(cp.ring, B, cap=cap):
-        if I.is_zero() or I.is_full_in(B.span):
-            continue
-        if is_G_invariant(cp, I):
-            wit = I
-            break
-    return wit
-
 
 def certify_crossed_product(cp: CrossedProduct, cap=DEFAULT_ELEMENT_CAP,
                             seed=DEFAULT_SEED, instance="") -> Certificate:
@@ -405,7 +404,7 @@ def certify_crossed_product(cp: CrossedProduct, cap=DEFAULT_ELEMENT_CAP,
         cp.system.alpha_at(g, h) == cp.system.base[cat.cod[g]].probe_properties().unit
         for (g, h) in cat.composable_pairs())
     premises = []
-    wit = _g_simple_premise(cp, cap)
+    _, wit = is_G_simple(cp, cap)
     premises.append(Premise("the base is action-simple (no nontrivial invariant ideal)",
                             "failed" if wit else "verified", wit))
     statement = "action-simple base forces simplicity"
@@ -440,16 +439,10 @@ def certify_crossed_product(cp: CrossedProduct, cap=DEFAULT_ELEMENT_CAP,
             verdict = "Simple"
             statement = "groupoid crossed product with maximal commutative action-simple base"
         elif wit is None and cat.is_groupoid and cat.is_locally_abelian() and cat.is_connected():
-            centers_ok, cd = True, []
-            for e in cat.objects:
-                sub, _, _ = cp.grading.vertex_subring(e).as_ring()
-                zsub, _, _ = center(sub).as_ring()
-                st, _ = _simple_status(zsub, cap=cap, seed=seed)
-                cd.append((e, st))
-                centers_ok = centers_ok and st == "Simple"
-            premises.append(Premise("every vertex center is simple",
-                                    "verified" if centers_ok else "failed", cd))
-            if centers_ok:
+            centers = _vertex_premise(cp.grading, "every vertex center is simple",
+                                      _vertex_center, cap, seed)
+            premises.append(centers)
+            if centers.status == "verified":
                 verdict = "Simple"
                 statement = ("locally abelian connected groupoid crossed product "
                              "with simple vertex centers")
@@ -467,21 +460,20 @@ def _sigma_simple_premise(cd: CayleyDoubling, cap, seed, base_hint=None):
     """sigma-stability scan of the base's ideals; over Q falls back to
     simplicity of the base (no ideals at all) or product-of-fields structure."""
     B = cd.base
+    name = "the base has no nontrivial conjugation-stable ideal"
+
+    def stable(S):
+        return all(S.contains(cd.sigma.apply(v)) for v in S.spanning())
+
     size = B.size()
     if size is not None and size <= cap:
-        for I in enumerate_ideals(B, cap=cap):
-            if I.is_zero() or I.span.is_full():
-                continue
-            stable = all(I.contains(cd.sigma.apply(v)) for v in I.spanning())
-            if stable:
-                return Premise("the base has no nontrivial conjugation-stable ideal",
-                               "failed", I)
-        return Premise("the base has no nontrivial conjugation-stable ideal",
-                       "verified", "ideal enumeration")
+        I = first_invariant_ideal(enumerate_ideals(B, cap=cap), stable)
+        if I is not None:
+            return Premise(name, "failed", I)
+        return Premise(name, "verified", "ideal enumeration")
     st, detail = _simple_status(B, cap=cap, seed=seed, hint=base_hint)
     if st == "Simple":
-        return Premise("the base has no nontrivial conjugation-stable ideal",
-                       "verified", f"base simple ({detail})")
+        return Premise(name, "verified", f"base simple ({detail})")
     factors = getattr(B, "product_factors", None)
     if factors and B.modulus is None:
         # a product of fields: the only ideals are spanned by factor blocks
@@ -495,8 +487,7 @@ def _sigma_simple_premise(cd: CayleyDoubling, cap, seed, base_hint=None):
                 vecs.append(v)
             sub, _, _ = Subring(B, subspace_from_vectors(B, vecs), check=False).as_ring()
             if recognize_field(sub, cap=cap) is not True:
-                return Premise("the base has no nontrivial conjugation-stable ideal",
-                               "assumed", "factors not recognized as fields")
+                return Premise(name, "assumed", "factors not recognized as fields")
             blocks.append(subspace_from_vectors(B, vecs))
         n = len(blocks)
         for mask in range(1, 2 ** n - 1):
@@ -504,16 +495,12 @@ def _sigma_simple_premise(cd: CayleyDoubling, cap, seed, base_hint=None):
             for t in range(n):
                 if mask >> t & 1:
                     span = span.join(blocks[t])
-            stable = all(span.contains(cd.sigma.apply(v)) for v in span.spanning())
-            if stable:
-                return Premise("the base has no nontrivial conjugation-stable ideal",
-                               "failed", f"stable factor combination {mask:b}")
-        return Premise("the base has no nontrivial conjugation-stable ideal",
-                       "verified",
+            if stable(span):
+                return Premise(name, "failed", f"stable factor combination {mask:b}")
+        return Premise(name, "verified",
                        "factor-combination scan over a product of fields "
                        "(base itself is not simple)")
-    return Premise("the base has no nontrivial conjugation-stable ideal",
-                   "assumed", detail)
+    return Premise(name, "assumed", detail)
 
 
 def certify_cayley(cd: CayleyDoubling, base_hint=None, cap=DEFAULT_ELEMENT_CAP,
@@ -527,8 +514,7 @@ def certify_cayley(cd: CayleyDoubling, base_hint=None, cap=DEFAULT_ELEMENT_CAP,
     zsub, _, _ = z.as_ring()
     zf = recognize_field(zsub, cap=cap)
     if zf is None:
-        st, detail = _simple_status(zsub, cap=cap, seed=seed)
-        zstatus = "verified" if st == "Simple" else ("failed" if st == "NotSimple" else "assumed")
+        zstatus = _premise_status(_simple_status(zsub, cap=cap, seed=seed)[0])
     else:
         zstatus = "verified" if zf else "failed"
     premises.append(Premise("the center of the double is simple", zstatus,
@@ -583,14 +569,10 @@ def certify_twisted(tw: CrossedProduct, cap=DEFAULT_ELEMENT_CAP,
     premises = [Premise("the group is abelian",
                         "verified" if cat.is_abelian_group() else "failed")]
     st, det = _simple_status(B, cap=cap, seed=seed)
-    premises.append(Premise("the base ring is simple",
-                            {"Simple": "verified", "NotSimple": "failed"}.get(st, "assumed"),
-                            det))
+    premises.append(Premise("the base ring is simple", _premise_status(st), det))
     zsub, _, _ = center(B).as_ring()
     stz, detz = _simple_status(zsub, cap=cap, seed=seed)
-    premises.append(Premise("the center of the base is simple",
-                            {"Simple": "verified", "NotSimple": "failed"}.get(stz, "assumed"),
-                            detz))
+    premises.append(Premise("the center of the base is simple", _premise_status(stz), detz))
     e = cat.identity[obj]
     witnesses = {}
     missing = []
@@ -638,8 +620,7 @@ def certify_matrix(mr: CrossedProduct, component_hints=None,
         hint = (component_hints or {}).get(i)
         st, det = _simple_status(Bi, cap=cap, seed=seed, hint=hint)
         premises.append(Premise(f"base ring at index {i} is simple",
-                                {"Simple": "verified", "NotSimple": "failed"}.get(st, "assumed"),
-                                det))
+                                _premise_status(st), det))
         if st == "NotSimple" and bad is None:
             bad = (i, det)
     cert = Certificate(instance, "matrix",
@@ -651,7 +632,7 @@ def certify_matrix(mr: CrossedProduct, component_hints=None,
         for v in witness_ideal.spanning():
             gens.append(mr.embed(cat.identity[i], v))
         J = ideal_closure(mr.ring, gens)
-        proper = not J.span.is_full() and not J.is_zero()
+        proper = _proper(J)
         cert.notes += (f"witness: matrix ideal over the non-simple base at {i} "
                        f"(proper={proper})",)
         cert.verdict = "NotSimple" if proper else None
@@ -728,8 +709,7 @@ def certify_dynamics(dyn: DynamicsRing, cap=DEFAULT_ELEMENT_CAP,
                         "verified" if cat.is_abelian_group() else "failed"),
                 Premise("the base (functions on the space) is commutative",
                         "verified" if B.is_commutative() else "failed")]
-    gwit = _g_simple_premise(dyn, cap)
-    g_simple = gwit is None
+    g_simple, gwit = is_G_simple(dyn, cap)
     premises.append(Premise("the base is action-simple",
                             "verified" if g_simple else "failed", gwit))
     if g_simple != dyn.minimal:
@@ -758,22 +738,22 @@ def certify_dynamics(dyn: DynamicsRing, cap=DEFAULT_ELEMENT_CAP,
                        premises, verdict,
                        meta={"cap": cap, "seed": seed, "iff": True,
                              "minimal": dyn.minimal, "faithful": dyn.faithful})
+    # an explicit proper ideal: the non-faithful one when the action is not
+    # faithful, else the non-minimal one
+    refuted = False
     if not dyn.faithful:
-        J = faithfulness_witness_ideal(dyn)
-        ok = J is not None and not J.is_zero() and not J.span.is_full()
-        cert.notes += (f"non-faithful witness ideal proper and nonzero: {ok}",)
-        if not ok:
+        refuted = _proper(faithfulness_witness_ideal(dyn))
+        cert.notes += (f"non-faithful witness ideal proper and nonzero: {refuted}",)
+        if not refuted:
             raise CriterionDisagreement("non-faithful witness ideal must be proper and nonzero")
     if not dyn.minimal:
-        J = minimality_witness_ideal(dyn)
-        ok = J is not None and not J.is_zero() and not J.span.is_full()
+        ok = _proper(minimality_witness_ideal(dyn))
         cert.notes += (f"non-minimal witness ideal proper and nonzero: {ok}",)
+        refuted = refuted or ok
     _oracle_cross_check(cert, ring, cap, seed)
-    if cert.oracle == "unavailable" and verdict == "NotSimple":
-        J = faithfulness_witness_ideal(dyn) if not dyn.faithful else minimality_witness_ideal(dyn)
-        if J is not None and not J.is_zero() and not J.span.is_full():
-            cert.oracle = "agrees"
-            cert.oracle_detail = "explicit proper ideal re-verified"
+    if cert.oracle == "unavailable" and refuted:
+        cert.oracle = "agrees"
+        cert.oracle_detail = "explicit proper ideal re-verified"
     return cert
 
 
@@ -896,9 +876,7 @@ def survey_finite_dynamics(max_points=4, max_group_order=6, field_orders=(2, 3),
                     expected = dyn.minimal and dyn.faithful
                     if not dyn.faithful:
                         survey.nonfaithful_total += 1
-                        J = faithfulness_witness_ideal(dyn)
-                        ok = J is not None and not J.is_zero() and not J.span.is_full()
-                        if ok:
+                        if _proper(faithfulness_witness_ideal(dyn)):
                             survey.nonfaithful_witnesses += 1
                         else:
                             survey.failures.append(
@@ -928,8 +906,7 @@ def survey_finite_dynamics(max_points=4, max_group_order=6, field_orders=(2, 3),
                     elif not expected:
                         J = (faithfulness_witness_ideal(dyn) if not dyn.faithful
                              else minimality_witness_ideal(dyn))
-                        decided = not (J is not None and not J.is_zero()
-                                       and not J.span.is_full())
+                        decided = not _proper(J)
                         survey.witness_refutations += 1
                     else:
                         decided = simple_by_density(dyn.ring)

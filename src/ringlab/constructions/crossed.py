@@ -21,8 +21,9 @@ import numpy as np
 from ..categories import FiniteCategory
 from ..errors import ShapeMismatch, TooLarge, ValidationFailure
 from ..gradings import Grading
-from ..ideals import IdealBasis, Subring, enumerate_subring_ideals
-from ..rings import (Element, Ring, StructureAlgebra, TableRing)
+from ..ideals import (IdealBasis, Subring, enumerate_subring_ideals,
+                      first_invariant_ideal)
+from ..rings import DEFAULT_ELEMENT_CAP, Element, Ring, StructureAlgebra, TableRing
 from ..subgroups import TableSubgroup
 
 TABLE_PRODUCT_CAP = 4096
@@ -291,7 +292,7 @@ def crossed_product(sys: CrossedSystem, validate=True, kind_tag="crossed_product
     raise ShapeMismatch("base rings must all be table rings or all algebras")
 
 
-def _twisted_product(Bc, a, b, twist, alpha):
+def _twisted_product(a, b, twist, alpha):
     t = (b * a) if twist == "opposite" else (a * b)
     return t * alpha
 
@@ -324,7 +325,7 @@ def _crossed_algebra(sys, kind_tag, notes):
         for j in range(Bh.dim):
             sb = sg.apply(Bh.basis_element(j))
             for i in range(Bc.dim):
-                prod = _twisted_product(Bc, Bc.basis_element(i), sb, twist, alpha)
+                prod = _twisted_product(Bc.basis_element(i), sb, twist, alpha)
                 for k, val in enumerate(prod.data):
                     if Bc.field.is_zero(val):
                         continue
@@ -379,7 +380,7 @@ def _crossed_table(sys, kind_tag, notes):
             for b_idx in range(Bh.n):
                 sb = sys.sigma[g].apply(Bh.element(b_idx))
                 T[a_idx, b_idx] = _twisted_product(
-                    Bc, a, sb, sys.twist_at(g, h), sys.alpha_at(g, h)).data
+                    a, sb, sys.twist_at(g, h), sys.alpha_at(g, h)).data
         contrib = T[np.ix_(combos_arr[:, pos[g]], combos_arr[:, pos[h]])]
         slot = pos[cat.compose(g, h)]
         Bs = sys.base[cat.cod[cat.compose(g, h)]]
@@ -390,7 +391,6 @@ def _crossed_table(sys, kind_tag, notes):
     zero_idx = int(sum(w * z for w, z in zip(weights, zeros)))
     A = TableRing(add_acc.astype(np.int32), mul_acc.astype(np.int32),
                   zero_idx, _validated=True)
-    index = {c: i for i, c in enumerate(combos)}
     components = {}
     for g in mors:
         members = []
@@ -483,11 +483,7 @@ def is_G_invariant(cp: CrossedProduct, I: IdealBasis) -> bool:
 
 def is_G_simple(cp: CrossedProduct, cap=None):
     """No nontrivial G-invariant ideal of the base; returns (bool, witness)."""
-    from ..rings import DEFAULT_ELEMENT_CAP
-    B = cp.base_subring()
-    for I in enumerate_subring_ideals(cp.ring, B, cap=cap or DEFAULT_ELEMENT_CAP):
-        if I.is_zero() or I.is_full_in(B.span):
-            continue
-        if is_G_invariant(cp, I):
-            return False, I
-    return True, None
+    ideals = enumerate_subring_ideals(cp.ring, cp.base_subring(),
+                                      cap=cap or DEFAULT_ELEMENT_CAP)
+    I = first_invariant_ideal(ideals, lambda I: is_G_invariant(cp, I))
+    return I is None, I

@@ -104,7 +104,6 @@ def cayley_dickson(B: Ring, sigma: RingMap, alpha: Element,
 def _char_two(B):
     if B.is_algebra:
         return B.field.char == 2
-    two = B.element(B.zero_index)
     unit = B.probe_properties().unit
     if unit is None:
         return False

@@ -165,7 +165,6 @@ def validate_grading(ring, cat, components) -> Grading:
             comp = additive_span(ring, list(comp))
         comps[g] = comp
     total = zero_subgroup(ring)
-    running = 0
     for g in cat.morphisms:
         c = comps[g]
         joined = total.join(c)
@@ -176,7 +175,6 @@ def validate_grading(ring, cat, components) -> Grading:
             if joined.measure() != total.measure() * c.measure():
                 raise NotDirectSum(f"component of {g!r} overlaps the others")
         total = joined
-        running += c.measure()
     if not total.is_full():
         raise NotDirectSum("components do not span the ring")
     for g in cat.morphisms:
@@ -374,8 +372,9 @@ def verify_degree_map(dm: DegreeMap, cap=DEFAULT_ELEMENT_CAP) -> DegreeMapVerdic
     the whole block.  (d1) runs over every block before (d2) starts.  For
     (d2) each a first tries a' = a itself; those that fail try the groupoid
     candidates a·c, c spanning A_{g^-1} for g in Supp(a), when a has no
-    object component.  Only elements still unsettled scan all of <a>.  The
-    first failing a in enumeration order is the witness.
+    object component.  Only elements still unsettled scan all of <a>; the
+    scan depends on <a> and d(a) alone, so each such pair is scanned once.
+    The first failing a in enumeration order is the witness.
     """
     ring = dm.ring
     zero = ring.zero()
@@ -385,6 +384,7 @@ def verify_degree_map(dm: DegreeMap, cap=DEFAULT_ELEMENT_CAP) -> DegreeMapVerdic
         bad = np.flatnonzero((dm.degrees(block) == 0) == ring.block_nonzero(block))
         if bad.size:
             return DegreeMapVerdict("D1Violation", ring.block_elements(block[bad[:1]])[0])
+    scanned = set()                   # (ideal key, d(a)) pairs that passed
     for block in ring.element_blocks(cap):
         block = block[ring.block_nonzero(block)]
         da = dm.degrees(block)
@@ -395,9 +395,12 @@ def verify_degree_map(dm: DegreeMap, cap=DEFAULT_ELEMENT_CAP) -> DegreeMapVerdic
         for i in np.flatnonzero(~settled):
             a = ring.block_elements(block[i:i + 1])[0]
             ideal = principal_ideal(ring, a)
+            if (ideal.key(), da[i]) in scanned:
+                continue
             if not any(_qualifying(dm, cands, da[i]).any()
                        for cands in ideal.span.element_blocks(cap)):
                 return DegreeMapVerdict("D2Violation", (ideal, a))
+            scanned.add((ideal.key(), da[i]))
     return DegreeMapVerdict("Valid")
 
 

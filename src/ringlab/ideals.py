@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import (BNotCommutative, InfiniteScalarField, NotAInvariant,
-                     NotIdealAssociative, RingMismatch, TooLarge)
+from .errors import (BNotCommutative, CriterionDisagreement, InfiniteScalarField,
+                     NotAInvariant, NotIdealAssociative, RingMismatch, TooLarge)
 from .rings import (DEFAULT_ELEMENT_CAP, StructureAlgebra,
                     TableRing)
 from .subgroups import (AddSubgroup, Subspace, TableSubgroup, additive_span,
@@ -267,24 +267,33 @@ def _closure_modp(ring, seed_rows):
 # ideal lattice and simplicity
 # ---------------------------------------------------------------------------
 
-def _nonzero_vectors_projective(p, d):
-    """One representative per line of F_p^d (first nonzero coordinate = 1)."""
+def principal_ideals(ring):
+    """The span of the principal ideal of every generator of a finite ring,
+    up to scalars, in a fixed order.  Every ideal is a join of these.
+
+    An F_p algebra closes one generator per line of F_p^d: the vector with
+    first nonzero coordinate 1, leading coordinates in increasing position,
+    the tail in ``itertools.product`` order.  A table ring closes every
+    nonzero element, by index.
+    """
+    if ring.is_table:
+        for i in range(ring.n):
+            if i != ring.zero_index:
+                yield _table_closure(ring, [i])
+        return
+    p, d = ring.modulus, ring.dim
     for lead in range(d):
-        prefix = (0,) * lead + (1,)
         for tail in itertools.product(range(p), repeat=d - lead - 1):
-            yield np.array(prefix + tail, dtype=np.int64)
+            vec = np.array([(0,) * lead + (1,) + tail], dtype=np.int64)
+            rows, pivots = _closure_modp(ring, vec)
+            yield Subspace(ring, rows, pivots)
 
 
 def first_proper_line_ideal(ring):
-    """The principal ideal of the first line of F_p^d, in the order of
-    :func:`_nonzero_vectors_projective`, that is proper, as a Subspace; None
-    when every line generates the whole algebra."""
-    p, d = ring.modulus, ring.dim
-    for vec in _nonzero_vectors_projective(p, d):
-        rows, pivots = _closure_modp(ring, vec.reshape(1, -1))
-        if len(pivots) < d:
-            return Subspace(ring, rows, pivots)
-    return None
+    """The first proper ideal of :func:`principal_ideals` (a principal ideal
+    of a line of an F_p algebra, or of an element of a table ring), as a
+    span; None when every one is the whole ring."""
+    return next((s for s in principal_ideals(ring) if not s.is_full()), None)
 
 
 def principal_ideal(ring, elt) -> IdealBasis:
@@ -302,26 +311,13 @@ def enumerate_ideals(ring, cap=DEFAULT_ELEMENT_CAP):
         cache = ring._ideal_cache = {}
     if cap in cache:
         return cache[cap]
-    principals = {}
-    if ring.is_algebra:
-        if ring.modulus is None:
-            raise InfiniteScalarField("cannot enumerate ideals over Q")
-        if ring.size() > cap:
-            raise TooLarge(f"{ring.size()} elements exceeds cap {cap}")
-        for vec in _nonzero_vectors_projective(ring.modulus, ring.dim):
-            rows, pivots = _closure_modp(ring, vec.reshape(1, -1))
-            sub = Subspace(ring, rows, pivots)
-            principals.setdefault(sub.key(), sub)
-    else:
-        if ring.n > cap:
-            raise TooLarge(f"{ring.n} elements exceeds cap {cap}")
-        for i in range(ring.n):
-            if i == ring.zero_index:
-                continue
-            ib = principal_ideal(ring, ring.element(i))
-            principals.setdefault(ib.span.key(), ib.span)
+    if ring.is_algebra and ring.modulus is None:
+        raise InfiniteScalarField("cannot enumerate ideals over Q")
+    if ring.size() > cap:
+        raise TooLarge(f"{ring.size()} elements exceeds cap {cap}")
     lattice = {zero_subgroup(ring).key(): zero_subgroup(ring)}
-    lattice.update(principals)
+    for sub in principal_ideals(ring):
+        lattice.setdefault(sub.key(), sub)
     # join-closure: the sum of two ideals is additively closed and absorbing,
     # so a plain join (no re-closure) suffices
     worklist = list(lattice.values())
@@ -377,7 +373,7 @@ def is_simple(ring, cap=DEFAULT_ELEMENT_CAP, seed=DEFAULT_SEED,
     (:func:`ringlab.linalg.density_simple_modp`), without enumerating
     anything; when it is not simple, the witness is the principal ideal of
     the first proper line (:func:`first_proper_line_ideal`).  A table ring
-    closes the principal ideal of every element.
+    walks the principal ideals of its elements the same way.
     Otherwise: witness search only (basis elements plus seeded pseudorandom
     elements); a proper nonzero principal ideal refutes, nothing confirms.
 
@@ -402,19 +398,13 @@ def _is_simple_uncached(ring, cap, seed, samples) -> SimpleVerdict:
                              reason="R*R = 0")
     size = ring.size()
     if size is not None and size <= cap:
-        if ring.is_algebra:
-            if linalg.density_simple_modp(ring.constants, ring.modulus):
-                return SimpleVerdict("Simple")
-            sub = first_proper_line_ideal(ring)
-            if sub is None:
-                raise RuntimeError("the density criterion and the line walk disagree")
+        if ring.is_algebra and linalg.density_simple_modp(ring.constants, ring.modulus):
+            return SimpleVerdict("Simple")
+        sub = first_proper_line_ideal(ring)
+        if sub is not None:
             return SimpleVerdict("NotSimple", IdealBasis(ring, sub, check=False))
-        for i in range(ring.n):
-            if i == ring.zero_index:
-                continue
-            ib = principal_ideal(ring, ring.element(i))
-            if not ib.span.is_full():
-                return SimpleVerdict("NotSimple", ib)
+        if ring.is_algebra:
+            raise CriterionDisagreement("the density criterion and the line walk disagree")
         return SimpleVerdict("Simple")
     # witness search
     rng = random.Random(seed)
@@ -523,12 +513,29 @@ def is_A_simple(ring, B: Subring, cap=DEFAULT_ELEMENT_CAP, ideals=None) -> ASimp
     list of B when the caller already has it."""
     if ideals is None:
         ideals = enumerate_subring_ideals(ring, B, cap=cap)
+    I = first_invariant_ideal(ideals, lambda I: is_A_invariant(ring, B, I))
+    return ASimpleVerdict("ASimple") if I is None else ASimpleVerdict("NotASimple", I)
+
+
+def first_invariant_ideal(ideals, invariant):
+    """The first ideal I in ``ideals`` with 0 ≠ I ≠ B for which
+    ``invariant(I)`` holds, or None.  B is the ring the ideal belongs to:
+    ``I.of_subring``, or the whole ring when that is None.
+
+    This is the one quantifier behind A-simplicity ("B has no non-trivial
+    A-invariant ideal", :func:`is_A_simple`) and its special cases, which
+    differ only in the invariance test: G-invariance for a crossed product
+    (``is_G_simple``), σ-δ-invariance for an Ore extension
+    (``is_sigma_delta_simple``) and conjugation-stability for a
+    Cayley–Dickson doubling.
+    """
     for I in ideals:
-        if I.is_zero() or I.is_full_in(B.span):
+        B = I.of_subring
+        if I.is_zero() or (I.span.is_full() if B is None else I.is_full_in(B.span)):
             continue
-        if is_A_invariant(ring, B, I):
-            return ASimpleVerdict("NotASimple", I)
-    return ASimpleVerdict("ASimple")
+        if invariant(I):
+            return I
+    return None
 
 
 def _parenthesizations(factors, ring):

@@ -13,9 +13,9 @@ import random
 from dataclasses import dataclass
 
 from .constructions.crossed import RingMap
-from .errors import PreconditionUnmet, ShapeMismatch
+from .errors import CriterionDisagreement, PreconditionUnmet, ShapeMismatch
 from .ideals import (DEFAULT_ELEMENT_CAP, DEFAULT_SEED, IdealBasis,
-                     center, enumerate_ideals)
+                     center, enumerate_ideals, first_invariant_ideal)
 from .rings import Element, Ring
 
 
@@ -241,12 +241,9 @@ class SigmaDeltaVerdict:
 
 def is_sigma_delta_simple(data: SigmaDerivationData,
                           cap=DEFAULT_ELEMENT_CAP) -> SigmaDeltaVerdict:
-    for I in enumerate_ideals(data.base, cap=cap):
-        if I.is_zero() or I.span.is_full():
-            continue
-        if is_sigma_delta_invariant(I, data):
-            return SigmaDeltaVerdict(False, I)
-    return SigmaDeltaVerdict(True)
+    I = first_invariant_ideal(enumerate_ideals(data.base, cap=cap),
+                              lambda I: is_sigma_delta_invariant(I, data))
+    return SigmaDeltaVerdict(I is None, I)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +271,7 @@ def commutator_degree_drop(a: SkewPolynomial, b, data: SigmaDerivationData):
         expected = SkewPolynomial(
             data, [-data.delta.apply(a.coeff(i)) for i in range(n)])
         if comm != expected:
-            raise AssertionError("x-commutator does not match the closed form")
+            raise CriterionDisagreement("x-commutator does not match the closed form")
     else:
         zb = center(data.base)
         if not zb.contains(b):
@@ -289,11 +286,11 @@ def commutator_degree_drop(a: SkewPolynomial, b, data: SigmaDerivationData):
                 expected_coeffs[j] = expected_coeffs[j] + bi * s[i - j]
             expected_coeffs[i] = expected_coeffs[i] - b * bi
         if comm != SkewPolynomial(data, expected_coeffs):
-            raise AssertionError("commutator does not match the expansion")
+            raise CriterionDisagreement("commutator does not match the expansion")
         if not comm.is_zero() and comm.degree() >= n:
             top = a.leading() * s_coefficients(n, b, data)[0] - b * a.leading()
             if top.is_zero():
-                raise AssertionError("top coefficient cancels but degree did not drop")
+                raise CriterionDisagreement("top coefficient cancels but degree did not drop")
     drop = ore_degree_map(comm) < ore_degree_map(a)
     return drop, comm
 
@@ -359,7 +356,7 @@ def degree_map_commutator_samples(data: SigmaDerivationData, samples=1000,
         for b in zb:
             try:
                 drop, comm = commutator_degree_drop(a, b, data)
-            except AssertionError:
+            except CriterionDisagreement:
                 top_fail += 1
                 continue
             if not comm.is_zero() and comm.degree() >= a.degree():
@@ -368,7 +365,7 @@ def degree_map_commutator_samples(data: SigmaDerivationData, samples=1000,
                 drop_fail += 1
         try:
             drop, comm = commutator_degree_drop(a, "x", data)
-        except AssertionError:
+        except CriterionDisagreement:
             x_fail += 1
             continue
         if not drop:

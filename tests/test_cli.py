@@ -1,4 +1,6 @@
+import hashlib
 import json
+import pathlib
 
 import pytest
 
@@ -219,8 +221,39 @@ def test_timings_flag(tmp_path, capsys):
     assert doc["timings_ms"]["total"] >= 0
 
 
+RECIPES = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "recipes"
+
+# sha256 of the default stdout of `ringlab corpus` and of `ringlab certify`
+# on each benchmark recipe.  A change that alters a default report, even by
+# one byte, must update these digests on purpose.
+GOLDEN_SHA256 = {
+    "corpus": "07a6115d1abeb9444603b8f994bb32822cd65f9380e8586a2d594b91f866adde",
+    "cayley_dickson-F3": "b7037588176759adf8af0b4857bfd7d41858283da337e0db36e9f131fe867bc1",
+    "cayley_tower-F3-3": "87b5fe5c768432662f999d7fd4b2f122a8899ba0a552bbb93e858f0ee91254b6",
+    "dynamics-4pt-Z2-F3": "d65f64cff6251148741cc87ecae6f260d753d82671c3a15332bd686c73512e54",
+    "dynamics-rot3-F2": "87dd765270d9f648967151ad450eede0ebfccd55399a7bec4b227f1fda0529c4",
+    "matrix_ring-M3F3": "b6973e0380522aaf16e06130d22986a559ead39e9122f550be6f571e58d01ba9",
+    "ore_extension-F4-frobenius":
+        "a300f273ccee580106fc8ab6fcc2761188a03576249175134331d3a8a6f0977d",
+    "skew_group_ring-F8-Z3": "728c3249ffc80ca9c3dfa24a6a54b2d4321c68c8c4314474bac1342ff32fe8d3",
+    "twisted_group_ring-bales3-F3":
+        "700f47ea3d833ee68be83403e5e47ecdf9fefea440526a64800b16bcd7825f75",
+}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_corpus_command_deterministic(capsys):
     code1, out1 = main(["corpus"]), capsys.readouterr().out
     code2, out2 = main(["corpus"]), capsys.readouterr().out
     assert code1 == 0 and code2 == 0
     assert out1 == out2
+    assert _sha256(out1) == GOLDEN_SHA256["corpus"]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SHA256.keys() - {"corpus"}))
+def test_certify_output_is_byte_identical(name, capsys):
+    assert main(["certify", str(RECIPES / f"{name}.json")]) == 0
+    assert _sha256(capsys.readouterr().out) == GOLDEN_SHA256[name]

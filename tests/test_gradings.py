@@ -330,6 +330,30 @@ def test_degree_map_check_works_on_blocks(monkeypatch):
     assert calls["decompose"] < 100 and calls["mul_coords"] < 100
 
 
+def test_each_principal_ideal_and_degree_is_scanned_once(monkeypatch):
+    # on the rotation dynamics ring over F2 (simple, 512 elements) 387
+    # elements reach the <a> scan, but they share 3 (ideal, d(a)) pairs
+    from ringlab.corpus import build_rotation_dynamics
+    from ringlab.subgroups import Subspace
+    dyn = build_rotation_dynamics()
+    dm = support_degree_map(dyn.grading, "homogeneous_elements")
+    counts = {"principal_ideal": 0, "element_blocks": 0}
+    closure, blocks = gradings.principal_ideal, Subspace.element_blocks
+
+    def counted_closure(ring, a):
+        counts["principal_ideal"] += 1
+        return closure(ring, a)
+
+    def counted_blocks(span, *args, **kwargs):
+        counts["element_blocks"] += 1
+        return blocks(span, *args, **kwargs)
+
+    monkeypatch.setattr(gradings, "principal_ideal", counted_closure)
+    monkeypatch.setattr(Subspace, "element_blocks", counted_blocks)
+    assert verify_degree_map(dm).valid
+    assert counts == {"principal_ideal": 387, "element_blocks": 3}
+
+
 def test_criterion_disagreement_is_typed(monkeypatch):
     m3, gr = _m3f2_graded()
     B = gr.zero_part_subring()

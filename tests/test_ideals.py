@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,8 @@ from ringlab import (GF, QQ, cayley_tower, center, centralizer,
                      subring_closure, zmod_ring)
 from ringlab import ideals, linalg
 from ringlab.constructions import bales_twisted_ring
-from ringlab.errors import BNotCommutative, NotAInvariant
+from ringlab.cli import main
+from ringlab.errors import BNotCommutative, CriterionDisagreement, NotAInvariant
 from ringlab.ideals import IdealBasis, first_proper_line_ideal
 from ringlab.rings import functions_ring
 from ringlab.subgroups import full_subgroup, product_span
@@ -139,6 +142,26 @@ def test_not_simple_witness_is_the_first_proper_line(monkeypatch):
     assert v.status == "NotSimple"
     assert v.witness.span.rows.tolist() == [[1, 0]]
     assert len(calls) == 1
+
+
+def test_line_walk_on_table_rings():
+    # element 1 generates Z6; element 2 is the first proper one
+    assert sorted(first_proper_line_ideal(zmod_ring(6)).members) == [0, 2, 4]
+    assert first_proper_line_ideal(zmod_ring(5)) is None
+
+
+def test_density_and_line_walk_disagreement_is_typed(monkeypatch, tmp_path, capsys):
+    # every line of M2(F2) generates the whole ring, so a density criterion
+    # that calls it not simple contradicts the walk
+    monkeypatch.setattr(linalg, "density_simple_modp", lambda constants, p: False)
+    with pytest.raises(CriterionDisagreement):
+        is_simple(full_matrix_algebra(2, GF(2)))
+    recipe = tmp_path / "m2f2.json"
+    recipe.write_text(json.dumps({"kind": "matrix_ring", "size": 2,
+                                  "base": {"kind": "scalar", "ring": "Fp:2"}}))
+    assert main(["check", str(recipe), "--checks", "simplicity"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the density criterion") and "Traceback" not in err
 
 
 def test_centralizers():
