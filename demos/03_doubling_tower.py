@@ -39,4 +39,6 @@ for i, j, k, l in itertools.product(range(1, 16), repeat=4):
         print(f"zero divisors: (e{i}+e{j})(e{k}+e{l}) =", (a * b).data)
         break
 
-print("oracle is honest over an infinite field:", is_simple(s))
+# zero divisors and all, it is simple: its reduction mod a small prime is
+v = is_simple(s)
+print(f"simplicity over Q, by {v.reason}:", v)

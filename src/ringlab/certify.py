@@ -159,10 +159,12 @@ def recognize_field(ring, cap=DEFAULT_ELEMENT_CAP):
 
 def _simple_status(ring, cap=DEFAULT_ELEMENT_CAP, seed=DEFAULT_SEED, hint=None):
     """("Simple"|"NotSimple"|"Unknown", detail) using the oracle, field
-    recognition, or an explicit hint from an earlier certificate."""
+    recognition, or an explicit hint from an earlier certificate.  The
+    detail of an oracle verdict is its witness ideal when NotSimple, and its
+    reason when Simple ("reduction mod q" over Q, None over F_p)."""
     v = is_simple(ring, cap=cap, seed=seed)
     if v.status != "Inconclusive":
-        return v.status, v.witness
+        return v.status, v.witness if v.status == "NotSimple" else v.reason
     fr = recognize_field(ring, cap=cap)
     if fr is True:
         return "Simple", "field"

@@ -7,8 +7,8 @@ itself have ``of_subring=None``.
 The quantifier "for every ideal" is realized by join-closure of principal
 ideals: every ideal is the join of the principal ideals of its elements, so
 the lattice enumeration is exhaustive on finite (or capped F_p) rings.  Over
-Q, positive simplicity claims are never made here; they flow through the
-certificate pipelines.
+Q the lattice is not enumerated; a positive simplicity verdict comes only
+from a reduction mod p that is simple (see :func:`is_simple`).
 """
 
 from __future__ import annotations
@@ -374,8 +374,14 @@ def is_simple(ring, cap=DEFAULT_ELEMENT_CAP, seed=DEFAULT_SEED,
     anything; when it is not simple, the witness is the principal ideal of
     the first proper line (:func:`first_proper_line_ideal`).  A table ring
     walks the principal ideals of its elements the same way.
-    Otherwise: witness search only (basis elements plus seeded pseudorandom
-    elements); a proper nonzero principal ideal refutes, nothing confirms.
+
+    A Q-algebra is Simple when its reduction modulo one of
+    ``linalg.LIFT_PRIMES`` is simple by the same criterion
+    (``Rational.simple_reduction``); the verdict's reason names the prime,
+    "reduction mod q".  Otherwise, and for F_p algebras over the cap:
+    witness search only (basis elements plus seeded pseudorandom elements);
+    a proper nonzero principal ideal refutes, and a failed search answers
+    Inconclusive, never Simple.
 
     Verdicts are cached on the (immutable) ring per (cap, seed, samples).
     """
@@ -397,9 +403,14 @@ def _is_simple_uncached(ring, cap, seed, samples) -> SimpleVerdict:
         return SimpleVerdict("NotSimple", _proper_from_square_zero(ring),
                              reason="R*R = 0")
     size = ring.size()
-    if size is not None and size <= cap:
-        if ring.is_algebra and linalg.density_simple_modp(ring.constants, ring.modulus):
-            return SimpleVerdict("Simple")
+    finite = size is not None and size <= cap
+    if ring.is_algebra and (finite or size is None):
+        q = ring.F.simple_reduction(ring.constants)
+        if q is not None:
+            # a verdict read off a reduction, not the algebra itself, names it
+            return SimpleVerdict("Simple", reason=None if q == ring.modulus
+                                 else f"reduction mod {q}")
+    if finite:
         sub = first_proper_line_ideal(ring)
         if sub is not None:
             return SimpleVerdict("NotSimple", IdealBasis(ring, sub, check=False))

@@ -22,9 +22,11 @@ The row-reduction kernels (``rref_modp``, ``reduce_rows_modp``,
 ``kernel_frac``) are module-level functions; the backends look them up by
 name at call time.  So do the two F_p decisions built on them,
 ``is_field_modp`` and ``density_simple_modp``, which ideals and certificates
-use to decide simplicity without enumerating elements.  Where elements must
-be enumerated, ``combinations_modp`` yields them as fixed-size blocks of
-rows, so scans over them are matrix products.
+use to decide simplicity without enumerating elements; the Q backend runs
+the density test on reductions modulo ``LIFT_PRIMES``, which can prove a
+Q-algebra simple (``simple_reduction``).  Where elements must be enumerated,
+``combinations_modp`` yields them as fixed-size blocks of rows, so scans
+over them are matrix products.
 """
 
 from __future__ import annotations
@@ -313,7 +315,8 @@ class _Field:
 
     Subclasses provide ``dtype``, ``modulus``, ``reduce``, ``coords``,
     ``rows``, ``key``, ``rref``, ``member``, ``merge``, ``kernel``,
-    ``products``, ``mult_matrices`` and ``associator_witness``.
+    ``products``, ``mult_matrices``, ``associator_witness`` and
+    ``simple_reduction``.
     """
 
     def array(self, x):
@@ -409,6 +412,12 @@ class ModP(_Field):
         bad = np.argwhere(np.any(left != right, axis=3))
         return tuple(bad[0].tolist()) if bad.size else None
 
+    def simple_reduction(self, C):
+        """p when the algebra with structure constants ``C`` is simple by
+        :func:`density_simple_modp`, else None: over F_p the density
+        criterion decides, so None means not simple."""
+        return self.p if density_simple_modp(C, self.p) else None
+
 
 class Rational(_Field):
     """Q: tuples of Fractions, exact elimination, sparse contractions (two
@@ -441,9 +450,10 @@ class Rational(_Field):
         return merge_frac(basis, pivots, newrows)
 
     def kernel(self, A, width):
-        # kernel_frac returns an rref basis without its pivots; reducing it
-        # again (it is already reduced) recovers them
-        return rref_frac(kernel_frac(A, width), width=width)
+        # kernel_frac returns an rref basis without its pivots: each is the
+        # first nonzero entry of its row
+        rows = kernel_frac(A, width)
+        return rows, tuple(next(c for c, x in enumerate(row) if x) for row in rows)
 
     def products(self, alg, X, Y):
         return [alg.mul_coords(x, y) for x in X for y in Y]
@@ -470,6 +480,33 @@ class Rational(_Field):
                         return i, j, k
         return None
 
+    def simple_reduction(self, C):
+        """The first prime q of ``LIFT_PRIMES`` at which the Q-algebra A with
+        structure constants ``C``, reduced mod q, is simple by
+        :func:`density_simple_modp`; None when no tried prime decides.
+
+        A prime dividing a denominator of ``C`` is skipped.  For the others
+        the Z_(q)-span Λ of the basis is a ring, and Λ/qΛ is the reduction.
+        A proper nonzero ideal I of A meets Λ in a saturated ideal, a direct
+        summand of rank dim I, whose image is a proper nonzero ideal of
+        Λ/qΛ.  So simplicity mod q proves simplicity over Q.  The converse
+        fails (Q(i) splits mod 5), so None says nothing about A.
+        """
+        C = np.asarray(C, dtype=object)
+        flat = [Fraction(x) for x in C.flat]
+        for q in LIFT_PRIMES:
+            if any(x.denominator % q == 0 for x in flat):
+                continue
+            Cq = [x.numerator * pow(x.denominator, -1, q) % q for x in flat]
+            if density_simple_modp(np.array(Cq, dtype=np.int64).reshape(C.shape), q):
+                return q
+        return None
+
+
+# the primes a Q-algebra is reduced modulo to prove it simple: odd, so that
+# the Cayley-Dickson conjugation survives, and several, because a simple
+# algebra can split at one of them (5 = (2+i)(2-i) splits Q(i))
+LIFT_PRIMES = (3, 5, 7, 11)
 
 RATIONAL = Rational()
 

@@ -126,6 +126,24 @@ def test_doubling_disagreement_is_typed(monkeypatch):
         cayley_tower(GF(3), 2)
 
 
+@pytest.mark.parametrize("field", [QQ, GF(3)])
+def test_batched_anti_automorphism_check_matches_elementwise(field):
+    cd = cayley_tower(field, 2).doublings[1]
+    A, basis = cd.ring, cd.ring.spanning_elements()
+
+    def reverses(m):
+        return all(m.apply(x * y) == m.apply(y) * m.apply(x)
+                   for x in basis for y in basis)
+
+    assert reverses(cd.extended_sigma)
+    doubling._assert_anti_automorphism(A, cd.extended_sigma)
+    # the identity does not reverse the products of the quaternions
+    identity = RingMap.identity(A)
+    assert not reverses(identity)
+    with pytest.raises(CriterionDisagreement):
+        doubling._assert_anti_automorphism(A, identity)
+
+
 def test_quaternion_products_and_tower_dims():
     tower = cayley_tower(QQ, 2)
     h = tower.rings[2]

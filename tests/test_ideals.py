@@ -1,4 +1,6 @@
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,13 +13,14 @@ from ringlab import (GF, QQ, cayley_tower, center, centralizer,
                      full_subring, ideal_closure, identity_property,
                      is_A_invariant, is_A_simple, is_maximal_commutative,
                      is_simple, apply_i_and_p, make_structure_algebra,
-                     subring_closure, zmod_ring)
+                     principal_ideal, subring_closure, zmod_ring)
 from ringlab import ideals, linalg
 from ringlab.constructions import bales_twisted_ring
+from ringlab.certify import recognize_field
 from ringlab.cli import main
 from ringlab.errors import BNotCommutative, CriterionDisagreement, NotAInvariant
 from ringlab.ideals import IdealBasis, first_proper_line_ideal
-from ringlab.rings import functions_ring
+from ringlab.rings import direct_sum_algebra, functions_ring
 from ringlab.subgroups import full_subgroup, product_span
 
 
@@ -86,7 +89,9 @@ def test_is_simple_verdicts():
     assert v.status == "NotSimple" and sorted(v.witness.span.members) == [0, 2]
     assert is_simple(full_matrix_algebra(2, GF(2))).is_simple
     sq = cayley_tower(QQ, 4).rings[4]
-    assert is_simple(sq).status == "Inconclusive"
+    v = is_simple(sq)
+    assert v.status == "Simple" and v.reason == "reduction mod 3"
+    assert repr(v) == "Simple"
 
 
 def test_zero_multiplication_is_never_simple():
@@ -162,6 +167,69 @@ def test_density_and_line_walk_disagreement_is_typed(monkeypatch, tmp_path, caps
     assert main(["check", str(recipe), "--checks", "simplicity"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: the density criterion") and "Traceback" not in err
+
+
+@st.composite
+def _small_q_algebras(draw):
+    """An algebra over Q with integer constants in [-2, 2], dimension <= 3,
+    and a few elements of it with small integer coordinates."""
+    d = draw(st.integers(1, 3))
+    flat = draw(st.lists(st.integers(-2, 2), min_size=d ** 3, max_size=d ** 3))
+    ring = make_structure_algebra(d, QQ, np.array(flat).reshape(d, d, d).tolist())
+    coords = st.lists(st.integers(-2, 2), min_size=d, max_size=d)
+    return ring, draw(st.lists(coords, max_size=3))
+
+
+def _proper_principal_ideal(ring, vectors):
+    """A proper nonzero Q principal ideal of a basis element or of one of
+    ``vectors``, or None."""
+    elements = ring.spanning_elements() + [ring.element(v) for v in vectors]
+    for x in elements:
+        if not x.is_zero():
+            I = principal_ideal(ring, x)
+            if not I.span.is_full():
+                return I
+    return None
+
+
+@given(_small_q_algebras(), _small_q_algebras())
+@settings(max_examples=40, deadline=None)
+def test_q_lift_verdict_is_never_contradicted(first, second):
+    (A, vectors), (B, _) = first, second
+    v = is_simple(A)
+    if v.status == "Simple":
+        assert v.reason.startswith("reduction mod ")
+        assert _proper_principal_ideal(A, vectors) is None
+    # A ⊕ 0 is a proper nonzero ideal of A ⊕ B
+    assert is_simple(direct_sum_algebra([A, B])).status != "Simple"
+
+
+def test_ramified_q_field_stays_inconclusive():
+    # Q[x]/(x^2 - N) is a field, but x is nilpotent mod every tried prime
+    N = math.prod(linalg.LIFT_PRIMES)
+    ring = make_structure_algebra(2, QQ, [[[1, 0], [0, 1]], [[0, 1], [N, 0]]])
+    assert recognize_field(ring) is True
+    v = is_simple(ring)
+    assert v.status == "Inconclusive" and v.reason.startswith("infinite scalar field")
+
+
+def test_q_sum_of_fields_has_a_q_witness():
+    ring = direct_sum_algebra([field_algebra(QQ)] * 2)
+    v = is_simple(ring)
+    assert v.status == "NotSimple"
+    assert v.witness.measure() == 1 and not v.witness.span.is_full()
+    assert all(isinstance(x, Fraction) for row in v.witness.spanning() for x in row.data)
+
+
+def test_lift_skips_a_prime_dividing_a_denominator():
+    # Q(i) is a field mod 3; on the basis 1, i/3 its constants have
+    # denominator 9, so 3 is skipped, 5 splits it and 7 decides
+    qi = cayley_tower(QQ, 1).rings[1]
+    assert is_simple(qi).reason == "reduction mod 3"
+    scaled = make_structure_algebra(2, QQ, [[[1, 0], [0, 1]],
+                                            [[0, 1], [Fraction(-1, 9), 0]]])
+    v = is_simple(scaled)
+    assert v.status == "Simple" and v.reason == "reduction mod 7"
 
 
 def test_centralizers():
