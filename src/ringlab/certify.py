@@ -661,15 +661,17 @@ def faithfulness_witness_ideal(dyn: DynamicsRing):
                 None)
     if gbad is None:
         return None
-    B = dyn.system.base[cat.objects[0]]
-    gens = []
-    for h in cat.morphisms:
-        for hp in cat.morphisms:
-            hh = cat.compose(h, hp)
-            hgh = cat.compose(h, cat.compose(gbad, hp))
-            for b in B.spanning_elements():
-                gens.append(dyn.embed(hh, b) - dyn.embed(hgh, b))
-    return ideal_closure(dyn.ring, gens)
+    # e_x u_hh' - e_x u_hgh' for every basis index x of the base, once per
+    # distinct pair of blocks (hh', hgh')
+    offs = np.array(list(dict.fromkeys(
+        (dyn.offsets[cat.compose(h, hp)], dyn.offsets[cat.compose(h, cat.compose(gbad, hp))])
+        for h in cat.morphisms for hp in cat.morphisms)))
+    r = np.arange(len(offs) * dyn.npoints)
+    pair, x = np.divmod(r, dyn.npoints)
+    rows = np.zeros((r.size, dyn.ring.dim), dtype=np.int64)
+    rows[r, offs[pair, 0] + x] = 1
+    rows[r, offs[pair, 1] + x] = -1
+    return ideal_closure(dyn.ring, [dyn.ring.element(row) for row in rows.tolist()])
 
 
 def minimality_witness_ideal(dyn: DynamicsRing):
@@ -688,14 +690,10 @@ def minimality_witness_ideal(dyn: DynamicsRing):
                 frontier.append(y)
     if len(orbit) == npts:
         return None
-    B = dyn.system.base[cat.objects[0]]
-    gens = []
-    outside = [x for x in range(npts) if x not in orbit]
-    for x in outside:
-        delta = B.basis_element(x)
-        for g in cat.morphisms:
-            gens.append(dyn.embed(g, delta))
-    return ideal_closure(dyn.ring, gens)
+    # delta_x u_g for every point x outside the orbit and every g
+    return ideal_closure(dyn.ring, [dyn.ring.basis_element(dyn.offsets[g] + x)
+                                    for x in range(npts) if x not in orbit
+                                    for g in cat.morphisms])
 
 
 def certify_dynamics(dyn: DynamicsRing, cap=DEFAULT_ELEMENT_CAP,

@@ -24,7 +24,7 @@ from ..gradings import Grading
 from ..ideals import (IdealBasis, Subring, enumerate_subring_ideals,
                       first_invariant_ideal)
 from ..rings import DEFAULT_ELEMENT_CAP, Element, Ring, StructureAlgebra, TableRing
-from ..subgroups import TableSubgroup
+from ..subgroups import TableSubgroup, subspace_from_vectors
 
 TABLE_PRODUCT_CAP = 4096
 
@@ -89,6 +89,42 @@ class RingMap:
             return False
         return self.source.F.rank(self.matrix, self.target.dim) == self.source.dim
 
+    def is_additive(self):
+        """m(a + b) = m(a) + m(b) for every pair (a matrix map always is)."""
+        if self.perm is None:
+            return True
+        perm = np.asarray(self.perm)
+        return bool(np.array_equal(perm[self.source.add_table],
+                                   self.target.add_table[np.ix_(perm, perm)]))
+
+    def first_product_failure(self):
+        """The first pair (i, j), in row-major order, of spanning elements x
+        (basis vectors, or every element of a table ring) with
+        m(x_i x_j) != m(x_i) m(x_j), or m(x_j) m(x_i) when the map is anti;
+        None when there is none.
+
+        Every pair at once: for a table ring the products are index arrays
+        on ``mul_table``; for an algebra the left side is the constants
+        reshaped to (d², d) times the matrix, the right side the target's
+        products of the matrix rows.
+        """
+        S, T = self.source, self.target
+        if self.perm is not None:
+            perm = np.asarray(self.perm)
+            n = S.n
+            left = perm[S.mul_table]
+            right = T.mul_table[np.ix_(perm, perm)]
+        else:
+            n = S.dim
+            left = S.F.mapped_products(S, self.matrix)
+            right = T.F.array(T.F.products(T, self.matrix, self.matrix))
+        right = right.reshape(n, n, -1)
+        if self.anti:
+            right = right.transpose(1, 0, 2)
+        bad = np.any(left.reshape(n, n, -1) != right, axis=2)
+        first = int(np.argmax(bad))
+        return divmod(first, n) if bad.flat[first] else None
+
 
 @dataclass
 class CrossedSystem:
@@ -123,37 +159,45 @@ def _is_unit(ring, a: Element):
     if unit is None:
         return False
     if ring.is_table:
-        row = ring.mul_table[a.data]
-        col = ring.mul_table[:, a.data]
-        for x in range(ring.n):
-            if row[x] == unit.data and col[x] == unit.data:
-                return True
-        return False
+        # one x with a·x = 1 = x·a
+        return bool(np.any((ring.mul_table[a.data] == unit.data)
+                           & (ring.mul_table[:, a.data] == unit.data)))
     # one x with a·x = 1 and x·a = 1: stack both linear systems
     F = ring.F
     L, R = F.mult_matrices(ring, a.data)       # rows a·e_j and e_i·a
-    sol = F.solve(np.vstack([L.T, R.T]), F.array(unit.data + unit.data))
-    if sol is None:
-        return False
-    x = ring.element(sol)
-    return (a * x == unit) and (x * a == unit)
+    return F.solve(np.vstack([L.T, R.T]), F.array(unit.data + unit.data)) is not None
 
 
 def _associates_and_commutes(ring, a: Element) -> bool:
-    """alpha(bc) = (b alpha)c = b(alpha c) = (bc)alpha on spanning pairs."""
-    span = ring.spanning_elements()
-    for b in span:
-        if a * b != b * a:
+    """alpha(bc) = (b alpha)c = b(alpha c) = (bc)alpha on spanning pairs,
+    and alpha b = b alpha on spanning elements, all pairs at once."""
+    if ring.is_table:
+        mul, x = ring.mul_table, a.data
+        if not np.array_equal(mul[x], mul[:, x]):
             return False
-        for c in span:
-            bc = b * c
-            if not (a * bc == (b * a) * c == b * (a * c) == bc * a):
-                return False
-    return True
+        sides = (mul[x][mul], mul[mul[:, x]], mul[:, mul[x]], mul[:, x][mul])
+    else:
+        F, eye = ring.F, ring.F.eye(ring.dim)
+        L, R = F.mult_matrices(ring, a.data)       # rows a·e_j and e_i·a
+        if not np.array_equal(L, R):
+            return False
+        # row (i, j) of each: a(e_i e_j), (e_i a)e_j, e_i(a e_j), (e_i e_j)a
+        sides = (F.mapped_products(ring, L), F.array(F.products(ring, R, eye)),
+                 F.array(F.products(ring, eye, L)), F.mapped_products(ring, R))
+    return all(np.array_equal(sides[0], side) for side in sides[1:])
 
 
 def validate_crossed_system(sys: CrossedSystem):
-    """Itemized validation; returns a list of (check, ok, detail) triples."""
+    """Itemized validation; returns a list of (check, ok, detail) triples.
+
+    No identity is checked one element product at a time.  Each sigma is
+    checked on every spanning pair at once (``RingMap.first_product_failure``,
+    ``RingMap.is_additive``): contractions of the structure constants for an
+    algebra, index arrays on the tables for a table ring; a failure's detail
+    is the first failing pair in row-major order.  Each distinct (base ring,
+    alpha) is checked once for being a unit and for associating and
+    commuting, and every composable pair still gets its own two items.
+    """
     cat = sys.cat
     report = []
     units = {}
@@ -169,24 +213,11 @@ def validate_crossed_system(sys: CrossedSystem):
             report.append((f"sigma[{g!r}] endpoints", False, "wrong source/target"))
             continue
         if sg.perm is not None:
-            add_ok = all(
-                sg.apply(src.element(a) + src.element(b)) ==
-                sg.apply(src.element(a)) + sg.apply(src.element(b))
-                for a in range(src.n) for b in range(src.n))
-            report.append((f"sigma[{g!r}] additive", add_ok, None))
-        mult_ok, witness = True, None
-        span = src.spanning_elements()
-        for a in span:
-            for b in span:
-                img = sg.apply(a * b)
-                exp = (sg.apply(b) * sg.apply(a)) if sg.anti else (sg.apply(a) * sg.apply(b))
-                if img != exp:
-                    mult_ok, witness = False, (a, b)
-                    break
-            if not mult_ok:
-                break
+            report.append((f"sigma[{g!r}] additive", sg.is_additive(), None))
+        bad = sg.first_product_failure()
+        witness = None if bad is None else tuple(src.spanning_elements()[k] for k in bad)
         kind = "anti-multiplicative" if sg.anti else "multiplicative"
-        report.append((f"sigma[{g!r}] {kind}", mult_ok, witness))
+        report.append((f"sigma[{g!r}] {kind}", bad is None, witness))
         if units[cat.dom[g]] is not None and units[cat.cod[g]] is not None:
             report.append((f"sigma[{g!r}] unit-preserving",
                            sg.apply(units[cat.dom[g]]) == units[cat.cod[g]], None))
@@ -194,12 +225,17 @@ def validate_crossed_system(sys: CrossedSystem):
         ide = cat.identity[e]
         report.append((f"sigma at identity of {e!r} is the identity map",
                        sys.sigma[ide].is_identity(), None))
+    # each distinct (base ring, alpha) is decided once; pairs share the verdicts
+    alpha_ok = {}
     for (g, h) in cat.composable_pairs():
         a = sys.alpha_at(g, h)
         Bc = sys.base[cat.cod[g]]
-        report.append((f"alpha[{g!r},{h!r}] unit", _is_unit(Bc, a), a))
-        report.append((f"alpha[{g!r},{h!r}] associates and commutes",
-                       _associates_and_commutes(Bc, a), a))
+        key = (Bc, a.data)
+        if key not in alpha_ok:
+            alpha_ok[key] = (_is_unit(Bc, a), _associates_and_commutes(Bc, a))
+        is_unit, central = alpha_ok[key]
+        report.append((f"alpha[{g!r},{h!r}] unit", is_unit, a))
+        report.append((f"alpha[{g!r},{h!r}] associates and commutes", central, a))
     for g in cat.morphisms:
         lc = cat.identity[cat.cod[g]]
         rc = cat.identity[cat.dom[g]]
@@ -292,11 +328,6 @@ def crossed_product(sys: CrossedSystem, validate=True, kind_tag="crossed_product
     raise ShapeMismatch("base rings must all be table rings or all algebras")
 
 
-def _twisted_product(a, b, twist, alpha):
-    t = (b * a) if twist == "opposite" else (a * b)
-    return t * alpha
-
-
 def _crossed_algebra(sys, kind_tag, notes):
     cat = sys.cat
     field_dom = None
@@ -314,32 +345,30 @@ def _crossed_algebra(sys, kind_tag, notes):
         dims[g] = B.dim
         at += B.dim
     total = at
-    C = sys.base[cat.objects[0]].F.zeros((total, total, total))
+    F = sys.base[cat.objects[0]].F
+    C = F.zeros((total, total, total))
+    blocks = {}     # (g, twist, alpha) -> block; pairs sharing them share it
     for (g, h) in cat.composable_pairs():
-        gh = cat.compose(g, h)
+        alpha, twist = sys.alpha_at(g, h), sys.twist_at(g, h)
+        key = (g, twist, alpha.data)
         Bc = sys.base[cat.cod[g]]
-        Bh = sys.base[cat.cod[h]]
-        sg = sys.sigma[g]
-        alpha = sys.alpha_at(g, h)
-        twist = sys.twist_at(g, h)
-        for j in range(Bh.dim):
-            sb = sg.apply(Bh.basis_element(j))
-            for i in range(Bc.dim):
-                prod = _twisted_product(Bc.basis_element(i), sb, twist, alpha)
-                for k, val in enumerate(prod.data):
-                    if Bc.field.is_zero(val):
-                        continue
-                    C[offsets[g] + i, offsets[h] + j, offsets[gh] + k] = val
+        dc, dh = Bc.dim, dims[h]
+        if key not in blocks:
+            # block (g, h): e_i u_g · e_j u_h = (e_i *_g,h sigma_g(e_j)) alpha u_gh,
+            # the rows of sigma_g's matrix being the sigma_g(e_j)
+            S, eye = sys.sigma[g].matrix, F.eye(dc)
+            if twist == "opposite":
+                block = F.array(F.products(Bc, S, eye)).reshape(dh, dc, dc).transpose(1, 0, 2)
+            else:
+                block = F.array(F.products(Bc, eye, S)).reshape(dc, dh, dc)
+            blocks[key] = F.array(F.products(Bc, block.reshape(-1, dc), [alpha.data])
+                                  ).reshape(dc, dh, dc)
+        og, oh, ogh = offsets[g], offsets[h], offsets[cat.compose(g, h)]
+        C[og:og + dc, oh:oh + dh, ogh:ogh + dc] = blocks[key]
     A = StructureAlgebra(field_dom, total, C)
-    components = {}
-    for g in cat.morphisms:
-        vecs = []
-        for i in range(dims[g]):
-            v = [0] * total
-            v[offsets[g] + i] = 1
-            vecs.append(v)
-        from ..subgroups import subspace_from_vectors
-        components[g] = subspace_from_vectors(A, vecs)
+    unit_rows = np.eye(total, dtype=np.int64)
+    components = {g: subspace_from_vectors(A, unit_rows[offsets[g]:offsets[g] + dims[g]])
+                  for g in cat.morphisms}
     grading = Grading(A, cat, components)
     return CrossedProduct(A, grading, sys, kind_tag, offsets, tuple(notes))
 
@@ -372,15 +401,12 @@ def _crossed_table(sys, kind_tag, notes):
                 for z in zeros]
     for (g, h) in cat.composable_pairs():
         Bc = sys.base[cat.cod[g]]
-        Bh = sys.base[cat.cod[h]]
-        # product table of the (g,h) block, twisted and skewed
-        T = np.zeros((Bc.n, Bh.n), dtype=np.int64)
-        for a_idx in range(Bc.n):
-            a = Bc.element(a_idx)
-            for b_idx in range(Bh.n):
-                sb = sys.sigma[g].apply(Bh.element(b_idx))
-                T[a_idx, b_idx] = _twisted_product(
-                    a, sb, sys.twist_at(g, h), sys.alpha_at(g, h)).data
+        # product table of the (g,h) block, twisted and skewed:
+        # T[a, b] = (a *_g,h sigma_g(b)) alpha
+        mul = Bc.mul_table
+        perm = np.asarray(sys.sigma[g].perm)
+        skewed = mul[perm].T if sys.twist_at(g, h) == "opposite" else mul[:, perm]
+        T = mul[skewed, sys.alpha_at(g, h).data].astype(np.int64)
         contrib = T[np.ix_(combos_arr[:, pos[g]], combos_arr[:, pos[h]])]
         slot = pos[cat.compose(g, h)]
         Bs = sys.base[cat.cod[cat.compose(g, h)]]

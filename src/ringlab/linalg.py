@@ -315,8 +315,8 @@ class _Field:
 
     Subclasses provide ``dtype``, ``modulus``, ``reduce``, ``coords``,
     ``rows``, ``key``, ``rref``, ``member``, ``merge``, ``kernel``,
-    ``products``, ``mult_matrices``, ``associator_witness`` and
-    ``simple_reduction``.
+    ``products``, ``mapped_products``, ``mult_matrices``,
+    ``associator_witness`` and ``simple_reduction``.
     """
 
     def array(self, x):
@@ -398,6 +398,12 @@ class ModP(_Field):
         T = np.tensordot(self.array(X), alg.constants, axes=(1, 0))   # (m, j, k)
         return (np.einsum("mjk,nj->mnk", T, self.array(Y)) % self.p).reshape(-1, alg.dim)
 
+    def mapped_products(self, alg, M):
+        """Rows (e_i e_j)·M for every basis pair (i-major): the constants
+        reshaped to (d², d), times M."""
+        d = alg.dim
+        return alg.constants.reshape(d * d, d) @ self.array(M) % self.p
+
     def mult_matrices(self, alg, a):
         """(L, R) with L[j] = a·e_j and R[i] = e_i·a."""
         a = self.array(a)
@@ -457,6 +463,17 @@ class Rational(_Field):
 
     def products(self, alg, X, Y):
         return [alg.mul_coords(x, y) for x in X for y in Y]
+
+    def mapped_products(self, alg, M):
+        d, M = alg.dim, self.array(M)
+        nonzero = [[(l, x) for l, x in enumerate(row) if x] for row in M]
+        out = self.zeros((d * d, M.shape[1]))
+        for (i, j), terms in alg._pairs.items():
+            row = out[i * d + j]
+            for k, c in terms:
+                for l, x in nonzero[k]:
+                    row[l] += c * x
+        return out
 
     def mult_matrices(self, alg, a):
         basis = [alg.basis_element(i).data for i in range(alg.dim)]

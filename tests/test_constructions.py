@@ -1,5 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringlab import (GF, QQ, RingMap, bales_alpha, bales_twisted_ring,
                      cayley_dickson, cayley_tower, cyclic_group,
@@ -8,8 +12,10 @@ from ringlab import (GF, QQ, RingMap, bales_alpha, bales_twisted_ring,
                      is_G_invariant, is_G_simple, is_simple, matrix_ring,
                      skew_group_ring, twisted_group_ring,
                      validate_crossed_system, validate_grading, zmod_ring,
-                     enumerate_subring_ideals, is_A_invariant)
+                     enumerate_subring_ideals, functions_ring, is_A_invariant,
+                     make_structure_algebra, pair_groupoid)
 from ringlab.constructions.crossed import CrossedSystem, crossed_product
+from ringlab.rings import convert_to_table
 from ringlab.constructions import doubling
 from ringlab.errors import (AlphaNotCentralUnit, CoherenceViolation,
                             CriterionDisagreement, NotAnAction, SigmaNotInvolutive, TooLarge,
@@ -253,3 +259,238 @@ def test_g_simplicity():
     assert ok and wit is None
     ok, wit = is_G_simple(build_nonminimal_dynamics())
     assert not ok and wit is not None
+
+
+# ---------------------------------------------------------------------------
+# batched crossed-system validation and construction, against the element
+# loops they replace
+# ---------------------------------------------------------------------------
+
+def _reference_is_unit(ring, a):
+    unit = ring.probe_properties().unit
+    if unit is None:
+        return False
+    if ring.is_table:
+        return any(ring.mul_table[a.data, x] == unit.data == ring.mul_table[x, a.data]
+                   for x in range(ring.n))
+    F = ring.F
+    L, R = F.mult_matrices(ring, a.data)
+    sol = F.solve(np.vstack([L.T, R.T]), F.array(unit.data + unit.data))
+    if sol is None:
+        return False
+    x = ring.element(sol)
+    return (a * x == unit) and (x * a == unit)
+
+
+def _reference_associates_and_commutes(ring, a):
+    span = ring.spanning_elements()
+    for b in span:
+        if a * b != b * a:
+            return False
+        for c in span:
+            bc = b * c
+            if not (a * bc == (b * a) * c == b * (a * c) == bc * a):
+                return False
+    return True
+
+
+def _reference_report(sys):
+    """validate_crossed_system, one Element product at a time."""
+    cat = sys.cat
+    report, units = [], {}
+    for e in cat.objects:
+        props = sys.base[e].probe_properties()
+        units[e] = props.unit
+        report.append((f"base ring at {e!r} unital", props.unital, None))
+    for g in cat.morphisms:
+        sg = sys.sigma[g]
+        src = sys.base[cat.dom[g]]
+        if sg.perm is not None:
+            add_ok = all(
+                sg.apply(src.element(a) + src.element(b)) ==
+                sg.apply(src.element(a)) + sg.apply(src.element(b))
+                for a in range(src.n) for b in range(src.n))
+            report.append((f"sigma[{g!r}] additive", add_ok, None))
+        span = src.spanning_elements()
+        witness = next(((a, b) for a in span for b in span
+                        if sg.apply(a * b) != ((sg.apply(b) * sg.apply(a)) if sg.anti
+                                               else (sg.apply(a) * sg.apply(b)))), None)
+        kind = "anti-multiplicative" if sg.anti else "multiplicative"
+        report.append((f"sigma[{g!r}] {kind}", witness is None, witness))
+        if units[cat.dom[g]] is not None and units[cat.cod[g]] is not None:
+            report.append((f"sigma[{g!r}] unit-preserving",
+                           sg.apply(units[cat.dom[g]]) == units[cat.cod[g]], None))
+    for e in cat.objects:
+        report.append((f"sigma at identity of {e!r} is the identity map",
+                       sys.sigma[cat.identity[e]].is_identity(), None))
+    for (g, h) in cat.composable_pairs():
+        a, Bc = sys.alpha_at(g, h), sys.base[cat.cod[g]]
+        report.append((f"alpha[{g!r},{h!r}] unit", _reference_is_unit(Bc, a), a))
+        report.append((f"alpha[{g!r},{h!r}] associates and commutes",
+                       _reference_associates_and_commutes(Bc, a), a))
+    for g in cat.morphisms:
+        u = units[cat.cod[g]]
+        ok = (sys.alpha_at(cat.identity[cat.cod[g]], g) == u and
+              sys.alpha_at(g, cat.identity[cat.dom[g]]) == u)
+        report.append((f"alpha normalized at {g!r}", ok, None))
+    for (g, h) in cat.composable_pairs():
+        comp, gh = sys.sigma[g].compose(sys.sigma[h]), sys.sigma[cat.compose(g, h)]
+        report.append((f"functoriality at ({g!r},{h!r}) [warning only]",
+                       comp.equals(gh) and comp.anti == gh.anti, None))
+    return report
+
+
+def _reference_block_product(sys, g, h, a, b):
+    """(a *_g,h sigma_g(b)) alpha_g,h for a in B_c(g), b in B_c(h)."""
+    sb = sys.sigma[g].apply(b)
+    t = (sb * a) if sys.twist_at(g, h) == "opposite" else (a * sb)
+    return t * sys.alpha_at(g, h)
+
+
+def _check_crossed_products(sys, cp):
+    """Every product of homogeneous generators, one Element at a time."""
+    cat, A = sys.cat, cp.ring
+    pairs = set(cat.composable_pairs())
+    for g in cat.morphisms:
+        for h in cat.morphisms:
+            Bg, Bh = sys.base[cat.cod[g]], sys.base[cat.cod[h]]
+            for a in Bg.spanning_elements():
+                for b in Bh.spanning_elements():
+                    got = cp.embed(g, a) * cp.embed(h, b)
+                    if (g, h) in pairs:
+                        gh = cat.compose(g, h)
+                        assert got == cp.embed(gh, _reference_block_product(sys, g, h, a, b))
+                    else:
+                        assert got == A.zero()
+
+
+def _random_algebra(draw, p, d):
+    if draw(st.booleans()):
+        # unital, so the unit and normalization checks also pass sometimes
+        return functions_ring(d, GF(p))
+    C = draw(st.lists(st.integers(0, p - 1), min_size=d ** 3, max_size=d ** 3))
+    return make_structure_algebra(d, GF(p), np.array(C).reshape(d, d, d))
+
+
+def _random_map(draw, B, C):
+    anti = draw(st.booleans())
+    if B.is_algebra:
+        if B.dim == C.dim and draw(st.booleans()):
+            return RingMap(B, C, matrix=np.eye(B.dim, dtype=np.int64), anti=anti)
+        M = draw(st.lists(st.integers(0, B.F.p - 1), min_size=B.dim * C.dim,
+                          max_size=B.dim * C.dim))
+        return RingMap(B, C, matrix=np.array(M).reshape(B.dim, C.dim), anti=anti)
+    # x -> kx, or any map fixing 0: with 0 fixed the products of homogeneous
+    # elements are exactly the block tables, additive or not
+    k = draw(st.integers(0, C.n - 1))
+    perm = draw(st.sampled_from([[(k * x) % C.n for x in range(B.n)],
+                                 [0] + draw(st.lists(st.integers(0, C.n - 1),
+                                                     min_size=B.n - 1, max_size=B.n - 1))]))
+    return RingMap(B, C, perm=perm, anti=anti)
+
+
+def _random_element(draw, B):
+    unit = B.probe_properties().unit
+    if unit is not None and draw(st.booleans()):
+        return unit
+    if B.is_table:
+        return B.element(draw(st.integers(0, B.n - 1)))
+    return B.element(draw(st.lists(st.integers(0, B.F.p - 1), min_size=B.dim,
+                                   max_size=B.dim)))
+
+
+@st.composite
+def crossed_systems(draw):
+    cat = draw(st.sampled_from([cyclic_group(1), cyclic_group(2), cyclic_group(3),
+                                pair_groupoid(2)]))
+    if draw(st.booleans()):
+        p, d = draw(st.sampled_from([2, 3])), draw(st.integers(1, 3))
+        base = {e: _random_algebra(draw, p, d) for e in cat.objects}
+    elif draw(st.booleans()):
+        n = draw(st.sampled_from([2, 3, 4, 6]))
+        base = {e: zmod_ring(n) for e in cat.objects}
+    else:
+        # possibly non-commutative or non-associative table rings, of at
+        # most 4 elements so that the product stays under its size cap
+        p, d = draw(st.sampled_from([(2, 1), (2, 2), (3, 1)]))
+        base = {e: convert_to_table(_random_algebra(draw, p, d)) for e in cat.objects}
+    sigma = {g: _random_map(draw, base[cat.dom[g]], base[cat.cod[g]])
+             for g in cat.morphisms}
+    pairs = list(cat.composable_pairs())
+    alpha = {(g, h): _random_element(draw, base[cat.cod[g]]) for g, h in pairs}
+    twists = {(g, h): draw(st.sampled_from(["straight", "opposite"])) for g, h in pairs}
+    return CrossedSystem(cat, base, sigma, alpha=alpha, twists=twists)
+
+
+@settings(max_examples=60, deadline=None)
+@given(crossed_systems())
+def test_batched_crossed_system_matches_element_loops(sys):
+    assert repr(validate_crossed_system(sys)) == repr(_reference_report(sys))
+    cp = crossed_product(sys, validate=False)
+    _check_crossed_products(sys, cp)
+    if cp.ring.is_algebra:
+        cat, ref = sys.cat, cp.ring.F.zeros(cp.ring.constants.shape)
+        for (g, h) in cat.composable_pairs():
+            Bc, Bh = sys.base[cat.cod[g]], sys.base[cat.cod[h]]
+            og, oh, ogh = cp.offsets[g], cp.offsets[h], cp.offsets[cat.compose(g, h)]
+            for i, a in enumerate(Bc.spanning_elements()):
+                for j, b in enumerate(Bh.spanning_elements()):
+                    prod = _reference_block_product(sys, g, h, a, b)
+                    ref[og + i, oh + j, ogh:ogh + Bc.dim] = prod.data
+        assert np.array_equal(cp.ring.constants, ref)
+
+
+def test_alpha_verdicts_are_kept_per_base_ring():
+    # alpha = 1 in both bases: a unit of F_3, not of the zero algebra on F_3
+    f3 = field_algebra(GF(3))
+    null = make_structure_algebra(1, GF(3), [[[0]]])
+    cat = pair_groupoid(2)
+    base = {0: f3, 1: null}
+    sigma = {g: RingMap(base[cat.dom[g]], base[cat.cod[g]], matrix=[[1]])
+             for g in cat.morphisms}
+    alpha = {(g, h): base[cat.cod[g]].element((1,)) for g, h in cat.composable_pairs()}
+    sys = CrossedSystem(cat, base, sigma, alpha=alpha)
+    report = validate_crossed_system(sys)
+    assert repr(report) == repr(_reference_report(sys))
+    units = {name: ok for name, ok, _ in report if name.endswith("] unit")}
+    assert units["alpha[(0, 0),(0, 0)] unit"] and not units["alpha[(1, 1),(1, 1)] unit"]
+
+
+def _survey_systems():
+    from ringlab.certify import _abelian_groups_upto, _actions_on
+    for m in range(1, 5):
+        for kind, order, cat in _abelian_groups_upto(6):
+            for p in (2, 3):
+                for action in _actions_on(kind, cat, m):
+                    yield dynamics_skew_group_ring(m, cat, action, GF(p))
+
+
+# sha256 over the validation report and the structure constants of the 312
+# dynamics systems of the default survey, recorded with the element loops
+SURVEY_SYSTEMS_SHA256 = "7075855f4d0aca8c6a75567a85378be576077b1f95efc234e02c90f3e53652ce"
+
+
+def test_survey_systems_are_unchanged():
+    digest, count = hashlib.sha256(), 0
+    for dyn in _survey_systems():
+        digest.update(repr(validate_crossed_system(dyn.system)).encode())
+        digest.update(dyn.ring.constants.tobytes())
+        count += 1
+    assert count == 312
+    assert digest.hexdigest() == SURVEY_SYSTEMS_SHA256
+
+
+def test_dynamics_build_makes_no_element_products(monkeypatch):
+    from ringlab.rings import StructureAlgebra
+    calls = []
+    mul_coords = StructureAlgebra.mul_coords
+
+    def counted(self, x, y):
+        calls.append(1)
+        return mul_coords(self, x, y)
+
+    monkeypatch.setattr(StructureAlgebra, "mul_coords", counted)
+    rotation = {k: tuple((x + k) % 4 for x in range(4)) for k in range(4)}
+    dyn = dynamics_skew_group_ring(4, cyclic_group(4), rotation, GF(3))
+    assert all(ok for _, ok, _ in validate_crossed_system(dyn.system))
+    assert len(calls) < 100
