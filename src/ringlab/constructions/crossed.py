@@ -13,7 +13,7 @@ A_g = B_c(g)·u_g and is locally unital with 1_{A_e} = 1_{B_e} u_e.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,12 +21,13 @@ import numpy as np
 from ..categories import FiniteCategory
 from ..errors import ShapeMismatch, TooLarge, ValidationFailure
 from ..gradings import Grading
-from ..ideals import (IdealBasis, Subring, enumerate_subring_ideals,
-                      first_invariant_ideal)
+from ..ideals import IdealBasis, Subring, first_stable_ideal
 from ..rings import DEFAULT_ELEMENT_CAP, Element, Ring, StructureAlgebra, TableRing
 from ..subgroups import TableSubgroup, subspace_from_vectors
 
 TABLE_PRODUCT_CAP = 4096
+# entries of a crossed product's tables built at once (see _crossed_table)
+TABLE_SLAB = 1 << 16
 
 
 class RingMap:
@@ -374,56 +375,50 @@ def _crossed_algebra(sys, kind_tag, notes):
 
 
 def _crossed_table(sys, kind_tag, notes):
+    """The crossed product of table rings on mixed-radix tuples, one digit
+    per morphism.  Both tables are written into int32 arrays a slab of rows
+    at a time, so no temporary is as large as a table."""
     cat = sys.cat
     mors = list(cat.morphisms)
-    sizes = [sys.base[cat.cod[g]].n for g in mors]
-    total = 1
-    for s in sizes:
-        total *= s
+    bases = [sys.base[cat.cod[g]] for g in mors]
+    sizes = [B.n for B in bases]
+    total = math.prod(sizes)
     if total > TABLE_PRODUCT_CAP:
         raise TooLarge(f"crossed product would have {total} elements")
-    combos = list(itertools.product(*(range(s) for s in sizes)))
     pos = {g: t for t, g in enumerate(mors)}
-    weights = []
-    w = 1
-    for s in reversed(sizes):
-        weights.append(w)
-        w *= s
-    weights = list(reversed(weights))
-    combos_arr = np.array(combos, dtype=np.int64)       # (N, M)
-    add_acc = np.zeros((total, total), dtype=np.int64)
-    for t, g in enumerate(mors):
-        tbl = sys.base[cat.cod[g]].add_table
-        cx = combos_arr[:, t]
-        add_acc += weights[t] * tbl[np.ix_(cx, cx)].astype(np.int64)
-    zeros = tuple(sys.base[cat.cod[g]].zero_index for g in mors)
-    slot_acc = [np.full((total, total), z, dtype=np.int64)
-                for z in zeros]
+    weights = [math.prod(sizes[t + 1:]) for t in range(len(mors))]
+    index = np.arange(total, dtype=np.int64)
+    digits = np.stack([(index // w) % n for w, n in zip(weights, sizes)], axis=1)
+    zeros = [B.zero_index for B in bases]
+    # product table of each (g,h) block, twisted and skewed:
+    # T[a, b] = (a *_g,h sigma_g(b)) alpha, filed under the digit of gh
+    blocks = [[] for _ in mors]
     for (g, h) in cat.composable_pairs():
-        Bc = sys.base[cat.cod[g]]
-        # product table of the (g,h) block, twisted and skewed:
-        # T[a, b] = (a *_g,h sigma_g(b)) alpha
-        mul = Bc.mul_table
+        mul = sys.base[cat.cod[g]].mul_table
         perm = np.asarray(sys.sigma[g].perm)
         skewed = mul[perm].T if sys.twist_at(g, h) == "opposite" else mul[:, perm]
-        T = mul[skewed, sys.alpha_at(g, h).data].astype(np.int64)
-        contrib = T[np.ix_(combos_arr[:, pos[g]], combos_arr[:, pos[h]])]
-        slot = pos[cat.compose(g, h)]
-        Bs = sys.base[cat.cod[cat.compose(g, h)]]
-        slot_acc[slot] = Bs.add_table[slot_acc[slot], contrib].astype(np.int64)
-    mul_acc = np.zeros((total, total), dtype=np.int64)
-    for t in range(len(mors)):
-        mul_acc += weights[t] * slot_acc[t]
-    zero_idx = int(sum(w * z for w, z in zip(weights, zeros)))
-    A = TableRing(add_acc.astype(np.int32), mul_acc.astype(np.int32),
-                  zero_idx, _validated=True)
-    components = {}
-    for g in mors:
-        members = []
-        for i, c in enumerate(combos):
-            if all(c[t] == zeros[t] for t in range(len(mors)) if t != pos[g]):
-                members.append(i)
-        components[g] = TableSubgroup(A, members)
+        blocks[pos[cat.compose(g, h)]].append(
+            (mul[skewed, sys.alpha_at(g, h).data], pos[g], pos[h]))
+    add = np.empty((total, total), dtype=np.int32)
+    mul = np.empty((total, total), dtype=np.int32)
+    step = max(1, TABLE_SLAB // total)
+    for r in range(0, total, step):
+        rows = digits[r:r + step]
+        add_rows = np.zeros((len(rows), total), dtype=np.int64)
+        mul_rows = np.zeros((len(rows), total), dtype=np.int64)
+        for t, B in enumerate(bases):
+            add_rows += weights[t] * B.add_table[np.ix_(rows[:, t], digits[:, t])]
+            acc = np.full((len(rows), total), zeros[t], dtype=np.int64)
+            for T, tg, th in blocks[t]:
+                acc = B.add_table.ravel()[acc * B.n + T[np.ix_(rows[:, tg], digits[:, th])]]
+            mul_rows += weights[t] * acc
+        add[r:r + step] = add_rows
+        mul[r:r + step] = mul_rows
+    zero_idx = sum(w * z for w, z in zip(weights, zeros))
+    A = TableRing(add, mul, zero_idx, _validated=True)
+    at_zero = digits == np.array(zeros)
+    components = {g: TableSubgroup(A, np.flatnonzero(np.delete(at_zero, t, axis=1).all(axis=1)))
+                  for t, g in enumerate(mors)}
     grading = Grading(A, cat, components)
     return CrossedProduct(A, grading, sys, kind_tag, {}, tuple(notes))
 
@@ -507,9 +502,37 @@ def is_G_invariant(cp: CrossedProduct, I: IdealBasis) -> bool:
     return True
 
 
+def _action_maps(cp: CrossedProduct, B: Subring):
+    """x ↦ embed_c(g) sigma_g(project_d(g) x) on the ambient ring, one per
+    morphism: a matrix on coordinate rows for an algebra, an index array
+    (read only on the base B) for a table ring.  An ideal I of B splits
+    into its components because the bases are unital, so this maps I into
+    I exactly when sigma_g(I_d(g)) ⊆ I_c(g) (:func:`is_G_invariant`)."""
+    A, cat, sys = cp.ring, cp.system.cat, cp.system
+    maps = []
+    for g in cat.morphisms:
+        e, f = cat.identity[cat.dom[g]], cat.identity[cat.cod[g]]
+        if A.is_algebra:
+            S = sys.sigma[g].matrix
+            M = A.F.zeros((A.dim, A.dim))
+            M[cp.offsets[e]:cp.offsets[e] + S.shape[0],
+              cp.offsets[f]:cp.offsets[f] + S.shape[1]] = S
+        else:
+            M = np.zeros(A.n, dtype=np.int64)
+            for x in B.span.members:
+                M[x] = cp.embed(f, sys.sigma[g].apply(cp.project(e, A.element(x)))).data
+        maps.append(M)
+    return maps
+
+
 def is_G_simple(cp: CrossedProduct, cap=None):
-    """No nontrivial G-invariant ideal of the base; returns (bool, witness)."""
-    ideals = enumerate_subring_ideals(cp.ring, cp.base_subring(),
-                                      cap=cap or DEFAULT_ELEMENT_CAP)
-    I = first_invariant_ideal(ideals, lambda I: is_G_invariant(cp, I))
+    """No nontrivial G-invariant ideal of the base; returns (bool, witness).
+
+    The witness is the first G-invariant ideal in the order of
+    ``enumerate_subring_ideals``, found as the least stable closure of a
+    line of the base under its multiplications and the action
+    (:func:`ringlab.ideals.first_stable_ideal`); the ideal lattice is not
+    enumerated."""
+    B = cp.base_subring()
+    I = first_stable_ideal(cp.ring, B, _action_maps(cp, B), cap=cap or DEFAULT_ELEMENT_CAP)
     return I is None, I

@@ -374,6 +374,9 @@ def verify_degree_map(dm: DegreeMap, cap=DEFAULT_ELEMENT_CAP) -> DegreeMapVerdic
     candidates a·c, c spanning A_{g^-1} for g in Supp(a), when a has no
     object component.  Only elements still unsettled scan all of <a>; the
     scan depends on <a> and d(a) alone, so each such pair is scanned once.
+    An F_p algebra is tested for simplicity by density
+    (``F.simple_reduction``) once, at the first unsettled element; when it
+    is simple, <a> is A for every a and no principal ideal is closed.
     The first failing a in enumeration order is the witness.
     """
     ring = dm.ring
@@ -385,6 +388,7 @@ def verify_degree_map(dm: DegreeMap, cap=DEFAULT_ELEMENT_CAP) -> DegreeMapVerdic
         if bad.size:
             return DegreeMapVerdict("D1Violation", ring.block_elements(block[bad[:1]])[0])
     scanned = set()                   # (ideal key, d(a)) pairs that passed
+    whole = None                      # A when density says it is simple, else False
     for block in ring.element_blocks(cap):
         block = block[ring.block_nonzero(block)]
         da = dm.degrees(block)
@@ -394,7 +398,10 @@ def verify_degree_map(dm: DegreeMap, cap=DEFAULT_ELEMENT_CAP) -> DegreeMapVerdic
             settled[rest] = _groupoid_candidates_qualify(dm, block[rest], da[rest])
         for i in np.flatnonzero(~settled):
             a = ring.block_elements(block[i:i + 1])[0]
-            ideal = principal_ideal(ring, a)
+            if whole is None:
+                simple = ring.is_algebra and ring.F.simple_reduction(ring.constants) is not None
+                whole = simple and IdealBasis(ring, full_subgroup(ring), check=False)
+            ideal = whole or principal_ideal(ring, a)
             if (ideal.key(), da[i]) in scanned:
                 continue
             if not any(_qualifying(dm, cands, da[i]).any()

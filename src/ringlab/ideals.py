@@ -4,11 +4,16 @@
 the coordinates of the ambient ring A (``of_subring`` records B); ideals of A
 itself have ``of_subring=None``.
 
-The quantifier "for every ideal" is realized by join-closure of principal
-ideals: every ideal is the join of the principal ideals of its elements, so
-the lattice enumeration is exhaustive on finite (or capped F_p) rings.  Over
-Q the lattice is not enumerated; a positive simplicity verdict comes only
-from a reduction mod p that is simple (see :func:`is_simple`).
+The quantifier "for every ideal" takes one of two forms.  Where the ideals
+sought are those that a set of maps sends into themselves (G-invariance,
+σ-δ-invariance), :func:`first_stable_ideal` closes one line of the ring at
+a time under its multiplications and the maps, a polynomial spin-up, and
+never builds the lattice.  Otherwise (A-invariance, conjugation-stability)
+the lattice is enumerated by join-closure of principal ideals: every ideal
+is the join of the principal ideals of its elements, so the enumeration is
+exhaustive on finite (or capped F_p) rings.  Over Q neither runs; a
+positive simplicity verdict comes only from a reduction mod p that is
+simple (see :func:`is_simple`).
 """
 
 from __future__ import annotations
@@ -228,31 +233,62 @@ def ideal_closure(ring, gens, within: Subring | None = None) -> IdealBasis:
     return IdealBasis(ring, span, of_subring=within, check=False)
 
 
-def _table_closure(ring, seed_indices):
-    """Numpy fixpoint closure of an index set under global products and sums."""
+def _table_closure(ring, seed_indices, ops=None, bound=None):
+    """Numpy fixpoint closure of an index set under sums and index maps.
+
+    ``ops`` is a list of 2-D index arrays whose rows are maps x ↦ row[x];
+    the closure is the smallest additive subgroup containing the seed that
+    every row maps into itself.  None means products with every element on
+    either side (the rows of ``mul_table`` and of its transpose), whose
+    closure is the ideal the seed generates.  A closure that grows past
+    ``bound`` members is abandoned: the result is None.
+    """
     from .subgroups import _table_additive_closure
+    if ops is None:
+        ops = (ring.mul_table, ring.mul_table.T)
     span = _table_additive_closure(ring, seed_indices)
-    mul = ring.mul_table
-    while True:
+    while bound is None or len(span.members) <= bound:
         idx = np.array(sorted(span.members), dtype=np.int64)
-        prods = np.unique(np.concatenate([mul[:, idx].ravel(), mul[idx, :].ravel()]))
-        fresh = [int(p) for p in prods if p not in span.members]
+        images = np.unique(np.concatenate([op[:, idx].ravel() for op in ops]))
+        fresh = [int(x) for x in images if x not in span.members]
         if not fresh:
             return span
         span = _table_additive_closure(ring, list(span.members) + fresh)
+    return None
 
 
-def _closure_modp(ring, seed_rows):
-    """Numpy fixpoint closure of a seed subspace under left/right products."""
-    p = ring.modulus
+def _multiplication_ops(ring, rows=None):
+    """L_b and R_b for each of the k rows b (for each basis element when
+    ``rows`` is None), as the (d, 2k·d) horizontal stack that
+    :func:`_closure_modp` takes: v @ L_b = b·v and v @ R_b = v·b."""
     C = ring.constants
-    d = ring.dim
+    if rows is None:
+        lefts, rights = C, C.transpose(1, 0, 2)              # L_{e_i}[j], R_{e_j}[i]
+    else:
+        lefts = np.tensordot(rows, C, axes=(1, 0)) % ring.modulus    # (k, j, m): b·e_j
+        rights = np.tensordot(rows, C, axes=(1, 1)) % ring.modulus   # (k, i, m): e_i·b
+    ops = np.concatenate([lefts, rights])
+    m, d, _ = ops.shape
+    return ops.transpose(1, 0, 2).reshape(d, m * d)
+
+
+def _closure_modp(ring, seed_rows, ops=None):
+    """Numpy fixpoint closure of a seed subspace under linear operators: the
+    smallest subspace containing the seed that every operator maps into
+    itself (the MeatAxe spin-up; Parker 1984).
+
+    ``ops`` is the (n, m·n) horizontal stack of m operators acting on rows
+    of length n (v ↦ v @ M); None means the ring's L_{e_i} and R_{e_j}, whose
+    closure is the ideal the seed generates.
+    """
+    p = ring.modulus
+    if ops is None:
+        ops = _multiplication_ops(ring)
+    n = ops.shape[0]
     rows, pivots = linalg.rref_modp(seed_rows, p)
     frontier = rows
-    while frontier.shape[0] and len(pivots) < d:
-        lefts = np.tensordot(frontier, C, axes=(1, 1)) % p   # (r, i, k): e_i · w
-        rights = np.tensordot(frontier, C, axes=(1, 0)) % p  # (r, j, k): w · e_j
-        cand = np.concatenate([lefts.reshape(-1, d), rights.reshape(-1, d)])
+    while frontier.shape[0] and len(pivots) < n:
+        cand = (frontier @ ops % p).reshape(-1, n)
         rem = linalg.reduce_rows_modp(cand, rows, pivots, p)
         rem = rem[np.any(rem != 0, axis=1)]
         if rem.shape[0] == 0:
@@ -267,26 +303,30 @@ def _closure_modp(ring, seed_rows):
 # ideal lattice and simplicity
 # ---------------------------------------------------------------------------
 
+def _lines(p, k):
+    """One generator per line of F_p^k: the vector with first nonzero
+    coordinate 1, leading coordinates in increasing position, the tail in
+    ``itertools.product`` order."""
+    for lead in range(k):
+        for tail in itertools.product(range(p), repeat=k - lead - 1):
+            yield (0,) * lead + (1,) + tail
+
+
 def principal_ideals(ring):
     """The span of the principal ideal of every generator of a finite ring,
     up to scalars, in a fixed order.  Every ideal is a join of these.
 
-    An F_p algebra closes one generator per line of F_p^d: the vector with
-    first nonzero coordinate 1, leading coordinates in increasing position,
-    the tail in ``itertools.product`` order.  A table ring closes every
-    nonzero element, by index.
+    An F_p algebra closes one generator per line of F_p^d, in the order of
+    :func:`_lines`.  A table ring closes every nonzero element, by index.
     """
     if ring.is_table:
         for i in range(ring.n):
             if i != ring.zero_index:
                 yield _table_closure(ring, [i])
         return
-    p, d = ring.modulus, ring.dim
-    for lead in range(d):
-        for tail in itertools.product(range(p), repeat=d - lead - 1):
-            vec = np.array([(0,) * lead + (1,) + tail], dtype=np.int64)
-            rows, pivots = _closure_modp(ring, vec)
-            yield Subspace(ring, rows, pivots)
+    for line in _lines(ring.modulus, ring.dim):
+        rows, pivots = _closure_modp(ring, np.array([line], dtype=np.int64))
+        yield Subspace(ring, rows, pivots)
 
 
 def first_proper_line_ideal(ring):
@@ -533,12 +573,12 @@ def first_invariant_ideal(ideals, invariant):
     ``invariant(I)`` holds, or None.  B is the ring the ideal belongs to:
     ``I.of_subring``, or the whole ring when that is None.
 
-    This is the one quantifier behind A-simplicity ("B has no non-trivial
-    A-invariant ideal", :func:`is_A_simple`) and its special cases, which
-    differ only in the invariance test: G-invariance for a crossed product
-    (``is_G_simple``), σ-δ-invariance for an Ore extension
-    (``is_sigma_delta_simple``) and conjugation-stability for a
-    Cayley–Dickson doubling.
+    This is the quantifier behind A-simplicity ("B has no non-trivial
+    A-invariant ideal", :func:`is_A_simple`) and conjugation-stability for a
+    Cayley–Dickson doubling.  AI ⊆ IA is not a stability condition under
+    maps (it is not closed under intersection), so it needs the lattice.
+    Invariance under maps does not: G-invariance for a crossed product and
+    σ-δ-invariance for an Ore extension use :func:`first_stable_ideal`.
     """
     for I in ideals:
         B = I.of_subring
@@ -547,6 +587,77 @@ def first_invariant_ideal(ideals, invariant):
         if invariant(I):
             return I
     return None
+
+
+def first_stable_ideal(ring, B: Subring | None, maps, cap=DEFAULT_ELEMENT_CAP):
+    """The first ideal I of B with 0 ≠ I ≠ B that every map sends into I, in
+    the (measure, key) order of :func:`enumerate_subring_ideals`
+    (:func:`enumerate_ideals` when B is None: the whole ring); None when
+    there is none.
+
+    ``maps`` act on the ambient ring and send B into B: d×d matrices on
+    coordinate rows (v ↦ v @ M) for an F_p algebra, index arrays for a
+    table ring.  The ideal lattice is never built.  The smallest stable
+    ideal of B containing x is the closure of x under the maps and the
+    multiplications L_b, R_b by B.  One x is closed per line of B (per
+    nonzero element, for a table ring), and the least proper closure is the
+    answer.  It is the first stable ideal of the enumeration: a proper
+    nonzero stable ideal of least measure is a minimal nonzero stable
+    ideal, so each of its nonzero elements generates it.
+
+    For an F_p algebra the closure of a line c is c·E, where E is the
+    algebra the operators generate, found once by :func:`_closure_modp`.
+    A table ring closes each element by :func:`_table_closure`, and a
+    closure that outgrows the best one so far is abandoned.
+
+    Raises InfiniteScalarField over Q, and TooLarge when B has more than
+    ``cap`` elements, as the enumeration does.
+    """
+    if ring.size() is None:
+        raise InfiniteScalarField("cannot enumerate ideals over Q")
+    span = full_subgroup(ring) if B is None else B.span
+    size = span.measure() if ring.is_table else ring.modulus ** span.measure()
+    if size > cap:
+        raise TooLarge(f"{size} elements exceeds cap {cap}")
+    if ring.is_table:
+        members = np.array(sorted(span.members), dtype=np.int64)
+        mul = ring.mul_table
+        # rows of L_b and of R_b for b in B, then the maps
+        ops = [mul[members], mul[:, members].T] + [np.asarray(m)[None, :] for m in maps]
+        seeds = [int(x) for x in members if x != ring.zero_index]
+
+        def close(x, bound):
+            return _table_closure(ring, [x], ops, bound)
+    else:
+        # the closure runs on coordinates over B's rref rows, where the
+        # operators are k×k: a coordinate vector c is the element c @ rows,
+        # and the pivot entries of an element of B are its coordinates
+        p, rows, pivots = ring.modulus, span.rows, list(span.pivots)
+        k = len(pivots)
+        ops = np.hstack([_multiplication_ops(ring, rows)] + [ring.F.reduce(m) for m in maps])
+        ops = (rows @ ops % p).reshape(k, -1, ring.dim)[:, :, pivots].reshape(k, -1)
+        # the closure of c is c·E, for E the algebra the operators generate:
+        # the closure of the identity under X ↦ X·M, which acts on the
+        # flattened X as the block diagonal kron(I, M)
+        eye = np.eye(k, dtype=np.int64)
+        words = eye[:, None, None, :, None] * ops.reshape(k, -1, k)[None, :, :, None, :]
+        algebra = _closure_modp(ring, eye.reshape(1, -1), words.reshape(k * k, -1))[0]
+        algebra = algebra.reshape(-1, k, k)
+        seeds = _lines(p, k)
+
+        def close(line, bound):
+            basis, found = linalg.rref_modp(np.array(line) @ algebra % p, p)
+            if len(found) > bound:
+                return None
+            # an rref basis in coordinates is one in the ambient ring too
+            return Subspace(ring, basis @ rows % p, [pivots[c] for c in found])
+    best, bound = None, span.measure() - 1   # past the bound a closure is all of B
+    for seed in seeds:
+        sub = close(seed, bound)
+        if sub is not None and (best is None or
+                                (sub.measure(), sub.key()) < (best.measure(), best.key())):
+            best, bound = sub, sub.measure()
+    return None if best is None else IdealBasis(ring, best, of_subring=B, check=False)
 
 
 def _parenthesizations(factors, ring):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .constructions.crossed import RingMap
 from .errors import CriterionDisagreement, PreconditionUnmet, ShapeMismatch
 from .ideals import (DEFAULT_ELEMENT_CAP, DEFAULT_SEED, IdealBasis,
-                     center, enumerate_ideals, first_invariant_ideal)
+                     center, first_stable_ideal)
 from .rings import Element, Ring
 
 
@@ -241,8 +241,14 @@ class SigmaDeltaVerdict:
 
 def is_sigma_delta_simple(data: SigmaDerivationData,
                           cap=DEFAULT_ELEMENT_CAP) -> SigmaDeltaVerdict:
-    I = first_invariant_ideal(enumerate_ideals(data.base, cap=cap),
-                              lambda I: is_sigma_delta_invariant(I, data))
+    """No nontrivial ideal of the base that sigma and delta map into itself.
+
+    The witness is the first such ideal in the order of
+    ``enumerate_ideals``, found as the least closure of a line of the base
+    under its multiplications, sigma and delta
+    (:func:`ringlab.ideals.first_stable_ideal`)."""
+    maps = [m.matrix if m.perm is None else m.perm for m in (data.sigma, data.delta)]
+    I = first_stable_ideal(data.base, None, maps, cap=cap)
     return SigmaDeltaVerdict(I is None, I)
 
 

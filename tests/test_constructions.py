@@ -14,12 +14,14 @@ from ringlab import (GF, QQ, RingMap, bales_alpha, bales_twisted_ring,
                      validate_crossed_system, validate_grading, zmod_ring,
                      enumerate_subring_ideals, functions_ring, is_A_invariant,
                      make_structure_algebra, pair_groupoid)
+from ringlab import ideals
 from ringlab.constructions.crossed import CrossedSystem, crossed_product
+from ringlab.ideals import first_invariant_ideal
 from ringlab.rings import convert_to_table
 from ringlab.constructions import doubling
 from ringlab.errors import (AlphaNotCentralUnit, CoherenceViolation,
-                            CriterionDisagreement, NotAnAction, SigmaNotInvolutive, TooLarge,
-                            ValidationFailure)
+                            CriterionDisagreement, InfiniteScalarField, NotAnAction,
+                            SigmaNotInvolutive, TooLarge, ValidationFailure)
 
 
 def test_group_algebra_is_plain_group_ring():
@@ -494,3 +496,118 @@ def test_dynamics_build_makes_no_element_products(monkeypatch):
     dyn = dynamics_skew_group_ring(4, cyclic_group(4), rotation, GF(3))
     assert all(ok for _, ok, _ in validate_crossed_system(dyn.system))
     assert len(calls) < 100
+
+
+# ---------------------------------------------------------------------------
+# G-simplicity by stable closures of lines, against the ideal enumeration
+# ---------------------------------------------------------------------------
+
+def _upper_triangular(p):
+    # T2(F_p) on the basis E11, E12, E22: unital and not commutative
+    return make_structure_algebra(
+        3, GF(p),
+        [[[1, 0, 0], [0, 1, 0], [0, 0, 0]],
+         [[0, 0, 0], [0, 0, 0], [0, 1, 0]],
+         [[0, 0, 0], [0, 0, 0], [0, 0, 1]]])
+
+
+def _unital_base(draw, table, p):
+    """A unital base ring: a table ring of at most 4 elements, or an F_p
+    algebra of dimension at most 3."""
+    if table:
+        return draw(st.sampled_from([zmod_ring(2), zmod_ring(3), zmod_ring(4),
+                                     convert_to_table(functions_ring(2, GF(2))),
+                                     convert_to_table(gf_extension(4)[0])]))
+    d = draw(st.integers(1, 3))
+    options = [functions_ring(d, GF(p))]
+    if d > 1:
+        options.append(gf_extension(p ** d)[0])
+    if d == 3:
+        options.append(_upper_triangular(p))
+    return draw(st.sampled_from(options))
+
+
+@st.composite
+def unital_crossed_systems(draw):
+    """Random systems whose base subring is the sum of the unital bases:
+    sigma is the identity and alpha the unit at every identity, everything
+    else as random as in ``crossed_systems``."""
+    cat = draw(st.sampled_from([cyclic_group(1), cyclic_group(2), cyclic_group(3),
+                                pair_groupoid(2)]))
+    table, p = draw(st.booleans()), draw(st.sampled_from([2, 3]))
+    base = {e: _unital_base(draw, table, p) for e in cat.objects}
+    identities = {cat.identity[e] for e in cat.objects}
+    sigma = {g: (RingMap.identity(base[cat.dom[g]]) if g in identities else
+                 _random_map(draw, base[cat.dom[g]], base[cat.cod[g]]))
+             for g in cat.morphisms}
+    pairs = list(cat.composable_pairs())
+    alpha = {(g, h): (base[cat.cod[g]].probe_properties().unit
+                      if g in identities and h in identities
+                      else _random_element(draw, base[cat.cod[g]])) for g, h in pairs}
+    twists = {(g, h): draw(st.sampled_from(["straight", "opposite"])) for g, h in pairs}
+    return CrossedSystem(cat, base, sigma, alpha=alpha, twists=twists)
+
+
+def _reference_g_simple(cp):
+    I = first_invariant_ideal(enumerate_subring_ideals(cp.ring, cp.base_subring()),
+                              lambda I: is_G_invariant(cp, I))
+    return I is None, I
+
+
+@settings(max_examples=80, deadline=None)
+@given(unital_crossed_systems())
+def test_g_simplicity_matches_the_ideal_enumeration(sys):
+    cp = crossed_product(sys, validate=False)
+    ok, wit = is_G_simple(cp)
+    ref_ok, ref_wit = _reference_g_simple(cp)
+    assert ok == ref_ok
+    if not ok:
+        assert wit.key() == ref_wit.key() and wit.of_subring is not None
+        assert is_G_invariant(cp, wit)
+
+
+def _count_enumerations(monkeypatch):
+    calls = []
+    original = ideals.enumerate_ideals
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ideals, "enumerate_ideals", counted)
+    return calls
+
+
+def test_g_simplicity_enumerates_no_ideals(monkeypatch):
+    calls = _count_enumerations(monkeypatch)
+    rotation = {k: tuple((x + k) % 4 for x in range(4)) for k in range(4)}
+    assert is_G_simple(dynamics_skew_group_ring(4, cyclic_group(4), rotation, GF(3)))[0]
+    swap = {0: (0, 1, 2, 3), 1: (1, 0, 3, 2)}
+    ok, wit = is_G_simple(dynamics_skew_group_ring(4, cyclic_group(2), swap, GF(3)))
+    assert not ok and wit.measure() == 2
+    assert calls == []
+
+
+def test_g_simplicity_keeps_its_size_and_field_limits():
+    from ringlab.corpus import build_nonminimal_dynamics
+    dyn = build_nonminimal_dynamics()            # base F_2^3, 8 elements
+    with pytest.raises(TooLarge):
+        is_G_simple(dyn, cap=7)
+    assert not is_G_simple(dyn, cap=8)[0]
+    q = field_algebra(QQ)
+    over_q = skew_group_ring(q, cyclic_group(2), {g: RingMap.identity(q) for g in (0, 1)})
+    with pytest.raises(InfiniteScalarField):
+        is_G_simple(over_q)
+
+
+def test_table_crossed_product_builds_in_little_memory():
+    import tracemalloc
+    b = zmod_ring(8)
+    tracemalloc.start()
+    try:
+        cp = skew_group_ring(b, cyclic_group(3), {g: RingMap.identity(b) for g in range(3)})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cp.ring.n == 512
+    assert peak <= 4 * (cp.ring.add_table.nbytes + cp.ring.mul_table.nbytes)

@@ -292,21 +292,23 @@ def test_d1_violation_wins_over_an_earlier_d2_violation():
 def test_exhaustive_scan_settles_what_the_candidates_cannot(monkeypatch):
     # M2(F2), X = {E11}: E12 fails as its own a' ([E12, E11] = E12 keeps its
     # degree) and there is no grading to offer a·c; the scan of <E12>, the
-    # whole ring, finds E11 of degree 1, which commutes with E11
+    # whole ring (M2(F2) is simple), finds E11 of degree 1, which commutes
+    # with E11
+    from ringlab.subgroups import Subspace
     m2 = full_matrix_algebra(2, GF(2))
-    e11, e12 = m2.basis_element(0), m2.basis_element(1)
+    e11 = m2.basis_element(0)
     dm = DegreeMap(m2, full_subring(m2), [e11],
                    lambda a: 0 if a.is_zero() else 1 if a == e11 else 2, "two levels")
     scanned = []
-    original = gradings.principal_ideal
+    original = Subspace.element_blocks
 
-    def counted(ring, a):
-        scanned.append(a)
-        return original(ring, a)
+    def counted(span, *args, **kwargs):
+        scanned.append(span)
+        return original(span, *args, **kwargs)
 
-    monkeypatch.setattr(gradings, "principal_ideal", counted)
+    monkeypatch.setattr(Subspace, "element_blocks", counted)
     assert verify_degree_map(dm).valid
-    assert e12 in scanned
+    assert scanned and all(span.is_full() for span in scanned)
     assert _reference_verdict(dm)[0] == "Valid"
 
 
@@ -332,7 +334,8 @@ def test_degree_map_check_works_on_blocks(monkeypatch):
 
 def test_each_principal_ideal_and_degree_is_scanned_once(monkeypatch):
     # on the rotation dynamics ring over F2 (simple, 512 elements) 387
-    # elements reach the <a> scan, but they share 3 (ideal, d(a)) pairs
+    # elements reach the <a> scan, but they share 3 (ideal, d(a)) pairs;
+    # density says the ring is simple, so no <a> is closed: each is A
     from ringlab.corpus import build_rotation_dynamics
     from ringlab.subgroups import Subspace
     dyn = build_rotation_dynamics()
@@ -351,7 +354,43 @@ def test_each_principal_ideal_and_degree_is_scanned_once(monkeypatch):
     monkeypatch.setattr(gradings, "principal_ideal", counted_closure)
     monkeypatch.setattr(Subspace, "element_blocks", counted_blocks)
     assert verify_degree_map(dm).valid
-    assert counts == {"principal_ideal": 387, "element_blocks": 3}
+    assert counts == {"principal_ideal": 0, "element_blocks": 3}
+
+
+def test_simple_ring_degree_map_makes_few_closures(monkeypatch):
+    from ringlab import ideals
+    from ringlab.corpus import build_rotation_dynamics
+    dyn = build_rotation_dynamics()
+    dm = support_degree_map(dyn.grading, "homogeneous_elements")
+    calls = []
+    closure = ideals._closure_modp
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return closure(*args, **kwargs)
+
+    monkeypatch.setattr(ideals, "_closure_modp", counted)
+    assert verify_degree_map(dm).status == "Valid"
+    assert len(calls) < 10
+
+
+def test_not_simple_degree_map_still_closes_principal_ideals(monkeypatch):
+    # T2(F2) is not simple, so each unsettled a closes its own <a>, and the
+    # D2 witness is a proper ideal
+    t2 = _upper_triangular_f2()
+    X = [t2.basis_element(0)]
+    closed = []
+    original = gradings.principal_ideal
+
+    def counted(ring, a):
+        closed.append(a)
+        return original(ring, a)
+
+    monkeypatch.setattr(gradings, "principal_ideal", counted)
+    v = verify_degree_map(DegreeMap(t2, subring_closure(t2, X), X,
+                                    lambda a: 0 if a.is_zero() else 1, "flat"))
+    assert v.status == "D2Violation" and not v.witness[0].span.is_full()
+    assert v.witness[1] in closed
 
 
 def test_criterion_disagreement_is_typed(monkeypatch):

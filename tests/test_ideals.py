@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from ringlab import (GF, QQ, cayley_tower, center, centralizer,
                      check_ideal_associativity, enumerate_ideals,
                      enumerate_subring_ideals, field_algebra, full_matrix_algebra,
-                     full_subring, ideal_closure, identity_property,
+                     full_subring, gf_extension, ideal_closure, identity_property,
                      is_A_invariant, is_A_simple, is_maximal_commutative,
                      is_simple, apply_i_and_p, make_structure_algebra,
                      principal_ideal, subring_closure, zmod_ring)
@@ -333,3 +333,18 @@ def test_subring_ideals_of_diagonal():
     ideals = enumerate_subring_ideals(m2, diag)
     assert [i.measure() for i in ideals] == [0, 1, 1, 2]
     assert is_A_simple(m2, diag).holds
+
+
+def test_first_stable_ideal_takes_the_least_key_among_minimal_ideals():
+    # F4 ⊕ F4 on the basis given by the rows of T: its two minimal ideals
+    # are planes, and the first line of the walk lies in the one with the
+    # larger key, so the answer is not the first closure of least measure
+    f4 = gf_extension(4)[0]
+    C = direct_sum_algebra([f4, f4]).constants
+    T = np.array([[1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 0, 1], [1, 0, 1, 1]])
+    T_inv = np.array([[1, 0, 1, 1], [1, 1, 0, 1], [0, 0, 1, 1], [1, 0, 0, 1]])
+    ring = make_structure_algebra(4, GF(2), np.einsum("ia,jb,abk->ijk", T, T, C) @ T_inv % 2)
+    first = next(s for s in ideals.principal_ideals(ring) if s.measure() == 2)
+    expected = next(I for I in enumerate_ideals(ring) if not I.is_zero())
+    assert expected.measure() == 2 and first.key() != expected.key()
+    assert ideals.first_stable_ideal(ring, None, []).key() == expected.key()

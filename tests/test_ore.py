@@ -1,17 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringlab import (GF, RingMap, SigmaDerivationData, center,
                      check_A_invariance_truncated, commutator_degree_drop,
                      ideal_closure, is_sigma_delta_invariant,
                      is_sigma_delta_simple, ore_degree_map, ore_mul,
                      s_coefficients, truncated_polynomial_ring,
-                     validate_sigma_derivation, zmod_ring, gf_extension)
+                     validate_sigma_derivation, zmod_ring, gf_extension,
+                     QQ, enumerate_ideals,
+                     field_algebra, functions_ring, make_structure_algebra)
 from ringlab.corpus import ORE_CORPUS, build_ore_f5, build_ore_m2f2_inner
-from ringlab.errors import PreconditionUnmet, ShapeMismatch
+from ringlab.errors import (InfiniteScalarField, PreconditionUnmet, ShapeMismatch,
+                            TooLarge)
+from ringlab.ideals import first_invariant_ideal
 from ringlab.ore import (SkewPolynomial, assert_associativity_sample,
                          degree_map_commutator_samples,
                          degree_one_escape_witness, random_polynomial)
+from ringlab.rings import convert_to_table
 import random
 
 
@@ -225,3 +232,77 @@ def test_inner_derivation_base():
     data = build_ore_m2f2_inner()
     assert all(ok for _, ok, _ in validate_sigma_derivation(data))
     assert is_sigma_delta_simple(data).simple
+
+
+# ---------------------------------------------------------------------------
+# sigma-delta-simplicity by stable closures, against the ideal enumeration
+# ---------------------------------------------------------------------------
+
+def _upper_triangular(p):
+    # T2(F_p) on the basis E11, E12, E22: unital and not commutative
+    return make_structure_algebra(
+        3, GF(p),
+        [[[1, 0, 0], [0, 1, 0], [0, 0, 0]],
+         [[0, 0, 0], [0, 0, 0], [0, 1, 0]],
+         [[0, 0, 0], [0, 0, 0], [0, 0, 1]]])
+
+
+def _random_self_map(draw, B):
+    if B.is_table:
+        return RingMap(B, B, perm=draw(st.lists(st.integers(0, B.n - 1),
+                                                min_size=B.n, max_size=B.n)))
+    p, d = B.modulus, B.dim
+    kind = draw(st.sampled_from(["identity", "zero", "random"]))
+    if kind == "identity":
+        return RingMap.identity(B)
+    if kind == "zero":
+        return RingMap(B, B, matrix=np.zeros((d, d), dtype=np.int64))
+    M = draw(st.lists(st.integers(0, p - 1), min_size=d * d, max_size=d * d))
+    return RingMap(B, B, matrix=np.array(M).reshape(d, d))
+
+
+@st.composite
+def sigma_delta_data(draw):
+    """Random sigma and delta over a unital associative base: an F_2/F_3
+    algebra of dimension at most 3 or a table ring of at most 4 elements.
+    Half the time delta is the inner sigma-derivation b -> cb - sigma(b)c."""
+    if draw(st.booleans()):
+        p, d = draw(st.sampled_from([2, 3])), draw(st.integers(1, 3))
+        options = [functions_ring(d, GF(p))]
+        if d > 1:
+            options.append(gf_extension(p ** d)[0])
+        if d == 3:
+            options.append(_upper_triangular(p))
+        B = draw(st.sampled_from(options))
+    else:
+        B = draw(st.sampled_from([zmod_ring(2), zmod_ring(3), zmod_ring(4),
+                                  convert_to_table(functions_ring(2, GF(2)))]))
+    sigma = _random_self_map(draw, B)
+    if B.is_algebra and draw(st.booleans()):
+        c = draw(st.lists(st.integers(0, B.modulus - 1), min_size=B.dim, max_size=B.dim))
+        L, R = B.F.mult_matrices(B, c)              # rows c·e_j and e_i·c
+        delta = RingMap(B, B, matrix=L - sigma.matrix @ R)
+    else:
+        delta = _random_self_map(draw, B)
+    return SigmaDerivationData(B, sigma, delta)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sigma_delta_data())
+def test_sigma_delta_simplicity_matches_the_ideal_enumeration(data):
+    v = is_sigma_delta_simple(data)
+    ref = first_invariant_ideal(enumerate_ideals(data.base),
+                                lambda I: is_sigma_delta_invariant(I, data))
+    assert v.simple == (ref is None)
+    if not v.simple:
+        assert v.witness.key() == ref.key() and v.witness.of_subring is None
+
+
+def test_sigma_delta_simplicity_keeps_its_size_and_field_limits():
+    data = _ddy(3, 3)                                # base of 27 elements
+    with pytest.raises(TooLarge):
+        is_sigma_delta_simple(data, cap=26)
+    assert is_sigma_delta_simple(data, cap=27).simple
+    q = field_algebra(QQ)
+    with pytest.raises(InfiniteScalarField):
+        is_sigma_delta_simple(SigmaDerivationData(q, RingMap.identity(q), RingMap.identity(q)))
