@@ -856,8 +856,9 @@ def survey_finite_dynamics(max_points=4, max_group_order=6, field_orders=(2, 3),
     ``max_points`` points, over the given prime fields.
 
     Negative cases are refuted by explicit witness ideals (any size);
-    positive cases are confirmed by the element scan when the ring fits
-    under ``scan_cap`` and by the bimodule density criterion otherwise.
+    positive cases are confirmed by :func:`is_simple`: the element scan or
+    density when the ring fits under ``scan_cap``, and density after a
+    failed witness search otherwise (up to ``ideals.DENSITY_MAX_DIM``).
     Conjugate actions transfer their verdict along a verified ring
     isomorphism.
     """
@@ -898,19 +899,20 @@ def survey_finite_dynamics(max_points=4, max_group_order=6, field_orders=(2, 3),
                                             instance=f"dyn({m},{kind}{order},F{p})")
                     if cert.oracle == "disagrees":
                         survey.failures.append((m, kind, p, "pipeline/oracle disagreement"))
-                    size = dyn.ring.size()
-                    if size <= scan_cap:
-                        verdict = is_simple(dyn.ring, cap=scan_cap, seed=seed)
-                        decided = verdict.is_simple
-                        survey.oracle_scans += 1
-                    elif not expected:
+                    over_cap = dyn.ring.size() > scan_cap
+                    if over_cap and not expected:
                         J = (faithfulness_witness_ideal(dyn) if not dyn.faithful
                              else minimality_witness_ideal(dyn))
                         decided = not _proper(J)
                         survey.witness_refutations += 1
                     else:
-                        decided = simple_by_density(dyn.ring)
-                        survey.density_checks += 1
+                        # the certificate's oracle cross-check cached this
+                        # verdict; over the cap it came from density
+                        decided = is_simple(dyn.ring, cap=scan_cap, seed=seed).is_simple
+                        if over_cap:
+                            survey.density_checks += 1
+                        else:
+                            survey.oracle_scans += 1
                     if decided != expected:
                         survey.failures.append(
                             (m, kind, p, f"simple={decided} but minimal+faithful={expected}"))
@@ -934,7 +936,7 @@ def simple_by_density(ring: StructureAlgebra) -> bool:
     dimension dim^2 / dim(D) (density); see
     :func:`ringlab.linalg.density_simple_modp`.  The computation is plain
     linear algebra, so this is a second independent oracle for sizes the
-    element scan cannot reach.
+    element scan cannot reach; :func:`is_simple` runs the same test.
     """
     if not (ring.is_algebra and ring.modulus is not None):
         raise ValueError("density decision needs an F_p structure algebra")

@@ -35,6 +35,11 @@ from .subgroups import (AddSubgroup, Subspace, TableSubgroup, additive_span,
 
 DEFAULT_WITNESS_SAMPLES = 24
 DEFAULT_SEED = 0xC0FFEE
+# the largest dimension at which an F_p algebra over the element cap is
+# decided by density after a failed witness search: a simple algebra of
+# dimension 32 takes seconds and tens of MB, mostly spinning up its d^2-
+# dimensional multiplication algebra
+DENSITY_MAX_DIM = 32
 
 
 class IdealBasis:
@@ -133,7 +138,7 @@ class Subring:
 def subring_closure(ring, gens) -> Subring:
     """Close a generating set under addition and internal multiplication."""
     span = additive_span(ring, list(gens))
-    while True:
+    while not span.is_full():
         prod = product_span(ring, span, span)
         new = span.join(prod)
         if new == span:
@@ -418,10 +423,12 @@ def is_simple(ring, cap=DEFAULT_ELEMENT_CAP, seed=DEFAULT_SEED,
     A Q-algebra is Simple when its reduction modulo one of
     ``linalg.LIFT_PRIMES`` is simple by the same criterion
     (``Rational.simple_reduction``); the verdict's reason names the prime,
-    "reduction mod q".  Otherwise, and for F_p algebras over the cap:
-    witness search only (basis elements plus seeded pseudorandom elements);
-    a proper nonzero principal ideal refutes, and a failed search answers
-    Inconclusive, never Simple.
+    "reduction mod q".  Otherwise, and for rings over the cap, a witness
+    search runs (basis elements plus seeded pseudorandom elements), and a
+    proper nonzero principal ideal refutes.  When it fails on an F_p algebra
+    of dimension at most ``DENSITY_MAX_DIM``, density decides: Simple when
+    it says so.  Every other failed search answers Inconclusive, never
+    Simple.
 
     Verdicts are cached on the (immutable) ring per (cap, seed, samples).
     """
@@ -467,6 +474,11 @@ def _is_simple_uncached(ring, cap, seed, samples) -> SimpleVerdict:
         ib = principal_ideal(ring, v)
         if not ib.span.is_full():
             return SimpleVerdict("NotSimple", ib)
+    # over the cap a failed search leaves density to prove an F_p algebra
+    # simple; a NotSimple from density has no witness to show
+    if (ring.is_algebra and size is not None and ring.dim <= DENSITY_MAX_DIM
+            and ring.F.simple_reduction(ring.constants) is not None):
+        return SimpleVerdict("Simple")
     reason = ("infinite scalar field; use certify pipelines"
               if (ring.is_algebra and ring.modulus is None)
               else f"size {size} exceeds cap {cap}")

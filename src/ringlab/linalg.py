@@ -21,8 +21,9 @@ The row-reduction kernels (``rref_modp``, ``reduce_rows_modp``,
 ``merge_modp``, ``kernel_modp``, ``rref_frac``, ``merge_frac``,
 ``kernel_frac``) are module-level functions; the backends look them up by
 name at call time.  So do the two F_p decisions built on them,
-``is_field_modp`` and ``density_simple_modp``, which ideals and certificates
-use to decide simplicity without enumerating elements; the Q backend runs
+``is_field_modp`` and ``density_simple_modp`` (with its steps ``unit_modp``
+and ``commutant_modp``), which ideals and certificates use to decide
+simplicity without enumerating elements; the Q backend runs
 the density test on reductions modulo ``LIFT_PRIMES``, which can prove a
 Q-algebra simple (``simple_reduction``).  Where elements must be enumerated,
 ``combinations_modp`` yields them as fixed-size blocks of rows, so scans
@@ -167,6 +168,56 @@ def is_field_modp(mats, p):
     return len(rref_modp((frob - K.reshape(k, -1)) % p, p)[1]) == k - 1
 
 
+def unit_modp(C, p):
+    """The two-sided unit of the F_p-algebra with structure constants ``C``,
+    as a coordinate vector, or None when it has none.
+
+    u·e_j = e_j and e_j·u = e_j are 2d^2 linear equations in the d
+    coordinates of u: sum_i u_i C[i, j, k] = delta_jk and
+    sum_i u_i C[j, i, k] = delta_jk.
+    """
+    d = C.shape[0]
+    eqs = np.concatenate([C.reshape(d, d * d), C.transpose(1, 0, 2).reshape(d, d * d)], axis=1)
+    return ModP(p).solve(eqs.T, np.tile(np.eye(d, dtype=np.int64).ravel(), 2))
+
+
+def _multiplications_modp(C):
+    """The 2d generators of the multiplication algebra, L_{e_i} = C[i] and
+    R_{e_i} = C[:, i], acting on row vectors x -> x @ X."""
+    return np.concatenate([C, C.transpose(1, 0, 2)])
+
+
+def commutant_modp(C, p, through_unit=True):
+    """The operators that commute with every multiplication of the F_p-algebra
+    with structure constants ``C``, as a (k, d, d) stack of independent
+    matrices acting on row vectors.
+
+    The commutations with each generator are imposed, one at a time, on a
+    space known to contain the commutant.  With a two-sided unit 1 (one
+    linear solve, :func:`unit_modp`) that space is {L_c}, d unknowns: the
+    commutant of a unital algebra is its centroid, since T(y) = T(1·y) =
+    T(1)·y makes T = L_{T(1)} (Schafer 1966, *An Introduction to
+    Nonassociative Algebras*, §II.1).  L_c = 0 forces c = c·1 = 0, so the d
+    left multiplications are a basis.  Without a unit, or with
+    ``through_unit`` False, the space is all of End(A), d^2 unknowns.
+    """
+    C = np.asarray(C, dtype=np.int64) % p
+    d = C.shape[0]
+    if through_unit and unit_modp(C, p) is not None:
+        K = C
+    else:
+        K = np.eye(d * d, dtype=np.int64).reshape(d * d, d, d)
+    # the scalars always commute and lie in either start space, so a
+    # one-dimensional K is final
+    for g in _multiplications_modp(C):
+        if K.shape[0] == 1:
+            break
+        eqs = ((K @ g - g @ K) % p).reshape(K.shape[0], d * d)
+        coeffs, _ = kernel_modp(eqs.T, p)
+        K = np.tensordot(coeffs, K, axes=(1, 0)) % p
+    return K
+
+
 def density_simple_modp(C, p):
     """Is the F_p-algebra with structure constants ``C`` simple?
 
@@ -180,22 +231,17 @@ def density_simple_modp(C, p):
 
     Operators act on row vectors, x -> x @ X: L_{e_i} = C[i], R_{e_i} =
     C[:, i].  That reverses products, which changes neither the commutant
-    nor the dimension of the algebra generated.
+    nor the dimension of the algebra generated.  When the algebra has a
+    unit, its commutant is its centroid {L_c : c central} (Schafer 1966,
+    *An Introduction to Nonassociative Algebras*, §II.1), found with d
+    unknowns instead of d^2 (:func:`commutant_modp`).
     """
     C = np.asarray(C, dtype=np.int64) % p
     d = C.shape[0]
     if not C.any():
         return False
-    gens = np.concatenate([C, C.transpose(1, 0, 2)])
-    # the commutant, one generator at a time; the scalars always commute, so
-    # a one-dimensional K is final
-    K = np.eye(d * d, dtype=np.int64).reshape(d * d, d, d)
-    for g in gens:
-        if K.shape[0] == 1:
-            break
-        eqs = ((K @ g - g @ K) % p).reshape(K.shape[0], d * d)
-        coeffs, _ = kernel_modp(eqs.T, p)
-        K = np.tensordot(coeffs, K, axes=(1, 0)) % p
+    gens = _multiplications_modp(C)
+    K = commutant_modp(C, p)
     k = K.shape[0]
     # a field D makes A a D-space, so k divides d
     if d % k or not is_field_modp(K, p):

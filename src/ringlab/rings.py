@@ -194,10 +194,9 @@ class TableRing(Ring):
         self.zero_index = int(zero_index)
         if not _validated:
             _validate_tables(self.add_table, self.mul_table, self.zero_index)
-        self.neg_table = np.argmin(
-            np.abs(self.add_table - self.zero_index), axis=1
-        ).astype(np.int32)
-        # argmin trick only valid because each row contains zero exactly once
+        # -a is where row a of the addition table holds zero, exactly once
+        # per row; the mask is the one N×N temporary
+        self.neg_table = (self.add_table == self.zero_index).argmax(axis=1).astype(np.int32)
         self._props = None
 
     def element(self, idx) -> Element:

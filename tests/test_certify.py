@@ -159,7 +159,8 @@ def test_matrix_certificates():
     o3 = cayley_tower(GF(3), 3).rings[3]
     cert = certify_matrix(matrix_ring(2, o3))
     assert cert.verdict == "Simple"
-    assert cert.oracle == "unavailable"  # 3^32 elements: oracle out of reach
+    # 3^32 elements: over the cap, density decides after the witness search
+    assert cert.oracle == "agrees"
 
 
 def test_abelian_group_center_field_branch():

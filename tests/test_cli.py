@@ -68,6 +68,15 @@ def test_check_command_and_expectations(tmp_path, capsys):
     assert code == 1
 
 
+def test_check_decides_simplicity_over_the_cap(capsys):
+    # M3(F3) has 3^9 elements, over the cap; no line generates a proper
+    # ideal, so density decides once the witness search fails
+    recipe = str(RECIPES / "matrix_ring-M3F3.json")
+    code, doc = _run(capsys, "check", recipe, "--checks", "simplicity", "--cap", "4096")
+    assert code == 0
+    assert doc["results"]["simplicity"] == "Simple"
+
+
 def test_witness_reverifies(tmp_path, capsys):
     path = _write(tmp_path, "z4.json", {"kind": "scalar", "ring": "Zn:4"})
     code, doc = _run(capsys, "check", path, "--checks", "simplicity")

@@ -122,6 +122,20 @@ def test_density_agrees_with_line_walk(ring):
     assert is_simple(ring).is_simple == simple
 
 
+def test_density_decides_only_simple_algebras_over_the_cap(monkeypatch):
+    # M3(F3) has 3^9 elements: over the cap, the witness search fails
+    assert is_simple(full_matrix_algebra(3, GF(3)), cap=4096).status == "Simple"
+    # past the dimension limit, or when density says not simple (it shows no
+    # witness), the failed search answers as before
+    for patch in ((ideals, "DENSITY_MAX_DIM", 8),
+                  (linalg, "density_simple_modp", lambda constants, p: False)):
+        with monkeypatch.context() as m:
+            m.setattr(*patch)
+            v = is_simple(full_matrix_algebra(3, GF(3)), cap=4096)
+            assert v.status == "Inconclusive"
+            assert v.reason == "size 19683 exceeds cap 4096"
+
+
 def _count_closures(monkeypatch):
     calls = []
     original = ideals._closure_modp
@@ -240,6 +254,21 @@ def test_centralizers():
     m2 = full_matrix_algebra(2, GF(2))
     diag = centralizer(m2, [m2.element([1, 0, 0, 0]), m2.element([0, 0, 0, 1])])
     assert diag.measure() == 2  # the diagonal itself
+
+
+def test_center_of_spanning_generators_forms_no_products(monkeypatch):
+    # the basis already spans the octonions, so closing it into a subring
+    # needs no product span (d^2 products and a Q row reduction)
+    oq = cayley_tower(QQ, 3).rings[3]
+    calls = []
+
+    def counted(ring, left, right):
+        calls.append(ring)
+        return product_span(ring, left, right)
+
+    monkeypatch.setattr(ideals, "product_span", counted)
+    assert center(oq).measure() == 1
+    assert calls == []
 
 
 def test_maximal_commutative():

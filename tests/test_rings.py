@@ -23,6 +23,22 @@ def test_make_table_ring_zn():
     assert p.commutative and p.unital and p.unit.data == 1
 
 
+def test_table_ring_negation_table_in_little_memory():
+    import tracemalloc
+    from ringlab.rings import TableRing
+    n = 512
+    add, mul = (t.astype(np.int32) for t in _zn_tables(n))
+    tracemalloc.start()
+    try:
+        ring = TableRing(add, mul, 0, _validated=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ring.neg_table.tolist() == [(-a) % n for a in range(n)]
+    # one N×N bool mask; an int32 difference and its abs would be 8·N²
+    assert peak <= 2 * n * n
+
+
 def test_make_table_ring_rejects_broken_mul():
     add, mul = _zn_tables(4)
     mul = mul.copy()
