@@ -284,7 +284,8 @@ def _closure_modp(ring, seed_rows, ops=None):
 
     ``ops`` is the (n, m·n) horizontal stack of m operators acting on rows
     of length n (v ↦ v @ M); None means the ring's L_{e_i} and R_{e_j}, whose
-    closure is the ideal the seed generates.
+    closure is the ideal the seed generates.  Each round adjoins the images
+    of the rows the previous round added, by :func:`linalg.merge_modp`.
     """
     p = ring.modulus
     if ops is None:
@@ -293,14 +294,8 @@ def _closure_modp(ring, seed_rows, ops=None):
     rows, pivots = linalg.rref_modp(seed_rows, p)
     frontier = rows
     while frontier.shape[0] and len(pivots) < n:
-        cand = (frontier @ ops % p).reshape(-1, n)
-        rem = linalg.reduce_rows_modp(cand, rows, pivots, p)
-        rem = rem[np.any(rem != 0, axis=1)]
-        if rem.shape[0] == 0:
-            break
-        fresh, _ = linalg.rref_modp(rem, p)
-        rows, pivots, _ = linalg.merge_modp(rows, pivots, fresh, p)
-        frontier = fresh
+        rows, pivots, _, frontier = linalg.merge_modp(
+            rows, pivots, (frontier @ ops % p).reshape(-1, n), p)
     return rows, pivots
 
 

@@ -5,7 +5,8 @@ reduced.  Each field has one backend object, and both backends have the same
 small method set:
 
 * ``ModP(p)``: F_p, rows are 2-D int64 arrays with entries in [0, p),
-  reduced by vectorized numpy elimination;
+  reduced by vectorized numpy elimination, for p up to ``MAX_MODULUS``,
+  below which no sum the kernels form overflows int64;
 * ``Rational``: Q, rows are tuples of ``Fraction``s, matrices are numpy
   object arrays of ``Fraction``s, reduced by exact Python elimination.
 
@@ -28,6 +29,13 @@ the density test on reductions modulo ``LIFT_PRIMES``, which can prove a
 Q-algebra simple (``simple_reduction``).  Where elements must be enumerated,
 ``combinations_modp`` yields them as fixed-size blocks of rows, so scans
 over them are matrix products.
+
+Every F_p spin-up of a subspace under linear maps (ideal closures, stable
+ideals, the multiplication algebra of the density test) grows one rref
+basis through ``merge_modp``.  It reduces a round's candidates against the
+basis once, eliminates only their remainders, and back-substitutes that
+fresh block into the basis; the block is the next round's frontier.  The
+basis itself is never eliminated again.
 """
 
 from __future__ import annotations
@@ -36,32 +44,40 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import TooLarge
+
 
 # ---------------------------------------------------------------------------
 # mod-p path (p prime), matrices are 2-D int64 arrays with entries in [0, p)
 # ---------------------------------------------------------------------------
 
 def rref_modp(mat, p):
-    """Reduced row echelon form over F_p.  Returns (basis, pivots)."""
+    """Reduced row echelon form over F_p.  Returns (basis, pivots).
+
+    Gauss-Jordan elimination, one pivot column at a time.  The pivot row is
+    the one with the largest entry in the column: any nonzero entry gives
+    the same canonical result.  It is scaled to a leading 1, the column is
+    cleared from every row by one broadcast product, and the scaled row is
+    written back in place r (the row it displaces moves to the pivot row's
+    place).  A column that is zero in the whole matrix stays zero under row
+    operations, so only the others are visited.
+    """
     A = (np.array(mat, dtype=np.int64) % p).reshape(-1, np.shape(mat)[-1]) if np.size(mat) else np.zeros((0, np.shape(mat)[-1]), dtype=np.int64)
-    m, n = A.shape
+    m = A.shape[0]
     r = 0
     pivots = []
-    for c in range(n):
+    for c in np.flatnonzero(A.any(axis=0)).tolist():
         if r == m:
             break
-        nz = np.nonzero(A[r:, c])[0]
-        if nz.size == 0:
+        i = r + int(A[r:, c].argmax())
+        lead = int(A[i, c])
+        if not lead:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            A[[r, i]] = A[[i, r]]
-        inv = pow(int(A[r, c]), p - 2, p)
-        A[r] = (A[r] * inv) % p
-        rows = np.nonzero(A[:, c])[0]
-        rows = rows[rows != r]
-        if rows.size:
-            A[rows] = (A[rows] - np.outer(A[rows, c], A[r])) % p
+        row = A[i] * pow(lead, p - 2, p) % p
+        A[i] = A[r]
+        A -= A[:, c, None] * row
+        A %= p
+        A[r] = row
         pivots.append(c)
         r += 1
     return A[:r].copy(), tuple(pivots)
@@ -84,14 +100,30 @@ def member_modp(vec, basis, pivots, p):
 
 
 def merge_modp(basis, pivots, newrows, p):
-    """Adjoin rows to an rref basis.  Returns (basis, pivots, grew)."""
+    """Adjoin rows to an rref basis.  Returns (basis, pivots, grew, fresh):
+    the rref of the span of both, whether it is larger, and ``fresh``, the
+    rref of the rows' remainders against ``basis`` (no rows when the span
+    did not grow).
+
+    The basis is never eliminated again.  The rows are reduced against it
+    once, and only their nonzero remainders are row-reduced, to ``fresh``.
+    The rows of ``fresh`` vanish in every pivot column of the basis, so
+    subtracting B[:, fresh pivots] @ fresh from the basis rows B that are
+    nonzero in those columns clears them and leaves the old pivots as they
+    were.  Sorting the rows of both by pivot then gives the rref of the
+    joint span, which is canonical: the same bytes as eliminating the
+    stacked rows.  The first three values are :meth:`ModP.merge`'s.
+    """
     rem = reduce_rows_modp(newrows, basis, pivots, p)
-    rem = rem[np.any(rem != 0, axis=1)]
-    if rem.shape[0] == 0:
-        return basis, pivots, False
-    stacked = np.vstack([basis, rem]) if basis.size else rem
-    nb, npiv = rref_modp(stacked, p)
-    return nb, npiv, True
+    fresh, new = rref_modp(rem[rem.any(axis=1)], p)
+    if not new:
+        return basis, pivots, False, fresh
+    cols = basis[:, new]
+    hit = cols.any(axis=1)
+    basis = basis.copy()
+    basis[hit] = (basis[hit] - cols[hit] @ fresh) % p
+    joint = tuple(pivots) + new
+    return np.vstack([basis, fresh])[np.argsort(joint)], tuple(sorted(joint)), True, fresh
 
 
 def kernel_modp(A, p):
@@ -256,12 +288,9 @@ def density_simple_modp(C, p):
     while frontier.shape[0] and len(pivots) < target:
         grown = []
         for g in gens:
-            rem = reduce_rows_modp((g @ frontier.reshape(-1, d, d)).reshape(-1, d * d),
-                                   basis, pivots, p)
-            rem = rem[np.any(rem != 0, axis=1)]
-            if rem.shape[0]:
-                fresh, _ = rref_modp(rem, p)
-                basis, pivots, _ = merge_modp(basis, pivots, fresh, p)
+            basis, pivots, grew, fresh = merge_modp(
+                basis, pivots, (g @ frontier.reshape(-1, d, d)).reshape(-1, d * d), p)
+            if grew:
                 grown.append(fresh)
                 if len(pivots) == target:
                     break
@@ -406,12 +435,26 @@ class _Field:
         return x if np.ndim(b) == 2 else x[:, 0]
 
 
+# the largest p that ModP admits: see its docstring
+MAX_MODULUS = 1 << 21
+
+
 class ModP(_Field):
-    """F_p: int64 arrays, vectorized elimination, dense contractions."""
+    """F_p: int64 arrays, vectorized elimination, dense contractions.
+
+    Every kernel reduces mod p after each product of two arrays, so the
+    largest number it forms is a sum of at most n products of residues, for
+    n the width of a row: below n·p² < 2^63.  ``MAX_MODULUS`` = 2^21 keeps
+    that true for rows of width up to 2^21 (a d² row of operators up to
+    d = 1448); a larger p raises TooLarge.
+    """
 
     dtype = np.int64
 
     def __init__(self, p):
+        if p > MAX_MODULUS:
+            raise TooLarge(f"prime {p} exceeds the largest supported modulus "
+                           f"{MAX_MODULUS} of int64 arithmetic mod p")
         self.modulus = self.p = p
 
     def reduce(self, M):
@@ -434,14 +477,14 @@ class ModP(_Field):
         return member_modp(np.asarray(vec, dtype=np.int64), basis, pivots, self.p)
 
     def merge(self, basis, pivots, newrows):
-        return merge_modp(basis, pivots, newrows, self.p)
+        return merge_modp(basis, pivots, newrows, self.p)[:3]
 
     def kernel(self, A, width):
         return kernel_modp(self.rows(A, width), self.p)
 
     def products(self, alg, X, Y):
         """Rows x·y for every x in X and y in Y (x-major)."""
-        T = np.tensordot(self.array(X), alg.constants, axes=(1, 0))   # (m, j, k)
+        T = np.tensordot(self.array(X), alg.constants, axes=(1, 0)) % self.p   # (m, j, k)
         return (np.einsum("mjk,nj->mnk", T, self.array(Y)) % self.p).reshape(-1, alg.dim)
 
     def mapped_products(self, alg, M):

@@ -155,6 +155,16 @@ def test_malformed_recipe_exits_2(tmp_path, capsys, doc, path):
     assert captured.err.startswith(f"error: {path}:") and "Traceback" not in captured.err
 
 
+
+def test_modulus_past_int64_arithmetic_exits_2(tmp_path, capsys):
+    doc = {"kind": "matrix_ring", "size": 2,
+           "base": {"kind": "scalar", "ring": "Fp:4000000007"}}
+    code = main(["check", _write(tmp_path, "big-p.json", doc)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: prime 4000000007 exceeds")
+    assert "Traceback" not in captured.err
+
 def test_certify_ore_recipe(tmp_path, capsys):
     path = _write(tmp_path, "ore.json",
                   {"kind": "ore_extension",

@@ -1,12 +1,14 @@
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringlab import (cyclic_group, dynamics_skew_group_ring, full_matrix_algebra,
                      linalg, make_structure_algebra)
-from ringlab.ideals import first_proper_line_ideal
+from ringlab.errors import TooLarge
+from ringlab.ideals import _closure_modp, first_proper_line_ideal
 from ringlab.rings import StructureAlgebra
 from ringlab.scalars import GF, QQ
 from ringlab.subgroups import subspace_from_vectors
@@ -18,21 +20,82 @@ def _matrices(p, rows=3, cols=4):
         min_size=1, max_size=rows)
 
 
-@given(_matrices(5))
-@settings(max_examples=60, deadline=None)
-def test_rref_modp_idempotent_and_canonical(rows):
-    p = 5
-    A = np.array(rows, dtype=np.int64)
+@st.composite
+def _rref_inputs(draw):
+    """(matrix, p): up to 8x8 over F_2, F_3, F_5 or F_7, tall or wide, with
+    some columns zeroed out."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    A = np.array(draw(st.lists(st.integers(0, p - 1), min_size=m * n, max_size=m * n)),
+                 dtype=np.int64).reshape(m, n)
+    A[:, sorted(draw(st.sets(st.integers(0, n - 1))))] = 0
+    return A, p
+
+
+@given(_rref_inputs())
+@settings(max_examples=200, deadline=None)
+def test_rref_modp_idempotent_and_canonical(matrix):
+    A, p = matrix
     R, piv = linalg.rref_modp(A, p)
     R2, piv2 = linalg.rref_modp(R, p)
     assert np.array_equal(R, R2) and piv == piv2
-    # pivot columns carry unit vectors
+    # pivot columns carry unit vectors, and each row starts at its pivot
     for ri, c in enumerate(piv):
         col = R[:, c]
         assert col[ri] == 1 and np.count_nonzero(col) == 1
+        assert not R[ri, :c].any()
+    assert list(piv) == sorted(set(piv))
     # row space is preserved: every original row reduces to zero
     rem = linalg.reduce_rows_modp(A, R, piv, p)
     assert not rem.any()
+
+
+@st.composite
+def _merge_inputs(draw):
+    """(U, rows, p): a spanning set U of a subspace of F_p^n (empty, random,
+    or the full space) and rows to adjoin to it (random, zero, or in the
+    span of U)."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 6))
+
+    def matrix(k):
+        return np.array(draw(st.lists(st.integers(0, p - 1), min_size=k * n,
+                                      max_size=k * n)), dtype=np.int64).reshape(k, n)
+
+    span = draw(st.sampled_from(["empty", "random", "full"]))
+    if span == "empty":
+        U = matrix(0)
+    elif span == "random":
+        U = matrix(draw(st.integers(1, n)))
+    else:
+        U = np.vstack([matrix(draw(st.integers(0, 2))), np.eye(n, dtype=np.int64)])
+    k = draw(st.integers(0, 5))
+    kind = draw(st.sampled_from(["random", "zero", "in span"]))
+    if kind == "random":
+        rows = matrix(k)
+    elif kind == "zero":
+        rows = np.zeros((k, n), dtype=np.int64)
+    else:
+        coeffs = np.array(draw(st.lists(st.integers(0, p - 1), min_size=k * len(U),
+                                        max_size=k * len(U))), dtype=np.int64)
+        rows = coeffs.reshape(k, len(U)) @ U % p
+    return U, rows, p
+
+
+@given(_merge_inputs())
+@settings(max_examples=300, deadline=None)
+def test_merge_modp_is_the_rref_of_the_stacked_rows(inputs):
+    U, rows, p = inputs
+    basis, pivots = linalg.rref_modp(U, p)
+    merged, merged_pivots, grew, fresh = linalg.merge_modp(basis, pivots, rows, p)
+    stacked, stacked_pivots = linalg.rref_modp(np.vstack([U, rows]), p)
+    assert merged.dtype == stacked.dtype and merged.shape == stacked.shape
+    assert merged.tobytes() == stacked.tobytes() and merged_pivots == stacked_pivots
+    # the fresh block is the rref of what the rows leave over the basis
+    rem = linalg.reduce_rows_modp(rows, basis, pivots, p)
+    assert fresh.tobytes() == linalg.rref_modp(rem, p)[0].tobytes()
+    assert grew == (len(merged_pivots) > len(pivots)) == (len(fresh) > 0)
+    assert grew or merged is basis
 
 
 @given(_matrices(3))
@@ -193,15 +256,21 @@ def test_unit_modp():
     assert linalg.unit_modp(C[:1, :1, :1], 3) is None
 
 
-def test_density_of_a_unital_algebra_solves_for_d_unknowns(monkeypatch):
-    # Z6 acting on 4 points by a 3-cycle: a unital survey ring of dimension 24
+def _rotation_ring():
+    """Z6 acting on 4 points by a 3-cycle, over F_2: a unital survey ring of
+    dimension 24 that is not simple."""
     rot = (1, 2, 0, 3)
     action, g = {}, (0, 1, 2, 3)
     for k in range(6):
         action[k], g = g, tuple(rot[x] for x in g)
     ring = dynamics_skew_group_ring(4, cyclic_group(6), action, GF(2)).ring
+    assert ring.dim == 24
+    return ring
+
+
+def test_density_of_a_unital_algebra_solves_for_d_unknowns(monkeypatch):
+    ring = _rotation_ring()
     d = ring.dim
-    assert d == 24
     unknowns = []
     original = linalg.kernel_modp
 
@@ -212,3 +281,69 @@ def test_density_of_a_unital_algebra_solves_for_d_unknowns(monkeypatch):
     monkeypatch.setattr(linalg, "kernel_modp", counted)
     assert not linalg.density_simple_modp(ring.constants, 2)
     assert unknowns and max(unknowns) <= d
+
+
+def test_spin_ups_eliminate_only_the_adjoined_block(monkeypatch):
+    """merge_modp row-reduces no more rows than it is given, never the
+    basis again, and an ideal closure reduces its candidates once a round."""
+    ring = _rotation_ring()
+    rref, reduce, merge = linalg.rref_modp, linalg.reduce_rows_modp, linalg.merge_modp
+    blocks, eliminated = [], []
+    count = {"reduce": 0, "grew": 0}
+
+    def counted_rref(mat, p):
+        if blocks:
+            eliminated.append((len(mat), blocks[-1]))
+        return rref(mat, p)
+
+    def counted_reduce(rows, basis, pivots, p):
+        count["reduce"] += 1
+        return reduce(rows, basis, pivots, p)
+
+    def counted_merge(basis, pivots, newrows, p):
+        blocks.append(len(newrows))
+        try:
+            out = merge(basis, pivots, newrows, p)
+        finally:
+            blocks.pop()
+        count["grew"] += bool(out[2])
+        return out
+
+    monkeypatch.setattr(linalg, "rref_modp", counted_rref)
+    monkeypatch.setattr(linalg, "reduce_rows_modp", counted_reduce)
+    monkeypatch.setattr(linalg, "merge_modp", counted_merge)
+    assert not linalg.density_simple_modp(ring.constants, 2)
+    eye = np.eye(ring.dim, dtype=np.int64)
+    for seed in (eye[:1], eye[5:6], np.ones((1, ring.dim), dtype=np.int64)):
+        count.update(reduce=0, grew=0)
+        rows, pivots = _closure_modp(ring, seed)
+        # every round but a last one that adds nothing grows the span
+        rounds = count["grew"] + (len(pivots) < ring.dim)
+        assert count["grew"] and count["reduce"] == rounds
+    assert eliminated and all(rows <= block for rows, block in eliminated)
+
+
+def test_products_are_exact_at_the_largest_modulus():
+    # 2097143 is the largest prime below MAX_MODULUS = 2^21.  A second
+    # contraction over unreduced partial products reaches d^2 (p-1)^3, about
+    # 1.5e20 at d = 4, far past int64.
+    p, d = 2097143, 4
+    assert p <= linalg.MAX_MODULUS
+    rng = np.random.default_rng(7)
+    C = rng.integers(0, p, (d, d, d))
+    alg = StructureAlgebra(GF(p), d, C)
+    X, Y = rng.integers(0, p, (3, d)), rng.integers(0, p, (2, d))
+    exact = [[sum(int(x[i]) * int(y[j]) * int(C[i, j, k])
+                  for i in range(d) for j in range(d)) % p for k in range(d)]
+             for x in X for y in Y]
+    assert alg.F.products(alg, X, Y).tolist() == exact
+    R, pivots = linalg.rref_modp([[p - 1, 5], [p - 2, 7]], p)
+    assert R.tolist() == [[1, 0], [0, 1]] and pivots == (0, 1)
+
+
+def test_a_modulus_past_int64_arithmetic_is_refused():
+    # at p = 4000000007 one product of two residues is past 2^63
+    with pytest.raises(TooLarge, match="4000000007"):
+        linalg.ModP(4000000007)
+    with pytest.raises(TooLarge):
+        StructureAlgebra(GF(4000000007), 1, [[[1]]])
