@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass, field as dfield, replace
 from fractions import Fraction
 
 import numpy as np
@@ -538,22 +538,27 @@ def certify_cayley(cd: CayleyDoubling, base_hint=None, cap=DEFAULT_ELEMENT_CAP,
 def certify_tower(tower: CayleyTower, cap=DEFAULT_ELEMENT_CAP,
                   seed=DEFAULT_SEED, instance="tower") -> list:
     """Chain of doubling certificates; each level passes its verdict down as
-    the hint for the next level's base.  Cached per tower object."""
+    the hint for the next level's base.
+
+    The chain is certified once per tower object and ``(cap, seed)``: the
+    label is not part of the cache key, because no premise or verdict
+    depends on it.  Each call returns fresh copies labelled
+    ``f"{instance}/level-{k}"`` for k = 1, 2, ...
+    """
     cache = getattr(tower, "_cert_cache", None)
     if cache is None:
         cache = tower._cert_cache = {}
-    key = (cap, seed, instance)
-    if key in cache:
-        return cache[key]
-    certs = []
-    hint = "Simple"  # level 0 is the scalar field itself
-    for k, cd in enumerate(tower.doublings):
-        cert = certify_cayley(cd, base_hint=hint, cap=cap, seed=seed,
-                              instance=f"{instance}/level-{k + 1}")
-        certs.append(cert)
-        hint = "Simple" if (cert.verdict == "Simple" and not cert.conditional) else None
-    cache[key] = certs
-    return certs
+    key = (cap, seed)
+    if key not in cache:
+        certs = []
+        hint = "Simple"  # level 0 is the scalar field itself
+        for cd in tower.doublings:
+            cert = certify_cayley(cd, base_hint=hint, cap=cap, seed=seed)
+            certs.append(cert)
+            hint = "Simple" if (cert.verdict == "Simple" and not cert.conditional) else None
+        cache[key] = certs
+    return [replace(cert, instance=f"{instance}/level-{k}")
+            for k, cert in enumerate(cache[key], start=1)]
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +659,14 @@ def certify_matrix(mr: CrossedProduct, component_hints=None,
 
 def faithfulness_witness_ideal(dyn: DynamicsRing):
     """For g acting trivially, the span of b(u_h - u_hg): a proper nonzero
-    ideal (coefficient sums along cosets of g vanish)."""
+    ideal (coefficient sums along cosets of g vanish).  Closed once per ring
+    object, which keeps it (None for a faithful action)."""
+    if not hasattr(dyn, "_faithfulness_witness"):
+        dyn._faithfulness_witness = _faithfulness_witness_ideal(dyn)
+    return dyn._faithfulness_witness
+
+
+def _faithfulness_witness_ideal(dyn: DynamicsRing):
     cat = dyn.system.cat
     e = cat.identity[cat.objects[0]]
     gbad = next((g for g in cat.morphisms if g != e and dyn.action[g] == dyn.action[e]),

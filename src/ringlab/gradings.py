@@ -538,6 +538,7 @@ def graded_ideal_associativity(grading: Grading, I: IdealBasis, max_components=3
     lives inside this window)."""
     from .ideals import _parenthesizations
     ring, cat = grading.ring, grading.cat
+    memo = {}
     for n in range(1, max_components + 1):
         for tup in itertools.product(cat.morphisms, repeat=n):
             spans = [grading.components[g] for g in tup]
@@ -545,7 +546,7 @@ def graded_ideal_associativity(grading: Grading, I: IdealBasis, max_components=3
                 word = spans[:pos] + [I.span] + spans[pos:]
                 if len(word) < 3:
                     continue
-                evals = _parenthesizations(word, ring)
+                evals = _parenthesizations(word, ring, memo)
                 first = evals[0]
                 if any(e != first for e in evals[1:]):
                     return False

@@ -459,10 +459,11 @@ def _is_simple_uncached(ring, cap, seed, samples) -> SimpleVerdict:
         if ring.is_algebra:
             raise CriterionDisagreement("the density criterion and the line walk disagree")
         return SimpleVerdict("Simple")
-    # witness search
+    # witness search; the seeded candidates are drawn lazily, because most
+    # searches stop at their first candidate
     rng = random.Random(seed)
-    candidates = list(ring.spanning_elements())
-    candidates += [_random_element(ring, rng) for _ in range(samples)]
+    candidates = itertools.chain(ring.spanning_elements(),
+                                 (_random_element(ring, rng) for _ in range(samples)))
     for v in candidates:
         if v.is_zero():
             continue
@@ -667,17 +668,32 @@ def first_stable_ideal(ring, B: Subring | None, maps, cap=DEFAULT_ELEMENT_CAP):
     return None if best is None else IdealBasis(ring, best, of_subring=B, check=False)
 
 
-def _parenthesizations(factors, ring):
-    """All full parenthesizations of a word of spans, evaluated as spans."""
-    n = len(factors)
-    if n == 1:
+def _parenthesizations(factors, ring, memo=None):
+    """All full parenthesizations of a word of spans, evaluated as spans.
+
+    ``memo`` is a dict that one check shares across all the words it
+    compares.  It holds each product, keyed by its factors' ``key()`` pair,
+    and each sub-word's evaluations, keyed by its factors' keys, so a
+    product or sub-word that several splits or words share is evaluated
+    once.  Keys, not ids: the spans of one ring are canonical, so equal keys
+    are equal spans, wherever they were computed.
+    """
+    if len(factors) == 1:
         return [factors[0]]
-    out = []
-    for split in range(1, n):
-        for left in _parenthesizations(factors[:split], ring):
-            for right in _parenthesizations(factors[split:], ring):
-                out.append(product_span(ring, left, right))
-    return out
+    if memo is None:
+        memo = {}
+    word = ("word",) + tuple(f.key() for f in factors)
+    if word not in memo:
+        out = []
+        for split in range(1, len(factors)):
+            for left in _parenthesizations(factors[:split], ring, memo):
+                for right in _parenthesizations(factors[split:], ring, memo):
+                    product = ("product", left.key(), right.key())
+                    if product not in memo:
+                        memo[product] = product_span(ring, left, right)
+                    out.append(memo[product])
+        memo[word] = out
+    return memo[word]
 
 
 def check_ideal_associativity(ring, B: Subring, I: IdealBasis, copies=2) -> bool:
@@ -695,8 +711,9 @@ def check_ideal_associativity(ring, B: Subring, I: IdealBasis, copies=2) -> bool
             word = [A] * ncopies
             word.insert(pos, I.span)
             words.append(word)
+    memo = {}
     for word in words:
-        evals = _parenthesizations(word, ring)
+        evals = _parenthesizations(word, ring, memo)
         first = evals[0]
         for other in evals[1:]:
             if other != first:

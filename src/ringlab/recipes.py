@@ -156,6 +156,14 @@ def _integer(doc, key, path):
         raise SchemaError(f"{path}/{key}", f"expected an integer, got {doc[key]!r}") from None
 
 
+def _size(doc, key, path):
+    """A count of rows or points, which must be at least 1."""
+    n = _integer(doc, key, path)
+    if n < 1:
+        raise SchemaError(f"{path}/{key}", f"expected a positive integer, got {n}")
+    return n
+
+
 def _array(value, shape, path):
     """``value`` if it is nested lists of the given shape; else a SchemaError."""
     def fits(v, dims):
@@ -302,7 +310,7 @@ def _build(doc, path):
         return crossed_product(sys)
     if kind == "matrix_ring":
         base = _child_ring(doc["base"], f"{path}/base")
-        n = _integer(doc, "size", path)
+        n = _size(doc, "size", path)
         alphas = None
         if "alphas" in doc:
             alphas = {}
@@ -333,7 +341,7 @@ def _build(doc, path):
         group = _parse_group(doc["group"], f"{path}/group")
         dom = _parse_domain(doc["field"], f"{path}/field")
         mors = list(group.morphisms)
-        points = _integer(doc, "points", path)
+        points = _size(doc, "points", path)
         action = {g: tuple(row) for g, row in
                   zip(mors, _array(doc["action"], (len(mors), points), f"{path}/action"))}
         return dynamics_skew_group_ring(points, group, action, dom)

@@ -319,6 +319,8 @@ def make_table_ring(add, mul, zero=0) -> TableRing:
 
 def zmod_ring(n: int) -> TableRing:
     """Z_n as a table ring."""
+    if n < 1:
+        raise ValueError(f"modulus {n} must be at least 1")
     idx = np.arange(n)
     add = (idx[:, None] + idx[None, :]) % n
     mul = (idx[:, None] * idx[None, :]) % n

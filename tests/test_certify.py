@@ -116,6 +116,41 @@ def test_tower_certificates_unconditional():
     assert [c.premises[0].detail for c in certs] == ["base simple (reduction mod 3)"] * 4
 
 
+def _count_certify_cayley(monkeypatch):
+    calls = []
+    real = certify.certify_cayley
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(certify, "certify_cayley", counted)
+    return calls
+
+
+def test_tower_certificates_are_relabelled_not_recomputed(monkeypatch):
+    tower = cayley_tower(GF(3), 2)
+    first = certify_tower(tower, instance="first")
+    calls = _count_certify_cayley(monkeypatch)
+    second = certify_tower(tower, instance="second")
+    assert calls == []
+    assert [c.instance for c in second] == ["second/level-1", "second/level-2"]
+    for a, b in zip(first, second):
+        ja, jb = a.to_json(), b.to_json()
+        assert (ja.pop("instance"), jb.pop("instance")) == (a.instance, b.instance)
+        assert ja == jb
+
+
+def test_corpus_certifies_each_tower_level_once(monkeypatch):
+    from ringlab import corpus
+    # start from a fresh process's state: nothing built, so nothing certified
+    monkeypatch.setattr(corpus, "_BUILT", {})
+    monkeypatch.setattr(corpus, "_TOWER_Q", {})
+    calls = _count_certify_cayley(monkeypatch)
+    assert cross_check_corpus().ok
+    assert len(calls) == 4 and len(set(map(id, calls))) == 4
+
+
 def test_sigma_simple_but_not_simple_base():
     # two copies of the 2-dim field extension swapped by sigma: no stable
     # nontrivial ideal even though the base is far from simple

@@ -142,9 +142,15 @@ F4 = {"kind": "scalar", "ring": "F4"}
     ({"kind": "matrix_ring", "size": 2, "base": "Fp:3", "alphas": {"x": 1}}, "/alphas"),
     ({"kind": "dynamics", "points": 2, "group": "Z2", "action": [0, 1], "field": "Fp:3"},
      "/action"),
+    ({"kind": "matrix_ring", "size": 0, "base": "Fp:3"}, "/size"),
+    ({"kind": "matrix_ring", "size": -1, "base": "Fp:3"}, "/size"),
+    ({"kind": "dynamics", "points": 0, "group": "Z2", "action": [[], []], "field": "Fp:3"},
+     "/points"),
+    ({"kind": "scalar", "ring": "Zn:0"}, "/ring"),
 ], ids=["F6", "F0", "Fp:x", "tower-levels", "constants", "twisted-alpha",
         "frobenius-Z2xZ2", "skew-action", "crossed-sigma", "crossed-twists",
-        "tower-alpha", "matrix-alphas", "dynamics-action"])
+        "tower-alpha", "matrix-alphas", "dynamics-action", "matrix-size-0",
+        "matrix-size-negative", "dynamics-points-0", "Zn:0"])
 def test_malformed_recipe_exits_2(tmp_path, capsys, doc, path):
     with pytest.raises(SchemaError) as err:
         build_recipe(parse_recipe_text(json.dumps(doc)))
@@ -154,6 +160,12 @@ def test_malformed_recipe_exits_2(tmp_path, capsys, doc, path):
     assert code == 2 and captured.out == ""
     assert captured.err.startswith(f"error: {path}:") and "Traceback" not in captured.err
 
+
+def test_zero_modulus_is_named(tmp_path, capsys):
+    code = main(["check", _write(tmp_path, "z0.json", {"kind": "scalar", "ring": "Zn:0"})])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: /ring: bad scalar ring 'Zn:0': modulus 0 must be at least 1\n"
 
 
 def test_modulus_past_int64_arithmetic_exits_2(tmp_path, capsys):

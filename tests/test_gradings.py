@@ -19,9 +19,9 @@ from ringlab import gradings, rings
 from ringlab.errors import (CriterionDisagreement, NotDirectSum, PreconditionUnmet,
                             ValidationFailure)
 from ringlab.gradings import DegreeMap, graded_ideal_associativity
-from ringlab.ideals import IdealBasis
+from ringlab.ideals import IdealBasis, check_ideal_associativity
 from ringlab.rings import convert_to_table
-from ringlab.subgroups import full_subgroup, subspace_from_vectors
+from ringlab.subgroups import full_subgroup, product_span, subspace_from_vectors
 
 
 def _m3f2_graded():
@@ -465,6 +465,67 @@ def test_components_sum_back_and_additivity():
         for g in gr.order:
             assert gr.component_of(a + b, g) == \
                 gr.component_of(a, g) + gr.component_of(b, g)
+
+
+def _reference_parenthesizations(word, ring):
+    # every full parenthesization, with no product reused
+    if len(word) == 1:
+        return [word[0]]
+    return [product_span(ring, left, right)
+            for split in range(1, len(word))
+            for left in _reference_parenthesizations(word[:split], ring)
+            for right in _reference_parenthesizations(word[split:], ring)]
+
+
+def _reference_associates(ring, words):
+    for word in words:
+        evals = _reference_parenthesizations(word, ring)
+        if any(e != evals[0] for e in evals[1:]):
+            return False
+    return True
+
+
+@st.composite
+def _z2_graded_algebras(draw):
+    """A random Z2-graded algebra over F_2 or F_3, mostly non-associative:
+    e_i·e_j has e_k-coefficient zero unless deg k = deg i + deg j, and
+    sparse constants make some words associate.  Plus a random nonzero
+    subspace I."""
+    p = draw(st.sampled_from([2, 3]))
+    d = draw(st.integers(2, 4))
+    deg = np.arange(d) >= draw(st.integers(1, d - 1))
+    entries = st.integers(0, p - 1) if draw(st.booleans()) else \
+        st.sampled_from([0] * (2 * p) + list(range(1, p)))
+    C = np.array(draw(st.lists(entries, min_size=d ** 3, max_size=d ** 3))).reshape(d, d, d)
+    C = C * (np.logical_xor.outer(deg, deg)[:, :, None] == deg[None, None, :])
+    ring = make_structure_algebra(d, GF(p), C.tolist())
+    unit = np.eye(d, dtype=np.int64)
+    grading = validate_grading(ring, cyclic_group(2),
+                               {0: subspace_from_vectors(ring, unit[~deg].tolist()),
+                                1: subspace_from_vectors(ring, unit[deg].tolist())})
+    vec = st.lists(st.integers(0, p - 1), min_size=d, max_size=d).filter(any)
+    I = IdealBasis(ring, subspace_from_vectors(ring, draw(st.lists(vec, min_size=1,
+                                                                   max_size=d))),
+                   check=False)
+    return grading, I
+
+
+@given(_z2_graded_algebras())
+@settings(max_examples=60, deadline=None)
+def test_memoized_associativity_agrees_with_a_reference(graded):
+    grading, I = graded
+    ring, A = grading.ring, full_subgroup(grading.ring)
+    B = full_subring(ring)
+    for copies in (2, 3):
+        words = [[A] * pos + [I.span] + [A] * (n - pos)
+                 for n in range(2, copies + 1) for pos in range(n + 1)]
+        assert check_ideal_associativity(ring, B, I, copies=copies) == \
+            _reference_associates(ring, words)
+    comps = [grading.components[g] for g in grading.cat.morphisms]
+    words = [list(tup[:pos]) + [I.span] + list(tup[pos:])
+             for n in range(2, 4) for tup in itertools.product(comps, repeat=n)
+             for pos in range(n + 1)]
+    assert graded_ideal_associativity(grading, I) == _reference_associates(ring, words)
 
 
 def test_graded_ideal_associativity_on_crossed_product():
