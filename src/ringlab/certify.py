@@ -869,8 +869,10 @@ def survey_finite_dynamics(max_points=4, max_group_order=6, field_orders=(2, 3),
 
     Negative cases are refuted by explicit witness ideals (any size);
     positive cases are confirmed by :func:`is_simple`: the element scan or
-    density when the ring fits under ``scan_cap``, and density after a
-    failed witness search otherwise (up to ``ideals.DENSITY_MAX_DIM``).
+    the F_p decision (``linalg.simple_modp``) when the ring fits under
+    ``scan_cap``, and that decision once the witness search's first
+    candidate generates the whole ring otherwise (up to
+    ``ideals.DENSITY_MAX_DIM``).
     Conjugate actions transfer their verdict along a verified ring
     isomorphism.
     """
@@ -919,7 +921,7 @@ def survey_finite_dynamics(max_points=4, max_group_order=6, field_orders=(2, 3),
                         survey.witness_refutations += 1
                     else:
                         # the certificate's oracle cross-check cached this
-                        # verdict; over the cap it came from density
+                        # verdict; over the cap it came from the F_p test
                         decided = is_simple(dyn.ring, cap=scan_cap, seed=seed).is_simple
                         if over_cap:
                             survey.density_checks += 1
@@ -942,14 +944,15 @@ def simple_by_density(ring: StructureAlgebra) -> bool:
     """Exact simplicity decision for an F_p algebra without element scans.
 
     Ideals are the invariant subspaces of the left/right multiplication
-    operators.  The ring is simple iff its square is nonzero, the commutant
-    of those operators is a field D (tested through Frobenius, since a
-    finite division ring is commutative), and the algebra they generate has
-    dimension dim^2 / dim(D) (density); see
-    :func:`ringlab.linalg.density_simple_modp`.  The computation is plain
-    linear algebra, so this is a second independent oracle for sizes the
-    element scan cannot reach; :func:`is_simple` runs the same test.
+    operators, so the ring is simple iff its square is nonzero and its
+    space is an irreducible module under them.  Norton's irreducibility
+    test decides that, with the density criterion (the commutant is a field
+    D and the operators generate an algebra of dimension dim^2 / dim(D)) as
+    its fallback; see :func:`ringlab.linalg.simple_modp`.  The computation
+    is plain linear algebra, so this is a second independent oracle for
+    sizes the element scan cannot reach; :func:`is_simple` runs the same
+    test.
     """
     if not (ring.is_algebra and ring.modulus is not None):
         raise ValueError("density decision needs an F_p structure algebra")
-    return linalg.density_simple_modp(ring.constants, ring.modulus)
+    return linalg.simple_modp(ring.constants, ring.modulus)

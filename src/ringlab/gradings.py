@@ -374,8 +374,8 @@ def verify_degree_map(dm: DegreeMap, cap=DEFAULT_ELEMENT_CAP) -> DegreeMapVerdic
     candidates a·c, c spanning A_{g^-1} for g in Supp(a), when a has no
     object component.  Only elements still unsettled scan all of <a>; the
     scan depends on <a> and d(a) alone, so each such pair is scanned once.
-    An F_p algebra is tested for simplicity by density
-    (``F.simple_reduction``) once, at the first unsettled element; when it
+    An F_p algebra is tested for simplicity (``F.simple_reduction``,
+    Norton's test) once, at the first unsettled element; when it
     is simple, <a> is A for every a and no principal ideal is closed.
     The first failing a in enumeration order is the witness.
     """
@@ -388,7 +388,7 @@ def verify_degree_map(dm: DegreeMap, cap=DEFAULT_ELEMENT_CAP) -> DegreeMapVerdic
         if bad.size:
             return DegreeMapVerdict("D1Violation", ring.block_elements(block[bad[:1]])[0])
     scanned = set()                   # (ideal key, d(a)) pairs that passed
-    whole = None                      # A when density says it is simple, else False
+    whole = None                      # A when the F_p test says simple, else False
     for block in ring.element_blocks(cap):
         block = block[ring.block_nonzero(block)]
         da = dm.degrees(block)

@@ -36,9 +36,12 @@ from .subgroups import (AddSubgroup, Subspace, TableSubgroup, additive_span,
 DEFAULT_WITNESS_SAMPLES = 24
 DEFAULT_SEED = 0xC0FFEE
 # the largest dimension at which an F_p algebra over the element cap is
-# decided by density after a failed witness search: a simple algebra of
-# dimension 32 takes seconds and tens of MB, mostly spinning up its d^2-
-# dimensional multiplication algebra
+# decided by linalg.simple_modp during the witness search.  Norton's test
+# decides a random unital algebra over F_2 in about 8, 14 and 16 ms at
+# d = 16, 24 and 32, but the density fallback it keeps, which spins up a
+# d^2-dimensional multiplication algebra, takes 0.17, 1.2 and 5.5 s (2.7,
+# 13 and 42 MB traced), so the bound stays where that worst case is
+# seconds
 DENSITY_MAX_DIM = 32
 
 
@@ -272,31 +275,20 @@ def _multiplication_ops(ring, rows=None):
     else:
         lefts = np.tensordot(rows, C, axes=(1, 0)) % ring.modulus    # (k, j, m): b·e_j
         rights = np.tensordot(rows, C, axes=(1, 1)) % ring.modulus   # (k, i, m): e_i·b
-    ops = np.concatenate([lefts, rights])
-    m, d, _ = ops.shape
-    return ops.transpose(1, 0, 2).reshape(d, m * d)
+    return linalg.hstack_ops(np.concatenate([lefts, rights]))
 
 
 def _closure_modp(ring, seed_rows, ops=None):
-    """Numpy fixpoint closure of a seed subspace under linear operators: the
-    smallest subspace containing the seed that every operator maps into
-    itself (the MeatAxe spin-up; Parker 1984).
+    """The smallest subspace containing the seed rows that every operator
+    maps into itself, by :func:`linalg.spin_modp`.
 
     ``ops`` is the (n, m·n) horizontal stack of m operators acting on rows
     of length n (v ↦ v @ M); None means the ring's L_{e_i} and R_{e_j}, whose
-    closure is the ideal the seed generates.  Each round adjoins the images
-    of the rows the previous round added, by :func:`linalg.merge_modp`.
+    closure is the ideal the seed generates.
     """
-    p = ring.modulus
     if ops is None:
         ops = _multiplication_ops(ring)
-    n = ops.shape[0]
-    rows, pivots = linalg.rref_modp(seed_rows, p)
-    frontier = rows
-    while frontier.shape[0] and len(pivots) < n:
-        rows, pivots, _, frontier = linalg.merge_modp(
-            rows, pivots, (frontier @ ops % p).reshape(-1, n), p)
-    return rows, pivots
+    return linalg.spin_modp(seed_rows, ops, ring.modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -408,22 +400,24 @@ def is_simple(ring, cap=DEFAULT_ELEMENT_CAP, seed=DEFAULT_SEED,
     """Simplicity oracle.
 
     Finite case (size under cap): Simple iff R·R is nonzero and every nonzero
-    principal ideal is the whole ring.  An F_p algebra is decided by the
-    density criterion on its multiplication algebra
-    (:func:`ringlab.linalg.density_simple_modp`), without enumerating
-    anything; when it is not simple, the witness is the principal ideal of
-    the first proper line (:func:`first_proper_line_ideal`).  A table ring
-    walks the principal ideals of its elements the same way.
+    principal ideal is the whole ring.  An F_p algebra is decided by
+    Norton's irreducibility test on its multiplications, with the density
+    criterion as its fallback (:func:`ringlab.linalg.simple_modp`), without
+    enumerating anything; when it is not simple, the witness is the
+    principal ideal of the first proper line
+    (:func:`first_proper_line_ideal`).  A table ring walks the principal
+    ideals of its elements the same way.
 
     A Q-algebra is Simple when its reduction modulo one of
-    ``linalg.LIFT_PRIMES`` is simple by the same criterion
+    ``linalg.LIFT_PRIMES`` is simple by the same test
     (``Rational.simple_reduction``); the verdict's reason names the prime,
     "reduction mod q".  Otherwise, and for rings over the cap, a witness
     search runs (basis elements plus seeded pseudorandom elements), and a
-    proper nonzero principal ideal refutes.  When it fails on an F_p algebra
-    of dimension at most ``DENSITY_MAX_DIM``, density decides: Simple when
-    it says so.  Every other failed search answers Inconclusive, never
-    Simple.
+    proper nonzero principal ideal refutes.  On an F_p algebra of dimension
+    at most ``DENSITY_MAX_DIM`` the F_p test runs once, right after the
+    first candidate that generates the whole ring: Simple when it says so;
+    otherwise the search goes on.  Every failed search answers
+    Inconclusive, never Simple.
 
     Verdicts are cached on the (immutable) ring per (cap, seed, samples).
     """
@@ -460,7 +454,11 @@ def _is_simple_uncached(ring, cap, seed, samples) -> SimpleVerdict:
             raise CriterionDisagreement("the density criterion and the line walk disagree")
         return SimpleVerdict("Simple")
     # witness search; the seeded candidates are drawn lazily, because most
-    # searches stop at their first candidate
+    # searches stop at their first candidate.  Over the cap an F_p algebra is
+    # decided once its first candidate generates the whole ring: a Simple
+    # ends the search, which could find no witness in a simple ring; a
+    # NotSimple has no witness to show, so the search goes on
+    undecided = ring.is_algebra and size is not None and ring.dim <= DENSITY_MAX_DIM
     rng = random.Random(seed)
     candidates = itertools.chain(ring.spanning_elements(),
                                  (_random_element(ring, rng) for _ in range(samples)))
@@ -470,11 +468,10 @@ def _is_simple_uncached(ring, cap, seed, samples) -> SimpleVerdict:
         ib = principal_ideal(ring, v)
         if not ib.span.is_full():
             return SimpleVerdict("NotSimple", ib)
-    # over the cap a failed search leaves density to prove an F_p algebra
-    # simple; a NotSimple from density has no witness to show
-    if (ring.is_algebra and size is not None and ring.dim <= DENSITY_MAX_DIM
-            and ring.F.simple_reduction(ring.constants) is not None):
-        return SimpleVerdict("Simple")
+        if undecided:
+            if ring.F.simple_reduction(ring.constants) is not None:
+                return SimpleVerdict("Simple")
+            undecided = False
     reason = ("infinite scalar field; use certify pipelines"
               if (ring.is_algebra and ring.modulus is None)
               else f"size {size} exceeds cap {cap}")

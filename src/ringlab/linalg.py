@@ -21,25 +21,28 @@ routines are pure; nothing mutates its inputs.
 The row-reduction kernels (``rref_modp``, ``reduce_rows_modp``,
 ``merge_modp``, ``kernel_modp``, ``rref_frac``, ``merge_frac``,
 ``kernel_frac``) are module-level functions; the backends look them up by
-name at call time.  So do the two F_p decisions built on them,
-``is_field_modp`` and ``density_simple_modp`` (with its steps ``unit_modp``
-and ``commutant_modp``), which ideals and certificates use to decide
-simplicity without enumerating elements; the Q backend runs
-the density test on reductions modulo ``LIFT_PRIMES``, which can prove a
-Q-algebra simple (``simple_reduction``).  Where elements must be enumerated,
-``combinations_modp`` yields them as fixed-size blocks of rows, so scans
-over them are matrix products.
+name at call time.  So do the F_p decisions built on them.  ``simple_modp``
+is the one F_p simplicity decision, which ideals and certificates use
+without enumerating elements: Norton's irreducibility test (the MeatAxe),
+with ``density_simple_modp`` (and its steps ``unit_modp``,
+``commutant_modp`` and ``is_field_modp``) as the fallback when every trial
+is inconclusive.  The Q backend runs it on reductions modulo
+``LIFT_PRIMES``, which can prove a Q-algebra simple (``simple_reduction``).
+Where elements must be enumerated, ``combinations_modp`` yields them as
+fixed-size blocks of rows, so scans over them are matrix products.
 
 Every F_p spin-up of a subspace under linear maps (ideal closures, stable
-ideals, the multiplication algebra of the density test) grows one rref
-basis through ``merge_modp``.  It reduces a round's candidates against the
-basis once, eliminates only their remainders, and back-substitutes that
-fresh block into the basis; the block is the next round's frontier.  The
-basis itself is never eliminated again.
+ideals, Norton's test) is ``spin_modp``; the multiplication algebra of the
+density test grows the same way.  Each grows one rref basis through
+``merge_modp``.  It reduces a round's candidates against the basis once,
+eliminates only their remainders, and back-substitutes that fresh block
+into the basis; the block is the next round's frontier.  The basis itself
+is never eliminated again.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -143,6 +146,32 @@ def kernel_modp(A, p):
     if not rows:
         return np.zeros((0, n), dtype=np.int64), ()
     return rref_modp(np.array(rows), p)
+
+
+def spin_modp(seed_rows, ops, p):
+    """The smallest subspace that contains the rows ``seed_rows`` and that
+    every operator maps into itself, as (rref basis, pivots): the MeatAxe
+    spin-up (Parker 1984).
+
+    ``ops`` is the (n, m·n) horizontal stack of m operators acting on rows
+    of length n (v ↦ v @ M).  Each round adjoins the images of the rows the
+    previous round added, by :func:`merge_modp`, and the spin-up stops as
+    soon as the span is the whole space.
+    """
+    n = ops.shape[0]
+    rows, pivots = rref_modp(seed_rows, p)
+    frontier = rows
+    while frontier.shape[0] and len(pivots) < n:
+        rows, pivots, _, frontier = merge_modp(
+            rows, pivots, (frontier @ ops % p).reshape(-1, n), p)
+    return rows, pivots
+
+
+def hstack_ops(ops):
+    """A (m, n, n) stack of operators as the (n, m·n) horizontal stack that
+    :func:`spin_modp` takes."""
+    m, n, _ = ops.shape
+    return ops.transpose(1, 0, 2).reshape(n, m * n)
 
 
 # rows per block of enumerated elements: large enough that numpy, not the
@@ -251,7 +280,11 @@ def commutant_modp(C, p, through_unit=True):
 
 
 def density_simple_modp(C, p):
-    """Is the F_p-algebra with structure constants ``C`` simple?
+    """Is the F_p-algebra with structure constants ``C`` simple?  The
+    fallback of :func:`simple_modp`, and the reference its tests compare
+    with: it spins up the multiplication algebra, up to d² operators of d²
+    entries, so it costs seconds at d = 32 where Norton's test takes
+    milliseconds.
 
     Its ideals are the subspaces invariant under its multiplication algebra
     M, the unital algebra of operators generated by the left and right
@@ -296,6 +329,130 @@ def density_simple_modp(C, p):
                     break
         frontier = np.concatenate(grown) if grown else basis[:0]
     return len(pivots) == target
+
+
+# Norton's irreducibility test draws its random elements from a generator
+# seeded afresh on every call, so a verdict never depends on call order.  It
+# makes at most NORTON_TRIALS trials before density decides (no call has
+# needed more than 3 on the benchmark workloads, nor more than 6 on 2,000
+# random algebras of dimension at most 5), and at most NORTON_SPLITS
+# attempts per trial to split its null space down to one factor
+NORTON_SEED = 0x4E0
+NORTON_TRIALS = 16
+NORTON_SPLITS = 8
+
+
+def simple_modp(C, p):
+    """Is the F_p-algebra with structure constants ``C`` simple?
+
+    Its ideals are the subspaces of A = F_p^d that the multiplications
+    L_{e_i}, R_{e_i} map into themselves, so it is simple iff C ≠ 0 and A is
+    an irreducible module under them.  Norton's irreducibility test (the
+    MeatAxe; Parker 1984, Holt & Rees 1994) decides that with a few spin-ups
+    of single vectors, and never builds the multiplication algebra: each
+    trial (:func:`_norton_trial`) either finds a proper submodule (not
+    simple), proves irreducibility by Norton's lemma (simple), or is
+    inconclusive.  When ``NORTON_TRIALS`` trials are all inconclusive,
+    :func:`density_simple_modp` decides.  Both answers are proofs.
+    """
+    C = np.asarray(C, dtype=np.int64) % p
+    if not C.any():
+        return False
+    if C.shape[0] == 1:
+        return True
+    gens = _multiplications_modp(C)
+    rng = random.Random(NORTON_SEED)
+    for _ in range(NORTON_TRIALS):
+        verdict = _norton_trial(gens, p, rng)
+        if verdict is not None:
+            return verdict
+    return density_simple_modp(C, p)
+
+
+def _norton_trial(gens, p, rng):
+    """One trial of Norton's test on F_p^d under the operators ``gens`` (a
+    (m, d, d) stack acting on rows): False when it spins up a proper
+    submodule, True when Norton's lemma proves the module irreducible, None
+    when neither.
+
+    θ = X + Y·Z for random combinations X, Y, Z of the generators (their
+    combinations alone are too special: on M_n(F_p), L_c has every
+    eigenvalue doubled).  N = ker(θ^{p^k} − θ) for the least k where it is
+    nonzero, so every irreducible factor f of χ_θ whose null space lies in
+    N has degree exactly k; N is split toward a single such null space
+    (:func:`_split_null_space`).  A nonzero v ∈ N is spun up under the
+    generators, and a nonzero w with f(θ)w = 0, for f the minimal
+    polynomial of v under θ, under their transposes (the dual module).
+    Either span being proper exhibits a proper submodule.  When both are
+    the whole space and dim N = k, N = ker f(θ) with dim N = deg f, and
+    Norton's lemma says the module is irreducible.  A proper submodule U
+    either meets N, and then contains N, which is a line over the field
+    F_p[θ]/(f), hence v; or it does not, and then f(θ) is invertible on U,
+    so w lies in the annihilator of U, a proper submodule of the dual.
+    """
+    m, d, _ = gens.shape
+    X, Y, Z = (np.tensordot([rng.randrange(p) for _ in range(m)], gens, axes=(0, 0)) % p
+               for _ in range(3))
+    theta = (X + Y @ Z) % p
+    power = theta
+    for k in range(1, d + 1):
+        power = _matpow_modp(power, p, p)
+        N, pivots = kernel_modp((power - theta).T, p)
+        if N.shape[0]:
+            break
+    N, pivots = _split_null_space(N, pivots, theta, k, p, rng)
+    v = N[:1]
+    if len(spin_modp(v, hstack_ops(gens), p)[1]) < d:
+        return False
+    # the Krylov rows v θ^i (i ≤ dim N, since N is θ-invariant) first
+    # become dependent at the degree of v's minimal polynomial
+    krylov = [v[0]]
+    for _ in range(N.shape[0]):
+        krylov.append(krylov[-1] @ theta % p)
+    degree = len(rref_modp(np.array(krylov), p)[1])
+    f, _ = kernel_modp(np.array(krylov[:degree + 1]).T, p)
+    f_theta = np.zeros((d, d), dtype=np.int64)
+    for c in f[0][::-1].tolist():
+        f_theta = (f_theta @ theta + c * np.eye(d, dtype=np.int64)) % p
+    w, _ = kernel_modp(f_theta, p)
+    if len(spin_modp(w[:1], hstack_ops(gens.transpose(0, 2, 1)), p)[1]) < d:
+        return False
+    return True if N.shape[0] == k else None
+
+
+def _split_null_space(N, pivots, theta, k, p, rng):
+    """Split the θ-invariant rref basis N, a sum of null spaces of distinct
+    irreducible factors of degree k, toward one of them (dimension k), in at
+    most NORTON_SPLITS attempts.  Returns (basis, pivots).
+
+    On each summand a random polynomial r in θ acts as an element of
+    F_{p^k}.  So s = r^{(p^k−1)/2} − 1 (p odd) or the trace r + r² + … +
+    r^{2^{k−1}} (p = 2) is zero on the summands where that element is a
+    nonzero square, or has trace 0, and invertible on the others; its
+    kernel, when proper and nonzero, replaces N.
+    """
+    for _ in range(NORTON_SPLITS):
+        n = N.shape[0]
+        if n == k:
+            break
+        # θ on N in the coordinates of its rref basis: read off the pivots
+        T = (N @ theta % p)[:, pivots]
+        eye = np.eye(n, dtype=np.int64)
+        r, power = 0 * eye, eye
+        for _ in range(n):
+            r = (r + rng.randrange(p) * power) % p
+            power = power @ T % p
+        if p == 2:
+            s = r
+            for _ in range(k - 1):
+                r = r @ r % 2
+                s = (s + r) % 2
+        else:
+            s = (_matpow_modp(r, (p ** k - 1) // 2, p) - eye) % p
+        K, _ = kernel_modp(s.T, p)
+        if 0 < K.shape[0] < n:
+            N, pivots = rref_modp(K @ N % p, p)
+    return N, pivots
 
 
 # ---------------------------------------------------------------------------
@@ -509,9 +666,9 @@ class ModP(_Field):
 
     def simple_reduction(self, C):
         """p when the algebra with structure constants ``C`` is simple by
-        :func:`density_simple_modp`, else None: over F_p the density
-        criterion decides, so None means not simple."""
-        return self.p if density_simple_modp(C, self.p) else None
+        :func:`simple_modp`, else None: over F_p that decides, so None means
+        not simple."""
+        return self.p if simple_modp(C, self.p) else None
 
 
 class Rational(_Field):
@@ -589,7 +746,7 @@ class Rational(_Field):
     def simple_reduction(self, C):
         """The first prime q of ``LIFT_PRIMES`` at which the Q-algebra A with
         structure constants ``C``, reduced mod q, is simple by
-        :func:`density_simple_modp`; None when no tried prime decides.
+        :func:`simple_modp`; None when no tried prime decides.
 
         A prime dividing a denominator of ``C`` is skipped.  For the others
         the Z_(q)-span Λ of the basis is a ring, and Λ/qΛ is the reduction.
@@ -604,7 +761,7 @@ class Rational(_Field):
             if any(x.denominator % q == 0 for x in flat):
                 continue
             Cq = [x.numerator * pow(x.denominator, -1, q) % q for x in flat]
-            if density_simple_modp(np.array(Cq, dtype=np.int64).reshape(C.shape), q):
+            if simple_modp(np.array(Cq, dtype=np.int64).reshape(C.shape), q):
                 return q
         return None
 

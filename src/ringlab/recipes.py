@@ -156,11 +156,13 @@ def _integer(doc, key, path):
         raise SchemaError(f"{path}/{key}", f"expected an integer, got {doc[key]!r}") from None
 
 
-def _size(doc, key, path):
-    """A count of rows or points, which must be at least 1."""
+def _size(doc, key, path, least=1):
+    """A count of rows, points or levels, which must be at least ``least``
+    (1 or 0)."""
     n = _integer(doc, key, path)
-    if n < 1:
-        raise SchemaError(f"{path}/{key}", f"expected a positive integer, got {n}")
+    if n < least:
+        kind = "positive" if least == 1 else "non-negative"
+        raise SchemaError(f"{path}/{key}", f"expected a {kind} integer, got {n}")
     return n
 
 
@@ -221,7 +223,7 @@ def _build(doc, path):
     if kind == "cayley_tower":
         dom = _parse_domain(doc["base"], f"{path}/base") if isinstance(doc["base"], str) \
             else _parse_domain(doc["base"].get("ring", "Q"), f"{path}/base")
-        levels = _integer(doc, "levels", path)
+        levels = _size(doc, "levels", path, least=0)
         alphas = doc.get("alpha")
         if alphas is not None:
             _array(alphas, (levels,), f"{path}/alpha")

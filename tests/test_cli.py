@@ -147,10 +147,11 @@ F4 = {"kind": "scalar", "ring": "F4"}
     ({"kind": "dynamics", "points": 0, "group": "Z2", "action": [[], []], "field": "Fp:3"},
      "/points"),
     ({"kind": "scalar", "ring": "Zn:0"}, "/ring"),
+    ({"kind": "cayley_tower", "base": "Q", "levels": -1}, "/levels"),
 ], ids=["F6", "F0", "Fp:x", "tower-levels", "constants", "twisted-alpha",
         "frobenius-Z2xZ2", "skew-action", "crossed-sigma", "crossed-twists",
         "tower-alpha", "matrix-alphas", "dynamics-action", "matrix-size-0",
-        "matrix-size-negative", "dynamics-points-0", "Zn:0"])
+        "matrix-size-negative", "dynamics-points-0", "Zn:0", "tower-levels-negative"])
 def test_malformed_recipe_exits_2(tmp_path, capsys, doc, path):
     with pytest.raises(SchemaError) as err:
         build_recipe(parse_recipe_text(json.dumps(doc)))

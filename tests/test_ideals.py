@@ -125,10 +125,10 @@ def test_density_agrees_with_line_walk(ring):
 def test_density_decides_only_simple_algebras_over_the_cap(monkeypatch):
     # M3(F3) has 3^9 elements: over the cap, the witness search fails
     assert is_simple(full_matrix_algebra(3, GF(3)), cap=4096).status == "Simple"
-    # past the dimension limit, or when density says not simple (it shows no
-    # witness), the failed search answers as before
+    # past the dimension limit, or when the F_p decision says not simple (it
+    # shows no witness), the failed search answers as before
     for patch in ((ideals, "DENSITY_MAX_DIM", 8),
-                  (linalg, "density_simple_modp", lambda constants, p: False)):
+                  (linalg, "simple_modp", lambda constants, p: False)):
         with monkeypatch.context() as m:
             m.setattr(*patch)
             v = is_simple(full_matrix_algebra(3, GF(3)), cap=4096)
@@ -155,6 +155,14 @@ def test_simple_verdicts_close_no_ideal(monkeypatch):
     assert calls == []
 
 
+def test_over_the_cap_a_simple_algebra_is_decided_after_its_first_candidate(monkeypatch):
+    # e_11 generates M3(F3); the decision then proves it simple, and the
+    # other 32 candidates are never closed
+    calls = _count_closures(monkeypatch)
+    assert is_simple(full_matrix_algebra(3, GF(3)), cap=4096).is_simple
+    assert len(calls) == 1
+
+
 def test_not_simple_witness_is_the_first_proper_line(monkeypatch):
     calls = _count_closures(monkeypatch)
     v = is_simple(functions_ring(2, GF(3)))
@@ -172,7 +180,7 @@ def test_line_walk_on_table_rings():
 def test_density_and_line_walk_disagreement_is_typed(monkeypatch, tmp_path, capsys):
     # every line of M2(F2) generates the whole ring, so a density criterion
     # that calls it not simple contradicts the walk
-    monkeypatch.setattr(linalg, "density_simple_modp", lambda constants, p: False)
+    monkeypatch.setattr(linalg, "simple_modp", lambda constants, p: False)
     with pytest.raises(CriterionDisagreement):
         is_simple(full_matrix_algebra(2, GF(2)))
     recipe = tmp_path / "m2f2.json"

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringlab import (cyclic_group, dynamics_skew_group_ring, full_matrix_algebra,
+from ringlab import (cyclic_group, dynamics_skew_group_ring, full_matrix_algebra, gf_extension,
                      linalg, make_structure_algebra)
 from ringlab.errors import TooLarge
 from ringlab.ideals import _closure_modp, first_proper_line_ideal
-from ringlab.rings import StructureAlgebra
+from ringlab.rings import StructureAlgebra, direct_sum_algebra, functions_ring
 from ringlab.scalars import GF, QQ
 from ringlab.subgroups import subspace_from_vectors
 
@@ -175,7 +175,7 @@ def test_is_field_modp():
 def _change_basis(C, P, p):
     """The constants on the basis f_a = sum_i P[a, i] e_i."""
     Q = linalg.ModP(p).solve(P, np.eye(len(P), dtype=np.int64))
-    return np.einsum("ai,bj,ijk,kc->abc", P, P, C, Q) % p
+    return np.einsum("ai,bj,ijk,kc->abc", P, P, C, Q, optimize=True) % p
 
 
 @st.composite
@@ -246,6 +246,103 @@ def test_density_agrees_with_the_line_walk(algebra):
     ring = make_structure_algebra(len(C), GF(p), C.tolist())
     simple = bool(C.any()) and first_proper_line_ideal(ring) is None
     assert linalg.density_simple_modp(C, p) == simple
+
+
+def _invertible(draw, p, d):
+    """A random invertible d x d matrix over F_p (the identity when the
+    drawn one is singular)."""
+    P = np.array(draw(st.lists(st.integers(0, p - 1), min_size=d * d,
+                               max_size=d * d))).reshape(d, d)
+    return P if len(linalg.rref_modp(P, p)[1]) == d else np.eye(d, dtype=np.int64)
+
+
+@st.composite
+def _norton_algebras(draw):
+    """(constants, p) of dimension at most 5, on a random basis: the
+    algebras of :func:`_algebras`, direct sums of matrix algebras, and the
+    fields F_4, F_8 and F_9 over their prime fields."""
+    kind = draw(st.sampled_from(["random", "matrix sum", "field"]))
+    if kind == "random":
+        C, p = draw(_algebras(5))
+    elif kind == "matrix sum":
+        p = draw(st.sampled_from([2, 3, 5]))
+        sizes = draw(st.sampled_from([(1, 1), (1, 1, 1), (2, 1), (1, 2)]))
+        C = direct_sum_algebra([full_matrix_algebra(n, GF(p)) for n in sizes]).constants
+    else:
+        q, p = draw(st.sampled_from([(4, 2), (8, 2), (9, 3)]))
+        C = gf_extension(q)[0].constants
+    return _change_basis(np.asarray(C, dtype=np.int64), _invertible(draw, p, len(C)), p), p
+
+
+class _Fallback(Exception):
+    pass
+
+
+def _no_fallback(C, p):
+    raise _Fallback
+
+
+@given(_norton_algebras())
+@settings(max_examples=150, deadline=None)
+def test_norton_agrees_with_density_and_the_line_walk(algebra):
+    C, p = algebra
+    ring = make_structure_algebra(len(C), GF(p), C.tolist())
+    simple = bool(C.any()) and first_proper_line_ideal(ring) is None
+    assert linalg.density_simple_modp(C, p) == simple
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(linalg, "density_simple_modp", _no_fallback)
+        try:
+            verdict = linalg.simple_modp(C, p)
+        except _Fallback:
+            return
+    assert verdict == simple
+
+
+def test_norton_decides_m5_f2_on_a_random_basis(monkeypatch):
+    rng = np.random.default_rng(5)
+    P = rng.integers(0, 2, (25, 25))
+    while len(linalg.rref_modp(P, 2)[1]) < 25:
+        P = rng.integers(0, 2, (25, 25))
+    C = _change_basis(full_matrix_algebra(5, GF(2)).constants, P, 2)
+    monkeypatch.setattr(linalg, "density_simple_modp", _no_fallback)
+    assert linalg.simple_modp(C, 2)
+
+
+def test_norton_proves_nothing_from_a_null_space_of_two_summands():
+    # on M2(F2) + M2(F2) and M2(F2) + F2 a factor of theta often has a null
+    # space in both summands, dimension 2k; a vector of it can spin up the
+    # whole ring in the module and in its dual, so only with dim N = k do
+    # two full spans prove the module irreducible
+    rng = np.random.default_rng(11)
+    for C in (direct_sum_algebra([full_matrix_algebra(2, GF(2))] * 2).constants,
+              direct_sum_algebra([full_matrix_algebra(n, GF(2)) for n in (2, 1)]).constants):
+        d = len(C)
+        for _ in range(40):
+            P = rng.integers(0, 2, (d, d))
+            if len(linalg.rref_modp(P, 2)[1]) == d:
+                assert not linalg.simple_modp(_change_basis(C, P, 2), 2)
+
+
+def test_without_trials_density_gives_the_same_verdicts(monkeypatch):
+    algebras = [(full_matrix_algebra(2, GF(3)).constants, 3),
+                (functions_ring(2, GF(3)).constants, 3),
+                (gf_extension(9)[0].constants, 3),
+                (gf_extension(8)[0].constants, 2),
+                (_rotation_ring().constants, 2),
+                (direct_sum_algebra([full_matrix_algebra(2, GF(2))] * 2).constants, 2)]
+    verdicts = [linalg.simple_modp(C, p) for C, p in algebras]
+    assert verdicts == [True, False, True, True, False, False]
+    calls = []
+    density = linalg.density_simple_modp
+
+    def counted(C, p):
+        calls.append(p)
+        return density(C, p)
+
+    monkeypatch.setattr(linalg, "NORTON_TRIALS", 0)
+    monkeypatch.setattr(linalg, "density_simple_modp", counted)
+    assert [linalg.simple_modp(C, p) for C, p in algebras] == verdicts
+    assert len(calls) == len(algebras)
 
 
 def test_unit_modp():
