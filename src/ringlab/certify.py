@@ -27,7 +27,7 @@ from .gradings import (Grading, grading_flags, graded_ideal_associativity,
 from .ideals import (DEFAULT_ELEMENT_CAP, DEFAULT_SEED, IdealBasis, Subring,
                      center, centralizer, check_ideal_associativity,
                      enumerate_ideals, enumerate_subring_ideals, ideal_closure,
-                     first_invariant_ideal, identity_property, is_A_invariant,
+                     first_stable_ideal, identity_property, is_A_invariant,
                      is_A_simple, is_maximal_commutative, is_simple)
 from .rings import StructureAlgebra
 from .subgroups import full_subgroup, product_span, triple_product_span, zero_subgroup
@@ -350,7 +350,8 @@ def certify_groupoid_graded(ring, grading: Grading, cap=DEFAULT_ELEMENT_CAP,
             _oracle_cross_check(cert, ring, cap, seed)
             return cert
 
-    asv = is_A_simple(ring, B, cap=cap)
+    ideals_of_B = enumerate_subring_ideals(ring, B, cap=cap)
+    asv = is_A_simple(ring, B, ideals=ideals_of_B)
     premises.append(Premise("the object part is invariantly simple",
                             "verified" if asv.holds else "failed",
                             None if asv.holds else asv.witness))
@@ -372,8 +373,7 @@ def certify_groupoid_graded(ring, grading: Grading, cap=DEFAULT_ELEMENT_CAP,
     # variant 3: strong + connected + locally abelian + graded ideal
     # associativity + simple vertex centers
     if asv.holds and flags.strongly_graded and cat.is_connected() and cat.is_locally_abelian():
-        gia = all(graded_ideal_associativity(grading, I)
-                  for I in enumerate_subring_ideals(ring, B, cap=cap))
+        gia = all(graded_ideal_associativity(grading, I) for I in ideals_of_B)
         premises.append(Premise("graded ideal associativity (words up to four factors)",
                                 "verified" if gia else "failed"))
         centers = _vertex_premise(grading, "every vertex center is simple",
@@ -459,8 +459,9 @@ def certify_crossed_product(cp: CrossedProduct, cap=DEFAULT_ELEMENT_CAP,
 # ---------------------------------------------------------------------------
 
 def _sigma_simple_premise(cd: CayleyDoubling, cap, seed, base_hint=None):
-    """sigma-stability scan of the base's ideals; over Q falls back to
-    simplicity of the base (no ideals at all) or product-of-fields structure."""
+    """The first sigma-stable ideal of the base (:func:`first_stable_ideal`);
+    over Q falls back to simplicity of the base (no ideals at all) or
+    product-of-fields structure."""
     B = cd.base
     name = "the base has no nontrivial conjugation-stable ideal"
 
@@ -469,7 +470,8 @@ def _sigma_simple_premise(cd: CayleyDoubling, cap, seed, base_hint=None):
 
     size = B.size()
     if size is not None and size <= cap:
-        I = first_invariant_ideal(enumerate_ideals(B, cap=cap), stable)
+        sigma = cd.sigma.matrix if cd.sigma.perm is None else cd.sigma.perm
+        I = first_stable_ideal(B, None, [sigma], cap=cap)
         if I is not None:
             return Premise(name, "failed", I)
         return Premise(name, "verified", "ideal enumeration")

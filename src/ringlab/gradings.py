@@ -16,7 +16,7 @@ import numpy as np
 from .errors import (CriterionDisagreement, FilterViolation, NotDirectSum,
                      PreconditionUnmet)
 from .ideals import (DEFAULT_ELEMENT_CAP, IdealBasis, Subring, center,
-                     enumerate_ideals, full_subring, is_A_invariant,
+                     first_stable_ideal, full_subring, is_A_invariant,
                      principal_ideal)
 from .rings import Element
 from .subgroups import (AddSubgroup, additive_span,
@@ -463,14 +463,16 @@ class IntersectionVerdict:
 
 
 def ideal_intersection_property(ring, S, cap=DEFAULT_ELEMENT_CAP) -> IntersectionVerdict:
-    """Every nonzero ideal of the ring meets S nontrivially."""
+    """Every nonzero ideal of the ring meets S nontrivially.  The first that
+    does not, in the order of :func:`ringlab.ideals.enumerate_ideals`, is
+    minimal, hence principal: the least line closure that meets S in 0."""
     span = S.span if isinstance(S, (Subring, IdealBasis)) else S
-    for I in enumerate_ideals(ring, cap=cap):
-        if I.is_zero():
-            continue
-        if I.span.intersect(span).is_zero():
-            return IntersectionVerdict("Fails", I)
-    return IntersectionVerdict("Holds")
+    I = first_stable_ideal(ring, None, [], cap=cap,
+                           accept=lambda sub: sub.intersect(span).is_zero())
+    if I is None and span.is_zero() and ring.size() > 1:
+        # S = 0 misses every nonzero ideal; with none proper, the first is A
+        I = IdealBasis(ring, full_subgroup(ring), check=False)
+    return IntersectionVerdict("Holds") if I is None else IntersectionVerdict("Fails", I)
 
 
 @dataclass

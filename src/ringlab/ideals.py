@@ -4,14 +4,15 @@
 the coordinates of the ambient ring A (``of_subring`` records B); ideals of A
 itself have ``of_subring=None``.
 
-The quantifier "for every ideal" takes one of two forms.  Where the ideals
-sought are those that a set of maps sends into themselves (G-invariance,
-σ-δ-invariance), :func:`first_stable_ideal` closes one line of the ring at
-a time under its multiplications and the maps, a polynomial spin-up, and
-never builds the lattice.  Otherwise (A-invariance, conjugation-stability)
-the lattice is enumerated by join-closure of principal ideals: every ideal
-is the join of the principal ideals of its elements, so the enumeration is
-exhaustive on finite (or capped F_p) rings.  Over Q neither runs; a
+Every quantifier "for every ideal of B" reads :func:`_line_closures`, the
+closure of each line of B under its multiplications and a set of maps.
+Where the property sought passes to smaller ideals (stability under maps:
+G-, σ-δ- and conjugation-invariance; meeting a subring in 0), the first
+such ideal is minimal, hence a closure, and :func:`first_stable_ideal`
+never builds the lattice.  A-invariance does not, and
+:func:`enumerate_subring_ideals` joins the closures into the lattice: every
+ideal is the join of the principal ideals of its elements, so the
+enumeration is exhaustive on finite (or capped F_p) rings.  Over Q neither runs; a
 positive simplicity verdict comes only from a reduction mod p that is
 simple (see :func:`is_simple`).
 """
@@ -208,23 +209,21 @@ def _materialize_subring(ring, span):
 # ideal closure
 # ---------------------------------------------------------------------------
 
-def ideal_closure(ring, gens, within: Subring | None = None) -> IdealBasis:
-    """Smallest ideal (of the ring, or of ``within``) containing ``gens``.
+def ideal_closure(ring, gens) -> IdealBasis:
+    """Smallest ideal of the ring containing ``gens``.
 
-    Fixed-point iteration: adjoin a·x and x·a for a over the multiplier
-    spanning set, re-close additively, repeat until stable.
+    Over Q, a fixed-point iteration: adjoin a·x and x·a for a over the
+    basis, re-close additively, repeat until stable.
     """
-    multipliers = within.spanning() if within is not None else None
-    if ring.is_algebra and ring.modulus is not None and within is None:
+    if ring.is_algebra and ring.modulus is not None:
         seed = (np.array([list(g.data) for g in gens], dtype=np.int64)
                 if gens else np.zeros((0, ring.dim), dtype=np.int64))
         rows, pivots = _closure_modp(ring, seed)
-        return IdealBasis(ring, Subspace(ring, rows, pivots), of_subring=None, check=False)
-    if ring.is_table and within is None:
-        span = _table_closure(ring, [g.data for g in gens])
-        return IdealBasis(ring, span, of_subring=None, check=False)
+        return IdealBasis(ring, Subspace(ring, rows, pivots), check=False)
+    if ring.is_table:
+        return IdealBasis(ring, _table_closure(ring, [g.data for g in gens]), check=False)
     span = additive_span(ring, list(gens))
-    mult = multipliers if multipliers is not None else ring.spanning_elements()
+    mult = ring.spanning_elements()
     frontier = span.spanning()
     while frontier:
         prods = []
@@ -238,7 +237,7 @@ def ideal_closure(ring, gens, within: Subring | None = None) -> IdealBasis:
         fresh = [e for e in new.spanning() if not span.contains(e)]
         span = new
         frontier = fresh
-    return IdealBasis(ring, span, of_subring=within, check=False)
+    return IdealBasis(ring, span, check=False)
 
 
 def _table_closure(ring, seed_indices, ops=None, bound=None):
@@ -332,26 +331,71 @@ def principal_ideal(ring, elt) -> IdealBasis:
     return ideal_closure(ring, [elt])
 
 
-def enumerate_ideals(ring, cap=DEFAULT_ELEMENT_CAP):
-    """Every two-sided ideal, exactly once, as the join-closure of principal
-    ideals.  Requires a finite ring (or F_p algebra under the cap).
+def _line_closures(ring, B: Subring | None, maps, cap):
+    """(span of B, seeds, close) for B a subring (the whole ring when None).
 
-    Results are cached on the (immutable) ring; recomputation is idempotent.
+    The seeds are one coordinate vector over B's rref rows per line of B,
+    in the order of :func:`_lines`, for an F_p algebra (none when B = 0),
+    and the nonzero elements of B for a table ring.
+    ``close(seed, bound=None)`` is the smallest ideal of B that holds the
+    seed and that every map sends into itself, as an ambient span, or None
+    past ``bound`` members (dimensions).  ``maps`` send B into B: d×d
+    matrices acting on rows (v ↦ v @ M), or index arrays for a table ring.
+
+    Over F_p the closure of c is c·E, for E the algebra that L_b, R_b
+    (b in B) and the maps generate, spun up once: every caller walks every
+    line.  :func:`principal_ideals` stops at the first proper line and
+    spins up each line instead.  Raises InfiniteScalarField over Q, and
+    TooLarge when B has more than ``cap`` elements.
     """
-    cache = getattr(ring, "_ideal_cache", None)
-    if cache is None:
-        cache = ring._ideal_cache = {}
-    if cap in cache:
-        return cache[cap]
-    if ring.is_algebra and ring.modulus is None:
+    if ring.size() is None:
         raise InfiniteScalarField("cannot enumerate ideals over Q")
-    if ring.size() > cap:
-        raise TooLarge(f"{ring.size()} elements exceeds cap {cap}")
-    lattice = {zero_subgroup(ring).key(): zero_subgroup(ring)}
-    for sub in principal_ideals(ring):
-        lattice.setdefault(sub.key(), sub)
-    # join-closure: the sum of two ideals is additively closed and absorbing,
-    # so a plain join (no re-closure) suffices
+    span = full_subgroup(ring) if B is None else B.span
+    size = span.measure() if ring.is_table else ring.modulus ** span.measure()
+    if size > cap:
+        raise TooLarge(f"{size} elements exceeds cap {cap}")
+    if ring.is_table:
+        members = np.array(sorted(span.members), dtype=np.int64)
+        mul = ring.mul_table
+        # rows of L_b and of R_b for b in B, then the maps
+        ops = [mul[members], mul[:, members].T] + [np.asarray(m)[None, :] for m in maps]
+
+        def close(x, bound=None):
+            return _table_closure(ring, [x], ops, bound)
+        return span, [int(x) for x in members if x != ring.zero_index], close
+    # the closure runs on coordinates over B's rref rows, where the
+    # operators are k×k: a coordinate vector c is the element c @ rows, and
+    # the pivot entries of an element of B are its coordinates
+    p, rows, pivots = ring.modulus, span.rows, list(span.pivots)
+    k = len(pivots)
+    if not k:
+        return span, [], None
+    ops = np.hstack([_multiplication_ops(ring, rows)] + [ring.F.reduce(m) for m in maps])
+    ops = (rows @ ops % p).reshape(k, -1, ring.dim)[:, :, pivots].reshape(k, -1)
+    # E is the closure of the identity under X ↦ X·M, which acts on the
+    # flattened X as the block diagonal kron(I, M)
+    eye = np.eye(k, dtype=np.int64)
+    words = eye[:, None, None, :, None] * ops.reshape(k, -1, k)[None, :, :, None, :]
+    algebra = _closure_modp(ring, eye.reshape(1, -1), words.reshape(k * k, -1))[0]
+    algebra = algebra.reshape(-1, k, k)
+
+    def close(line, bound=None):
+        basis, found = linalg.rref_modp(np.array(line) @ algebra % p, p)
+        if bound is not None and len(found) > bound:
+            return None
+        # an rref basis in coordinates is one in the ambient ring too
+        return Subspace(ring, basis @ rows % p, [pivots[c] for c in found])
+    return span, _lines(p, k), close
+
+
+def enumerate_subring_ideals(ring, B: Subring | None, cap=DEFAULT_ELEMENT_CAP):
+    """Every ideal of B (of the whole ring when B is None), exactly once, in
+    the ambient ring's coordinates and in (measure, key) order: the
+    join-closure of the principal ideals of :func:`_line_closures`."""
+    _, seeds, close = _line_closures(ring, B, [], cap)
+    lattice = {s.key(): s for s in [zero_subgroup(ring), *map(close, seeds)]}
+    # the sum of two ideals is additively closed and absorbing, so a plain
+    # join (no re-closure) suffices
     worklist = list(lattice.values())
     while worklist:
         nxt = []
@@ -362,10 +406,15 @@ def enumerate_ideals(ring, cap=DEFAULT_ELEMENT_CAP):
                     lattice[j.key()] = j
                     nxt.append(j)
         worklist = nxt
-    ideals = [IdealBasis(ring, s, check=False) for s in lattice.values()]
+    ideals = [IdealBasis(ring, s, of_subring=B, check=False) for s in lattice.values()]
     ideals.sort(key=lambda i: (i.measure(), i.key()))
-    cache[cap] = ideals
     return ideals
+
+
+def enumerate_ideals(ring, cap=DEFAULT_ELEMENT_CAP):
+    """Every two-sided ideal of the ring, exactly once, in (measure, key)
+    order: :func:`enumerate_subring_ideals` with B the whole ring."""
+    return enumerate_subring_ideals(ring, None, cap)
 
 
 @dataclass
@@ -433,9 +482,9 @@ def is_simple(ring, cap=DEFAULT_ELEMENT_CAP, seed=DEFAULT_SEED,
 
 
 def _is_simple_uncached(ring, cap, seed, samples) -> SimpleVerdict:
-    full = full_subgroup(ring)
-    rr = product_span(ring, full, full)
-    if rr.is_zero():
+    # R·R = 0 exactly when every product of basis elements is 0
+    products = ring.mul_table != ring.zero_index if ring.is_table else ring.constants
+    if not products.any():
         return SimpleVerdict("NotSimple", _proper_from_square_zero(ring),
                              reason="R*R = 0")
     size = ring.size()
@@ -553,17 +602,6 @@ class ASimpleVerdict:
         return self.status if self.holds else f"NotASimple({self.witness!r})"
 
 
-def enumerate_subring_ideals(ring, B: Subring, cap=DEFAULT_ELEMENT_CAP):
-    """Ideals of B, presented in the coordinates of the ambient ring."""
-    sub, embed, _ = B.as_ring()
-    out = []
-    for ib in enumerate_ideals(sub, cap=cap):
-        span = additive_span(ring, [embed(e) for e in ib.spanning()])
-        out.append(IdealBasis(ring, span, of_subring=B, check=False))
-    out.sort(key=lambda i: (i.measure(), i.key()))
-    return out
-
-
 def is_A_simple(ring, B: Subring, cap=DEFAULT_ELEMENT_CAP, ideals=None) -> ASimpleVerdict:
     """No non-trivial ideal of B is A-invariant.  ``ideals`` is the ideal
     list of B when the caller already has it."""
@@ -579,11 +617,11 @@ def first_invariant_ideal(ideals, invariant):
     ``I.of_subring``, or the whole ring when that is None.
 
     This is the quantifier behind A-simplicity ("B has no non-trivial
-    A-invariant ideal", :func:`is_A_simple`) and conjugation-stability for a
-    Cayley–Dickson doubling.  AI ⊆ IA is not a stability condition under
-    maps (it is not closed under intersection), so it needs the lattice.
-    Invariance under maps does not: G-invariance for a crossed product and
-    σ-δ-invariance for an Ore extension use :func:`first_stable_ideal`.
+    A-invariant ideal", :func:`is_A_simple`).  AI ⊆ IA is not a stability
+    condition under maps (it is not closed under intersection), so it needs
+    the lattice.  Invariance under maps does not: G-invariance for a crossed
+    product, σ-δ-invariance for an Ore extension and conjugation-stability
+    for a Cayley–Dickson doubling use :func:`first_stable_ideal`.
     """
     for I in ideals:
         B = I.of_subring
@@ -594,73 +632,25 @@ def first_invariant_ideal(ideals, invariant):
     return None
 
 
-def first_stable_ideal(ring, B: Subring | None, maps, cap=DEFAULT_ELEMENT_CAP):
+def first_stable_ideal(ring, B: Subring | None, maps, cap=DEFAULT_ELEMENT_CAP, accept=None):
     """The first ideal I of B with 0 ≠ I ≠ B that every map sends into I, in
-    the (measure, key) order of :func:`enumerate_subring_ideals`
-    (:func:`enumerate_ideals` when B is None: the whole ring); None when
-    there is none.
+    the (measure, key) order of :func:`enumerate_subring_ideals` (B is
+    None: the whole ring); None when there is none.  ``accept`` is a further
+    test on the span of I that the nonzero ideals inside an accepted one
+    pass too, such as meeting a subgroup in 0.
 
-    ``maps`` act on the ambient ring and send B into B: d×d matrices on
-    coordinate rows (v ↦ v @ M) for an F_p algebra, index arrays for a
-    table ring.  The ideal lattice is never built.  The smallest stable
-    ideal of B containing x is the closure of x under the maps and the
-    multiplications L_b, R_b by B.  One x is closed per line of B (per
-    nonzero element, for a table ring), and the least proper closure is the
-    answer.  It is the first stable ideal of the enumeration: a proper
-    nonzero stable ideal of least measure is a minimal nonzero stable
-    ideal, so each of its nonzero elements generates it.
-
-    For an F_p algebra the closure of a line c is c·E, where E is the
-    algebra the operators generate, found once by :func:`_closure_modp`.
-    A table ring closes each element by :func:`_table_closure`, and a
-    closure that outgrows the best one so far is abandoned.
-
-    Raises InfiniteScalarField over Q, and TooLarge when B has more than
-    ``cap`` elements, as the enumeration does.
+    The lattice is never built: the answer is the least accepted closure of
+    :func:`_line_closures`.  An accepted stable ideal of least measure is
+    minimal, so each of its nonzero elements generates it.  A closure that
+    outgrows the best one so far is abandoned.  Raises what the enumeration
+    raises.
     """
-    if ring.size() is None:
-        raise InfiniteScalarField("cannot enumerate ideals over Q")
-    span = full_subgroup(ring) if B is None else B.span
-    size = span.measure() if ring.is_table else ring.modulus ** span.measure()
-    if size > cap:
-        raise TooLarge(f"{size} elements exceeds cap {cap}")
-    if ring.is_table:
-        members = np.array(sorted(span.members), dtype=np.int64)
-        mul = ring.mul_table
-        # rows of L_b and of R_b for b in B, then the maps
-        ops = [mul[members], mul[:, members].T] + [np.asarray(m)[None, :] for m in maps]
-        seeds = [int(x) for x in members if x != ring.zero_index]
-
-        def close(x, bound):
-            return _table_closure(ring, [x], ops, bound)
-    else:
-        # the closure runs on coordinates over B's rref rows, where the
-        # operators are k×k: a coordinate vector c is the element c @ rows,
-        # and the pivot entries of an element of B are its coordinates
-        p, rows, pivots = ring.modulus, span.rows, list(span.pivots)
-        k = len(pivots)
-        ops = np.hstack([_multiplication_ops(ring, rows)] + [ring.F.reduce(m) for m in maps])
-        ops = (rows @ ops % p).reshape(k, -1, ring.dim)[:, :, pivots].reshape(k, -1)
-        # the closure of c is c·E, for E the algebra the operators generate:
-        # the closure of the identity under X ↦ X·M, which acts on the
-        # flattened X as the block diagonal kron(I, M)
-        eye = np.eye(k, dtype=np.int64)
-        words = eye[:, None, None, :, None] * ops.reshape(k, -1, k)[None, :, :, None, :]
-        algebra = _closure_modp(ring, eye.reshape(1, -1), words.reshape(k * k, -1))[0]
-        algebra = algebra.reshape(-1, k, k)
-        seeds = _lines(p, k)
-
-        def close(line, bound):
-            basis, found = linalg.rref_modp(np.array(line) @ algebra % p, p)
-            if len(found) > bound:
-                return None
-            # an rref basis in coordinates is one in the ambient ring too
-            return Subspace(ring, basis @ rows % p, [pivots[c] for c in found])
+    span, seeds, close = _line_closures(ring, B, maps, cap)
     best, bound = None, span.measure() - 1   # past the bound a closure is all of B
     for seed in seeds:
         sub = close(seed, bound)
-        if sub is not None and (best is None or
-                                (sub.measure(), sub.key()) < (best.measure(), best.key())):
+        if sub is not None and (accept is None or accept(sub)) and (
+                best is None or (sub.measure(), sub.key()) < (best.measure(), best.key())):
             best, bound = sub, sub.measure()
     return None if best is None else IdealBasis(ring, best, of_subring=B, check=False)
 

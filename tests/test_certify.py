@@ -61,6 +61,17 @@ def test_sufficiency_withholds_on_z4():
     assert cert.verdict is None and cert.failed_premises()
 
 
+def test_sufficiency_with_a_zero_centralizer():
+    # e0·e1 = e0 and all other products 0: the center C is 0, whose only
+    # ideal is 0, and A·C·A = 0
+    A = make_structure_algebra(2, GF(2), [[[0, 0], [1, 0]], [[0, 0], [0, 0]]])
+    cert = certify_sufficiency(A, full_subring(A))
+    status = {p.name: p.status for p in cert.premises}
+    assert status["the centralizer is invariantly simple"] == "verified"
+    assert status["A·C·A = A"] == "failed"
+    assert cert.verdict is None and cert.oracle == "unavailable"
+
+
 def test_groupoid_graded_variants():
     m3, gr = build_m3f2_block_graded()
     cert = certify_groupoid_graded(m3, gr)

@@ -567,14 +567,15 @@ def test_g_simplicity_matches_the_ideal_enumeration(sys):
 
 
 def _count_enumerations(monkeypatch):
+    # every lattice, of the ring or of a subring, is built by this one function
     calls = []
-    original = ideals.enumerate_ideals
+    original = ideals.enumerate_subring_ideals
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(ideals, "enumerate_ideals", counted)
+    monkeypatch.setattr(ideals, "enumerate_subring_ideals", counted)
     return calls
 
 

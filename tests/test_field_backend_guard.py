@@ -18,7 +18,6 @@ MODULUS_TESTS = {
     ("rings.py", "StructureAlgebra.element_blocks"): "finite fields only",
     ("rings.py", "convert_to_table"): "finite fields only",
     ("subgroups.py", "Subspace.element_blocks"): "finite fields only",
-    ("ideals.py", "enumerate_ideals"): "finite fields only",
     ("ideals.py", "ideal_closure"): "F_p closure fast path",
     ("ideals.py", "_random_element"): "samples from the finite field",
     ("ideals.py", "_is_simple_uncached"): "the Inconclusive reason",

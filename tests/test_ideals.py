@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ringlab import (GF, QQ, cayley_tower, center, centralizer,
@@ -14,14 +14,16 @@ from ringlab import (GF, QQ, cayley_tower, center, centralizer,
                      is_A_invariant, is_A_simple, is_maximal_commutative,
                      is_simple, apply_i_and_p, make_structure_algebra,
                      principal_ideal, subring_closure, zmod_ring)
-from ringlab import ideals, linalg
+from ringlab import (RingMap, cayley_dickson, certify, ideal_intersection_property,
+                     ideals, linalg)
 from ringlab.constructions import bales_twisted_ring
 from ringlab.certify import recognize_field
 from ringlab.cli import main
 from ringlab.errors import BNotCommutative, CriterionDisagreement, NotAInvariant
-from ringlab.ideals import IdealBasis, first_proper_line_ideal
-from ringlab.rings import direct_sum_algebra, functions_ring
-from ringlab.subgroups import full_subgroup, product_span
+from ringlab.ideals import (IdealBasis, Subring, first_invariant_ideal,
+                            first_proper_line_ideal)
+from ringlab.rings import convert_to_table, direct_sum_algebra, functions_ring
+from ringlab.subgroups import additive_span, full_subgroup, product_span, zero_subgroup
 
 
 def test_ideal_closure_examples():
@@ -97,6 +99,17 @@ def test_is_simple_verdicts():
 def test_zero_multiplication_is_never_simple():
     null = make_structure_algebra(1, GF(2), [[[0]]])
     assert is_simple(null).status == "NotSimple"
+    # R·R = 0 is read off the constants or the table
+    zeros = np.zeros((2, 2, 2), dtype=int).tolist()
+    for ring in (make_structure_algebra(2, GF(3), zeros), make_structure_algebra(2, QQ, zeros),
+                 convert_to_table(make_structure_algebra(2, GF(2), zeros))):
+        v = is_simple(ring)
+        assert v.status == "NotSimple" and v.reason == "R*R = 0"
+        assert not v.witness.is_zero() and not v.witness.span.is_full()
+    # one nonzero product, e0·e1 = e0, is enough for R·R ≠ 0
+    one = make_structure_algebra(2, GF(2), [[[0, 0], [1, 0]], [[0, 0], [0, 0]]])
+    for ring in (one, convert_to_table(one)):
+        assert is_simple(ring).reason is None
 
 
 @st.composite
@@ -385,3 +398,133 @@ def test_first_stable_ideal_takes_the_least_key_among_minimal_ideals():
     expected = next(I for I in enumerate_ideals(ring) if not I.is_zero())
     assert expected.measure() == 2 and first.key() != expected.key()
     assert ideals.first_stable_ideal(ring, None, []).key() == expected.key()
+
+
+def test_the_zero_subring_has_only_the_zero_ideal():
+    # e0·e1 = e0 and all other products 0; the zero subalgebra has no lines
+    A = make_structure_algebra(2, GF(2), [[[0, 0], [1, 0]], [[0, 0], [0, 0]]])
+    for ring in (A, zmod_ring(4)):
+        zero = Subring(ring, zero_subgroup(ring))
+        assert [I.is_zero() for I in enumerate_subring_ideals(ring, zero)] == [True]
+        assert ideals.first_stable_ideal(ring, zero, []) is None
+        assert is_A_simple(ring, zero).holds
+
+
+def _reference_subring_ideals(ring, B):
+    """The ideals of B by materializing it as a ring, joining the principal
+    ideals of its lines (one spin-up each) and embedding every ideal back."""
+    if B.span.is_zero():
+        return [IdealBasis(ring, zero_subgroup(ring), of_subring=B, check=False)]
+    sub, embed, _ = B.as_ring()
+    lattice = {s.key(): s for s in [zero_subgroup(sub), *ideals.principal_ideals(sub)]}
+    worklist = list(lattice.values())
+    while worklist:
+        fresh = []
+        for a in worklist:
+            for b in list(lattice.values()):
+                j = a.join(b)
+                if j.key() not in lattice:
+                    lattice[j.key()] = j
+                    fresh.append(j)
+        worklist = fresh
+    out = [IdealBasis(ring, additive_span(ring, [embed(e) for e in s.spanning()]),
+                      of_subring=B, check=False) for s in lattice.values()]
+    return sorted(out, key=lambda I: (I.measure(), I.key()))
+
+
+@st.composite
+def _rings_and_subrings(draw):
+    """A ring and the subring that some elements generate: an F_2/F_3
+    algebra of dimension at most 4 whose first m basis elements span a
+    subring, as it is or as a table ring (up to 27 elements), with the
+    whole basis, some of the first m basis elements or up to two random
+    elements as generators; or a Z/n with up to two random generators."""
+    if draw(st.integers(0, 4)) == 0:
+        ring = zmod_ring(draw(st.integers(1, 12)))
+        gens = draw(st.lists(st.integers(0, ring.n - 1), max_size=2))
+        return ring, subring_closure(ring, [ring.element(x) for x in gens])
+    alg = draw(_small_algebras())
+    p, d, m = alg.modulus, alg.dim, draw(st.integers(1, alg.dim))
+    C = alg.constants.copy()
+    C[:m, :m, m:] = 0
+    alg = make_structure_algebra(d, GF(p), C.tolist())
+    eye = np.eye(d, dtype=int).tolist()
+    coords = st.lists(st.integers(0, p - 1), min_size=d, max_size=d)
+    gens = draw(st.one_of(st.just(eye), st.lists(st.sampled_from(eye[:m]), max_size=m),
+                          st.lists(coords, max_size=2)))
+    if p ** d <= 27 and draw(st.booleans()):
+        # convert_to_table numbers the element with coordinates c as the
+        # base-p number c
+        ring = convert_to_table(alg)
+        return ring, subring_closure(ring, [ring.element(int(np.polyval(g, p))) for g in gens])
+    return alg, subring_closure(alg, [alg.element(tuple(g)) for g in gens])
+
+
+def _upper_triangular(ring):
+    """The upper triangular matrices in M2(F2), or in its table ring."""
+    gens = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)]
+    if ring.is_table:
+        return subring_closure(ring, [ring.element(int(np.polyval(g, 2))) for g in gens])
+    return subring_closure(ring, [ring.element(g) for g in gens])
+
+
+_M2F2 = full_matrix_algebra(2, GF(2))
+_NULL = make_structure_algebra(2, GF(3), np.zeros((2, 2, 2), dtype=int).tolist())
+# a square-zero ring, whose whole ring is a join and not principal, and a
+# subring that is not an ideal, whose closures must not use the ring's
+# multiplications
+_SUBRING_EXAMPLES = [(_NULL, full_subring(_NULL)),
+                     (_M2F2, _upper_triangular(_M2F2)),
+                     (convert_to_table(_M2F2), _upper_triangular(convert_to_table(_M2F2)))]
+
+
+@given(_rings_and_subrings())
+@settings(max_examples=80, deadline=None)
+@example(_SUBRING_EXAMPLES[0])
+@example(_SUBRING_EXAMPLES[1])
+@example(_SUBRING_EXAMPLES[2])
+def test_subring_lattice_matches_the_materialized_enumeration(case):
+    ring, B = case
+    got = enumerate_subring_ideals(ring, B)
+    assert [I.key() for I in got] == [I.key() for I in _reference_subring_ideals(ring, B)]
+    assert all(I.of_subring is B for I in got)
+
+
+_Z5, _Z6 = zmod_ring(5), zmod_ring(6)
+
+
+@given(_rings_and_subrings())
+@settings(max_examples=80, deadline=None)
+@example((_Z5, subring_closure(_Z5, [])))                  # the witness is Z5 itself
+@example((_Z6, subring_closure(_Z6, [_Z6.element(3)])))    # (3) meets S; (2) does not
+def test_intersection_property_matches_the_lattice_scan(case):
+    ring, S = case
+    v = ideal_intersection_property(ring, S)
+    ref = next((I for I in _reference_subring_ideals(ring, full_subring(ring))
+                if not I.is_zero() and I.span.intersect(S.span).is_zero()), None)
+    assert v.holds == (ref is None)
+    if ref is not None:
+        assert v.witness.key() == ref.key()
+
+
+def test_conjugation_premise_matches_the_lattice_scan():
+    # the three levels of the F3 tower, and F3 ⊕ F3 doubled along the
+    # identity (its factors are conjugation-stable) and along the swap
+    # (no proper ideal is, though the base is not simple)
+    B = functions_ring(2, GF(3))
+    swap = RingMap(B, B, matrix=[[0, 1], [1, 0]], anti=True)
+    doublings = cayley_tower(GF(3), 3).doublings + [
+        cayley_dickson(B, sigma, B.element((2, 2))) for sigma in (RingMap.identity(B), swap)]
+    statuses = []
+    for cd in doublings:
+        premise = certify._sigma_simple_premise(cd, ideals.DEFAULT_ELEMENT_CAP,
+                                                ideals.DEFAULT_SEED)
+        ref = first_invariant_ideal(
+            _reference_subring_ideals(cd.base, full_subring(cd.base)),
+            lambda I: all(I.contains(cd.sigma.apply(v)) for v in I.spanning()))
+        if ref is None:
+            assert premise.detail == "ideal enumeration"
+        else:
+            assert premise.detail.key() == ref.key() and premise.detail.of_subring is None
+        statuses.append(premise.status)
+    assert statuses == ["verified"] * 3 + ["failed", "verified"]
