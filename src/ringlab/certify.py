@@ -514,11 +514,9 @@ def certify_cayley(cd: CayleyDoubling, base_hint=None, cap=DEFAULT_ELEMENT_CAP,
     forces conjugation-stable simplicity of the base."""
     ring = cd.ring
     premises = [_sigma_simple_premise(cd, cap, seed, base_hint=base_hint)]
-    z = center(ring)
-    zsub, _, _ = z.as_ring()
-    zf = recognize_field(zsub, cap=cap)
+    z, zf = _z_is_field(ring, cap=cap)
     if zf is None:
-        zstatus = _premise_status(_simple_status(zsub, cap=cap, seed=seed)[0])
+        zstatus = _premise_status(_simple_status(z.as_ring()[0], cap=cap, seed=seed)[0])
     else:
         zstatus = "verified" if zf else "failed"
     premises.append(Premise("the center of the double is simple", zstatus,

@@ -61,14 +61,13 @@ class CayleyDoubling(CrossedProduct):
     extended_sigma: RingMap = None
 
 
-def cayley_dickson(B: Ring, sigma: RingMap, alpha: Element,
-                   flavor="classical", twists=None) -> CayleyDoubling:
+def cayley_dickson(B: Ring, sigma: RingMap, alpha: Element) -> CayleyDoubling:
     """Double B along an involutive (anti-)automorphism and a central unit.
 
-    flavor "classical" uses the straight/opposite twist pattern and also
-    returns the extension of sigma to the double, sigma(a + b·u) =
-    sigma(a) - b·u, asserted to be an anti-automorphism whenever sigma is
-    one on B.
+    The doubling uses the classical straight/opposite twist pattern (other
+    twists are a :func:`crossed_product`) and also returns the extension of
+    sigma to the double, sigma(a + b·u) = sigma(a) - b·u, asserted to be an
+    anti-automorphism whenever sigma is one on B.
     """
     if not sigma.compose(sigma).is_identity():
         raise SigmaNotInvolutive("sigma squared is not the identity")
@@ -76,17 +75,11 @@ def cayley_dickson(B: Ring, sigma: RingMap, alpha: Element,
         raise ShapeMismatch("alpha must be an element of the base ring")
     if not (_is_unit(B, alpha) and _associates_and_commutes(B, alpha)):
         raise AlphaNotCentralUnit("alpha must be a central, associating unit")
-    if flavor == "classical":
-        twist_map = dict(CLASSICAL_TWISTS)
-    elif flavor == "custom":
-        twist_map = dict(twists or {})
-    else:
-        raise ValueError("flavor must be 'classical' or 'custom'")
     G = cyclic_group(2)
     sys = CrossedSystem(G, {"*": B},
                         {0: RingMap.identity(B), 1: sigma},
                         alpha={(1, 1): alpha},
-                        twists=twist_map,
+                        twists=dict(CLASSICAL_TWISTS),
                         name="order-two doubling")
     notes = []
     if _char_two(B):
@@ -94,10 +87,9 @@ def cayley_dickson(B: Ring, sigma: RingMap, alpha: Element,
     cp = crossed_product(sys, kind_tag="cayley_dickson", notes=tuple(notes))
     result = CayleyDoubling(cp.ring, cp.grading, cp.system, cp.kind_tag,
                             cp.offsets, cp.notes, base=B, sigma=sigma, alpha=alpha)
-    if flavor == "classical":
-        result.extended_sigma = _extend_conjugation(result)
-        if sigma.anti:
-            _assert_anti_automorphism(result.ring, result.extended_sigma)
+    result.extended_sigma = _extend_conjugation(result)
+    if sigma.anti:
+        _assert_anti_automorphism(result.ring, result.extended_sigma)
     return result
 
 
@@ -194,7 +186,7 @@ def cayley_tower(field_dom, levels: int, alphas=None, cap=5) -> CayleyTower:
             alpha = a if isinstance(a, Element) else B.scalar_mul(a, B.probe_properties().unit)
         else:
             alpha = B.scalar_mul(-1, B.probe_properties().unit)
-        cd = cayley_dickson(B, sigma, alpha, flavor="classical")
+        cd = cayley_dickson(B, sigma, alpha)
         notes = notes + cd.notes
         doublings.append(cd)
         B, sigma = _interleave(cd)

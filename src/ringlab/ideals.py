@@ -40,9 +40,9 @@ DEFAULT_SEED = 0xC0FFEE
 # decided by linalg.simple_modp during the witness search.  Norton's test
 # decides a random unital algebra over F_2 in about 8, 14 and 16 ms at
 # d = 16, 24 and 32, but the density fallback it keeps, which spins up a
-# d^2-dimensional multiplication algebra, takes 0.17, 1.2 and 5.5 s (2.7,
-# 13 and 42 MB traced), so the bound stays where that worst case is
-# seconds
+# multiplication algebra of up to d^2 dimensions, takes 0.05, 0.9 and
+# 3.5 s on M4(F2), M3(F8) and M4(F4) over F_2 (d = 16, 27 and 32), so the
+# bound stays where that worst case is seconds
 DENSITY_MAX_DIM = 32
 
 
@@ -264,30 +264,11 @@ def _table_closure(ring, seed_indices, ops=None, bound=None):
     return None
 
 
-def _multiplication_ops(ring, rows=None):
-    """L_b and R_b for each of the k rows b (for each basis element when
-    ``rows`` is None), as the (d, 2k·d) horizontal stack that
-    :func:`_closure_modp` takes: v @ L_b = b·v and v @ R_b = v·b."""
-    C = ring.constants
-    if rows is None:
-        lefts, rights = C, C.transpose(1, 0, 2)              # L_{e_i}[j], R_{e_j}[i]
-    else:
-        lefts = np.tensordot(rows, C, axes=(1, 0)) % ring.modulus    # (k, j, m): b·e_j
-        rights = np.tensordot(rows, C, axes=(1, 1)) % ring.modulus   # (k, i, m): e_i·b
-    return linalg.hstack_ops(np.concatenate([lefts, rights]))
-
-
-def _closure_modp(ring, seed_rows, ops=None):
-    """The smallest subspace containing the seed rows that every operator
-    maps into itself, by :func:`linalg.spin_modp`.
-
-    ``ops`` is the (n, m·n) horizontal stack of m operators acting on rows
-    of length n (v ↦ v @ M); None means the ring's L_{e_i} and R_{e_j}, whose
-    closure is the ideal the seed generates.
-    """
-    if ops is None:
-        ops = _multiplication_ops(ring)
-    return linalg.spin_modp(seed_rows, ops, ring.modulus)
+def _closure_modp(ring, seed_rows):
+    """The ideal of an F_p algebra that the seed rows generate: their
+    spin-up under the ring's L_{e_i} and R_{e_i}, by :func:`linalg.spin_modp`."""
+    p = ring.modulus
+    return linalg.spin_modp(seed_rows, linalg.multiplications_modp(ring.constants, p), p)
 
 
 # ---------------------------------------------------------------------------
@@ -309,15 +290,14 @@ def principal_ideals(ring):
 
     An F_p algebra closes one generator per line of F_p^d, in the order of
     :func:`_lines`.  A table ring closes every nonzero element, by index.
+    Each is one :func:`principal_ideal`.
     """
     if ring.is_table:
-        for i in range(ring.n):
-            if i != ring.zero_index:
-                yield _table_closure(ring, [i])
-        return
-    for line in _lines(ring.modulus, ring.dim):
-        rows, pivots = _closure_modp(ring, np.array([line], dtype=np.int64))
-        yield Subspace(ring, rows, pivots)
+        gens = (i for i in range(ring.n) if i != ring.zero_index)
+    else:
+        gens = _lines(ring.modulus, ring.dim)
+    for g in gens:
+        yield principal_ideal(ring, ring.element(g)).span
 
 
 def first_proper_line_ideal(ring):
@@ -342,11 +322,14 @@ def _line_closures(ring, B: Subring | None, maps, cap):
     past ``bound`` members (dimensions).  ``maps`` send B into B: d×d
     matrices acting on rows (v ↦ v @ M), or index arrays for a table ring.
 
-    Over F_p the closure of c is c·E, for E the algebra that L_b, R_b
-    (b in B) and the maps generate, spun up once: every caller walks every
+    Over F_p the closure of c is c·E, for E the unital algebra that L_b,
+    R_b (b in B, from :func:`linalg.multiplications_modp`) and the maps
+    generate, as k×k matrices over B's rref rows: :func:`linalg.spin_modp`
+    spins it up once, from the identity, because every caller walks every
     line.  :func:`principal_ideals` stops at the first proper line and
-    spins up each line instead.  Raises InfiniteScalarField over Q, and
-    TooLarge when B has more than ``cap`` elements.
+    closes each line by :func:`principal_ideal` instead.  Raises
+    InfiniteScalarField over Q, and TooLarge when B has more than ``cap``
+    elements.
     """
     if ring.size() is None:
         raise InfiniteScalarField("cannot enumerate ideals over Q")
@@ -370,13 +353,11 @@ def _line_closures(ring, B: Subring | None, maps, cap):
     k = len(pivots)
     if not k:
         return span, [], None
-    ops = np.hstack([_multiplication_ops(ring, rows)] + [ring.F.reduce(m) for m in maps])
-    ops = (rows @ ops % p).reshape(k, -1, ring.dim)[:, :, pivots].reshape(k, -1)
-    # E is the closure of the identity under X ↦ X·M, which acts on the
-    # flattened X as the block diagonal kron(I, M)
-    eye = np.eye(k, dtype=np.int64)
-    words = eye[:, None, None, :, None] * ops.reshape(k, -1, k)[None, :, :, None, :]
-    algebra = _closure_modp(ring, eye.reshape(1, -1), words.reshape(k * k, -1))[0]
+    ops = np.concatenate([linalg.multiplications_modp(ring.constants, p, rows)]
+                         + [ring.F.reduce(m)[None] for m in maps])
+    ops = (rows @ ops % p)[:, :, pivots]
+    # E is the unital algebra the operators generate, spun up from the identity
+    algebra = linalg.spin_modp(np.eye(k, dtype=np.int64).reshape(1, -1), ops, p)[0]
     algebra = algebra.reshape(-1, k, k)
 
     def close(line, bound=None):

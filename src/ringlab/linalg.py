@@ -24,20 +24,23 @@ The row-reduction kernels (``rref_modp``, ``reduce_rows_modp``,
 name at call time.  So do the F_p decisions built on them.  ``simple_modp``
 is the one F_p simplicity decision, which ideals and certificates use
 without enumerating elements: Norton's irreducibility test (the MeatAxe),
-with ``density_simple_modp`` (and its steps ``unit_modp``,
-``commutant_modp`` and ``is_field_modp``) as the fallback when every trial
-is inconclusive.  The Q backend runs it on reductions modulo
-``LIFT_PRIMES``, which can prove a Q-algebra simple (``simple_reduction``).
+with ``density_simple_modp`` (and its steps ``commutant_modp`` and
+``is_field_modp``) as the fallback when every trial is inconclusive.  The Q
+backend runs it on reductions modulo ``LIFT_PRIMES``, which can prove a
+Q-algebra simple (``simple_reduction``).
 Where elements must be enumerated, ``combinations_modp`` yields them as
 fixed-size blocks of rows, so scans over them are matrix products.
 
-Every F_p spin-up of a subspace under linear maps (ideal closures, stable
-ideals, Norton's test) is ``spin_modp``; the multiplication algebra of the
-density test grows the same way.  Each grows one rref basis through
-``merge_modp``.  It reduces a round's candidates against the basis once,
-eliminates only their remainders, and back-substitutes that fresh block
-into the basis; the block is the next round's frontier.  The basis itself
-is never eliminated again.
+``spin_modp`` is the one loop that grows an F_p basis.  It spins up
+vectors under a stack of operators (ideal closures, Norton's test) and,
+from the identity, the unital algebra a stack generates (the closure
+algebra E of a subring's lines, the density fallback's multiplication
+algebra).  Each round grows one rref basis through ``merge_modp``, which
+reduces the candidates against the basis once, eliminates only their
+remainders, and back-substitutes that fresh block into the basis; the block
+is the next round's frontier.  The basis itself is never eliminated again.
+The operators of an algebra's multiplications, L_b and R_b, come from
+``multiplications_modp``, and its unit from the backends' ``unit``.
 """
 
 from __future__ import annotations
@@ -151,27 +154,45 @@ def kernel_modp(A, p):
 def spin_modp(seed_rows, ops, p):
     """The smallest subspace that contains the rows ``seed_rows`` and that
     every operator maps into itself, as (rref basis, pivots): the MeatAxe
-    spin-up (Parker 1984).
+    spin-up (Parker 1984).  This is the one loop that grows an F_p basis.
 
-    ``ops`` is the (n, m·n) horizontal stack of m operators acting on rows
-    of length n (v ↦ v @ M).  Each round adjoins the images of the rows the
-    previous round added, by :func:`merge_modp`, and the spin-up stops as
-    soon as the span is the whole space.
+    ``ops`` is a (m, n, n) stack of operators.  Rows of width n are vectors,
+    and M acts as v ↦ v @ M.  Rows of width n² are flattened n×n matrices X,
+    and M acts as X ↦ X @ M; the spin-up of the identity is then the unital
+    algebra that the stack generates.  Both are the same product: a matrix
+    is n vectors.  Each round adjoins the images of the rows the previous
+    round added, by :func:`merge_modp`.  A vector frontier (a fresh rref
+    block, at most n rows) is merged at once.  A matrix frontier (up to n²
+    matrices) is merged in slabs of at most n²/2 candidate rows, because
+    eliminating a block costs its rows × n² × its rank, and whole rounds of
+    up to m·n² rows made the M4(F2) closure algebra 3× slower.  The spin-up
+    stops as soon as the span is the whole space, within a round too.
     """
-    n = ops.shape[0]
+    m, n, _ = ops.shape
     rows, pivots = rref_modp(seed_rows, p)
+    width = rows.shape[1]
     frontier = rows
-    while frontier.shape[0] and len(pivots) < n:
-        rows, pivots, _, frontier = merge_modp(
-            rows, pivots, (frontier @ ops % p).reshape(-1, n), p)
+    while frontier.shape[0] and len(pivots) < width:
+        step = frontier.shape[0] if width == n else max(1, width // (2 * m))
+        fresh = []
+        for start in range(0, frontier.shape[0], step):
+            images = frontier[start:start + step].reshape(-1, n) @ ops % p
+            rows, pivots, _, block = merge_modp(rows, pivots, images.reshape(-1, width), p)
+            if len(pivots) == width:
+                return rows, pivots
+            fresh.append(block)
+        frontier = fresh[0] if len(fresh) == 1 else np.concatenate(fresh)
     return rows, pivots
 
 
-def hstack_ops(ops):
-    """A (m, n, n) stack of operators as the (n, m·n) horizontal stack that
-    :func:`spin_modp` takes."""
-    m, n, _ = ops.shape
-    return ops.transpose(1, 0, 2).reshape(n, m * n)
+def multiplications_modp(C, p, rows=None):
+    """L_b and R_b for each row b of ``rows`` (each basis vector e_i when
+    None: L_{e_i} = C[i], R_{e_i} = C[:, i]), as the (2k, d, d) stack that
+    :func:`spin_modp` takes: v @ L_b = b·v and v @ R_b = v·b."""
+    if rows is None:
+        return np.concatenate([C, C.transpose(1, 0, 2)])
+    return np.concatenate([np.tensordot(rows, C, axes=(1, 0)),      # (k, j, m): b·e_j
+                           np.tensordot(rows, C, axes=(1, 1))]) % p  # (k, i, m): e_i·b
 
 
 # rows per block of enumerated elements: large enough that numpy, not the
@@ -229,25 +250,6 @@ def is_field_modp(mats, p):
     return len(rref_modp((frob - K.reshape(k, -1)) % p, p)[1]) == k - 1
 
 
-def unit_modp(C, p):
-    """The two-sided unit of the F_p-algebra with structure constants ``C``,
-    as a coordinate vector, or None when it has none.
-
-    u·e_j = e_j and e_j·u = e_j are 2d^2 linear equations in the d
-    coordinates of u: sum_i u_i C[i, j, k] = delta_jk and
-    sum_i u_i C[j, i, k] = delta_jk.
-    """
-    d = C.shape[0]
-    eqs = np.concatenate([C.reshape(d, d * d), C.transpose(1, 0, 2).reshape(d, d * d)], axis=1)
-    return ModP(p).solve(eqs.T, np.tile(np.eye(d, dtype=np.int64).ravel(), 2))
-
-
-def _multiplications_modp(C):
-    """The 2d generators of the multiplication algebra, L_{e_i} = C[i] and
-    R_{e_i} = C[:, i], acting on row vectors x -> x @ X."""
-    return np.concatenate([C, C.transpose(1, 0, 2)])
-
-
 def commutant_modp(C, p, through_unit=True):
     """The operators that commute with every multiplication of the F_p-algebra
     with structure constants ``C``, as a (k, d, d) stack of independent
@@ -255,7 +257,7 @@ def commutant_modp(C, p, through_unit=True):
 
     The commutations with each generator are imposed, one at a time, on a
     space known to contain the commutant.  With a two-sided unit 1 (one
-    linear solve, :func:`unit_modp`) that space is {L_c}, d unknowns: the
+    linear solve, :meth:`_Field.unit`) that space is {L_c}, d unknowns: the
     commutant of a unital algebra is its centroid, since T(y) = T(1·y) =
     T(1)·y makes T = L_{T(1)} (Schafer 1966, *An Introduction to
     Nonassociative Algebras*, §II.1).  L_c = 0 forces c = c·1 = 0, so the d
@@ -264,13 +266,13 @@ def commutant_modp(C, p, through_unit=True):
     """
     C = np.asarray(C, dtype=np.int64) % p
     d = C.shape[0]
-    if through_unit and unit_modp(C, p) is not None:
+    if through_unit and ModP(p).unit(C) is not None:
         K = C
     else:
         K = np.eye(d * d, dtype=np.int64).reshape(d * d, d, d)
     # the scalars always commute and lie in either start space, so a
     # one-dimensional K is final
-    for g in _multiplications_modp(C):
+    for g in multiplications_modp(C, p):
         if K.shape[0] == 1:
             break
         eqs = ((K @ g - g @ K) % p).reshape(K.shape[0], d * d)
@@ -282,9 +284,9 @@ def commutant_modp(C, p, through_unit=True):
 def density_simple_modp(C, p):
     """Is the F_p-algebra with structure constants ``C`` simple?  The
     fallback of :func:`simple_modp`, and the reference its tests compare
-    with: it spins up the multiplication algebra, up to d² operators of d²
-    entries, so it costs seconds at d = 32 where Norton's test takes
-    milliseconds.
+    with: it spins up the multiplication algebra from the identity by
+    :func:`spin_modp`, up to d² operators of d² entries, so it costs seconds
+    at d = 32 where Norton's test takes milliseconds.
 
     Its ideals are the subspaces invariant under its multiplication algebra
     M, the unital algebra of operators generated by the left and right
@@ -299,36 +301,21 @@ def density_simple_modp(C, p):
     nor the dimension of the algebra generated.  When the algebra has a
     unit, its commutant is its centroid {L_c : c central} (Schafer 1966,
     *An Introduction to Nonassociative Algebras*, §II.1), found with d
-    unknowns instead of d^2 (:func:`commutant_modp`).
+    unknowns instead of d^2 (:func:`commutant_modp`).  Short of d², the
+    spin-up ends with a round that adds nothing.
     """
     C = np.asarray(C, dtype=np.int64) % p
     d = C.shape[0]
     if not C.any():
         return False
-    gens = _multiplications_modp(C)
     K = commutant_modp(C, p)
     k = K.shape[0]
     # a field D makes A a D-space, so k divides d
     if d % k or not is_field_modp(K, p):
         return False
-    # M lies in End_D(A), so reaching its dimension d^2 / k is equality;
-    # words in the generators are closed from the left, one generator at a
-    # time to keep the products at most d^2 matrices
-    target = d * d // k
-    basis, pivots = rref_modp(
-        np.concatenate([np.eye(d, dtype=np.int64)[None], gens]).reshape(-1, d * d), p)
-    frontier = basis
-    while frontier.shape[0] and len(pivots) < target:
-        grown = []
-        for g in gens:
-            basis, pivots, grew, fresh = merge_modp(
-                basis, pivots, (g @ frontier.reshape(-1, d, d)).reshape(-1, d * d), p)
-            if grew:
-                grown.append(fresh)
-                if len(pivots) == target:
-                    break
-        frontier = np.concatenate(grown) if grown else basis[:0]
-    return len(pivots) == target
+    # M lies in End_D(A), so reaching its dimension d^2 / k is equality
+    algebra = spin_modp(np.eye(d, dtype=np.int64).reshape(1, -1), multiplications_modp(C, p), p)
+    return len(algebra[1]) == d * d // k
 
 
 # Norton's irreducibility test draws its random elements from a generator
@@ -360,7 +347,7 @@ def simple_modp(C, p):
         return False
     if C.shape[0] == 1:
         return True
-    gens = _multiplications_modp(C)
+    gens = multiplications_modp(C, p)
     rng = random.Random(NORTON_SEED)
     for _ in range(NORTON_TRIALS):
         verdict = _norton_trial(gens, p, rng)
@@ -402,7 +389,7 @@ def _norton_trial(gens, p, rng):
             break
     N, pivots = _split_null_space(N, pivots, theta, k, p, rng)
     v = N[:1]
-    if len(spin_modp(v, hstack_ops(gens), p)[1]) < d:
+    if len(spin_modp(v, gens, p)[1]) < d:
         return False
     # the Krylov rows v θ^i (i ≤ dim N, since N is θ-invariant) first
     # become dependent at the degree of v's minimal polynomial
@@ -415,7 +402,7 @@ def _norton_trial(gens, p, rng):
     for c in f[0][::-1].tolist():
         f_theta = (f_theta @ theta + c * np.eye(d, dtype=np.int64)) % p
     w, _ = kernel_modp(f_theta, p)
-    if len(spin_modp(w[:1], hstack_ops(gens.transpose(0, 2, 1)), p)[1]) < d:
+    if len(spin_modp(w[:1], gens.transpose(0, 2, 1), p)[1]) < d:
         return False
     return True if N.shape[0] == k else None
 
@@ -590,6 +577,20 @@ class _Field:
         for ri, c in enumerate(pivots):
             x[c] = R[ri][n:]
         return x if np.ndim(b) == 2 else x[:, 0]
+
+    def unit(self, C):
+        """The two-sided unit of the algebra with structure constants ``C``,
+        as a coordinate vector, or None when it has none.
+
+        e·e_j = e_j and e_j·e = e_j are 2d² linear equations in the d
+        coordinates of e: rows (j, k) hold the e_k coefficient of e·e_j,
+        then of e_j·e.
+        """
+        C = self.array(C)
+        d = C.shape[0]
+        A = np.vstack([C.transpose(1, 2, 0).reshape(d * d, d),
+                       C.transpose(0, 2, 1).reshape(d * d, d)])
+        return self.solve(A, np.tile(self.eye(d).ravel(), 2))
 
 
 # the largest p that ModP admits: see its docstring

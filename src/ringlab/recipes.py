@@ -19,6 +19,7 @@ from .categories import abelian_group, cyclic_group, pair_groupoid, xor_group
 from .constructions import (RingMap, bales_alpha, cayley_dickson,
                             cayley_tower, dynamics_skew_group_ring,
                             matrix_ring, skew_group_ring, twisted_group_ring)
+from .constructions.crossed import _int_times
 from .errors import ParseError, SchemaError, UnknownKind
 from .ore import SigmaDerivationData
 from .rings import (Ring, field_algebra, gf_extension, make_structure_algebra,
@@ -177,6 +178,31 @@ def _array(value, shape, path):
     return value
 
 
+def _indices(value, shape, path, bound=None):
+    """``value`` if it is nested lists of the given shape whose entries are
+    integers (in [0, ``bound``) when a bound is given); else a SchemaError."""
+    flat = _array(value, shape, path)
+    for _ in shape[1:]:
+        flat = [x for row in flat for x in row]
+    if not all(type(x) is int and (bound is None or 0 <= x < bound) for x in flat):
+        raise SchemaError(path, "expected integers" if bound is None
+                          else f"expected indices in [0, {bound})")
+    return value
+
+
+def _unit_multiple(base, value, path):
+    """The recipe scalar ``value`` times the unit of ``base``: k·1, for an
+    integer k, on a table ring, where n·1 = 0 for n its size."""
+    unit = base.probe_properties().unit
+    if unit is None:
+        raise SchemaError(path, "the base ring has no unit")
+    if base.is_table:
+        if type(value) is not int:
+            raise SchemaError(path, f"expected an integer, got {value!r}")
+        return _int_times(base, value % base.n, unit)
+    return base.scalar_mul(_coerce_scalar(base.field, value, path), unit)
+
+
 def _frobenius(base_spec):
     """The Frobenius matrix of an "F<q>" scalar base, or None for any other base."""
     spec = base_spec.get("ring") if isinstance(base_spec, dict) else base_spec
@@ -193,11 +219,16 @@ def _ring_map(ring, spec, path, frobenius=None):
             raise SchemaError(path, "frobenius is only available on F_q bases")
         return RingMap(ring, ring, matrix=frobenius)
     if isinstance(spec, dict) and "matrix" in spec:
+        if ring.is_table:
+            raise SchemaError(path, "a matrix map needs a structure algebra")
         rows = [[_coerce_scalar(ring.field, x, path) for x in row]
-                for row in spec["matrix"]]
+                for row in _array(spec["matrix"], (ring.dim, ring.dim), path)]
         return RingMap(ring, ring, matrix=rows, anti=bool(spec.get("anti", False)))
     if isinstance(spec, dict) and "perm" in spec:
-        return RingMap(ring, ring, perm=spec["perm"], anti=bool(spec.get("anti", False)))
+        if not ring.is_table:
+            raise SchemaError(path, "an index map needs a table ring")
+        perm = _indices(spec["perm"], (ring.n,), path, bound=ring.n)
+        return RingMap(ring, ring, perm=perm, anti=bool(spec.get("anti", False)))
     raise SchemaError(path, f"unknown map spec {spec!r}")
 
 
@@ -211,8 +242,10 @@ def _build(doc, path):
     if kind == "scalar":
         return _build_scalar_ring(doc["ring"], f"{path}/ring")
     if kind == "table_ring":
-        return make_table_ring(np.array(doc["add"]), np.array(doc["mul"]),
-                               doc.get("zero", 0))
+        n = len(doc["add"]) if isinstance(doc["add"], list) else 0
+        add, mul = (np.array(_indices(doc[key], (n, n), f"{path}/{key}"))
+                    for key in ("add", "mul"))
+        return make_table_ring(add, mul, _integer(doc, "zero", path) if "zero" in doc else 0)
     if kind == "structure_algebra":
         dom = _parse_domain(doc["field"], f"{path}/field")
         d = _integer(doc, "dim", path)
@@ -230,19 +263,20 @@ def _build(doc, path):
         return cayley_tower(dom, levels, alphas=alphas)
     if kind == "cayley_dickson":
         base = _child_ring(doc["base"], f"{path}/base")
+        if doc.get("flavor", "classical") != "classical":
+            raise SchemaError(f"{path}/flavor", f"unknown flavor {doc['flavor']!r}, "
+                              "expected \"classical\"")
         sigma = _ring_map(base, doc.get("sigma", "id"), f"{path}/sigma")
         if doc.get("sigma") == "conjugation" or "sigma" not in doc:
             sigma = RingMap.identity(base)
             sigma.anti = True
-        unit = base.probe_properties().unit
         aspec = doc.get("alpha", -1)
-        if isinstance(aspec, list):
+        if isinstance(aspec, list) and base.is_algebra:
             alpha = base.element([_coerce_scalar(base.field, x, f"{path}/alpha")
-                                  for x in aspec])
+                                  for x in _array(aspec, (base.dim,), f"{path}/alpha")])
         else:
-            alpha = base.scalar_mul(_coerce_scalar(base.field, aspec, f"{path}/alpha"),
-                                    unit)
-        return cayley_dickson(base, sigma, alpha, flavor=doc.get("flavor", "classical"))
+            alpha = _unit_multiple(base, aspec, f"{path}/alpha")
+        return cayley_dickson(base, sigma, alpha)
     if kind == "twisted_group_ring":
         base = _child_ring(doc["base"], f"{path}/base")
         group = _parse_group(doc["group"], f"{path}/group")
@@ -254,8 +288,7 @@ def _build(doc, path):
         _array(aspec, (len(mors), len(mors)), f"{path}/alpha")
         for i, g in enumerate(mors):
             for j, h in enumerate(mors):
-                table[(g, h)] = _coerce_scalar(base.field, aspec[i][j],
-                                               f"{path}/alpha")
+                table[(g, h)] = _unit_multiple(base, aspec[i][j], f"{path}/alpha")
         return twisted_group_ring(base, group, lambda g, h: table[(g, h)])
     if kind == "skew_group_ring":
         base = _child_ring(doc["base"], f"{path}/base")
@@ -298,15 +331,18 @@ def _build(doc, path):
             _array(doc["alpha"], (n, n), f"{path}/alpha")
             for i, g in enumerate(mors):
                 for j, h in enumerate(mors):
-                    alpha[(g, h)] = base.scalar_mul(
-                        _coerce_scalar(base.field, doc["alpha"][i][j], f"{path}/alpha"),
-                        base.probe_properties().unit)
+                    alpha[(g, h)] = _unit_multiple(base, doc["alpha"][i][j],
+                                                   f"{path}/alpha")
         twists = {}
         if "twists" in doc:
             _array(doc["twists"], (n, n), f"{path}/twists")
             for i, g in enumerate(mors):
                 for j, h in enumerate(mors):
-                    twists[(g, h)] = doc["twists"][i][j]
+                    twist = doc["twists"][i][j]
+                    if twist not in ("straight", "opposite"):
+                        raise SchemaError(f"{path}/twists", f"unknown twist {twist!r}, "
+                                          "expected \"straight\" or \"opposite\"")
+                    twists[(g, h)] = twist
         obj = group.objects[0]
         sys = CrossedSystem(group, {obj: base}, sigma, alpha=alpha, twists=twists)
         return crossed_product(sys)
@@ -316,15 +352,15 @@ def _build(doc, path):
         alphas = None
         if "alphas" in doc:
             alphas = {}
-            unit = base.probe_properties().unit
             for key, val in doc["alphas"].items():
                 try:
-                    i, j, k = (int(x) for x in key.split(","))
+                    ijk = tuple(int(x) for x in key.split(","))
                 except ValueError:
-                    raise SchemaError(f"{path}/alphas",
-                                      f"bad key {key!r}, expected \"i,j,k\"") from None
-                alphas[(i, j, k)] = base.scalar_mul(
-                    _coerce_scalar(base.field, val, f"{path}/alphas"), unit)
+                    ijk = ()
+                if len(ijk) != 3 or not all(0 <= x < n for x in ijk):
+                    raise SchemaError(f"{path}/alphas", f"bad key {key!r}, expected "
+                                      f"\"i,j,k\" with indices in [0, {n})")
+                alphas[ijk] = _unit_multiple(base, val, f"{path}/alphas")
         return matrix_ring(n, base, alphas=alphas)
     if kind == "ore_extension":
         base = _child_ring(doc["base"], f"{path}/base")

@@ -465,12 +465,9 @@ class StructureAlgebra(Ring):
         return True, None
 
     def find_unit(self):
-        """Solve e·basis_j = basis_j = basis_j·e for a two-sided unit."""
-        d, C = self.dim, self.constants
-        # rows (j, k): the e_k coefficient of e·e_j, then of e_j·e, linear in e
-        A = np.vstack([C.transpose(1, 2, 0).reshape(d * d, d),
-                       C.transpose(0, 2, 1).reshape(d * d, d)])
-        e = self.F.solve(A, np.tile(self.F.eye(d).ravel(), 2))
+        """The two-sided unit, or None: one linear solve on the field
+        backend (:meth:`ringlab.linalg._Field.unit`)."""
+        e = self.F.unit(self.constants)
         return None if e is None else Element(self, self.F.coords(e))
 
     def opposite(self):

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -148,10 +151,26 @@ F4 = {"kind": "scalar", "ring": "F4"}
      "/points"),
     ({"kind": "scalar", "ring": "Zn:0"}, "/ring"),
     ({"kind": "cayley_tower", "base": "Q", "levels": -1}, "/levels"),
+    ({"kind": "skew_group_ring", "base": "Zn:4", "group": "Z2",
+      "action": ["id", {"perm": [0, 1, 2]}]}, "/action"),
+    ({"kind": "skew_group_ring", "base": "Zn:4", "group": "Z2",
+      "action": ["id", {"perm": [0, 1, 2, 4]}]}, "/action"),
+    ({"kind": "skew_group_ring", "base": F4, "group": "Z2",
+      "action": ["id", {"matrix": [[1, 0, 0]]}]}, "/action"),
+    ({"kind": "table_ring", "add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, "x"]]}, "/mul"),
+    ({"kind": "cayley_dickson", "base": "Fp:3", "flavor": "bogus"}, "/flavor"),
+    ({"kind": "cayley_dickson", "base": "Fp:3", "flavor": "custom"}, "/flavor"),
+    ({"kind": "crossed_product", "base": F4, "group": "Z2", "sigma": ["id", "id"],
+      "twists": [["straight", "bogus"], ["straight", "straight"]]}, "/twists"),
+    ({"kind": "matrix_ring", "size": 2, "base": "Fp:3", "alphas": {"0,1,5": 1}}, "/alphas"),
+    ({"kind": "ore_extension", "base": "Zn:4", "sigma": "id", "delta": {"perm": [0, 1, 2]}},
+     "/delta"),
 ], ids=["F6", "F0", "Fp:x", "tower-levels", "constants", "twisted-alpha",
         "frobenius-Z2xZ2", "skew-action", "crossed-sigma", "crossed-twists",
         "tower-alpha", "matrix-alphas", "dynamics-action", "matrix-size-0",
-        "matrix-size-negative", "dynamics-points-0", "Zn:0", "tower-levels-negative"])
+        "matrix-size-negative", "dynamics-points-0", "Zn:0", "tower-levels-negative",
+        "perm-length", "perm-range", "matrix-shape", "table-entry", "flavor-bogus",
+        "flavor-custom", "twist-name", "alphas-key-range", "ore-delta-perm"])
 def test_malformed_recipe_exits_2(tmp_path, capsys, doc, path):
     with pytest.raises(SchemaError) as err:
         build_recipe(parse_recipe_text(json.dumps(doc)))
@@ -160,6 +179,31 @@ def test_malformed_recipe_exits_2(tmp_path, capsys, doc, path):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith(f"error: {path}:") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "table_ring", "add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]]},
+    {"kind": "skew_group_ring", "base": F4, "group": "Z2",
+     "action": ["id", {"matrix": [[1, 0], [1, 1]]}]},
+    {"kind": "skew_group_ring", "base": "Zn:4", "group": "Z2",
+     "action": ["id", {"perm": [0, 1, 2, 3]}]},
+    {"kind": "twisted_group_ring", "base": "Fp:3", "group": "Z2", "alpha": [[1, 1], [1, 2]]},
+    {"kind": "crossed_product", "base": F4, "group": "Z2", "sigma": ["id", "frobenius"],
+     "alpha": [[1, 1], [1, 1]], "twists": [["straight", "straight"], ["straight", "opposite"]]},
+    {"kind": "matrix_ring", "size": 2, "base": "Fp:3", "alphas": {"0,1,0": 2, "1,0,1": 2}},
+    {"kind": "ore_extension", "base": F4, "sigma": "id",
+     "delta": {"matrix": [[0, 0], [0, 0]]}},
+    {"kind": "cayley_dickson", "base": "Zn:4"},
+    {"kind": "twisted_group_ring", "base": "Zn:4", "group": "Z2", "alpha": [[1, 1], [1, -1]]},
+], ids=["table_ring", "matrix-map", "perm-map", "twisted-alpha", "crossed-alpha-twists",
+        "matrix-alphas", "ore-delta", "doubling-Zn:4", "twisted-alpha-Zn:4"])
+def test_recipe_branches_build_and_certify(tmp_path, capsys, doc):
+    # on a table base a recipe scalar k is k·1
+    path = _write(tmp_path, "recipe.json", doc)
+    for command in ("build", "certify"):
+        assert main([command, path]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["results"] is not None and captured.err == ""
 
 
 def test_zero_modulus_is_named(tmp_path, capsys):
@@ -274,6 +318,34 @@ GOLDEN_SHA256 = {
 }
 
 
+# sha256 of the stdout of `ringlab check <recipe> --checks CHECKS` on each
+# benchmark recipe, and of each demo's stdout
+CHECKS = "simplicity,center,grading,invariance,degree-map"
+CHECK_SHA256 = {
+    "cayley_dickson-F3": "163eef5bf2f7161b9cdcd63124510606645e8d006cdcccbca29ab51c973e845e",
+    "cayley_tower-F3-3": "526a5a0c082afd0c555d53f5760fbe7f60b39ddf6b852865a52902e65624dae7",
+    "dynamics-4pt-Z2-F3": "f37d6032bf83133c1f9da64155113ce1c9faca12edd65a4bf789b68958313867",
+    "dynamics-rot3-F2": "ea6aba9bd13cd25c36838176ab34a614d75987b621ad0e852e3e4f3e23bd0329",
+    "matrix_ring-M3F3": "9bb4ab07784e8461492c52e40985d9f948da714dd26a2dc4c631e409b2f6b8de",
+    "ore_extension-F4-frobenius":
+        "c1d5572041e47b3f064fb5827706cdc67dbd092ee5ed471ee77328eea4b2a6d5",
+    "skew_group_ring-F8-Z3": "4fabae53c4e639deb9056032cd8cf9e8dc482f438ba3d6c48b187c8008dd6def",
+    "twisted_group_ring-bales3-F3":
+        "a9e4485ab7746a4100335a171588796e74132f0387bc3f6762f6060dbded40c4",
+}
+DEMOS = pathlib.Path(__file__).resolve().parents[1] / "demos"
+DEMO_SHA256 = {
+    "01_finite_rings_and_probes": "666d65d1e41ec2b3cd1c0d12b8704e11af0cd813647ff66a65a703f2f6bb3bc8",
+    "02_ideals_and_simplicity": "6889eb10dd851ae0205330bc94b779c85cb486b1b6ac2dce7603b31eea2228c4",
+    "03_doubling_tower": "794a3e56e5855972874f9f86542e5ce9ebdd4b935e03143cbc4d17d071c25778",
+    "04_crossed_products_and_gradings":
+        "89c29fbabb1514308383a4dfbd1e4b1234460b658d27abcae055e6d81d694a34",
+    "05_ore_extensions": "788c36965759a26a2aa215abf204380acc63b3f8f05989dbd4a9d87406dcae88",
+    "06_certificates_and_corpus":
+        "56fad49e1c8a3d35b126da94faffc039bb599c3fb58c79c6874a51f230b324dc",
+}
+
+
 def _sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -290,3 +362,25 @@ def test_corpus_command_deterministic(capsys):
 def test_certify_output_is_byte_identical(name, capsys):
     assert main(["certify", str(RECIPES / f"{name}.json")]) == 0
     assert _sha256(capsys.readouterr().out) == GOLDEN_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_SHA256))
+def test_check_output_is_byte_identical(name, capsys):
+    assert main(["check", str(RECIPES / f"{name}.json"), "--checks", CHECKS]) == 0
+    assert _sha256(capsys.readouterr().out) == CHECK_SHA256[name]
+
+
+def test_every_demo_is_pinned():
+    assert sorted(p.stem for p in DEMOS.glob("*.py")) == sorted(DEMO_SHA256)
+
+
+@pytest.mark.parametrize("name", sorted(DEMO_SHA256))
+def test_demo_output_is_byte_identical(name):
+    # each demo in its own interpreter, as a user runs it
+    src = str(DEMOS.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    run = subprocess.run([sys.executable, str(DEMOS / f"{name}.py")], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert _sha256(run.stdout) == DEMO_SHA256[name]

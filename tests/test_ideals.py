@@ -528,3 +528,19 @@ def test_conjugation_premise_matches_the_lattice_scan():
             assert premise.detail.key() == ref.key() and premise.detail.of_subring is None
         statuses.append(premise.status)
     assert statuses == ["verified"] * 3 + ["failed", "verified"]
+
+
+def test_the_closure_algebra_is_spun_up_in_bounded_memory():
+    # E of M4(F2) (k = 16, 32 operators) is 256 flattened 16×16 matrices;
+    # spinning it up by Kronecker-expanded operators held k⁴·m entries
+    # (24 MB traced), merging n·m candidates at a time holds about 4 MB
+    import tracemalloc
+    ring = full_matrix_algebra(4, GF(2))
+    tracemalloc.start()
+    try:
+        _, seeds, close = ideals._line_closures(ring, None, [], 2 ** 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+    assert close(next(seeds)).is_full()

@@ -230,7 +230,7 @@ def _is_unit(C, u, p):
 def test_commutant_through_the_unit_is_the_whole_commutant(algebra):
     C, p = algebra
     d = len(C)
-    u = linalg.unit_modp(C, p)
+    u = linalg.ModP(p).unit(C)
     assert u is None or _is_unit(C, u, p)
     fast, full = linalg.commutant_modp(C, p), linalg.commutant_modp(C, p, through_unit=False)
     assert linalg.rref_modp(fast.reshape(-1, d * d), p)[0].tobytes() == \
@@ -346,11 +346,11 @@ def test_without_trials_density_gives_the_same_verdicts(monkeypatch):
 
 
 def test_unit_modp():
-    assert linalg.unit_modp(full_matrix_algebra(2, GF(3)).constants, 3).tolist() == [1, 0, 0, 1]
+    assert linalg.ModP(3).unit(full_matrix_algebra(2, GF(3)).constants).tolist() == [1, 0, 0, 1]
     # F_3[x]/(x^2) on the basis x, 1 + x; its radical x·F_3 alone has no unit
     C = np.array([[[0, 0], [1, 0]], [[1, 0], [1, 1]]])
-    assert linalg.unit_modp(C, 3).tolist() == [2, 1]
-    assert linalg.unit_modp(C[:1, :1, :1], 3) is None
+    assert linalg.ModP(3).unit(C).tolist() == [2, 1]
+    assert linalg.ModP(3).unit(C[:1, :1, :1]) is None
 
 
 def _rotation_ring():
