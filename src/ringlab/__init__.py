@@ -23,8 +23,9 @@ from .ideals import (IdealBasis, Subring, center, centralizer,
                      principal_ideal, subring_closure)
 from .categories import (FiniteCategory, abelian_group, cyclic_group,
                          pair_groupoid, xor_group)
-from .gradings import (DegreeMap, Grading, check_invariance_componentwise,
-                       grading_flags, ideal_intersection_property,
+from .gradings import (DegreeMap, GradedRing, Grading,
+                       check_invariance_componentwise, grading_flags,
+                       ideal_intersection_property,
                        local_units_full_ideal_test, support,
                        support_degree_map, trivial_grading, validate_grading,
                        verify_degree_map)
@@ -38,8 +39,9 @@ from .ore import (SigmaDerivationData, SkewPolynomial,
                   check_A_invariance_truncated, commutator_degree_drop,
                   is_sigma_delta_invariant, is_sigma_delta_simple, ore_degree_map,
                   ore_mul, s_coefficients, validate_sigma_derivation)
-from .certify import (Certificate, certify_cayley, certify_crossed_product,
-                      certify_dynamics, certify_groupoid_graded,
+from .certify import (Certificate, certify_built, certify_cayley,
+                      certify_crossed_product, certify_dynamics,
+                      certify_groupoid_graded,
                       certify_matrix, certify_necessity, certify_sufficiency,
                       certify_tower, certify_twisted, simple_by_density,
                       survey_finite_dynamics)

@@ -22,8 +22,9 @@ from .constructions.crossed import CrossedProduct, _is_unit, is_G_simple
 from .constructions.doubling import CayleyDoubling, CayleyTower
 from .constructions.dynamics import DynamicsRing
 from .errors import CriterionDisagreement
-from .gradings import (Grading, grading_flags, graded_ideal_associativity,
-                       support_degree_map, verify_degree_map)
+from .gradings import (GradedRing, Grading, grading_flags,
+                       graded_ideal_associativity, support_degree_map,
+                       verify_degree_map)
 from .ideals import (DEFAULT_ELEMENT_CAP, DEFAULT_SEED, IdealBasis, Subring,
                      center, centralizer, check_ideal_associativity,
                      enumerate_ideals, enumerate_subring_ideals, ideal_closure,
@@ -614,18 +615,15 @@ def certify_twisted(tw: CrossedProduct, cap=DEFAULT_ELEMENT_CAP,
 # matrix rings
 # ---------------------------------------------------------------------------
 
-def certify_matrix(mr: CrossedProduct, component_hints=None,
-                   cap=DEFAULT_ELEMENT_CAP, seed=DEFAULT_SEED,
-                   instance="") -> Certificate:
+def certify_matrix(mr: CrossedProduct, cap=DEFAULT_ELEMENT_CAP,
+                   seed=DEFAULT_SEED, instance="") -> Certificate:
     """A matrix ring is simple iff every diagonal base ring is simple; a
     non-simple base yields an explicit proper ideal of the matrix ring."""
     cat = mr.system.cat
     premises = []
     bad = None
     for i in cat.objects:
-        Bi = mr.system.base[i]
-        hint = (component_hints or {}).get(i)
-        st, det = _simple_status(Bi, cap=cap, seed=seed, hint=hint)
+        st, det = _simple_status(mr.system.base[i], cap=cap, seed=seed)
         premises.append(Premise(f"base ring at index {i} is simple",
                                 _premise_status(st), det))
         if st == "NotSimple" and bad is None:
@@ -688,24 +686,15 @@ def _faithfulness_witness_ideal(dyn: DynamicsRing):
 
 def minimality_witness_ideal(dyn: DynamicsRing):
     """Functions vanishing on a proper invariant subset, crossed with the
-    group: a proper nonzero ideal when the action is not minimal."""
-    cat = dyn.system.cat
-    npts = dyn.npoints
-    orbit = {0}
-    frontier = [0]
-    while frontier:
-        x = frontier.pop()
-        for g in cat.morphisms:
-            y = dyn.action[g][x]
-            if y not in orbit:
-                orbit.add(y)
-                frontier.append(y)
-    if len(orbit) == npts:
-        return None
-    # delta_x u_g for every point x outside the orbit and every g
-    return ideal_closure(dyn.ring, [dyn.ring.basis_element(dyn.offsets[g] + x)
-                                    for x in range(npts) if x not in orbit
-                                    for g in cat.morphisms])
+    group: a proper nonzero ideal when the action is not minimal (None when
+    it is).  The subset is the complement of the orbit of point 0, which
+    the ring keeps; the ideal is closed once per ring object, which keeps it."""
+    if not hasattr(dyn, "_minimality_witness"):
+        dyn._minimality_witness = None if dyn.minimal else ideal_closure(
+            dyn.ring, [dyn.ring.basis_element(dyn.offsets[g] + x)
+                       for x in range(dyn.npoints) if x not in dyn.orbit
+                       for g in dyn.system.cat.morphisms])
+    return dyn._minimality_witness
 
 
 def certify_dynamics(dyn: DynamicsRing, cap=DEFAULT_ELEMENT_CAP,
@@ -767,6 +756,39 @@ def certify_dynamics(dyn: DynamicsRing, cap=DEFAULT_ELEMENT_CAP,
         cert.oracle = "agrees"
         cert.oracle_detail = "explicit proper ideal re-verified"
     return cert
+
+
+# ---------------------------------------------------------------------------
+# the pipeline of a built object
+# ---------------------------------------------------------------------------
+
+def certify_built(built, cap=DEFAULT_ELEMENT_CAP, seed=DEFAULT_SEED,
+                  instance="") -> list:
+    """The certificates of a built object's own pipeline, labelled
+    ``instance``: the one map from a construction to its pipeline, which
+    ``ringlab certify`` and the corpus both run.
+
+    A Cayley tower gets its chain of doubling certificates
+    (:func:`certify_tower`, labelled ``f"{instance}/level-{k}"``).  A
+    crossed product gets one certificate, from the pipeline of its
+    ``kind_tag``, or :func:`certify_crossed_product` for any other tag; a
+    graded ring without a crossed system gets
+    :func:`certify_groupoid_graded`.  Anything else gets none.
+    """
+    if isinstance(built, CayleyTower):
+        return certify_tower(built, cap=cap, seed=seed, instance=instance)
+    if isinstance(built, CrossedProduct):
+        # looked up at call time, so that a wrapped pipeline is the one run
+        pipeline = {"twisted_group_ring": certify_twisted,
+                    "matrix_ring": certify_matrix,
+                    "dynamics": certify_dynamics,
+                    "cayley_dickson": certify_cayley}.get(built.kind_tag,
+                                                          certify_crossed_product)
+        return [pipeline(built, cap=cap, seed=seed, instance=instance)]
+    if isinstance(built, GradedRing):
+        return [certify_groupoid_graded(built.ring, built.grading, cap=cap,
+                                        seed=seed, instance=instance)]
+    return []
 
 
 # ---------------------------------------------------------------------------

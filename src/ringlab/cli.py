@@ -16,18 +16,14 @@ import argparse
 import sys
 import time
 
-from .certify import (certify_cayley, certify_crossed_product,
-                      certify_dynamics, certify_matrix, certify_tower,
-                      certify_twisted)
-from .constructions.crossed import CrossedProduct
-from .constructions.doubling import CayleyTower
+from .certify import certify_built
 from .errors import CriterionDisagreement, RinglabError
 from .ideals import DEFAULT_ELEMENT_CAP, DEFAULT_SEED, is_simple
 from .ore import (SigmaDerivationData, is_sigma_delta_simple,
                   validate_sigma_derivation)
 from .recipes import build_recipe, parse_recipe
 from .reports import Report, build_summary, run_checks, simplicity_json, table_dump
-from .rings import Ring
+from .rings import ring_of
 
 CHECK_NAMES = ("simplicity", "center", "invariance", "grading", "degree-map")
 
@@ -56,16 +52,6 @@ def _parser():
 
 
 def _certify_built(built, cap, seed, instance):
-    if isinstance(built, CayleyTower):
-        return [c.to_json() for c in certify_tower(built, cap=cap, seed=seed,
-                                                   instance=instance)]
-    if isinstance(built, CrossedProduct):
-        fn = {"twisted_group_ring": certify_twisted,
-              "matrix_ring": certify_matrix,
-              "dynamics": certify_dynamics,
-              "cayley_dickson": certify_cayley}.get(built.kind_tag,
-                                                    certify_crossed_product)
-        return [fn(built, cap=cap, seed=seed, instance=instance).to_json()]
     if isinstance(built, SigmaDerivationData):
         verdict = is_sigma_delta_simple(built, cap=cap)
         report = validate_sigma_derivation(built)
@@ -75,7 +61,8 @@ def _certify_built(built, cap, seed, instance):
                               for n, ok, _ in report],
                  "verdict": "SigmaDeltaSimple" if verdict.simple else "NotSigmaDeltaSimple",
                  "oracle": "unavailable", "conditional": False, "meta": {}, "notes": []}]
-    return []
+    return [c.to_json() for c in certify_built(built, cap=cap, seed=seed,
+                                               instance=instance)]
 
 
 def main(argv=None) -> int:
@@ -143,7 +130,7 @@ def _extract_verdict(report, built, args):
         return report.certificates[-1]["verdict"]
     res = report.results.get("simplicity")
     if res is None:
-        ring = built if isinstance(built, Ring) else getattr(built, "ring", None)
+        ring = ring_of(built)
         if ring is None:
             return None
         res = simplicity_json(is_simple(ring, cap=args.cap, seed=args.seed))

@@ -20,7 +20,7 @@ import numpy as np
 
 from ..categories import FiniteCategory
 from ..errors import ShapeMismatch, TooLarge, ValidationFailure
-from ..gradings import Grading
+from ..gradings import GradedRing, Grading
 from ..ideals import IdealBasis, Subring, first_stable_ideal
 from ..rings import DEFAULT_ELEMENT_CAP, Element, Ring, StructureAlgebra, TableRing
 from ..subgroups import TableSubgroup, subspace_from_vectors
@@ -262,9 +262,7 @@ def _hard_failures(report):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class CrossedProduct:
-    ring: Ring
-    grading: Grading
+class CrossedProduct(GradedRing):
     system: CrossedSystem
     kind_tag: str
     offsets: dict                    # morphism -> block offset

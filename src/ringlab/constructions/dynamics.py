@@ -22,8 +22,13 @@ from .crossed import CrossedProduct, CrossedSystem, RingMap, crossed_product
 class DynamicsRing(CrossedProduct):
     npoints: int = 0
     action: dict = None
-    minimal: bool = False
+    orbit: frozenset = frozenset()   # the orbit of point 0
     faithful: bool = False
+
+    @property
+    def minimal(self):
+        """One orbit (every subset of a finite discrete space is closed)."""
+        return len(self.orbit) == self.npoints
 
 
 def dynamics_skew_group_ring(npoints: int, G: FiniteCategory, action: dict,
@@ -57,18 +62,16 @@ def dynamics_skew_group_ring(npoints: int, G: FiniteCategory, action: dict,
     obj = G.objects[0]
     sys = CrossedSystem(G, {obj: B}, maps, name=f"dynamics:{npoints}pt-{G.name}")
     cp = crossed_product(sys, kind_tag="dynamics")
-    # minimal: one orbit (all subsets of a finite discrete space are closed)
-    seen = {0}
+    orbit = {0}
     frontier = [0]
     while frontier:
         x = frontier.pop()
         for g in G.morphisms:
             y = perms[g][x]
-            if y not in seen:
-                seen.add(y)
+            if y not in orbit:
+                orbit.add(y)
                 frontier.append(y)
-    minimal = len(seen) == npoints
     faithful = all(perms[g] != perms[e] for g in G.morphisms if g != e)
     return DynamicsRing(cp.ring, cp.grading, cp.system, cp.kind_tag, cp.offsets,
                         cp.notes, npoints=npoints, action=perms,
-                        minimal=minimal, faithful=faithful)
+                        orbit=frozenset(orbit), faithful=faithful)

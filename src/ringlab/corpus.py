@@ -2,6 +2,11 @@
 both a certificate pipeline and the simplicity oracle, with the two verdicts
 required to agree wherever both exist.
 
+An instance is only an id and a builder.  Its pipeline is the one
+:func:`ringlab.certify.certify_built` picks for what the builder returns, as
+for ``ringlab certify``, and its ring is :func:`ringlab.rings.ring_of` of it;
+the one exception is a level of a Cayley tower, which names the level.
+
 Everything here is deterministic for a fixed seed; the corpus is what the
 acceptance checks and the `corpus` command run.
 """
@@ -13,17 +18,15 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 
 from .categories import cyclic_group
-from .certify import (Certificate, certify_crossed_product,
-                      certify_dynamics, certify_groupoid_graded,
-                      certify_matrix, certify_tower, certify_twisted)
-from .constructions import (RingMap, bales_twisted_ring, cayley_tower,
-                            dynamics_skew_group_ring, matrix_ring,
-                            skew_group_ring)
-from .gradings import validate_grading
+from .certify import Certificate, certify_built
+from .constructions import (CrossedProduct, RingMap, bales_twisted_ring,
+                            cayley_tower, dynamics_skew_group_ring,
+                            matrix_ring, skew_group_ring)
+from .gradings import GradedRing, validate_grading
 from .ideals import DEFAULT_ELEMENT_CAP, DEFAULT_SEED, is_simple
 from .ore import SigmaDerivationData
 from .rings import (field_algebra, full_matrix_algebra, gf_extension,
-                    truncated_polynomial_ring, zmod_ring)
+                    ring_of, truncated_polynomial_ring, zmod_ring)
 from .scalars import GF, QQ
 from .subgroups import subspace_from_vectors
 
@@ -57,8 +60,7 @@ def build_m3f2_block_graded():
     a0 = subspace_from_vectors(m3, [unit(0, 0), unit(0, 1), unit(1, 0),
                                     unit(1, 1), unit(2, 2)])
     a1 = subspace_from_vectors(m3, [unit(0, 2), unit(1, 2), unit(2, 0), unit(2, 1)])
-    grading = validate_grading(m3, cyclic_group(2), {0: a0, 1: a1})
-    return m3, grading
+    return GradedRing(m3, validate_grading(m3, cyclic_group(2), {0: a0, 1: a1}))
 
 
 def build_rotation_dynamics():
@@ -167,9 +169,7 @@ _BUILT = {}
 class CorpusInstance:
     id: str
     builder: object                  # () -> built object
-    certify: object | None           # (built, cap, seed) -> Certificate
-    ring_of: object                  # built -> Ring
-    graded: bool = False             # has .grading and .system (crossed product)
+    level: int | None = None         # of a Cayley tower: the level's ring
 
     def build(self):
         # corpus objects are immutable; build once per process
@@ -178,87 +178,40 @@ class CorpusInstance:
         return _BUILT[self.id]
 
     def ring(self, built):
-        return self.ring_of(built)
+        return ring_of(built) if self.level is None else built.rings[self.level]
 
-
-def _cp_ring(built):
-    return built.ring
-
-
-def _plain_ring(built):
-    return built
-
-
-def _certify_cp(built, cap, seed, instance):
-    return certify_crossed_product(built, cap=cap, seed=seed, instance=instance)
-
-
-def _certify_dyn(built, cap, seed, instance):
-    return certify_dynamics(built, cap=cap, seed=seed, instance=instance)
-
-
-def _certify_matrix(built, cap, seed, instance):
-    return certify_matrix(built, cap=cap, seed=seed, instance=instance)
-
-
-def _certify_twisted(built, cap, seed, instance):
-    return certify_twisted(built, cap=cap, seed=seed, instance=instance)
-
-
-def _certify_block_graded(built, cap, seed, instance):
-    ring, grading = built
-    return certify_groupoid_graded(ring, grading, cap=cap, seed=seed, instance=instance)
-
-
-def _certify_tower_level(level):
-    def run(built, cap, seed, instance):
-        certs = certify_tower(built, cap=cap, seed=seed, instance=instance)
-        return certs[level - 1]
-    return run
+    def certificate(self, built, cap, seed):
+        """The instance's certificate from its built object's pipeline, or None."""
+        certs = certify_built(built, cap=cap, seed=seed, instance=self.id)
+        if self.level is not None:
+            return certs[self.level - 1]
+        return certs[0] if certs else None
 
 
 def corpus_instances():
     """The built-in corpus, covering every construction kind."""
     out = [
-        CorpusInstance("table/Z4", lambda: zmod_ring(4), None, _plain_ring),
-        CorpusInstance("table/Z6", lambda: zmod_ring(6), None, _plain_ring),
-        CorpusInstance("dynamics/point-F5", build_point_dynamics, _certify_dyn,
-                       _cp_ring, graded=True),
-        CorpusInstance("matrix/M2(F2)", lambda: matrix_ring(2, field_algebra(GF(2))),
-                       _certify_matrix, _cp_ring, graded=True),
-        CorpusInstance("matrix/M2(F3)", lambda: matrix_ring(2, field_algebra(GF(3))),
-                       _certify_matrix, _cp_ring, graded=True),
-        CorpusInstance("matrix/M2(Z4)", lambda: matrix_ring(2, zmod_ring(4)),
-                       _certify_matrix, _cp_ring, graded=True),
-        CorpusInstance("matrix/M2(F3)-twisted", build_twisted_matrix_f3,
-                       _certify_matrix, _cp_ring, graded=True),
-        CorpusInstance("graded/M3(F2)-blocks", build_m3f2_block_graded,
-                       _certify_block_graded, lambda b: b[0]),
-        CorpusInstance("crossed/F4xZ2-frobenius", build_f4_frobenius_ring,
-                       _certify_cp, _cp_ring, graded=True),
-        CorpusInstance("crossed/F2[Z2]", lambda: build_group_algebra(2),
-                       _certify_cp, _cp_ring, graded=True),
-        CorpusInstance("crossed/F3[Z2]", lambda: build_group_algebra(3),
-                       _certify_cp, _cp_ring, graded=True),
-        CorpusInstance("dynamics/rot3-F2", build_rotation_dynamics,
-                       _certify_dyn, _cp_ring, graded=True),
-        CorpusInstance("dynamics/swap2-F3", build_swap_dynamics,
-                       _certify_dyn, _cp_ring, graded=True),
-        CorpusInstance("dynamics/nonfaithful-Z4", build_nonfaithful_dynamics,
-                       _certify_dyn, _cp_ring, graded=True),
-        CorpusInstance("dynamics/nonminimal-Z2", build_nonminimal_dynamics,
-                       _certify_dyn, _cp_ring, graded=True),
-        CorpusInstance("twisted/H-F3", lambda: bales_twisted_ring(GF(3), 2),
-                       _certify_twisted, _cp_ring, graded=True),
-        CorpusInstance("twisted/O-F3", lambda: bales_twisted_ring(GF(3), 3),
-                       _certify_twisted, _cp_ring, graded=True),
-        CorpusInstance("twisted/bales-char2", lambda: bales_twisted_ring(GF(2), 2),
-                       _certify_twisted, _cp_ring, graded=True),
+        CorpusInstance("table/Z4", lambda: zmod_ring(4)),
+        CorpusInstance("table/Z6", lambda: zmod_ring(6)),
+        CorpusInstance("dynamics/point-F5", build_point_dynamics),
+        CorpusInstance("matrix/M2(F2)", lambda: matrix_ring(2, field_algebra(GF(2)))),
+        CorpusInstance("matrix/M2(F3)", lambda: matrix_ring(2, field_algebra(GF(3)))),
+        CorpusInstance("matrix/M2(Z4)", lambda: matrix_ring(2, zmod_ring(4))),
+        CorpusInstance("matrix/M2(F3)-twisted", build_twisted_matrix_f3),
+        CorpusInstance("graded/M3(F2)-blocks", build_m3f2_block_graded),
+        CorpusInstance("crossed/F4xZ2-frobenius", build_f4_frobenius_ring),
+        CorpusInstance("crossed/F2[Z2]", lambda: build_group_algebra(2)),
+        CorpusInstance("crossed/F3[Z2]", lambda: build_group_algebra(3)),
+        CorpusInstance("dynamics/rot3-F2", build_rotation_dynamics),
+        CorpusInstance("dynamics/swap2-F3", build_swap_dynamics),
+        CorpusInstance("dynamics/nonfaithful-Z4", build_nonfaithful_dynamics),
+        CorpusInstance("dynamics/nonminimal-Z2", build_nonminimal_dynamics),
+        CorpusInstance("twisted/H-F3", lambda: bales_twisted_ring(GF(3), 2)),
+        CorpusInstance("twisted/O-F3", lambda: bales_twisted_ring(GF(3), 3)),
+        CorpusInstance("twisted/bales-char2", lambda: bales_twisted_ring(GF(2), 2)),
     ]
     for level, name in ((1, "C"), (2, "H"), (3, "O"), (4, "S")):
-        out.append(CorpusInstance(f"doubling/{name}-Q", lambda: tower_q(4),
-                                  _certify_tower_level(level),
-                                  lambda b, lv=level: b.rings[lv]))
+        out.append(CorpusInstance(f"doubling/{name}-Q", lambda: tower_q(4), level))
     return out
 
 
@@ -313,9 +266,7 @@ def cross_check_corpus(cap=DEFAULT_ELEMENT_CAP, seed=DEFAULT_SEED) -> CorpusRepo
         built = inst.build()
         ring = inst.ring(built)
         oracle = is_simple(ring, cap=cap, seed=seed)
-        cert = None
-        if inst.certify is not None:
-            cert = inst.certify(built, cap, seed, inst.id)
+        cert = inst.certificate(built, cap, seed)
         pv = cert.verdict if cert else None
         if pv in ("Simple", "NotSimple") and oracle.status != "Inconclusive":
             agreement = "agrees" if pv == oracle.status else "disagrees"
@@ -327,13 +278,8 @@ def cross_check_corpus(cap=DEFAULT_ELEMENT_CAP, seed=DEFAULT_SEED) -> CorpusRepo
 
 
 def graded_corpus(only_crossed=False):
-    """(id, built) for the corpus instances carrying a grading (and a crossed
-    system unless only_crossed is False, in which case block gradings are
-    included too)."""
-    out = []
-    for inst in corpus_instances():
-        if inst.graded:
-            out.append((inst.id, inst.build()))
-        elif not only_crossed and inst.id == "graded/M3(F2)-blocks":
-            out.append((inst.id, inst.build()))
-    return out
+    """(id, built) for the corpus instances that build a graded ring: every
+    one, or only the crossed products when ``only_crossed`` is True."""
+    kind = CrossedProduct if only_crossed else GradedRing
+    built = [(inst.id, inst.build()) for inst in corpus_instances()]
+    return [(name, b) for name, b in built if isinstance(b, kind)]

@@ -18,7 +18,7 @@ from .errors import (CriterionDisagreement, FilterViolation, NotDirectSum,
 from .ideals import (DEFAULT_ELEMENT_CAP, IdealBasis, Subring, center,
                      first_stable_ideal, full_subring, is_A_invariant,
                      principal_ideal)
-from .rings import Element
+from .rings import Element, Ring
 from .subgroups import (AddSubgroup, additive_span,
                         full_subgroup, product_span, zero_subgroup)
 
@@ -188,6 +188,16 @@ def validate_grading(ring, cat, components) -> Grading:
                 if not prod.is_zero():
                     raise FilterViolation(g, h, prod.spanning()[:1])
     return Grading(ring, cat, comps)
+
+
+@dataclass
+class GradedRing:
+    """A ring with a grading of it: what a graded construction builds.
+    Every crossed product is one (:class:`ringlab.constructions.CrossedProduct`
+    extends it); a bare one carries no crossed system, and its certificate
+    pipeline is the groupoid-graded one (:func:`ringlab.certify.certify_built`)."""
+    ring: Ring
+    grading: Grading
 
 
 def support(a, grading: Grading):

@@ -40,9 +40,10 @@ DEFAULT_SEED = 0xC0FFEE
 # decided by linalg.simple_modp during the witness search.  Norton's test
 # decides a random unital algebra over F_2 in about 8, 14 and 16 ms at
 # d = 16, 24 and 32, but the density fallback it keeps, which spins up a
-# multiplication algebra of up to d^2 dimensions, takes 0.05, 0.9 and
-# 3.5 s on M4(F2), M3(F8) and M4(F4) over F_2 (d = 16, 27 and 32), so the
-# bound stays where that worst case is seconds
+# multiplication algebra of up to d^2 / k dimensions (k that of the
+# commutant), takes 0.05, 0.3 and 1.1 s on M4(F2), M3(F8) and M4(F4) over
+# F_2 (d = 16, 27 and 32; 2-core VM), so the bound stays where that worst
+# case is seconds
 DENSITY_MAX_DIM = 32
 
 

@@ -151,10 +151,13 @@ def kernel_modp(A, p):
     return rref_modp(np.array(rows), p)
 
 
-def spin_modp(seed_rows, ops, p):
+def spin_modp(seed_rows, ops, p, stop=None):
     """The smallest subspace that contains the rows ``seed_rows`` and that
     every operator maps into itself, as (rref basis, pivots): the MeatAxe
     spin-up (Parker 1984).  This is the one loop that grows an F_p basis.
+    With ``stop``, a dimension the caller knows the subspace cannot pass, it
+    ends as soon as the span reaches that dimension; the default is the
+    whole space.
 
     ``ops`` is a (m, n, n) stack of operators.  Rows of width n are vectors,
     and M acts as v ↦ v @ M.  Rows of width n² are flattened n×n matrices X,
@@ -166,19 +169,20 @@ def spin_modp(seed_rows, ops, p):
     matrices) is merged in slabs of at most n²/2 candidate rows, because
     eliminating a block costs its rows × n² × its rank, and whole rounds of
     up to m·n² rows made the M4(F2) closure algebra 3× slower.  The spin-up
-    stops as soon as the span is the whole space, within a round too.
+    stops as soon as the span reaches ``stop``, within a round too.
     """
     m, n, _ = ops.shape
     rows, pivots = rref_modp(seed_rows, p)
     width = rows.shape[1]
+    stop = width if stop is None else stop
     frontier = rows
-    while frontier.shape[0] and len(pivots) < width:
+    while frontier.shape[0] and len(pivots) < stop:
         step = frontier.shape[0] if width == n else max(1, width // (2 * m))
         fresh = []
         for start in range(0, frontier.shape[0], step):
             images = frontier[start:start + step].reshape(-1, n) @ ops % p
             rows, pivots, _, block = merge_modp(rows, pivots, images.reshape(-1, width), p)
-            if len(pivots) == width:
+            if len(pivots) >= stop:
                 return rows, pivots
             fresh.append(block)
         frontier = fresh[0] if len(fresh) == 1 else np.concatenate(fresh)
@@ -285,7 +289,7 @@ def density_simple_modp(C, p):
     """Is the F_p-algebra with structure constants ``C`` simple?  The
     fallback of :func:`simple_modp`, and the reference its tests compare
     with: it spins up the multiplication algebra from the identity by
-    :func:`spin_modp`, up to d² operators of d² entries, so it costs seconds
+    :func:`spin_modp`, up to d²/k operators of d² entries, so it costs seconds
     at d = 32 where Norton's test takes milliseconds.
 
     Its ideals are the subspaces invariant under its multiplication algebra
@@ -301,7 +305,7 @@ def density_simple_modp(C, p):
     nor the dimension of the algebra generated.  When the algebra has a
     unit, its commutant is its centroid {L_c : c central} (Schafer 1966,
     *An Introduction to Nonassociative Algebras*, §II.1), found with d
-    unknowns instead of d^2 (:func:`commutant_modp`).  Short of d², the
+    unknowns instead of d^2 (:func:`commutant_modp`).  Short of d² / k, the
     spin-up ends with a round that adds nothing.
     """
     C = np.asarray(C, dtype=np.int64) % p
@@ -313,8 +317,10 @@ def density_simple_modp(C, p):
     # a field D makes A a D-space, so k divides d
     if d % k or not is_field_modp(K, p):
         return False
-    # M lies in End_D(A), so reaching its dimension d^2 / k is equality
-    algebra = spin_modp(np.eye(d, dtype=np.int64).reshape(1, -1), multiplications_modp(C, p), p)
+    # M lies in End_D(A), so reaching its dimension d^2 / k is equality, and
+    # the spin-up stops there
+    algebra = spin_modp(np.eye(d, dtype=np.int64).reshape(1, -1),
+                        multiplications_modp(C, p), p, stop=d * d // k)
     return len(algebra[1]) == d * d // k
 
 

@@ -23,7 +23,7 @@ from .constructions.crossed import _int_times
 from .errors import ParseError, SchemaError, UnknownKind
 from .ore import SigmaDerivationData
 from .rings import (Ring, field_algebra, gf_extension, make_structure_algebra,
-                    make_table_ring, zmod_ring)
+                    make_table_ring, ring_of, zmod_ring)
 from .scalars import GF, QQ, IntegersMod
 
 KNOWN_KINDS = ("scalar", "table_ring", "structure_algebra", "cayley_dickson",
@@ -266,10 +266,12 @@ def _build(doc, path):
         if doc.get("flavor", "classical") != "classical":
             raise SchemaError(f"{path}/flavor", f"unknown flavor {doc['flavor']!r}, "
                               "expected \"classical\"")
-        sigma = _ring_map(base, doc.get("sigma", "id"), f"{path}/sigma")
-        if doc.get("sigma") == "conjugation" or "sigma" not in doc:
+        sigma = doc.get("sigma", "conjugation")
+        if sigma == "conjugation":
             sigma = RingMap.identity(base)
             sigma.anti = True
+        else:
+            sigma = _ring_map(base, sigma, f"{path}/sigma")
         aspec = doc.get("alpha", -1)
         if isinstance(aspec, list) and base.is_algebra:
             alpha = base.element([_coerce_scalar(base.field, x, f"{path}/alpha")
@@ -391,7 +393,7 @@ def _child_ring(spec, path):
         return _build_scalar_ring(spec, path)
     if isinstance(spec, dict):
         built = _build(spec, path)
-        ring = built if isinstance(built, Ring) else getattr(built, "ring", None)
+        ring = ring_of(built)
         if not isinstance(ring, Ring):
             raise SchemaError(path, f"the {spec['kind']} recipe does not build a ring")
         return ring

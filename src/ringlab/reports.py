@@ -14,7 +14,7 @@ from fractions import Fraction
 from .gradings import grading_flags, support_degree_map, verify_degree_map
 from .ideals import (DEFAULT_ELEMENT_CAP, DEFAULT_SEED, center,
                      enumerate_subring_ideals, is_A_invariant, is_simple)
-from .rings import Element, Ring
+from .rings import Element, ring_of
 
 VERSION = "0.1.0"
 
@@ -88,7 +88,7 @@ class Report:
 
 def run_checks(built, names, cap=DEFAULT_ELEMENT_CAP, seed=DEFAULT_SEED):
     """Run the named predicates on a built object; returns a results dict."""
-    ring = built if isinstance(built, Ring) else getattr(built, "ring", None)
+    ring = ring_of(built)
     grading = getattr(built, "grading", None)
     results = {}
     for name in names:
@@ -142,7 +142,7 @@ def run_checks(built, names, cap=DEFAULT_ELEMENT_CAP, seed=DEFAULT_SEED):
 
 
 def build_summary(built, cap=DEFAULT_ELEMENT_CAP):
-    ring = built if isinstance(built, Ring) else getattr(built, "ring", None)
+    ring = ring_of(built)
     if ring is None and hasattr(built, "rings"):       # a tower
         return {"kind": "cayley_tower",
                 "dimensions": [r.dim for r in built.rings],
@@ -172,7 +172,7 @@ def build_summary(built, cap=DEFAULT_ELEMENT_CAP):
 
 
 def table_dump(built, force=False, threshold=64):
-    ring = built if isinstance(built, Ring) else getattr(built, "ring", None)
+    ring = ring_of(built)
     if ring is None:
         return {"error": "no ring to dump"}
     size = ring.size()

@@ -480,6 +480,13 @@ def make_structure_algebra(dim, field, constants) -> StructureAlgebra:
     return StructureAlgebra(field, dim, constants)
 
 
+def ring_of(built):
+    """The ring a built object carries: the object itself when it is a ring,
+    else its ``ring`` (None for a Cayley tower or Ore data, which carry
+    several rings or a base ring only)."""
+    return built if isinstance(built, Ring) else getattr(built, "ring", None)
+
+
 def probe_properties(ring: Ring) -> PropertyReport:
     return ring.probe_properties()
 

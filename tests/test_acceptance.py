@@ -102,7 +102,8 @@ def test_criterion_05_frobenius_crossed_product():
 
 
 def test_criterion_06_block_graded_matrix_ring():
-    m3, gr = build_m3f2_block_graded()
+    built = build_m3f2_block_graded()
+    m3, gr = built.ring, built.grading
     B = gr.zero_part_subring()
     ideals = enumerate_subring_ideals(m3, B)
     # the object part is M2(F2) x F2: its ideals are the four block pairs
@@ -182,8 +183,7 @@ def test_criterion_08_invariance_equivalences():
 def test_criterion_09_degree_maps():
     verified = []
     for name, built in graded_corpus():
-        grading = built.grading if hasattr(built, "grading") else built[1]
-        ring = built.ring if hasattr(built, "ring") else built[0]
+        grading, ring = built.grading, built.ring
         if not grading.cat.is_groupoid:
             continue
         flags = grading_flags(grading)
@@ -211,8 +211,7 @@ def test_criterion_09_degree_maps():
 def test_criterion_10_intersection_property():
     checked = []
     for name, built in graded_corpus():
-        grading = built.grading if hasattr(built, "grading") else built[1]
-        ring = built.ring if hasattr(built, "ring") else built[0]
+        grading, ring = built.grading, built.ring
         if not grading.cat.is_groupoid:
             continue
         flags = grading_flags(grading)
@@ -235,11 +234,9 @@ def test_criterion_10_intersection_property():
 def test_criterion_11_p_after_i_is_identity():
     checked = 0
     instances = list(graded_corpus())
-    m3, gr = build_m3f2_block_graded()
-    instances.append(("graded/M3(F2)-blocks-direct", (m3, gr)))
+    instances.append(("graded/M3(F2)-blocks-direct", build_m3f2_block_graded()))
     for name, built in instances:
-        grading = built.grading if hasattr(built, "grading") else built[1]
-        ring = built.ring if hasattr(built, "ring") else built[0]
+        grading, ring = built.grading, built.ring
         if not grading_flags(grading).locally_unital:
             continue
         B = grading.zero_part_subring()

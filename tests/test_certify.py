@@ -10,7 +10,7 @@ from ringlab import (GF, QQ, RingMap, cayley_dickson, cayley_tower,
                      full_subring, matrix_ring, simple_by_density,
                      skew_group_ring, trivial_grading, zmod_ring)
 from ringlab import certify
-from ringlab.certify import recognize_field
+from ringlab.certify import certify_built, minimality_witness_ideal, recognize_field
 from ringlab.cli import main
 from ringlab.corpus import (build_f4_frobenius_ring, build_group_algebra,
                             build_m3f2_block_graded, build_nonfaithful_dynamics,
@@ -30,7 +30,8 @@ def test_necessity_on_frobenius_ring():
 
 
 def test_necessity_on_block_graded_matrix():
-    m3, gr = build_m3f2_block_graded()
+    built = build_m3f2_block_graded()
+    m3, gr = built.ring, built.grading
     cert = certify_necessity(m3, gr.zero_part_subring(), grading=gr)
     assert cert.verdict == "ASimple" and cert.oracle == "agrees"
 
@@ -73,7 +74,8 @@ def test_sufficiency_with_a_zero_centralizer():
 
 
 def test_groupoid_graded_variants():
-    m3, gr = build_m3f2_block_graded()
+    built = build_m3f2_block_graded()
+    m3, gr = built.ring, built.grading
     cert = certify_groupoid_graded(m3, gr)
     assert cert.verdict == "Simple" and cert.oracle == "agrees"
     assert cert.notes == ("variant: simple vertex centers",)
@@ -236,6 +238,40 @@ def test_dynamics_certificates():
     assert any("non-faithful witness" in n for n in cert.notes)
     cert = certify_dynamics(build_nonminimal_dynamics())
     assert cert.verdict == "NotSimple" and cert.oracle == "agrees"
+
+
+def test_minimality_witness_reads_the_orbit_and_is_closed_once(monkeypatch):
+    dyn = build_nonminimal_dynamics()
+    assert dyn.orbit == {0, 1} and not dyn.minimal
+    closures = []
+    closure = certify.ideal_closure
+
+    def counted(ring, gens, *args, **kwargs):
+        closures.append(ring)
+        return closure(ring, gens, *args, **kwargs)
+
+    monkeypatch.setattr(certify, "ideal_closure", counted)
+    first = minimality_witness_ideal(dyn)
+    assert first.measure() == 2 and minimality_witness_ideal(dyn) is first
+    assert len(closures) == 1
+    assert minimality_witness_ideal(build_rotation_dynamics()) is None
+
+
+def test_certify_built_picks_each_pipeline():
+    cases = [(build_group_algebra(2), ["crossed-product"]),
+             (build_rotation_dynamics(), ["dynamics"]),
+             (matrix_ring(2, zmod_ring(4)), ["matrix"]),
+             (bales_twisted_ring(GF(3), 2), ["twisted-group"]),
+             (cayley_tower(GF(3), 2), ["doubling", "doubling"]),
+             (cayley_tower(GF(3), 1).doublings[0], ["doubling"]),
+             (build_m3f2_block_graded(), ["groupoid-graded"]),
+             (zmod_ring(4), [])]
+    for built, pipelines in cases:
+        certs = certify_built(built, instance="x")
+        assert [c.pipeline for c in certs] == pipelines
+        assert all(c.oracle != "disagrees" for c in certs)
+    assert [c.instance for c in certify_built(cayley_tower(GF(3), 2), instance="x")] \
+        == ["x/level-1", "x/level-2"]
 
 
 def test_dynamics_disagreement_is_typed(monkeypatch, tmp_path, capsys):

@@ -195,8 +195,10 @@ def test_malformed_recipe_exits_2(tmp_path, capsys, doc, path):
      "delta": {"matrix": [[0, 0], [0, 0]]}},
     {"kind": "cayley_dickson", "base": "Zn:4"},
     {"kind": "twisted_group_ring", "base": "Zn:4", "group": "Z2", "alpha": [[1, 1], [1, -1]]},
+    {"kind": "cayley_dickson", "base": "Fp:3", "sigma": "conjugation"},
 ], ids=["table_ring", "matrix-map", "perm-map", "twisted-alpha", "crossed-alpha-twists",
-        "matrix-alphas", "ore-delta", "doubling-Zn:4", "twisted-alpha-Zn:4"])
+        "matrix-alphas", "ore-delta", "doubling-Zn:4", "twisted-alpha-Zn:4",
+        "doubling-conjugation"])
 def test_recipe_branches_build_and_certify(tmp_path, capsys, doc):
     # on a table base a recipe scalar k is k·1
     path = _write(tmp_path, "recipe.json", doc)

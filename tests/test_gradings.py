@@ -26,7 +26,8 @@ from ringlab.subgroups import full_subgroup, product_span, subspace_from_vectors
 
 def _m3f2_graded():
     from ringlab.corpus import build_m3f2_block_graded
-    return build_m3f2_block_graded()
+    built = build_m3f2_block_graded()
+    return built.ring, built.grading
 
 
 def test_category_validation():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringlab import (cyclic_group, dynamics_skew_group_ring, full_matrix_algebra, gf_extension,
-                     linalg, make_structure_algebra)
+                     linalg, make_structure_algebra, matrix_ring)
 from ringlab.errors import TooLarge
 from ringlab.ideals import _closure_modp, first_proper_line_ideal
 from ringlab.rings import StructureAlgebra, direct_sum_algebra, functions_ring
@@ -418,6 +418,28 @@ def test_spin_ups_eliminate_only_the_adjoined_block(monkeypatch):
         rounds = count["grew"] + (len(pivots) < ring.dim)
         assert count["grew"] and count["reduce"] == rounds
     assert eliminated and all(rows <= block for rows, block in eliminated)
+
+
+def test_density_spin_up_stops_at_the_commutant_bound(monkeypatch):
+    """M2(F4) over F_2 has d = 8 and commutant F_4 (k = 2), so its
+    multiplication algebra has dimension d²/k = 32: the spin-up stops at the
+    merge that reaches it, and no merge adds nothing."""
+    ring = matrix_ring(2, gf_extension(4)[0]).ring
+    grew = []
+    merge = linalg.merge_modp
+
+    def counted(basis, pivots, newrows, p):
+        out = merge(basis, pivots, newrows, p)
+        grew.append(bool(out[2]))
+        return out
+
+    monkeypatch.setattr(linalg, "merge_modp", counted)
+    assert linalg.density_simple_modp(ring.constants, 2)
+    assert grew and all(grew)
+    ops = linalg.multiplications_modp(ring.constants, 2)
+    eye = np.eye(8, dtype=np.int64).reshape(1, -1)
+    assert len(linalg.spin_modp(eye, ops, 2, stop=32)[1]) == 32
+    assert len(linalg.spin_modp(eye, ops, 2)[1]) == 32
 
 
 def test_products_are_exact_at_the_largest_modulus():
