@@ -25,6 +25,7 @@ class FiniteCategory:
         self.identity = dict(identity)
         self.inverse = dict(inverse) if inverse is not None else None
         self.name = name or "category"
+        self._composable = None
         if validate:
             self._validate()
 
@@ -37,8 +38,12 @@ class FiniteCategory:
         return self.dom[g] == self.cod[h]
 
     def composable_pairs(self):
-        return [(g, h) for g in self.morphisms for h in self.morphisms
-                if self.composable(g, h)]
+        """Every (g, h) with d(g) = c(h), g-major, as a tuple worked out on
+        the first call: a category does not change after construction."""
+        if self._composable is None:
+            self._composable = tuple((g, h) for g in self.morphisms for h in self.morphisms
+                                     if self.composable(g, h))
+        return self._composable
 
     @property
     def is_groupoid(self):

@@ -23,7 +23,7 @@ from ..errors import ShapeMismatch, TooLarge, ValidationFailure
 from ..gradings import GradedRing, Grading
 from ..ideals import IdealBasis, Subring, first_stable_ideal
 from ..rings import DEFAULT_ELEMENT_CAP, Element, Ring, StructureAlgebra, TableRing
-from ..subgroups import TableSubgroup, subspace_from_vectors
+from ..subgroups import Subspace, TableSubgroup
 
 TABLE_PRODUCT_CAP = 4096
 # entries of a crossed product's tables built at once (see _crossed_table)
@@ -102,29 +102,66 @@ class RingMap:
         """The first pair (i, j), in row-major order, of spanning elements x
         (basis vectors, or every element of a table ring) with
         m(x_i x_j) != m(x_i) m(x_j), or m(x_j) m(x_i) when the map is anti;
-        None when there is none.
-
-        Every pair at once: for a table ring the products are index arrays
-        on ``mul_table``; for an algebra the left side is the constants
-        reshaped to (d², d) times the matrix, the right side the target's
-        products of the matrix rows.
+        None when there is none.  The one-map case of
+        :func:`_product_failures`.
         """
-        S, T = self.source, self.target
-        if self.perm is not None:
-            perm = np.asarray(self.perm)
-            n = S.n
-            left = perm[S.mul_table]
-            right = T.mul_table[np.ix_(perm, perm)]
-        else:
-            n = S.dim
-            left = S.F.mapped_products(S, self.matrix)
-            right = T.F.array(T.F.products(T, self.matrix, self.matrix))
-        right = right.reshape(n, n, -1)
-        if self.anti:
-            right = right.transpose(1, 0, 2)
-        bad = np.any(left.reshape(n, n, -1) != right, axis=2)
-        first = int(np.argmax(bad))
-        return divmod(first, n) if bad.flat[first] else None
+        return _product_failures([self])[0]
+
+
+def _stack(maps):
+    """The index tables (m, n) or the matrices (m, d, e) of maps of one kind
+    and shape, as one array."""
+    if maps[0].perm is not None:
+        return np.array([m.perm for m in maps], dtype=np.int64)
+    return np.array([m.matrix for m in maps])
+
+
+def _product_failures(maps):
+    """:meth:`RingMap.first_product_failure` of every map in ``maps``, which
+    share their source, target, kind and anti flag, checked as one stack on
+    every pair at once.
+
+    For a table ring both sides are one fancy index of the stacked index
+    tables on ``mul_table``; for an algebra they are the backend's
+    ``homomorphism_sides`` of the stacked matrices.
+    """
+    S, T, stack = maps[0].source, maps[0].target, _stack(maps)
+    if maps[0].perm is not None:
+        left = stack[:, S.mul_table][..., None]
+        right = T.mul_table[stack[:, :, None], stack[:, None, :]][..., None]
+    else:
+        left, right = S.F.homomorphism_sides(S, T, stack)
+    if maps[0].anti:
+        right = right.transpose(0, 2, 1, 3)
+    n = left.shape[1]
+    bad = np.any(left != right, axis=3).reshape(len(maps), n * n)
+    first = bad.argmax(axis=1).tolist()
+    return [divmod(f, n) if bad[k, f] else None for k, f in enumerate(first)]
+
+
+def _maps_to(maps, x: Element, y: Element):
+    """Whether each map of ``maps`` (one source, target and kind) sends x to
+    y: one index, or one product, of the stack."""
+    stack = _stack(maps)
+    if maps[0].perm is not None:
+        return (stack[:, x.data] == y.data).tolist()
+    F = x.ring.F
+    return (F.matmul(F.array(x.data), stack) == F.array(y.data)).all(axis=1).tolist()
+
+
+def _compositions_agree(maps_g, maps_h, maps_gh):
+    """For composable stacks (sigma_h's target is sigma_g's source, each
+    stack of one kind and shape): whether sigma_g ∘ sigma_h equals sigma_gh,
+    the anti flags included, per pair.  One composition of the stacks: a
+    batched matmul of the matrices, or indexing the tables by the tables."""
+    G, H, GH = _stack(maps_g), _stack(maps_h), _stack(maps_gh)
+    if maps_g[0].perm is not None:
+        comp = np.take_along_axis(G, H, axis=1)
+    else:
+        comp = maps_h[0].source.F.matmul(H, G)
+    equal = (comp == GH).reshape(len(GH), -1).all(axis=1).tolist()
+    return [eq and (g.anti != h.anti) == gh.anti
+            for eq, g, h, gh in zip(equal, maps_g, maps_h, maps_gh)]
 
 
 @dataclass
@@ -188,67 +225,109 @@ def _associates_and_commutes(ring, a: Element) -> bool:
     return all(np.array_equal(sides[0], side) for side in sides[1:])
 
 
+def _alpha_verdicts(ring, a: Element):
+    """(a is a unit, a associates and commutes), decided once per base ring
+    and alpha and kept on the ring, so every system over it shares them."""
+    verdicts = ring._alpha_verdicts.get(a.data)
+    if verdicts is None:
+        verdicts = ring._alpha_verdicts[a.data] = (_is_unit(ring, a),
+                                                   _associates_and_commutes(ring, a))
+    return verdicts
+
+
+def _groups(items, key):
+    """``items`` split by ``key``, each group in the order of ``items``."""
+    groups = {}
+    for item in items:
+        groups.setdefault(key(item), []).append(item)
+    return groups.values()
+
+
 def validate_crossed_system(sys: CrossedSystem):
     """Itemized validation; returns a list of (check, ok, detail) triples.
 
-    No identity is checked one element product at a time.  Each sigma is
-    checked on every spanning pair at once (``RingMap.first_product_failure``,
-    ``RingMap.is_additive``): contractions of the structure constants for an
-    algebra, index arrays on the tables for a table ring; a failure's detail
-    is the first failing pair in row-major order.  Each distinct (base ring,
-    alpha) is checked once for being a unit and for associating and
-    commuting, and every composable pair still gets its own two items.
+    No identity is checked one element product at a time, or one map at a
+    time.  The sigmas that share their source, target, kind and anti flag
+    are checked as one stack on every spanning pair at once
+    (:func:`_product_failures`): contractions of the stacked matrices for
+    an algebra, one fancy index of the stacked tables for a table ring; a
+    failure's detail is the first failing pair in row-major order.  Their
+    unit images are one product of the stack too.  Functoriality composes
+    every composable pair at once, a stack per shape
+    (:func:`_compositions_agree`).  Each (base ring, alpha) is checked for
+    being a unit and for associating and commuting once per ring, whatever
+    the system (``Ring._alpha_verdicts``), and every composable pair still
+    gets its own two items.  A missing base ring is a failed item, and the
+    checks that read the bases are then skipped.
     """
     cat = sys.cat
     report = []
     units = {}
     for e in cat.objects:
+        if e not in sys.base:
+            report.append((f"base ring at {e!r} present", False, None))
+            continue
         props = sys.base[e].probe_properties()
-        ok = props.unital
         units[e] = props.unit
-        report.append((f"base ring at {e!r} unital", ok, None))
+        report.append((f"base ring at {e!r} unital", props.unital, None))
+    if len(units) < len(cat.objects):
+        return report
+    placed = [g for g in cat.morphisms
+              if sys.sigma[g].source is sys.base[cat.dom[g]]
+              and sys.sigma[g].target is sys.base[cat.cod[g]]]
+    failures, preserved = {}, {}
+    for group in _groups(placed, lambda g: (sys.sigma[g].source, sys.sigma[g].target,
+                                            sys.sigma[g].anti, sys.sigma[g].perm is None)):
+        maps = [sys.sigma[g] for g in group]
+        failures.update(zip(group, _product_failures(maps)))
+        u, v = units[cat.dom[group[0]]], units[cat.cod[group[0]]]
+        if u is not None and v is not None:
+            preserved.update(zip(group, _maps_to(maps, u, v)))
     for g in cat.morphisms:
         sg = sys.sigma[g]
-        src, tgt = sys.base[cat.dom[g]], sys.base[cat.cod[g]]
-        if sg.source is not src or sg.target is not tgt:
+        if g not in failures:
             report.append((f"sigma[{g!r}] endpoints", False, "wrong source/target"))
             continue
         if sg.perm is not None:
             report.append((f"sigma[{g!r}] additive", sg.is_additive(), None))
-        bad = sg.first_product_failure()
-        witness = None if bad is None else tuple(src.spanning_elements()[k] for k in bad)
+        bad = failures[g]
+        witness = None if bad is None else tuple(sg.source.spanning_elements()[k] for k in bad)
         kind = "anti-multiplicative" if sg.anti else "multiplicative"
         report.append((f"sigma[{g!r}] {kind}", bad is None, witness))
-        if units[cat.dom[g]] is not None and units[cat.cod[g]] is not None:
-            report.append((f"sigma[{g!r}] unit-preserving",
-                           sg.apply(units[cat.dom[g]]) == units[cat.cod[g]], None))
+        if g in preserved:
+            report.append((f"sigma[{g!r}] unit-preserving", preserved[g], None))
     for e in cat.objects:
         ide = cat.identity[e]
         report.append((f"sigma at identity of {e!r} is the identity map",
                        sys.sigma[ide].is_identity(), None))
-    # each distinct (base ring, alpha) is decided once; pairs share the verdicts
-    alpha_ok = {}
-    for (g, h) in cat.composable_pairs():
-        a = sys.alpha_at(g, h)
-        Bc = sys.base[cat.cod[g]]
-        key = (Bc, a.data)
-        if key not in alpha_ok:
-            alpha_ok[key] = (_is_unit(Bc, a), _associates_and_commutes(Bc, a))
-        is_unit, central = alpha_ok[key]
+    pairs = cat.composable_pairs()
+    alpha = {(g, h): sys.alpha_at(g, h) for g, h in pairs}
+    for (g, h), a in alpha.items():
+        is_unit, central = _alpha_verdicts(sys.base[cat.cod[g]], a)
         report.append((f"alpha[{g!r},{h!r}] unit", is_unit, a))
         report.append((f"alpha[{g!r},{h!r}] associates and commutes", central, a))
     for g in cat.morphisms:
         lc = cat.identity[cat.cod[g]]
         rc = cat.identity[cat.dom[g]]
         u = units[cat.cod[g]]
-        norm_ok = (sys.alpha_at(lc, g) == u) and (sys.alpha_at(g, rc) == u)
+        norm_ok = (alpha[lc, g] == u) and (alpha[g, rc] == u)
         report.append((f"alpha normalized at {g!r}", norm_ok, None))
-    # functoriality is reported, not enforced (twisted systems may bend it)
-    for (g, h) in cat.composable_pairs():
-        comp = sys.sigma[g].compose(sys.sigma[h])
-        ok = comp.equals(sys.sigma[cat.compose(g, h)]) and \
-            comp.anti == sys.sigma[cat.compose(g, h)].anti
-        report.append((f"functoriality at ({g!r},{h!r}) [warning only]", ok, None))
+    # functoriality is reported, not enforced (twisted systems may bend it);
+    # pairs whose maps do not compose, or differ in kind, fail it
+    agree = dict.fromkeys(pairs, False)
+    maps = {(g, h): (sys.sigma[g], sys.sigma[h], sys.sigma[cat.compose(g, h)])
+            for g, h in pairs}
+    composable = [(g, h) for (g, h), (sg, sh, sgh) in maps.items()
+                  if sh.target is sg.source and sgh.source is sh.source
+                  and sgh.target is sg.target
+                  and (sg.perm is None) == (sh.perm is None) == (sgh.perm is None)]
+    for group in _groups(composable, lambda gh: (maps[gh][1].source, maps[gh][1].target,
+                                                 maps[gh][0].target,
+                                                 maps[gh][0].perm is None)):
+        stacks = zip(*(maps[gh] for gh in group))
+        agree.update(zip(group, _compositions_agree(*stacks)))
+    for (g, h) in pairs:
+        report.append((f"functoriality at ({g!r},{h!r}) [warning only]", agree[(g, h)], None))
     return report
 
 
@@ -328,6 +407,15 @@ def crossed_product(sys: CrossedSystem, validate=True, kind_tag="crossed_product
 
 
 def _crossed_algebra(sys, kind_tag, notes):
+    """The crossed product of structure algebras, block (g, h) of its
+    constants at rows u_g, columns u_h and depth u_gh.
+
+    A block depends on g, the pair's twist and its alpha only, and the
+    blocks of every sigma_g sharing the base at c(g), the twist and the
+    alpha are one stack for the backend's ``twisted_blocks``.  Each
+    component is a slice of identity rows, so its span is built with its
+    pivots, without a row reduction.
+    """
     cat = sys.cat
     field_dom = None
     for e in cat.objects:
@@ -346,27 +434,25 @@ def _crossed_algebra(sys, kind_tag, notes):
     total = at
     F = sys.base[cat.objects[0]].F
     C = F.zeros((total, total, total))
-    blocks = {}     # (g, twist, alpha) -> block; pairs sharing them share it
-    for (g, h) in cat.composable_pairs():
-        alpha, twist = sys.alpha_at(g, h), sys.twist_at(g, h)
-        key = (g, twist, alpha.data)
-        Bc = sys.base[cat.cod[g]]
-        dc, dh = Bc.dim, dims[h]
-        if key not in blocks:
-            # block (g, h): e_i u_g · e_j u_h = (e_i *_g,h sigma_g(e_j)) alpha u_gh,
-            # the rows of sigma_g's matrix being the sigma_g(e_j)
-            S, eye = sys.sigma[g].matrix, F.eye(dc)
-            if twist == "opposite":
-                block = F.array(F.products(Bc, S, eye)).reshape(dh, dc, dc).transpose(1, 0, 2)
-            else:
-                block = F.array(F.products(Bc, eye, S)).reshape(dc, dh, dc)
-            blocks[key] = F.array(F.products(Bc, block.reshape(-1, dc), [alpha.data])
-                                  ).reshape(dc, dh, dc)
+    # block (g, h): e_i u_g · e_j u_h = (e_i *_g,h sigma_g(e_j)) alpha u_gh,
+    # the rows of sigma_g's matrix being the sigma_g(e_j)
+    keys = {(g, h): (g, sys.twist_at(g, h), sys.alpha_at(g, h).data)
+            for g, h in cat.composable_pairs()}
+    blocks = {}
+    for group in _groups(dict.fromkeys(keys.values()),
+                         lambda k: (sys.base[cat.cod[k[0]]], k[1], k[2],
+                                    sys.sigma[k[0]].matrix.shape)):
+        g, twist, alpha = group[0]
+        stack = np.array([sys.sigma[k[0]].matrix for k in group])
+        blocks.update(zip(group, F.twisted_blocks(sys.base[cat.cod[g]], stack, alpha,
+                                                  twist == "opposite")))
+    for (g, h), key in keys.items():
         og, oh, ogh = offsets[g], offsets[h], offsets[cat.compose(g, h)]
-        C[og:og + dc, oh:oh + dh, ogh:ogh + dc] = blocks[key]
+        C[og:og + dims[g], oh:oh + dims[h], ogh:ogh + dims[g]] = blocks[key]
     A = StructureAlgebra(field_dom, total, C)
-    unit_rows = np.eye(total, dtype=np.int64)
-    components = {g: subspace_from_vectors(A, unit_rows[offsets[g]:offsets[g] + dims[g]])
+    eye = F.eye(total)
+    components = {g: Subspace(A, eye[offsets[g]:offsets[g] + dims[g]],
+                              range(offsets[g], offsets[g] + dims[g]))
                   for g in cat.morphisms}
     grading = Grading(A, cat, components)
     return CrossedProduct(A, grading, sys, kind_tag, offsets, tuple(notes))
@@ -442,10 +528,11 @@ def skew_group_ring(B: Ring, G: FiniteCategory, sigma: dict,
     for g in G.morphisms:
         if maps[g].anti or not maps[g].is_bijective():
             problems.append(f"sigma[{g!r}] is not an automorphism")
-    for g in G.morphisms:
-        for h in G.morphisms:
-            if not maps[g].compose(maps[h]).equals(maps[G.compose(g, h)]):
-                problems.append(f"action fails at ({g!r},{h!r})")
+    # every pair composed at once; an anti map already fails above
+    pairs = G.composable_pairs()
+    agree = _compositions_agree(*zip(*((maps[g], maps[h], maps[G.compose(g, h)])
+                                       for g, h in pairs)))
+    problems += [f"action fails at ({g!r},{h!r})" for (g, h), ok in zip(pairs, agree) if not ok]
     if problems:
         raise ValidationFailure(problems)
     sys = CrossedSystem(G, {e: B}, maps, name=name or f"{G.name}-skew group ring")

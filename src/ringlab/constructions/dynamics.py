@@ -9,6 +9,7 @@ closed) and faithfulness flags of the action.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,10 +32,21 @@ class DynamicsRing(CrossedProduct):
         return len(self.orbit) == self.npoints
 
 
+@lru_cache(maxsize=64)
+def _functions_ring(npoints, field_dom):
+    """One functions ring per (points, field), shared by every dynamics
+    system over it.  Rings are immutable, and the facts kept on one (its
+    probe, its alpha verdicts, its simplicity verdicts) are facts about the
+    ring, so each is worked out once however many actions it carries.  The
+    cache fills on first use, not at import."""
+    return functions_ring(npoints, field_dom)
+
+
 def dynamics_skew_group_ring(npoints: int, G: FiniteCategory, action: dict,
                              field_dom) -> DynamicsRing:
     """B ⋊ G for B = functions({0..npoints-1} -> k) and the permutation
-    action; returns the ring, grading and the minimal/faithful flags."""
+    action; returns the ring, grading and the minimal/faithful flags.  B is
+    the one functions ring per (npoints, k) (:func:`_functions_ring`)."""
     if not G.is_group():
         raise NotAnAction("dynamics need a group")
     e = G.identity[G.objects[0]]
@@ -46,19 +58,19 @@ def dynamics_skew_group_ring(npoints: int, G: FiniteCategory, action: dict,
         perms[g] = p
     if perms[e] != tuple(range(npoints)):
         raise NotAnAction("identity must act trivially")
-    for g in G.morphisms:
-        for h in G.morphisms:
-            gh = G.compose(g, h)
-            composed = tuple(perms[g][perms[h][x]] for x in range(npoints))
-            if composed != perms[gh]:
-                raise NotAnAction(f"action fails to compose at ({g!r},{h!r})")
-    B = functions_ring(npoints, field_dom)
-    maps = {}
-    for g in G.morphisms:
-        M = np.zeros((npoints, npoints), dtype=np.int64)
-        for x in range(npoints):
-            M[x, perms[g][x]] = 1  # delta_x -> delta_{s(g)(x)}
-        maps[g] = RingMap(B, B, matrix=M)
+    # every pair at once: composed[g, h, x] = s(g)(s(h)(x)) against s(gh)(x)
+    mors = list(G.morphisms)
+    pos = {g: t for t, g in enumerate(mors)}
+    P = np.array([perms[g] for g in mors], dtype=np.int64)
+    GH = np.array([[pos[G.compose(g, h)] for h in mors] for g in mors], dtype=np.int64)
+    bad = np.argwhere(np.any(P[:, P] != P[GH], axis=2))
+    if bad.size:
+        g, h = (mors[t] for t in bad[0])
+        raise NotAnAction(f"action fails to compose at ({g!r},{h!r})")
+    B = _functions_ring(npoints, field_dom)
+    eye = np.eye(npoints, dtype=np.int64)
+    # row x is delta_{s(g)(x)}, the image of delta_x
+    maps = {g: RingMap(B, B, matrix=eye[list(perms[g])]) for g in mors}
     obj = G.objects[0]
     sys = CrossedSystem(G, {obj: B}, maps, name=f"dynamics:{npoints}pt-{G.name}")
     cp = crossed_product(sys, kind_tag="dynamics")

@@ -43,9 +43,9 @@ class Grading:
         if ring.is_algebra:
             rows, self._slices = [], []
             for g in self.order:
-                span = self.components[g].spanning()
+                span = self.components[g].rows
                 self._slices.append(slice(len(rows), len(rows) + len(span)))
-                rows.extend(e.data for e in span)
+                rows.extend(span)
             self._basis = ring.F.matrix(rows, ring.dim)
             # solved for on the first call, so an undecomposed grading costs
             # no row reduction

@@ -41,6 +41,12 @@ remainders, and back-substitutes that fresh block into the basis; the block
 is the next round's frontier.  The basis itself is never eliminated again.
 The operators of an algebra's multiplications, L_b and R_b, come from
 ``multiplications_modp``, and its unit from the backends' ``unit``.
+
+Crossed products are built on stacks: ``homomorphism_sides`` checks a whole
+stack of linear maps for multiplicativity, ``twisted_blocks`` builds the
+multiplication blocks of a stack of maps, and ``matmul`` composes stacks
+pairwise.  ``ModP`` does each in a fixed number of contractions; ``Rational``
+loops over the stack.
 """
 
 from __future__ import annotations
@@ -541,7 +547,8 @@ class _Field:
     Subclasses provide ``dtype``, ``modulus``, ``reduce``, ``coords``,
     ``rows``, ``key``, ``rref``, ``member``, ``merge``, ``kernel``,
     ``products``, ``mapped_products``, ``mult_matrices``,
-    ``associator_witness`` and ``simple_reduction``.
+    ``homomorphism_sides``, ``twisted_blocks``, ``associator_witness`` and
+    ``simple_reduction``.
     """
 
     def array(self, x):
@@ -557,6 +564,10 @@ class _Field:
 
     def eye(self, n):
         return self.reduce(np.eye(n, dtype=np.int64))
+
+    def matmul(self, X, Y):
+        """X @ Y, reduced; stacks of matrices multiply pairwise."""
+        return self.reduce(self.array(X) @ self.array(Y))
 
     def rank(self, rows, width):
         return len(self.rref(rows, width)[1])
@@ -663,6 +674,31 @@ class ModP(_Field):
         return (np.tensordot(a, alg.constants, axes=(0, 0)) % self.p,
                 np.tensordot(alg.constants, a, axes=(1, 0)) % self.p)
 
+    def homomorphism_sides(self, src, tgt, Ms):
+        """Both sides of m(xy) = m(x) m(y) on basis pairs, for a stack of
+        maps from ``src`` to ``tgt``: ``Ms`` is (m, d, e), each M_k a matrix
+        on coordinate rows, and the result is two (m, d, d, e) arrays whose
+        [k, i, j] rows are (e_i e_j)·M_k and (e_i M_k)(e_j M_k).  Three
+        contractions for the whole stack, whatever its length."""
+        p, Ms = self.p, self.array(Ms)
+        m, d, _ = Ms.shape
+        left = src.constants.reshape(d * d, d) @ Ms % p
+        # T[k, i, b] = (e_i M_k)·f_b for f_b the basis of tgt
+        T = np.einsum("kia,abl->kibl", Ms, tgt.constants) % p
+        right = np.einsum("kibl,kjb->kijl", T, Ms) % p
+        return left.reshape(m, d, d, -1), right
+
+    def twisted_blocks(self, alg, Ss, alpha, opposite):
+        """The blocks (m, d, h, d) whose [k, i, j] row is (e_i · s)·alpha,
+        or (s · e_i)·alpha when ``opposite``, for s = S_k[j] the rows of a
+        stack ``Ss`` (m, h, d) of elements of ``alg``: a crossed product's
+        products e_i u_g · e_j u_h for a stack of sigma_g sharing their
+        twist and alpha.  Two contractions for the whole stack."""
+        p, C = self.p, alg.constants
+        spec = "bil,kjb->kijl" if opposite else "ibl,kjb->kijl"
+        X = np.einsum(spec, C, self.array(Ss)) % p
+        return X @ self.mult_matrices(alg, alpha)[1] % p
+
     def associator_witness(self, alg):
         """The first basis triple (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k)."""
         C, p = alg.constants, self.p
@@ -732,6 +768,27 @@ class Rational(_Field):
         basis = [alg.basis_element(i).data for i in range(alg.dim)]
         return (self.array([alg.mul_coords(a, e) for e in basis]),
                 self.array([alg.mul_coords(e, a) for e in basis]))
+
+    def homomorphism_sides(self, src, tgt, Ms):
+        """See :meth:`ModP.homomorphism_sides`; one map at a time, sparse."""
+        d = src.dim
+        left = [self.mapped_products(src, M) for M in Ms]
+        right = [self.array(self.products(tgt, M, M)) for M in Ms]
+        return (np.stack(left).reshape(len(Ms), d, d, -1),
+                np.stack(right).reshape(len(Ms), d, d, -1))
+
+    def twisted_blocks(self, alg, Ss, alpha, opposite):
+        """See :meth:`ModP.twisted_blocks`; one map at a time, sparse."""
+        d, eye, blocks = alg.dim, self.eye(alg.dim), []
+        for S in Ss:
+            h = len(S)
+            if opposite:
+                X = self.array(self.products(alg, S, eye)).reshape(h, d, d).transpose(1, 0, 2)
+            else:
+                X = self.array(self.products(alg, eye, S))
+            blocks.append(self.array(self.products(alg, X.reshape(-1, d), [alpha])
+                                     ).reshape(d, h, d))
+        return np.stack(blocks)
 
     def associator_witness(self, alg):
         d, pairs = alg.dim, alg._pairs

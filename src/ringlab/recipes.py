@@ -151,10 +151,12 @@ def _coerce_scalar(dom, value, path):
 
 
 def _integer(doc, key, path):
-    try:
-        return int(doc[key])
-    except (TypeError, ValueError):
-        raise SchemaError(f"{path}/{key}", f"expected an integer, got {doc[key]!r}") from None
+    """A JSON integer: a float such as 2.5, a string or a bool is refused,
+    never truncated or read as 0 or 1."""
+    value = doc[key]
+    if type(value) is not int:
+        raise SchemaError(f"{path}/{key}", f"expected an integer, got {value!r}")
+    return value
 
 
 def _size(doc, key, path, least=1):
@@ -323,6 +325,10 @@ def _build(doc, path):
         from .constructions.crossed import CrossedSystem, crossed_product
         base = _child_ring(doc["base"], f"{path}/base")
         group = _parse_group(doc["group"], f"{path}/group")
+        if len(group.objects) > 1:
+            raise SchemaError(f"{path}/group", f"a crossed_product recipe has one base ring, "
+                              f"so it needs a group, not a groupoid with "
+                              f"{len(group.objects)} objects")
         mors = list(group.morphisms)
         frob = _frobenius(doc["base"])
         n = len(mors)

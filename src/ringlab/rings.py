@@ -14,13 +14,17 @@ Two representations:
   a valid algebra.
 
 Rings and elements are immutable after construction and safe to share;
-property probes cache their (idempotent) results.
+property probes cache their (idempotent) results on the ring: ``_props``
+(the probe), ``_simple_cache`` (simplicity verdicts, see ``ideals``) and
+``_alpha_verdicts`` (crossed-product cocycle checks, see
+``constructions.crossed``).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -113,6 +117,9 @@ class Ring:
 
     def __init__(self):
         self._props = None
+        # alpha.data -> (is a unit, associates and commutes): filled by
+        # crossed-product validation, once per ring whatever the systems
+        self._alpha_verdicts = {}
 
     # -- arithmetic ---------------------------------------------------
     def zero(self) -> Element:
@@ -197,7 +204,6 @@ class TableRing(Ring):
         # -a is where row a of the addition table holds zero, exactly once
         # per row; the mask is the one N×N temporary
         self.neg_table = (self.add_table == self.zero_index).argmax(axis=1).astype(np.int32)
-        self._props = None
 
     def element(self, idx) -> Element:
         idx = int(idx)
@@ -354,11 +360,11 @@ class StructureAlgebra(Ring):
         if C.shape != (self.dim,) * 3:
             raise ShapeMismatch(f"constants must have shape {(self.dim,) * 3}")
         self.constants = self.F.reduce(C)
-        # sparse product table: (i, j) -> [(k, coeff), ...]
-        self._pairs = self._build_pairs()
-        self._props = None
 
-    def _build_pairs(self):
+    @cached_property
+    def _pairs(self):
+        """The sparse product table (i, j) -> [(k, coeff), ...], built the
+        first time ``mul_coords`` or a Q contraction needs it."""
         pairs = {}
         C = self.constants.tolist()
         for i, j, k in np.argwhere(self.constants != 0).tolist():

@@ -165,12 +165,25 @@ F4 = {"kind": "scalar", "ring": "F4"}
     ({"kind": "matrix_ring", "size": 2, "base": "Fp:3", "alphas": {"0,1,5": 1}}, "/alphas"),
     ({"kind": "ore_extension", "base": "Zn:4", "sigma": "id", "delta": {"perm": [0, 1, 2]}},
      "/delta"),
+    ({"kind": "crossed_product", "group": "pair:2", "base": "Fp:2",
+      "sigma": ["id", "id", "id", "id"]}, "/group"),
+    ({"kind": "matrix_ring", "size": 2.5, "base": "Fp:3"}, "/size"),
+    ({"kind": "matrix_ring", "size": True, "base": "Fp:3"}, "/size"),
+    ({"kind": "dynamics", "points": 2.0, "group": "Z2", "action": [[0, 1], [1, 0]],
+      "field": "Fp:3"}, "/points"),
+    ({"kind": "cayley_tower", "base": "Q", "levels": True}, "/levels"),
+    ({"kind": "structure_algebra", "field": "Fp:3", "dim": 1.5, "constants": [[[1]]]},
+     "/dim"),
+    ({"kind": "table_ring", "add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]], "zero": True},
+     "/zero"),
 ], ids=["F6", "F0", "Fp:x", "tower-levels", "constants", "twisted-alpha",
         "frobenius-Z2xZ2", "skew-action", "crossed-sigma", "crossed-twists",
         "tower-alpha", "matrix-alphas", "dynamics-action", "matrix-size-0",
         "matrix-size-negative", "dynamics-points-0", "Zn:0", "tower-levels-negative",
         "perm-length", "perm-range", "matrix-shape", "table-entry", "flavor-bogus",
-        "flavor-custom", "twist-name", "alphas-key-range", "ore-delta-perm"])
+        "flavor-custom", "twist-name", "alphas-key-range", "ore-delta-perm",
+        "crossed-groupoid", "size-float", "size-bool", "points-float", "levels-bool",
+        "dim-float", "zero-bool"])
 def test_malformed_recipe_exits_2(tmp_path, capsys, doc, path):
     with pytest.raises(SchemaError) as err:
         build_recipe(parse_recipe_text(json.dumps(doc)))

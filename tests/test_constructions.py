@@ -1,4 +1,5 @@
 import hashlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from ringlab import (GF, QQ, RingMap, bales_alpha, bales_twisted_ring,
 from ringlab import ideals
 from ringlab.constructions.crossed import CrossedSystem, crossed_product
 from ringlab.ideals import first_invariant_ideal
-from ringlab.rings import convert_to_table
+from ringlab.rings import convert_to_table, direct_sum_algebra
 from ringlab.constructions import doubling
 from ringlab.errors import (AlphaNotCentralUnit, CoherenceViolation,
                             CriterionDisagreement, InfiniteScalarField, NotAnAction,
@@ -424,9 +425,7 @@ def crossed_systems(draw):
     return CrossedSystem(cat, base, sigma, alpha=alpha, twists=twists)
 
 
-@settings(max_examples=60, deadline=None)
-@given(crossed_systems())
-def test_batched_crossed_system_matches_element_loops(sys):
+def _assert_matches_element_loops(sys):
     assert repr(validate_crossed_system(sys)) == repr(_reference_report(sys))
     cp = crossed_product(sys, validate=False)
     _check_crossed_products(sys, cp)
@@ -440,6 +439,78 @@ def test_batched_crossed_system_matches_element_loops(sys):
                     prod = _reference_block_product(sys, g, h, a, b)
                     ref[og + i, oh + j, ogh:ogh + Bc.dim] = prod.data
         assert np.array_equal(cp.ring.constants, ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(crossed_systems())
+def test_batched_crossed_system_matches_element_loops(sys):
+    _assert_matches_element_loops(sys)
+
+
+_SMALL_RATIONALS = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
+                                    Fraction(1, 2)])
+
+
+def _rational_algebra(draw, d):
+    """Q, Q×Q, Q(i), or random constants (rarely commutative) of dimension d."""
+    q = field_algebra(QQ)
+    stock = [q] if d == 1 else [
+        direct_sum_algebra([q, q]),
+        make_structure_algebra(2, QQ, [[[1, 0], [0, 1]], [[0, 1], [-1, 0]]])]
+    if draw(st.booleans()):
+        return draw(st.sampled_from(stock))
+    C = draw(st.lists(_SMALL_RATIONALS, min_size=d ** 3, max_size=d ** 3))
+    return make_structure_algebra(d, QQ, np.array(C, dtype=object).reshape(d, d, d))
+
+
+def _rational_map(draw, B, C):
+    anti = draw(st.booleans())
+    d = B.dim
+    stock = [np.eye(d, dtype=np.int64)] + ([[[0, 1], [1, 0]], [[1, 0], [0, -1]]]
+                                           if d == 2 else [])
+    if draw(st.booleans()):
+        M = draw(st.sampled_from(stock))
+    else:
+        M = np.array(draw(st.lists(_SMALL_RATIONALS, min_size=d * d, max_size=d * d)),
+                     dtype=object).reshape(d, d)
+    return RingMap(B, C, matrix=M, anti=anti)
+
+
+@st.composite
+def rational_crossed_systems(draw):
+    """Crossed systems over Q bases of dimension at most 2, on Z1, Z2 and
+    the pair groupoid on 2 objects, with anti maps as often as not."""
+    cat = draw(st.sampled_from([cyclic_group(1), cyclic_group(2), pair_groupoid(2)]))
+    d = draw(st.integers(1, 2))
+    base = {e: _rational_algebra(draw, d) for e in cat.objects}
+    sigma = {g: _rational_map(draw, base[cat.dom[g]], base[cat.cod[g]])
+             for g in cat.morphisms}
+    pairs = list(cat.composable_pairs())
+    alpha = {}
+    for g, h in pairs:
+        B = base[cat.cod[g]]
+        unit = B.probe_properties().unit
+        alpha[(g, h)] = unit if unit is not None and draw(st.booleans()) else B.element(
+            draw(st.lists(_SMALL_RATIONALS, min_size=d, max_size=d)))
+    twists = {(g, h): draw(st.sampled_from(["straight", "opposite"])) for g, h in pairs}
+    return CrossedSystem(cat, base, sigma, alpha=alpha, twists=twists)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_crossed_systems())
+def test_stacked_checks_match_element_loops_over_q_and_groupoids(sys):
+    _assert_matches_element_loops(sys)
+
+
+def test_missing_base_ring_is_a_failed_item():
+    b = field_algebra(GF(2))
+    cat = pair_groupoid(2)
+    sys = CrossedSystem(cat, {0: b}, {g: RingMap.identity(b) for g in cat.morphisms})
+    report = validate_crossed_system(sys)
+    assert report == [("base ring at 0 unital", True, None),
+                      ("base ring at 1 present", False, None)]
+    with pytest.raises(ValidationFailure):
+        crossed_product(sys)
 
 
 def test_alpha_verdicts_are_kept_per_base_ring():
@@ -496,6 +567,45 @@ def test_dynamics_build_makes_no_element_products(monkeypatch):
     dyn = dynamics_skew_group_ring(4, cyclic_group(4), rotation, GF(3))
     assert all(ok for _, ok, _ in validate_crossed_system(dyn.system))
     assert len(calls) < 100
+
+
+def test_survey_build_probes_each_base_ring_once(monkeypatch):
+    from ringlab.rings import StructureAlgebra
+    probed = []
+    probe = StructureAlgebra._probe
+
+    def counted(self):
+        probed.append(self)
+        return probe(self)
+
+    monkeypatch.setattr(StructureAlgebra, "_probe", counted)
+    assert sum(1 for _ in _survey_systems()) == 312
+    # one functions ring per (points, field): 4 point counts, F_2 and F_3
+    assert len(probed) <= 8
+
+
+def test_crossed_build_composes_no_maps_and_reduces_no_components(monkeypatch):
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(RingMap, "compose", counted("compose", RingMap.compose))
+    # where subspace_from_vectors is defined, and where the build could reach it
+    from ringlab import subgroups
+    from ringlab.constructions import crossed
+    for mod in (subgroups, crossed):
+        fn = getattr(mod, "subspace_from_vectors", None)
+        if fn is not None:
+            monkeypatch.setattr(mod, "subspace_from_vectors",
+                                counted("subspace_from_vectors", fn))
+    rotation = {k: tuple((x + k) % 4 for x in range(4)) for k in range(4)}
+    dyn = dynamics_skew_group_ring(4, cyclic_group(4), rotation, GF(3))
+    assert all(ok for _, ok, _ in validate_crossed_system(dyn.system))
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
