@@ -61,8 +61,7 @@ class RingMap:
             raise ShapeMismatch("element is not in the map's source ring")
         if self.perm is not None:
             return self.target.element(self.perm[elt.data])
-        # element() reduces the coordinates into the field
-        return self.target.element(self.source.F.array(elt.data) @ self.matrix)
+        return self.target.element(self.source.F.matmul(elt.data, self.matrix))
 
     def compose(self, other: "RingMap") -> "RingMap":
         """self ∘ other (apply ``other`` first)."""
@@ -72,8 +71,8 @@ class RingMap:
         if self.perm is not None:
             perm = [self.perm[other.perm[i]] for i in range(other.source.n)]
             return RingMap(other.source, self.target, perm=perm, anti=anti)
-        return RingMap(other.source, self.target, matrix=other.matrix @ self.matrix,
-                       anti=anti)
+        return RingMap(other.source, self.target,
+                       matrix=other.source.F.matmul(other.matrix, self.matrix), anti=anti)
 
     def equals(self, other: "RingMap") -> bool:
         if self.perm is not None:

@@ -155,10 +155,13 @@ def _interleave(cd: CayleyDoubling):
         raise ShapeMismatch("interleaving expects a diagonal conjugation")
     # new index 2p -> old p with sign 1; 2p+1 -> old d+p with sign s_p
     old_index = np.arange(2 * d).reshape(2, d).T.ravel()
-    sgn = A.F.array([[1, s] for s in signs]).ravel()
-    # sgn is its own inverse, so it also converts coordinates
-    C = (A.constants[np.ix_(old_index, old_index, old_index)]
-         * sgn[:, None, None] * sgn[None, :, None] * sgn[None, None, :])
+    # the signs are their own inverses, so they also convert coordinates.
+    # Each is ±1, so multiplying the constants by the sign tensor s_i·s_j·s_k
+    # negates the nonzero entries where an odd number of the three is -1
+    neg = np.array([[False, s != 1] for s in signs]).ravel()
+    C = A.constants[np.ix_(old_index, old_index, old_index)]
+    flip = (neg[:, None, None] ^ neg[None, :, None] ^ neg[None, None, :]) & C.astype(bool)
+    C[flip] = -C[flip]
     newA = StructureAlgebra(A.field, 2 * d, C)
     # extended conjugation: diagonal sigma ⊕ (-1) interleaves to a diagonal
     M = np.diag(A.F.array([[s, -1] for s in signs]).ravel())

@@ -79,7 +79,7 @@ class Grading:
             if inverse is None:
                 raise NotDirectSum("component bases do not span the ring")
             self._inverse = inverse.T
-        return F.reduce(F.array(rows) @ self._inverse)
+        return F.matmul(rows, self._inverse)
 
     def support_matrix(self, block):
         """Boolean matrix: entry (i, j) says whether element i of the block
@@ -99,7 +99,7 @@ class Grading:
                     if i != ring.zero_index}
         F = ring.F
         c = self._coefficients([a.data])[0]
-        return {g: Element(ring, F.coords(F.reduce(c[s] @ self._basis[s])))
+        return {g: Element(ring, F.coords(F.matmul(c[s], self._basis[s])))
                 for g, s in zip(self.order, self._slices) if any(c[s] != 0)}
 
     def component_of(self, a, g):
@@ -409,7 +409,7 @@ def verify_degree_map(dm: DegreeMap, cap=DEFAULT_ELEMENT_CAP) -> DegreeMapVerdic
         for i in np.flatnonzero(~settled):
             a = ring.block_elements(block[i:i + 1])[0]
             if whole is None:
-                simple = ring.is_algebra and ring.F.simple_reduction(ring.constants) is not None
+                simple = ring.is_algebra and ring.F.simple_reduction(ring) is not None
                 whole = simple and IdealBasis(ring, full_subgroup(ring), check=False)
             ideal = whole or principal_ideal(ring, a)
             if (ideal.key(), da[i]) in scanned:

@@ -472,7 +472,7 @@ def _is_simple_uncached(ring, cap, seed, samples) -> SimpleVerdict:
     size = ring.size()
     finite = size is not None and size <= cap
     if ring.is_algebra and (finite or size is None):
-        q = ring.F.simple_reduction(ring.constants)
+        q = ring.F.simple_reduction(ring)
         if q is not None:
             # a verdict read off a reduction, not the algebra itself, names it
             return SimpleVerdict("Simple", reason=None if q == ring.modulus
@@ -500,7 +500,7 @@ def _is_simple_uncached(ring, cap, seed, samples) -> SimpleVerdict:
         if not ib.span.is_full():
             return SimpleVerdict("NotSimple", ib)
         if undecided:
-            if ring.F.simple_reduction(ring.constants) is not None:
+            if ring.F.simple_reduction(ring) is not None:
                 return SimpleVerdict("Simple")
             undecided = False
     reason = ("infinite scalar field; use certify pipelines"
@@ -543,8 +543,8 @@ def centralizer(ring, gens_of_b) -> Subring:
     F, d = ring.F, ring.dim
     # x commutes with b iff the e_k coefficients of x·b − b·x, linear in x,
     # all vanish: one equation per (b, k)
-    eqs = [R - L for L, R in (F.mult_matrices(ring, b.data) for b in spanning)]
-    D = F.reduce(np.hstack(eqs)) if eqs else F.zeros((d, 0))
+    eqs = [F.commutators(ring, b.data) for b in spanning]
+    D = np.hstack(eqs) if eqs else F.zeros((d, 0))
     rows, pivots = F.kernel(D.T, d)
     return Subring(ring, Subspace(ring, rows, pivots), check=False)
 

@@ -8,7 +8,11 @@ small method set:
   reduced by vectorized numpy elimination, for p up to ``MAX_MODULUS``,
   below which no sum the kernels form overflows int64;
 * ``Rational``: Q, rows are tuples of ``Fraction``s, matrices are numpy
-  object arrays of ``Fraction``s, reduced by exact Python elimination.
+  object arrays of ``Fraction``s.  Inside, it works on Python ints: rows are
+  scaled to integers and reduced by fraction-free Gauss-Jordan elimination,
+  and products read one integer table per algebra (``product_table``: the
+  constants as numerators over a common denominator).  A ``Fraction`` is
+  made only where a result leaves the backend, once per entry.
 
 A structure algebra picks its backend once, from its scalar field
 (:func:`backend`); every caller then works through it and never asks which
@@ -29,7 +33,10 @@ with ``density_simple_modp`` (and its steps ``commutant_modp`` and
 backend runs it on reductions modulo ``LIFT_PRIMES``, which can prove a
 Q-algebra simple (``simple_reduction``).
 Where elements must be enumerated, ``combinations_modp`` yields them as
-fixed-size blocks of rows, so scans over them are matrix products.
+fixed-size blocks of rows, so scans over them are matrix products.  A
+structure algebra's products (``mul_coords``) run on its ``product_table``,
+built on first use: a sparse loop over ints, with one ``% p`` or one
+``Fraction`` per output coordinate.
 
 ``spin_modp`` is the one loop that grows an F_p basis.  It spins up
 vectors under a stack of operators (ideal closures, Norton's test) and,
@@ -53,6 +60,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
+from typing import NamedTuple
 
 import numpy as np
 
@@ -455,86 +464,221 @@ def _split_null_space(N, pivots, theta, k, p, rng):
 
 
 # ---------------------------------------------------------------------------
-# rational path, rows are tuples of Fractions
+# rational path: Fractions in and out, Python ints inside
 # ---------------------------------------------------------------------------
 
-def _frac_rows(rows):
-    return [[Fraction(x) for x in row] for row in rows]
+ZERO, ONE = Fraction(0), Fraction(1)
+
+
+def _fraction(x):
+    """``x`` as a Fraction.  A Fraction passes through unchanged; a numpy
+    integer becomes a Python int first, so no int64 reaches the arithmetic."""
+    if type(x) is Fraction:
+        return x
+    return Fraction(int(x) if isinstance(x, np.integer) else x)
+
+
+def _rational(x):
+    """``x`` as an int or a Fraction, both of which pass through unchanged."""
+    return x if type(x) is int else _fraction(x)
+
+
+def _scaled(rows):
+    """Rows of rationals as (integer rows, den): the rows times den, the lcm
+    of all their denominators."""
+    rows = [[_rational(x) for x in row] for row in rows]
+    den = lcm(*[x.denominator for row in rows for x in row])
+    if den == 1:
+        return [[x.numerator for x in row] for row in rows], 1
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
+
+
+def _integer_row(row):
+    """``row`` times the lcm of its own denominators, as Python ints."""
+    return _scaled([row])[0][0]
+
+
+def _fractions(ints, den):
+    """The rational row ``ints`` / ``den``, as a tuple of Fractions."""
+    return tuple(Fraction(x, den) if x else ZERO for x in ints)
+
+
+def _int_array(X):
+    """(integer array, den): the array ``X`` of rationals times den, the lcm
+    of its denominators, as an object array of Python ints."""
+    X = np.asarray(X, dtype=object)
+    (ints,), den = _scaled([X.flat])
+    return np.array(ints, dtype=object).reshape(X.shape), den
+
+
+def _fraction_array(ints, den):
+    """``ints`` / ``den`` as an object array of Fractions, for ``ints`` an
+    array (or nested lists) of Python ints."""
+    ints = np.asarray(ints, dtype=object)
+    return np.array(_fractions(ints.flat, den), dtype=object).reshape(ints.shape)
+
+
+def _reduce_int(v, basis):
+    """The integer row ``v`` reduced against ``basis``, a dict pivot -> integer
+    row that vanishes at every other pivot: a multiple of the rational
+    remainder, divided by its content.  All zeros when ``v`` is in the span.
+
+    Clearing pivot c multiplies ``v`` by the pivot entry b[c] over its gcd
+    with v[c], which keeps the entries integral without dividing."""
+    for c, b in basis.items():
+        x = v[c]
+        if x:
+            p = b[c]
+            g = gcd(p, x)
+            p, x = p // g, x // g
+            v = [p * a - x * e for a, e in zip(v, b)]
+    g = gcd(*v)
+    return v if g < 2 else [a // g for a in v]
+
+
+def _adjoin_int(v, basis):
+    """Adjoin the nonzero reduced integer row ``v`` to ``basis`` (see
+    :func:`_reduce_int`): its pivot is its first nonzero column, cleared
+    from every basis row that is nonzero there."""
+    c = next(i for i, a in enumerate(v) if a)
+    p = v[c]
+    for k, b in basis.items():
+        x = b[c]
+        if x:
+            g = gcd(p, x)
+            row = [(p // g) * a - (x // g) * e for a, e in zip(b, v)]
+            g = gcd(*row)
+            basis[k] = row if g < 2 else [a // g for a in row]
+    basis[c] = v
+
+
+def _echelon_int(rows, n):
+    """The integer basis (see :func:`_reduce_int`) of the rational ``rows``
+    of width ``n``, adjoined one row at a time: fraction-free Gauss-Jordan
+    elimination, where each new row is divided by its content instead of
+    by the previous pivot as in Bareiss (1968).  Stops when the basis spans
+    all n columns."""
+    basis = {}
+    for row in rows:
+        if len(basis) == n:
+            break
+        v = _reduce_int(_integer_row(row), basis)
+        if any(v):
+            _adjoin_int(v, basis)
+    return basis
+
+
+def _rref_out(basis):
+    """An integer basis as (rref rows, pivots): each row divided by its
+    pivot entry, which makes the pivot 1 and the denominators positive."""
+    pivots = tuple(sorted(basis))
+    return tuple(_fractions(basis[c], basis[c][c]) for c in pivots), pivots
 
 
 def rref_frac(rows, width=None):
-    """Reduced row echelon form over Q.  Returns (rows tuple, pivots)."""
-    A = _frac_rows(rows)
-    if not A:
+    """Reduced row echelon form over Q.  Returns (rows tuple, pivots).
+
+    The rows are eliminated as integer rows (see :func:`_echelon_int`);
+    Fractions are made only for the output, once per entry.  The rref is
+    canonical, so it does not depend on how it was computed."""
+    rows = list(rows)
+    if not rows:
         return (), ()
-    n = width if width is not None else len(A[0])
-    m = len(A)
-    r = 0
-    pivots = []
-    for c in range(n):
-        if r == m:
-            break
-        sel = None
-        for i in range(r, m):
-            if A[i][c] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        A[r], A[sel] = A[sel], A[r]
-        inv = 1 / A[r][c]
-        A[r] = [x * inv for x in A[r]]
-        for i in range(m):
-            if i != r and A[i][c] != 0:
-                f = A[i][c]
-                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
-        pivots.append(c)
-        r += 1
-    return tuple(tuple(row) for row in A[:r]), tuple(pivots)
+    return _rref_out(_echelon_int(rows, width if width is not None else len(rows[0])))
+
+
+def _basis_int(basis, pivots):
+    """An rref basis over Q as an integer basis: each row times the lcm of
+    its denominators, keyed by its pivot."""
+    return {c: _integer_row(row) for c, row in zip(pivots, basis)}
 
 
 def reduce_row_frac(vec, basis, pivots):
-    v = [Fraction(x) for x in vec]
-    for ri, c in enumerate(pivots):
-        if v[c] != 0:
-            f = v[c]
-            row = basis[ri]
-            v = [x - f * y for x, y in zip(v, row)]
-    return v
+    """The remainder of ``vec`` against the rref basis, as a row of integers:
+    a nonzero multiple of the rational remainder, or all zeros."""
+    return _reduce_int(_integer_row(vec), _basis_int(basis, pivots))
 
 
 def member_frac(vec, basis, pivots):
-    return all(x == 0 for x in reduce_row_frac(vec, basis, pivots))
+    return not any(reduce_row_frac(vec, basis, pivots))
 
 
 def merge_frac(basis, pivots, newrows):
-    fresh = []
-    b, pv = list(basis), list(pivots)
-    grew = False
-    for row in newrows:
-        rem = reduce_row_frac(row, b, pv)
-        if any(x != 0 for x in rem):
-            fresh.append(rem)
-            grew = True
-    if not grew:
+    """Adjoin rows to an rref basis over Q.  Returns (basis, pivots, grew):
+    the rref of the span of both and whether it is larger.  The rows are
+    reduced against the basis as integer rows, and only their nonzero
+    remainders are eliminated with it."""
+    B = _basis_int(basis, pivots)
+    fresh = [v for v in (_reduce_int(_integer_row(row), B) for row in newrows) if any(v)]
+    if not fresh:
         return tuple(basis), tuple(pivots), False
     nb, npiv = rref_frac(list(basis) + fresh)
     return nb, npiv, True
 
 
 def kernel_frac(rows, n):
-    """Right kernel {x : A x = 0} over Q for the matrix with the given rows."""
+    """Right kernel {x : A x = 0} over Q for the matrix with the given rows.
+
+    Each free column f of the rref R gives the kernel vector with -1 at f
+    and R[ri, f] at the pivot c_ri of each row: no Fraction arithmetic."""
     R, pivots = rref_frac(rows, width=n)
     pivset = set(pivots)
-    free = [c for c in range(n) if c not in pivset]
     out = []
-    for f in free:
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for ri, c in enumerate(pivots):
-            v[c] = -R[ri][f]
-        out.append(v)
+    for f in range(n):
+        if f not in pivset:
+            v = [0] * n
+            v[f] = -1
+            for ri, c in enumerate(pivots):
+                v[c] = R[ri][f]
+            out.append(v)
     return rref_frac(out, width=n)[0] if out else ()
+
+
+class ProductTable(NamedTuple):
+    """See :func:`product_table`."""
+
+    terms: list
+    den: int
+
+    def entries(self):
+        """(i, j, k, n) for every nonzero constant C[i, j, k] = n / den."""
+        return ((i, j, k, n) for i, row in enumerate(self.terms)
+                for j, cell in enumerate(row) for k, n in cell)
+
+
+def product_table(C):
+    """The sparse integer product table of structure constants ``C`` (a
+    d×d×d array of ints or Fractions): (terms, den) with den the lcm of the
+    denominators and terms[i][j] the tuple of (k, n) with C[i, j, k] = n /
+    den ≠ 0.  Over F_p den is 1 and n the residue."""
+    d = len(C)
+    index = np.argwhere(C.astype(bool))
+    (values,), den = _scaled([C[tuple(index.T)].tolist()])
+    cells = {}
+    for (i, j, k), n in zip(index.tolist(), values):
+        cells.setdefault((i, j), []).append((k, n))
+    # an empty cell is the one empty tuple, so a sparse table stays small
+    return ProductTable([[tuple(cells.get((i, j), ())) for j in range(d)] for i in range(d)],
+                        den)
+
+
+def _products_int(terms, xs, ys):
+    """The integer rows x·y for every x in ``xs`` and y in ``ys`` (x-major),
+    by the sparse loop over the table's ``terms``."""
+    d = len(terms)
+    ys = [[(j, b) for j, b in enumerate(y) if b] for y in ys]
+    out = []
+    for x in xs:
+        xs_nz = [(terms[i], a) for i, a in enumerate(x) if a]
+        for y in ys:
+            acc = [0] * d
+            for row, a in xs_nz:
+                for j, b in y:
+                    s = a * b
+                    for k, c in row[j]:
+                        acc[k] += s * c
+            out.append(acc)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +690,7 @@ class _Field:
 
     Subclasses provide ``dtype``, ``modulus``, ``reduce``, ``coords``,
     ``rows``, ``key``, ``rref``, ``member``, ``merge``, ``kernel``,
-    ``products``, ``mapped_products``, ``mult_matrices``,
+    ``mul_coords``, ``products``, ``mapped_products``, ``mult_matrices``,
     ``homomorphism_sides``, ``twisted_blocks``, ``associator_witness`` and
     ``simple_reduction``.
     """
@@ -568,6 +712,12 @@ class _Field:
     def matmul(self, X, Y):
         """X @ Y, reduced; stacks of matrices multiply pairwise."""
         return self.reduce(self.array(X) @ self.array(Y))
+
+    def commutators(self, alg, a):
+        """R − L for (L, R) = :meth:`mult_matrices`: row i is e_i·a − a·e_i,
+        so x commutes with a iff x @ (R − L) = 0."""
+        L, R = self.mult_matrices(alg, a)
+        return self.reduce(R - L)
 
     def rank(self, rows, width):
         return len(self.rref(rows, width)[1])
@@ -657,6 +807,12 @@ class ModP(_Field):
     def kernel(self, A, width):
         return kernel_modp(self.rows(A, width), self.p)
 
+    def mul_coords(self, alg, x, y):
+        """x·y on coordinate tuples: the sparse loop over the algebra's
+        :func:`product_table`, with one ``% p`` per output coordinate."""
+        p = self.p
+        return tuple(v % p for v in _products_int(alg._table.terms, [x], [y])[0])
+
     def products(self, alg, X, Y):
         """Rows x·y for every x in X and y in Y (x-major)."""
         T = np.tensordot(self.array(X), alg.constants, axes=(1, 0)) % self.p   # (m, j, k)
@@ -707,30 +863,45 @@ class ModP(_Field):
         bad = np.argwhere(np.any(left != right, axis=3))
         return tuple(bad[0].tolist()) if bad.size else None
 
-    def simple_reduction(self, C):
-        """p when the algebra with structure constants ``C`` is simple by
-        :func:`simple_modp`, else None: over F_p that decides, so None means
-        not simple."""
-        return self.p if simple_modp(C, self.p) else None
+    def simple_reduction(self, alg):
+        """p when the algebra ``alg`` is simple by :func:`simple_modp`, else
+        None: over F_p that decides, so None means not simple."""
+        return self.p if simple_modp(alg.constants, self.p) else None
 
 
 class Rational(_Field):
-    """Q: tuples of Fractions, exact elimination, sparse contractions (two
-    full constant tensors are never contracted: the dense object-array
-    einsum is orders of magnitude slower than the sparse loops)."""
+    """Q: tuples of Fractions outside, Python ints inside.
+
+    Elimination is fraction-free (:func:`rref_frac`): rows are scaled to
+    integers, eliminated over ints, and divided by their pivots once at the
+    end.  Products read the algebra's integer :func:`product_table`, the
+    constants as numerators over one common denominator, in sparse loops
+    (two full constant tensors are never contracted: the dense object-array
+    einsum is orders of magnitude slower).  Each output coordinate becomes
+    one Fraction.  A Fraction given to the backend passes through unchanged.
+    """
 
     dtype = object
     modulus = None
 
     def reduce(self, M):
         M = np.asarray(M, dtype=object)
-        return np.array([Fraction(x) for x in M.flat], dtype=object).reshape(M.shape)
+        return np.array([_fraction(x) for x in M.flat], dtype=object).reshape(M.shape)
+
+    def zeros(self, shape):
+        # Fractions are immutable, so every entry can be the one ZERO
+        return np.full(shape, ZERO, dtype=object)
+
+    def eye(self, n):
+        out = self.zeros((n, n))
+        np.fill_diagonal(out, ONE)
+        return out
 
     def coords(self, v):
         return tuple(v)
 
     def rows(self, rows, width):
-        return tuple(tuple(Fraction(x) for x in r) for r in rows)
+        return tuple(tuple(_fraction(x) for x in r) for r in rows)
 
     def key(self, rows):
         return rows
@@ -750,24 +921,58 @@ class Rational(_Field):
         rows = kernel_frac(A, width)
         return rows, tuple(next(c for c, x in enumerate(row) if x) for row in rows)
 
+    def matmul(self, X, Y):
+        """X @ Y, on integer arrays; stacks of matrices multiply pairwise."""
+        (X, dx), (Y, dy) = _int_array(X), _int_array(Y)
+        return _fraction_array(X @ Y, dx * dy)
+
+    def mul_coords(self, alg, x, y):
+        """x·y on coordinate tuples: one Fraction per output coordinate."""
+        return self.products(alg, [x], [y])[0]
+
     def products(self, alg, X, Y):
-        return [alg.mul_coords(x, y) for x in X for y in Y]
+        """Rows x·y for every x in X and y in Y (x-major), as tuples."""
+        table = alg._table
+        xs, dx = _scaled(X)
+        ys, dy = _scaled(Y)
+        den = table.den * dx * dy
+        return [_fractions(row, den) for row in _products_int(table.terms, xs, ys)]
 
     def mapped_products(self, alg, M):
-        d, M = alg.dim, self.array(M)
-        nonzero = [[(l, x) for l, x in enumerate(row) if x] for row in M]
-        out = self.zeros((d * d, M.shape[1]))
-        for (i, j), terms in alg._pairs.items():
+        table = alg._table
+        Ms, dm = _scaled(M)
+        nonzero = [[(l, x) for l, x in enumerate(row) if x] for row in Ms]
+        d, width = alg.dim, len(Ms[0])
+        out = [[0] * width for _ in range(d * d)]
+        for i, j, k, n in table.entries():
             row = out[i * d + j]
-            for k, c in terms:
-                for l, x in nonzero[k]:
-                    row[l] += c * x
-        return out
+            for l, x in nonzero[k]:
+                row[l] += n * x
+        return _fraction_array(out, table.den * dm)
+
+    def _mult_ints(self, alg, a):
+        """(L, R, den): :meth:`mult_matrices` as integer rows over den, in
+        one pass over the table's entries."""
+        table, d = alg._table, alg.dim
+        (a,), da = _scaled([a])
+        L = [[0] * d for _ in range(d)]
+        R = [[0] * d for _ in range(d)]
+        for i, j, k, n in table.entries():
+            if a[i]:
+                L[j][k] += a[i] * n
+            if a[j]:
+                R[i][k] += a[j] * n
+        return L, R, table.den * da
 
     def mult_matrices(self, alg, a):
-        basis = [alg.basis_element(i).data for i in range(alg.dim)]
-        return (self.array([alg.mul_coords(a, e) for e in basis]),
-                self.array([alg.mul_coords(e, a) for e in basis]))
+        """(L, R) with L[j] = a·e_j and R[i] = e_i·a."""
+        L, R, den = self._mult_ints(alg, a)
+        return _fraction_array(L, den), _fraction_array(R, den)
+
+    def commutators(self, alg, a):
+        """R − L for (L, R) = :meth:`mult_matrices`, subtracted over ints."""
+        L, R, den = self._mult_ints(alg, a)
+        return _fraction_array([[r - l for l, r in zip(Lr, Rr)] for Lr, Rr in zip(L, R)], den)
 
     def homomorphism_sides(self, src, tgt, Ms):
         """See :meth:`ModP.homomorphism_sides`; one map at a time, sparse."""
@@ -791,41 +996,45 @@ class Rational(_Field):
         return np.stack(blocks)
 
     def associator_witness(self, alg):
-        d, pairs = alg.dim, alg._pairs
+        """The first basis triple (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k),
+        compared on the integer table (both sides carry the factor den²)."""
+        d, terms = alg.dim, alg._table.terms
         for i in range(d):
             for j in range(d):
-                ij = pairs.get((i, j), [])
                 for k in range(d):
-                    acc = [Fraction(0)] * d
-                    for m, c in ij:
-                        for l, c2 in pairs.get((m, k), []):
+                    acc = [0] * d
+                    for m, c in terms[i][j]:
+                        for l, c2 in terms[m][k]:
                             acc[l] += c * c2
-                    for m, c in pairs.get((j, k), []):
-                        for l, c2 in pairs.get((i, m), []):
+                    for m, c in terms[j][k]:
+                        for l, c2 in terms[i][m]:
                             acc[l] -= c * c2
                     if any(acc):
                         return i, j, k
         return None
 
-    def simple_reduction(self, C):
-        """The first prime q of ``LIFT_PRIMES`` at which the Q-algebra A with
-        structure constants ``C``, reduced mod q, is simple by
-        :func:`simple_modp`; None when no tried prime decides.
+    def simple_reduction(self, alg):
+        """The first prime q of ``LIFT_PRIMES`` at which the Q-algebra A
+        ``alg``, reduced mod q, is simple by :func:`simple_modp`; None when
+        no tried prime decides.
 
-        A prime dividing a denominator of ``C`` is skipped.  For the others
-        the Z_(q)-span Λ of the basis is a ring, and Λ/qΛ is the reduction.
-        A proper nonzero ideal I of A meets Λ in a saturated ideal, a direct
-        summand of rank dim I, whose image is a proper nonzero ideal of
-        Λ/qΛ.  So simplicity mod q proves simplicity over Q.  The converse
-        fails (Q(i) splits mod 5), so None says nothing about A.
+        A prime dividing a denominator of the constants (so their common
+        denominator) is skipped.  For the others the Z_(q)-span Λ of the
+        basis is a ring, and Λ/qΛ is the reduction.  A proper nonzero ideal
+        I of A meets Λ in a saturated ideal, a direct summand of rank dim I,
+        whose image is a proper nonzero ideal of Λ/qΛ.  So simplicity mod q
+        proves simplicity over Q.  The converse fails (Q(i) splits mod 5), so
+        None says nothing about A.
         """
-        C = np.asarray(C, dtype=object)
-        flat = [Fraction(x) for x in C.flat]
+        table, d = alg._table, alg.dim
         for q in LIFT_PRIMES:
-            if any(x.denominator % q == 0 for x in flat):
+            if table.den % q == 0:
                 continue
-            Cq = [x.numerator * pow(x.denominator, -1, q) % q for x in flat]
-            if simple_modp(np.array(Cq, dtype=np.int64).reshape(C.shape), q):
+            inv = pow(table.den, -1, q)
+            Cq = np.zeros((d, d, d), dtype=np.int64)
+            for i, j, k, n in table.entries():
+                Cq[i, j, k] = n * inv % q
+            if simple_modp(Cq, q):
                 return q
         return None
 

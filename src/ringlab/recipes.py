@@ -1,8 +1,9 @@
 """Declarative construction recipes (JSON).
 
 A recipe is a tree with a "kind" discriminator; child recipes describe base
-rings.  Scalars that must be exact travel as strings ("p/q"); scalar domains
-are "Q", "Fp:<prime>", "Zn:<n>", and "F<q>" for small prime powers q.
+rings.  A scalar is a JSON integer or a string the field parses ("p/q" over
+Q); a float or a bool is refused.  Scalar domains are "Q", "Fp:<prime>",
+"Zn:<n>", and "F<q>" for small prime powers q.
 Cocycles are explicit tables or "bales:<n>"; actions are permutation arrays.
 """
 
@@ -11,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -142,12 +142,17 @@ def _parse_group(spec, path):
 
 
 def _coerce_scalar(dom, value, path):
-    try:
-        if dom is QQ or getattr(dom, "name", "") == "Q":
-            return Fraction(value) if not isinstance(value, str) else Fraction(value)
-        return dom.coerce(int(value))
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise SchemaError(path, f"bad scalar {value!r}: {exc}")
+    """A recipe scalar in ``dom``: a JSON integer, or a string the field
+    parses ("1/2" over Q).  A float or a bool is refused, never truncated,
+    read as 0 or 1, or taken as a binary fraction."""
+    if type(value) is int:
+        return dom.coerce(value)
+    if isinstance(value, str):
+        try:
+            return dom.parse(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise SchemaError(path, f"bad scalar {value!r}: {exc}") from None
+    raise SchemaError(path, f"expected an integer or a string scalar, got {value!r}")
 
 
 def _integer(doc, key, path):
@@ -261,7 +266,8 @@ def _build(doc, path):
         levels = _size(doc, "levels", path, least=0)
         alphas = doc.get("alpha")
         if alphas is not None:
-            _array(alphas, (levels,), f"{path}/alpha")
+            alphas = [_coerce_scalar(dom, a, f"{path}/alpha")
+                      for a in _array(alphas, (levels,), f"{path}/alpha")]
         return cayley_tower(dom, levels, alphas=alphas)
     if kind == "cayley_dickson":
         base = _child_ring(doc["base"], f"{path}/base")

@@ -362,14 +362,10 @@ class StructureAlgebra(Ring):
         self.constants = self.F.reduce(C)
 
     @cached_property
-    def _pairs(self):
-        """The sparse product table (i, j) -> [(k, coeff), ...], built the
-        first time ``mul_coords`` or a Q contraction needs it."""
-        pairs = {}
-        C = self.constants.tolist()
-        for i, j, k in np.argwhere(self.constants != 0).tolist():
-            pairs.setdefault((i, j), []).append((k, C[i][j][k]))
-        return pairs
+    def _table(self):
+        """The sparse integer product table (:func:`linalg.product_table`),
+        built the first time a product needs it."""
+        return linalg.product_table(self.constants)
 
     # -- elements -----------------------------------------------------
     def element(self, coords) -> Element:
@@ -398,22 +394,10 @@ class StructureAlgebra(Ring):
         return Element(self, self.mul_coords(a.data, b.data))
 
     def mul_coords(self, x, y):
-        """Bilinear extension of the structure constants on coordinate tuples."""
-        f = self.field
-        out = [f.zero] * self.dim
-        for i, xi in enumerate(x):
-            if f.is_zero(xi):
-                continue
-            for j, yj in enumerate(y):
-                if f.is_zero(yj):
-                    continue
-                lst = self._pairs.get((i, j))
-                if not lst:
-                    continue
-                s = f.mul(xi, yj)
-                for k, c in lst:
-                    out[k] = f.add(out[k], f.mul(s, c))
-        return tuple(out)
+        """x·y on coordinate tuples: the bilinear extension of the structure
+        constants, computed by the field backend on the algebra's integer
+        product table (``linalg``)."""
+        return self.F.mul_coords(self, x, y)
 
     def scalar_mul(self, s, a):
         f = self.field
@@ -445,8 +429,7 @@ class StructureAlgebra(Ring):
         return self.F.reduce(block @ self.F.mult_matrices(self, c.data)[1])
 
     def block_commutators(self, block, b):
-        L, R = self.F.mult_matrices(self, b.data)
-        return self.F.reduce(block @ (R - L))
+        return self.F.reduce(block @ self.F.commutators(self, b.data))
 
     def _probe(self):
         assoc, assoc_wit = self._probe_associative()

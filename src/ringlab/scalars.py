@@ -40,7 +40,9 @@ class Rationals:
     one = Fraction(1)
 
     def coerce(self, x):
-        return Fraction(x)
+        """``x`` as a Fraction; a Fraction passes through unchanged (building
+        it again would take the slow ``numbers.Rational`` path)."""
+        return x if type(x) is Fraction else Fraction(x)
 
     def add(self, a, b):
         return a + b
@@ -63,7 +65,7 @@ class Rationals:
         return a * self.inv(b)
 
     def is_zero(self, a):
-        return a == 0
+        return not a
 
     def parse(self, text):
         """Parse "p/q" or integer literals into a Fraction."""

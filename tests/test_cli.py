@@ -176,6 +176,16 @@ F4 = {"kind": "scalar", "ring": "F4"}
      "/dim"),
     ({"kind": "table_ring", "add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]], "zero": True},
      "/zero"),
+    ({"kind": "twisted_group_ring", "base": "Fp:3", "group": "Z2",
+      "alpha": [[True, 1], [1, 2.9]]}, "/alpha"),
+    ({"kind": "structure_algebra", "field": "Q", "dim": 1, "constants": [[[0.1]]]},
+     "/constants"),
+    ({"kind": "structure_algebra", "field": "Fp:3", "dim": 1, "constants": [[["1/2"]]]},
+     "/constants"),
+    ({"kind": "skew_group_ring", "base": F4, "group": "Z2",
+      "action": ["id", {"matrix": [[1.5, 0], [0, 1]]}]}, "/action"),
+    ({"kind": "cayley_tower", "base": "Q", "levels": 1, "alpha": [0.5]}, "/alpha"),
+    ({"kind": "cayley_dickson", "base": "Q", "alpha": [False]}, "/alpha"),
 ], ids=["F6", "F0", "Fp:x", "tower-levels", "constants", "twisted-alpha",
         "frobenius-Z2xZ2", "skew-action", "crossed-sigma", "crossed-twists",
         "tower-alpha", "matrix-alphas", "dynamics-action", "matrix-size-0",
@@ -183,7 +193,8 @@ F4 = {"kind": "scalar", "ring": "F4"}
         "perm-length", "perm-range", "matrix-shape", "table-entry", "flavor-bogus",
         "flavor-custom", "twist-name", "alphas-key-range", "ore-delta-perm",
         "crossed-groupoid", "size-float", "size-bool", "points-float", "levels-bool",
-        "dim-float", "zero-bool"])
+        "dim-float", "zero-bool", "alpha-bool-float", "constants-float-Q",
+        "constants-fraction-Fp", "matrix-float", "tower-alpha-float", "doubling-alpha-bool"])
 def test_malformed_recipe_exits_2(tmp_path, capsys, doc, path):
     with pytest.raises(SchemaError) as err:
         build_recipe(parse_recipe_text(json.dumps(doc)))

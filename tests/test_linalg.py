@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringlab import (cyclic_group, dynamics_skew_group_ring, full_matrix_algebra, gf_extension,
-                     linalg, make_structure_algebra, matrix_ring)
+from ringlab import (cayley_tower, cyclic_group, dynamics_skew_group_ring, full_matrix_algebra,
+                     gf_extension, linalg, make_structure_algebra, matrix_ring)
 from ringlab.errors import TooLarge
 from ringlab.ideals import _closure_modp, first_proper_line_ideal
 from ringlab.rings import StructureAlgebra, direct_sum_algebra, functions_ring
@@ -134,6 +134,156 @@ def test_kernel_frac():
     assert len(K) == 2
     for v in K:
         assert sum(Fraction(a) * x for a, x in zip(rows[0], v)) == 0
+
+
+def _reference_rref(rows, n):
+    """Plain Gauss-Jordan over Fractions, one pivot column at a time: the
+    reference the fraction-free Q kernels must equal."""
+    A = [[Fraction(x) for x in row] for row in rows]
+    r, pivots = 0, []
+    for c in range(n):
+        sel = next((i for i in range(r, len(A)) if A[i][c] != 0), None)
+        if sel is None:
+            continue
+        A[r], A[sel] = A[sel], A[r]
+        lead = A[r][c]
+        A[r] = [x / lead for x in A[r]]
+        for i in range(len(A)):
+            if i != r and A[i][c] != 0:
+                f = A[i][c]
+                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
+        pivots.append(c)
+        r += 1
+    return tuple(tuple(row) for row in A[:r]), tuple(pivots)
+
+
+def _reference_kernel(rows, n):
+    R, pivots = _reference_rref(rows, n)
+    out = []
+    for f in (c for c in range(n) if c not in pivots):
+        v = [Fraction(0)] * n
+        v[f] = Fraction(1)
+        for ri, c in enumerate(pivots):
+            v[c] = -R[ri][f]
+        out.append(v)
+    return _reference_rref(out, n)[0]
+
+
+# rationals with denominators 1, 2, 3, 5 and 7, negative ones, and plain ints
+_RATIONALS = st.one_of(st.integers(-6, 6),
+                       st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 5, 7])))
+
+
+@st.composite
+def _q_matrices(draw, max_rows=8):
+    """(rows, n): up to ``max_rows`` rows of width n in 1..8, wide or tall,
+    some of them zero, and sometimes one more row that is a combination of
+    the first two."""
+    n, m = draw(st.integers(1, 8)), draw(st.integers(0, max_rows))
+    rows = draw(st.lists(st.lists(_RATIONALS, min_size=n, max_size=n), min_size=m, max_size=m))
+    if m:
+        for i in draw(st.sets(st.integers(0, m - 1), max_size=2)):
+            rows[i] = [0] * n
+    if m >= 2 and draw(st.booleans()):
+        a, b = draw(_RATIONALS), draw(_RATIONALS)
+        rows.append([a * x + b * y for x, y in zip(rows[0], rows[1])])
+    return rows, n
+
+
+def _all_fractions(rows):
+    return all(type(x) is Fraction for row in rows for x in row)
+
+
+@given(_q_matrices())
+@settings(max_examples=200, deadline=None)
+def test_q_kernels_equal_plain_gauss_jordan(matrix):
+    rows, n = matrix
+    expected = _reference_rref(rows, n)
+    R, pivots = linalg.rref_frac(rows, width=n)
+    assert (R, pivots) == expected and _all_fractions(R)
+    K = linalg.kernel_frac(rows, n)
+    assert K == _reference_kernel(rows, n) and _all_fractions(K)
+    for row in rows:
+        assert linalg.member_frac(row, R, pivots)
+    # a vector outside the span: member_frac must say so
+    for v in ([int(i == c) for i in range(n)] for c in range(n)):
+        inside = len(_reference_rref(list(R) + [v], n)[1]) == len(pivots)
+        assert linalg.member_frac(v, R, pivots) == inside
+
+
+@given(_q_matrices(max_rows=5), st.data())
+@settings(max_examples=200, deadline=None)
+def test_merge_frac_equals_the_rref_of_the_stacked_rows(matrix, data):
+    U, n = matrix
+    new = data.draw(st.lists(st.lists(_RATIONALS, min_size=n, max_size=n), max_size=4))
+    basis, pivots = _reference_rref(U, n)
+    merged, merged_pivots, grew = linalg.merge_frac(basis, pivots, new)
+    assert (merged, merged_pivots) == _reference_rref(U + new, n)
+    assert _all_fractions(merged)
+    assert grew == (len(merged_pivots) > len(pivots))
+
+
+@st.composite
+def _q_algebras(draw):
+    """Structure constants of dimension 1..4 over Q, non-integral, about
+    half of them zero."""
+    d = draw(st.integers(1, 4))
+    entry = st.one_of(st.just(0), _RATIONALS)
+    C = draw(st.lists(entry, min_size=d ** 3, max_size=d ** 3))
+    return make_structure_algebra(d, QQ, np.array(C, dtype=object).reshape(d, d, d))
+
+
+def _vectors(d, k):
+    return st.lists(st.lists(_RATIONALS, min_size=d, max_size=d), min_size=k, max_size=k)
+
+
+@given(_q_algebras(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_q_products_equal_a_dense_fraction_einsum(alg, data):
+    d, F = alg.dim, alg.F
+    C = [[[Fraction(c) for c in vec] for vec in plane] for plane in alg.constants.tolist()]
+
+    def product(x, y):
+        return tuple(sum((Fraction(x[i]) * Fraction(y[j]) * C[i][j][k]
+                          for i in range(d) for j in range(d)), Fraction(0))
+                     for k in range(d))
+
+    X, Y = data.draw(_vectors(d, 2)), data.draw(_vectors(d, 3))
+    got = alg.mul_coords(X[0], Y[0])
+    assert got == product(X[0], Y[0]) and _all_fractions([got])
+    got = F.products(alg, X, Y)
+    assert got == [product(x, y) for x in X for y in Y] and _all_fractions(got)
+    M = data.draw(_vectors(2, d))
+    got = F.mapped_products(alg, M)
+    expected = [[sum((C[i][j][k] * Fraction(M[k][l]) for k in range(d)), Fraction(0))
+                 for l in range(2)] for i in range(d) for j in range(d)]
+    assert got.tolist() == expected and _all_fractions(got)
+    L, R = F.mult_matrices(alg, X[0])
+    eye = [[int(i == j) for j in range(d)] for i in range(d)]
+    assert L.tolist() == [list(product(X[0], e)) for e in eye] and _all_fractions(L)
+    assert R.tolist() == [list(product(e, X[0])) for e in eye] and _all_fractions(R)
+    assert (F.commutators(alg, X[0]) == R - L).all()
+
+
+def test_kernel_frac_makes_no_fraction_arithmetic(monkeypatch):
+    """The center equations of the sedenions (256 x 16) are solved over
+    ints: no Fraction is multiplied, added, subtracted or divided."""
+    S = cayley_tower(QQ, 4).rings[-1]
+    sides = [S.F.mult_matrices(S, b.data) for b in S.spanning_elements()]
+    D = np.hstack([R - L for L, R in sides]).T
+    assert D.shape == (256, 16)
+    calls = []
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__",
+                 "__truediv__", "__rtruediv__"):
+        def counted(*args, _original=getattr(Fraction, name), _name=name):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(Fraction, name, counted)
+    K = linalg.kernel_frac(D, 16)
+    monkeypatch.undo()
+    assert calls == []
+    # the center of the sedenions is the scalars
+    assert K == ((Fraction(1),) + (Fraction(0),) * 15,)
 
 
 _SMALL_ROWS = st.lists(st.lists(st.integers(-2, 2), min_size=4, max_size=4),
