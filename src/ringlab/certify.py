@@ -11,9 +11,7 @@ verified premise failure.  Oracle disagreement is fatal for corpus runs.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field as dfield, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -29,7 +27,7 @@ from .ideals import (DEFAULT_ELEMENT_CAP, DEFAULT_SEED, IdealBasis, Subring,
                      center, centralizer, check_ideal_associativity,
                      enumerate_ideals, enumerate_subring_ideals, ideal_closure,
                      first_stable_ideal, identity_property, is_A_invariant,
-                     is_A_simple, is_maximal_commutative, is_simple)
+                     is_A_simple, is_maximal_commutative, is_simple, is_stable)
 from .rings import StructureAlgebra
 from .subgroups import full_subgroup, product_span, triple_product_span, zero_subgroup
 
@@ -108,54 +106,26 @@ def _oracle_cross_check(cert: Certificate, ring, cap, seed):
 # field and simplicity recognizers used by the pipelines
 # ---------------------------------------------------------------------------
 
-def _is_perfect_square(f: Fraction) -> bool:
-    if f < 0:
-        return False
-    p, q = f.numerator, f.denominator
-    rp, rq = math.isqrt(p), math.isqrt(q)
-    return rp * rp == p and rq * rq == q
-
-
 def recognize_field(ring, cap=DEFAULT_ELEMENT_CAP):
     """True/False when decidable, None otherwise.
 
-    Finite case: commutative, unital, every nonzero element invertible.  An
-    F_p algebra is tested on its left multiplications L_{e_i}, which span a
-    copy of it because it has a unit.
-    Over Q: dimension 1 (unital); dimension 2 commutative associative unital
-    via the discriminant of the minimal polynomial of a non-scalar basis
-    element.
+    A field is commutative, associative and unital.  Under the cap, a table
+    ring is one when every nonzero element is invertible, and an algebra
+    asks its field backend (``is_field``: F_p algebras always decide, Q ones
+    in dimensions 1 and 2).
     """
     props = ring.probe_properties()
     if not (props.commutative and props.unital and props.associative):
         return False
     size = ring.size()
-    if size is not None and size <= cap:
-        if ring.is_algebra:
-            return linalg.is_field_modp(ring.constants, ring.modulus)
-        for a in ring.enumerate_elements(cap):
-            if not a.is_zero() and not _is_unit(ring, a):
-                return False
-        return True
-    if ring.is_algebra and ring.modulus is None:
-        if ring.dim == 1:
-            return True
-        if ring.dim == 2:
-            one = props.unit
-            # pick u independent of 1 and write u^2 = beta*u + gamma*1
-            for i in range(2):
-                u = ring.basis_element(i)
-                rows, piv = linalg.rref_frac([list(one.data), list(u.data)])
-                if len(piv) == 2:
-                    sq = u * u
-                    R, piv2 = linalg.rref_frac(
-                        [[one.data[0], u.data[0], sq.data[0]],
-                         [one.data[1], u.data[1], sq.data[1]]])
-                    gamma = R[0][2]
-                    beta = R[1][2]
-                    disc = beta * beta + 4 * gamma
-                    return not _is_perfect_square(disc)
-    return None
+    if size is not None and size > cap:
+        return None
+    if ring.is_algebra:
+        return ring.F.is_field(ring, props.unit.data)
+    for a in ring.enumerate_elements(cap):
+        if not a.is_zero() and not _is_unit(ring, a):
+            return False
+    return True
 
 
 def _simple_status(ring, cap=DEFAULT_ELEMENT_CAP, seed=DEFAULT_SEED, hint=None):
@@ -465,14 +435,10 @@ def _sigma_simple_premise(cd: CayleyDoubling, cap, seed, base_hint=None):
     product-of-fields structure."""
     B = cd.base
     name = "the base has no nontrivial conjugation-stable ideal"
-
-    def stable(S):
-        return all(S.contains(cd.sigma.apply(v)) for v in S.spanning())
-
+    sigma = [cd.sigma.operator]
     size = B.size()
     if size is not None and size <= cap:
-        sigma = cd.sigma.matrix if cd.sigma.perm is None else cd.sigma.perm
-        I = first_stable_ideal(B, None, [sigma], cap=cap)
+        I = first_stable_ideal(B, None, sigma, cap=cap)
         if I is not None:
             return Premise(name, "failed", I)
         return Premise(name, "verified", "ideal enumeration")
@@ -483,24 +449,19 @@ def _sigma_simple_premise(cd: CayleyDoubling, cap, seed, base_hint=None):
     if factors and B.modulus is None:
         # a product of fields: the only ideals are spanned by factor blocks
         from .subgroups import subspace_from_vectors
-        blocks = []
-        for off, dim in factors:
-            vecs = []
-            for i in range(dim):
-                v = [0] * B.dim
-                v[off + i] = 1
-                vecs.append(v)
-            sub, _, _ = Subring(B, subspace_from_vectors(B, vecs), check=False).as_ring()
+        blocks = [subspace_from_vectors(B, np.eye(B.dim, dtype=np.int64)[off:off + dim])
+                  for off, dim in factors]
+        for block in blocks:
+            sub, _, _ = Subring(B, block, check=False).as_ring()
             if recognize_field(sub, cap=cap) is not True:
                 return Premise(name, "assumed", "factors not recognized as fields")
-            blocks.append(subspace_from_vectors(B, vecs))
         n = len(blocks)
         for mask in range(1, 2 ** n - 1):
             span = zero_subgroup(B)
             for t in range(n):
                 if mask >> t & 1:
                     span = span.join(blocks[t])
-            if stable(span):
+            if is_stable(span, sigma):
                 return Premise(name, "failed", f"stable factor combination {mask:b}")
         return Premise(name, "verified",
                        "factor-combination scan over a product of fields "

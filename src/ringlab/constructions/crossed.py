@@ -21,7 +21,7 @@ import numpy as np
 from ..categories import FiniteCategory
 from ..errors import ShapeMismatch, TooLarge, ValidationFailure
 from ..gradings import GradedRing, Grading
-from ..ideals import IdealBasis, Subring, first_stable_ideal
+from ..ideals import IdealBasis, Subring, first_stable_ideal, is_stable
 from ..rings import DEFAULT_ELEMENT_CAP, Element, Ring, StructureAlgebra, TableRing
 from ..subgroups import Subspace, TableSubgroup
 
@@ -49,6 +49,12 @@ class RingMap:
             self.matrix = None
         else:
             raise ShapeMismatch("a map needs a matrix or an index table")
+
+    @property
+    def operator(self):
+        """The matrix, or the index table: a map as
+        :func:`ringlab.ideals.first_stable_ideal` takes it."""
+        return self.matrix if self.perm is None else self.perm
 
     @classmethod
     def identity(cls, ring):
@@ -572,18 +578,10 @@ def _int_times(B, k, unit):
 # ---------------------------------------------------------------------------
 
 def is_G_invariant(cp: CrossedProduct, I: IdealBasis) -> bool:
-    """sigma_g(I_d(g)) ⊆ I_c(g) for every morphism, I an ideal of the base."""
-    cat = cp.system.cat
-    for g in cat.morphisms:
-        e, f = cat.dom[g], cat.cod[g]
-        comp_e = cp.grading.components[cat.identity[e]]
-        part = I.span.intersect(comp_e)
-        for x in part.spanning():
-            b = cp.project(cat.identity[e], x)
-            img = cp.embed(cat.identity[f], cp.system.sigma[g].apply(b))
-            if not I.contains(img):
-                return False
-    return True
+    """sigma_g(I_d(g)) ⊆ I_c(g) for every morphism, I an ideal of the base:
+    I is stable under the action maps (:func:`ringlab.ideals.is_stable`)."""
+    B = I.of_subring if I.of_subring is not None else cp.base_subring()
+    return is_stable(I.span, _action_maps(cp, B))
 
 
 def _action_maps(cp: CrossedProduct, B: Subring):

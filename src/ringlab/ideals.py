@@ -14,7 +14,9 @@ never builds the lattice.  A-invariance does not, and
 ideal is the join of the principal ideals of its elements, so the
 enumeration is exhaustive on finite (or capped F_p) rings.  Over Q neither runs; a
 positive simplicity verdict comes only from a reduction mod p that is
-simple (see :func:`is_simple`).
+simple (see :func:`is_simple`).  :func:`is_stable` tests one given span
+for stability.  An algebra's closures run in its field backend's
+``closure``, so nothing here has a Q path of its own.
 """
 
 from __future__ import annotations
@@ -213,32 +215,13 @@ def _materialize_subring(ring, span):
 def ideal_closure(ring, gens) -> IdealBasis:
     """Smallest ideal of the ring containing ``gens``.
 
-    Over Q, a fixed-point iteration: adjoin a·x and x·a for a over the
-    basis, re-close additively, repeat until stable.
+    A table ring closes the generators' indices (:func:`_table_closure`),
+    an algebra their coordinate rows, in its field backend's ``closure``.
     """
-    if ring.is_algebra and ring.modulus is not None:
-        seed = (np.array([list(g.data) for g in gens], dtype=np.int64)
-                if gens else np.zeros((0, ring.dim), dtype=np.int64))
-        rows, pivots = _closure_modp(ring, seed)
-        return IdealBasis(ring, Subspace(ring, rows, pivots), check=False)
     if ring.is_table:
         return IdealBasis(ring, _table_closure(ring, [g.data for g in gens]), check=False)
-    span = additive_span(ring, list(gens))
-    mult = ring.spanning_elements()
-    frontier = span.spanning()
-    while frontier:
-        prods = []
-        for a in mult:
-            for x in frontier:
-                prods.append(a * x)
-                prods.append(x * a)
-        new = span.join(additive_span(ring, prods))
-        if new == span:
-            break
-        fresh = [e for e in new.spanning() if not span.contains(e)]
-        span = new
-        frontier = fresh
-    return IdealBasis(ring, span, check=False)
+    rows, pivots = ring.F.closure(ring, [g.data for g in gens])
+    return IdealBasis(ring, Subspace(ring, rows, pivots), check=False)
 
 
 def _table_closure(ring, seed_indices, ops=None, bound=None):
@@ -265,13 +248,6 @@ def _table_closure(ring, seed_indices, ops=None, bound=None):
     return None
 
 
-def _closure_modp(ring, seed_rows):
-    """The ideal of an F_p algebra that the seed rows generate: their
-    spin-up under the ring's L_{e_i} and R_{e_i}, by :func:`linalg.spin_modp`."""
-    p = ring.modulus
-    return linalg.spin_modp(seed_rows, linalg.multiplications_modp(ring.constants, p), p)
-
-
 # ---------------------------------------------------------------------------
 # ideal lattice and simplicity
 # ---------------------------------------------------------------------------
@@ -291,8 +267,10 @@ def principal_ideals(ring):
 
     An F_p algebra closes one generator per line of F_p^d, in the order of
     :func:`_lines`.  A table ring closes every nonzero element, by index.
-    Each is one :func:`principal_ideal`.
+    Each is one :func:`principal_ideal`.  Raises InfiniteScalarField over Q.
     """
+    if ring.size() is None:
+        raise InfiniteScalarField("cannot enumerate ideals over Q")
     if ring.is_table:
         gens = (i for i in range(ring.n) if i != ring.zero_index)
     else:
@@ -418,12 +396,10 @@ class SimpleVerdict:
 
 
 def _random_element(ring, rng):
+    """An index of a table ring, or the coordinates the backend draws."""
     if ring.is_table:
         return ring.element(rng.randrange(ring.n))
-    if ring.modulus is not None:
-        return ring.element(tuple(rng.randrange(ring.modulus) for _ in range(ring.dim)))
-    # small coordinates keep the exact arithmetic cheap
-    return ring.element(tuple(rng.randint(-2, 2) for _ in range(ring.dim)))
+    return ring.element(ring.F.random_coords(rng, ring.dim))
 
 
 def is_simple(ring, cap=DEFAULT_ELEMENT_CAP, seed=DEFAULT_SEED,
@@ -503,8 +479,7 @@ def _is_simple_uncached(ring, cap, seed, samples) -> SimpleVerdict:
             if ring.F.simple_reduction(ring) is not None:
                 return SimpleVerdict("Simple")
             undecided = False
-    reason = ("infinite scalar field; use certify pipelines"
-              if (ring.is_algebra and ring.modulus is None)
+    reason = ("infinite scalar field; use certify pipelines" if size is None
               else f"size {size} exceeds cap {cap}")
     return SimpleVerdict("Inconclusive", reason=reason)
 
@@ -635,6 +610,20 @@ def first_stable_ideal(ring, B: Subring | None, maps, cap=DEFAULT_ELEMENT_CAP, a
                 best is None or (sub.measure(), sub.key()) < (best.measure(), best.key())):
             best, bound = sub, sub.measure()
     return None if best is None else IdealBasis(ring, best, of_subring=B, check=False)
+
+
+def is_stable(span, maps) -> bool:
+    """Does every map send the additive subgroup ``span`` into itself?
+    ``maps`` are what :func:`first_stable_ideal` takes: d×d matrices acting
+    on rows (v ↦ v @ M), or index arrays for a table ring (read only on the
+    members of ``span``)."""
+    ring = span.ring
+    if ring.is_table:
+        members = list(span.members)
+        return all(span.members.issuperset(np.asarray(m)[members].tolist()) for m in maps)
+    F = ring.F
+    rows = F.array(span.rows).reshape(-1, ring.dim)
+    return not any(F.merge(span.rows, span.pivots, F.matmul(rows, m))[2] for m in maps)
 
 
 def _parenthesizations(factors, ring, memo=None):

@@ -16,7 +16,9 @@ small method set:
 
 A structure algebra picks its backend once, from its scalar field
 (:func:`backend`); every caller then works through it and never asks which
-field it is on.  Matrices are numpy arrays in both cases, so shape-level code
+field it is on: the backends also own ideal closure, enumeration, random
+elements, field recognition and the JSON form (see :class:`_Field`).
+Matrices are numpy arrays in both cases, so shape-level code
 (transpose, slicing, ``@``) is shared, and the backend's ``reduce`` takes the
 place of ``% p``.  Subspaces are kept in reduced row echelon form, which is
 canonical: two subspaces are equal iff their rref bases are identical.  All
@@ -60,12 +62,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import TooLarge
+from .errors import InfiniteScalarField, TooLarge
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +500,15 @@ def _integer_row(row):
     return _scaled([row])[0][0]
 
 
+def _is_perfect_square(f):
+    """Is the rational ``f`` the square of a rational?"""
+    if f < 0:
+        return False
+    p, q = f.numerator, f.denominator
+    rp, rq = isqrt(p), isqrt(q)
+    return rp * rp == p and rq * rq == q
+
+
 def _fractions(ints, den):
     """The rational row ``ints`` / ``den``, as a tuple of Fractions."""
     return tuple(Fraction(x, den) if x else ZERO for x in ints)
@@ -691,8 +702,11 @@ class _Field:
     Subclasses provide ``dtype``, ``modulus``, ``reduce``, ``coords``,
     ``rows``, ``key``, ``rref``, ``member``, ``merge``, ``kernel``,
     ``mul_coords``, ``products``, ``mapped_products``, ``mult_matrices``,
-    ``homomorphism_sides``, ``twisted_blocks``, ``associator_witness`` and
-    ``simple_reduction``.
+    ``homomorphism_sides``, ``twisted_blocks``, ``associator_witness``,
+    ``simple_reduction``, and what callers would otherwise branch on the
+    field for: ``closure`` (the ideal seed rows generate), ``element_blocks``
+    (every combination of rows), ``random_coords``, ``is_field`` and
+    ``json``.
     """
 
     def array(self, x):
@@ -868,6 +882,30 @@ class ModP(_Field):
         None: over F_p that decides, so None means not simple."""
         return self.p if simple_modp(alg.constants, self.p) else None
 
+    def closure(self, alg, seed):
+        """(rref basis, pivots) of the ideal of ``alg`` that the rows
+        ``seed`` generate: their spin-up under every L_{e_i} and R_{e_i}."""
+        return spin_modp(self.rows(seed, alg.dim),
+                         multiplications_modp(alg.constants, self.p), self.p)
+
+    def element_blocks(self, rows, cap):
+        """:func:`combinations_modp` of ``rows``; TooLarge past ``cap``."""
+        total = self.p ** len(rows)
+        if total > cap:
+            raise TooLarge(f"{total} elements exceeds cap {cap}")
+        return combinations_modp(rows, self.p)
+
+    def random_coords(self, rng, d):
+        return tuple(rng.randrange(self.p) for _ in range(d))
+
+    def is_field(self, alg, unit):
+        """Is the commutative associative algebra ``alg`` with unit ``unit``
+        a field?  Its L_{e_i} span a copy of it (:func:`is_field_modp`)."""
+        return is_field_modp(alg.constants, self.p)
+
+    def json(self, coords):
+        return [int(x) for x in coords]
+
 
 class Rational(_Field):
     """Q: tuples of Fractions outside, Python ints inside.
@@ -1037,6 +1075,43 @@ class Rational(_Field):
             if simple_modp(Cq, q):
                 return q
         return None
+
+    def closure(self, alg, seed):
+        """See :meth:`ModP.closure`.  Each round multiplies the rows the
+        last one added (those at new pivots, which with the old basis span
+        the new one) by every e_i on both sides, and merges the products."""
+        d = alg.dim
+        eye = [[int(i == j) for j in range(d)] for i in range(d)]
+        rows, pivots = self.rref(seed, d)
+        frontier = rows
+        while frontier and len(pivots) < d:
+            old = set(pivots)
+            rows, pivots, _ = merge_frac(rows, pivots, self.products(alg, frontier, eye)
+                                         + self.products(alg, eye, frontier))
+            frontier = [row for row, c in zip(rows, pivots) if c not in old]
+        return rows, pivots
+
+    def element_blocks(self, rows, cap):
+        raise InfiniteScalarField("cannot enumerate an algebra over Q")
+
+    def random_coords(self, rng, d):
+        # small coordinates keep the exact arithmetic cheap
+        return tuple(rng.randint(-2, 2) for _ in range(d))
+
+    def is_field(self, alg, unit):
+        """See :meth:`ModP.is_field`.  True in dimension 1.  In dimension 2,
+        for u the first basis vector independent of 1 and u² = γ + βu, iff
+        the discriminant β² + 4γ is not a square.  None above that."""
+        if alg.dim > 2:
+            return None
+        if alg.dim == 1:
+            return True
+        u = (ONE, ZERO) if unit[1] else (ZERO, ONE)
+        gamma, beta = self.solve(np.array([unit, u], dtype=object).T, self.mul_coords(alg, u, u))
+        return not _is_perfect_square(beta * beta + 4 * gamma)
+
+    def json(self, coords):
+        return [str(_fraction(x)) for x in coords]
 
 
 # the primes a Q-algebra is reduced modulo to prove it simple: odd, so that

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 from .constructions.crossed import RingMap
 from .errors import CriterionDisagreement, PreconditionUnmet, ShapeMismatch
-from .ideals import (DEFAULT_ELEMENT_CAP, DEFAULT_SEED, IdealBasis,
-                     center, first_stable_ideal)
+from .ideals import (DEFAULT_ELEMENT_CAP, DEFAULT_SEED, IdealBasis, _random_element,
+                     center, first_stable_ideal, is_stable)
 from .rings import Element, Ring
 
 
@@ -183,18 +183,12 @@ def ore_degree_map(p: SkewPolynomial) -> int:
 
 
 def random_polynomial(data, rng, max_deg, monic=False):
-    B = data.base
+    """A polynomial of random degree at most ``max_deg`` whose coefficients
+    are :func:`ringlab.ideals._random_element` draws; the top one is the
+    unit when ``monic`` or when it was drawn zero."""
     deg = rng.randrange(max_deg + 1)
-    coeffs = []
-    for i in range(deg + 1):
-        if B.is_table:
-            coeffs.append(B.element(rng.randrange(B.n)))
-        else:
-            coeffs.append(B.element(tuple(rng.randrange(B.modulus)
-                                          for _ in range(B.dim))))
-    if monic:
-        coeffs[-1] = data.unit
-    elif coeffs[-1].is_zero():
+    coeffs = [_random_element(data.base, rng) for _ in range(deg + 1)]
+    if monic or coeffs[-1].is_zero():
         coeffs[-1] = data.unit
     return SkewPolynomial(data, coeffs)
 
@@ -216,13 +210,8 @@ def assert_associativity_sample(data, samples=1000, seed=DEFAULT_SEED, max_deg=3
 # ---------------------------------------------------------------------------
 
 def is_sigma_delta_invariant(I: IdealBasis, data: SigmaDerivationData) -> bool:
-    """sigma(I) ⊆ I and delta(I) ⊆ I, on spanning sets."""
-    for v in I.spanning():
-        if not I.contains(data.sigma.apply(v)):
-            return False
-        if not I.contains(data.delta.apply(v)):
-            return False
-    return True
+    """sigma(I) ⊆ I and delta(I) ⊆ I (:func:`ringlab.ideals.is_stable`)."""
+    return is_stable(I.span, [data.sigma.operator, data.delta.operator])
 
 
 @dataclass
@@ -242,8 +231,8 @@ def is_sigma_delta_simple(data: SigmaDerivationData,
     ``enumerate_ideals``, found as the least closure of a line of the base
     under its multiplications, sigma and delta
     (:func:`ringlab.ideals.first_stable_ideal`)."""
-    maps = [m.matrix if m.perm is None else m.perm for m in (data.sigma, data.delta)]
-    I = first_stable_ideal(data.base, None, maps, cap=cap)
+    I = first_stable_ideal(data.base, None, [data.sigma.operator, data.delta.operator],
+                           cap=cap)
     return SigmaDeltaVerdict(I is None, I)
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dfield
-from fractions import Fraction
 
 from .gradings import grading_flags, support_degree_map, verify_degree_map
 from .ideals import (DEFAULT_ELEMENT_CAP, DEFAULT_SEED, center,
@@ -22,9 +21,7 @@ VERSION = "0.1.0"
 def element_json(e: Element):
     if e.ring.is_table:
         return int(e.data)
-    if e.ring.modulus is not None:
-        return [int(x) for x in e.data]
-    return [str(Fraction(x)) for x in e.data]
+    return e.ring.F.json(e.data)
 
 
 def ideal_json(ib):

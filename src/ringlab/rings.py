@@ -22,15 +22,14 @@ property probes cache their (idempotent) results on the ring: ``_props``
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import linalg
-from .errors import (DistributivityViolation, InfiniteScalarField,
-                     NotAbelianGroup, RingMismatch, ShapeMismatch, TooLarge)
+from .errors import (DistributivityViolation, NotAbelianGroup, RingMismatch,
+                     ShapeMismatch, TooLarge)
 from .scalars import GF, IntegersMod
 
 DEFAULT_ELEMENT_CAP = 2 ** 20
@@ -412,12 +411,7 @@ class StructureAlgebra(Ring):
         return [self.basis_element(i) for i in range(self.dim)]
 
     def element_blocks(self, cap=DEFAULT_ELEMENT_CAP):
-        if self.modulus is None:
-            raise InfiniteScalarField("cannot enumerate an algebra over Q")
-        total = self.modulus ** self.dim
-        if total > cap:
-            raise TooLarge(f"{total} elements exceeds cap {cap}")
-        return linalg.combinations_modp(self.F.eye(self.dim), self.modulus)
+        return self.F.element_blocks(self.F.eye(self.dim), cap)
 
     def block_elements(self, block):
         return [Element(self, tuple(row)) for row in block.tolist()]
@@ -622,15 +616,11 @@ def functions_ring(npoints: int, domain) -> StructureAlgebra:
 
 
 def convert_to_table(alg: StructureAlgebra, cap=TABLE_SIZE_CAP) -> TableRing:
-    """Materialize an F_p structure algebra as a table ring (never over Q)."""
-    if alg.modulus is None:
-        raise InfiniteScalarField("conversion to tables is only defined over F_p")
-    total = alg.modulus ** alg.dim
-    if total > cap:
-        raise TooLarge(f"{total} elements exceeds cap {cap}")
-    p, d = alg.modulus, alg.dim
-    digits = np.array(list(itertools.product(range(p), repeat=d)), dtype=np.int64)
-    weights = np.array([p ** (d - 1 - i) for i in range(d)], dtype=np.int64)
+    """Materialize an F_p structure algebra as a table ring (never over Q),
+    on its elements in ``element_blocks`` (``itertools.product``) order."""
+    digits = np.concatenate(list(alg.element_blocks(cap)))
+    p, total = alg.modulus, len(digits)
+    weights = p ** np.arange(alg.dim - 1, -1, -1, dtype=np.int64)
 
     def to_index(mat):
         return (np.asarray(mat) % p) @ weights

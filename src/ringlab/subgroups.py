@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InfiniteScalarField, RingMismatch, TooLarge
-from .linalg import combinations_modp
+from .errors import RingMismatch
 from .rings import Element, StructureAlgebra, TableRing, index_blocks
 
 
@@ -138,13 +137,7 @@ class Subspace(AddSubgroup):
         return [Element(self.ring, self.ring.F.coords(row)) for row in self.rows]
 
     def element_blocks(self, cap=1 << 20):
-        if self.ring.modulus is None:
-            raise InfiniteScalarField("cannot enumerate a Q-subspace")
-        p = self.ring.modulus
-        r = self.dim
-        if p ** r > cap:
-            raise TooLarge(f"{p ** r} elements exceeds cap {cap}")
-        return combinations_modp(self.rows, p)
+        return self.ring.F.element_blocks(self.rows, cap)
 
     def join(self, other):
         rows, pivots, _ = self.ring.F.merge(self.rows, self.pivots, other.rows)

@@ -184,6 +184,18 @@ def test_sigma_simple_but_not_simple_base():
     assert "not simple" in str(first.detail)
 
 
+def test_sigma_fixing_each_factor_fails_the_premise():
+    # with sigma = id each field factor of Q × Q and of Q(i) × Q(i) is
+    # conjugation-stable
+    for base in (direct_sum_algebra([field_algebra(QQ)] * 2),
+                 direct_sum_algebra([cayley_tower(QQ, 1).rings[1]] * 2)):
+        sigma = RingMap.identity(base)
+        sigma.anti = True
+        cd = cayley_dickson(base, sigma, base.scalar_mul(-1, base.probe_properties().unit))
+        first = certify_cayley(cd).premises[0]
+        assert (first.status, first.detail) == ("failed", "stable factor combination 1")
+
+
 def test_twisted_certificates():
     tw = bales_twisted_ring(QQ, 2)
     cert = certify_twisted(tw)

@@ -359,6 +359,18 @@ CHECK_SHA256 = {
     "twisted_group_ring-bales3-F3":
         "a9e4485ab7746a4100335a171588796e74132f0387bc3f6762f6060dbded40c4",
 }
+# the two Q recipes of CI's console-script step, with the sha256 of the
+# stdout of each command: the simplicity witness over Q (NotSimple, the
+# witness ["1", "0"]) and the matrix ring's witness and oracle search both
+# close ideals over Q
+Q_DIAGONAL = {"kind": "structure_algebra", "field": "Q", "dim": 2,
+              "constants": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]}
+Q_SHA256 = {
+    "check": (Q_DIAGONAL, ["--checks", "simplicity,center"],
+              "390ff4e4e1f304d0a8be2d548fb5431ff827f2f120d98d01de5b26b171b7c379"),
+    "certify": ({"kind": "matrix_ring", "size": 2, "base": Q_DIAGONAL}, [],
+                "3400dda1bd7478b6c9eb7a9e60053e1acdb2b18db180cc37ff0438c850d9f2a6"),
+}
 DEMOS = pathlib.Path(__file__).resolve().parents[1] / "demos"
 DEMO_SHA256 = {
     "01_finite_rings_and_probes": "666d65d1e41ec2b3cd1c0d12b8704e11af0cd813647ff66a65a703f2f6bb3bc8",
@@ -394,6 +406,15 @@ def test_certify_output_is_byte_identical(name, capsys):
 def test_check_output_is_byte_identical(name, capsys):
     assert main(["check", str(RECIPES / f"{name}.json"), "--checks", CHECKS]) == 0
     assert _sha256(capsys.readouterr().out) == CHECK_SHA256[name]
+
+
+@pytest.mark.parametrize("command", sorted(Q_SHA256))
+def test_q_output_is_byte_identical(command, tmp_path, capsys):
+    recipe, extra, digest = Q_SHA256[command]
+    path = _write(tmp_path, "q.json", recipe)
+    assert main([command, path, *extra]) == 0
+    out = capsys.readouterr().out
+    assert "NotSimple" in out and _sha256(out) == digest
 
 
 def test_every_demo_is_pinned():

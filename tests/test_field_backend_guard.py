@@ -1,10 +1,16 @@
 """The Q / F_p split lives in the field backends of ``ringlab.linalg``.
 
-These checks keep it there.  A ``modulus is None`` / ``is not None`` test may
-appear only in the functions listed below, where it asks about the field
-itself (is it finite, how large, is a Q-only argument available) and never
-picks between an int64 and a ``Fraction`` code path.  Only the modules that
-reduce, parse, print or reason about rationals import ``fractions``.
+These checks keep it there.  Every choice that depends on the field (how to
+close an ideal, whether elements can be enumerated, how to draw a random
+element, how to recognize a field, how to print a vector) is a backend
+method, so no caller branches on the field.  A ``modulus is None`` /
+``is not None`` test may appear only in the three functions listed below,
+where it asks about the field itself: is it finite, is a Q-only argument
+available, is an F_p-only decision asked for.  Only ``linalg`` and
+``scalars`` import ``fractions``.
+
+Each allow-list entry must still occur, so the lists only shrink with the
+code.
 """
 
 import ast
@@ -15,20 +21,11 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "ringlab"
 # (file, enclosing function) -> why the test is about the field itself
 MODULUS_TESTS = {
     ("rings.py", "StructureAlgebra.size"): "finite: p^dim elements",
-    ("rings.py", "StructureAlgebra.element_blocks"): "finite fields only",
-    ("rings.py", "convert_to_table"): "finite fields only",
-    ("subgroups.py", "Subspace.element_blocks"): "finite fields only",
-    ("ideals.py", "ideal_closure"): "F_p closure fast path",
-    ("ideals.py", "_random_element"): "samples from the finite field",
-    ("ideals.py", "_is_simple_uncached"): "the Inconclusive reason",
-    ("certify.py", "recognize_field"): "Q-only quadratic-field argument",
-    ("certify.py", "_sigma_simple_premise"): "Q product-of-fields shortcut",
+    ("certify.py", "_sigma_simple_premise"): "Q product-of-fields argument",
     ("certify.py", "simple_by_density"): "F_p-only decision",
-    ("reports.py", "element_json"): "JSON form of a scalar",
 }
 
-FRACTIONS_IMPORTERS = {"linalg.py", "scalars.py", "certify.py", "recipes.py",
-                       "reports.py"}
+FRACTIONS_IMPORTERS = {"linalg.py", "scalars.py"}
 
 
 def _modules():
@@ -73,6 +70,7 @@ def test_modulus_tests_stay_on_the_allow_list():
                 stray.append(f"{name}:{line} in {func or '<module>'}")
     assert not stray, "field fork outside linalg: " + ", ".join(stray)
     assert all(n == 1 for n in seen.values()), seen
+    assert set(seen) == set(MODULUS_TESTS), sorted(set(MODULUS_TESTS) - set(seen))
 
 
 def test_fractions_imported_only_where_rationals_are_handled():
@@ -83,4 +81,4 @@ def test_fractions_imported_only_where_rationals_are_handled():
                     isinstance(node, ast.Import)
                     and any(a.name == "fractions" for a in node.names)):
                 importers.add(name)
-    assert importers <= FRACTIONS_IMPORTERS, sorted(importers - FRACTIONS_IMPORTERS)
+    assert importers == FRACTIONS_IMPORTERS, sorted(importers ^ FRACTIONS_IMPORTERS)

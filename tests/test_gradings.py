@@ -359,18 +359,18 @@ def test_each_principal_ideal_and_degree_is_scanned_once(monkeypatch):
 
 
 def test_simple_ring_degree_map_makes_few_closures(monkeypatch):
-    from ringlab import ideals
+    from ringlab import linalg
     from ringlab.corpus import build_rotation_dynamics
     dyn = build_rotation_dynamics()
     dm = support_degree_map(dyn.grading, "homogeneous_elements")
     calls = []
-    closure = ideals._closure_modp
+    closure = linalg.ModP.closure
 
     def counted(*args, **kwargs):
         calls.append(1)
         return closure(*args, **kwargs)
 
-    monkeypatch.setattr(ideals, "_closure_modp", counted)
+    monkeypatch.setattr(linalg.ModP, "closure", counted)
     assert verify_degree_map(dm).status == "Valid"
     assert len(calls) < 10
 

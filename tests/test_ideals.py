@@ -151,13 +151,13 @@ def test_density_decides_only_simple_algebras_over_the_cap(monkeypatch):
 
 def _count_closures(monkeypatch):
     calls = []
-    original = ideals._closure_modp
+    original = linalg.ModP.closure
 
-    def counted(ring, seed_rows):
+    def counted(F, ring, seed_rows):
         calls.append(ring)
-        return original(ring, seed_rows)
+        return original(F, ring, seed_rows)
 
-    monkeypatch.setattr(ideals, "_closure_modp", counted)
+    monkeypatch.setattr(linalg.ModP, "closure", counted)
     return calls
 
 
@@ -265,6 +265,98 @@ def test_lift_skips_a_prime_dividing_a_denominator():
                                             [[0, 1], [Fraction(-1, 9), 0]]])
     v = is_simple(scaled)
     assert v.status == "Simple" and v.reason == "reduction mod 7"
+
+
+def _reference_q_closure(ring, gens):
+    """The ideal ``gens`` generate, by the Element-at-a-time fixed point:
+    adjoin a·x and x·a for a over the basis and x over the newest span
+    vectors, re-close additively, repeat until stable."""
+    span = additive_span(ring, list(gens))
+    mult = ring.spanning_elements()
+    frontier = span.spanning()
+    while frontier:
+        prods = [p for a in mult for x in frontier for p in (a * x, x * a)]
+        new = span.join(additive_span(ring, prods))
+        if new == span:
+            break
+        frontier = [e for e in new.spanning() if not span.contains(e)]
+        span = new
+    return span
+
+
+_Q_ENTRIES = st.one_of(st.just(0), st.integers(-3, 3),
+                       st.builds(Fraction, st.integers(-6, 6), st.sampled_from([2, 3, 5, 7])))
+
+
+@st.composite
+def _q_algebras_with_generators(draw):
+    """An algebra over Q of dimension 1..5 with non-integral constants,
+    about a third of them zero, and up to 3 generators (possibly none,
+    possibly zero)."""
+    d = draw(st.integers(1, 5))
+    C = draw(st.lists(_Q_ENTRIES, min_size=d ** 3, max_size=d ** 3))
+    ring = make_structure_algebra(d, QQ, np.array(C, dtype=object).reshape(d, d, d))
+    gens = draw(st.lists(st.lists(_Q_ENTRIES, min_size=d, max_size=d), max_size=3))
+    return ring, [ring.element(g) for g in gens]
+
+
+@given(_q_algebras_with_generators())
+@settings(max_examples=60, deadline=None)
+def test_q_closure_equals_the_element_loop(case):
+    ring, gens = case
+    got = ideal_closure(ring, gens).span
+    expected = _reference_q_closure(ring, gens)
+    assert got.rows == expected.rows and got.pivots == expected.pivots
+    assert all(type(x) is Fraction for row in got.rows for x in row)
+
+
+def _q_change_basis(ring, P):
+    """The algebra on the basis f_a = sum_i P[a, i] e_i, for P invertible."""
+    F = ring.F
+    Q = F.solve(P, F.eye(len(P)))
+    X = np.tensordot(P, ring.constants, axes=(1, 0))                 # (a, j, k)
+    X = np.tensordot(P, X, axes=(1, 1)).transpose(1, 0, 2)           # (a, b, k)
+    return make_structure_algebra(len(P), QQ, np.tensordot(X, Q, axes=(2, 0)))
+
+
+def test_q_closure_of_a_sum_of_matrix_algebras_on_a_random_basis():
+    # each summand of M2(Q) ⊕ M2(Q) is a proper ideal, and here no basis
+    # vector lies in one
+    ring = direct_sum_algebra([full_matrix_algebra(2, QQ)] * 2)
+    rng = np.random.default_rng(5)
+    P = rng.integers(-2, 3, size=(8, 8)).astype(object)
+    while linalg.RATIONAL.rank(P, 8) < 8:
+        P = rng.integers(-2, 3, size=(8, 8)).astype(object)
+    ring = _q_change_basis(ring, P)
+    summand = [ring.element(row) for row in linalg.RATIONAL.solve(P.T, np.eye(8, dtype=object)[:, :1]).T]
+    for gens in ([ring.basis_element(0)], summand, []):
+        got = ideal_closure(ring, gens).span
+        expected = _reference_q_closure(ring, gens)
+        assert got.rows == expected.rows and got.pivots == expected.pivots
+    assert ideal_closure(ring, summand).measure() == 4
+
+
+@given(_q_algebras_with_generators(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_is_stable_equals_the_element_check(case, data):
+    ring, gens = case
+    d, F = ring.dim, ring.F
+    span = ideal_closure(ring, gens).span
+    entry = st.one_of(st.just(0), st.integers(-1, 1))
+    maps = [np.array(data.draw(st.lists(entry, min_size=d * d, max_size=d * d)),
+                     dtype=object).reshape(d, d) for _ in range(data.draw(st.integers(0, 2)))]
+    maps += data.draw(st.sampled_from([[], [F.eye(d)]]))
+    expected = all(span.contains_coords(F.matmul(F.array(row), M))
+                   for M in maps for row in span.rows)
+    assert ideals.is_stable(span, maps) == expected
+
+
+def test_is_stable_on_table_rings():
+    z6 = zmod_ring(6)
+    evens = ideal_closure(z6, [z6.element(2)]).span
+    assert ideals.is_stable(evens, [[(3 * x) % 6 for x in range(6)]])
+    assert not ideals.is_stable(evens, [[(x + 1) % 6 for x in range(6)]])
+    assert ideals.is_stable(evens, [])
 
 
 def test_centralizers():

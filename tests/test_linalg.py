@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from ringlab import (cayley_tower, cyclic_group, dynamics_skew_group_ring, full_matrix_algebra,
                      gf_extension, linalg, make_structure_algebra, matrix_ring)
 from ringlab.errors import TooLarge
-from ringlab.ideals import _closure_modp, first_proper_line_ideal
+from ringlab.ideals import first_proper_line_ideal
 from ringlab.rings import StructureAlgebra, direct_sum_algebra, functions_ring
 from ringlab.scalars import GF, QQ
 from ringlab.subgroups import subspace_from_vectors
@@ -563,7 +563,7 @@ def test_spin_ups_eliminate_only_the_adjoined_block(monkeypatch):
     eye = np.eye(ring.dim, dtype=np.int64)
     for seed in (eye[:1], eye[5:6], np.ones((1, ring.dim), dtype=np.int64)):
         count.update(reduce=0, grew=0)
-        rows, pivots = _closure_modp(ring, seed)
+        rows, pivots = ring.F.closure(ring, seed)
         # every round but a last one that adds nothing grows the span
         rounds = count["grew"] + (len(pivots) < ring.dim)
         assert count["grew"] and count["reduce"] == rounds

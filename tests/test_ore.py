@@ -11,7 +11,7 @@ from ringlab import (GF, RingMap, SigmaDerivationData, center,
                      validate_sigma_derivation, zmod_ring, gf_extension,
                      QQ, enumerate_ideals,
                      field_algebra, functions_ring, make_structure_algebra)
-from ringlab.corpus import ORE_CORPUS, build_ore_f5, build_ore_m2f2_inner
+from ringlab.corpus import ORE_CORPUS, build_ore_f5, build_ore_m2f2_inner, build_ore_z4
 from ringlab.errors import (InfiniteScalarField, PreconditionUnmet, ShapeMismatch,
                             TooLarge)
 from ringlab.ideals import first_invariant_ideal
@@ -217,6 +217,37 @@ def test_monic_commutator_drop_for_full_base_set():
                 assert ore_degree_map(a * pb - pb * a) < da, name
             drop, _ = commutator_degree_drop(a, "x", data)
             assert drop, name
+
+
+def test_samplers_run_over_q():
+    # Q and Q × Q with sigma = id and delta = 0: the samplers draw small
+    # integer coordinates, as the simplicity witness search does
+    for base in (field_algebra(QQ), functions_ring(2, QQ)):
+        zero = np.zeros((base.dim, base.dim), dtype=np.int64)
+        data = SigmaDerivationData(base, RingMap.identity(base), RingMap(base, base, matrix=zero))
+        assert assert_associativity_sample(data, samples=20) == (True, None)
+        report = degree_map_commutator_samples(data, samples=20)
+        assert report.samples == 20 and report.clean
+        rng = random.Random(1)
+        assert any(c != data.unit and not c.is_zero()
+                   for _ in range(5) for c in random_polynomial(data, rng, 3).coeffs)
+
+
+def test_random_polynomials_draw_the_same_coefficients():
+    # one randrange per coordinate (F_p) or per element (tables), in order
+    for data in (build_ore_f5(), _ddy(2, 3), build_ore_m2f2_inner(), build_ore_z4()):
+        B = data.base
+        for seed in range(5):
+            rng, ref = random.Random(seed), random.Random(seed)
+            for monic in (False, True):
+                got = random_polynomial(data, rng, 3, monic=monic)
+                deg = ref.randrange(4)
+                coeffs = [B.element(ref.randrange(B.n)) if B.is_table else
+                          B.element(tuple(ref.randrange(B.modulus) for _ in range(B.dim)))
+                          for _ in range(deg + 1)]
+                if monic or coeffs[-1].is_zero():
+                    coeffs[-1] = data.unit
+                assert got == SkewPolynomial(data, coeffs)
 
 
 def test_commutator_samples_clean_on_corpus():

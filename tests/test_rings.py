@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringlab import (GF, QQ, cayley_tower, enumerate_elements,
                      make_structure_algebra, make_table_ring, opposite,
@@ -141,6 +145,54 @@ def test_convert_to_table():
     from ringlab.errors import TooLarge
     with pytest.raises(TooLarge):
         convert_to_table(o3, cap=100)
+
+
+def _reference_table(alg):
+    """The tables of an F_p algebra on its elements in
+    ``itertools.product(range(p), repeat=dim)`` order, one pair at a time."""
+    p, d = alg.modulus, alg.dim
+    digits = list(itertools.product(range(p), repeat=d))
+    index = {x: i for i, x in enumerate(digits)}
+    add = [[index[tuple((a + b) % p for a, b in zip(x, y))] for y in digits] for x in digits]
+    mul = [[index[tuple(alg.mul_coords(x, y))] for y in digits] for x in digits]
+    return add, mul
+
+
+@st.composite
+def _small_fp_algebras(draw):
+    p = draw(st.sampled_from([2, 3]))
+    d = draw(st.integers(1, 4 if p == 2 else 3))
+    C = draw(st.lists(st.integers(0, p - 1), min_size=d ** 3, max_size=d ** 3))
+    return make_structure_algebra(d, GF(p), np.array(C).reshape(d, d, d).tolist())
+
+
+@given(_small_fp_algebras())
+@settings(max_examples=40, deadline=None)
+def test_convert_to_table_equals_the_product_order(alg):
+    from ringlab.rings import convert_to_table
+    table = convert_to_table(alg)
+    add, mul = _reference_table(alg)
+    assert table.zero_index == 0
+    assert table.add_table.tolist() == add and table.mul_table.tolist() == mul
+
+
+def test_every_enumeration_over_q_raises():
+    from ringlab.ideals import (enumerate_ideals, enumerate_subring_ideals,
+                                first_proper_line_ideal, first_stable_ideal,
+                                ideal_closure, principal_ideals)
+    from ringlab.rings import convert_to_table
+    hq = cayley_tower(QQ, 2).rings[2]
+    span = ideal_closure(hq, [hq.basis_element(1)]).span
+    entry_points = [
+        lambda: hq.element_blocks(), lambda: enumerate_elements(hq),
+        lambda: span.element_blocks(), lambda: span.elements(),
+        lambda: convert_to_table(hq), lambda: enumerate_ideals(hq),
+        lambda: enumerate_subring_ideals(hq, None), lambda: list(principal_ideals(hq)),
+        lambda: first_proper_line_ideal(hq), lambda: first_stable_ideal(hq, None, []),
+        lambda: hq.F.element_blocks(span.rows, 1 << 20)]
+    for enumerate_ in entry_points:
+        with pytest.raises(InfiniteScalarField):
+            enumerate_()
 
 
 def test_table_distributivity_holds_exhaustively():
