@@ -27,7 +27,8 @@ from .ideals import (DEFAULT_ELEMENT_CAP, DEFAULT_SEED, IdealBasis, Subring,
                      center, centralizer, check_ideal_associativity,
                      enumerate_ideals, enumerate_subring_ideals, ideal_closure,
                      first_stable_ideal, identity_property, is_A_invariant,
-                     is_A_simple, is_maximal_commutative, is_simple, is_stable)
+                     is_A_simple, is_maximal_commutative, is_simple, is_stable,
+                     row_ideal)
 from .rings import StructureAlgebra
 from .subgroups import full_subgroup, product_span, triple_product_span, zero_subgroup
 
@@ -642,7 +643,7 @@ def _faithfulness_witness_ideal(dyn: DynamicsRing):
     rows = np.zeros((r.size, dyn.ring.dim), dtype=np.int64)
     rows[r, offs[pair, 0] + x] = 1
     rows[r, offs[pair, 1] + x] = -1
-    return ideal_closure(dyn.ring, [dyn.ring.element(row) for row in rows.tolist()])
+    return row_ideal(dyn.ring, rows)
 
 
 def minimality_witness_ideal(dyn: DynamicsRing):
@@ -651,10 +652,10 @@ def minimality_witness_ideal(dyn: DynamicsRing):
     it is).  The subset is the complement of the orbit of point 0, which
     the ring keeps; the ideal is closed once per ring object, which keeps it."""
     if not hasattr(dyn, "_minimality_witness"):
-        dyn._minimality_witness = None if dyn.minimal else ideal_closure(
-            dyn.ring, [dyn.ring.basis_element(dyn.offsets[g] + x)
-                       for x in range(dyn.npoints) if x not in dyn.orbit
-                       for g in dyn.system.cat.morphisms])
+        dyn._minimality_witness = None if dyn.minimal else row_ideal(
+            dyn.ring, dyn.ring.F.eye(dyn.ring.dim)[
+                [dyn.offsets[g] + x for x in range(dyn.npoints) if x not in dyn.orbit
+                 for g in dyn.system.cat.morphisms]])
     return dyn._minimality_witness
 
 
@@ -852,10 +853,13 @@ def survey_finite_dynamics(max_points=4, max_group_order=6, field_orders=(2, 3),
 
     Negative cases are refuted by explicit witness ideals (any size);
     positive cases are confirmed by :func:`is_simple`: the element scan or
-    the F_p decision (``linalg.simple_modp``) when the ring fits under
+    the F_p decision (``linalg.norton_modp``) when the ring fits under
     ``scan_cap``, and that decision once the witness search's first
     candidate generates the whole ring otherwise (up to
-    ``ideals.DENSITY_MAX_DIM``).
+    ``ideals.DENSITY_MAX_DIM``).  The certificates' oracle cross-checks
+    read only the verdict: on a ring that is not simple, the proper
+    submodule of Norton's test decides it, under the cap and over it, and
+    no line is walked for a witness.
     Conjugate actions transfer their verdict along a verified ring
     isomorphism.
     """

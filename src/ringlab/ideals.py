@@ -39,7 +39,9 @@ from .subgroups import (AddSubgroup, Subspace, TableSubgroup, additive_span,
 DEFAULT_WITNESS_SAMPLES = 24
 DEFAULT_SEED = 0xC0FFEE
 # the largest dimension at which an F_p algebra over the element cap is
-# decided by linalg.simple_modp during the witness search.  Norton's test
+# decided by linalg.norton_modp during the witness search: Simple, or
+# NotSimple with the proper submodule Norton's test found as the witness
+# (a density NotSimple shows none, and the search goes on).  Norton's test
 # decides a random unital algebra over F_2 in about 8, 14 and 16 ms at
 # d = 16, 24 and 32, but the density fallback it keeps, which spins up a
 # multiplication algebra of up to d^2 / k dimensions (k that of the
@@ -108,6 +110,7 @@ class Subring:
             if not span.contains_subgroup(prod):
                 raise RingMismatch("span is not multiplicatively closed")
         self._as_ring = None
+        self._commutative = None
 
     def contains(self, elt):
         return self.span.contains(elt)
@@ -119,12 +122,21 @@ class Subring:
         return self.span.measure()
 
     def is_commutative(self):
-        xs = self.spanning()
-        for i, a in enumerate(xs):
-            for b in xs[i + 1:]:
-                if a * b != b * a:
-                    return False
-        return True
+        """Do the spanning elements commute pairwise?  Every product of two
+        of them (one fancy index of a table ring's ``mul_table``, one
+        backend ``products`` of an algebra's rref rows) against its
+        transpose; computed once."""
+        if self._commutative is None:
+            ring, span = self.ring, self.span
+            if ring.is_table:
+                members = sorted(span.members)
+                T = ring.mul_table[np.ix_(members, members)]
+            else:
+                m = span.dim
+                T = ring.F.array(ring.F.products(ring, span.rows, span.rows)
+                                 ).reshape(m, m, ring.dim)
+            self._commutative = bool((T == T.swapaxes(0, 1)).all())
+        return self._commutative
 
     def as_ring(self):
         """The subring as a standalone Ring plus embed/project maps."""
@@ -220,8 +232,19 @@ def ideal_closure(ring, gens) -> IdealBasis:
     """
     if ring.is_table:
         return IdealBasis(ring, _table_closure(ring, [g.data for g in gens]), check=False)
-    rows, pivots = ring.F.closure(ring, [g.data for g in gens])
-    return IdealBasis(ring, Subspace(ring, rows, pivots), check=False)
+    return row_ideal(ring, [g.data for g in gens])
+
+
+def row_ideal(ring, rows) -> IdealBasis:
+    """The ideal of an algebra that the coordinate rows ``rows`` generate,
+    closed in its field backend's ``closure``: :func:`ideal_closure` with no
+    Element made per row."""
+    return _subspace_ideal(ring, ring.F.closure(ring, rows))
+
+
+def _subspace_ideal(ring, basis):
+    """An ideal of an algebra known to be one, from its (rref basis, pivots)."""
+    return IdealBasis(ring, Subspace(ring, *basis), check=False)
 
 
 def _table_closure(ring, seed_indices, ops=None, bound=None):
@@ -269,21 +292,41 @@ def principal_ideals(ring):
     :func:`_lines`.  A table ring closes every nonzero element, by index.
     Each is one :func:`principal_ideal`.  Raises InfiniteScalarField over Q.
     """
-    if ring.size() is None:
-        raise InfiniteScalarField("cannot enumerate ideals over Q")
-    if ring.is_table:
-        gens = (i for i in range(ring.n) if i != ring.zero_index)
-    else:
-        gens = _lines(ring.modulus, ring.dim)
-    for g in gens:
+    for g in _principal_generators(ring):
         yield principal_ideal(ring, ring.element(g)).span
 
 
-def first_proper_line_ideal(ring):
+def _principal_generators(ring):
+    """The generators :func:`principal_ideals` closes, in its order."""
+    if ring.size() is None:
+        raise InfiniteScalarField("cannot enumerate ideals over Q")
+    if ring.is_table:
+        return (i for i in range(ring.n) if i != ring.zero_index)
+    return _lines(ring.modulus, ring.dim)
+
+
+def first_proper_line_ideal(ring, last=None):
     """The first proper ideal of :func:`principal_ideals` (a principal ideal
     of a line of an F_p algebra, or of an element of a table ring), as a
-    span; None when every one is the whole ring."""
-    return next((s for s in principal_ideals(ring) if not s.is_full()), None)
+    span; None when every one is the whole ring.  With ``last``, a line
+    generator of an F_p algebra, the walk ends after that line."""
+    for g in _principal_generators(ring):
+        span = principal_ideal(ring, ring.element(g)).span
+        if not span.is_full():
+            return span
+        if g == last:
+            break
+    return None
+
+
+def _line_witness(ring, last=None):
+    """The ideal of :func:`first_proper_line_ideal` (up to ``last``) of an
+    algebra that the F_p decision calls not simple; CriterionDisagreement
+    when the walk finds no proper line."""
+    sub = first_proper_line_ideal(ring, last)
+    if sub is None:
+        raise CriterionDisagreement("the density criterion and the line walk disagree")
+    return IdealBasis(ring, sub, check=False)
 
 
 def principal_ideal(ring, elt) -> IdealBasis:
@@ -377,11 +420,25 @@ def enumerate_ideals(ring, cap=DEFAULT_ELEMENT_CAP):
     return enumerate_subring_ideals(ring, None, cap)
 
 
-@dataclass
 class SimpleVerdict:
-    status: str                  # "Simple" | "NotSimple" | "Inconclusive"
-    witness: IdealBasis | None = None
-    reason: str | None = None
+    """``status`` is "Simple", "NotSimple" or "Inconclusive".  The witness
+    of a NotSimple is a proper nonzero ideal; when it is not at hand,
+    ``find`` computes it on the first read of :attr:`witness`, and only
+    then."""
+
+    def __init__(self, status, witness: IdealBasis | None = None,
+                 reason: str | None = None, find=None):
+        self.status = status
+        self.reason = reason
+        self._witness = witness
+        self._find = find
+
+    @property
+    def witness(self):
+        if self._find is not None:
+            self._witness = self._find()
+            self._find = None
+        return self._witness
 
     @property
     def is_simple(self):
@@ -409,11 +466,15 @@ def is_simple(ring, cap=DEFAULT_ELEMENT_CAP, seed=DEFAULT_SEED,
     Finite case (size under cap): Simple iff R·R is nonzero and every nonzero
     principal ideal is the whole ring.  An F_p algebra is decided by
     Norton's irreducibility test on its multiplications, with the density
-    criterion as its fallback (:func:`ringlab.linalg.simple_modp`), without
+    criterion as its fallback (:func:`ringlab.linalg.norton_modp`), without
     enumerating anything; when it is not simple, the witness is the
     principal ideal of the first proper line
-    (:func:`first_proper_line_ideal`).  A table ring walks the principal
-    ideals of its elements the same way.
+    (:func:`first_proper_line_ideal`).  When Norton's test decided, the
+    proper submodule it found proves the verdict, and the walk runs on the
+    first read of ``witness``: it ends, at the latest, at the line of the
+    submodule's first rref row, whose principal ideal lies inside it.
+    After a density verdict, and on a table ring, which walks the principal
+    ideals of its elements the same way, the walk runs at once.
 
     A Q-algebra is Simple when its reduction modulo one of
     ``linalg.LIFT_PRIMES`` is simple by the same test
@@ -422,9 +483,10 @@ def is_simple(ring, cap=DEFAULT_ELEMENT_CAP, seed=DEFAULT_SEED,
     search runs (basis elements plus seeded pseudorandom elements), and a
     proper nonzero principal ideal refutes.  On an F_p algebra of dimension
     at most ``DENSITY_MAX_DIM`` the F_p test runs once, right after the
-    first candidate that generates the whole ring: Simple when it says so;
-    otherwise the search goes on.  Every failed search answers
-    Inconclusive, never Simple.
+    first candidate that generates the whole ring: Simple when it says so,
+    NotSimple with Norton's submodule as the witness when it shows one;
+    after a density NotSimple, which shows none, the search goes on.  Every
+    failed search answers Inconclusive, never Simple.
 
     Verdicts are cached on the (immutable) ring per (cap, seed, samples).
     """
@@ -448,23 +510,29 @@ def _is_simple_uncached(ring, cap, seed, samples) -> SimpleVerdict:
     size = ring.size()
     finite = size is not None and size <= cap
     if ring.is_algebra and (finite or size is None):
-        q = ring.F.simple_reduction(ring)
+        q, submodule = ring.F.simplicity(ring)
         if q is not None:
             # a verdict read off a reduction, not the algebra itself, names it
             return SimpleVerdict("Simple", reason=None if q == ring.modulus
                                  else f"reduction mod {q}")
+        if finite and submodule is None:
+            return SimpleVerdict("NotSimple", _line_witness(ring))
+        if finite:
+            # the submodule proves NotSimple, so the walk waits for a reader;
+            # the line of its first row is proper
+            last = ring.F.coords(submodule[0][0])
+            return SimpleVerdict("NotSimple", find=lambda: _line_witness(ring, last))
     if finite:
         sub = first_proper_line_ideal(ring)
         if sub is not None:
             return SimpleVerdict("NotSimple", IdealBasis(ring, sub, check=False))
-        if ring.is_algebra:
-            raise CriterionDisagreement("the density criterion and the line walk disagree")
         return SimpleVerdict("Simple")
     # witness search; the seeded candidates are drawn lazily, because most
     # searches stop at their first candidate.  Over the cap an F_p algebra is
     # decided once its first candidate generates the whole ring: a Simple
-    # ends the search, which could find no witness in a simple ring; a
-    # NotSimple has no witness to show, so the search goes on
+    # ends the search, which could find no witness in a simple ring, and so
+    # does a NotSimple from Norton's test, whose submodule is the witness; a
+    # density NotSimple has no witness to show, so the search goes on
     undecided = ring.is_algebra and size is not None and ring.dim <= DENSITY_MAX_DIM
     rng = random.Random(seed)
     candidates = itertools.chain(ring.spanning_elements(),
@@ -476,8 +544,11 @@ def _is_simple_uncached(ring, cap, seed, samples) -> SimpleVerdict:
         if not ib.span.is_full():
             return SimpleVerdict("NotSimple", ib)
         if undecided:
-            if ring.F.simple_reduction(ring) is not None:
+            q, submodule = ring.F.simplicity(ring)
+            if q is not None:
                 return SimpleVerdict("Simple")
+            if submodule is not None:
+                return SimpleVerdict("NotSimple", _subspace_ideal(ring, submodule))
             undecided = False
     reason = ("infinite scalar field; use certify pipelines" if size is None
               else f"size {size} exceeds cap {cap}")

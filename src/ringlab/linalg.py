@@ -27,11 +27,13 @@ routines are pure; nothing mutates its inputs.
 The row-reduction kernels (``rref_modp``, ``reduce_rows_modp``,
 ``merge_modp``, ``kernel_modp``, ``rref_frac``, ``merge_frac``,
 ``kernel_frac``) are module-level functions; the backends look them up by
-name at call time.  So do the F_p decisions built on them.  ``simple_modp``
+name at call time.  So do the F_p decisions built on them.  ``norton_modp``
 is the one F_p simplicity decision, which ideals and certificates use
 without enumerating elements: Norton's irreducibility test (the MeatAxe),
 with ``density_simple_modp`` (and its steps ``commutant_modp`` and
-``is_field_modp``) as the fallback when every trial is inconclusive.  The Q
+``is_field_modp``) as the fallback when every trial is inconclusive.  A
+"not simple" from the test comes with the proper submodule it found, which
+is an ideal (``simplicity``); ``simple_modp`` is its verdict alone.  The Q
 backend runs it on reductions modulo ``LIFT_PRIMES``, which can prove a
 Q-algebra simple (``simple_reduction``).
 Where elements must be enumerated, ``combinations_modp`` yields them as
@@ -304,7 +306,7 @@ def commutant_modp(C, p, through_unit=True):
 
 def density_simple_modp(C, p):
     """Is the F_p-algebra with structure constants ``C`` simple?  The
-    fallback of :func:`simple_modp`, and the reference its tests compare
+    fallback of :func:`norton_modp`, and the reference its tests compare
     with: it spins up the multiplication algebra from the identity by
     :func:`spin_modp`, up to d²/k operators of d² entries, so it costs seconds
     at d = 32 where Norton's test takes milliseconds.
@@ -353,7 +355,16 @@ NORTON_SPLITS = 8
 
 
 def simple_modp(C, p):
-    """Is the F_p-algebra with structure constants ``C`` simple?
+    """Is the F_p-algebra with structure constants ``C`` simple?  The
+    verdict of :func:`norton_modp`, without its submodule."""
+    return norton_modp(C, p)[0]
+
+
+def norton_modp(C, p):
+    """(simple, submodule) for the F_p-algebra with structure constants
+    ``C``: whether it is simple, and, when it is not, the (rref basis,
+    pivots) of a proper nonzero ideal that proves it, or None when the
+    proof is not a subspace (C = 0, or the density fallback).
 
     Its ideals are the subspaces of A = F_p^d that the multiplications
     L_{e_i}, R_{e_i} map into themselves, so it is simple iff C ≠ 0 and A is
@@ -367,23 +378,25 @@ def simple_modp(C, p):
     """
     C = np.asarray(C, dtype=np.int64) % p
     if not C.any():
-        return False
+        return False, None
     if C.shape[0] == 1:
-        return True
+        return True, None
     gens = multiplications_modp(C, p)
     rng = random.Random(NORTON_SEED)
     for _ in range(NORTON_TRIALS):
-        verdict = _norton_trial(gens, p, rng)
-        if verdict is not None:
-            return verdict
-    return density_simple_modp(C, p)
+        found = _norton_trial(gens, p, rng)
+        if found is True:
+            return True, None
+        if found is not None:
+            return False, found
+    return density_simple_modp(C, p), None
 
 
 def _norton_trial(gens, p, rng):
     """One trial of Norton's test on F_p^d under the operators ``gens`` (a
-    (m, d, d) stack acting on rows): False when it spins up a proper
-    submodule, True when Norton's lemma proves the module irreducible, None
-    when neither.
+    (m, d, d) stack acting on rows): a proper nonzero submodule, as (rref
+    basis, pivots), when it finds one; True when Norton's lemma proves the
+    module irreducible; None when neither.
 
     θ = X + Y·Z for random combinations X, Y, Z of the generators (their
     combinations alone are too special: on M_n(F_p), L_c has every
@@ -399,6 +412,8 @@ def _norton_trial(gens, p, rng):
     either meets N, and then contains N, which is a line over the field
     F_p[θ]/(f), hence v; or it does not, and then f(θ) is invertible on U,
     so w lies in the annihilator of U, a proper submodule of the dual.
+    A proper span W of the dual gives the proper submodule {x : x·W = 0}:
+    for x in it, (x g)·w = x·(w gᵀ) = 0, since W is invariant under gᵀ.
     """
     m, d, _ = gens.shape
     X, Y, Z = (np.tensordot([rng.randrange(p) for _ in range(m)], gens, axes=(0, 0)) % p
@@ -412,8 +427,9 @@ def _norton_trial(gens, p, rng):
             break
     N, pivots = _split_null_space(N, pivots, theta, k, p, rng)
     v = N[:1]
-    if len(spin_modp(v, gens, p)[1]) < d:
-        return False
+    span = spin_modp(v, gens, p)
+    if len(span[1]) < d:
+        return span
     # the Krylov rows v θ^i (i ≤ dim N, since N is θ-invariant) first
     # become dependent at the degree of v's minimal polynomial
     krylov = [v[0]]
@@ -425,8 +441,9 @@ def _norton_trial(gens, p, rng):
     for c in f[0][::-1].tolist():
         f_theta = (f_theta @ theta + c * np.eye(d, dtype=np.int64)) % p
     w, _ = kernel_modp(f_theta, p)
-    if len(spin_modp(w[:1], gens.transpose(0, 2, 1), p)[1]) < d:
-        return False
+    dual, pivots = spin_modp(w[:1], gens.transpose(0, 2, 1), p)
+    if len(pivots) < d:
+        return kernel_modp(dual, p)
     return True if N.shape[0] == k else None
 
 
@@ -706,8 +723,14 @@ class _Field:
     ``simple_reduction``, and what callers would otherwise branch on the
     field for: ``closure`` (the ideal seed rows generate), ``element_blocks``
     (every combination of rows), ``random_coords``, ``is_field`` and
-    ``json``.
+    ``json``.  ``ModP`` also overrides ``simplicity``.
     """
+
+    def simplicity(self, alg):
+        """(q, submodule): q as :meth:`simple_reduction` gives it, and the
+        (rref basis, pivots) of a proper nonzero ideal of ``alg`` that proves
+        it not simple, or None.  No Q decision shows a submodule."""
+        return self.simple_reduction(alg), None
 
     def array(self, x):
         """``x`` as a numpy array of this field's dtype (not reduced)."""
@@ -881,6 +904,12 @@ class ModP(_Field):
         """p when the algebra ``alg`` is simple by :func:`simple_modp`, else
         None: over F_p that decides, so None means not simple."""
         return self.p if simple_modp(alg.constants, self.p) else None
+
+    def simplicity(self, alg):
+        """See :meth:`_Field.simplicity`: :func:`norton_modp`, which shows
+        the proper submodule it spun up (None after a density verdict)."""
+        simple, submodule = norton_modp(alg.constants, self.p)
+        return (self.p if simple else None), submodule
 
     def closure(self, alg, seed):
         """(rref basis, pivots) of the ideal of ``alg`` that the rows

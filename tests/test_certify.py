@@ -9,7 +9,7 @@ from ringlab import (GF, QQ, RingMap, cayley_dickson, cayley_tower,
                      cross_check_corpus, cyclic_group, field_algebra,
                      full_subring, matrix_ring, simple_by_density,
                      skew_group_ring, trivial_grading, zmod_ring)
-from ringlab import certify
+from ringlab import certify, linalg
 from ringlab.certify import certify_built, minimality_witness_ideal, recognize_field
 from ringlab.cli import main
 from ringlab.corpus import (build_f4_frobenius_ring, build_group_algebra,
@@ -256,13 +256,13 @@ def test_minimality_witness_reads_the_orbit_and_is_closed_once(monkeypatch):
     dyn = build_nonminimal_dynamics()
     assert dyn.orbit == {0, 1} and not dyn.minimal
     closures = []
-    closure = certify.ideal_closure
+    closure = linalg.ModP.closure
 
-    def counted(ring, gens, *args, **kwargs):
+    def counted(F, ring, seed_rows):
         closures.append(ring)
-        return closure(ring, gens, *args, **kwargs)
+        return closure(F, ring, seed_rows)
 
-    monkeypatch.setattr(certify, "ideal_closure", counted)
+    monkeypatch.setattr(linalg.ModP, "closure", counted)
     first = minimality_witness_ideal(dyn)
     assert first.measure() == 2 and minimality_witness_ideal(dyn) is first
     assert len(closures) == 1

@@ -19,6 +19,7 @@ from ringlab import (RingMap, cayley_dickson, certify, ideal_intersection_proper
 from ringlab.constructions import bales_twisted_ring
 from ringlab.certify import recognize_field
 from ringlab.cli import main
+from ringlab.recipes import build_recipe, parse_recipe_text
 from ringlab.errors import BNotCommutative, CriterionDisagreement, NotAInvariant
 from ringlab.ideals import (IdealBasis, Subring, first_invariant_ideal,
                             first_proper_line_ideal)
@@ -138,10 +139,10 @@ def test_density_agrees_with_line_walk(ring):
 def test_density_decides_only_simple_algebras_over_the_cap(monkeypatch):
     # M3(F3) has 3^9 elements: over the cap, the witness search fails
     assert is_simple(full_matrix_algebra(3, GF(3)), cap=4096).status == "Simple"
-    # past the dimension limit, or when the F_p decision says not simple (it
-    # shows no witness), the failed search answers as before
+    # past the dimension limit, or when the F_p decision says not simple and
+    # shows no submodule (as density does), the failed search answers as before
     for patch in ((ideals, "DENSITY_MAX_DIM", 8),
-                  (linalg, "simple_modp", lambda constants, p: False)):
+                  (linalg, "norton_modp", lambda constants, p: (False, None))):
         with monkeypatch.context() as m:
             m.setattr(*patch)
             v = is_simple(full_matrix_algebra(3, GF(3)), cap=4096)
@@ -184,6 +185,39 @@ def test_not_simple_witness_is_the_first_proper_line(monkeypatch):
     assert len(calls) == 1
 
 
+def _recipe_ring(recipe):
+    return build_recipe(parse_recipe_text(json.dumps(recipe))).ring
+
+
+def test_the_line_walk_runs_when_the_witness_is_read(monkeypatch):
+    # Z2 x Z2 acting on 2 points through the swap is not faithful: 3^8
+    # elements, under the cap.  Norton's submodule proves NotSimple, so no
+    # ideal is closed until the witness is read; that walk closes 244 lines
+    # and runs once
+    ring = _recipe_ring({"kind": "dynamics", "points": 2, "group": "Z2xZ2",
+                         "action": [[0, 1], [0, 1], [1, 0], [1, 0]], "field": "Fp:3"})
+    calls = _count_closures(monkeypatch)
+    v = is_simple(ring, cap=8192)
+    assert v.status == "NotSimple" and calls == []
+    w = v.witness
+    assert w.span.rows[0].tolist() == [1, 0, 1, 0, 0, 0, 0, 0] and w.measure() == 4
+    walked = len(calls)
+    assert walked > 0 and v.witness is w and len(calls) == walked
+
+
+def test_over_the_cap_norton_s_submodule_is_the_witness(monkeypatch):
+    # Z6 acting on 2 points through the swap: 3^12 elements, over the cap.
+    # The first candidate generates the whole ring, and Norton's test then
+    # proves NotSimple with a proper ideal; no other candidate is closed
+    ring = _recipe_ring({"kind": "dynamics", "points": 2, "group": "Z6",
+                         "action": [[0, 1], [1, 0]] * 3, "field": "Fp:3"})
+    calls = _count_closures(monkeypatch)
+    v = is_simple(ring, cap=8192)
+    assert v.status == "NotSimple" and len(calls) == 1
+    assert not v.witness.is_zero() and not v.witness.span.is_full()
+    IdealBasis(ring, v.witness.span, check=True)
+
+
 def test_line_walk_on_table_rings():
     # element 1 generates Z6; element 2 is the first proper one
     assert sorted(first_proper_line_ideal(zmod_ring(6)).members) == [0, 2, 4]
@@ -191,11 +225,14 @@ def test_line_walk_on_table_rings():
 
 
 def test_density_and_line_walk_disagreement_is_typed(monkeypatch, tmp_path, capsys):
-    # every line of M2(F2) generates the whole ring, so a density criterion
-    # that calls it not simple contradicts the walk
-    monkeypatch.setattr(linalg, "simple_modp", lambda constants, p: False)
+    # every line of M2(F2) generates the whole ring, so a decision that calls
+    # it not simple, with the line of e_0 as its submodule, contradicts the
+    # walk when the witness is read
+    line = (np.eye(4, dtype=np.int64)[:1], (0,))
+    monkeypatch.setattr(linalg, "norton_modp", lambda constants, p: (False, line))
+    v = is_simple(full_matrix_algebra(2, GF(2)))
     with pytest.raises(CriterionDisagreement):
-        is_simple(full_matrix_algebra(2, GF(2)))
+        v.witness
     recipe = tmp_path / "m2f2.json"
     recipe.write_text(json.dumps({"kind": "matrix_ring", "size": 2,
                                   "base": {"kind": "scalar", "ring": "Fp:2"}}))
@@ -580,6 +617,24 @@ def test_subring_lattice_matches_the_materialized_enumeration(case):
     got = enumerate_subring_ideals(ring, B)
     assert [I.key() for I in got] == [I.key() for I in _reference_subring_ideals(ring, B)]
     assert all(I.of_subring is B for I in got)
+
+
+def _pairwise_commutative(B):
+    """Subring.is_commutative as an Element loop over pairs."""
+    xs = B.spanning()
+    return all(a * b == b * a for i, a in enumerate(xs) for b in xs[i + 1:])
+
+
+@given(st.one_of(_rings_and_subrings(), _q_algebras_with_generators().map(
+    lambda case: (case[0], subring_closure(*case)))))
+@settings(max_examples=80, deadline=None)
+@example((_M2F2, subring_closure(_M2F2, [_M2F2.element([1, 0, 0, 0]),
+                                         _M2F2.element([0, 0, 0, 1])])))
+@example((_M2F2, full_subring(_M2F2)))
+@example(_SUBRING_EXAMPLES[2])
+def test_commutativity_equals_the_pairwise_check(case):
+    ring, B = case
+    assert B.is_commutative() == _pairwise_commutative(B)
 
 
 _Z5, _Z6 = zmod_ring(5), zmod_ring(6)

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from ringlab import (cayley_tower, cyclic_group, dynamics_skew_group_ring, full_matrix_algebra,
                      gf_extension, linalg, make_structure_algebra, matrix_ring)
 from ringlab.errors import TooLarge
-from ringlab.ideals import first_proper_line_ideal
+from ringlab.ideals import IdealBasis, first_proper_line_ideal
 from ringlab.rings import StructureAlgebra, direct_sum_algebra, functions_ring
 from ringlab.scalars import GF, QQ
-from ringlab.subgroups import subspace_from_vectors
+from ringlab.subgroups import Subspace, subspace_from_vectors
 
 
 def _matrices(p, rows=3, cols=4):
@@ -446,6 +446,29 @@ def test_norton_agrees_with_density_and_the_line_walk(algebra):
         except _Fallback:
             return
     assert verdict == simple
+
+
+@given(_norton_algebras())
+@settings(max_examples=150, deadline=None)
+def test_norton_shows_a_proper_ideal_exactly_when_a_line_is_proper(algebra):
+    # R·R = 0 is decided before Norton's test, which shows no submodule there
+    C, p = algebra
+    ring = make_structure_algebra(len(C), GF(p), C.tolist())
+    walk = first_proper_line_ideal(ring) if C.any() else None
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(linalg, "density_simple_modp", _no_fallback)
+        try:
+            _, submodule = linalg.norton_modp(C, p)
+        except _Fallback:
+            return
+    assert (submodule is not None) == (walk is not None)
+    if submodule is None:
+        return
+    ideal = IdealBasis(ring, Subspace(ring, *submodule), check=True)
+    assert not ideal.is_zero() and not ideal.span.is_full()
+    # the walk finds its line no later than that of the first rref row
+    last = tuple(submodule[0][0].tolist())
+    assert first_proper_line_ideal(ring, last).key() == walk.key()
 
 
 def test_norton_decides_m5_f2_on_a_random_basis(monkeypatch):
