@@ -852,14 +852,11 @@ def survey_finite_dynamics(max_points=4, max_group_order=6, field_orders=(2, 3),
     ``max_points`` points, over the given prime fields.
 
     Negative cases are refuted by explicit witness ideals (any size);
-    positive cases are confirmed by :func:`is_simple`: the element scan or
-    the F_p decision (``linalg.norton_modp``) when the ring fits under
-    ``scan_cap``, and that decision once the witness search's first
-    candidate generates the whole ring otherwise (up to
-    ``ideals.DENSITY_MAX_DIM``).  The certificates' oracle cross-checks
-    read only the verdict: on a ring that is not simple, the proper
-    submodule of Norton's test decides it, under the cap and over it, and
-    no line is walked for a witness.
+    positive cases are confirmed by :func:`is_simple`, whose F_p decision
+    (``linalg.norton_modp``) runs first at any size.  The certificates'
+    oracle cross-checks read only the verdict: on a ring that is not
+    simple, the proper submodule of Norton's test decides it, under
+    ``scan_cap`` and over it, and no line is walked for a witness.
     Conjugate actions transfer their verdict along a verified ring
     isomorphism.
     """
@@ -935,10 +932,11 @@ def simple_by_density(ring: StructureAlgebra) -> bool:
     space is an irreducible module under them.  Norton's irreducibility
     test decides that, with the density criterion (the commutant is a field
     D and the operators generate an algebra of dimension dim^2 / dim(D)) as
-    its fallback; see :func:`ringlab.linalg.simple_modp`.  The computation
-    is plain linear algebra, so this is a second independent oracle for
-    sizes the element scan cannot reach; :func:`is_simple` runs the same
-    test.
+    its fallback up to ``linalg.DENSITY_MAX_DIM``, past which a call that no
+    trial decides returns None; see :func:`ringlab.linalg.simple_modp`.
+    The computation is plain linear algebra, so this is a second
+    independent oracle for sizes the element scan cannot reach;
+    :func:`is_simple` runs the same test.
     """
     if not (ring.is_algebra and ring.modulus is not None):
         raise ValueError("density decision needs an F_p structure algebra")

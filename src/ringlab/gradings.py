@@ -384,9 +384,9 @@ def verify_degree_map(dm: DegreeMap, cap=DEFAULT_ELEMENT_CAP) -> DegreeMapVerdic
     candidates a·c, c spanning A_{g^-1} for g in Supp(a), when a has no
     object component.  Only elements still unsettled scan all of <a>; the
     scan depends on <a> and d(a) alone, so each such pair is scanned once.
-    An F_p algebra is tested for simplicity (``F.simple_reduction``,
-    Norton's test) once, at the first unsettled element; when it
-    is simple, <a> is A for every a and no principal ideal is closed.
+    An F_p algebra asks its backend's ``simplicity`` (Norton's test) once,
+    at the first unsettled element; when that proves it simple, <a> is A
+    for every a and no principal ideal is closed.
     The first failing a in enumeration order is the witness.
     """
     ring = dm.ring
@@ -409,7 +409,7 @@ def verify_degree_map(dm: DegreeMap, cap=DEFAULT_ELEMENT_CAP) -> DegreeMapVerdic
         for i in np.flatnonzero(~settled):
             a = ring.block_elements(block[i:i + 1])[0]
             if whole is None:
-                simple = ring.is_algebra and ring.F.simple_reduction(ring) is not None
+                simple = ring.is_algebra and ring.F.simplicity(ring)[0] is True
                 whole = simple and IdealBasis(ring, full_subgroup(ring), check=False)
             ideal = whole or principal_ideal(ring, a)
             if (ideal.key(), da[i]) in scanned:

@@ -38,17 +38,6 @@ from .subgroups import (AddSubgroup, Subspace, TableSubgroup, additive_span,
 
 DEFAULT_WITNESS_SAMPLES = 24
 DEFAULT_SEED = 0xC0FFEE
-# the largest dimension at which an F_p algebra over the element cap is
-# decided by linalg.norton_modp during the witness search: Simple, or
-# NotSimple with the proper submodule Norton's test found as the witness
-# (a density NotSimple shows none, and the search goes on).  Norton's test
-# decides a random unital algebra over F_2 in about 8, 14 and 16 ms at
-# d = 16, 24 and 32, but the density fallback it keeps, which spins up a
-# multiplication algebra of up to d^2 / k dimensions (k that of the
-# commutant), takes 0.05, 0.3 and 1.1 s on M4(F2), M3(F8) and M4(F4) over
-# F_2 (d = 16, 27 and 32; 2-core VM), so the bound stays where that worst
-# case is seconds
-DENSITY_MAX_DIM = 32
 
 
 class IdealBasis:
@@ -320,12 +309,14 @@ def first_proper_line_ideal(ring, last=None):
 
 
 def _line_witness(ring, last=None):
-    """The ideal of :func:`first_proper_line_ideal` (up to ``last``) of an
-    algebra that the F_p decision calls not simple; CriterionDisagreement
-    when the walk finds no proper line."""
+    """The ideal of :func:`first_proper_line_ideal` (up to ``last``, the
+    line of the first row of Norton's submodule) of an algebra that the
+    F_p decision calls not simple; CriterionDisagreement, naming the
+    decision, when the walk finds no proper line."""
     sub = first_proper_line_ideal(ring, last)
     if sub is None:
-        raise CriterionDisagreement("the density criterion and the line walk disagree")
+        decision = "the density criterion" if last is None else "Norton's test"
+        raise CriterionDisagreement(f"{decision} and the line walk disagree")
     return IdealBasis(ring, sub, check=False)
 
 
@@ -422,9 +413,13 @@ def enumerate_ideals(ring, cap=DEFAULT_ELEMENT_CAP):
 
 class SimpleVerdict:
     """``status`` is "Simple", "NotSimple" or "Inconclusive".  The witness
-    of a NotSimple is a proper nonzero ideal; when it is not at hand,
-    ``find`` computes it on the first read of :attr:`witness`, and only
-    then."""
+    of a NotSimple is a proper nonzero ideal: the first proper line's
+    principal ideal on a finite ring, Norton's submodule on an F_p algebra
+    over the element cap, otherwise the principal ideal a witness search
+    found.  When it is not at hand, ``find`` computes it on the first read
+    of :attr:`witness`, and only then.  ``reason`` is "R*R = 0", "reduction
+    mod q" (a Q-algebra proved simple by a reduction) or why the verdict is
+    Inconclusive, and None otherwise."""
 
     def __init__(self, status, witness: IdealBasis | None = None,
                  reason: str | None = None, find=None):
@@ -463,30 +458,30 @@ def is_simple(ring, cap=DEFAULT_ELEMENT_CAP, seed=DEFAULT_SEED,
               samples=DEFAULT_WITNESS_SAMPLES) -> SimpleVerdict:
     """Simplicity oracle.
 
-    Finite case (size under cap): Simple iff R·R is nonzero and every nonzero
-    principal ideal is the whole ring.  An F_p algebra is decided by
-    Norton's irreducibility test on its multiplications, with the density
-    criterion as its fallback (:func:`ringlab.linalg.norton_modp`), without
-    enumerating anything; when it is not simple, the witness is the
-    principal ideal of the first proper line
-    (:func:`first_proper_line_ideal`).  When Norton's test decided, the
-    proper submodule it found proves the verdict, and the walk runs on the
-    first read of ``witness``: it ends, at the latest, at the line of the
-    submodule's first rref row, whose principal ideal lies inside it.
-    After a density verdict, and on a table ring, which walks the principal
-    ideals of its elements the same way, the walk runs at once.
+    R·R = 0 is NotSimple.  Otherwise an algebra asks its field backend's
+    ``simplicity``, at any size: over F_p Norton's irreducibility test, with
+    the density criterion as its fallback (:func:`ringlab.linalg.norton_modp`),
+    enumerates nothing; over Q a reduction modulo one of
+    ``linalg.LIFT_PRIMES`` that is simple proves it, and the verdict's
+    reason names the prime, "reduction mod q".  A table ring has no such
+    decision.
 
-    A Q-algebra is Simple when its reduction modulo one of
-    ``linalg.LIFT_PRIMES`` is simple by the same test
-    (``Rational.simple_reduction``); the verdict's reason names the prime,
-    "reduction mod q".  Otherwise, and for rings over the cap, a witness
-    search runs (basis elements plus seeded pseudorandom elements), and a
-    proper nonzero principal ideal refutes.  On an F_p algebra of dimension
-    at most ``DENSITY_MAX_DIM`` the F_p test runs once, right after the
-    first candidate that generates the whole ring: Simple when it says so,
-    NotSimple with Norton's submodule as the witness when it shows one;
-    after a density NotSimple, which shows none, the search goes on.  Every
-    failed search answers Inconclusive, never Simple.
+    A finite ring (a table ring, whose elements are in memory already, or
+    an F_p algebra of at most ``cap`` elements) that the decision calls not
+    simple gets the principal ideal of its first proper line as the witness
+    (:func:`first_proper_line_ideal`), found on the first read of
+    ``witness``: the decision proves the verdict, and Norton's submodule
+    bounds the walk by the line of its first rref row, whose principal
+    ideal lies inside it.  A table ring, or an undecided F_p algebra, is
+    walked at once: Simple iff every nonzero principal ideal is the whole
+    ring.
+
+    Over the cap, a NotSimple with Norton's submodule has that submodule as
+    its witness.  Everything else (Q without a simple reduction, an F_p
+    decision that shows no subspace) goes to a witness search (basis
+    elements plus ``samples`` seeded pseudorandom elements), where a proper
+    nonzero principal ideal refutes; a failed search answers Inconclusive,
+    never Simple.
 
     Verdicts are cached on the (immutable) ring per (cap, seed, samples).
     """
@@ -507,33 +502,26 @@ def _is_simple_uncached(ring, cap, seed, samples) -> SimpleVerdict:
     if not products.any():
         return SimpleVerdict("NotSimple", _proper_from_square_zero(ring),
                              reason="R*R = 0")
+    simple, reason, submodule = ((None, None, None) if ring.is_table
+                                 else ring.F.simplicity(ring))
+    if simple:
+        return SimpleVerdict("Simple", reason=reason)
     size = ring.size()
-    finite = size is not None and size <= cap
-    if ring.is_algebra and (finite or size is None):
-        q, submodule = ring.F.simplicity(ring)
-        if q is not None:
-            # a verdict read off a reduction, not the algebra itself, names it
-            return SimpleVerdict("Simple", reason=None if q == ring.modulus
-                                 else f"reduction mod {q}")
-        if finite and submodule is None:
-            return SimpleVerdict("NotSimple", _line_witness(ring))
-        if finite:
-            # the submodule proves NotSimple, so the walk waits for a reader;
-            # the line of its first row is proper
-            last = ring.F.coords(submodule[0][0])
+    # a table ring's elements are in memory already, so it counts as finite
+    if ring.is_table or (size is not None and size <= cap):
+        if simple is False:
+            # the decision proves NotSimple, so the walk waits for a reader;
+            # the line of the submodule's first row is proper
+            last = None if submodule is None else ring.F.coords(submodule[0][0])
             return SimpleVerdict("NotSimple", find=lambda: _line_witness(ring, last))
-    if finite:
         sub = first_proper_line_ideal(ring)
-        if sub is not None:
-            return SimpleVerdict("NotSimple", IdealBasis(ring, sub, check=False))
-        return SimpleVerdict("Simple")
+        if sub is None:
+            return SimpleVerdict("Simple")
+        return SimpleVerdict("NotSimple", IdealBasis(ring, sub, check=False))
+    if submodule is not None:
+        return SimpleVerdict("NotSimple", _subspace_ideal(ring, submodule))
     # witness search; the seeded candidates are drawn lazily, because most
-    # searches stop at their first candidate.  Over the cap an F_p algebra is
-    # decided once its first candidate generates the whole ring: a Simple
-    # ends the search, which could find no witness in a simple ring, and so
-    # does a NotSimple from Norton's test, whose submodule is the witness; a
-    # density NotSimple has no witness to show, so the search goes on
-    undecided = ring.is_algebra and size is not None and ring.dim <= DENSITY_MAX_DIM
+    # searches stop at their first candidate
     rng = random.Random(seed)
     candidates = itertools.chain(ring.spanning_elements(),
                                  (_random_element(ring, rng) for _ in range(samples)))
@@ -543,13 +531,6 @@ def _is_simple_uncached(ring, cap, seed, samples) -> SimpleVerdict:
         ib = principal_ideal(ring, v)
         if not ib.span.is_full():
             return SimpleVerdict("NotSimple", ib)
-        if undecided:
-            q, submodule = ring.F.simplicity(ring)
-            if q is not None:
-                return SimpleVerdict("Simple")
-            if submodule is not None:
-                return SimpleVerdict("NotSimple", _subspace_ideal(ring, submodule))
-            undecided = False
     reason = ("infinite scalar field; use certify pipelines" if size is None
               else f"size {size} exceeds cap {cap}")
     return SimpleVerdict("Inconclusive", reason=reason)

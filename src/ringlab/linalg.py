@@ -31,11 +31,13 @@ name at call time.  So do the F_p decisions built on them.  ``norton_modp``
 is the one F_p simplicity decision, which ideals and certificates use
 without enumerating elements: Norton's irreducibility test (the MeatAxe),
 with ``density_simple_modp`` (and its steps ``commutant_modp`` and
-``is_field_modp``) as the fallback when every trial is inconclusive.  A
-"not simple" from the test comes with the proper submodule it found, which
-is an ideal (``simplicity``); ``simple_modp`` is its verdict alone.  The Q
-backend runs it on reductions modulo ``LIFT_PRIMES``, which can prove a
-Q-algebra simple (``simple_reduction``).
+``is_field_modp``) as the fallback when every trial is inconclusive, up to
+``DENSITY_MAX_DIM``; past it such a call is undecided.  A "not simple"
+from the test comes with the proper submodule it found, which is an ideal;
+``simple_modp`` is its verdict alone.  Each backend's ``simplicity`` is
+the one decision ``ideals`` and ``gradings`` read: ``ModP`` runs
+``norton_modp``, and ``Rational`` runs it on reductions modulo
+``LIFT_PRIMES``, which can prove a Q-algebra simple.
 Where elements must be enumerated, ``combinations_modp`` yields them as
 fixed-size blocks of rows, so scans over them are matrix products.  A
 structure algebra's products (``mul_coords``) run on its ``product_table``,
@@ -352,19 +354,30 @@ def density_simple_modp(C, p):
 NORTON_SEED = 0x4E0
 NORTON_TRIALS = 16
 NORTON_SPLITS = 8
+# the largest dimension at which norton_modp falls back on the density
+# criterion when every trial is inconclusive; past it the call is
+# undecided.  Norton's test decides a random unital algebra over F_2 in
+# about 8, 14 and 16 ms at d = 16, 24 and 32, but the density fallback,
+# which spins up a multiplication algebra of up to d^2 / k dimensions (k
+# that of the commutant), takes 0.05, 0.3 and 1.1 s on M4(F2), M3(F8) and
+# M4(F4) over F_2 (d = 16, 27 and 32; 2-core VM), so the bound stays where
+# that worst case is seconds
+DENSITY_MAX_DIM = 32
 
 
 def simple_modp(C, p):
     """Is the F_p-algebra with structure constants ``C`` simple?  The
-    verdict of :func:`norton_modp`, without its submodule."""
+    verdict of :func:`norton_modp` (None when undecided), without its
+    submodule."""
     return norton_modp(C, p)[0]
 
 
 def norton_modp(C, p):
     """(simple, submodule) for the F_p-algebra with structure constants
-    ``C``: whether it is simple, and, when it is not, the (rref basis,
-    pivots) of a proper nonzero ideal that proves it, or None when the
-    proof is not a subspace (C = 0, or the density fallback).
+    ``C``: whether it is simple (True or False, or None when undecided),
+    and, when it is not, the (rref basis, pivots) of a proper nonzero ideal
+    that proves it, or None when the proof is not a subspace (C = 0, or
+    the density fallback).
 
     Its ideals are the subspaces of A = F_p^d that the multiplications
     L_{e_i}, R_{e_i} map into themselves, so it is simple iff C ≠ 0 and A is
@@ -374,7 +387,8 @@ def norton_modp(C, p):
     trial (:func:`_norton_trial`) either finds a proper submodule (not
     simple), proves irreducibility by Norton's lemma (simple), or is
     inconclusive.  When ``NORTON_TRIALS`` trials are all inconclusive,
-    :func:`density_simple_modp` decides.  Both answers are proofs.
+    :func:`density_simple_modp` decides up to ``DENSITY_MAX_DIM``, and past
+    it the result is (None, None).  Both answers are proofs.
     """
     C = np.asarray(C, dtype=np.int64) % p
     if not C.any():
@@ -389,6 +403,8 @@ def norton_modp(C, p):
             return True, None
         if found is not None:
             return False, found
+    if C.shape[0] > DENSITY_MAX_DIM:
+        return None, None
     return density_simple_modp(C, p), None
 
 
@@ -720,17 +736,15 @@ class _Field:
     ``rows``, ``key``, ``rref``, ``member``, ``merge``, ``kernel``,
     ``mul_coords``, ``products``, ``mapped_products``, ``mult_matrices``,
     ``homomorphism_sides``, ``twisted_blocks``, ``associator_witness``,
-    ``simple_reduction``, and what callers would otherwise branch on the
-    field for: ``closure`` (the ideal seed rows generate), ``element_blocks``
-    (every combination of rows), ``random_coords``, ``is_field`` and
-    ``json``.  ``ModP`` also overrides ``simplicity``.
+    and what callers would otherwise branch on the field for:
+    ``simplicity`` (the simplicity decision: (simple, reason, submodule),
+    with ``simple`` True, False or None when undecided, ``reason`` what to
+    print with a Simple read off anything but the algebra itself, and
+    ``submodule`` the (rref basis, pivots) of a proper nonzero ideal that
+    proves a False, or None), ``closure`` (the ideal seed rows generate),
+    ``element_blocks`` (every combination of rows), ``random_coords``,
+    ``is_field`` and ``json``.
     """
-
-    def simplicity(self, alg):
-        """(q, submodule): q as :meth:`simple_reduction` gives it, and the
-        (rref basis, pivots) of a proper nonzero ideal of ``alg`` that proves
-        it not simple, or None.  No Q decision shows a submodule."""
-        return self.simple_reduction(alg), None
 
     def array(self, x):
         """``x`` as a numpy array of this field's dtype (not reduced)."""
@@ -900,16 +914,12 @@ class ModP(_Field):
         bad = np.argwhere(np.any(left != right, axis=3))
         return tuple(bad[0].tolist()) if bad.size else None
 
-    def simple_reduction(self, alg):
-        """p when the algebra ``alg`` is simple by :func:`simple_modp`, else
-        None: over F_p that decides, so None means not simple."""
-        return self.p if simple_modp(alg.constants, self.p) else None
-
     def simplicity(self, alg):
-        """See :meth:`_Field.simplicity`: :func:`norton_modp`, which shows
-        the proper submodule it spun up (None after a density verdict)."""
+        """See :class:`_Field`: :func:`norton_modp`, which shows the proper
+        submodule it spun up (None after a density verdict), and is
+        undecided only past ``DENSITY_MAX_DIM``."""
         simple, submodule = norton_modp(alg.constants, self.p)
-        return (self.p if simple else None), submodule
+        return simple, None, submodule
 
     def closure(self, alg, seed):
         """(rref basis, pivots) of the ideal of ``alg`` that the rows
@@ -1080,10 +1090,11 @@ class Rational(_Field):
                         return i, j, k
         return None
 
-    def simple_reduction(self, alg):
-        """The first prime q of ``LIFT_PRIMES`` at which the Q-algebra A
-        ``alg``, reduced mod q, is simple by :func:`simple_modp`; None when
-        no tried prime decides.
+    def simplicity(self, alg):
+        """See :class:`_Field`: (True, "reduction mod q", None) for the
+        first prime q of ``LIFT_PRIMES`` at which the Q-algebra A ``alg``,
+        reduced mod q, is simple by :func:`simple_modp`; (None, None, None),
+        undecided, when no tried prime proves it.
 
         A prime dividing a denominator of the constants (so their common
         denominator) is skipped.  For the others the Z_(q)-span Λ of the
@@ -1091,7 +1102,7 @@ class Rational(_Field):
         I of A meets Λ in a saturated ideal, a direct summand of rank dim I,
         whose image is a proper nonzero ideal of Λ/qΛ.  So simplicity mod q
         proves simplicity over Q.  The converse fails (Q(i) splits mod 5), so
-        None says nothing about A.
+        an undecided call says nothing about A.
         """
         table, d = alg._table, alg.dim
         for q in LIFT_PRIMES:
@@ -1102,8 +1113,8 @@ class Rational(_Field):
             for i, j, k, n in table.entries():
                 Cq[i, j, k] = n * inv % q
             if simple_modp(Cq, q):
-                return q
-        return None
+                return True, f"reduction mod {q}", None
+        return None, None, None
 
     def closure(self, alg, seed):
         """See :meth:`ModP.closure`.  Each round multiplies the rows the

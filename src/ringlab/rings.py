@@ -275,12 +275,16 @@ class TableRing(Ring):
                          _validated=True)
 
 
+def _check_table_size(n):
+    if n > TABLE_SIZE_CAP:
+        raise TooLarge(f"table ring size {n} exceeds cap {TABLE_SIZE_CAP}")
+
+
 def _validate_tables(add, mul, zero):
     n = add.shape[0]
     if add.shape != (n, n) or mul.shape != (n, n):
         raise ShapeMismatch("tables must be square and of equal size")
-    if n > TABLE_SIZE_CAP:
-        raise TooLarge(f"table ring size {n} exceeds cap {TABLE_SIZE_CAP}")
+    _check_table_size(n)
     for t, name in ((add, "addition"), (mul, "multiplication")):
         if t.min() < 0 or t.max() >= n:
             raise ShapeMismatch(f"{name} table entry out of range")
@@ -323,9 +327,11 @@ def make_table_ring(add, mul, zero=0) -> TableRing:
 
 
 def zmod_ring(n: int) -> TableRing:
-    """Z_n as a table ring."""
+    """Z_n as a table ring; TooLarge past ``TABLE_SIZE_CAP``, before its
+    n × n tables are allocated."""
     if n < 1:
         raise ValueError(f"modulus {n} must be at least 1")
+    _check_table_size(n)
     idx = np.arange(n)
     add = (idx[:, None] + idx[None, :]) % n
     mul = (idx[:, None] * idx[None, :]) % n

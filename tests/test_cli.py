@@ -72,8 +72,8 @@ def test_check_command_and_expectations(tmp_path, capsys):
 
 
 def test_check_decides_simplicity_over_the_cap(capsys):
-    # M3(F3) has 3^9 elements, over the cap; no line generates a proper
-    # ideal, so density decides once the witness search fails
+    # M3(F3) has 3^9 elements, over the cap; the F_p decision still
+    # decides it
     recipe = str(RECIPES / "matrix_ring-M3F3.json")
     code, doc = _run(capsys, "check", recipe, "--checks", "simplicity", "--cap", "4096")
     assert code == 0
@@ -237,6 +237,14 @@ def test_zero_modulus_is_named(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err == "error: /ring: bad scalar ring 'Zn:0': modulus 0 must be at least 1\n"
+
+
+def test_zmod_past_the_table_cap_exits_2(tmp_path, capsys):
+    # refused before its two n x n tables are allocated
+    code = main(["check", _write(tmp_path, "z4097.json", {"kind": "scalar", "ring": "Zn:4097"})])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: table ring size 4097 exceeds cap 4096\n"
 
 
 def test_modulus_past_int64_arithmetic_exits_2(tmp_path, capsys):

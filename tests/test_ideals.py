@@ -136,18 +136,32 @@ def test_density_agrees_with_line_walk(ring):
     assert is_simple(ring).is_simple == simple
 
 
+def _undecided(m, max_dim):
+    """Make every Norton trial inconclusive and gate the density fallback
+    at ``max_dim``: norton_modp is then undecided past it."""
+    m.setattr(linalg, "_norton_trial", lambda gens, p, rng: None)
+    m.setattr(linalg, "DENSITY_MAX_DIM", max_dim)
+
+
 def test_density_decides_only_simple_algebras_over_the_cap(monkeypatch):
-    # M3(F3) has 3^9 elements: over the cap, the witness search fails
+    # M3(F3) has 3^9 elements: over the cap, the F_p decision still decides
     assert is_simple(full_matrix_algebra(3, GF(3)), cap=4096).status == "Simple"
-    # past the dimension limit, or when the F_p decision says not simple and
-    # shows no submodule (as density does), the failed search answers as before
-    for patch in ((ideals, "DENSITY_MAX_DIM", 8),
-                  (linalg, "norton_modp", lambda constants, p: (False, None))):
+    # an undecided verdict, or a NotSimple that shows no submodule (as a
+    # density one does), leaves it to the witness search, which fails
+    for patch in (lambda m: _undecided(m, 8),
+                  lambda m: m.setattr(linalg, "norton_modp", lambda constants, p: (False, None))):
         with monkeypatch.context() as m:
-            m.setattr(*patch)
+            patch(m)
             v = is_simple(full_matrix_algebra(3, GF(3)), cap=4096)
             assert v.status == "Inconclusive"
             assert v.reason == "size 19683 exceeds cap 4096"
+    # under the cap an undecided algebra is decided by the line walk
+    with monkeypatch.context() as m:
+        _undecided(m, 1)
+        assert linalg.norton_modp(full_matrix_algebra(2, GF(3)).constants, 3) == (None, None)
+        assert is_simple(full_matrix_algebra(2, GF(3))).status == "Simple"
+        v = is_simple(functions_ring(2, GF(3)))
+        assert v.status == "NotSimple" and v.witness.span.rows.tolist() == [[1, 0]]
 
 
 def _count_closures(monkeypatch):
@@ -170,11 +184,11 @@ def test_simple_verdicts_close_no_ideal(monkeypatch):
 
 
 def test_over_the_cap_a_simple_algebra_is_decided_after_its_first_candidate(monkeypatch):
-    # e_11 generates M3(F3); the decision then proves it simple, and the
-    # other 32 candidates are never closed
+    # the F_p decision proves M3(F3) simple before any candidate is tried,
+    # so none of the 33 candidates is closed
     calls = _count_closures(monkeypatch)
     assert is_simple(full_matrix_algebra(3, GF(3)), cap=4096).is_simple
-    assert len(calls) == 1
+    assert len(calls) == 0
 
 
 def test_not_simple_witness_is_the_first_proper_line(monkeypatch):
@@ -207,13 +221,13 @@ def test_the_line_walk_runs_when_the_witness_is_read(monkeypatch):
 
 def test_over_the_cap_norton_s_submodule_is_the_witness(monkeypatch):
     # Z6 acting on 2 points through the swap: 3^12 elements, over the cap.
-    # The first candidate generates the whole ring, and Norton's test then
-    # proves NotSimple with a proper ideal; no other candidate is closed
+    # Norton's test proves NotSimple with a proper ideal before any
+    # candidate is tried, so none is closed
     ring = _recipe_ring({"kind": "dynamics", "points": 2, "group": "Z6",
                          "action": [[0, 1], [1, 0]] * 3, "field": "Fp:3"})
     calls = _count_closures(monkeypatch)
     v = is_simple(ring, cap=8192)
-    assert v.status == "NotSimple" and len(calls) == 1
+    assert v.status == "NotSimple" and len(calls) == 0
     assert not v.witness.is_zero() and not v.witness.span.is_full()
     IdealBasis(ring, v.witness.span, check=True)
 
@@ -222,6 +236,13 @@ def test_line_walk_on_table_rings():
     # element 1 generates Z6; element 2 is the first proper one
     assert sorted(first_proper_line_ideal(zmod_ring(6)).members) == [0, 2, 4]
     assert first_proper_line_ideal(zmod_ring(5)) is None
+
+
+def test_table_rings_over_the_cap_are_walked():
+    # a table ring's elements are in memory already, so no cap stops the walk
+    assert is_simple(zmod_ring(5), cap=2).status == "Simple"
+    v = is_simple(zmod_ring(6), cap=2)
+    assert v.status == "NotSimple" and sorted(v.witness.span.members) == [0, 2, 4]
 
 
 def test_density_and_line_walk_disagreement_is_typed(monkeypatch, tmp_path, capsys):
@@ -238,7 +259,12 @@ def test_density_and_line_walk_disagreement_is_typed(monkeypatch, tmp_path, caps
                                   "base": {"kind": "scalar", "ring": "Fp:2"}}))
     assert main(["check", str(recipe), "--checks", "simplicity"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: the density criterion") and "Traceback" not in err
+    assert err.startswith("error: Norton's test and the line walk disagree")
+    assert "Traceback" not in err
+    # a NotSimple without a submodule comes from the density criterion
+    monkeypatch.setattr(linalg, "norton_modp", lambda constants, p: (False, None))
+    with pytest.raises(CriterionDisagreement, match="^the density criterion and"):
+        is_simple(full_matrix_algebra(2, GF(2))).witness
 
 
 @st.composite

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringlab import (cayley_tower, cyclic_group, dynamics_skew_group_ring, full_matrix_algebra,
-                     gf_extension, linalg, make_structure_algebra, matrix_ring)
+                     gf_extension, is_simple, linalg, make_structure_algebra, matrix_ring)
 from ringlab.errors import TooLarge
 from ringlab.ideals import IdealBasis, first_proper_line_ideal
 from ringlab.rings import StructureAlgebra, direct_sum_algebra, functions_ring
@@ -469,6 +469,53 @@ def test_norton_shows_a_proper_ideal_exactly_when_a_line_is_proper(algebra):
     # the walk finds its line no later than that of the first rref row
     last = tuple(submodule[0][0].tolist())
     assert first_proper_line_ideal(ring, last).key() == walk.key()
+
+
+def _proper_ideal(ring, witness):
+    IdealBasis(ring, witness.span, check=True)
+    return not witness.is_zero() and not witness.span.is_full()
+
+
+@given(_norton_algebras())
+@settings(max_examples=150, deadline=None)
+def test_over_the_cap_verdicts_agree_with_the_walked_ones(algebra):
+    # a density NotSimple shows no submodule, so over the cap it is left to
+    # the witness search; such examples are skipped
+    C, p = algebra
+    ring = make_structure_algebra(len(C), GF(p), C.tolist())
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(linalg, "density_simple_modp", _no_fallback)
+        try:
+            over = is_simple(ring, cap=1)
+        except _Fallback:
+            return
+    assert over.status == is_simple(ring).status
+    # the R·R = 0 witness is the same at every cap, and 0 when d = 1
+    if over.status == "NotSimple" and C.any():
+        assert _proper_ideal(ring, over.witness)
+
+
+def test_large_matrix_algebras_are_simple_at_the_default_cap():
+    # 2^36 and 2^64 elements: Norton's test decides them, in milliseconds
+    assert is_simple(full_matrix_algebra(6, GF(2))).status == "Simple"
+    assert is_simple(full_matrix_algebra(8, GF(2))).status == "Simple"
+
+
+def test_over_the_cap_sums_of_matrix_algebras_show_a_proper_ideal():
+    # M2(F3) + M3(F3) (3^13 elements) and M4(F2) + M3(F2) (2^25), each on
+    # 10 random bases: NotSimple, with Norton's submodule as the witness
+    rng = np.random.default_rng(20)
+    for sizes, p in (((2, 3), 3), ((4, 3), 2)):
+        C = direct_sum_algebra([full_matrix_algebra(n, GF(p)) for n in sizes]).constants
+        d = len(C)
+        for _ in range(10):
+            P = rng.integers(0, p, (d, d))
+            while len(linalg.rref_modp(P, p)[1]) < d:
+                P = rng.integers(0, p, (d, d))
+            ring = make_structure_algebra(d, GF(p), _change_basis(C, P, p).tolist())
+            v = is_simple(ring)
+            assert v.status == "NotSimple" and _proper_ideal(ring, v.witness)
+            assert v.witness.measure() in (4, 9, 16)
 
 
 def test_norton_decides_m5_f2_on_a_random_basis(monkeypatch):
