@@ -3,6 +3,11 @@ instance, record which premises were verified (or sampled, or assumed), state
 the conclusion, and cross-check it against the simplicity oracle whenever one
 exists.
 
+:func:`certify_built` produces every certificate of a built object, and
+:func:`_oracle_cross_check` alone writes a simplicity certificate's oracle
+fields, from the evidence a pipeline hands it (necessity, whose oracle is
+A-simplicity on the same lattice, sets its own).
+
 A certificate never asserts a conclusion from a failed premise; pipelines
 built on an if-and-only-if statement may conclude in the negative from a
 verified premise failure.  Oracle disagreement is fatal for corpus runs.
@@ -29,6 +34,8 @@ from .ideals import (DEFAULT_ELEMENT_CAP, DEFAULT_SEED, IdealBasis, Subring,
                      first_stable_ideal, identity_property, is_A_invariant,
                      is_A_simple, is_maximal_commutative, is_simple, is_stable,
                      row_ideal)
+from .ore import (SigmaDerivationData, is_sigma_delta_simple,
+                  validate_sigma_derivation)
 from .rings import StructureAlgebra
 from .subgroups import full_subgroup, product_span, triple_product_span, zero_subgroup
 
@@ -50,7 +57,8 @@ class Certificate:
     pipeline: str
     statement: str
     premises: list
-    verdict: str | None          # "Simple"|"NotSimple"|"ASimple"|"NotASimple"|None
+    verdict: str | None          # "Simple"|"NotSimple"|"ASimple"|"NotASimple"|
+                                 # "SigmaDeltaSimple"|"NotSigmaDeltaSimple"|None
     oracle: str = "unavailable"  # "agrees" | "disagrees" | "unavailable"
     oracle_detail: object = None
     meta: dict = dfield(default_factory=dict)
@@ -59,10 +67,6 @@ class Certificate:
     @property
     def conditional(self):
         return any(p.status in ("assumed", "sampled") for p in self.premises)
-
-    @property
-    def concluded(self):
-        return self.verdict is not None
 
     def failed_premises(self):
         return [p for p in self.premises if p.status == "failed"]
@@ -89,18 +93,30 @@ def _detail_json(d):
     return repr(d)
 
 
-def _oracle_cross_check(cert: Certificate, ring, cap, seed):
+def _oracle_cross_check(cert: Certificate, ring, cap, seed, evidence=None):
+    """Set ``cert.oracle`` and ``cert.oracle_detail`` from :func:`is_simple`.
+
+    ``evidence`` is the pipeline's own evidence against simplicity, if any:
+    the explicit ideal it built, or a failed premise, as the text of the
+    contradiction an oracle Simple would make.  An oracle Simple against
+    evidence disagrees (detail: that text, or "Simple").  An undecided
+    oracle agrees when the evidence is a proper nonzero ideal, and is
+    unavailable (detail: its reason) otherwise.  Else a concluded
+    certificate agrees or disagrees with the oracle, and a withheld one
+    leaves it unavailable.
+    """
     v = is_simple(ring, cap=cap, seed=seed)
-    if v.status == "Inconclusive":
-        cert.oracle = "unavailable"
-        cert.oracle_detail = v.reason
+    if v.status == "Simple" and evidence is not None:
+        found = ("disagrees", evidence if isinstance(evidence, str) else v.status)
+    elif v.status == "Inconclusive" and isinstance(evidence, IdealBasis) and _proper(evidence):
+        found = ("agrees", "explicit proper ideal re-verified")
+    elif v.status == "Inconclusive":
+        found = ("unavailable", v.reason)
     elif cert.verdict in ("Simple", "NotSimple"):
-        cert.oracle = "agrees" if v.status == cert.verdict else "disagrees"
-        cert.oracle_detail = v.status
+        found = ("agrees" if v.status == cert.verdict else "disagrees", v.status)
     else:
-        cert.oracle = "unavailable"
-        cert.oracle_detail = f"oracle says {v.status}; pipeline withheld its conclusion"
-    return v
+        found = ("unavailable", f"oracle says {v.status}; pipeline withheld its conclusion")
+    cert.oracle, cert.oracle_detail = found
 
 
 # ---------------------------------------------------------------------------
@@ -490,11 +506,10 @@ def certify_cayley(cd: CayleyDoubling, base_hint=None, cap=DEFAULT_ELEMENT_CAP,
                        meta={"cap": cap, "seed": seed}, notes=cd.notes)
     if all(p.status in ("verified", "assumed") for p in premises):
         cert.verdict = "Simple"
-    ov = _oracle_cross_check(cert, ring, cap, seed)
-    if ov.status == "Simple" and premises[0].status == "failed":
-        # the necessity direction would be violated; that is a disagreement
-        cert.oracle = "disagrees"
-        cert.oracle_detail = "double is simple but a conjugation-stable ideal exists"
+    # simplicity of the double forces the premise (the necessity direction)
+    _oracle_cross_check(cert, ring, cap, seed,
+                        evidence="double is simple but a conjugation-stable ideal exists"
+                        if premises[0].status == "failed" else None)
     return cert
 
 
@@ -588,28 +603,23 @@ def certify_matrix(mr: CrossedProduct, cap=DEFAULT_ELEMENT_CAP,
         st, det = _simple_status(mr.system.base[i], cap=cap, seed=seed)
         premises.append(Premise(f"base ring at index {i} is simple",
                                 _premise_status(st), det))
-        if st == "NotSimple" and bad is None:
+        if st == "NotSimple" and bad is None and _proper(det):
             bad = (i, det)
     cert = Certificate(instance, "matrix",
                        "a matrix ring is simple iff every diagonal base ring is simple",
                        premises, None, meta={"cap": cap, "seed": seed, "iff": True})
+    J = None
     if bad is not None:
         i, witness_ideal = bad
-        gens = []
-        for v in witness_ideal.spanning():
-            gens.append(mr.embed(cat.identity[i], v))
-        J = ideal_closure(mr.ring, gens)
+        J = ideal_closure(mr.ring, [mr.embed(cat.identity[i], v)
+                                    for v in witness_ideal.spanning()])
         proper = _proper(J)
         cert.notes += (f"witness: matrix ideal over the non-simple base at {i} "
                        f"(proper={proper})",)
         cert.verdict = "NotSimple" if proper else None
-        cert.oracle_detail = J
     elif all(p.status in ("verified", "assumed") for p in premises):
         cert.verdict = "Simple"
-    _oracle_cross_check(cert, mr.ring, cap, seed)
-    if bad is not None and cert.oracle == "unavailable":
-        cert.oracle = "agrees"
-        cert.oracle_detail = "explicit proper ideal re-verified"
+    _oracle_cross_check(cert, mr.ring, cap, seed, evidence=J)
     return cert
 
 
@@ -701,22 +711,19 @@ def certify_dynamics(dyn: DynamicsRing, cap=DEFAULT_ELEMENT_CAP,
                        premises, verdict,
                        meta={"cap": cap, "seed": seed, "iff": True,
                              "minimal": dyn.minimal, "faithful": dyn.faithful})
-    # an explicit proper ideal: the non-faithful one when the action is not
+    # an explicit ideal: the non-faithful one when the action is not
     # faithful, else the non-minimal one
-    refuted = False
+    evidence = None
     if not dyn.faithful:
-        refuted = _proper(faithfulness_witness_ideal(dyn))
-        cert.notes += (f"non-faithful witness ideal proper and nonzero: {refuted}",)
-        if not refuted:
+        evidence = faithfulness_witness_ideal(dyn)
+        cert.notes += (f"non-faithful witness ideal proper and nonzero: {_proper(evidence)}",)
+        if not _proper(evidence):
             raise CriterionDisagreement("non-faithful witness ideal must be proper and nonzero")
     if not dyn.minimal:
-        ok = _proper(minimality_witness_ideal(dyn))
-        cert.notes += (f"non-minimal witness ideal proper and nonzero: {ok}",)
-        refuted = refuted or ok
-    _oracle_cross_check(cert, ring, cap, seed)
-    if cert.oracle == "unavailable" and refuted:
-        cert.oracle = "agrees"
-        cert.oracle_detail = "explicit proper ideal re-verified"
+        J = minimality_witness_ideal(dyn)
+        cert.notes += (f"non-minimal witness ideal proper and nonzero: {_proper(J)}",)
+        evidence = evidence or J
+    _oracle_cross_check(cert, ring, cap, seed, evidence=evidence)
     return cert
 
 
@@ -727,16 +734,27 @@ def certify_dynamics(dyn: DynamicsRing, cap=DEFAULT_ELEMENT_CAP,
 def certify_built(built, cap=DEFAULT_ELEMENT_CAP, seed=DEFAULT_SEED,
                   instance="") -> list:
     """The certificates of a built object's own pipeline, labelled
-    ``instance``: the one map from a construction to its pipeline, which
-    ``ringlab certify`` and the corpus both run.
+    ``instance``: the one map from a construction to its pipeline, and the
+    one producer of certificates that ``ringlab certify`` and the corpus
+    run.
 
     A Cayley tower gets its chain of doubling certificates
     (:func:`certify_tower`, labelled ``f"{instance}/level-{k}"``).  A
     crossed product gets one certificate, from the pipeline of its
     ``kind_tag``, or :func:`certify_crossed_product` for any other tag; a
     graded ring without a crossed system gets
-    :func:`certify_groupoid_graded`.  Anything else gets none.
+    :func:`certify_groupoid_graded`.  Ore data get an ``ore-base``
+    certificate, σ-δ-simplicity of the coefficient ring, with the checks of
+    :func:`ringlab.ore.validate_sigma_derivation` as premises and no oracle
+    (the extension is infinite).  Anything else gets none.
     """
+    if isinstance(built, SigmaDerivationData):
+        premises = [Premise(name, "verified" if ok else "failed", witness)
+                    for name, ok, witness in validate_sigma_derivation(built)]
+        verdict = is_sigma_delta_simple(built, cap=cap)
+        return [Certificate(instance, "ore-base",
+                            "sigma-delta-simplicity of the coefficient ring", premises,
+                            "SigmaDeltaSimple" if verdict.simple else "NotSigmaDeltaSimple")]
     if isinstance(built, CayleyTower):
         return certify_tower(built, cap=cap, seed=seed, instance=instance)
     if isinstance(built, CrossedProduct):
@@ -812,37 +830,29 @@ def _actions_on(kind, cat, m):
 
 
 def _conjugacy_key(action, morphisms, m):
-    """Canonical form of an action under relabeling of the points."""
+    """Canonical form of an action under relabeling of the points, and the
+    relabeling pi that gives it: the least pi ∘ s ∘ pi^-1 over pi in S_m."""
     best = None
     for pi in itertools.permutations(range(m)):
         inv = [0] * m
         for x, y in enumerate(pi):
             inv[y] = x
         key = tuple(tuple(pi[action[g][inv[x]]] for x in range(m)) for g in morphisms)
-        if best is None or key < best:
-            best = key
+        if best is None or key < best[0]:
+            best = key, pi
     return best
 
 
-def _verify_conjugate_isomorphism(rep_dyn, dyn, morphisms, m):
-    """Find pi with rep = pi ∘ s ∘ pi^-1 and check the induced basis
-    relabeling transports the structure constants exactly."""
-    for pi in itertools.permutations(range(m)):
-        inv = [0] * m
-        for x, y in enumerate(pi):
-            inv[y] = x
-        if all(tuple(pi[dyn.action[g][inv[x]]] for x in range(m)) == rep_dyn.action[g]
-               for g in morphisms):
-            d = dyn.ring.dim
-            idx = np.zeros(d, dtype=np.int64)
-            for g in morphisms:
-                off = dyn.offsets[g]
-                off_r = rep_dyn.offsets[g]
-                for x in range(m):
-                    idx[off + x] = off_r + pi[x]
-            moved = rep_dyn.ring.constants[np.ix_(idx, idx, idx)]
-            return bool(np.array_equal(moved, dyn.ring.constants))
-    return False
+def _verify_conjugate_isomorphism(rep_dyn, rep_pi, dyn, pi, morphisms, m):
+    """Check that the relabeling rep_pi^-1 ∘ pi, which conjugates the action
+    of ``dyn`` onto that of ``rep_dyn`` when both have the same key, induces
+    a basis relabeling that transports the structure constants exactly."""
+    relabel = np.argsort(rep_pi)[list(pi)]
+    idx = np.zeros(dyn.ring.dim, dtype=np.int64)
+    for g in morphisms:
+        idx[dyn.offsets[g] + np.arange(m)] = rep_dyn.offsets[g] + relabel
+    moved = rep_dyn.ring.constants[np.ix_(idx, idx, idx)]
+    return bool(np.array_equal(moved, dyn.ring.constants))
 
 
 def survey_finite_dynamics(max_points=4, max_group_order=6, field_orders=(2, 3),
@@ -870,7 +880,7 @@ def survey_finite_dynamics(max_points=4, max_group_order=6, field_orders=(2, 3),
                 classes = {}
                 for action in _actions_on(kind, cat, m):
                     survey.instances += 1
-                    key = _conjugacy_key(action, morphisms, m)
+                    key, pi = _conjugacy_key(action, morphisms, m)
                     dyn = dynamics_skew_group_ring(m, cat, action, GF(p))
                     expected = dyn.minimal and dyn.faithful
                     if not dyn.faithful:
@@ -881,11 +891,12 @@ def survey_finite_dynamics(max_points=4, max_group_order=6, field_orders=(2, 3),
                             survey.failures.append(
                                 (m, kind, p, "non-faithful witness ideal not proper/nonzero"))
                     if key in classes:
-                        rep_dyn, rep_simple = classes[key]
+                        rep_dyn, rep_pi, rep_simple = classes[key]
                         if (rep_dyn.minimal, rep_dyn.faithful) != (dyn.minimal, dyn.faithful):
                             survey.failures.append((m, kind, p, "conjugate flags differ"))
                             continue
-                        if not _verify_conjugate_isomorphism(rep_dyn, dyn, morphisms, m):
+                        if not _verify_conjugate_isomorphism(rep_dyn, rep_pi, dyn, pi,
+                                                             morphisms, m):
                             survey.failures.append((m, kind, p, "conjugacy isomorphism failed"))
                             continue
                         survey.transferred += 1
@@ -916,7 +927,7 @@ def survey_finite_dynamics(max_points=4, max_group_order=6, field_orders=(2, 3),
                             (m, kind, p, f"simple={decided} but minimal+faithful={expected}"))
                     if cert.verdict != ("Simple" if expected else "NotSimple"):
                         survey.failures.append((m, kind, p, "pipeline verdict mismatch"))
-                    classes[key] = (dyn, decided)
+                    classes[key] = (dyn, pi, decided)
     return survey
 
 

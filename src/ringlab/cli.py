@@ -7,7 +7,8 @@
     ringlab corpus                       cross-check the built-in corpus
 
 Exit codes: 0 ok, 1 failed expectation or pipeline/oracle disagreement,
-2 usage or recipe errors.
+2 usage or recipe errors, or a check past the element cap (``check`` still
+prints its report, with the error as that check's result).
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ import time
 from .certify import certify_built
 from .errors import CriterionDisagreement, RinglabError
 from .ideals import DEFAULT_ELEMENT_CAP, DEFAULT_SEED, is_simple
-from .ore import (SigmaDerivationData, is_sigma_delta_simple,
-                  validate_sigma_derivation)
 from .recipes import build_recipe, parse_recipe
 from .reports import Report, build_summary, run_checks, simplicity_json, table_dump
 from .rings import ring_of
@@ -49,20 +48,6 @@ def _parser():
     p.add_argument("--force", action="store_true",
                    help="dump tables past the size threshold")
     return p
-
-
-def _certify_built(built, cap, seed, instance):
-    if isinstance(built, SigmaDerivationData):
-        verdict = is_sigma_delta_simple(built, cap=cap)
-        report = validate_sigma_derivation(built)
-        return [{"instance": instance, "pipeline": "ore-base",
-                 "statement": "sigma-delta-simplicity of the coefficient ring",
-                 "premises": [{"name": n, "status": "verified" if ok else "failed"}
-                              for n, ok, _ in report],
-                 "verdict": "SigmaDeltaSimple" if verdict.simple else "NotSigmaDeltaSimple",
-                 "oracle": "unavailable", "conditional": False, "meta": {}, "notes": []}]
-    return [c.to_json() for c in certify_built(built, cap=cap, seed=seed,
-                                               instance=instance)]
 
 
 def main(argv=None) -> int:
@@ -109,10 +94,13 @@ def _dispatch(args, t0) -> int:
             exit_code = 2
     elif args.command == "check":
         names = [n.strip() for n in args.checks.split(",") if n.strip()]
-        report.results.update(run_checks(built, names, cap=args.cap, seed=args.seed))
+        results, too_large = run_checks(built, names, cap=args.cap, seed=args.seed)
+        report.results.update(results)
+        if too_large:
+            exit_code = 2
     elif args.command == "certify":
-        report.certificates = _certify_built(built, args.cap, args.seed,
-                                             instance=recipe.kind)
+        report.certificates = [c.to_json() for c in certify_built(
+            built, cap=args.cap, seed=args.seed, instance=recipe.kind)]
         if any(c["oracle"] == "disagrees" for c in report.certificates):
             exit_code = 1
 
@@ -121,7 +109,7 @@ def _dispatch(args, t0) -> int:
         wanted = "Simple" if args.expect == "simple" else "NotSimple"
         report.results["expectation"] = {"expected": wanted, "got": verdict}
         if verdict != wanted:
-            exit_code = 1
+            exit_code = exit_code or 1
     return _emit(report, args, t0, exit_code)
 
 

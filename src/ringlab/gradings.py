@@ -16,7 +16,7 @@ import numpy as np
 from .errors import (CriterionDisagreement, FilterViolation, NotDirectSum,
                      PreconditionUnmet)
 from .ideals import (DEFAULT_ELEMENT_CAP, IdealBasis, Subring, center,
-                     first_stable_ideal, full_subring, is_A_invariant,
+                     enumerate_ideals, full_subring, is_A_invariant,
                      principal_ideal)
 from .rings import Element, Ring
 from .subgroups import (AddSubgroup, additive_span,
@@ -473,15 +473,14 @@ class IntersectionVerdict:
 
 
 def ideal_intersection_property(ring, S, cap=DEFAULT_ELEMENT_CAP) -> IntersectionVerdict:
-    """Every nonzero ideal of the ring meets S nontrivially.  The first that
-    does not, in the order of :func:`ringlab.ideals.enumerate_ideals`, is
-    minimal, hence principal: the least line closure that meets S in 0."""
+    """Every nonzero ideal of the ring meets S nontrivially.  The witness is
+    the first that does not, in the order of
+    :func:`ringlab.ideals.enumerate_ideals`: a minimal one, since the ideals
+    inside it meet S in 0 too.  The whole ring is the lattice's last ideal,
+    so S = 0 fails on any nonzero ring."""
     span = S.span if isinstance(S, (Subring, IdealBasis)) else S
-    I = first_stable_ideal(ring, None, [], cap=cap,
-                           accept=lambda sub: sub.intersect(span).is_zero())
-    if I is None and span.is_zero() and ring.size() > 1:
-        # S = 0 misses every nonzero ideal; with none proper, the first is A
-        I = IdealBasis(ring, full_subgroup(ring), check=False)
+    I = next((I for I in enumerate_ideals(ring, cap=cap)
+              if not I.is_zero() and I.span.intersect(span).is_zero()), None)
     return IntersectionVerdict("Holds") if I is None else IntersectionVerdict("Fails", I)
 
 

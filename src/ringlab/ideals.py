@@ -6,13 +6,13 @@ itself have ``of_subring=None``.
 
 Every quantifier "for every ideal of B" reads :func:`_line_closures`, the
 closure of each line of B under its multiplications and a set of maps.
-Where the property sought passes to smaller ideals (stability under maps:
-G-, σ-δ- and conjugation-invariance; meeting a subring in 0), the first
-such ideal is minimal, hence a closure, and :func:`first_stable_ideal`
-never builds the lattice.  A-invariance does not, and
-:func:`enumerate_subring_ideals` joins the closures into the lattice: every
-ideal is the join of the principal ideals of its elements, so the
-enumeration is exhaustive on finite (or capped F_p) rings.  Over Q neither runs; a
+Where the property sought is stability under maps (G-, σ-δ- and
+conjugation-invariance), the first such ideal is minimal, hence a closure,
+and :func:`first_stable_ideal` never builds the lattice.  Other properties
+(A-invariance, meeting a subring in 0) read the lattice, which
+:func:`enumerate_subring_ideals` joins from the closures: every ideal is
+the join of the principal ideals of its elements, so the enumeration is
+exhaustive on finite (or capped F_p) rings.  Over Q neither runs; a
 positive simplicity verdict comes only from a reduction mod p that is
 simple (see :func:`is_simple`).  :func:`is_stable` tests one given span
 for stability.  An algebra's closures run in its field backend's
@@ -416,8 +416,10 @@ class SimpleVerdict:
     of a NotSimple is a proper nonzero ideal: the first proper line's
     principal ideal on a finite ring, Norton's submodule on an F_p algebra
     over the element cap, otherwise the principal ideal a witness search
-    found.  When it is not at hand, ``find`` computes it on the first read
-    of :attr:`witness`, and only then.  ``reason`` is "R*R = 0", "reduction
+    found.  It is None only for R·R = 0 without a proper nonzero ideal: an
+    algebra of dimension 1, or a table ring of prime order or of order 1.
+    When it is not at hand, ``find`` computes it on the first read of
+    :attr:`witness`, and only then.  ``reason`` is "R*R = 0", "reduction
     mod q" (a Q-algebra proved simple by a reduction) or why the verdict is
     Inconclusive, and None otherwise."""
 
@@ -537,7 +539,8 @@ def _is_simple_uncached(ring, cap, seed, samples) -> SimpleVerdict:
 
 
 def _proper_from_square_zero(ring):
-    # with R·R = 0 every additive subgroup is an ideal; take a 1-generator one
+    # with R·R = 0 every additive subgroup is an ideal; take a proper
+    # 1-generator one, or None when there is none
     if ring.is_table:
         for i in range(ring.n):
             if i != ring.zero_index:
@@ -548,7 +551,7 @@ def _proper_from_square_zero(ring):
         sub = subspace_from_vectors(ring, [ring.basis_element(0).data])
         if not sub.is_full():
             return IdealBasis(ring, sub, check=False)
-    return IdealBasis(ring, zero_subgroup(ring), check=False)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -641,24 +644,21 @@ def first_invariant_ideal(ideals, invariant):
     return None
 
 
-def first_stable_ideal(ring, B: Subring | None, maps, cap=DEFAULT_ELEMENT_CAP, accept=None):
+def first_stable_ideal(ring, B: Subring | None, maps, cap=DEFAULT_ELEMENT_CAP):
     """The first ideal I of B with 0 ≠ I ≠ B that every map sends into I, in
     the (measure, key) order of :func:`enumerate_subring_ideals` (B is
-    None: the whole ring); None when there is none.  ``accept`` is a further
-    test on the span of I that the nonzero ideals inside an accepted one
-    pass too, such as meeting a subgroup in 0.
+    None: the whole ring); None when there is none.
 
-    The lattice is never built: the answer is the least accepted closure of
-    :func:`_line_closures`.  An accepted stable ideal of least measure is
-    minimal, so each of its nonzero elements generates it.  A closure that
-    outgrows the best one so far is abandoned.  Raises what the enumeration
-    raises.
+    The lattice is never built: the answer is the least closure of
+    :func:`_line_closures`.  A stable ideal of least measure is minimal, so
+    each of its nonzero elements generates it.  A closure that outgrows the
+    best one so far is abandoned.  Raises what the enumeration raises.
     """
     span, seeds, close = _line_closures(ring, B, maps, cap)
     best, bound = None, span.measure() - 1   # past the bound a closure is all of B
     for seed in seeds:
         sub = close(seed, bound)
-        if sub is not None and (accept is None or accept(sub)) and (
+        if sub is not None and (
                 best is None or (sub.measure(), sub.key()) < (best.measure(), best.key())):
             best, bound = sub, sub.measure()
     return None if best is None else IdealBasis(ring, best, of_subring=B, check=False)

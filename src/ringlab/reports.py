@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dfield
 
+from .errors import TooLarge
 from .gradings import grading_flags, support_degree_map, verify_degree_map
 from .ideals import (DEFAULT_ELEMENT_CAP, DEFAULT_SEED, center,
                      enumerate_subring_ideals, is_A_invariant, is_simple)
@@ -84,58 +85,57 @@ class Report:
 # ---------------------------------------------------------------------------
 
 def run_checks(built, names, cap=DEFAULT_ELEMENT_CAP, seed=DEFAULT_SEED):
-    """Run the named predicates on a built object; returns a results dict."""
+    """Run the named predicates on a built object.  Returns the results dict
+    and the names of the checks that raised TooLarge: each of those records
+    ``{"error": message}``, and the remaining checks still run."""
+    results, too_large = {}, []
+    for name in names:
+        try:
+            results[name] = _run_check(built, name, cap, seed)
+        except TooLarge as exc:
+            results[name] = {"error": str(exc)}
+            too_large.append(name)
+    return results, too_large
+
+
+def _run_check(built, name, cap, seed):
     ring = ring_of(built)
     grading = getattr(built, "grading", None)
-    results = {}
-    for name in names:
-        if name == "simplicity":
-            if ring is None:
-                results[name] = {"error": "no ring to check"}
-                continue
-            results[name] = simplicity_json(is_simple(ring, cap=cap, seed=seed))
-        elif name == "center":
-            if ring is None:
-                results[name] = {"error": "no ring to check"}
-                continue
-            z = center(ring)
-            results[name] = {"measure": z.measure(),
-                             "kind": "dimension" if ring.is_algebra else "size"}
-        elif name == "grading":
-            if grading is None:
-                results[name] = {"error": "instance carries no grading"}
-                continue
-            f = grading_flags(grading)
-            results[name] = {"locally_unital": f.locally_unital,
-                             "strongly_graded": f.strongly_graded,
-                             "left_nondegenerate": f.left_nondegenerate,
-                             "right_nondegenerate": f.right_nondegenerate}
-        elif name == "invariance":
-            if grading is None or not hasattr(built, "system"):
-                results[name] = {"error": "invariance needs a crossed product"}
-                continue
-            from .constructions.crossed import is_G_invariant
-            B = built.base_subring()
-            rows = []
-            agree = True
-            for I in enumerate_subring_ideals(ring, B, cap=cap):
-                g_inv = is_G_invariant(built, I)
-                a_inv = is_A_invariant(ring, B, I)
-                agree = agree and (g_inv == a_inv)
-                rows.append({"ideal": ideal_json(I), "action_invariant": g_inv,
-                             "ring_invariant": a_inv})
-            results[name] = {"ideals": rows, "equivalence_holds": agree}
-        elif name == "degree-map":
-            if grading is None:
-                results[name] = {"error": "degree map check needs a grading"}
-                continue
-            dm = support_degree_map(grading, "center_of_A0")
-            verdict = verify_degree_map(dm, cap=cap)
-            results[name] = {"status": verdict.status,
-                             "witness": repr(verdict.witness) if verdict.witness else None}
-        else:
-            results[name] = {"error": f"unknown check {name!r}"}
-    return results
+    if name in ("simplicity", "center") and ring is None:
+        return {"error": "no ring to check"}
+    if name == "simplicity":
+        return simplicity_json(is_simple(ring, cap=cap, seed=seed))
+    if name == "center":
+        return {"measure": center(ring).measure(),
+                "kind": "dimension" if ring.is_algebra else "size"}
+    if name == "grading":
+        if grading is None:
+            return {"error": "instance carries no grading"}
+        f = grading_flags(grading)
+        return {"locally_unital": f.locally_unital,
+                "strongly_graded": f.strongly_graded,
+                "left_nondegenerate": f.left_nondegenerate,
+                "right_nondegenerate": f.right_nondegenerate}
+    if name == "invariance":
+        if grading is None or not hasattr(built, "system"):
+            return {"error": "invariance needs a crossed product"}
+        from .constructions.crossed import is_G_invariant
+        B = built.base_subring()
+        rows, agree = [], True
+        for I in enumerate_subring_ideals(ring, B, cap=cap):
+            g_inv = is_G_invariant(built, I)
+            a_inv = is_A_invariant(ring, B, I)
+            agree = agree and (g_inv == a_inv)
+            rows.append({"ideal": ideal_json(I), "action_invariant": g_inv,
+                         "ring_invariant": a_inv})
+        return {"ideals": rows, "equivalence_holds": agree}
+    if name == "degree-map":
+        if grading is None:
+            return {"error": "degree map check needs a grading"}
+        verdict = verify_degree_map(support_degree_map(grading, "center_of_A0"), cap=cap)
+        return {"status": verdict.status,
+                "witness": repr(verdict.witness) if verdict.witness else None}
+    return {"error": f"unknown check {name!r}"}
 
 
 def build_summary(built, cap=DEFAULT_ELEMENT_CAP):

@@ -14,10 +14,11 @@ from ringlab.certify import certify_built, minimality_witness_ideal, recognize_f
 from ringlab.cli import main
 from ringlab.corpus import (build_f4_frobenius_ring, build_group_algebra,
                             build_m3f2_block_graded, build_nonfaithful_dynamics,
-                            build_nonminimal_dynamics, build_rotation_dynamics,
-                            tower_q)
+                            build_nonminimal_dynamics, build_ore_f4_frobenius,
+                            build_rotation_dynamics, tower_q)
 from ringlab.constructions import bales_twisted_ring, twisted_group_ring
 from ringlab.errors import CriterionDisagreement
+from ringlab.ideals import SimpleVerdict, ideal_closure, principal_ideal
 from ringlab.rings import (direct_sum_algebra, full_matrix_algebra, functions_ring,
                            gf_extension, make_structure_algebra)
 
@@ -277,6 +278,7 @@ def test_certify_built_picks_each_pipeline():
              (cayley_tower(GF(3), 2), ["doubling", "doubling"]),
              (cayley_tower(GF(3), 1).doublings[0], ["doubling"]),
              (build_m3f2_block_graded(), ["groupoid-graded"]),
+             (build_ore_f4_frobenius(), ["ore-base"]),
              (zmod_ring(4), [])]
     for built, pipelines in cases:
         certs = certify_built(built, instance="x")
@@ -284,6 +286,98 @@ def test_certify_built_picks_each_pipeline():
         assert all(c.oracle != "disagrees" for c in certs)
     assert [c.instance for c in certify_built(cayley_tower(GF(3), 2), instance="x")] \
         == ["x/level-1", "x/level-2"]
+
+
+CONTRADICTION = "double is simple but a conjugation-stable ideal exists"
+_Z4 = zmod_ring(4)
+_PROPER = ideal_closure(_Z4, [_Z4.element(2)])            # {0, 2}
+_WHOLE = principal_ideal(_Z4, _Z4.element(1))
+
+
+@pytest.mark.parametrize("status, verdict, evidence, oracle, detail", [
+    # an oracle Simple against the pipeline's evidence disagrees
+    ("Simple", "NotSimple", _PROPER, "disagrees", "Simple"),
+    ("Simple", None, _WHOLE, "disagrees", "Simple"),
+    ("Simple", None, CONTRADICTION, "disagrees", CONTRADICTION),
+    # an undecided oracle is settled only by a proper nonzero ideal
+    ("Inconclusive", "NotSimple", _PROPER, "agrees", "explicit proper ideal re-verified"),
+    ("Inconclusive", None, _WHOLE, "unavailable", "why not"),
+    ("Inconclusive", None, CONTRADICTION, "unavailable", "why not"),
+    ("Inconclusive", "Simple", None, "unavailable", "why not"),
+    # otherwise a concluded certificate meets the oracle's status
+    ("Simple", "Simple", None, "agrees", "Simple"),
+    ("NotSimple", "NotSimple", _PROPER, "agrees", "NotSimple"),
+    ("NotSimple", "Simple", None, "disagrees", "NotSimple"),
+    # and a withheld one leaves the oracle unavailable
+    ("NotSimple", None, CONTRADICTION, "unavailable",
+     "oracle says NotSimple; pipeline withheld its conclusion"),
+    ("Simple", None, None, "unavailable", "oracle says Simple; pipeline withheld its conclusion"),
+])
+def test_oracle_rule(monkeypatch, status, verdict, evidence, oracle, detail):
+    monkeypatch.setattr(certify, "is_simple",
+                        lambda ring, cap, seed: SimpleVerdict(status, reason="why not"))
+    cert = certify.Certificate("x", "p", "s", [], verdict)
+    certify._oracle_cross_check(cert, _Z4, 1, 0, evidence=evidence)
+    assert (cert.oracle, cert.oracle_detail) == (oracle, detail)
+
+
+def _stub_oracle(monkeypatch, target, status):
+    """``is_simple`` answers ``status`` on ``target`` and as before elsewhere."""
+    real = certify.is_simple
+    monkeypatch.setattr(certify, "is_simple", lambda ring, cap, seed: (
+        SimpleVerdict(status, reason="stubbed") if ring is target
+        else real(ring, cap=cap, seed=seed)))
+
+
+def test_pipelines_hand_their_evidence_to_the_oracle_rule(monkeypatch):
+    # M2(Z4): the base's ideal (2) gives a proper ideal of the matrix ring,
+    # which settles an undecided oracle
+    mr = matrix_ring(2, zmod_ring(4))
+    _stub_oracle(monkeypatch, mr.ring, "Inconclusive")
+    cert = certify_matrix(mr)
+    assert cert.verdict == "NotSimple"
+    assert (cert.oracle, cert.oracle_detail) == ("agrees", "explicit proper ideal re-verified")
+    # F3 ⊕ F3 doubled along the identity: its factors are conjugation-stable,
+    # so a Simple double contradicts the failed premise
+    B = functions_ring(2, GF(3))
+    cd = cayley_dickson(B, RingMap.identity(B), B.element((2, 2)))
+    _stub_oracle(monkeypatch, cd.ring, "Simple")
+    cert = certify_cayley(cd)
+    assert cert.premises[0].status == "failed" and cert.verdict is None
+    assert (cert.oracle, cert.oracle_detail) == ("disagrees", CONTRADICTION)
+    # a non-faithful dynamics system: its explicit ideal settles it too
+    dyn = build_nonfaithful_dynamics()
+    _stub_oracle(monkeypatch, dyn.ring, "Inconclusive")
+    cert = certify_dynamics(dyn)
+    assert (cert.oracle, cert.oracle_detail) == ("agrees", "explicit proper ideal re-verified")
+
+
+def test_conjugacy_key_returns_its_relabeling():
+    from ringlab.certify import (_abelian_groups_upto, _actions_on, _conjugacy_key,
+                                 _verify_conjugate_isomorphism)
+    from ringlab.constructions import dynamics_skew_group_ring
+    count = 0
+    for m in range(1, 5):
+        for kind, order, cat in _abelian_groups_upto(6):
+            morphisms = list(cat.morphisms)
+            for action in _actions_on(kind, cat, m):
+                key, pi = _conjugacy_key(action, morphisms, m)
+                # pi ∘ s_g = key_g ∘ pi: pi maps the action onto its key
+                assert all(pi[action[g][x]] == k[pi[x]]
+                           for g, k in zip(morphisms, key) for x in range(m))
+                count += 1
+    assert 2 * count == 312          # the survey runs each action over F2 and F3
+    # the transported constants are the check: two conjugate actions of Z2
+    # on 2 + 1 points pass with the keys' relabelings, and fail with none
+    cat = _abelian_groups_upto(2)[1][2]
+    e, g = cat.morphisms
+    ident = (0, 1, 2)
+    actions = [{e: ident, g: (1, 0, 2)}, {e: ident, g: (0, 2, 1)}]
+    (key, rep_pi), (key2, pi) = (_conjugacy_key(a, [e, g], 3) for a in actions)
+    rep, dyn = (dynamics_skew_group_ring(3, cat, a, GF(2)) for a in actions)
+    assert key == key2
+    assert _verify_conjugate_isomorphism(rep, rep_pi, dyn, pi, [e, g], 3)
+    assert not _verify_conjugate_isomorphism(rep, ident, dyn, ident, [e, g], 3)
 
 
 def test_dynamics_disagreement_is_typed(monkeypatch, tmp_path, capsys):

@@ -247,6 +247,18 @@ def test_zmod_past_the_table_cap_exits_2(tmp_path, capsys):
     assert captured.err == "error: table ring size 4097 exceeds cap 4096\n"
 
 
+def test_a_check_past_the_cap_keeps_the_report(tmp_path, capsys):
+    # the degree-map element scan of M6(F2) (2^36 elements) raises TooLarge;
+    # the other checks still run, the report is printed, and the exit is 2
+    path = _write(tmp_path, "m6.json", {"kind": "matrix_ring", "size": 6,
+                                        "base": {"kind": "scalar", "ring": "Fp:2"}})
+    code, doc = _run(capsys, "check", path, "--checks", "center,degree-map")
+    assert code == 2
+    assert doc["results"] == {
+        "center": {"kind": "dimension", "measure": 1},
+        "degree-map": {"error": "68719476736 elements exceeds cap 1048576"}}
+
+
 def test_modulus_past_int64_arithmetic_exits_2(tmp_path, capsys):
     doc = {"kind": "matrix_ring", "size": 2,
            "base": {"kind": "scalar", "ring": "Fp:4000000007"}}
@@ -263,7 +275,12 @@ def test_certify_ore_recipe(tmp_path, capsys):
                    "sigma": "frobenius", "delta": "zero"})
     code, doc = _run(capsys, "certify", path)
     assert code == 0
-    assert doc["certificates"][0]["verdict"] == "SigmaDeltaSimple"
+    [cert] = doc["certificates"]
+    assert cert["pipeline"] == "ore-base" and cert["verdict"] == "SigmaDeltaSimple"
+    # a Certificate like every other: each premise carries its witness,
+    # null when it holds, and the infinite extension has no oracle
+    assert all(p["status"] == "verified" and p["detail"] is None for p in cert["premises"])
+    assert cert["oracle"] == "unavailable" and cert["oracle_detail"] is None
 
 
 def test_table_command_threshold(tmp_path, capsys):
@@ -345,7 +362,7 @@ GOLDEN_SHA256 = {
     "dynamics-rot3-F2": "87dd765270d9f648967151ad450eede0ebfccd55399a7bec4b227f1fda0529c4",
     "matrix_ring-M3F3": "b6973e0380522aaf16e06130d22986a559ead39e9122f550be6f571e58d01ba9",
     "ore_extension-F4-frobenius":
-        "a300f273ccee580106fc8ab6fcc2761188a03576249175134331d3a8a6f0977d",
+        "dfde911b0571d1909278cd4cefef5b07c7bc37c01a5041e191b9405b4ec2a082",
     "skew_group_ring-F8-Z3": "728c3249ffc80ca9c3dfa24a6a54b2d4321c68c8c4314474bac1342ff32fe8d3",
     "twisted_group_ring-bales3-F3":
         "700f47ea3d833ee68be83403e5e47ecdf9fefea440526a64800b16bcd7825f75",

@@ -13,7 +13,7 @@ from ringlab import (GF, QQ, cayley_tower, center, centralizer,
                      full_subring, gf_extension, ideal_closure, identity_property,
                      is_A_invariant, is_A_simple, is_maximal_commutative,
                      is_simple, apply_i_and_p, make_structure_algebra,
-                     principal_ideal, subring_closure, zmod_ring)
+                     make_table_ring, principal_ideal, subring_closure, zmod_ring)
 from ringlab import (RingMap, cayley_dickson, certify, ideal_intersection_property,
                      ideals, linalg)
 from ringlab.constructions import bales_twisted_ring
@@ -111,6 +111,25 @@ def test_zero_multiplication_is_never_simple():
     one = make_structure_algebra(2, GF(2), [[[0, 0], [1, 0]], [[0, 0], [0, 0]]])
     for ring in (one, convert_to_table(one)):
         assert is_simple(ring).reason is None
+
+
+def test_square_zero_rings_without_a_proper_ideal_have_no_witness(tmp_path, capsys):
+    # with R·R = 0 every additive subgroup is an ideal; in dimension 1, or
+    # at prime order or order 1, none is proper and nonzero
+    z3 = np.arange(3)
+    for ring in (make_structure_algebra(1, GF(2), [[[0]]]),
+                 make_structure_algebra(1, QQ, [[[0]]]),
+                 make_table_ring((z3[:, None] + z3[None, :]) % 3, np.zeros((3, 3), dtype=int)),
+                 make_table_ring(np.zeros((1, 1), dtype=int), np.zeros((1, 1), dtype=int))):
+        v = is_simple(ring)
+        assert v.status == "NotSimple" and v.reason == "R*R = 0" and v.witness is None
+    path = tmp_path / "null.json"
+    path.write_text(json.dumps({"kind": "structure_algebra", "field": "Fp:2", "dim": 1,
+                                "constants": [[[0]]]}))
+    assert main(["check", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["results"]["simplicity"] == {"NotSimple": {"reason": "R*R = 0",
+                                                          "witness": None}}
 
 
 @st.composite
