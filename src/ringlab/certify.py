@@ -24,7 +24,7 @@ from . import linalg
 from .constructions.crossed import CrossedProduct, _is_unit, is_G_simple
 from .constructions.doubling import CayleyDoubling, CayleyTower
 from .constructions.dynamics import DynamicsRing
-from .errors import CriterionDisagreement
+from .errors import CriterionDisagreement, InfiniteScalarField, TooLarge
 from .gradings import (GradedRing, Grading, grading_flags,
                        graded_ideal_associativity, support_degree_map,
                        verify_degree_map)
@@ -447,15 +447,18 @@ def certify_crossed_product(cp: CrossedProduct, cap=DEFAULT_ELEMENT_CAP,
 # ---------------------------------------------------------------------------
 
 def _sigma_simple_premise(cd: CayleyDoubling, cap, seed, base_hint=None):
-    """The first sigma-stable ideal of the base (:func:`first_stable_ideal`);
-    over Q falls back to simplicity of the base (no ideals at all) or
-    product-of-fields structure."""
+    """The first sigma-stable ideal of the base (:func:`first_stable_ideal`,
+    which Norton's test decides at any size over F_p).  Where that raises
+    (over Q, or an undecided base past the cap), falls back to simplicity of
+    the base (no ideals at all) or product-of-fields structure."""
     B = cd.base
     name = "the base has no nontrivial conjugation-stable ideal"
     sigma = [cd.sigma.operator]
-    size = B.size()
-    if size is not None and size <= cap:
+    try:
         I = first_stable_ideal(B, None, sigma, cap=cap)
+    except (TooLarge, InfiniteScalarField):
+        pass
+    else:
         if I is not None:
             return Premise(name, "failed", I)
         return Premise(name, "verified", "ideal enumeration")

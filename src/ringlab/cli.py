@@ -7,8 +7,9 @@
     ringlab corpus                       cross-check the built-in corpus
 
 Exit codes: 0 ok, 1 failed expectation or pipeline/oracle disagreement,
-2 usage or recipe errors, or a check past the element cap (``check`` still
-prints its report, with the error as that check's result).
+2 usage or recipe errors, or a check past the element cap or over Q where
+it needs finitely many elements (``check`` still prints its report, with the
+error as that check's result).
 """
 
 from __future__ import annotations
@@ -94,9 +95,9 @@ def _dispatch(args, t0) -> int:
             exit_code = 2
     elif args.command == "check":
         names = [n.strip() for n in args.checks.split(",") if n.strip()]
-        results, too_large = run_checks(built, names, cap=args.cap, seed=args.seed)
+        results, failed = run_checks(built, names, cap=args.cap, seed=args.seed)
         report.results.update(results)
-        if too_large:
+        if failed:
             exit_code = 2
     elif args.command == "certify":
         report.certificates = [c.to_json() for c in certify_built(

@@ -6,17 +6,21 @@ itself have ``of_subring=None``.
 
 Every quantifier "for every ideal of B" reads :func:`_line_closures`, the
 closure of each line of B under its multiplications and a set of maps.
-Where the property sought is stability under maps (G-, σ-δ- and
+Over F_p it decides first, at any size, by Norton's test on those
+operators (:func:`linalg.irreducible_modp`), as :func:`is_simple` does for
+a whole algebra, and walks lines only for a witness or a lattice.  Where
+the property sought is stability under maps (G-, σ-δ- and
 conjugation-invariance), the first such ideal is minimal, hence a closure,
-and :func:`first_stable_ideal` never builds the lattice.  Other properties
-(A-invariance, meeting a subring in 0) read the lattice, which
-:func:`enumerate_subring_ideals` joins from the closures: every ideal is
-the join of the principal ideals of its elements, so the enumeration is
-exhaustive on finite (or capped F_p) rings.  Over Q neither runs; a
-positive simplicity verdict comes only from a reduction mod p that is
-simple (see :func:`is_simple`).  :func:`is_stable` tests one given span
-for stability.  An algebra's closures run in its field backend's
-``closure``, so nothing here has a Q path of its own.
+and :func:`first_stable_ideal` never builds the lattice; past the cap, the
+test's submodule is its answer.  Other properties (A-invariance, meeting a
+subring in 0) read the lattice, which :func:`enumerate_subring_ideals`
+joins from the closures: every ideal is the join of the principal ideals
+of its elements, so the enumeration is exhaustive on finite (or capped
+F_p) rings, and an irreducible B has the lattice 0, B at any size.  Over
+Q neither runs; a positive simplicity verdict comes only from a reduction
+mod p that is simple (see :func:`is_simple`).  :func:`is_stable` tests one
+given span for stability.  An algebra's closures run in its field
+backend's ``closure``, so nothing here has a Q path of its own.
 """
 
 from __future__ import annotations
@@ -324,32 +328,65 @@ def principal_ideal(ring, elt) -> IdealBasis:
     return ideal_closure(ring, [elt])
 
 
-def _line_closures(ring, B: Subring | None, maps, cap):
-    """(span of B, seeds, close) for B a subring (the whole ring when None).
+def _line_closures(ring, B: Subring | None, maps, cap, lattice=False):
+    """(span of B, decision, seeds, close) for B a subring (the whole ring
+    when None).
+
+    The ideals of B that every map sends into themselves are the subspaces
+    of B invariant under L_b and R_b (b in B, from
+    :func:`linalg.multiplications_modp`) and the maps, as k×k operators over
+    B's rref rows.  Over F_p, ``decision`` is Norton's test on that stack
+    (:func:`linalg.irreducible_modp`), asked first, at any size: True when
+    no proper nonzero one exists, one such ideal as an ambient span when the
+    test finds it, None when the test is undecided; it is None for a table
+    ring, which has no such test.
 
     The seeds are one coordinate vector over B's rref rows per line of B,
-    in the order of :func:`_lines`, for an F_p algebra (none when B = 0),
-    and the nonzero elements of B for a table ring.
-    ``close(seed, bound=None)`` is the smallest ideal of B that holds the
-    seed and that every map sends into itself, as an ambient span, or None
-    past ``bound`` members (dimensions).  ``maps`` send B into B: d×d
+    in the order of :func:`_lines`, for an F_p algebra, and the nonzero
+    elements of B for a table ring; there are none when ``decision`` is
+    True.  ``close(seed, bound=None)`` is the smallest ideal of B that holds
+    the seed and that every map sends into itself, as an ambient span, or
+    None past ``bound`` members (dimensions).  ``maps`` send B into B: d×d
     matrices acting on rows (v ↦ v @ M), or index arrays for a table ring.
 
-    Over F_p the closure of c is c·E, for E the unital algebra that L_b,
-    R_b (b in B, from :func:`linalg.multiplications_modp`) and the maps
-    generate, as k×k matrices over B's rref rows: :func:`linalg.spin_modp`
-    spins it up once, from the identity, because every caller walks every
-    line.  :func:`principal_ideals` stops at the first proper line and
-    closes each line by :func:`principal_ideal` instead.  Raises
-    InfiniteScalarField over Q, and TooLarge when B has more than ``cap``
-    elements.
+    Over F_p the closure of c is c·E, for E the unital algebra that the
+    operators generate: :func:`linalg.spin_modp` spins it up once, from the
+    identity, because every caller walks every line, and only when there
+    are lines to walk.  :func:`principal_ideals` stops at the first proper
+    line and closes each line by :func:`principal_ideal` instead.
+
+    Raises InfiniteScalarField over Q.  When B has more than ``cap``
+    elements no line is walked: there are no seeds, and a B that the
+    decision leaves undecided (or reducible, with ``lattice``, for a caller
+    that needs every ideal) raises TooLarge.
     """
     if ring.size() is None:
         raise InfiniteScalarField("cannot enumerate ideals over Q")
     span = full_subgroup(ring) if B is None else B.span
     size = span.measure() if ring.is_table else ring.modulus ** span.measure()
+    decision = None
+    if not ring.is_table:
+        # the operators act on coordinates over B's rref rows, where they are
+        # k×k: a coordinate vector c is the element c @ rows, and the pivot
+        # entries of an element of B are its coordinates
+        p, rows, pivots = ring.modulus, span.rows, list(span.pivots)
+        k = len(pivots)
+        ops = np.concatenate([linalg.multiplications_modp(ring.constants, p, rows)]
+                             + [ring.F.reduce(m)[None] for m in maps])
+        ops = (rows @ ops % p)[:, :, pivots]
+
+        def ambient(basis, found):
+            # an rref basis in coordinates is one in the ambient ring too
+            return Subspace(ring, basis @ rows % p, [pivots[c] for c in found])
+        decision = linalg.irreducible_modp(ops, p)
+        if decision is True:
+            return span, True, [], None
+        if decision is not None:
+            decision = ambient(*decision)
     if size > cap:
-        raise TooLarge(f"{size} elements exceeds cap {cap}")
+        if decision is None or lattice:
+            raise TooLarge(f"{size} elements exceeds cap {cap}")
+        return span, decision, [], None
     if ring.is_table:
         members = np.array(sorted(span.members), dtype=np.int64)
         mul = ring.mul_table
@@ -358,17 +395,7 @@ def _line_closures(ring, B: Subring | None, maps, cap):
 
         def close(x, bound=None):
             return _table_closure(ring, [x], ops, bound)
-        return span, [int(x) for x in members if x != ring.zero_index], close
-    # the closure runs on coordinates over B's rref rows, where the
-    # operators are k×k: a coordinate vector c is the element c @ rows, and
-    # the pivot entries of an element of B are its coordinates
-    p, rows, pivots = ring.modulus, span.rows, list(span.pivots)
-    k = len(pivots)
-    if not k:
-        return span, [], None
-    ops = np.concatenate([linalg.multiplications_modp(ring.constants, p, rows)]
-                         + [ring.F.reduce(m)[None] for m in maps])
-    ops = (rows @ ops % p)[:, :, pivots]
+        return span, None, [int(x) for x in members if x != ring.zero_index], close
     # E is the unital algebra the operators generate, spun up from the identity
     algebra = linalg.spin_modp(np.eye(k, dtype=np.int64).reshape(1, -1), ops, p)[0]
     algebra = algebra.reshape(-1, k, k)
@@ -377,17 +404,21 @@ def _line_closures(ring, B: Subring | None, maps, cap):
         basis, found = linalg.rref_modp(np.array(line) @ algebra % p, p)
         if bound is not None and len(found) > bound:
             return None
-        # an rref basis in coordinates is one in the ambient ring too
-        return Subspace(ring, basis @ rows % p, [pivots[c] for c in found])
-    return span, _lines(p, k), close
+        return ambient(basis, found)
+    return span, decision, _lines(p, k), close
 
 
 def enumerate_subring_ideals(ring, B: Subring | None, cap=DEFAULT_ELEMENT_CAP):
     """Every ideal of B (of the whole ring when B is None), exactly once, in
     the ambient ring's coordinates and in (measure, key) order: the
-    join-closure of the principal ideals of :func:`_line_closures`."""
-    _, seeds, close = _line_closures(ring, B, [], cap)
-    lattice = {s.key(): s for s in [zero_subgroup(ring), *map(close, seeds)]}
+    join-closure of the principal ideals of :func:`_line_closures`.  When
+    Norton's test finds B irreducible under its multiplications, at any
+    size, the lattice is 0 and B, and no line is walked; a reducible or
+    undecided B over ``cap`` raises TooLarge, because its lattice needs the
+    walk."""
+    span, decision, seeds, close = _line_closures(ring, B, [], cap, lattice=True)
+    principal = [span] if decision is True else map(close, seeds)
+    lattice = {s.key(): s for s in [zero_subgroup(ring), *principal]}
     # the sum of two ideals is additively closed and absorbing, so a plain
     # join (no re-closure) suffices
     worklist = list(lattice.values())
@@ -649,13 +680,21 @@ def first_stable_ideal(ring, B: Subring | None, maps, cap=DEFAULT_ELEMENT_CAP):
     the (measure, key) order of :func:`enumerate_subring_ideals` (B is
     None: the whole ring); None when there is none.
 
-    The lattice is never built: the answer is the least closure of
-    :func:`_line_closures`.  A stable ideal of least measure is minimal, so
-    each of its nonzero elements generates it.  A closure that outgrows the
-    best one so far is abandoned.  Raises what the enumeration raises.
+    Norton's test on B's multiplications and the maps decides first
+    (:func:`_line_closures`): when it finds no such ideal, at any size, the
+    answer is None and no line is walked.  Otherwise the lattice is never
+    built: the answer is the least closure of a line.  A stable ideal of
+    least measure is minimal, so each of its nonzero elements generates it,
+    and it is the least of the closures and any other stable ideal, such
+    as the one the test found, which the walk starts from.  A closure that
+    outgrows the best one so far is abandoned.  Over the cap there is no
+    walk, and the ideal the test found is the answer, which need not be the
+    first.  Raises what :func:`_line_closures` raises.
     """
-    span, seeds, close = _line_closures(ring, B, maps, cap)
-    best, bound = None, span.measure() - 1   # past the bound a closure is all of B
+    span, decision, seeds, close = _line_closures(ring, B, maps, cap)
+    best = None if decision is True else decision
+    # past the bound a closure is all of B, or larger than the best one
+    bound = span.measure() - 1 if best is None else best.measure()
     for seed in seeds:
         sub = close(seed, bound)
         if sub is not None and (

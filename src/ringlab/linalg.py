@@ -27,17 +27,22 @@ routines are pure; nothing mutates its inputs.
 The row-reduction kernels (``rref_modp``, ``reduce_rows_modp``,
 ``merge_modp``, ``kernel_modp``, ``rref_frac``, ``merge_frac``,
 ``kernel_frac``) are module-level functions; the backends look them up by
-name at call time.  So do the F_p decisions built on them.  ``norton_modp``
-is the one F_p simplicity decision, which ideals and certificates use
-without enumerating elements: Norton's irreducibility test (the MeatAxe),
-with ``density_simple_modp`` (and its steps ``commutant_modp`` and
-``is_field_modp``) as the fallback when every trial is inconclusive, up to
+name at call time.  So do the F_p decisions built on them.
+``irreducible_modp`` is the one F_p irreducibility decision: Norton's test
+(the MeatAxe) on any stack of operators, which finds a proper invariant
+subspace, proves there is none, or is undecided, without enumerating
+elements.  Two questions ask it.  ``norton_modp``, the F_p simplicity
+decision, asks it on an algebra's multiplications, with
+``density_simple_modp`` (and its steps ``commutant_modp`` and
+``is_field_modp``) as the fallback when it is undecided, up to
 ``DENSITY_MAX_DIM``; past it such a call is undecided.  A "not simple"
 from the test comes with the proper submodule it found, which is an ideal;
-``simple_modp`` is its verdict alone.  Each backend's ``simplicity`` is
-the one decision ``ideals`` and ``gradings`` read: ``ModP`` runs
-``norton_modp``, and ``Rational`` runs it on reductions modulo
-``LIFT_PRIMES``, which can prove a Q-algebra simple.
+``simple_modp`` is its verdict alone.  ``ideals._line_closures`` asks it on
+a subring's multiplications together with maps, for every stable-ideal
+quantifier.  Each backend's ``simplicity`` is the one simplicity decision
+``ideals`` and ``gradings`` read: ``ModP`` runs ``norton_modp``, and
+``Rational`` runs it on reductions modulo ``LIFT_PRIMES``, which can prove
+a Q-algebra simple.
 Where elements must be enumerated, ``combinations_modp`` yields them as
 fixed-size blocks of rows, so scans over them are matrix products.  A
 structure algebra's products (``mul_coords``) run on its ``product_table``,
@@ -381,31 +386,47 @@ def norton_modp(C, p):
 
     Its ideals are the subspaces of A = F_p^d that the multiplications
     L_{e_i}, R_{e_i} map into themselves, so it is simple iff C ≠ 0 and A is
-    an irreducible module under them.  Norton's irreducibility test (the
-    MeatAxe; Parker 1984, Holt & Rees 1994) decides that with a few spin-ups
-    of single vectors, and never builds the multiplication algebra: each
-    trial (:func:`_norton_trial`) either finds a proper submodule (not
-    simple), proves irreducibility by Norton's lemma (simple), or is
-    inconclusive.  When ``NORTON_TRIALS`` trials are all inconclusive,
-    :func:`density_simple_modp` decides up to ``DENSITY_MAX_DIM``, and past
-    it the result is (None, None).  Both answers are proofs.
+    an irreducible module under them: :func:`irreducible_modp` on
+    :func:`multiplications_modp`, which also decides d = 1.  When that test
+    is undecided, :func:`density_simple_modp` decides up to
+    ``DENSITY_MAX_DIM``, and past it the result is (None, None).  Both
+    answers are proofs.
     """
     C = np.asarray(C, dtype=np.int64) % p
     if not C.any():
         return False, None
-    if C.shape[0] == 1:
+    found = irreducible_modp(multiplications_modp(C, p), p)
+    if found is True:
         return True, None
-    gens = multiplications_modp(C, p)
-    rng = random.Random(NORTON_SEED)
-    for _ in range(NORTON_TRIALS):
-        found = _norton_trial(gens, p, rng)
-        if found is True:
-            return True, None
-        if found is not None:
-            return False, found
+    if found is not None:
+        return False, found
     if C.shape[0] > DENSITY_MAX_DIM:
         return None, None
     return density_simple_modp(C, p), None
+
+
+def irreducible_modp(ops, p):
+    """Norton's irreducibility test (the MeatAxe; Parker 1984, Holt & Rees
+    1994) on F_p^k under the (m, k, k) operator stack ``ops``, acting on
+    rows: True when no proper nonzero subspace is invariant under every
+    operator, a proper nonzero invariant subspace as (rref basis, pivots)
+    when one is found, None when ``NORTON_TRIALS`` trials
+    (:func:`_norton_trial`) are all inconclusive.  A space of dimension
+    k ≤ 1 has no proper nonzero subspace, so it is irreducible.
+
+    It decides with a few spin-ups of single vectors and never builds the
+    algebra the operators generate.  The stack is what is asked: an
+    algebra's multiplications (:func:`norton_modp`), or those of a subring
+    together with maps (``ideals._line_closures``).
+    """
+    if ops.shape[-1] <= 1:
+        return True
+    rng = random.Random(NORTON_SEED)
+    for _ in range(NORTON_TRIALS):
+        found = _norton_trial(ops, p, rng)
+        if found is not None:
+            return found
+    return None
 
 
 def _norton_trial(gens, p, rng):
@@ -418,10 +439,12 @@ def _norton_trial(gens, p, rng):
     combinations alone are too special: on M_n(F_p), L_c has every
     eigenvalue doubled).  N = ker(θ^{p^k} − θ) for the least k where it is
     nonzero, so every irreducible factor f of χ_θ whose null space lies in
-    N has degree exactly k; N is split toward a single such null space
-    (:func:`_split_null_space`).  A nonzero v ∈ N is spun up under the
-    generators, and a nonzero w with f(θ)w = 0, for f the minimal
-    polynomial of v under θ, under their transposes (the dual module).
+    N has degree exactly k.  A nonzero v ∈ N is spun up under the
+    generators; a proper span ends the trial.  Only when the span is the
+    whole space and dim N > k is N split toward a single such null space
+    (:func:`_split_null_space`), and v, now from the smaller N, spun up
+    again.  Then a nonzero w with f(θ)w = 0, for f the minimal polynomial of
+    v under θ, is spun up under their transposes (the dual module).
     Either span being proper exhibits a proper submodule.  When both are
     the whole space and dim N = k, N = ker f(θ) with dim N = deg f, and
     Norton's lemma says the module is irreducible.  A proper submodule U
@@ -441,11 +464,13 @@ def _norton_trial(gens, p, rng):
         N, pivots = kernel_modp((power - theta).T, p)
         if N.shape[0]:
             break
-    N, pivots = _split_null_space(N, pivots, theta, k, p, rng)
-    v = N[:1]
-    span = spin_modp(v, gens, p)
+    span = spin_modp(N[:1], gens, p)
+    if len(span[1]) == d and N.shape[0] > k:
+        N, pivots = _split_null_space(N, pivots, theta, k, p, rng)
+        span = spin_modp(N[:1], gens, p)
     if len(span[1]) < d:
         return span
+    v = N[:1]
     # the Krylov rows v θ^i (i ≤ dim N, since N is θ-invariant) first
     # become dependent at the degree of v's minimal polynomial
     krylov = [v[0]]

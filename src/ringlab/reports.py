@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dfield
 
-from .errors import TooLarge
+from .errors import InfiniteScalarField, TooLarge
 from .gradings import grading_flags, support_degree_map, verify_degree_map
 from .ideals import (DEFAULT_ELEMENT_CAP, DEFAULT_SEED, center,
                      enumerate_subring_ideals, is_A_invariant, is_simple)
@@ -86,16 +86,18 @@ class Report:
 
 def run_checks(built, names, cap=DEFAULT_ELEMENT_CAP, seed=DEFAULT_SEED):
     """Run the named predicates on a built object.  Returns the results dict
-    and the names of the checks that raised TooLarge: each of those records
-    ``{"error": message}``, and the remaining checks still run."""
-    results, too_large = {}, []
+    and the names of the checks that raised TooLarge or InfiniteScalarField
+    (a check that needs more elements than the cap, or finitely many): each
+    of those records ``{"error": message}``, and the remaining checks still
+    run."""
+    results, failed = {}, []
     for name in names:
         try:
             results[name] = _run_check(built, name, cap, seed)
-        except TooLarge as exc:
+        except (TooLarge, InfiniteScalarField) as exc:
             results[name] = {"error": str(exc)}
-            too_large.append(name)
-    return results, too_large
+            failed.append(name)
+    return results, failed
 
 
 def _run_check(built, name, cap, seed):

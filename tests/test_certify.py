@@ -9,7 +9,8 @@ from ringlab import (GF, QQ, RingMap, cayley_dickson, cayley_tower,
                      cross_check_corpus, cyclic_group, field_algebra,
                      full_subring, matrix_ring, simple_by_density,
                      skew_group_ring, trivial_grading, zmod_ring)
-from ringlab import certify, linalg
+from ringlab import (certify, dynamics_skew_group_ring, ideals, is_G_invariant,
+                     is_G_simple, linalg)
 from ringlab.certify import certify_built, minimality_witness_ideal, recognize_field
 from ringlab.cli import main
 from ringlab.corpus import (build_f4_frobenius_ring, build_group_algebra,
@@ -61,6 +62,48 @@ def test_sufficiency_withholds_on_z4():
     r4 = zmod_ring(4)
     cert = certify_sufficiency(r4, full_subring(r4), grading=trivial_grading(r4))
     assert cert.verdict is None and cert.failed_premises()
+
+
+def test_sufficiency_on_o_f3_walks_no_line(monkeypatch):
+    # the centralizer of O over F_3 is O (d = 8), which Norton's test finds
+    # irreducible: its lattice is 0, O without closing any of its 3,280 lines
+    walks = []
+    original = ideals._lines
+
+    def counted(p, k):
+        walks.append(k)
+        return original(p, k)
+
+    monkeypatch.setattr(ideals, "_lines", counted)
+    tw = bales_twisted_ring(GF(3), 3)
+    cert = certify_sufficiency(tw.ring, tw.base_subring(), grading=tw.grading)
+    assert cert.verdict == "Simple" and cert.oracle == "agrees"
+    assert walks == []
+
+
+def test_doubling_premise_is_decided_past_the_cap():
+    # the conjugation premise asks Norton's test at any size over F_p: past
+    # the cap, the base of each level gets a decided premise, never "assumed"
+    f2 = certify_tower(cayley_tower(GF(2), 3), cap=5)
+    premise = f2[2].premises[0]
+    assert premise.status == "failed"
+    assert 0 < premise.detail.measure() < 4 and not premise.detail.span.is_full()
+    f3 = certify_tower(cayley_tower(GF(3), 3), cap=5)
+    assert [c.premises[0].detail for c in f3] == ["ideal enumeration"] * 3
+    assert all(c.verdict == "Simple" and c.oracle == "agrees" for c in f3)
+
+
+def test_the_21_point_system_is_certified_past_the_cap():
+    # Z3 acting on 21 points as seven 3-cycles, over F_2: the base has 2^21
+    # elements, past the default cap; Norton's test finds a G-invariant
+    # ideal, and the certificate is NotSimple with an agreeing oracle
+    cycles = {k: tuple(3 * (x // 3) + (x + k) % 3 for x in range(21)) for k in range(3)}
+    dyn = dynamics_skew_group_ring(21, cyclic_group(3), cycles, GF(2))
+    ok, wit = is_G_simple(dyn)
+    assert not ok and wit.measure() == 3 and is_G_invariant(dyn, wit)
+    cert = certify_dynamics(dyn)
+    assert cert.verdict == "NotSimple" and cert.oracle == "agrees"
+    assert cert.premises[2].status == "failed"
 
 
 def test_sufficiency_with_a_zero_centralizer():

@@ -259,6 +259,20 @@ def test_a_check_past_the_cap_keeps_the_report(tmp_path, capsys):
         "degree-map": {"error": "68719476736 elements exceeds cap 1048576"}}
 
 
+def test_a_check_over_q_keeps_the_report(tmp_path, capsys):
+    # the invariance check needs the ideal lattice, which Q does not have;
+    # the other checks still run, the report is printed, and the exit is 2
+    base = {"kind": "structure_algebra", "field": "Q", "dim": 2,
+            "constants": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]}
+    path = _write(tmp_path, "m2-q2.json", {"kind": "matrix_ring", "size": 2, "base": base})
+    code, doc = _run(capsys, "check", path, "--checks", "simplicity,center,invariance")
+    assert code == 2
+    results = doc["results"]
+    assert results["invariance"] == {"error": "cannot enumerate ideals over Q"}
+    assert results["center"] == {"kind": "dimension", "measure": 2}
+    assert results["simplicity"]["NotSimple"]["witness"]["measure"] == 4
+
+
 def test_modulus_past_int64_arithmetic_exits_2(tmp_path, capsys):
     doc = {"kind": "matrix_ring", "size": 2,
            "base": {"kind": "scalar", "ring": "Fp:4000000007"}}

@@ -15,7 +15,7 @@ from ringlab import (GF, QQ, RingMap, bales_alpha, bales_twisted_ring,
                      validate_crossed_system, validate_grading, zmod_ring,
                      enumerate_subring_ideals, functions_ring, is_A_invariant,
                      make_structure_algebra, pair_groupoid)
-from ringlab import ideals
+from ringlab import ideals, linalg
 from ringlab.constructions.crossed import CrossedSystem, crossed_product
 from ringlab.ideals import first_invariant_ideal
 from ringlab.rings import convert_to_table, direct_sum_algebra
@@ -699,12 +699,18 @@ def test_g_simplicity_enumerates_no_ideals(monkeypatch):
     assert calls == []
 
 
-def test_g_simplicity_keeps_its_size_and_field_limits():
+def test_g_simplicity_keeps_its_size_and_field_limits(monkeypatch):
     from ringlab.corpus import build_nonminimal_dynamics
     dyn = build_nonminimal_dynamics()            # base F_2^3, 8 elements
-    with pytest.raises(TooLarge):
-        is_G_simple(dyn, cap=7)
-    assert not is_G_simple(dyn, cap=8)[0]
+    # past the cap Norton's test decides; its submodule is the witness
+    ok, wit = is_G_simple(dyn, cap=7)
+    assert not ok and 0 < wit.measure() < 3 and is_G_invariant(dyn, wit)
+    with monkeypatch.context() as m:
+        # an undecided test leaves only the line walk, which the cap stops
+        m.setattr(linalg, "_norton_trial", lambda gens, p, rng: None)
+        with pytest.raises(TooLarge):
+            is_G_simple(dyn, cap=7)
+        assert not is_G_simple(dyn, cap=8)[0]
     q = field_algebra(QQ)
     over_q = skew_group_ring(q, cyclic_group(2), {g: RingMap.identity(q) for g in (0, 1)})
     with pytest.raises(InfiniteScalarField):

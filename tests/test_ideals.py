@@ -14,13 +14,15 @@ from ringlab import (GF, QQ, cayley_tower, center, centralizer,
                      is_A_invariant, is_A_simple, is_maximal_commutative,
                      is_simple, apply_i_and_p, make_structure_algebra,
                      make_table_ring, principal_ideal, subring_closure, zmod_ring)
-from ringlab import (RingMap, cayley_dickson, certify, ideal_intersection_property,
-                     ideals, linalg)
+from ringlab import (RingMap, SigmaDerivationData, cayley_dickson, certify, cyclic_group,
+                     ideal_intersection_property, ideals, linalg, skew_group_ring,
+                     truncated_polynomial_ring)
 from ringlab.constructions import bales_twisted_ring
+from ringlab.constructions.crossed import _action_maps
 from ringlab.certify import recognize_field
 from ringlab.cli import main
 from ringlab.recipes import build_recipe, parse_recipe_text
-from ringlab.errors import BNotCommutative, CriterionDisagreement, NotAInvariant
+from ringlab.errors import BNotCommutative, CriterionDisagreement, NotAInvariant, TooLarge
 from ringlab.ideals import (IdealBasis, Subring, first_invariant_ideal,
                             first_proper_line_ideal)
 from ringlab.rings import convert_to_table, direct_sum_algebra, functions_ring
@@ -73,9 +75,14 @@ def test_every_enumerated_ideal_absorbs():
 
 def test_enumerate_ideals_respects_cap():
     from ringlab.errors import TooLarge, InfiniteScalarField
-    o3 = cayley_tower(GF(3), 3).rings[3]
+    # F_3^5 (243 elements) is reducible: its lattice needs the line walk
     with pytest.raises(TooLarge):
-        enumerate_ideals(o3, cap=100)
+        enumerate_ideals(functions_ring(5, GF(3)), cap=100)
+    # O over F_3 (6561 elements) is simple: Norton's test gives the lattice
+    # 0, O at any size
+    o3 = cayley_tower(GF(3), 3).rings[3]
+    lattice = enumerate_ideals(o3, cap=100)
+    assert [I.measure() for I in lattice] == [0, 8] and lattice[1].span.is_full()
     with pytest.raises(InfiniteScalarField):
         enumerate_ideals(cayley_tower(QQ, 2).rings[2])
 
@@ -723,16 +730,165 @@ def test_conjugation_premise_matches_the_lattice_scan():
 
 
 def test_the_closure_algebra_is_spun_up_in_bounded_memory():
-    # E of M4(F2) (k = 16, 32 operators) is 256 flattened 16×16 matrices;
-    # spinning it up by Kronecker-expanded operators held k⁴·m entries
-    # (24 MB traced), merging n·m candidates at a time holds about 4 MB
+    # E of M4(F2) ⊕ F2 (k = 17, 34 operators) is 257 flattened 17×17
+    # matrices; spinning it up by Kronecker-expanded operators would hold
+    # k⁴·m entries (about 23 MB), merging n·m candidates at a time holds a
+    # few MB
     import tracemalloc
-    ring = full_matrix_algebra(4, GF(2))
+    ring = direct_sum_algebra([full_matrix_algebra(4, GF(2)), field_algebra(GF(2))])
     tracemalloc.start()
     try:
-        _, seeds, close = ideals._line_closures(ring, None, [], 2 ** 16)
+        _, decision, seeds, close = ideals._line_closures(ring, None, [], 2 ** 17)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2 ** 20
-    assert close(next(seeds)).is_full()
+    assert decision is not True
+    # the first line, e_0 of M4(F2), generates the factor M4(F2)
+    first = close(next(seeds))
+    assert first.measure() == 16 and not first.is_full()
+    # M4(F2) itself is irreducible: no E is built and no line is walked
+    _, decision, seeds, close = ideals._line_closures(full_matrix_algebra(4, GF(2)),
+                                                       None, [], 2 ** 16)
+    assert decision is True and list(seeds) == [] and close is None
+
+
+# ---------------------------------------------------------------------------
+# Norton's decision before the line walk, against the walk alone
+# ---------------------------------------------------------------------------
+
+def _power(M, e, p):
+    out = np.eye(M.shape[0], dtype=np.int64)
+    for _ in range(e):
+        out = out @ M % p
+    return out
+
+
+def _order(M, p):
+    """The least r ≥ 1 with M^r = 1, for an invertible M."""
+    r, power = 1, M % p
+    while not np.array_equal(power, np.eye(M.shape[0], dtype=np.int64)):
+        r, power = r + 1, power @ M % p
+    return r
+
+
+def _base_with_automorphism(draw, p):
+    """A unital F_p-algebra of dimension at most 5 and the matrix of an
+    automorphism of it: a permutation of the points of a functions ring,
+    a power of Frobenius on a finite field of dimension at most 3, or the
+    identity on F_p[y]/(y^d) and M2(F_p)."""
+    d = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["functions", "field", "truncated", "matrices"]))
+    if kind == "functions":
+        return functions_ring(d, GF(p)), np.eye(d, dtype=np.int64)[draw(st.permutations(range(d)))]
+    if kind == "field":
+        # the stock fields: F_p, F_{p^2}, and F_8, F_27
+        k = draw(st.sampled_from([k for k in (1, 2, 3) if p ** k <= 27]))
+        field, frobenius = gf_extension(p ** k)
+        return field, _power(np.asarray(frobenius, dtype=np.int64), draw(st.integers(0, k - 1)), p)
+    B = truncated_polynomial_ring(p, d) if kind == "truncated" else full_matrix_algebra(2, GF(p))
+    return B, np.eye(B.dim, dtype=np.int64)
+
+
+@st.composite
+def _crossed_cases(draw):
+    """(skew group ring, its base subring, the action's maps): a cyclic
+    group acting through one automorphism of a base over F_2, F_3 or F_5."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    B, M = _base_with_automorphism(draw, p)
+    r = _order(M, p)
+    cp = skew_group_ring(B, cyclic_group(r), {g: _power(M, g, p) for g in range(r)})
+    sub = cp.base_subring()
+    return cp.ring, sub, _action_maps(cp, sub)
+
+
+@st.composite
+def _ore_cases(draw):
+    """(base, None, [sigma, delta]) for random sigma and delta over a base of
+    F_2, F_3 or F_5; delta is inner half the time."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    B, M = _base_with_automorphism(draw, p)
+    d = B.dim
+    square = st.lists(st.integers(0, p - 1), min_size=d * d, max_size=d * d)
+    kind = draw(st.sampled_from(["automorphism", "zero", "random"]))
+    sigma = (M if kind == "automorphism" else np.zeros((d, d), dtype=np.int64)
+             if kind == "zero" else np.array(draw(square)).reshape(d, d))
+    if draw(st.booleans()):
+        c = draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d))
+        L, R = B.F.mult_matrices(B, c)              # rows c·e_j and e_i·c
+        delta = (L - sigma @ R) % p
+    else:
+        delta = np.array(draw(square)).reshape(d, d)
+    data = SigmaDerivationData(B, RingMap(B, B, matrix=sigma), RingMap(B, B, matrix=delta))
+    return data.base, None, [data.sigma.operator, data.delta.operator]
+
+
+@st.composite
+def _doubling_cases(draw):
+    """(base, None, [sigma]) for a Cayley–Dickson doubling over F_2, F_3 or
+    F_5: a functions ring with an involutive permutation of its points,
+    F_{p^2} with Frobenius, or a level of the tower."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    kind = draw(st.sampled_from(["functions", "field", "tower"]))
+    if kind == "tower":
+        level = draw(st.integers(0, 2))
+        cd = cayley_tower(GF(p), level + 1).doublings[level]
+        return cd.base, None, [cd.sigma.operator]
+    if kind == "field":
+        B, sigma = gf_extension(p * p)
+    else:
+        d = draw(st.integers(1, 5))
+        points = draw(st.permutations(range(d)))
+        swaps = draw(st.integers(0, d // 2))
+        perm = list(range(d))
+        for i in range(swaps):
+            a, b = points[2 * i], points[2 * i + 1]
+            perm[a], perm[b] = b, a
+        B, sigma = functions_ring(d, GF(p)), np.eye(d, dtype=np.int64)[perm]
+    unit = B.probe_properties().unit
+    alpha = B.scalar_mul(draw(st.integers(1, p - 1)), unit)
+    cd = cayley_dickson(B, RingMap(B, B, matrix=sigma, anti=draw(st.booleans())), alpha)
+    return cd.base, None, [cd.sigma.operator]
+
+
+def _walk_alone(m):
+    """Leave every stable-ideal question to the line walk."""
+    m.setattr(linalg, "irreducible_modp", lambda ops, p: None)
+
+
+def _key(I):
+    return None if I is None else I.key()
+
+
+@given(st.one_of(_crossed_cases(), _ore_cases(), _doubling_cases()))
+@settings(max_examples=80, deadline=None)
+def test_the_stable_ideal_decision_agrees_with_the_line_walk(case):
+    ring, B, maps = case
+    decided = ideals.first_stable_ideal(ring, B, maps)
+    lattice = enumerate_subring_ideals(ring, B)
+    with pytest.MonkeyPatch.context() as m:
+        _walk_alone(m)
+        walked = ideals.first_stable_ideal(ring, B, maps)
+        walked_lattice = enumerate_subring_ideals(ring, B)
+    assert _key(decided) == _key(walked)
+    assert [I.key() for I in lattice] == [I.key() for I in walked_lattice]
+    # past the cap no line is walked: an undecided B raises TooLarge, and a
+    # decided one gets Norton's submodule, or None when it is irreducible
+    span = full_subgroup(ring) if B is None else B.span
+    try:
+        over = ideals.first_stable_ideal(ring, B, maps, cap=ring.modulus ** span.measure() - 1)
+    except TooLarge:
+        return
+    assert (over is None) == (walked is None)
+    if over is not None:
+        assert not over.is_zero() and not over.is_full_in(span)
+        IdealBasis(ring, over.span, of_subring=B, check=True)
+        assert ideals.is_stable(over.span, maps)
+
+
+def test_the_lattice_of_m6f2_is_decided_at_the_default_cap():
+    # M6(F2) has 2^36 elements; Norton's test finds it irreducible under its
+    # multiplications, so its lattice is 0, M6(F2) without a walk
+    m6 = full_matrix_algebra(6, GF(2))
+    assert [I.measure() for I in enumerate_ideals(m6)] == [0, 36]
+    assert is_A_simple(m6, full_subring(m6)).holds

@@ -18,6 +18,7 @@ from ringlab.ideals import first_invariant_ideal
 from ringlab.ore import (SkewPolynomial, assert_associativity_sample,
                          degree_map_commutator_samples,
                          degree_one_escape_witness, random_polynomial)
+from ringlab import linalg
 from ringlab.rings import convert_to_table
 import random
 
@@ -329,11 +330,17 @@ def test_sigma_delta_simplicity_matches_the_ideal_enumeration(data):
         assert v.witness.key() == ref.key() and v.witness.of_subring is None
 
 
-def test_sigma_delta_simplicity_keeps_its_size_and_field_limits():
+def test_sigma_delta_simplicity_keeps_its_size_and_field_limits(monkeypatch):
     data = _ddy(3, 3)                                # base of 27 elements
-    with pytest.raises(TooLarge):
-        is_sigma_delta_simple(data, cap=26)
-    assert is_sigma_delta_simple(data, cap=27).simple
+    # Norton's test proves the base irreducible under its multiplications,
+    # sigma and delta, at any size
+    assert is_sigma_delta_simple(data, cap=26).simple
+    with monkeypatch.context() as m:
+        # an undecided test leaves only the line walk, which the cap stops
+        m.setattr(linalg, "_norton_trial", lambda gens, p, rng: None)
+        with pytest.raises(TooLarge):
+            is_sigma_delta_simple(data, cap=26)
+        assert is_sigma_delta_simple(data, cap=27).simple
     q = field_algebra(QQ)
     with pytest.raises(InfiniteScalarField):
         is_sigma_delta_simple(SigmaDerivationData(q, RingMap.identity(q), RingMap.identity(q)))
