@@ -611,11 +611,13 @@ def is_G_simple(cp: CrossedProduct, cap=None):
     """No nontrivial G-invariant ideal of the base; returns (bool, witness).
 
     Norton's test on the base's multiplications and the action decides
-    first, at any size over F_p (:func:`ringlab.ideals.first_stable_ideal`).
-    Within ``cap`` the witness is the first G-invariant ideal in the order
-    of ``enumerate_subring_ideals``, found as the least stable closure of a
-    line of the base; past it, the invariant ideal the test found.  The
-    ideal lattice is not enumerated."""
+    first, at any size over F_p (:func:`ringlab.ideals.first_stable_ideal`),
+    and the bool is its answer.  Within ``cap`` the witness is the first
+    G-invariant ideal in the order of ``enumerate_subring_ideals``, the
+    least stable closure of a line of the base, found on the first read of
+    its span (a caller that reads only the bool walks no line); past it,
+    the invariant ideal the test found.  The ideal lattice is not
+    enumerated."""
     B = cp.base_subring()
     I = first_stable_ideal(cp.ring, B, _action_maps(cp, B), cap=cap or DEFAULT_ELEMENT_CAP)
     return I is None, I

@@ -8,11 +8,12 @@ Every quantifier "for every ideal of B" reads :func:`_line_closures`, the
 closure of each line of B under its multiplications and a set of maps.
 Over F_p it decides first, at any size, by Norton's test on those
 operators (:func:`linalg.irreducible_modp`), as :func:`is_simple` does for
-a whole algebra, and walks lines only for a witness or a lattice.  Where
-the property sought is stability under maps (G-, σ-δ- and
-conjugation-invariance), the first such ideal is minimal, hence a closure,
-and :func:`first_stable_ideal` never builds the lattice; past the cap, the
-test's submodule is its answer.  Other properties (A-invariance, meeting a
+a whole algebra, and walks lines only for a lattice, or for a witness when
+it is read (:meth:`IdealBasis.deferred`).  Where the property sought is
+stability under maps (G-, σ-δ- and conjugation-invariance), the first
+such ideal is minimal, hence a closure, and :func:`first_stable_ideal`
+never builds the lattice; past the cap, the test's submodule is its
+answer.  Other properties (A-invariance, meeting a
 subring in 0) read the lattice, which :func:`enumerate_subring_ideals`
 joins from the closures: every ideal is the join of the principal ideals
 of its elements, so the enumeration is exhaustive on finite (or capped
@@ -38,7 +39,7 @@ from .rings import (DEFAULT_ELEMENT_CAP, StructureAlgebra,
                     TableRing)
 from .subgroups import (AddSubgroup, Subspace, TableSubgroup, additive_span,
                         full_subgroup, product_span, subspace_from_vectors,
-                        zero_subgroup)
+                        distinct_indices, zero_subgroup)
 
 DEFAULT_WITNESS_SAMPLES = 24
 DEFAULT_SEED = 0xC0FFEE
@@ -50,11 +51,17 @@ class IdealBasis:
     ``span`` is an additively closed subgroup of ``ring`` that absorbs
     multiplication by every element of ``of_subring`` (or of the whole ring
     when ``of_subring`` is None).
+
+    An ideal that a decision proves to exist, before anyone needs to see
+    it, is made by :meth:`deferred`: its span is found on the first read
+    and kept.  This is the one deferred-witness mechanism, for the
+    witnesses of :func:`is_simple` and of :func:`first_stable_ideal`.
     """
 
     def __init__(self, ring, span: AddSubgroup, of_subring=None, check=True):
         self.ring = ring
-        self.span = span
+        self._span = span
+        self._find = None
         self.of_subring = of_subring
         if check:
             amb = of_subring.span if of_subring is not None else full_subgroup(ring)
@@ -62,6 +69,23 @@ class IdealBasis:
             right = product_span(ring, span, amb)
             if not (span.contains_subgroup(left) and span.contains_subgroup(right)):
                 raise RingMismatch("span is not an ideal")
+
+    @classmethod
+    def deferred(cls, ring, find, of_subring=None):
+        """The ideal whose span ``find()`` returns, called on the first read
+        of :attr:`span` (and of everything read through it), and only then.
+        ``find`` must depend only on values captured when the ideal was
+        decided; what it raises, the first read raises."""
+        ideal = cls(ring, None, of_subring, check=False)
+        ideal._find = find
+        return ideal
+
+    @property
+    def span(self) -> AddSubgroup:
+        if self._find is not None:
+            self._span = self._find()
+            self._find = None
+        return self._span
 
     def contains(self, elt):
         return self.span.contains(elt)
@@ -256,7 +280,7 @@ def _table_closure(ring, seed_indices, ops=None, bound=None):
     span = _table_additive_closure(ring, seed_indices)
     while bound is None or len(span.members) <= bound:
         idx = np.array(sorted(span.members), dtype=np.int64)
-        images = np.unique(np.concatenate([op[:, idx].ravel() for op in ops]))
+        images = distinct_indices(ring, np.concatenate([op[:, idx].ravel() for op in ops]))
         fresh = [int(x) for x in images if x not in span.members]
         if not fresh:
             return span
@@ -313,7 +337,7 @@ def first_proper_line_ideal(ring, last=None):
 
 
 def _line_witness(ring, last=None):
-    """The ideal of :func:`first_proper_line_ideal` (up to ``last``, the
+    """The span of :func:`first_proper_line_ideal` (up to ``last``, the
     line of the first row of Norton's submodule) of an algebra that the
     F_p decision calls not simple; CriterionDisagreement, naming the
     decision, when the walk finds no proper line."""
@@ -321,7 +345,7 @@ def _line_witness(ring, last=None):
     if sub is None:
         decision = "the density criterion" if last is None else "Norton's test"
         raise CriterionDisagreement(f"{decision} and the line walk disagree")
-    return IdealBasis(ring, sub, check=False)
+    return sub
 
 
 def principal_ideal(ring, elt) -> IdealBasis:
@@ -351,9 +375,10 @@ def _line_closures(ring, B: Subring | None, maps, cap, lattice=False):
 
     Over F_p the closure of c is c·E, for E the unital algebra that the
     operators generate: :func:`linalg.spin_modp` spins it up once, from the
-    identity, because every caller walks every line, and only when there
-    are lines to walk.  :func:`principal_ideals` stops at the first proper
-    line and closes each line by :func:`principal_ideal` instead.
+    identity, on the first call of ``close``, because a caller that closes
+    one line closes them all, and one whose decision is its answer closes
+    none.  :func:`principal_ideals` stops at the first proper line and
+    closes each line by :func:`principal_ideal` instead.
 
     Raises InfiniteScalarField over Q.  When B has more than ``cap``
     elements no line is walked: there are no seeds, and a B that the
@@ -396,11 +421,15 @@ def _line_closures(ring, B: Subring | None, maps, cap, lattice=False):
         def close(x, bound=None):
             return _table_closure(ring, [x], ops, bound)
         return span, None, [int(x) for x in members if x != ring.zero_index], close
-    # E is the unital algebra the operators generate, spun up from the identity
-    algebra = linalg.spin_modp(np.eye(k, dtype=np.int64).reshape(1, -1), ops, p)[0]
-    algebra = algebra.reshape(-1, k, k)
+    algebra = None
 
     def close(line, bound=None):
+        nonlocal algebra
+        if algebra is None:
+            # E is the unital algebra the operators generate, spun up from
+            # the identity
+            algebra = linalg.spin_modp(np.eye(k, dtype=np.int64).reshape(1, -1), ops, p)[0]
+            algebra = algebra.reshape(-1, k, k)
         basis, found = linalg.rref_modp(np.array(line) @ algebra % p, p)
         if bound is not None and len(found) > bound:
             return None
@@ -449,23 +478,23 @@ class SimpleVerdict:
     over the element cap, otherwise the principal ideal a witness search
     found.  It is None only for R·R = 0 without a proper nonzero ideal: an
     algebra of dimension 1, or a table ring of prime order or of order 1.
-    When it is not at hand, ``find`` computes it on the first read of
-    :attr:`witness`, and only then.  ``reason`` is "R*R = 0", "reduction
-    mod q" (a Q-algebra proved simple by a reduction) or why the verdict is
-    Inconclusive, and None otherwise."""
+    A witness that a decision proved before it was found is an
+    :meth:`IdealBasis.deferred`; reading :attr:`witness` finds it, so a
+    disagreement between the decision and the walk is raised there.
+    ``reason`` is "R*R = 0", "reduction mod q" (a Q-algebra proved simple
+    by a reduction) or why the verdict is Inconclusive, and None
+    otherwise."""
 
     def __init__(self, status, witness: IdealBasis | None = None,
-                 reason: str | None = None, find=None):
+                 reason: str | None = None):
         self.status = status
         self.reason = reason
         self._witness = witness
-        self._find = find
 
     @property
     def witness(self):
-        if self._find is not None:
-            self._witness = self._find()
-            self._find = None
+        if self._witness is not None:
+            self._witness.span        # a deferred witness is found here
         return self._witness
 
     @property
@@ -546,7 +575,8 @@ def _is_simple_uncached(ring, cap, seed, samples) -> SimpleVerdict:
             # the decision proves NotSimple, so the walk waits for a reader;
             # the line of the submodule's first row is proper
             last = None if submodule is None else ring.F.coords(submodule[0][0])
-            return SimpleVerdict("NotSimple", find=lambda: _line_witness(ring, last))
+            return SimpleVerdict("NotSimple", IdealBasis.deferred(
+                ring, lambda: _line_witness(ring, last)))
         sub = first_proper_line_ideal(ring)
         if sub is None:
             return SimpleVerdict("Simple")
@@ -590,10 +620,16 @@ def _proper_from_square_zero(ring):
 # ---------------------------------------------------------------------------
 
 def centralizer(ring, gens_of_b) -> Subring:
-    """C_A(B): everything commuting with B (gens are closed into B first)."""
-    B = subring_closure(ring, list(gens_of_b))
-    spanning = B.spanning()
+    """C_A(B): everything commuting with B.  ``gens_of_b`` is B as a
+    :class:`Subring`, or elements that are closed into B first.
+
+    On an algebra, x commutes with B iff x commutes with B's rref rows: the
+    null space of the backend's ``commutators`` of those rows, all of them
+    in one call."""
+    B = (gens_of_b if isinstance(gens_of_b, Subring)
+         else subring_closure(ring, list(gens_of_b)))
     if ring.is_table:
+        spanning = B.spanning()
         members = []
         for i in range(ring.n):
             x = ring.element(i)
@@ -601,12 +637,7 @@ def centralizer(ring, gens_of_b) -> Subring:
                 members.append(i)
         span = TableSubgroup(ring, members)
         return Subring(ring, span, check=False)
-    F, d = ring.F, ring.dim
-    # x commutes with b iff the e_k coefficients of x·b − b·x, linear in x,
-    # all vanish: one equation per (b, k)
-    eqs = [F.commutators(ring, b.data) for b in spanning]
-    D = np.hstack(eqs) if eqs else F.zeros((d, 0))
-    rows, pivots = F.kernel(D.T, d)
+    rows, pivots = ring.F.kernel(ring.F.commutators(ring, B.span.rows).T, ring.dim)
     return Subring(ring, Subspace(ring, rows, pivots), check=False)
 
 
@@ -617,7 +648,7 @@ def center(ring) -> Subring:
 def is_maximal_commutative(ring, B: Subring) -> bool:
     if not B.is_commutative():
         raise BNotCommutative("B is not commutative")
-    return centralizer(ring, B.spanning()).span == B.span
+    return centralizer(ring, B).span == B.span
 
 
 # ---------------------------------------------------------------------------
@@ -687,12 +718,33 @@ def first_stable_ideal(ring, B: Subring | None, maps, cap=DEFAULT_ELEMENT_CAP):
     least measure is minimal, so each of its nonzero elements generates it,
     and it is the least of the closures and any other stable ideal, such
     as the one the test found, which the walk starts from.  A closure that
-    outgrows the best one so far is abandoned.  Over the cap there is no
-    walk, and the ideal the test found is the answer, which need not be the
-    first.  Raises what :func:`_line_closures` raises.
+    outgrows the best one so far is abandoned.
+
+    When the test found such an ideal, the answer is decided and the walk
+    waits for a reader: the result is an :meth:`IdealBasis.deferred`,
+    whose span is the least closure, found on its first read (a verdict
+    that only asks ``is None`` walks no line).  An undecided B (a table
+    ring, or a stack the test leaves open) is walked at once.  Over the
+    cap there is no walk, and the ideal the test found is the answer,
+    which need not be the first.  Raises what :func:`_line_closures`
+    raises.
     """
     span, decision, seeds, close = _line_closures(ring, B, maps, cap)
-    best = None if decision is True else decision
+    if decision is True:
+        return None
+    if decision is None:
+        best = _least_closure(span, None, seeds, close)
+        return None if best is None else IdealBasis(ring, best, of_subring=B, check=False)
+    if close is None:
+        return IdealBasis(ring, decision, of_subring=B, check=False)
+    return IdealBasis.deferred(ring, lambda: _least_closure(span, decision, seeds, close),
+                               of_subring=B)
+
+
+def _least_closure(span, best, seeds, close):
+    """The least of ``best`` (a stable ideal of B, or None) and the
+    closures of ``seeds`` that are not all of B (``span``), in (measure,
+    key) order; None when there is none."""
     # past the bound a closure is all of B, or larger than the best one
     bound = span.measure() - 1 if best is None else best.measure()
     for seed in seeds:
@@ -700,7 +752,7 @@ def first_stable_ideal(ring, B: Subring | None, maps, cap=DEFAULT_ELEMENT_CAP):
         if sub is not None and (
                 best is None or (sub.measure(), sub.key()) < (best.measure(), best.key())):
             best, bound = sub, sub.measure()
-    return None if best is None else IdealBasis(ring, best, of_subring=B, check=False)
+    return best
 
 
 def is_stable(span, maps) -> bool:

@@ -159,10 +159,12 @@ def merge_modp(basis, pivots, newrows, p):
 
 
 def kernel_modp(A, p):
-    """Right kernel {x : A x = 0} over F_p, returned as rref rows."""
+    """Right kernel {x : A x = 0} over F_p, returned as rref rows.  Zero
+    equations are dropped before the elimination, whose every step costs
+    a pass over all the rows (a centralizer's equations are mostly zero)."""
     A = np.array(A, dtype=np.int64) % p
     n = A.shape[1]
-    R, pivots = rref_modp(A, p)
+    R, pivots = rref_modp(A[A.any(axis=1)], p)
     pivset = set(pivots)
     free = [c for c in range(n) if c not in pivset]
     rows = []
@@ -760,15 +762,15 @@ class _Field:
     Subclasses provide ``dtype``, ``modulus``, ``reduce``, ``coords``,
     ``rows``, ``key``, ``rref``, ``member``, ``merge``, ``kernel``,
     ``mul_coords``, ``products``, ``mapped_products``, ``mult_matrices``,
-    ``homomorphism_sides``, ``twisted_blocks``, ``associator_witness``,
-    and what callers would otherwise branch on the field for:
-    ``simplicity`` (the simplicity decision: (simple, reason, submodule),
-    with ``simple`` True, False or None when undecided, ``reason`` what to
-    print with a Simple read off anything but the algebra itself, and
-    ``submodule`` the (rref basis, pivots) of a proper nonzero ideal that
-    proves a False, or None), ``closure`` (the ideal seed rows generate),
-    ``element_blocks`` (every combination of rows), ``random_coords``,
-    ``is_field`` and ``json``.
+    ``commutators``, ``homomorphism_sides``, ``twisted_blocks``,
+    ``associator_witness``, and what callers would otherwise branch on the
+    field for: ``simplicity`` (the simplicity decision: (simple, reason,
+    submodule), with ``simple`` True, False or None when undecided,
+    ``reason`` what to print with a Simple read off anything but the
+    algebra itself, and ``submodule`` the (rref basis, pivots) of a proper
+    nonzero ideal that proves a False, or None), ``closure`` (the ideal
+    seed rows generate), ``element_blocks`` (every combination of rows),
+    ``random_coords``, ``is_field`` and ``json``.
     """
 
     def array(self, x):
@@ -788,12 +790,6 @@ class _Field:
     def matmul(self, X, Y):
         """X @ Y, reduced; stacks of matrices multiply pairwise."""
         return self.reduce(self.array(X) @ self.array(Y))
-
-    def commutators(self, alg, a):
-        """R − L for (L, R) = :meth:`mult_matrices`: row i is e_i·a − a·e_i,
-        so x commutes with a iff x @ (R − L) = 0."""
-        L, R = self.mult_matrices(alg, a)
-        return self.reduce(R - L)
 
     def rank(self, rows, width):
         return len(self.rref(rows, width)[1])
@@ -905,6 +901,17 @@ class ModP(_Field):
         a = self.array(a)
         return (np.tensordot(a, alg.constants, axes=(0, 0)) % self.p,
                 np.tensordot(alg.constants, a, axes=(1, 0)) % self.p)
+
+    def commutators(self, alg, A):
+        """The (d, k·d) matrix whose b-th block of d columns is R_b − L_b,
+        for (L_b, R_b) = :meth:`mult_matrices` of the b-th of the k rows of
+        ``A``: row i holds every e_i·b − b·e_i, so x commutes with every
+        row iff x @ it = 0.  One :func:`multiplications_modp` contraction
+        for all the rows."""
+        A = self.rows(A, alg.dim)
+        k = len(A)
+        M = multiplications_modp(alg.constants, self.p, A)
+        return ((M[k:] - M[:k]) % self.p).transpose(1, 0, 2).reshape(alg.dim, -1)
 
     def homomorphism_sides(self, src, tgt, Ms):
         """Both sides of m(xy) = m(x) m(y) on basis pairs, for a stack of
@@ -1071,10 +1078,15 @@ class Rational(_Field):
         L, R, den = self._mult_ints(alg, a)
         return _fraction_array(L, den), _fraction_array(R, den)
 
-    def commutators(self, alg, a):
-        """R − L for (L, R) = :meth:`mult_matrices`, subtracted over ints."""
-        L, R, den = self._mult_ints(alg, a)
-        return _fraction_array([[r - l for l, r in zip(Lr, Rr)] for Lr, Rr in zip(L, R)], den)
+    def commutators(self, alg, A):
+        """See :meth:`ModP.commutators`; one row at a time, each R − L
+        subtracted over ints."""
+        blocks = []
+        for a in self.rows(A, alg.dim):
+            L, R, den = self._mult_ints(alg, a)
+            blocks.append(_fraction_array(
+                [[r - l for l, r in zip(Lr, Rr)] for Lr, Rr in zip(L, R)], den))
+        return np.hstack(blocks) if blocks else self.zeros((alg.dim, 0))
 
     def homomorphism_sides(self, src, tgt, Ms):
         """See :meth:`ModP.homomorphism_sides`; one map at a time, sparse."""

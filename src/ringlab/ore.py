@@ -228,10 +228,11 @@ def is_sigma_delta_simple(data: SigmaDerivationData,
     """No nontrivial ideal of the base that sigma and delta map into itself.
 
     Norton's test on the base's multiplications, sigma and delta decides
-    first, at any size over F_p (:func:`ringlab.ideals.first_stable_ideal`).
-    Within ``cap`` the witness is the first such ideal in the order of
-    ``enumerate_ideals``, found as the least closure of a line of the base;
-    past it, the stable ideal the test found."""
+    first, at any size over F_p (:func:`ringlab.ideals.first_stable_ideal`),
+    and ``simple`` is its answer.  Within ``cap`` the witness is the first
+    such ideal in the order of ``enumerate_ideals``, the least closure of a
+    line of the base, found on the first read of its span; past it, the
+    stable ideal the test found."""
     I = first_stable_ideal(data.base, None, [data.sigma.operator, data.delta.operator],
                            cap=cap)
     return SigmaDeltaVerdict(I is None, I)

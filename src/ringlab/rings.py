@@ -299,7 +299,7 @@ def _validate_tables(add, mul, zero):
     # every row must reach zero (inverses) and be a permutation
     for a in range(n):
         row = add[a]
-        if len(np.unique(row)) != n:
+        if len(set(row.tolist())) != n:
             raise NotAbelianGroup("addition row is not a permutation", a)
     for a in range(n):
         if not np.array_equal(add[add[a], :], add[a][add]):
@@ -429,7 +429,7 @@ class StructureAlgebra(Ring):
         return self.F.reduce(block @ self.F.mult_matrices(self, c.data)[1])
 
     def block_commutators(self, block, b):
-        return self.F.reduce(block @ self.F.commutators(self, b.data))
+        return self.F.reduce(block @ self.F.commutators(self, [b.data]))
 
     def _probe(self):
         assoc, assoc_wit = self._probe_associative()

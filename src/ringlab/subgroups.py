@@ -191,6 +191,16 @@ def additive_span(ring, elements) -> AddSubgroup:
     return _table_additive_closure(ring, [e.data for e in elements])
 
 
+def distinct_indices(ring, indices):
+    """The distinct element indices of a table ring in the array
+    ``indices``, in increasing order: ``np.unique`` on a table's index
+    range, by a mask, without the import of ``numpy.ma`` that numpy's 1-D
+    ``unique`` makes."""
+    seen = np.zeros(ring.n, dtype=bool)
+    seen[indices] = True
+    return np.flatnonzero(seen)
+
+
 def _table_additive_closure(ring, indices):
     # close the index set under addition; negation follows in a finite group
     add = ring.add_table
@@ -198,7 +208,7 @@ def _table_additive_closure(ring, indices):
     frontier = np.array(sorted(current), dtype=np.int64)
     while True:
         idx = np.array(sorted(current), dtype=np.int64)
-        sums = np.unique(add[np.ix_(frontier, idx)])
+        sums = distinct_indices(ring, add[np.ix_(frontier, idx)])
         fresh = [s for s in sums.tolist() if s not in current]
         if not fresh:
             break
@@ -220,7 +230,7 @@ def product_span(ring, left, right) -> AddSubgroup:
               else [e.data for e in right])
         if not xi or not yi:
             return zero_subgroup(ring)
-        prods = np.unique(ring.mul_table[np.ix_(xi, yi)])
+        prods = distinct_indices(ring, ring.mul_table[np.ix_(xi, yi)])
         return _table_additive_closure(ring, prods.tolist())
     xs = left.spanning() if isinstance(left, AddSubgroup) else list(left)
     ys = right.spanning() if isinstance(right, AddSubgroup) else list(right)

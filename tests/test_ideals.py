@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -14,9 +18,9 @@ from ringlab import (GF, QQ, cayley_tower, center, centralizer,
                      is_A_invariant, is_A_simple, is_maximal_commutative,
                      is_simple, apply_i_and_p, make_structure_algebra,
                      make_table_ring, principal_ideal, subring_closure, zmod_ring)
-from ringlab import (RingMap, SigmaDerivationData, cayley_dickson, certify, cyclic_group,
-                     ideal_intersection_property, ideals, linalg, skew_group_ring,
-                     truncated_polynomial_ring)
+from ringlab import (RingMap, SigmaDerivationData, cayley_dickson, certify, corpus,
+                     cyclic_group, ideal_intersection_property, ideals, linalg,
+                     skew_group_ring, truncated_polynomial_ring)
 from ringlab.constructions import bales_twisted_ring
 from ringlab.constructions.crossed import _action_maps
 from ringlab.certify import recognize_field
@@ -706,6 +710,20 @@ def test_intersection_property_matches_the_lattice_scan(case):
         assert v.witness.key() == ref.key()
 
 
+@given(_rings_and_subrings())
+@settings(max_examples=60, deadline=None)
+def test_the_centralizer_is_every_element_commuting_with_the_subring(case):
+    # the one-contraction centralizer of a Subring, against its generators
+    # closed into B first and against every element of the ring
+    ring, S = case
+    C = centralizer(ring, S)
+    assert C.span == centralizer(ring, S.gens).span
+    commuting = [x for x in ring.enumerate_elements()
+                 if all(x * b == b * x for b in S.spanning())]
+    assert all(C.contains(x) for x in commuting)
+    assert len(commuting) == (C.measure() if ring.is_table else ring.modulus ** C.measure())
+
+
 def test_conjugation_premise_matches_the_lattice_scan():
     # the three levels of the F3 tower, and F3 ⊕ F3 doubled along the
     # identity (its factors are conjugation-stable) and along the swap
@@ -738,14 +756,15 @@ def test_the_closure_algebra_is_spun_up_in_bounded_memory():
     ring = direct_sum_algebra([full_matrix_algebra(4, GF(2)), field_algebra(GF(2))])
     tracemalloc.start()
     try:
+        # E is spun up on the first close, so the window spans it
         _, decision, seeds, close = ideals._line_closures(ring, None, [], 2 ** 17)
+        first = close(next(seeds))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2 ** 20
     assert decision is not True
     # the first line, e_0 of M4(F2), generates the factor M4(F2)
-    first = close(next(seeds))
     assert first.measure() == 16 and not first.is_full()
     # M4(F2) itself is irreducible: no E is built and no line is walked
     _, decision, seeds, close = ideals._line_closures(full_matrix_algebra(4, GF(2)),
@@ -860,17 +879,59 @@ def _key(I):
     return None if I is None else I.key()
 
 
+def _count_line_closures(m):
+    """The seeds that every ``close`` of :func:`ideals._line_closures`
+    closes from now on, also after ``m`` is undone; the decisions of
+    Norton's test while ``m`` holds; and the spin-ups from an identity
+    matrix, E's, while ``m`` holds."""
+    closed, decisions, spun = [], [], []
+    lines, irreducible, spin = (ideals._line_closures, linalg.irreducible_modp,
+                                linalg.spin_modp)
+
+    def counted_lines(*args, **kwargs):
+        span, decision, seeds, close = lines(*args, **kwargs)
+        if close is None:
+            return span, decision, seeds, close
+
+        def counted_close(seed, bound=None):
+            closed.append(seed)
+            return close(seed, bound)
+        return span, decision, seeds, counted_close
+
+    def counted_irreducible(ops, p):
+        decisions.append(irreducible(ops, p))
+        return decisions[-1]
+
+    def counted_spin(seed_rows, ops, p, stop=None):
+        if np.shape(seed_rows)[-1] == ops.shape[1] ** 2:
+            spun.append(ops.shape[1])
+        return spin(seed_rows, ops, p, stop)
+    m.setattr(ideals, "_line_closures", counted_lines)
+    m.setattr(linalg, "irreducible_modp", counted_irreducible)
+    m.setattr(linalg, "spin_modp", counted_spin)
+    return closed, decisions, spun
+
+
 @given(st.one_of(_crossed_cases(), _ore_cases(), _doubling_cases()))
 @settings(max_examples=80, deadline=None)
 def test_the_stable_ideal_decision_agrees_with_the_line_walk(case):
     ring, B, maps = case
-    decided = ideals.first_stable_ideal(ring, B, maps)
+    with pytest.MonkeyPatch.context() as m:
+        closed, decisions, spun = _count_line_closures(m)
+        decided = ideals.first_stable_ideal(ring, B, maps)
+    # a decided answer closes no line and spins up no E until it is read,
+    # and an irreducible B none at all
+    if decisions[-1] is not None:
+        assert closed == [] and spun == []
     lattice = enumerate_subring_ideals(ring, B)
     with pytest.MonkeyPatch.context() as m:
         _walk_alone(m)
         walked = ideals.first_stable_ideal(ring, B, maps)
         walked_lattice = enumerate_subring_ideals(ring, B)
+    # read only now, after the eager walk, whose answer it must equal
     assert _key(decided) == _key(walked)
+    if decisions[-1] is not None:
+        assert bool(closed) == (decided is not None)
     assert [I.key() for I in lattice] == [I.key() for I in walked_lattice]
     # past the cap no line is walked: an undecided B raises TooLarge, and a
     # decided one gets Norton's submodule, or None when it is irreducible
@@ -884,6 +945,42 @@ def test_the_stable_ideal_decision_agrees_with_the_line_walk(case):
         assert not over.is_zero() and not over.is_full_in(span)
         IdealBasis(ring, over.span, of_subring=B, check=True)
         assert ideals.is_stable(over.span, maps)
+
+
+def test_certify_dynamics_walks_no_line_until_its_premise_is_read():
+    # Z2 swapping two of three points over F2 is not minimal; Norton's test
+    # proves the action-simple premise failed, and its witness, the least
+    # stable ideal, is walked for only when the certificate is printed
+    dyn = corpus.build_nonminimal_dynamics()
+    B = dyn.base_subring()
+    with pytest.MonkeyPatch.context() as m:
+        _walk_alone(m)
+        walked = ideals.first_stable_ideal(dyn.ring, B, _action_maps(dyn, B))
+    with pytest.MonkeyPatch.context() as m:
+        closed, _, spun = _count_line_closures(m)
+        cert = certify.certify_dynamics(dyn)
+        premise = next(p for p in cert.premises if p.name == "the base is action-simple")
+        assert cert.verdict == "NotSimple" and premise.status == "failed"
+        assert closed == [] and spun == []
+        printed = cert.to_json()
+        assert closed and spun == [len(B.span.pivots)]
+    assert premise.detail.key() == walked.key()
+    assert {"name": premise.name, "status": "failed", "detail": repr(walked)} \
+        in printed["premises"]
+    assert repr(walked) == "IdealBasis(Subspace(dim=1 of 6))"
+
+
+def test_the_corpus_never_imports_numpy_ma():
+    # numpy's 1-D unique imports numpy.ma, about 16 ms in a fresh process;
+    # the table paths use set logic instead
+    code = ("import sys\n"
+            "from ringlab.corpus import cross_check_corpus\n"
+            "cross_check_corpus()\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = str(pathlib.Path(ideals.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True, timeout=300)
+    assert out.stdout.strip() == "False"
 
 
 def test_the_lattice_of_m6f2_is_decided_at_the_default_cap():

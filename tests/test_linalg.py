@@ -262,7 +262,10 @@ def test_q_products_equal_a_dense_fraction_einsum(alg, data):
     eye = [[int(i == j) for j in range(d)] for i in range(d)]
     assert L.tolist() == [list(product(X[0], e)) for e in eye] and _all_fractions(L)
     assert R.tolist() == [list(product(e, X[0])) for e in eye] and _all_fractions(R)
-    assert (F.commutators(alg, X[0]) == R - L).all()
+    assert (F.commutators(alg, [X[0]]) == R - L).all()
+    # several rows: one block of d columns per row, in order
+    blocks = [R - L for L, R in (F.mult_matrices(alg, x) for x in X)]
+    assert (F.commutators(alg, X) == np.hstack(blocks)).all()
 
 
 def test_kernel_frac_makes_no_fraction_arithmetic(monkeypatch):
