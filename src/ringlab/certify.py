@@ -674,10 +674,12 @@ def minimality_witness_ideal(dyn: DynamicsRing):
 
 def certify_dynamics(dyn: DynamicsRing, cap=DEFAULT_ELEMENT_CAP,
                      seed=DEFAULT_SEED, instance="") -> Certificate:
-    """Finite discrete dynamics: the skew group ring is simple iff the action
-    is minimal and faithful.  Verified through the commutative-base iff
-    (action-simple + maximal commutative), with the premise equivalences
-    themselves checked on the instance."""
+    """Finite discrete dynamics: the skew group ring of an abelian group is
+    simple iff the action is minimal and faithful.  Verified through the
+    commutative-base iff (action-simple + maximal commutative), which holds
+    for every group, with the premise equivalences themselves checked on the
+    instance; for a non-abelian group a failed equivalence is a failed
+    premise, not a defect."""
     ring = dyn.ring
     cat = dyn.system.cat
     B = dyn.base_subring()
@@ -695,17 +697,22 @@ def certify_dynamics(dyn: DynamicsRing, cap=DEFAULT_ELEMENT_CAP,
     mc = is_maximal_commutative(ring, B)
     premises.append(Premise("the base is maximal commutative",
                             "verified" if mc else "failed"))
-    # maximal commutativity = fixed-point-free action; it implies faithful,
-    # and minimal+faithful forces it (a faithful transitive abelian action is
-    # regular); the conjunctions therefore agree instance by instance
+    # maximal commutativity = fixed-point-free action; it implies faithful.
+    # For an abelian group minimal+faithful forces it (a faithful transitive
+    # abelian action is regular), so the conjunctions agree instance by
+    # instance; for any other group they need not (S3 on 3 points), and the
+    # verdict rests on action-simple and maximal commutative alone
     if mc and not dyn.faithful:
         raise CriterionDisagreement("maximal commutativity must imply faithfulness")
-    if dyn.minimal and dyn.faithful and not mc:
-        raise CriterionDisagreement("minimal+faithful must force maximal commutativity")
-    if (g_simple and mc) != (dyn.minimal and dyn.faithful):
-        raise CriterionDisagreement("premise conjunction must match minimal+faithful")
+    agree = (g_simple and mc) == (dyn.minimal and dyn.faithful)
+    if cat.is_abelian_group():
+        if dyn.minimal and dyn.faithful and not mc:
+            raise CriterionDisagreement("minimal+faithful must force maximal commutativity")
+        if not agree:
+            raise CriterionDisagreement("premise conjunction must match minimal+faithful")
     premises.append(Premise("action-simple and maximal commutative iff minimal "
-                            "and faithful (checked on the instance)", "verified",
+                            "and faithful (checked on the instance)",
+                            "verified" if agree else "failed",
                             f"faithful={dyn.faithful}"))
     verdict = "Simple" if (g_simple and mc) else "NotSimple"
     cert = Certificate(instance, "dynamics",

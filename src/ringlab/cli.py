@@ -88,7 +88,7 @@ def _dispatch(args, t0) -> int:
     report = Report(recipe_digest=recipe.digest, seed=args.seed, caps=caps)
 
     if args.command == "build":
-        report.results["build"] = build_summary(built, cap=args.cap)
+        report.results["build"] = build_summary(built)
     elif args.command == "table":
         report.results["table"] = table_dump(built, force=args.force)
         if "error" in report.results["table"]:

@@ -20,8 +20,7 @@ from ..errors import (AlphaNotCentralUnit, CriterionDisagreement, ShapeMismatch,
                       SigmaNotInvolutive, TooLarge)
 from ..rings import Element, Ring, StructureAlgebra, field_algebra
 from .crossed import (CrossedProduct, CrossedSystem, RingMap,
-                      _associates_and_commutes, _is_unit, crossed_product,
-                      twisted_group_ring)
+                      _alpha_verdicts, crossed_product, twisted_group_ring)
 
 CLASSICAL_TWISTS = {(0, 0): "straight", (0, 1): "opposite",
                     (1, 0): "straight", (1, 1): "opposite"}
@@ -73,7 +72,8 @@ def cayley_dickson(B: Ring, sigma: RingMap, alpha: Element) -> CayleyDoubling:
         raise SigmaNotInvolutive("sigma squared is not the identity")
     if not isinstance(alpha, Element) or alpha.ring is not B:
         raise ShapeMismatch("alpha must be an element of the base ring")
-    if not (_is_unit(B, alpha) and _associates_and_commutes(B, alpha)):
+    # decided once per base and alpha, so validating the system re-reads it
+    if not all(_alpha_verdicts(B, alpha)):
         raise AlphaNotCentralUnit("alpha must be a central, associating unit")
     G = cyclic_group(2)
     sys = CrossedSystem(G, {"*": B},

@@ -260,20 +260,18 @@ class CorpusReport:
 
 def cross_check_corpus(cap=DEFAULT_ELEMENT_CAP, seed=DEFAULT_SEED) -> CorpusReport:
     """Run every corpus instance through its pipeline and the oracle; the two
-    verdicts must agree wherever both exist."""
+    verdicts must agree wherever both exist.  An entry's agreement is its
+    certificate's ``oracle``, which :func:`ringlab.certify._oracle_cross_check`
+    sets by its one rule ("unavailable" without a certificate)."""
     report = CorpusReport(seed=seed, cap=cap)
     for inst in corpus_instances():
         built = inst.build()
         ring = inst.ring(built)
         oracle = is_simple(ring, cap=cap, seed=seed)
         cert = inst.certificate(built, cap, seed)
-        pv = cert.verdict if cert else None
-        if pv in ("Simple", "NotSimple") and oracle.status != "Inconclusive":
-            agreement = "agrees" if pv == oracle.status else "disagrees"
-        else:
-            agreement = "unavailable"
-        report.entries.append(CorpusEntry(inst.id, cert.pipeline if cert else None,
-                                          pv, oracle.status, agreement, cert))
+        report.entries.append(CorpusEntry(
+            inst.id, cert.pipeline if cert else None, cert.verdict if cert else None,
+            oracle.status, cert.oracle if cert else "unavailable", cert))
     return report
 
 

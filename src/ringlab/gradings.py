@@ -497,8 +497,7 @@ def ideal_components(grading: Grading, I: IdealBasis):
             for e in grading.cat.objects}
 
 
-def check_invariance_componentwise(grading: Grading, I: IdealBasis,
-                                   strict=False) -> ComponentwiseInvariance:
+def check_invariance_componentwise(grading: Grading, I: IdealBasis) -> ComponentwiseInvariance:
     """Componentwise A-invariance criteria for an ideal of A_0.
 
     plain: A_g I_d(g) ⊆ I_c(g) A_g for all g (equivalent to A-invariance in
@@ -538,19 +537,17 @@ def check_invariance_componentwise(grading: Grading, I: IdealBasis,
                 break
         if conjugation != plain:
             raise CriterionDisagreement("conjugation criterion disagrees with the plain one")
-    elif strict:
-        raise PreconditionUnmet("strong groupoid grading with graded ideal associativity")
     return ComponentwiseInvariance(plain, conjugation, True)
 
 
-def graded_ideal_associativity(grading: Grading, I: IdealBasis, max_components=3) -> bool:
+def graded_ideal_associativity(grading: Grading, I: IdealBasis) -> bool:
     """All parenthesizations agree on words made of one copy of I and up to
-    ``max_components`` graded components (every identity the arguments need
-    lives inside this window)."""
+    three graded components (every identity the arguments need lives inside
+    this window)."""
     from .ideals import _parenthesizations
     ring, cat = grading.ring, grading.cat
     memo = {}
-    for n in range(1, max_components + 1):
+    for n in range(1, 4):
         for tup in itertools.product(cat.morphisms, repeat=n):
             spans = [grading.components[g] for g in tup]
             for pos in range(n + 1):

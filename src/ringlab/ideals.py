@@ -29,6 +29,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -118,16 +119,14 @@ class IdealBasis:
 class Subring:
     """An additively and multiplicatively closed subset of a ring."""
 
-    def __init__(self, ring, span: AddSubgroup, gens=None, check=True):
+    def __init__(self, ring, span: AddSubgroup, check=True):
         self.ring = ring
         self.span = span
-        self.gens = list(gens) if gens is not None else span.spanning()
         if check:
             prod = product_span(ring, span, span)
             if not span.contains_subgroup(prod):
                 raise RingMismatch("span is not multiplicatively closed")
         self._as_ring = None
-        self._commutative = None
 
     def contains(self, elt):
         return self.span.contains(elt)
@@ -138,27 +137,31 @@ class Subring:
     def measure(self):
         return self.span.measure()
 
+    @cached_property
+    def table(self):
+        """The products of B, the one table that :meth:`is_commutative`,
+        :meth:`as_ring` and :func:`_line_closures` read: for a table ring
+        the ``mul_table`` block of B's sorted members (k×k indices), for an
+        algebra one backend ``products`` of B's rref rows, shaped (k, k, d)
+        with [i, j] the ambient coordinates of row i times row j."""
+        ring, span = self.ring, self.span
+        if ring.is_table:
+            members = sorted(span.members)
+            return ring.mul_table[np.ix_(members, members)]
+        k = span.dim
+        return ring.F.array(ring.F.products(ring, span.rows, span.rows)
+                            ).reshape(k, k, ring.dim)
+
     def is_commutative(self):
-        """Do the spanning elements commute pairwise?  Every product of two
-        of them (one fancy index of a table ring's ``mul_table``, one
-        backend ``products`` of an algebra's rref rows) against its
-        transpose; computed once."""
-        if self._commutative is None:
-            ring, span = self.ring, self.span
-            if ring.is_table:
-                members = sorted(span.members)
-                T = ring.mul_table[np.ix_(members, members)]
-            else:
-                m = span.dim
-                T = ring.F.array(ring.F.products(ring, span.rows, span.rows)
-                                 ).reshape(m, m, ring.dim)
-            self._commutative = bool((T == T.swapaxes(0, 1)).all())
-        return self._commutative
+        """Do the spanning elements commute pairwise?  :attr:`table`
+        against its transpose."""
+        T = self.table
+        return bool((T == T.swapaxes(0, 1)).all())
 
     def as_ring(self):
         """The subring as a standalone Ring plus embed/project maps."""
         if self._as_ring is None:
-            self._as_ring = _materialize_subring(self.ring, self.span)
+            self._as_ring = _materialize_subring(self)
         return self._as_ring
 
     def __eq__(self, other):
@@ -180,25 +183,31 @@ def subring_closure(ring, gens) -> Subring:
         if new == span:
             break
         span = new
-    return Subring(ring, span, gens=list(gens), check=False)
+    return Subring(ring, span, check=False)
 
 
 def full_subring(ring) -> Subring:
     return Subring(ring, full_subgroup(ring), check=False)
 
 
-def _materialize_subring(ring, span):
+def _materialize_subring(B: Subring):
+    """(ring, embed, project) of B, read off :attr:`Subring.table`.
+
+    A table subring renumbers its members 0..k-1 and remaps the block of
+    each table through one index array.  An algebra subring has the
+    constants of B's products in its rref basis: the pivot entries of an
+    element of B are its coordinates, and one ``matmul`` back onto the rows
+    checks that every product lies in B."""
+    ring, span = B.ring, B.span
     if ring.is_table:
         members = sorted(span.members)
-        pos = {m: i for i, m in enumerate(members)}
-        k = len(members)
-        add = np.zeros((k, k), dtype=np.int32)
-        mul = np.zeros((k, k), dtype=np.int32)
-        for i, a in enumerate(members):
-            for j, b in enumerate(members):
-                add[i, j] = pos[int(ring.add_table[a, b])]
-                mul[i, j] = pos[int(ring.mul_table[a, b])]
-        sub = TableRing(add, mul, pos[ring.zero_index], _validated=True)
+        pos = np.full(ring.n, -1, dtype=np.int32)
+        pos[members] = np.arange(len(members))
+        mul = pos[B.table]
+        if (mul < 0).any():
+            raise RingMismatch("span is not multiplicatively closed")
+        sub = TableRing(pos[ring.add_table[np.ix_(members, members)]], mul,
+                        pos[ring.zero_index], _validated=True)
 
         def embed(e):
             return ring.element(members[e.data])
@@ -208,28 +217,16 @@ def _materialize_subring(ring, span):
 
         return sub, embed, project
 
-    rows = span.spanning()
-    k = len(rows)
-    f = ring.field
+    F, rows, k = ring.F, span.rows, span.dim
     if k == 0:
         raise RingMismatch("cannot materialize the zero subring")
-    # structure constants in the rref basis: coordinates are read off pivots
-    C = []
-    for a in rows:
-        plane = []
-        for b in rows:
-            prod = a * b
-            if not span.contains(prod):
-                raise RingMismatch("span is not multiplicatively closed")
-            plane.append(list(span.coordinates(prod)))
-        C.append(plane)
-    sub = StructureAlgebra(f, k, C)
+    C = B.table[:, :, list(span.pivots)]
+    if not (F.matmul(C.reshape(k * k, k), rows) == B.table.reshape(k * k, ring.dim)).all():
+        raise RingMismatch("span is not multiplicatively closed")
+    sub = StructureAlgebra(ring.field, k, C)
 
     def embed(e):
-        acc = ring.zero()
-        for coef, row in zip(e.data, rows):
-            acc = acc + ring.element(tuple(f.mul(coef, x) for x in row.data))
-        return acc
+        return ring.element(F.matmul(e.data, rows))
 
     def project(e):
         return sub.element(span.coordinates(e))
@@ -357,13 +354,13 @@ def _line_closures(ring, B: Subring | None, maps, cap, lattice=False):
     when None).
 
     The ideals of B that every map sends into themselves are the subspaces
-    of B invariant under L_b and R_b (b in B, from
-    :func:`linalg.multiplications_modp`) and the maps, as k×k operators over
-    B's rref rows.  Over F_p, ``decision`` is Norton's test on that stack
-    (:func:`linalg.irreducible_modp`), asked first, at any size: True when
-    no proper nonzero one exists, one such ideal as an ambient span when the
-    test finds it, None when the test is undecided; it is None for a table
-    ring, which has no such test.
+    of B invariant under L_b and R_b (b in B: :func:`linalg.multiplications_modp`
+    of B's constants, :attr:`Subring.table` at the pivots) and the maps, as
+    k×k operators over B's rref rows.  Over F_p, ``decision`` is Norton's
+    test on that stack (:func:`linalg.irreducible_modp`), asked first, at
+    any size: True when no proper nonzero one exists, one such ideal as an
+    ambient span when the test finds it, None when the test is undecided;
+    it is None for a table ring, which has no such test.
 
     The seeds are one coordinate vector over B's rref rows per line of B,
     in the order of :func:`_lines`, for an F_p algebra, and the nonzero
@@ -396,9 +393,9 @@ def _line_closures(ring, B: Subring | None, maps, cap, lattice=False):
         # entries of an element of B are its coordinates
         p, rows, pivots = ring.modulus, span.rows, list(span.pivots)
         k = len(pivots)
-        ops = np.concatenate([linalg.multiplications_modp(ring.constants, p, rows)]
-                             + [ring.F.reduce(m)[None] for m in maps])
-        ops = (rows @ ops % p)[:, :, pivots]
+        C = ring.constants if B is None else B.table[:, :, pivots]
+        ops = np.concatenate([linalg.multiplications_modp(C, p)]
+                             + [(rows @ ring.F.reduce(m) % p)[None, :, pivots] for m in maps])
 
         def ambient(basis, found):
             # an rref basis in coordinates is one in the ambient ring too
@@ -447,19 +444,17 @@ def enumerate_subring_ideals(ring, B: Subring | None, cap=DEFAULT_ELEMENT_CAP):
     walk."""
     span, decision, seeds, close = _line_closures(ring, B, [], cap, lattice=True)
     principal = [span] if decision is True else map(close, seeds)
-    lattice = {s.key(): s for s in [zero_subgroup(ring), *principal]}
-    # the sum of two ideals is additively closed and absorbing, so a plain
-    # join (no re-closure) suffices
-    worklist = list(lattice.values())
-    while worklist:
-        nxt = []
-        for a in worklist:
-            for b in list(lattice.values()):
-                j = a.join(b)
-                if j.key() not in lattice:
-                    lattice[j.key()] = j
-                    nxt.append(j)
-        worklist = nxt
+    zero = zero_subgroup(ring)
+    lattice = {zero.key(): zero}
+    # the joins of the principal ideals so far are closed under joins, so one
+    # joined with all of them adds every join it takes part in, and one that
+    # is already among them adds none; the sum of two ideals is additively
+    # closed and absorbing, so a plain join (no re-closure) suffices
+    for s in principal:
+        if s.key() not in lattice:
+            for t in list(lattice.values()):
+                j = s.join(t)
+                lattice.setdefault(j.key(), j)
     ideals = [IdealBasis(ring, s, of_subring=B, check=False) for s in lattice.values()]
     ideals.sort(key=lambda i: (i.measure(), i.key()))
     return ideals
@@ -834,7 +829,7 @@ def identity_property(I: IdealBasis, B: Subring, side="left") -> bool:
     return prod == I.span
 
 
-def apply_i_and_p(ring, B: Subring, I: IdealBasis, cap=DEFAULT_ELEMENT_CAP):
+def apply_i_and_p(ring, B: Subring, I: IdealBasis):
     """The maps i(I) = IA into ideals of A and p(Y) = B ∩ Y back.
 
     Requires I to be A-invariant and the extension to associate at two

@@ -140,7 +140,7 @@ def _run_check(built, name, cap, seed):
     return {"error": f"unknown check {name!r}"}
 
 
-def build_summary(built, cap=DEFAULT_ELEMENT_CAP):
+def build_summary(built):
     ring = ring_of(built)
     if ring is None and hasattr(built, "rings"):       # a tower
         return {"kind": "cayley_tower",

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -11,12 +12,13 @@ from ringlab import (GF, QQ, RingMap, cayley_dickson, cayley_tower,
                      skew_group_ring, trivial_grading, zmod_ring)
 from ringlab import (certify, dynamics_skew_group_ring, ideals, is_G_invariant,
                      is_G_simple, linalg)
+from ringlab.categories import group_from_table
 from ringlab.certify import certify_built, minimality_witness_ideal, recognize_field
 from ringlab.cli import main
 from ringlab.corpus import (build_f4_frobenius_ring, build_group_algebra,
                             build_m3f2_block_graded, build_nonfaithful_dynamics,
                             build_nonminimal_dynamics, build_ore_f4_frobenius,
-                            build_rotation_dynamics, tower_q)
+                            build_rotation_dynamics, build_swap_dynamics, tower_q)
 from ringlab.constructions import bales_twisted_ring, twisted_group_ring
 from ringlab.errors import CriterionDisagreement
 from ringlab.ideals import SimpleVerdict, ideal_closure, principal_ideal
@@ -129,6 +131,19 @@ def test_groupoid_graded_variants():
     assert cert.notes == ("variant: simple vertex subrings",)
 
 
+def test_groupoid_graded_maximal_commutative_variant():
+    # a minimal faithful dynamics ring: its object part, the functions, is
+    # invariantly simple and maximal commutative; a non-minimal one's is not
+    for dyn in (build_rotation_dynamics(), build_swap_dynamics()):
+        cert = certify_groupoid_graded(dyn.ring, dyn.grading)
+        assert cert.verdict == "Simple" and cert.oracle == "agrees"
+        assert cert.notes == ("variant: maximal commutative object part",)
+    dyn = build_nonminimal_dynamics()
+    cert = certify_groupoid_graded(dyn.ring, dyn.grading)
+    premise = next(p for p in cert.premises if p.name == "the object part is invariantly simple")
+    assert premise.status == "failed"
+
+
 def test_groupoid_graded_withholds_on_bad_vertex():
     # disconnected two-object groupoid: one simple vertex, one not
     from ringlab.categories import FiniteCategory
@@ -161,6 +176,50 @@ def test_crossed_product_iff_negative():
 def test_crossed_product_rotation_dynamics_ring():
     rot = build_rotation_dynamics()
     cert = certify_crossed_product(rot)
+    assert cert.verdict == "Simple" and cert.oracle == "agrees"
+
+
+def test_crossed_product_groupoid_branches():
+    # M2 over a pair groupoid: the base F2 × F2 is maximal commutative; over
+    # the quaternions H(F3) it is not commutative, and the vertex centers
+    # (F3) are simple
+    for base, statement in (
+            (field_algebra(GF(2)),
+             "groupoid crossed product with maximal commutative action-simple base"),
+            (cayley_tower(GF(3), 2).rings[2],
+             "locally abelian connected groupoid crossed product with simple vertex centers")):
+        cert = certify_crossed_product(matrix_ring(2, base))
+        assert cert.statement == statement
+        assert cert.verdict == "Simple" and cert.oracle == "agrees"
+
+
+def _s3_on_three_points():
+    """S3 as permutations of 0, 1, 2, composed right to left, and its
+    natural and regular actions."""
+    els = tuple(itertools.permutations(range(3)))
+    table = {(g, h): tuple(g[x] for x in h) for g in els for h in els}
+    inverse = {g: tuple(sorted(range(3), key=g.__getitem__)) for g in els}
+    s3 = group_from_table(els, table, (0, 1, 2), inverse, name="S3")
+    pos = {g: i for i, g in enumerate(els)}
+    regular = {g: tuple(pos[table[g, h]] for h in els) for g in els}
+    return s3, {g: g for g in els}, regular
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_dynamics_over_a_non_abelian_group(p):
+    # S3 on 3 points is minimal and faithful but not free, so the base is not
+    # maximal commutative and the ring is not simple: the equivalence with
+    # minimal+faithful fails as a premise, not as a defect
+    s3, natural, regular = _s3_on_three_points()
+    cert = certify_dynamics(dynamics_skew_group_ring(3, s3, natural, GF(p)))
+    assert cert.verdict == "NotSimple" and cert.oracle == "agrees"
+    status = {q.name: q.status for q in cert.premises}
+    assert status["the group is abelian"] == "failed"
+    assert status["the base is action-simple"] == "verified"
+    assert status["the base is maximal commutative"] == "failed"
+    assert status["action-simple and maximal commutative iff minimal and faithful "
+                  "(checked on the instance)"] == "failed"
+    cert = certify_dynamics(dynamics_skew_group_ring(6, s3, regular, GF(p)))
     assert cert.verdict == "Simple" and cert.oracle == "agrees"
 
 
@@ -449,6 +508,14 @@ def test_recognize_field():
     assert recognize_field(direct_sum_algebra([field_algebra(GF(3))] * 2)) is False
     dual = make_structure_algebra(2, GF(3), [[[1, 0], [0, 1]], [[0, 1], [0, 0]]])
     assert recognize_field(dual) is False
+
+
+def test_simple_status_falls_back_to_field_recognition():
+    # Q(√15): 15 is 0 or a square modulo 3, 5, 7 and 11, so no reduction is
+    # simple and the oracle is Inconclusive; the ring is a field
+    ring = make_structure_algebra(2, QQ, [[[1, 0], [0, 1]], [[0, 1], [15, 0]]])
+    assert ideals.is_simple(ring).status == "Inconclusive"
+    assert certify._simple_status(ring) == ("Simple", "field")
 
 
 def test_density_criterion():

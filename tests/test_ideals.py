@@ -26,10 +26,12 @@ from ringlab.constructions.crossed import _action_maps
 from ringlab.certify import recognize_field
 from ringlab.cli import main
 from ringlab.recipes import build_recipe, parse_recipe_text
-from ringlab.errors import BNotCommutative, CriterionDisagreement, NotAInvariant, TooLarge
+from ringlab.errors import (BNotCommutative, CriterionDisagreement, NotAInvariant,
+                            RingMismatch, TooLarge)
 from ringlab.ideals import (IdealBasis, Subring, first_invariant_ideal,
                             first_proper_line_ideal)
-from ringlab.rings import convert_to_table, direct_sum_algebra, functions_ring
+from ringlab.rings import (Element, StructureAlgebra, TableRing, convert_to_table,
+                           direct_sum_algebra, functions_ring)
 from ringlab.subgroups import additive_span, full_subgroup, product_span, zero_subgroup
 
 
@@ -693,6 +695,78 @@ def test_commutativity_equals_the_pairwise_check(case):
     assert B.is_commutative() == _pairwise_commutative(B)
 
 
+def _reference_materialized_subring(B):
+    """Subring.as_ring as an Element loop: for a table ring every sum and
+    product of two members looked up one at a time; for an algebra the k²
+    products of the rref rows, each tested for membership, embedded back as
+    a sum of scaled rows."""
+    ring, span = B.ring, B.span
+    if ring.is_table:
+        members = sorted(span.members)
+        pos = {m: i for i, m in enumerate(members)}
+        add = [[pos[int(ring.add_table[a, b])] for b in members] for a in members]
+        mul = [[pos[int(ring.mul_table[a, b])] for b in members] for a in members]
+        sub = TableRing(add, mul, pos[ring.zero_index], _validated=True)
+        return sub, lambda e: ring.element(members[e.data]), lambda e: sub.element(pos[e.data])
+    rows, f = span.spanning(), ring.field
+    C = []
+    for a in rows:
+        assert all(span.contains(a * b) for b in rows)
+        C.append([list(span.coordinates(a * b)) for b in rows])
+    sub = StructureAlgebra(f, len(rows), C)
+
+    def embed(e):
+        acc = ring.zero()
+        for coef, row in zip(e.data, rows):
+            acc = acc + ring.element(tuple(f.mul(coef, x) for x in row.data))
+        return acc
+    return sub, embed, lambda e: sub.element(span.coordinates(e))
+
+
+_Q_SUBRINGS = _q_algebras_with_generators().map(lambda case: (case[0], subring_closure(*case)))
+
+
+@given(st.one_of(_rings_and_subrings(), _Q_SUBRINGS))
+@settings(max_examples=80, deadline=None)
+@example(_SUBRING_EXAMPLES[1])
+@example(_SUBRING_EXAMPLES[2])
+def test_the_materialized_subring_equals_the_element_loop(case):
+    B = case[1]
+    ring = B.ring
+    if ring.is_algebra and B.span.is_zero():
+        with pytest.raises(RingMismatch):
+            B.as_ring()
+        return
+    sub, embed, project = B.as_ring()
+    ref, ref_embed, ref_project = _reference_materialized_subring(B)
+    if ring.is_table:
+        assert np.array_equal(sub.add_table, ref.add_table)
+        assert np.array_equal(sub.mul_table, ref.mul_table)
+        assert sub.zero_index == ref.zero_index
+    else:
+        assert sub.constants.dtype == ref.constants.dtype
+        assert np.array_equal(sub.constants, ref.constants)
+    xs = (sub.enumerate_elements() if sub.size() is not None
+          else [*sub.spanning_elements(), sum(sub.spanning_elements(), sub.zero())])
+    for x in xs:
+        y = embed(x)
+        assert y.ring is ring and y == ref_embed(ref.element(x.data))
+        assert project(y) == x and ref_project(y).data == x.data
+
+
+def test_materializing_a_subring_multiplies_no_element(monkeypatch):
+    # F_2, table and Q subrings, built before any product is refused
+    diagonal = [[1, 0, 0, 0], [0, 0, 0, 1]]
+    m2q = full_matrix_algebra(2, QQ)
+    subrings = [_upper_triangular(_M2F2), _upper_triangular(convert_to_table(_M2F2)),
+                subring_closure(m2q, [m2q.element(v) for v in diagonal])]
+
+    def refuse(a, b):
+        raise AssertionError("an Element product")
+    monkeypatch.setattr(Element, "__mul__", refuse)
+    assert [B.as_ring()[0].size() for B in subrings] == [8, 8, None]
+
+
 _Z5, _Z6 = zmod_ring(5), zmod_ring(6)
 
 
@@ -717,7 +791,7 @@ def test_the_centralizer_is_every_element_commuting_with_the_subring(case):
     # closed into B first and against every element of the ring
     ring, S = case
     C = centralizer(ring, S)
-    assert C.span == centralizer(ring, S.gens).span
+    assert C.span == centralizer(ring, S.spanning()).span
     commuting = [x for x in ring.enumerate_elements()
                  if all(x * b == b * x for b in S.spanning())]
     assert all(C.contains(x) for x in commuting)
