@@ -123,13 +123,14 @@ def _oracle_cross_check(cert: Certificate, ring, cap, seed, evidence=None):
 # field and simplicity recognizers used by the pipelines
 # ---------------------------------------------------------------------------
 
-def recognize_field(ring, cap=DEFAULT_ELEMENT_CAP):
+def recognize_field(ring, cap=DEFAULT_ELEMENT_CAP, seed=DEFAULT_SEED):
     """True/False when decidable, None otherwise.
 
-    A field is commutative, associative and unital.  Under the cap, a table
-    ring is one when every nonzero element is invertible, and an algebra
-    asks its field backend (``is_field``: F_p algebras always decide, Q ones
-    in dimensions 1 and 2).
+    A field is a commutative, associative, unital ring that is simple.  Past
+    the cap the answer is None.  Otherwise :func:`is_simple` decides, as it
+    always does for table rings and F_p algebras; only where it is
+    Inconclusive is the field backend asked (``is_field``: Q algebras of
+    dimension 1 and 2).  The zero ring has R·R = 0, so it is no field.
     """
     props = ring.probe_properties()
     if not (props.commutative and props.unital and props.associative):
@@ -137,12 +138,10 @@ def recognize_field(ring, cap=DEFAULT_ELEMENT_CAP):
     size = ring.size()
     if size is not None and size > cap:
         return None
-    if ring.is_algebra:
-        return ring.F.is_field(ring, props.unit.data)
-    for a in ring.enumerate_elements(cap):
-        if not a.is_zero() and not _is_unit(ring, a):
-            return False
-    return True
+    v = is_simple(ring, cap=cap, seed=seed)
+    if v.status != "Inconclusive":
+        return v.is_simple
+    return ring.F.is_field(ring, props.unit.data)
 
 
 def _simple_status(ring, cap=DEFAULT_ELEMENT_CAP, seed=DEFAULT_SEED, hint=None):
@@ -153,7 +152,7 @@ def _simple_status(ring, cap=DEFAULT_ELEMENT_CAP, seed=DEFAULT_SEED, hint=None):
     v = is_simple(ring, cap=cap, seed=seed)
     if v.status != "Inconclusive":
         return v.status, v.witness if v.status == "NotSimple" else v.reason
-    fr = recognize_field(ring, cap=cap)
+    fr = recognize_field(ring, cap=cap, seed=seed)
     if fr is True:
         return "Simple", "field"
     if hint == "Simple":
@@ -171,11 +170,11 @@ def _proper(J):
     return J is not None and not J.is_zero() and not J.span.is_full()
 
 
-def _z_is_field(ring, cap=DEFAULT_ELEMENT_CAP):
+def _z_is_field(ring, cap=DEFAULT_ELEMENT_CAP, seed=DEFAULT_SEED):
     """The center as a subring plus a True/False/None field verdict."""
     z = center(ring)
     sub, _, _ = z.as_ring()
-    return z, recognize_field(sub, cap=cap)
+    return z, recognize_field(sub, cap=cap, seed=seed)
 
 
 def _non_invariant_meet(ring, S: Subring, cap):
@@ -385,7 +384,9 @@ def certify_crossed_product(cp: CrossedProduct, cap=DEFAULT_ELEMENT_CAP,
     """Simplicity criteria for crossed products: for a skew group ring over a
     commutative base the action-simple + maximal commutative test is an iff;
     for an abelian group it is action-simple + the center being a field;
-    otherwise the one-directional groupoid statements apply."""
+    otherwise the one-directional groupoid statements apply.  The two
+    maximal-commutative statements (Öinert's) are for nonzero rings, so they
+    conclude only when every base's unit is nonzero."""
     ring = cp.ring
     cat = cp.system.cat
     B = cp.base_subring()
@@ -393,6 +394,7 @@ def certify_crossed_product(cp: CrossedProduct, cap=DEFAULT_ELEMENT_CAP,
     alpha_trivial = all(
         cp.system.alpha_at(g, h) == cp.system.base[cat.cod[g]].probe_properties().unit
         for (g, h) in cat.composable_pairs())
+    nonzero = all(not p.unit.is_zero() for p in props_b)
     premises = []
     _, wit = is_G_simple(cp, cap)
     premises.append(Premise("the base is action-simple (no nontrivial invariant ideal)",
@@ -400,7 +402,7 @@ def certify_crossed_product(cp: CrossedProduct, cap=DEFAULT_ELEMENT_CAP,
     statement = "action-simple base forces simplicity"
     verdict = None
     is_iff = False
-    if cat.is_group() and alpha_trivial and all(
+    if cat.is_group() and alpha_trivial and nonzero and all(
             p.associative and p.unital and p.commutative for p in props_b):
         is_iff = True
         statement = ("skew group ring over a commutative base: simple iff the base is "
@@ -414,7 +416,7 @@ def certify_crossed_product(cp: CrossedProduct, cap=DEFAULT_ELEMENT_CAP,
         is_iff = True
         statement = ("skew group ring over an abelian group: simple iff the base is "
                      "action-simple and the center is a field")
-        z, zf = _z_is_field(ring, cap=cap)
+        z, zf = _z_is_field(ring, cap=cap, seed=seed)
         premises.append(Premise("the center is a field",
                                 "verified" if zf else ("failed" if zf is False else "assumed"),
                                 f"center dimension {z.measure()}"))
@@ -423,7 +425,7 @@ def certify_crossed_product(cp: CrossedProduct, cap=DEFAULT_ELEMENT_CAP,
         else:
             verdict = "Simple" if (wit is None and zf) else "NotSimple"
     else:
-        if wit is None and cat.is_groupoid and B.is_commutative() \
+        if wit is None and cat.is_groupoid and nonzero and B.is_commutative() \
                 and is_maximal_commutative(ring, B):
             premises.append(Premise("the base is maximal commutative", "verified"))
             verdict = "Simple"
@@ -473,7 +475,7 @@ def _sigma_simple_premise(cd: CayleyDoubling, cap, seed, base_hint=None):
                   for off, dim in factors]
         for block in blocks:
             sub, _, _ = Subring(B, block, check=False).as_ring()
-            if recognize_field(sub, cap=cap) is not True:
+            if recognize_field(sub, cap=cap, seed=seed) is not True:
                 return Premise(name, "assumed", "factors not recognized as fields")
         n = len(blocks)
         for mask in range(1, 2 ** n - 1):
@@ -496,7 +498,7 @@ def certify_cayley(cd: CayleyDoubling, base_hint=None, cap=DEFAULT_ELEMENT_CAP,
     forces conjugation-stable simplicity of the base."""
     ring = cd.ring
     premises = [_sigma_simple_premise(cd, cap, seed, base_hint=base_hint)]
-    z, zf = _z_is_field(ring, cap=cap)
+    z, zf = _z_is_field(ring, cap=cap, seed=seed)
     if zf is None:
         zstatus = _premise_status(_simple_status(z.as_ring()[0], cap=cap, seed=seed)[0])
     else:
@@ -951,14 +953,11 @@ def simple_by_density(ring: StructureAlgebra) -> bool:
     Ideals are the invariant subspaces of the left/right multiplication
     operators, so the ring is simple iff its square is nonzero and its
     space is an irreducible module under them.  Norton's irreducibility
-    test decides that, with the density criterion (the commutant is a field
-    D and the operators generate an algebra of dimension dim^2 / dim(D)) as
-    its fallback up to ``linalg.DENSITY_MAX_DIM``, past which a call that no
-    trial decides returns None; see :func:`ringlab.linalg.simple_modp`.
-    The computation is plain linear algebra, so this is a second
-    independent oracle for sizes the element scan cannot reach;
-    :func:`is_simple` runs the same test.
+    test decides that (:func:`ringlab.linalg.norton_modp`), the same test
+    :func:`is_simple` runs, and answers None when none of its trials
+    decides.  It keeps its name because the benchmark tracer
+    (``perfbench/tracer.py``) counts its calls under it.
     """
     if not (ring.is_algebra and ring.modulus is not None):
         raise ValueError("density decision needs an F_p structure algebra")
-    return linalg.simple_modp(ring.constants, ring.modulus)
+    return linalg.norton_modp(ring.constants, ring.modulus)[0]

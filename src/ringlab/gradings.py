@@ -17,7 +17,7 @@ from .errors import (CriterionDisagreement, FilterViolation, NotDirectSum,
                      PreconditionUnmet)
 from .ideals import (DEFAULT_ELEMENT_CAP, IdealBasis, Subring, center,
                      enumerate_ideals, full_subring, is_A_invariant,
-                     principal_ideal)
+                     is_simple, principal_ideal)
 from .rings import Element, Ring
 from .subgroups import (AddSubgroup, additive_span,
                         full_subgroup, product_span, zero_subgroup)
@@ -384,9 +384,9 @@ def verify_degree_map(dm: DegreeMap, cap=DEFAULT_ELEMENT_CAP) -> DegreeMapVerdic
     candidates a·c, c spanning A_{g^-1} for g in Supp(a), when a has no
     object component.  Only elements still unsettled scan all of <a>; the
     scan depends on <a> and d(a) alone, so each such pair is scanned once.
-    An F_p algebra asks its backend's ``simplicity`` (Norton's test) once,
-    at the first unsettled element; when that proves it simple, <a> is A
-    for every a and no principal ideal is closed.
+    The ring's :func:`is_simple` verdict (cached, and over F_p Norton's
+    test) is read once, at the first unsettled element; when it is Simple,
+    <a> is A for every a and no principal ideal is closed.
     The first failing a in enumeration order is the witness.
     """
     ring = dm.ring
@@ -398,7 +398,7 @@ def verify_degree_map(dm: DegreeMap, cap=DEFAULT_ELEMENT_CAP) -> DegreeMapVerdic
         if bad.size:
             return DegreeMapVerdict("D1Violation", ring.block_elements(block[bad[:1]])[0])
     scanned = set()                   # (ideal key, d(a)) pairs that passed
-    whole = None                      # A when the F_p test says simple, else False
+    whole = None                      # A when the ring is simple, else False
     for block in ring.element_blocks(cap):
         block = block[ring.block_nonzero(block)]
         da = dm.degrees(block)
@@ -409,8 +409,8 @@ def verify_degree_map(dm: DegreeMap, cap=DEFAULT_ELEMENT_CAP) -> DegreeMapVerdic
         for i in np.flatnonzero(~settled):
             a = ring.block_elements(block[i:i + 1])[0]
             if whole is None:
-                simple = ring.is_algebra and ring.F.simplicity(ring)[0] is True
-                whole = simple and IdealBasis(ring, full_subgroup(ring), check=False)
+                whole = (is_simple(ring, cap=cap).is_simple
+                         and IdealBasis(ring, full_subgroup(ring), check=False))
             ideal = whole or principal_ideal(ring, a)
             if (ideal.key(), da[i]) in scanned:
                 continue

@@ -298,20 +298,12 @@ def _lines(p, k):
             yield (0,) * lead + (1,) + tail
 
 
-def principal_ideals(ring):
-    """The span of the principal ideal of every generator of a finite ring,
-    up to scalars, in a fixed order.  Every ideal is a join of these.
-
-    An F_p algebra closes one generator per line of F_p^d, in the order of
-    :func:`_lines`.  A table ring closes every nonzero element, by index.
-    Each is one :func:`principal_ideal`.  Raises InfiniteScalarField over Q.
-    """
-    for g in _principal_generators(ring):
-        yield principal_ideal(ring, ring.element(g)).span
-
-
 def _principal_generators(ring):
-    """The generators :func:`principal_ideals` closes, in its order."""
+    """One generator of a principal ideal per line of a finite ring, up to
+    scalars, in a fixed order; every ideal is a join of their principal
+    ideals.  An F_p algebra has one per line of F_p^d, in the order of
+    :func:`_lines`; a table ring every nonzero element, by index.  Raises
+    InfiniteScalarField over Q."""
     if ring.size() is None:
         raise InfiniteScalarField("cannot enumerate ideals over Q")
     if ring.is_table:
@@ -320,10 +312,12 @@ def _principal_generators(ring):
 
 
 def first_proper_line_ideal(ring, last=None):
-    """The first proper ideal of :func:`principal_ideals` (a principal ideal
-    of a line of an F_p algebra, or of an element of a table ring), as a
-    span; None when every one is the whole ring.  With ``last``, a line
-    generator of an F_p algebra, the walk ends after that line."""
+    """The first proper principal ideal of a generator of
+    :func:`_principal_generators` (a line of an F_p algebra, or an element
+    of a table ring), each closed by :func:`principal_ideal`, as a span;
+    None when every one is the whole ring.  This is the one walk over
+    principal ideals.  With ``last``, a line generator of an F_p algebra,
+    the walk ends after that line."""
     for g in _principal_generators(ring):
         span = principal_ideal(ring, ring.element(g)).span
         if not span.is_full():
@@ -333,15 +327,14 @@ def first_proper_line_ideal(ring, last=None):
     return None
 
 
-def _line_witness(ring, last=None):
-    """The span of :func:`first_proper_line_ideal` (up to ``last``, the
-    line of the first row of Norton's submodule) of an algebra that the
-    F_p decision calls not simple; CriterionDisagreement, naming the
-    decision, when the walk finds no proper line."""
+def _line_witness(ring, last):
+    """The span of :func:`first_proper_line_ideal`, up to ``last``, the
+    line of the first row of Norton's submodule, of an algebra that Norton's
+    test calls not simple; CriterionDisagreement when the walk finds no
+    proper line."""
     sub = first_proper_line_ideal(ring, last)
     if sub is None:
-        decision = "the density criterion" if last is None else "Norton's test"
-        raise CriterionDisagreement(f"{decision} and the line walk disagree")
+        raise CriterionDisagreement("Norton's test and the line walk disagree")
     return sub
 
 
@@ -374,8 +367,8 @@ def _line_closures(ring, B: Subring | None, maps, cap, lattice=False):
     operators generate: :func:`linalg.spin_modp` spins it up once, from the
     identity, on the first call of ``close``, because a caller that closes
     one line closes them all, and one whose decision is its answer closes
-    none.  :func:`principal_ideals` stops at the first proper line and
-    closes each line by :func:`principal_ideal` instead.
+    none.  :func:`first_proper_line_ideal` stops at the first proper line
+    and closes each line by :func:`principal_ideal` instead.
 
     Raises InfiniteScalarField over Q.  When B has more than ``cap``
     elements no line is walked: there are no seeds, and a B that the
@@ -470,12 +463,13 @@ class SimpleVerdict:
     """``status`` is "Simple", "NotSimple" or "Inconclusive".  The witness
     of a NotSimple is a proper nonzero ideal: the first proper line's
     principal ideal on a finite ring, Norton's submodule on an F_p algebra
-    over the element cap, otherwise the principal ideal a witness search
-    found.  It is None only for R·R = 0 without a proper nonzero ideal: an
-    algebra of dimension 1, or a table ring of prime order or of order 1.
-    A witness that a decision proved before it was found is an
+    over the element cap, and otherwise (over Q, or past the cap when no
+    Norton trial decides) the principal ideal a witness search found.  It
+    is None only for R·R = 0 without a proper nonzero ideal: an algebra of
+    dimension 1, or a table ring of prime order or of order 1.  A witness
+    that Norton's test proved before it was found is an
     :meth:`IdealBasis.deferred`; reading :attr:`witness` finds it, so a
-    disagreement between the decision and the walk is raised there.
+    disagreement between the test and the line walk is raised there.
     ``reason`` is "R*R = 0", "reduction mod q" (a Q-algebra proved simple
     by a reduction) or why the verdict is Inconclusive, and None
     otherwise."""
@@ -516,9 +510,10 @@ def is_simple(ring, cap=DEFAULT_ELEMENT_CAP, seed=DEFAULT_SEED,
     """Simplicity oracle.
 
     R·R = 0 is NotSimple.  Otherwise an algebra asks its field backend's
-    ``simplicity``, at any size: over F_p Norton's irreducibility test, with
-    the density criterion as its fallback (:func:`ringlab.linalg.norton_modp`),
-    enumerates nothing; over Q a reduction modulo one of
+    ``simplicity``, at any size: over F_p Norton's irreducibility test
+    (:func:`ringlab.linalg.norton_modp`), the one F_p decision, enumerates
+    nothing, and is undecided only when none of its trials decides; over Q
+    a reduction modulo one of
     ``linalg.LIFT_PRIMES`` that is simple proves it, and the verdict's
     reason names the prime, "reduction mod q".  A table ring has no such
     decision.
@@ -533,12 +528,12 @@ def is_simple(ring, cap=DEFAULT_ELEMENT_CAP, seed=DEFAULT_SEED,
     walked at once: Simple iff every nonzero principal ideal is the whole
     ring.
 
-    Over the cap, a NotSimple with Norton's submodule has that submodule as
-    its witness.  Everything else (Q without a simple reduction, an F_p
-    decision that shows no subspace) goes to a witness search (basis
-    elements plus ``samples`` seeded pseudorandom elements), where a proper
-    nonzero principal ideal refutes; a failed search answers Inconclusive,
-    never Simple.
+    Over the cap, a NotSimple has Norton's submodule as its witness.
+    Everything else (Q without a simple reduction, an F_p algebra that no
+    trial decides) goes to a witness search (basis elements plus
+    ``samples`` seeded pseudorandom elements), where a proper nonzero
+    principal ideal refutes; a failed search answers Inconclusive, never
+    Simple.
 
     Verdicts are cached on the (immutable) ring per (cap, seed, samples).
     """
@@ -567,9 +562,9 @@ def _is_simple_uncached(ring, cap, seed, samples) -> SimpleVerdict:
     # a table ring's elements are in memory already, so it counts as finite
     if ring.is_table or (size is not None and size <= cap):
         if simple is False:
-            # the decision proves NotSimple, so the walk waits for a reader;
-            # the line of the submodule's first row is proper
-            last = None if submodule is None else ring.F.coords(submodule[0][0])
+            # Norton's test proves NotSimple, so the walk waits for a
+            # reader; the line of the submodule's first row is proper
+            last = ring.F.coords(submodule[0][0])
             return SimpleVerdict("NotSimple", IdealBasis.deferred(
                 ring, lambda: _line_witness(ring, last)))
         sub = first_proper_line_ideal(ring)

@@ -17,7 +17,7 @@ small method set:
 A structure algebra picks its backend once, from its scalar field
 (:func:`backend`); every caller then works through it and never asks which
 field it is on: the backends also own ideal closure, enumeration, random
-elements, field recognition and the JSON form (see :class:`_Field`).
+elements, the Q field test and the JSON form (see :class:`_Field`).
 Matrices are numpy arrays in both cases, so shape-level code
 (transpose, slicing, ``@``) is shared, and the backend's ``reduce`` takes the
 place of ``% p``.  Subspaces are kept in reduced row echelon form, which is
@@ -31,18 +31,16 @@ name at call time.  So do the F_p decisions built on them.
 ``irreducible_modp`` is the one F_p irreducibility decision: Norton's test
 (the MeatAxe) on any stack of operators, which finds a proper invariant
 subspace, proves there is none, or is undecided, without enumerating
-elements.  Two questions ask it.  ``norton_modp``, the F_p simplicity
-decision, asks it on an algebra's multiplications, with
-``density_simple_modp`` (and its steps ``commutant_modp`` and
-``is_field_modp``) as the fallback when it is undecided, up to
-``DENSITY_MAX_DIM``; past it such a call is undecided.  A "not simple"
-from the test comes with the proper submodule it found, which is an ideal;
-``simple_modp`` is its verdict alone.  ``ideals._line_closures`` asks it on
-a subring's multiplications together with maps, for every stable-ideal
-quantifier.  Each backend's ``simplicity`` is the one simplicity decision
-``ideals`` and ``gradings`` read: ``ModP`` runs ``norton_modp``, and
-``Rational`` runs it on reductions modulo ``LIFT_PRIMES``, which can prove
-a Q-algebra simple.
+elements.  Two questions ask it.  ``norton_modp``, the one F_p simplicity
+decision, asks it on an algebra's multiplications and returns its answer
+alone: a "not simple" comes with the proper submodule it found, which is
+an ideal, and a call that no trial decides is undecided, at any size.
+``ideals._line_closures`` asks it on a subring's multiplications together
+with maps, for every stable-ideal quantifier.  Each backend's
+``simplicity`` is the one simplicity decision that ``ideals.is_simple``
+reads, and through it field recognition and the degree-map scan: ``ModP``
+runs ``norton_modp``, and ``Rational`` runs it on reductions modulo
+``LIFT_PRIMES``, which can prove a Q-algebra simple.
 Where elements must be enumerated, ``combinations_modp`` yields them as
 fixed-size blocks of rows, so scans over them are matrix products.  A
 structure algebra's products (``mul_coords``) run on its ``product_table``,
@@ -52,11 +50,10 @@ built on first use: a sparse loop over ints, with one ``% p`` or one
 ``spin_modp`` is the one loop that grows an F_p basis.  It spins up
 vectors under a stack of operators (ideal closures, Norton's test) and,
 from the identity, the unital algebra a stack generates (the closure
-algebra E of a subring's lines, the density fallback's multiplication
-algebra).  Each round grows one rref basis through ``merge_modp``, which
-reduces the candidates against the basis once, eliminates only their
-remainders, and back-substitutes that fresh block into the basis; the block
-is the next round's frontier.  The basis itself is never eliminated again.
+algebra E of a subring's lines).  Each round grows one rref basis through
+``merge_modp``, which reduces the candidates against the basis once,
+eliminates only their remainders, and back-substitutes that fresh block into
+the basis; the block is the next round's frontier.  The basis itself is never eliminated again.
 The operators of an algebra's multiplications, L_b and R_b, come from
 ``multiplications_modp``, and its unit from the backends' ``unit``.
 
@@ -179,13 +176,10 @@ def kernel_modp(A, p):
     return rref_modp(np.array(rows), p)
 
 
-def spin_modp(seed_rows, ops, p, stop=None):
+def spin_modp(seed_rows, ops, p):
     """The smallest subspace that contains the rows ``seed_rows`` and that
     every operator maps into itself, as (rref basis, pivots): the MeatAxe
     spin-up (Parker 1984).  This is the one loop that grows an F_p basis.
-    With ``stop``, a dimension the caller knows the subspace cannot pass, it
-    ends as soon as the span reaches that dimension; the default is the
-    whole space.
 
     ``ops`` is a (m, n, n) stack of operators.  Rows of width n are vectors,
     and M acts as v ↦ v @ M.  Rows of width n² are flattened n×n matrices X,
@@ -197,20 +191,20 @@ def spin_modp(seed_rows, ops, p, stop=None):
     matrices) is merged in slabs of at most n²/2 candidate rows, because
     eliminating a block costs its rows × n² × its rank, and whole rounds of
     up to m·n² rows made the M4(F2) closure algebra 3× slower.  The spin-up
-    stops as soon as the span reaches ``stop``, within a round too.
+    ends when the span is the whole space, or after a round that adds
+    nothing.
     """
     m, n, _ = ops.shape
     rows, pivots = rref_modp(seed_rows, p)
     width = rows.shape[1]
-    stop = width if stop is None else stop
     frontier = rows
-    while frontier.shape[0] and len(pivots) < stop:
+    while frontier.shape[0] and len(pivots) < width:
         step = frontier.shape[0] if width == n else max(1, width // (2 * m))
         fresh = []
         for start in range(0, frontier.shape[0], step):
             images = frontier[start:start + step].reshape(-1, n) @ ops % p
             rows, pivots, _, block = merge_modp(rows, pivots, images.reshape(-1, width), p)
-            if len(pivots) >= stop:
+            if len(pivots) == width:
                 return rows, pivots
             fresh.append(block)
         frontier = fresh[0] if len(fresh) == 1 else np.concatenate(fresh)
@@ -260,151 +254,42 @@ def _matpow_modp(M, e, p):
     return out
 
 
-def is_field_modp(mats, p):
-    """Is the span of the square matrices ``mats`` over F_p a field?
-
-    ``mats`` is a basis of an algebra of matrices: closed under products.  A
-    finite division ring is a field (Wedderburn), so a non-commutative span
-    is not one.  On a commutative one x -> x^p is F_p-linear; it is injective
-    iff the algebra has no nilpotents, that is iff it is a product of finite
-    fields, and then its fixed space has one dimension per factor.
-    """
-    K = np.asarray(mats, dtype=np.int64) % p
-    k = K.shape[0]
-    if k == 0:
-        return False
-    for i in range(k - 1):
-        if ((K[i] @ K[i + 1:] - K[i + 1:] @ K[i]) % p).any():
-            return False
-    frob = _matpow_modp(K, p, p).reshape(k, -1)
-    if len(rref_modp(frob, p)[1]) < k:
-        return False
-    return len(rref_modp((frob - K.reshape(k, -1)) % p, p)[1]) == k - 1
-
-
-def commutant_modp(C, p, through_unit=True):
-    """The operators that commute with every multiplication of the F_p-algebra
-    with structure constants ``C``, as a (k, d, d) stack of independent
-    matrices acting on row vectors.
-
-    The commutations with each generator are imposed, one at a time, on a
-    space known to contain the commutant.  With a two-sided unit 1 (one
-    linear solve, :meth:`_Field.unit`) that space is {L_c}, d unknowns: the
-    commutant of a unital algebra is its centroid, since T(y) = T(1·y) =
-    T(1)·y makes T = L_{T(1)} (Schafer 1966, *An Introduction to
-    Nonassociative Algebras*, §II.1).  L_c = 0 forces c = c·1 = 0, so the d
-    left multiplications are a basis.  Without a unit, or with
-    ``through_unit`` False, the space is all of End(A), d^2 unknowns.
-    """
-    C = np.asarray(C, dtype=np.int64) % p
-    d = C.shape[0]
-    if through_unit and ModP(p).unit(C) is not None:
-        K = C
-    else:
-        K = np.eye(d * d, dtype=np.int64).reshape(d * d, d, d)
-    # the scalars always commute and lie in either start space, so a
-    # one-dimensional K is final
-    for g in multiplications_modp(C, p):
-        if K.shape[0] == 1:
-            break
-        eqs = ((K @ g - g @ K) % p).reshape(K.shape[0], d * d)
-        coeffs, _ = kernel_modp(eqs.T, p)
-        K = np.tensordot(coeffs, K, axes=(1, 0)) % p
-    return K
-
-
-def density_simple_modp(C, p):
-    """Is the F_p-algebra with structure constants ``C`` simple?  The
-    fallback of :func:`norton_modp`, and the reference its tests compare
-    with: it spins up the multiplication algebra from the identity by
-    :func:`spin_modp`, up to d²/k operators of d² entries, so it costs seconds
-    at d = 32 where Norton's test takes milliseconds.
-
-    Its ideals are the subspaces invariant under its multiplication algebra
-    M, the unital algebra of operators generated by the left and right
-    multiplications L_{e_i}, R_{e_i}.  So it is simple iff its square is
-    nonzero and it is an irreducible M-module.  By Schur and Jacobson density
-    that holds iff the commutant D of M is a division algebra, hence a field
-    of some dimension k, and dim M = d^2 / k, the dimension of End_D(A) for
-    the D-space A.  All of it is linear algebra polynomial in d.
-
-    Operators act on row vectors, x -> x @ X: L_{e_i} = C[i], R_{e_i} =
-    C[:, i].  That reverses products, which changes neither the commutant
-    nor the dimension of the algebra generated.  When the algebra has a
-    unit, its commutant is its centroid {L_c : c central} (Schafer 1966,
-    *An Introduction to Nonassociative Algebras*, §II.1), found with d
-    unknowns instead of d^2 (:func:`commutant_modp`).  Short of d² / k, the
-    spin-up ends with a round that adds nothing.
-    """
-    C = np.asarray(C, dtype=np.int64) % p
-    d = C.shape[0]
-    if not C.any():
-        return False
-    K = commutant_modp(C, p)
-    k = K.shape[0]
-    # a field D makes A a D-space, so k divides d
-    if d % k or not is_field_modp(K, p):
-        return False
-    # M lies in End_D(A), so reaching its dimension d^2 / k is equality, and
-    # the spin-up stops there
-    algebra = spin_modp(np.eye(d, dtype=np.int64).reshape(1, -1),
-                        multiplications_modp(C, p), p, stop=d * d // k)
-    return len(algebra[1]) == d * d // k
-
-
 # Norton's irreducibility test draws its random elements from a generator
 # seeded afresh on every call, so a verdict never depends on call order.  It
-# makes at most NORTON_TRIALS trials before density decides (no call has
-# needed more than 3 on the benchmark workloads, nor more than 6 on 2,000
-# random algebras of dimension at most 5), and at most NORTON_SPLITS
-# attempts per trial to split its null space down to one factor
+# makes at most NORTON_TRIALS trials before it gives up undecided (no call
+# has needed more than 3 on the benchmark workloads, nor more than 6 on
+# 2,110 algebras over F_2, F_3 and F_5: random, sparse and block sums of
+# dimension at most 5, and truncated polynomial rings, sums of matrix
+# algebras and of fields up to dimension 9 on random bases; none was left
+# undecided), and at most NORTON_SPLITS attempts per trial to split its
+# null space down to one factor
 NORTON_SEED = 0x4E0
 NORTON_TRIALS = 16
 NORTON_SPLITS = 8
-# the largest dimension at which norton_modp falls back on the density
-# criterion when every trial is inconclusive; past it the call is
-# undecided.  Norton's test decides a random unital algebra over F_2 in
-# about 8, 14 and 16 ms at d = 16, 24 and 32, but the density fallback,
-# which spins up a multiplication algebra of up to d^2 / k dimensions (k
-# that of the commutant), takes 0.05, 0.3 and 1.1 s on M4(F2), M3(F8) and
-# M4(F4) over F_2 (d = 16, 27 and 32; 2-core VM), so the bound stays where
-# that worst case is seconds
-DENSITY_MAX_DIM = 32
-
-
-def simple_modp(C, p):
-    """Is the F_p-algebra with structure constants ``C`` simple?  The
-    verdict of :func:`norton_modp` (None when undecided), without its
-    submodule."""
-    return norton_modp(C, p)[0]
 
 
 def norton_modp(C, p):
     """(simple, submodule) for the F_p-algebra with structure constants
-    ``C``: whether it is simple (True or False, or None when undecided),
-    and, when it is not, the (rref basis, pivots) of a proper nonzero ideal
-    that proves it, or None when the proof is not a subspace (C = 0, or
-    the density fallback).
+    ``C``: whether it is simple (True or False, or None when no trial
+    decides), and, when it is not, the (rref basis, pivots) of a proper
+    nonzero ideal that proves it, or None when C = 0.
 
     Its ideals are the subspaces of A = F_p^d that the multiplications
     L_{e_i}, R_{e_i} map into themselves, so it is simple iff C ≠ 0 and A is
     an irreducible module under them: :func:`irreducible_modp` on
-    :func:`multiplications_modp`, which also decides d = 1.  When that test
-    is undecided, :func:`density_simple_modp` decides up to
-    ``DENSITY_MAX_DIM``, and past it the result is (None, None).  Both
-    answers are proofs.
+    :func:`multiplications_modp`, which also decides d = 1.  This is the
+    one F_p simplicity decision; an undecided call, at any d, is
+    (None, None).
     """
     C = np.asarray(C, dtype=np.int64) % p
     if not C.any():
         return False, None
     found = irreducible_modp(multiplications_modp(C, p), p)
+    if found is None:
+        return None, None
     if found is True:
         return True, None
-    if found is not None:
-        return False, found
-    if C.shape[0] > DENSITY_MAX_DIM:
-        return None, None
-    return density_simple_modp(C, p), None
+    return False, found
 
 
 def irreducible_modp(ops, p):
@@ -770,8 +655,15 @@ class _Field:
     algebra itself, and ``submodule`` the (rref basis, pivots) of a proper
     nonzero ideal that proves a False, or None), ``closure`` (the ideal
     seed rows generate), ``element_blocks`` (every combination of rows),
-    ``random_coords``, ``is_field`` and ``json``.
+    ``random_coords`` and ``json``.
     """
+
+    def is_field(self, alg, unit):
+        """Is the commutative associative algebra ``alg`` with unit ``unit``
+        a field?  Asked only where :func:`ringlab.ideals.is_simple` is
+        undecided; None, undecided too, unless a backend has a test of its
+        own (:meth:`Rational.is_field`)."""
+        return None
 
     def array(self, x):
         """``x`` as a numpy array of this field's dtype (not reduced)."""
@@ -948,8 +840,8 @@ class ModP(_Field):
 
     def simplicity(self, alg):
         """See :class:`_Field`: :func:`norton_modp`, which shows the proper
-        submodule it spun up (None after a density verdict), and is
-        undecided only past ``DENSITY_MAX_DIM``."""
+        submodule it spun up with every False, and is undecided only when
+        none of its trials decides."""
         simple, submodule = norton_modp(alg.constants, self.p)
         return simple, None, submodule
 
@@ -968,11 +860,6 @@ class ModP(_Field):
 
     def random_coords(self, rng, d):
         return tuple(rng.randrange(self.p) for _ in range(d))
-
-    def is_field(self, alg, unit):
-        """Is the commutative associative algebra ``alg`` with unit ``unit``
-        a field?  Its L_{e_i} span a copy of it (:func:`is_field_modp`)."""
-        return is_field_modp(alg.constants, self.p)
 
     def json(self, coords):
         return [int(x) for x in coords]
@@ -1130,7 +1017,7 @@ class Rational(_Field):
     def simplicity(self, alg):
         """See :class:`_Field`: (True, "reduction mod q", None) for the
         first prime q of ``LIFT_PRIMES`` at which the Q-algebra A ``alg``,
-        reduced mod q, is simple by :func:`simple_modp`; (None, None, None),
+        reduced mod q, is simple by :func:`norton_modp`; (None, None, None),
         undecided, when no tried prime proves it.
 
         A prime dividing a denominator of the constants (so their common
@@ -1149,7 +1036,7 @@ class Rational(_Field):
             Cq = np.zeros((d, d, d), dtype=np.int64)
             for i, j, k, n in table.entries():
                 Cq[i, j, k] = n * inv % q
-            if simple_modp(Cq, q):
+            if norton_modp(Cq, q)[0]:
                 return True, f"reduction mod {q}", None
         return None, None, None
 
@@ -1176,9 +1063,9 @@ class Rational(_Field):
         return tuple(rng.randint(-2, 2) for _ in range(d))
 
     def is_field(self, alg, unit):
-        """See :meth:`ModP.is_field`.  True in dimension 1.  In dimension 2,
-        for u the first basis vector independent of 1 and u² = γ + βu, iff
-        the discriminant β² + 4γ is not a square.  None above that."""
+        """See :meth:`_Field.is_field`.  True in dimension 1.  In dimension
+        2, for u the first basis vector independent of 1 and u² = γ + βu,
+        iff the discriminant β² + 4γ is not a square.  None above that."""
         if alg.dim > 2:
             return None
         if alg.dim == 1:

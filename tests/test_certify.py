@@ -322,7 +322,7 @@ def test_matrix_certificates():
     o3 = cayley_tower(GF(3), 3).rings[3]
     cert = certify_matrix(matrix_ring(2, o3))
     assert cert.verdict == "Simple"
-    # 3^32 elements: over the cap, density decides after the witness search
+    # 3^32 elements: over the cap, Norton's test decides
     assert cert.oracle == "agrees"
 
 
@@ -505,9 +505,14 @@ def test_recognize_field():
     split = direct_sum_algebra([field_algebra(QQ), field_algebra(QQ)])
     assert recognize_field(split) is False
     assert recognize_field(gf_extension(9)[0]) is True
+    assert recognize_field(gf_extension(4)[0]) is True
+    assert recognize_field(gf_extension(8)[0]) is True
     assert recognize_field(direct_sum_algebra([field_algebra(GF(3))] * 2)) is False
     dual = make_structure_algebra(2, GF(3), [[[1, 0], [0, 1]], [[0, 1], [0, 0]]])
     assert recognize_field(dual) is False
+    # the zero ring is commutative, associative and unital (1 = 0), but
+    # R·R = 0, so it is no field
+    assert recognize_field(zmod_ring(1)) is False
 
 
 def test_simple_status_falls_back_to_field_recognition():

@@ -220,11 +220,19 @@ def test_malformed_recipe_exits_2(tmp_path, capsys, doc, path):
     {"kind": "cayley_dickson", "base": "Zn:4"},
     {"kind": "twisted_group_ring", "base": "Zn:4", "group": "Z2", "alpha": [[1, 1], [1, -1]]},
     {"kind": "cayley_dickson", "base": "Fp:3", "sigma": "conjugation"},
+    {"kind": "skew_group_ring", "base": "Zn:1", "group": "Z2", "action": ["id", "id"]},
+    {"kind": "crossed_product", "base": "Zn:1", "group": "Z2", "sigma": ["id", "id"]},
+    {"kind": "cayley_dickson", "base": "Zn:1"},
+    {"kind": "matrix_ring", "size": 2, "base": "Zn:1"},
+    {"kind": "twisted_group_ring", "base": "Zn:1", "group": "Z2", "alpha": [[1, 1], [1, 1]]},
 ], ids=["table_ring", "matrix-map", "perm-map", "twisted-alpha", "crossed-alpha-twists",
         "matrix-alphas", "ore-delta", "doubling-Zn:4", "twisted-alpha-Zn:4",
-        "doubling-conjugation"])
+        "doubling-conjugation", "skew-Zn:1", "crossed-Zn:1", "doubling-Zn:1",
+        "matrix-Zn:1", "twisted-Zn:1"])
 def test_recipe_branches_build_and_certify(tmp_path, capsys, doc):
-    # on a table base a recipe scalar k is k·1
+    # on a table base a recipe scalar k is k·1; over the zero ring Z/1, which
+    # is not simple, no pipeline may conclude Simple against the oracle (an
+    # oracle disagreement exits 1)
     path = _write(tmp_path, "recipe.json", doc)
     for command in ("build", "certify"):
         assert main([command, path]) == 0

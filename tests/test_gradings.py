@@ -336,7 +336,8 @@ def test_degree_map_check_works_on_blocks(monkeypatch):
 def test_each_principal_ideal_and_degree_is_scanned_once(monkeypatch):
     # on the rotation dynamics ring over F2 (simple, 512 elements) 387
     # elements reach the <a> scan, but they share 3 (ideal, d(a)) pairs;
-    # density says the ring is simple, so no <a> is closed: each is A
+    # is_simple (Norton's test) says the ring is simple, so no <a> is
+    # closed: each is A
     from ringlab.corpus import build_rotation_dynamics
     from ringlab.subgroups import Subspace
     dyn = build_rotation_dynamics()

@@ -163,33 +163,31 @@ def _small_algebras(draw):
 @given(_small_algebras())
 @settings(max_examples=80, deadline=None)
 def test_density_agrees_with_line_walk(ring):
-    simple = ring.constants.any() and first_proper_line_ideal(ring) is None
-    assert linalg.density_simple_modp(ring.constants, ring.modulus) == simple
+    # Norton's test, the one F_p decision, decides every example, and
+    # is_simple reads it
+    simple = bool(ring.constants.any()) and first_proper_line_ideal(ring) is None
+    assert linalg.norton_modp(ring.constants, ring.modulus)[0] == simple
     assert is_simple(ring).is_simple == simple
 
 
-def _undecided(m, max_dim):
-    """Make every Norton trial inconclusive and gate the density fallback
-    at ``max_dim``: norton_modp is then undecided past it."""
+def _undecided(m):
+    """Make every Norton trial inconclusive: norton_modp is then undecided
+    at any dimension."""
     m.setattr(linalg, "_norton_trial", lambda gens, p, rng: None)
-    m.setattr(linalg, "DENSITY_MAX_DIM", max_dim)
 
 
 def test_density_decides_only_simple_algebras_over_the_cap(monkeypatch):
     # M3(F3) has 3^9 elements: over the cap, the F_p decision still decides
     assert is_simple(full_matrix_algebra(3, GF(3)), cap=4096).status == "Simple"
-    # an undecided verdict, or a NotSimple that shows no submodule (as a
-    # density one does), leaves it to the witness search, which fails
-    for patch in (lambda m: _undecided(m, 8),
-                  lambda m: m.setattr(linalg, "norton_modp", lambda constants, p: (False, None))):
-        with monkeypatch.context() as m:
-            patch(m)
-            v = is_simple(full_matrix_algebra(3, GF(3)), cap=4096)
-            assert v.status == "Inconclusive"
-            assert v.reason == "size 19683 exceeds cap 4096"
+    # an undecided verdict leaves it to the witness search, which fails
+    with monkeypatch.context() as m:
+        _undecided(m)
+        v = is_simple(full_matrix_algebra(3, GF(3)), cap=4096)
+        assert v.status == "Inconclusive"
+        assert v.reason == "size 19683 exceeds cap 4096"
     # under the cap an undecided algebra is decided by the line walk
     with monkeypatch.context() as m:
-        _undecided(m, 1)
+        _undecided(m)
         assert linalg.norton_modp(full_matrix_algebra(2, GF(3)).constants, 3) == (None, None)
         assert is_simple(full_matrix_algebra(2, GF(3))).status == "Simple"
         v = is_simple(functions_ring(2, GF(3)))
@@ -293,10 +291,6 @@ def test_density_and_line_walk_disagreement_is_typed(monkeypatch, tmp_path, caps
     err = capsys.readouterr().err
     assert err.startswith("error: Norton's test and the line walk disagree")
     assert "Traceback" not in err
-    # a NotSimple without a submodule comes from the density criterion
-    monkeypatch.setattr(linalg, "norton_modp", lambda constants, p: (False, None))
-    with pytest.raises(CriterionDisagreement, match="^the density criterion and"):
-        is_simple(full_matrix_algebra(2, GF(2))).witness
 
 
 @st.composite
@@ -572,6 +566,13 @@ def test_subring_ideals_of_diagonal():
     assert is_A_simple(m2, diag).holds
 
 
+def _principal_ideals(ring):
+    """The span of the principal ideal of every line of an F_p algebra (of
+    every nonzero element of a table ring), in the order of the walk."""
+    return [ideals.principal_ideal(ring, ring.element(g)).span
+            for g in ideals._principal_generators(ring)]
+
+
 def test_first_stable_ideal_takes_the_least_key_among_minimal_ideals():
     # F4 ⊕ F4 on the basis given by the rows of T: its two minimal ideals
     # are planes, and the first line of the walk lies in the one with the
@@ -581,7 +582,7 @@ def test_first_stable_ideal_takes_the_least_key_among_minimal_ideals():
     T = np.array([[1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 0, 1], [1, 0, 1, 1]])
     T_inv = np.array([[1, 0, 1, 1], [1, 1, 0, 1], [0, 0, 1, 1], [1, 0, 0, 1]])
     ring = make_structure_algebra(4, GF(2), np.einsum("ia,jb,abk->ijk", T, T, C) @ T_inv % 2)
-    first = next(s for s in ideals.principal_ideals(ring) if s.measure() == 2)
+    first = next(s for s in _principal_ideals(ring) if s.measure() == 2)
     expected = next(I for I in enumerate_ideals(ring) if not I.is_zero())
     assert expected.measure() == 2 and first.key() != expected.key()
     assert ideals.first_stable_ideal(ring, None, []).key() == expected.key()
@@ -603,7 +604,7 @@ def _reference_subring_ideals(ring, B):
     if B.span.is_zero():
         return [IdealBasis(ring, zero_subgroup(ring), of_subring=B, check=False)]
     sub, embed, _ = B.as_ring()
-    lattice = {s.key(): s for s in [zero_subgroup(sub), *ideals.principal_ideals(sub)]}
+    lattice = {s.key(): s for s in [zero_subgroup(sub), *_principal_ideals(sub)]}
     worklist = list(lattice.values())
     while worklist:
         fresh = []
@@ -660,9 +661,10 @@ _NULL = make_structure_algebra(2, GF(3), np.zeros((2, 2, 2), dtype=int).tolist()
 # a square-zero ring, whose whole ring is a join and not principal, and a
 # subring that is not an ideal, whose closures must not use the ring's
 # multiplications
+_M2F2_TABLE = convert_to_table(_M2F2)
 _SUBRING_EXAMPLES = [(_NULL, full_subring(_NULL)),
                      (_M2F2, _upper_triangular(_M2F2)),
-                     (convert_to_table(_M2F2), _upper_triangular(convert_to_table(_M2F2)))]
+                     (_M2F2_TABLE, _upper_triangular(_M2F2_TABLE))]
 
 
 @given(_rings_and_subrings())
@@ -672,6 +674,7 @@ _SUBRING_EXAMPLES = [(_NULL, full_subring(_NULL)),
 @example(_SUBRING_EXAMPLES[2])
 def test_subring_lattice_matches_the_materialized_enumeration(case):
     ring, B = case
+    assert B.ring is ring
     got = enumerate_subring_ideals(ring, B)
     assert [I.key() for I in got] == [I.key() for I in _reference_subring_ideals(ring, B)]
     assert all(I.of_subring is B for I in got)
@@ -976,10 +979,10 @@ def _count_line_closures(m):
         decisions.append(irreducible(ops, p))
         return decisions[-1]
 
-    def counted_spin(seed_rows, ops, p, stop=None):
+    def counted_spin(seed_rows, ops, p):
         if np.shape(seed_rows)[-1] == ops.shape[1] ** 2:
             spun.append(ops.shape[1])
-        return spin(seed_rows, ops, p, stop)
+        return spin(seed_rows, ops, p)
     m.setattr(ideals, "_line_closures", counted_lines)
     m.setattr(linalg, "irreducible_modp", counted_irreducible)
     m.setattr(linalg, "spin_modp", counted_spin)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringlab import (cayley_tower, cyclic_group, dynamics_skew_group_ring, full_matrix_algebra,
-                     gf_extension, is_simple, linalg, make_structure_algebra, matrix_ring)
+                     gf_extension, is_simple, linalg, make_structure_algebra)
 from ringlab.errors import TooLarge
 from ringlab.ideals import IdealBasis, first_proper_line_ideal
 from ringlab.rings import StructureAlgebra, direct_sum_algebra, functions_ring
@@ -311,20 +311,6 @@ def test_subspace_lattice_agrees_over_q_and_fp(u_rows, w_rows):
     assert dims[0] == dims[1]
 
 
-def test_is_field_modp():
-    I, A, B = np.eye(2, dtype=np.int64), np.array([[0, 1], [2, 0]]), np.array([[1, 1], [1, 2]])
-    # F9 = F3[i], i^2 = -1, as 2x2 matrices
-    assert linalg.is_field_modp([I, A], 3)
-    # M2(F3) on the basis 1, i, j, ij with i^2 = j^2 = -1, ij = -ji: each
-    # basis element has x^3 = ±x, so Frobenius alone does not see that it
-    # is no field; commutativity does
-    assert not linalg.is_field_modp([I, A, B, A @ B % 3], 3)
-    # F3 x F3 fixes two dimensions; F3[x]/(x^2) has a nilpotent
-    assert not linalg.is_field_modp([np.diag([1, 0]), np.diag([0, 1])], 3)
-    assert not linalg.is_field_modp([I, np.array([[0, 1], [0, 0]])], 3)
-    assert not linalg.is_field_modp(np.zeros((0, 2, 2), dtype=np.int64), 3)
-
-
 def _change_basis(C, P, p):
     """The constants on the basis f_a = sum_i P[a, i] e_i."""
     Q = linalg.ModP(p).solve(P, np.eye(len(P), dtype=np.int64))
@@ -371,36 +357,6 @@ def _algebras(draw, max_dim):
     return C, p
 
 
-def _is_unit(C, u, p):
-    d = len(C)
-    eye = np.eye(d, dtype=np.int64)
-    return (np.array_equal(np.tensordot(u, C, axes=(0, 0)) % p, eye)
-            and np.array_equal(np.tensordot(C, u, axes=(1, 0)) % p, eye))
-
-
-@given(_algebras(5))
-@settings(max_examples=150, deadline=None)
-def test_commutant_through_the_unit_is_the_whole_commutant(algebra):
-    C, p = algebra
-    d = len(C)
-    u = linalg.ModP(p).unit(C)
-    assert u is None or _is_unit(C, u, p)
-    fast, full = linalg.commutant_modp(C, p), linalg.commutant_modp(C, p, through_unit=False)
-    assert linalg.rref_modp(fast.reshape(-1, d * d), p)[0].tobytes() == \
-        linalg.rref_modp(full.reshape(-1, d * d), p)[0].tobytes()
-    # a commutant basis is independent
-    assert len(linalg.rref_modp(fast.reshape(-1, d * d), p)[1]) == len(fast)
-
-
-@given(_algebras(4))
-@settings(max_examples=100, deadline=None)
-def test_density_agrees_with_the_line_walk(algebra):
-    C, p = algebra
-    ring = make_structure_algebra(len(C), GF(p), C.tolist())
-    simple = bool(C.any()) and first_proper_line_ideal(ring) is None
-    assert linalg.density_simple_modp(C, p) == simple
-
-
 def _invertible(draw, p, d):
     """A random invertible d x d matrix over F_p (the identity when the
     drawn one is singular)."""
@@ -427,28 +383,15 @@ def _norton_algebras(draw):
     return _change_basis(np.asarray(C, dtype=np.int64), _invertible(draw, p, len(C)), p), p
 
 
-class _Fallback(Exception):
-    pass
-
-
-def _no_fallback(C, p):
-    raise _Fallback
-
-
 @given(_norton_algebras())
 @settings(max_examples=150, deadline=None)
 def test_norton_agrees_with_density_and_the_line_walk(algebra):
+    # Norton's test decides every example, and the line walk is the
+    # reference
     C, p = algebra
     ring = make_structure_algebra(len(C), GF(p), C.tolist())
     simple = bool(C.any()) and first_proper_line_ideal(ring) is None
-    assert linalg.density_simple_modp(C, p) == simple
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(linalg, "density_simple_modp", _no_fallback)
-        try:
-            verdict = linalg.simple_modp(C, p)
-        except _Fallback:
-            return
-    assert verdict == simple
+    assert linalg.norton_modp(C, p)[0] is simple
 
 
 @given(_norton_algebras())
@@ -458,12 +401,8 @@ def test_norton_shows_a_proper_ideal_exactly_when_a_line_is_proper(algebra):
     C, p = algebra
     ring = make_structure_algebra(len(C), GF(p), C.tolist())
     walk = first_proper_line_ideal(ring) if C.any() else None
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(linalg, "density_simple_modp", _no_fallback)
-        try:
-            _, submodule = linalg.norton_modp(C, p)
-        except _Fallback:
-            return
+    simple, submodule = linalg.norton_modp(C, p)
+    assert simple is not None
     assert (submodule is not None) == (walk is not None)
     if submodule is None:
         return
@@ -482,16 +421,11 @@ def _proper_ideal(ring, witness):
 @given(_norton_algebras())
 @settings(max_examples=150, deadline=None)
 def test_over_the_cap_verdicts_agree_with_the_walked_ones(algebra):
-    # a density NotSimple shows no submodule, so over the cap it is left to
-    # the witness search; such examples are skipped
+    # Norton's test decides every example, so over the cap no verdict is
+    # left to the witness search
     C, p = algebra
     ring = make_structure_algebra(len(C), GF(p), C.tolist())
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(linalg, "density_simple_modp", _no_fallback)
-        try:
-            over = is_simple(ring, cap=1)
-        except _Fallback:
-            return
+    over = is_simple(ring, cap=1)
     assert over.status == is_simple(ring).status
     # the R·R = 0 witness is the same at every cap, and 0 when d = 1
     if over.status == "NotSimple" and C.any():
@@ -521,14 +455,13 @@ def test_over_the_cap_sums_of_matrix_algebras_show_a_proper_ideal():
             assert v.witness.measure() in (4, 9, 16)
 
 
-def test_norton_decides_m5_f2_on_a_random_basis(monkeypatch):
+def test_norton_decides_m5_f2_on_a_random_basis():
     rng = np.random.default_rng(5)
     P = rng.integers(0, 2, (25, 25))
     while len(linalg.rref_modp(P, 2)[1]) < 25:
         P = rng.integers(0, 2, (25, 25))
     C = _change_basis(full_matrix_algebra(5, GF(2)).constants, P, 2)
-    monkeypatch.setattr(linalg, "density_simple_modp", _no_fallback)
-    assert linalg.simple_modp(C, 2)
+    assert linalg.norton_modp(C, 2)[0] is True
 
 
 def test_norton_proves_nothing_from_a_null_space_of_two_summands():
@@ -543,29 +476,26 @@ def test_norton_proves_nothing_from_a_null_space_of_two_summands():
         for _ in range(40):
             P = rng.integers(0, 2, (d, d))
             if len(linalg.rref_modp(P, 2)[1]) == d:
-                assert not linalg.simple_modp(_change_basis(C, P, 2), 2)
+                assert linalg.norton_modp(_change_basis(C, P, 2), 2)[0] is False
 
 
 def test_without_trials_density_gives_the_same_verdicts(monkeypatch):
+    # with no trial Norton's test decides nothing, at any dimension; the
+    # F_p algebras under the cap are then walked, and the rotation ring
+    # (2^24 elements) goes to the witness search, with the same verdicts
     algebras = [(full_matrix_algebra(2, GF(3)).constants, 3),
                 (functions_ring(2, GF(3)).constants, 3),
                 (gf_extension(9)[0].constants, 3),
                 (gf_extension(8)[0].constants, 2),
                 (_rotation_ring().constants, 2),
                 (direct_sum_algebra([full_matrix_algebra(2, GF(2))] * 2).constants, 2)]
-    verdicts = [linalg.simple_modp(C, p) for C, p in algebras]
+    verdicts = [linalg.norton_modp(C, p)[0] for C, p in algebras]
     assert verdicts == [True, False, True, True, False, False]
-    calls = []
-    density = linalg.density_simple_modp
-
-    def counted(C, p):
-        calls.append(p)
-        return density(C, p)
-
     monkeypatch.setattr(linalg, "NORTON_TRIALS", 0)
-    monkeypatch.setattr(linalg, "density_simple_modp", counted)
-    assert [linalg.simple_modp(C, p) for C, p in algebras] == verdicts
-    assert len(calls) == len(algebras)
+    assert all(linalg.norton_modp(C, p) == (None, None) for C, p in algebras)
+    rings = [make_structure_algebra(len(C), GF(p), C.tolist()) for C, p in algebras]
+    assert [is_simple(ring).status for ring in rings] == \
+        ["Simple" if v else "NotSimple" for v in verdicts]
 
 
 def test_unit_modp():
@@ -586,21 +516,6 @@ def _rotation_ring():
     ring = dynamics_skew_group_ring(4, cyclic_group(6), action, GF(2)).ring
     assert ring.dim == 24
     return ring
-
-
-def test_density_of_a_unital_algebra_solves_for_d_unknowns(monkeypatch):
-    ring = _rotation_ring()
-    d = ring.dim
-    unknowns = []
-    original = linalg.kernel_modp
-
-    def counted(A, p):
-        unknowns.append(np.shape(A)[1])
-        return original(A, p)
-
-    monkeypatch.setattr(linalg, "kernel_modp", counted)
-    assert not linalg.density_simple_modp(ring.constants, 2)
-    assert unknowns and max(unknowns) <= d
 
 
 def test_spin_ups_eliminate_only_the_adjoined_block(monkeypatch):
@@ -632,8 +547,9 @@ def test_spin_ups_eliminate_only_the_adjoined_block(monkeypatch):
     monkeypatch.setattr(linalg, "rref_modp", counted_rref)
     monkeypatch.setattr(linalg, "reduce_rows_modp", counted_reduce)
     monkeypatch.setattr(linalg, "merge_modp", counted_merge)
-    assert not linalg.density_simple_modp(ring.constants, 2)
+    # the multiplication algebra, spun up from the identity in slabs
     eye = np.eye(ring.dim, dtype=np.int64)
+    linalg.spin_modp(eye.reshape(1, -1), linalg.multiplications_modp(ring.constants, 2), 2)
     for seed in (eye[:1], eye[5:6], np.ones((1, ring.dim), dtype=np.int64)):
         count.update(reduce=0, grew=0)
         rows, pivots = ring.F.closure(ring, seed)
@@ -641,28 +557,6 @@ def test_spin_ups_eliminate_only_the_adjoined_block(monkeypatch):
         rounds = count["grew"] + (len(pivots) < ring.dim)
         assert count["grew"] and count["reduce"] == rounds
     assert eliminated and all(rows <= block for rows, block in eliminated)
-
-
-def test_density_spin_up_stops_at_the_commutant_bound(monkeypatch):
-    """M2(F4) over F_2 has d = 8 and commutant F_4 (k = 2), so its
-    multiplication algebra has dimension d²/k = 32: the spin-up stops at the
-    merge that reaches it, and no merge adds nothing."""
-    ring = matrix_ring(2, gf_extension(4)[0]).ring
-    grew = []
-    merge = linalg.merge_modp
-
-    def counted(basis, pivots, newrows, p):
-        out = merge(basis, pivots, newrows, p)
-        grew.append(bool(out[2]))
-        return out
-
-    monkeypatch.setattr(linalg, "merge_modp", counted)
-    assert linalg.density_simple_modp(ring.constants, 2)
-    assert grew and all(grew)
-    ops = linalg.multiplications_modp(ring.constants, 2)
-    eye = np.eye(8, dtype=np.int64).reshape(1, -1)
-    assert len(linalg.spin_modp(eye, ops, 2, stop=32)[1]) == 32
-    assert len(linalg.spin_modp(eye, ops, 2)[1]) == 32
 
 
 def test_products_are_exact_at_the_largest_modulus():

@@ -179,7 +179,7 @@ def test_convert_to_table_equals_the_product_order(alg):
 def test_every_enumeration_over_q_raises():
     from ringlab.ideals import (enumerate_ideals, enumerate_subring_ideals,
                                 first_proper_line_ideal, first_stable_ideal,
-                                ideal_closure, principal_ideals)
+                                ideal_closure)
     from ringlab.rings import convert_to_table
     hq = cayley_tower(QQ, 2).rings[2]
     span = ideal_closure(hq, [hq.basis_element(1)]).span
@@ -187,7 +187,7 @@ def test_every_enumeration_over_q_raises():
         lambda: hq.element_blocks(), lambda: enumerate_elements(hq),
         lambda: span.element_blocks(), lambda: span.elements(),
         lambda: convert_to_table(hq), lambda: enumerate_ideals(hq),
-        lambda: enumerate_subring_ideals(hq, None), lambda: list(principal_ideals(hq)),
+        lambda: enumerate_subring_ideals(hq, None),
         lambda: first_proper_line_ideal(hq), lambda: first_stable_ideal(hq, None, []),
         lambda: hq.F.element_blocks(span.rows, 1 << 20)]
     for enumerate_ in entry_points:
