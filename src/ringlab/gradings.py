@@ -16,8 +16,8 @@ import numpy as np
 from .errors import (CriterionDisagreement, FilterViolation, NotDirectSum,
                      PreconditionUnmet)
 from .ideals import (DEFAULT_ELEMENT_CAP, IdealBasis, Subring, center,
-                     enumerate_ideals, full_subring, is_A_invariant,
-                     is_simple, principal_ideal)
+                     commuting_span, enumerate_ideals, full_subring,
+                     is_A_invariant, is_simple, principal_ideal)
 from .rings import Element, Ring
 from .subgroups import (AddSubgroup, additive_span,
                         full_subgroup, product_span, zero_subgroup)
@@ -369,12 +369,40 @@ def support_degree_map(grading: Grading, b_choice="center_of_A0") -> DegreeMap:
 
 
 def verify_degree_map(dm: DegreeMap, cap=DEFAULT_ELEMENT_CAP) -> DegreeMapVerdict:
-    """Check (d1) on every element and (d2) with the ideal quantifier reduced
-    to principal ideals.
+    """Check (d1), d(a) = 0 iff a = 0, and (d2): every nonzero a in a
+    nonzero ideal I has an a' in I, a' != 0, with d(a') <= d(a) and
+    d(a'b − ba') < d(a) for every b in X.
 
-    Reduction soundness: for an ideal I and nonzero a in I, a witness found
-    inside <a> also lies in I, and conversely (d2) applied to I at a yields
-    a witness valid for <a> evaluated at a.
+    (d2) asks one question per ideal.  Let m_I be the least degree of a
+    nonzero element of I.  Then (d2) holds iff every nonzero ideal I has
+    an a' with d(a') = m_I and d(a'b − ba') < m_I for all b in X.  If:
+    every nonzero a in I has d(a) >= m_I, so that one a' serves every a.
+    Only if: apply (d2) to an a of degree m_I.
+
+    A support map, d(a) = |Supp(a)| (:func:`support_degree_map`), needs
+    no element scan on a ring that :func:`is_simple` (cached, and over F_p
+    Norton's test, at any size) calls Simple.  (d1) holds because the
+    grading is a direct sum: the coefficients c of a on the stacked
+    component bases are linear with c @ basis = a, and a table ring
+    refuses a non-unique decomposition when it is tabulated, so d(a) = 0
+    iff a = 0; d is still read once on zero, which raises NotDirectSum
+    for components that do not span.  The only nonzero ideal is A, with
+    m_A = 1, so (d2) holds iff some nonzero component A_g meets the
+    elements commuting with every b in X: one null space of X's
+    commutators (:func:`ringlab.ideals.commuting_span`; not the
+    centralizer of the subring X generates, which can be smaller in a
+    non-associative ring), intersected with each component.  When it
+    fails, the witness below comes from the scan under the cap; past it
+    (or over Q) it is A and the first spanning element of the first
+    nonzero component, which has degree m_A.
+
+    Everything else scans, and raises TooLarge past the cap (an
+    InfiniteScalarField over Q): (d1) for a map that is not a support
+    map, then (d2) for it and for a support map on a ring that is not, or
+    not provably, Simple.  Reduction to principal ideals: for an ideal I
+    and nonzero a in I, a witness found inside <a> also lies in I, and
+    conversely (d2) applied to I at a yields a witness valid for <a>
+    evaluated at a.
 
     Elements are checked a block at a time (``Ring.element_blocks``), so
     degrees come from ``DegreeMap.degrees`` and products from block
@@ -384,21 +412,35 @@ def verify_degree_map(dm: DegreeMap, cap=DEFAULT_ELEMENT_CAP) -> DegreeMapVerdic
     candidates a·c, c spanning A_{g^-1} for g in Supp(a), when a has no
     object component.  Only elements still unsettled scan all of <a>; the
     scan depends on <a> and d(a) alone, so each such pair is scanned once.
-    The ring's :func:`is_simple` verdict (cached, and over F_p Norton's
-    test) is read once, at the first unsettled element; when it is Simple,
-    <a> is A for every a and no principal ideal is closed.
+    The ring's :func:`is_simple` verdict is read once, at the first
+    unsettled element (before any scan for a support map); when it is
+    Simple, <a> is A for every a and no principal ideal is closed.
     The first failing a in enumeration order is the witness.
     """
     ring = dm.ring
     zero = ring.zero()
     if dm.degree(zero) != 0:
         return DegreeMapVerdict("D1Violation", zero)
-    for block in ring.element_blocks(cap):
-        bad = np.flatnonzero((dm.degrees(block) == 0) == ring.block_nonzero(block))
-        if bad.size:
-            return DegreeMapVerdict("D1Violation", ring.block_elements(block[bad[:1]])[0])
-    scanned = set()                   # (ideal key, d(a)) pairs that passed
     whole = None                      # A when the ring is simple, else False
+    if isinstance(dm.d, _SupportDegree):
+        whole = _whole_if_simple(ring, cap)
+        if whole:
+            grading = dm.d.grading
+            commuting = commuting_span(ring, dm.X)
+            if any(not c.intersect(commuting).is_zero() for c in grading.components.values()):
+                return DegreeMapVerdict("Valid")
+            size = ring.size()
+            if size is None or size > cap:
+                a = next(x for g in grading.order for x in grading.components[g].spanning()
+                         if not x.is_zero())
+                return DegreeMapVerdict("D2Violation", (whole, a))
+    else:
+        for block in ring.element_blocks(cap):
+            bad = np.flatnonzero((dm.degrees(block) == 0) == ring.block_nonzero(block))
+            if bad.size:
+                return DegreeMapVerdict("D1Violation",
+                                        ring.block_elements(block[bad[:1]])[0])
+    scanned = set()                   # (ideal key, d(a)) pairs that passed
     for block in ring.element_blocks(cap):
         block = block[ring.block_nonzero(block)]
         da = dm.degrees(block)
@@ -409,8 +451,7 @@ def verify_degree_map(dm: DegreeMap, cap=DEFAULT_ELEMENT_CAP) -> DegreeMapVerdic
         for i in np.flatnonzero(~settled):
             a = ring.block_elements(block[i:i + 1])[0]
             if whole is None:
-                whole = (is_simple(ring, cap=cap).is_simple
-                         and IdealBasis(ring, full_subgroup(ring), check=False))
+                whole = _whole_if_simple(ring, cap)
             ideal = whole or principal_ideal(ring, a)
             if (ideal.key(), da[i]) in scanned:
                 continue
@@ -419,6 +460,12 @@ def verify_degree_map(dm: DegreeMap, cap=DEFAULT_ELEMENT_CAP) -> DegreeMapVerdic
                 return DegreeMapVerdict("D2Violation", (ideal, a))
             scanned.add((ideal.key(), da[i]))
     return DegreeMapVerdict("Valid")
+
+
+def _whole_if_simple(ring, cap):
+    """A as an ideal when :func:`is_simple` says Simple, else False."""
+    return (is_simple(ring, cap=cap).is_simple
+            and IdealBasis(ring, full_subgroup(ring), check=False))
 
 
 def _qualifying(dm, cands, bound):

@@ -27,6 +27,7 @@ backend's ``closure``, so nothing here has a Q path of its own.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -302,13 +303,33 @@ def _principal_generators(ring):
     """One generator of a principal ideal per line of a finite ring, up to
     scalars, in a fixed order; every ideal is a join of their principal
     ideals.  An F_p algebra has one per line of F_p^d, in the order of
-    :func:`_lines`; a table ring every nonzero element, by index.  Raises
-    InfiniteScalarField over Q."""
+    :func:`_lines`; a table ring one per cyclic subgroup, by index
+    (:func:`_cyclic_generators`).  Raises InfiniteScalarField over Q."""
     if ring.size() is None:
         raise InfiniteScalarField("cannot enumerate ideals over Q")
     if ring.is_table:
-        return (i for i in range(ring.n) if i != ring.zero_index)
+        return _cyclic_generators(ring, range(ring.n))
     return _lines(ring.modulus, ring.dim)
+
+
+def _cyclic_generators(ring, members):
+    """The nonzero indices of ``members``, in their order, that are no k·a
+    with gcd(k, ord(a)) = 1 for an a yielded before: one generator per
+    cyclic subgroup of a subgroup ``members``.  Such a k·a generates what
+    a does under sums and additive maps (the products with a fixed
+    element among them), because a = k′·(k·a) for k′ the inverse of k
+    modulo ord(a)."""
+    add, zero = ring.add_table, ring.zero_index
+    covered = np.zeros(ring.n, dtype=bool)
+    for a in members:
+        if a == zero or covered[a]:
+            continue
+        yield a
+        multiples = [a]                        # multiples[k - 1] = k·a
+        while multiples[-1] != zero:
+            multiples.append(int(add[multiples[-1], a]))
+        order = len(multiples)
+        covered[[m for k, m in enumerate(multiples, 1) if math.gcd(k, order) == 1]] = True
 
 
 def first_proper_line_ideal(ring, last=None):
@@ -356,9 +377,11 @@ def _line_closures(ring, B: Subring | None, maps, cap, lattice=False):
     it is None for a table ring, which has no such test.
 
     The seeds are one coordinate vector over B's rref rows per line of B,
-    in the order of :func:`_lines`, for an F_p algebra, and the nonzero
-    elements of B for a table ring; there are none when ``decision`` is
-    True.  ``close(seed, bound=None)`` is the smallest ideal of B that holds
+    in the order of :func:`_lines`, for an F_p algebra, and one nonzero
+    element of B per cyclic subgroup for a table ring
+    (:func:`_cyclic_generators`: the maps are additive); there are none
+    when ``decision`` is True.  ``close(seed, bound=None)`` is the
+    smallest ideal of B that holds
     the seed and that every map sends into itself, as an ambient span, or
     None past ``bound`` members (dimensions).  ``maps`` send B into B: d×d
     matrices acting on rows (v ↦ v @ M), or index arrays for a table ring.
@@ -410,7 +433,7 @@ def _line_closures(ring, B: Subring | None, maps, cap, lattice=False):
 
         def close(x, bound=None):
             return _table_closure(ring, [x], ops, bound)
-        return span, None, [int(x) for x in members if x != ring.zero_index], close
+        return span, None, _cyclic_generators(ring, members.tolist()), close
     algebra = None
 
     def close(line, bound=None):
@@ -611,24 +634,31 @@ def _proper_from_square_zero(ring):
 
 def centralizer(ring, gens_of_b) -> Subring:
     """C_A(B): everything commuting with B.  ``gens_of_b`` is B as a
-    :class:`Subring`, or elements that are closed into B first.
-
-    On an algebra, x commutes with B iff x commutes with B's rref rows: the
-    null space of the backend's ``commutators`` of those rows, all of them
-    in one call."""
+    :class:`Subring`, or elements that are closed into B first.  x commutes
+    with B iff x commutes with B's additive spanning set:
+    :func:`commuting_span` of it."""
     B = (gens_of_b if isinstance(gens_of_b, Subring)
          else subring_closure(ring, list(gens_of_b)))
+    return Subring(ring, commuting_span(ring, B.spanning()), check=False)
+
+
+def commuting_span(ring, elements) -> AddSubgroup:
+    """The elements x with x·b = b·x for each b of ``elements``, an
+    additive subgroup because the product is bilinear.  On an algebra, the
+    null space of the backend's ``commutators`` of their rows, all of them
+    in one call; on a table ring, the x whose ``mul_table`` row and column
+    agree at every b.  Unlike :func:`centralizer`, nothing is closed into
+    a subring first, which in a non-associative ring can have fewer
+    elements commuting with it."""
     if ring.is_table:
-        spanning = B.spanning()
-        members = []
-        for i in range(ring.n):
-            x = ring.element(i)
-            if all(x * b == b * x for b in spanning):
-                members.append(i)
-        span = TableSubgroup(ring, members)
-        return Subring(ring, span, check=False)
-    rows, pivots = ring.F.kernel(ring.F.commutators(ring, B.span.rows).T, ring.dim)
-    return Subring(ring, Subspace(ring, rows, pivots), check=False)
+        mul = ring.mul_table
+        commutes = np.ones(ring.n, dtype=bool)
+        for b in elements:
+            commutes &= mul[:, b.data] == mul[b.data]
+        return TableSubgroup(ring, np.flatnonzero(commutes))
+    rows, pivots = ring.F.kernel(ring.F.commutators(ring, [b.data for b in elements]).T,
+                                 ring.dim)
+    return Subspace(ring, rows, pivots)
 
 
 def center(ring) -> Subring:

@@ -256,15 +256,17 @@ def test_zmod_past_the_table_cap_exits_2(tmp_path, capsys):
 
 
 def test_a_check_past_the_cap_keeps_the_report(tmp_path, capsys):
-    # the degree-map element scan of M6(F2) (2^36 elements) raises TooLarge;
+    # Z3 acting on 21 points as seven 3-cycles over F2 is not simple (2^63
+    # elements), so its degree map is scanned and the scan raises TooLarge;
     # the other checks still run, the report is printed, and the exit is 2
-    path = _write(tmp_path, "m6.json", {"kind": "matrix_ring", "size": 6,
-                                        "base": {"kind": "scalar", "ring": "Fp:2"}})
+    cycles = [[3 * (x // 3) + (x + g) % 3 for x in range(21)] for g in range(3)]
+    path = _write(tmp_path, "z3-21.json", {"kind": "dynamics", "points": 21, "group": "Z3",
+                                           "action": cycles, "field": "Fp:2"})
     code, doc = _run(capsys, "check", path, "--checks", "center,degree-map")
     assert code == 2
     assert doc["results"] == {
-        "center": {"kind": "dimension", "measure": 1},
-        "degree-map": {"error": "68719476736 elements exceeds cap 1048576"}}
+        "center": {"kind": "dimension", "measure": 7},
+        "degree-map": {"error": "9223372036854775808 elements exceeds cap 1048576"}}
 
 
 def test_a_check_over_q_keeps_the_report(tmp_path, capsys):

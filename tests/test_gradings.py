@@ -10,7 +10,7 @@ from ringlab import (GF, QQ, FiniteCategory, abelian_group, cyclic_group,
                      enumerate_ideals, enumerate_subring_ideals,
                      field_algebra, full_matrix_algebra, grading_flags,
                      ideal_closure, ideal_intersection_property,
-                     is_A_invariant, local_units_full_ideal_test,
+                     is_A_invariant, is_simple, local_units_full_ideal_test,
                      make_structure_algebra, matrix_ring, pair_groupoid,
                      skew_group_ring, subring_closure, support, support_degree_map,
                      trivial_grading, validate_grading, verify_degree_map,
@@ -20,7 +20,7 @@ from ringlab.errors import (CriterionDisagreement, NotDirectSum, PreconditionUnm
                             ValidationFailure)
 from ringlab.gradings import DegreeMap, graded_ideal_associativity
 from ringlab.ideals import IdealBasis, check_ideal_associativity
-from ringlab.rings import convert_to_table
+from ringlab.rings import convert_to_table, gf_extension
 from ringlab.subgroups import full_subgroup, product_span, subspace_from_vectors
 
 
@@ -217,10 +217,78 @@ def _dynamics_support_maps(draw):
                      "weighted support", grading=dyn.grading)
 
 
-@given(_dynamics_support_maps())
-@settings(max_examples=30, deadline=None)
+def _frobenius_skew_ring(q, n):
+    """F_q ⋊ Z_n, with k acting as the k-th power of the Frobenius."""
+    fq, frob = gf_extension(q)
+    p = fq.modulus
+    return skew_group_ring(fq, cyclic_group(n), {
+        k: RingMap(fq, fq, matrix=np.linalg.matrix_power(np.array(frob), k) % p)
+        for k in range(n)})
+
+
+_SIMPLE_GRADED = {
+    "M2(F2)": lambda: matrix_ring(2, field_algebra(GF(2))),
+    "M2(F3)": lambda: matrix_ring(2, field_algebra(GF(3))),
+    "F4 x Z2": lambda: _frobenius_skew_ring(4, 2),
+    "F8 x Z3": lambda: _frobenius_skew_ring(8, 3),
+}
+
+
+@st.composite
+def _simple_support_maps(draw):
+    """Support maps of simple graded rings, which verify_degree_map decides
+    on the ideal lattice [0, A] without an element scan; the M2 maps over
+    homogeneous elements violate (d2) (only the scalars commute with every
+    E_ij), and the scan gives their witness."""
+    built = _SIMPLE_GRADED[draw(st.sampled_from(sorted(_SIMPLE_GRADED)))]()
+    return support_degree_map(built.grading, draw(st.sampled_from(
+        ["center_of_A0", "homogeneous_elements"])))
+
+
+@given(st.one_of(_dynamics_support_maps(), _simple_support_maps()))
+@settings(max_examples=40, deadline=None)
 def test_support_degree_maps_match_reference(dm):
     _assert_matches_reference(dm)
+
+
+def test_a_simple_lie_algebra_keeps_its_d2_witness():
+    # sl2(F5), the bracket as product on the basis e, f, h, is simple, and
+    # under the trivial grading only 0 commutes with every basis element:
+    # the lattice path finds the violation, and the scan its witness
+    sl2 = make_structure_algebra(3, GF(5), [[[0, 0, 0], [0, 0, 1], [3, 0, 0]],
+                                            [[0, 0, 4], [0, 0, 0], [0, 2, 0]],
+                                            [[2, 0, 0], [0, 3, 0], [0, 0, 0]]])
+    assert is_simple(sl2).is_simple
+    v = verify_degree_map(support_degree_map(trivial_grading(sl2), "homogeneous_elements"))
+    assert v.status == "D2Violation"
+    assert repr(v.witness) == "(IdealBasis(Subspace(dim=3 of 3)), Element((0, 0, 1)))"
+
+
+def test_a_simple_ring_support_map_scans_nothing(monkeypatch):
+    # M3(F3): is_simple (Norton's test) says Simple and E_11 commutes with
+    # the center of the diagonal, so no element is enumerated for (d1) or
+    # (d2) and no principal ideal is closed
+    dm = support_degree_map(matrix_ring(3, field_algebra(GF(3))).grading, "center_of_A0")
+    counts = _count_scans(monkeypatch)
+    assert verify_degree_map(dm).valid
+    assert counts == {"principal_ideal": 0, "element_blocks": 0}
+
+
+@pytest.mark.parametrize("n, field", [(6, GF(2)), (2, QQ)], ids=["M6(F2)", "M2(Q)"])
+def test_support_maps_past_the_cap_on_a_simple_ring(monkeypatch, n, field):
+    # M6(F2) has 2^36 elements, and M2(Q), simple by its reduction mod 3,
+    # has no element scan at all: the support map over the center of the
+    # diagonal is valid, and the one over homogeneous elements violates
+    # (d2) with A and the first spanning element of the first component
+    # as the witness, all without a scan
+    mr = matrix_ring(n, field_algebra(field))
+    counts = _count_scans(monkeypatch)
+    assert verify_degree_map(support_degree_map(mr.grading, "center_of_A0")).valid
+    v = verify_degree_map(support_degree_map(mr.grading, "homogeneous_elements"))
+    assert counts == {"principal_ideal": 0, "element_blocks": 0}
+    first = mr.grading.components[mr.grading.order[0]].spanning()[0]
+    assert v.status == "D2Violation"
+    assert v.witness[0].span.is_full() and v.witness[1] == first
 
 
 @st.composite
@@ -333,30 +401,49 @@ def test_degree_map_check_works_on_blocks(monkeypatch):
     assert calls["decompose"] < 100 and calls["mul_coords"] < 100
 
 
-def test_each_principal_ideal_and_degree_is_scanned_once(monkeypatch):
-    # on the rotation dynamics ring over F2 (simple, 512 elements) 387
-    # elements reach the <a> scan, but they share 3 (ideal, d(a)) pairs;
-    # is_simple (Norton's test) says the ring is simple, so no <a> is
-    # closed: each is A
-    from ringlab.corpus import build_rotation_dynamics
+def _count_scans(monkeypatch):
+    """Counts of principal ideals closed and of element blocks enumerated,
+    of the ring or of a subspace, by :func:`verify_degree_map` from now on."""
     from ringlab.subgroups import Subspace
-    dyn = build_rotation_dynamics()
-    dm = support_degree_map(dyn.grading, "homogeneous_elements")
     counts = {"principal_ideal": 0, "element_blocks": 0}
-    closure, blocks = gradings.principal_ideal, Subspace.element_blocks
+    closure = gradings.principal_ideal
 
     def counted_closure(ring, a):
         counts["principal_ideal"] += 1
         return closure(ring, a)
 
-    def counted_blocks(span, *args, **kwargs):
-        counts["element_blocks"] += 1
-        return blocks(span, *args, **kwargs)
+    def counting_blocks(cls):
+        blocks = cls.element_blocks
+
+        def counted_blocks(self, *args, **kwargs):
+            counts["element_blocks"] += 1
+            return blocks(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "element_blocks", counted_blocks)
 
     monkeypatch.setattr(gradings, "principal_ideal", counted_closure)
-    monkeypatch.setattr(Subspace, "element_blocks", counted_blocks)
+    counting_blocks(Subspace)
+    counting_blocks(rings.StructureAlgebra)
+    return counts
+
+
+def test_each_principal_ideal_and_degree_is_scanned_once(monkeypatch):
+    # on the rotation dynamics ring over F2 (simple, 512 elements) the
+    # support map is decided on the ideal lattice: is_simple (Norton's
+    # test) says the ring is simple, and a homogeneous element commutes
+    # with X, so nothing is scanned.  The same map as a plain callable
+    # scans: 387 elements reach the <a> scan, but they share 3 (ideal,
+    # d(a)) pairs, and no <a> is closed: each is A
+    from ringlab.corpus import build_rotation_dynamics
+    dyn = build_rotation_dynamics()
+    dm = support_degree_map(dyn.grading, "homogeneous_elements")
+    counts = _count_scans(monkeypatch)
     assert verify_degree_map(dm).valid
-    assert counts == {"principal_ideal": 0, "element_blocks": 3}
+    assert counts == {"principal_ideal": 0, "element_blocks": 0}
+    callable_dm = DegreeMap(dm.ring, dm.B, dm.X, lambda a: len(dyn.grading.support(a)),
+                            "support as a callable", grading=dyn.grading)
+    assert verify_degree_map(callable_dm).valid
+    # two of the ring (d1, then d2) and one of A for the 3 pairs
+    assert counts == {"principal_ideal": 0, "element_blocks": 2 + 3}
 
 
 def test_simple_ring_degree_map_makes_few_closures(monkeypatch):

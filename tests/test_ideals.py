@@ -275,6 +275,44 @@ def test_table_rings_over_the_cap_are_walked():
     assert v.status == "NotSimple" and sorted(v.witness.span.members) == [0, 2, 4]
 
 
+def test_a_prime_order_table_ring_closes_one_principal_ideal(monkeypatch):
+    # every nonzero element of Z/1021 is a multiple k·1 with k prime to
+    # 1021, so the walk closes <1> alone, not one ideal per element
+    ring = zmod_ring(1021)
+    closed = []
+    original = ideals.principal_ideal
+
+    def counted(r, a):
+        closed.append(a.data)
+        return original(r, a)
+
+    monkeypatch.setattr(ideals, "principal_ideal", counted)
+    assert is_simple(ring).is_simple
+    assert closed == [1]
+
+
+@pytest.mark.parametrize("n", [4, 6, 60, 257, "M2(F2)"])
+def test_one_generator_per_cyclic_subgroup_keeps_the_walk(n):
+    # the principal ideals, the first proper one and the lattice are those
+    # of every nonzero element, closed one by one in index order
+    ring = convert_to_table(full_matrix_algebra(2, GF(2))) if n == "M2(F2)" else zmod_ring(n)
+    closures = [principal_ideal(ring, ring.element(i)).span
+                for i in range(ring.n) if i != ring.zero_index]
+    generated = [principal_ideal(ring, ring.element(g)).span
+                 for g in ideals._principal_generators(ring)]
+    assert {s.key() for s in generated} == {s.key() for s in closures}
+    first = next((s for s in closures if not s.is_full()), None)
+    walk = first_proper_line_ideal(ring)
+    assert (walk is None) == (first is None) and (walk is None or walk.key() == first.key())
+    lattice = {zero_subgroup(ring).key(): zero_subgroup(ring)}
+    for s in closures:
+        for t in list(lattice.values()):
+            j = s.join(t)
+            lattice.setdefault(j.key(), j)
+    assert [I.key() for I in enumerate_ideals(ring)] == sorted(
+        lattice, key=lambda k: (lattice[k].measure(), k))
+
+
 def test_density_and_line_walk_disagreement_is_typed(monkeypatch, tmp_path, capsys):
     # every line of M2(F2) generates the whole ring, so a decision that calls
     # it not simple, with the line of e_0 as its submodule, contradicts the
@@ -568,7 +606,8 @@ def test_subring_ideals_of_diagonal():
 
 def _principal_ideals(ring):
     """The span of the principal ideal of every line of an F_p algebra (of
-    every nonzero element of a table ring), in the order of the walk."""
+    one element per cyclic subgroup of a table ring), in the order of the
+    walk."""
     return [ideals.principal_ideal(ring, ring.element(g)).span
             for g in ideals._principal_generators(ring)]
 
