@@ -83,7 +83,8 @@ class RingMap:
     def equals(self, other: "RingMap") -> bool:
         if self.perm is not None:
             return other.perm is not None and self.perm == other.perm
-        return other.matrix is not None and np.array_equal(self.matrix, other.matrix)
+        return (other.matrix is not None and self.matrix.shape == other.matrix.shape
+                and bool(self.source.F.equal(self.matrix, other.matrix).all()))
 
     def is_identity(self):
         return self.source is self.target and self.equals(RingMap.identity(self.source))
@@ -127,19 +128,19 @@ def _product_failures(maps):
     every pair at once.
 
     For a table ring both sides are one fancy index of the stacked index
-    tables on ``mul_table``; for an algebra they are the backend's
-    ``homomorphism_sides`` of the stacked matrices.
+    tables on ``mul_table``; for an algebra the backend's
+    ``product_failures`` compares them, on the stacked matrices (over Q
+    as integer rows, with no Fraction made or compared).
     """
     S, T, stack = maps[0].source, maps[0].target, _stack(maps)
     if maps[0].perm is not None:
-        left = stack[:, S.mul_table][..., None]
-        right = T.mul_table[stack[:, :, None], stack[:, None, :]][..., None]
+        left = stack[:, S.mul_table]
+        right = T.mul_table[stack[:, :, None], stack[:, None, :]]
+        bad = left != (right.transpose(0, 2, 1) if maps[0].anti else right)
     else:
-        left, right = S.F.homomorphism_sides(S, T, stack)
-    if maps[0].anti:
-        right = right.transpose(0, 2, 1, 3)
-    n = left.shape[1]
-    bad = np.any(left != right, axis=3).reshape(len(maps), n * n)
+        bad = S.F.product_failures(S, T, stack, maps[0].anti)
+    n = bad.shape[1]
+    bad = bad.reshape(len(maps), n * n)
     first = bad.argmax(axis=1).tolist()
     return [divmod(f, n) if bad[k, f] else None for k, f in enumerate(first)]
 
@@ -151,7 +152,7 @@ def _maps_to(maps, x: Element, y: Element):
     if maps[0].perm is not None:
         return (stack[:, x.data] == y.data).tolist()
     F = x.ring.F
-    return (F.matmul(F.array(x.data), stack) == F.array(y.data)).all(axis=1).tolist()
+    return F.equal(F.matmul(F.array(x.data), stack), F.array(y.data)).all(axis=1).tolist()
 
 
 def _compositions_agree(maps_g, maps_h, maps_gh):
@@ -161,10 +162,11 @@ def _compositions_agree(maps_g, maps_h, maps_gh):
     batched matmul of the matrices, or indexing the tables by the tables."""
     G, H, GH = _stack(maps_g), _stack(maps_h), _stack(maps_gh)
     if maps_g[0].perm is not None:
-        comp = np.take_along_axis(G, H, axis=1)
+        equal = np.take_along_axis(G, H, axis=1) == GH
     else:
-        comp = maps_h[0].source.F.matmul(H, G)
-    equal = (comp == GH).reshape(len(GH), -1).all(axis=1).tolist()
+        F = maps_h[0].source.F
+        equal = F.equal(F.matmul(H, G), GH)
+    equal = equal.reshape(len(GH), -1).all(axis=1).tolist()
     return [eq and (g.anti != h.anti) == gh.anti
             for eq, g, h, gh in zip(equal, maps_g, maps_h, maps_gh)]
 
@@ -213,20 +215,16 @@ def _is_unit(ring, a: Element):
 
 def _associates_and_commutes(ring, a: Element) -> bool:
     """alpha(bc) = (b alpha)c = b(alpha c) = (bc)alpha on spanning pairs,
-    and alpha b = b alpha on spanning elements, all pairs at once."""
-    if ring.is_table:
-        mul, x = ring.mul_table, a.data
-        if not np.array_equal(mul[x], mul[:, x]):
-            return False
-        sides = (mul[x][mul], mul[mul[:, x]], mul[:, mul[x]], mul[:, x][mul])
-    else:
-        F, eye = ring.F, ring.F.eye(ring.dim)
-        L, R = F.mult_matrices(ring, a.data)       # rows a·e_j and e_i·a
-        if not np.array_equal(L, R):
-            return False
-        # row (i, j) of each: a(e_i e_j), (e_i a)e_j, e_i(a e_j), (e_i e_j)a
-        sides = (F.mapped_products(ring, L), F.array(F.products(ring, R, eye)),
-                 F.array(F.products(ring, eye, L)), F.mapped_products(ring, R))
+    and alpha b = b alpha on spanning elements, all pairs at once: on a
+    table ring by indexing ``mul_table``, on an algebra by the backend's
+    ``associates_and_commutes`` (over Q on integer rows, with no Fraction
+    made or compared)."""
+    if ring.is_algebra:
+        return ring.F.associates_and_commutes(ring, a.data)
+    mul, x = ring.mul_table, a.data
+    if not np.array_equal(mul[x], mul[:, x]):
+        return False
+    sides = (mul[x][mul], mul[mul[:, x]], mul[:, mul[x]], mul[:, x][mul])
     return all(np.array_equal(sides[0], side) for side in sides[1:])
 
 

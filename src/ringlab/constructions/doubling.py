@@ -136,7 +136,7 @@ class CayleyTower:
 def _diagonal_signs(m: RingMap):
     """The diagonal of a diagonal matrix map, or None."""
     signs = np.diag(m.matrix)
-    return signs.tolist() if np.array_equal(np.diag(signs), m.matrix) else None
+    return signs if m.source.F.equal(np.diag(signs), m.matrix).all() else None
 
 
 def _interleave(cd: CayleyDoubling):
@@ -158,7 +158,7 @@ def _interleave(cd: CayleyDoubling):
     # the signs are their own inverses, so they also convert coordinates.
     # Each is ±1, so multiplying the constants by the sign tensor s_i·s_j·s_k
     # negates the nonzero entries where an odd number of the three is -1
-    neg = np.array([[False, s != 1] for s in signs]).ravel()
+    neg = np.stack([np.zeros(d, dtype=bool), ~A.F.equal(signs, 1)], axis=1).ravel()
     C = A.constants[np.ix_(old_index, old_index, old_index)]
     flip = (neg[:, None, None] ^ neg[None, :, None] ^ neg[None, None, :]) & C.astype(bool)
     C[flip] = -C[flip]

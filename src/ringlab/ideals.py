@@ -645,19 +645,19 @@ def centralizer(ring, gens_of_b) -> Subring:
 def commuting_span(ring, elements) -> AddSubgroup:
     """The elements x with x·b = b·x for each b of ``elements``, an
     additive subgroup because the product is bilinear.  On an algebra, the
-    null space of the backend's ``commutators`` of their rows, all of them
-    in one call; on a table ring, the x whose ``mul_table`` row and column
-    agree at every b.  Unlike :func:`centralizer`, nothing is closed into
-    a subring first, which in a non-associative ring can have fewer
-    elements commuting with it."""
+    backend's ``commutant`` of their rows, all of them in one call: the
+    null space of their commutators (over Q reduced from integer rows, with
+    no Fraction made before the elimination); on a table ring, the x whose
+    ``mul_table`` row and column agree at every b.  Unlike
+    :func:`centralizer`, nothing is closed into a subring first, which in
+    a non-associative ring can have fewer elements commuting with it."""
     if ring.is_table:
         mul = ring.mul_table
         commutes = np.ones(ring.n, dtype=bool)
         for b in elements:
             commutes &= mul[:, b.data] == mul[b.data]
         return TableSubgroup(ring, np.flatnonzero(commutes))
-    rows, pivots = ring.F.kernel(ring.F.commutators(ring, [b.data for b in elements]).T,
-                                 ring.dim)
+    rows, pivots = ring.F.commutant(ring, [b.data for b in elements])
     return Subspace(ring, rows, pivots)
 
 

@@ -11,8 +11,14 @@ small method set:
   object arrays of ``Fraction``s.  Inside, it works on Python ints: rows are
   scaled to integers and reduced by fraction-free Gauss-Jordan elimination,
   and products read one integer table per algebra (``product_table``: the
-  constants as numerators over a common denominator).  A ``Fraction`` is
-  made only where a result leaves the backend, once per entry.
+  constants as numerators over a common denominator).  Between its own
+  steps a value stays integer rows over one denominator, and values are
+  compared as integers: a/u = b/v iff a·v = b·u.  A ``Fraction`` is made
+  only where a result leaves the backend, once per entry; a method that
+  returns a verdict or a mask (``product_failures``,
+  ``associates_and_commutes``, ``commutator_witness``, ``equal``) or a
+  null space it reduces from integer rows (``commutant``) makes none
+  along the way.
 
 A structure algebra picks its backend once, from its scalar field
 (:func:`backend`); every caller then works through it and never asks which
@@ -57,11 +63,11 @@ the basis; the block is the next round's frontier.  The basis itself is never el
 The operators of an algebra's multiplications, L_b and R_b, come from
 ``multiplications_modp``, and its unit from the backends' ``unit``.
 
-Crossed products are built on stacks: ``homomorphism_sides`` checks a whole
-stack of linear maps for multiplicativity, ``twisted_blocks`` builds the
-multiplication blocks of a stack of maps, and ``matmul`` composes stacks
+Crossed products are built on stacks: ``product_failures`` checks a whole
+stack of linear maps for (anti-)multiplicativity, ``twisted_blocks`` builds
+the multiplication blocks of a stack of maps, and ``matmul`` composes stacks
 pairwise.  ``ModP`` does each in a fixed number of contractions; ``Rational``
-loops over the stack.
+loops over the stack, on integer rows.
 """
 
 from __future__ import annotations
@@ -425,6 +431,10 @@ def _fraction(x):
     return Fraction(int(x) if isinstance(x, np.integer) else x)
 
 
+# :func:`_fraction` as a numpy ufunc on object arrays
+_FRACTIONS = np.frompyfunc(_fraction, 1, 1)
+
+
 def _rational(x):
     """``x`` as an int or a Fraction, both of which pass through unchanged."""
     return x if type(x) is int else _fraction(x)
@@ -441,7 +451,11 @@ def _scaled(rows):
 
 
 def _integer_row(row):
-    """``row`` times the lcm of its own denominators, as Python ints."""
+    """``row`` times the lcm of its own denominators, as Python ints; a
+    row of Python ints is taken as it is."""
+    row = list(row)
+    if all(type(x) is int for x in row):
+        return row
     return _scaled([row])[0][0]
 
 
@@ -469,9 +483,13 @@ def _int_array(X):
 
 def _fraction_array(ints, den):
     """``ints`` / ``den`` as an object array of Fractions, for ``ints`` an
-    array (or nested lists) of Python ints."""
+    array (or nested lists) of Python ints: numpy finds the nonzero
+    entries, and only they become new Fractions; the others are ZERO."""
     ints = np.asarray(ints, dtype=object)
-    return np.array(_fractions(ints.flat, den), dtype=object).reshape(ints.shape)
+    out = np.full(ints.shape, ZERO, dtype=object)
+    nonzero = np.flatnonzero(ints)
+    out.flat[nonzero] = [Fraction(x, den) for x in ints.flat[nonzero].tolist()]
+    return out
 
 
 def _reduce_int(v, basis):
@@ -637,6 +655,24 @@ def _products_int(terms, xs, ys):
     return out
 
 
+def _mapped_int(table, Ms):
+    """The integer rows (e_i e_j)·M for every basis pair (i-major), for M
+    the integer rows ``Ms``: one pass over the table's entries."""
+    d = len(table.terms)
+    nonzero = [[(l, x) for l, x in enumerate(row) if x] for row in Ms]
+    out = [[0] * len(Ms[0]) for _ in range(d * d)]
+    for i, j, k, n in table.entries():
+        row = out[i * d + j]
+        for l, x in nonzero[k]:
+            row[l] += n * x
+    return out
+
+
+def _identity_ints(d):
+    """The d×d identity as integer rows."""
+    return [[int(i == j) for j in range(d)] for i in range(d)]
+
+
 # ---------------------------------------------------------------------------
 # field backends
 # ---------------------------------------------------------------------------
@@ -646,9 +682,10 @@ class _Field:
 
     Subclasses provide ``dtype``, ``modulus``, ``reduce``, ``coords``,
     ``rows``, ``key``, ``rref``, ``member``, ``merge``, ``kernel``,
-    ``mul_coords``, ``products``, ``mapped_products``, ``mult_matrices``,
-    ``commutators``, ``homomorphism_sides``, ``twisted_blocks``,
-    ``associator_witness``, and what callers would otherwise branch on the
+    ``equal``, ``unit``, ``mul_coords``, ``products``, ``mapped_products``,
+    ``mult_matrices``, ``commutators``, ``commutant``, ``product_failures``,
+    ``twisted_blocks``, ``associates_and_commutes``, ``associator_witness``,
+    ``commutator_witness``, and what callers would otherwise branch on the
     field for: ``simplicity`` (the simplicity decision: (simple, reason,
     submodule), with ``simple`` True, False or None when undecided,
     ``reason`` what to print with a Simple read off anything but the
@@ -709,19 +746,6 @@ class _Field:
             x[c] = R[ri][n:]
         return x if np.ndim(b) == 2 else x[:, 0]
 
-    def unit(self, C):
-        """The two-sided unit of the algebra with structure constants ``C``,
-        as a coordinate vector, or None when it has none.
-
-        e·e_j = e_j and e_j·e = e_j are 2d² linear equations in the d
-        coordinates of e: rows (j, k) hold the e_k coefficient of e·e_j,
-        then of e_j·e.
-        """
-        C = self.array(C)
-        d = C.shape[0]
-        A = np.vstack([C.transpose(1, 2, 0).reshape(d * d, d),
-                       C.transpose(0, 2, 1).reshape(d * d, d)])
-        return self.solve(A, np.tile(self.eye(d).ravel(), 2))
 
 
 # the largest p that ModP admits: see its docstring
@@ -771,6 +795,23 @@ class ModP(_Field):
     def kernel(self, A, width):
         return kernel_modp(self.rows(A, width), self.p)
 
+    def equal(self, X, Y):
+        """The boolean array X == Y, for arrays that broadcast together."""
+        return np.asarray(X) == np.asarray(Y)
+
+    def unit(self, alg):
+        """The two-sided unit of the structure algebra ``alg``, as a
+        coordinate vector, or None when it has none.
+
+        e·e_j = e_j and e_j·e = e_j are 2d² linear equations in the d
+        coordinates of e: rows (j, k) hold the e_k coefficient of e·e_j,
+        then of e_j·e.
+        """
+        C, d = alg.constants, alg.dim
+        A = np.vstack([C.transpose(1, 2, 0).reshape(d * d, d),
+                       C.transpose(0, 2, 1).reshape(d * d, d)])
+        return self.solve(A, np.tile(self.eye(d).ravel(), 2))
+
     def mul_coords(self, alg, x, y):
         """x·y on coordinate tuples: the sparse loop over the algebra's
         :func:`product_table`, with one ``% p`` per output coordinate."""
@@ -805,19 +846,27 @@ class ModP(_Field):
         M = multiplications_modp(alg.constants, self.p, A)
         return ((M[k:] - M[:k]) % self.p).transpose(1, 0, 2).reshape(alg.dim, -1)
 
-    def homomorphism_sides(self, src, tgt, Ms):
-        """Both sides of m(xy) = m(x) m(y) on basis pairs, for a stack of
-        maps from ``src`` to ``tgt``: ``Ms`` is (m, d, e), each M_k a matrix
-        on coordinate rows, and the result is two (m, d, d, e) arrays whose
-        [k, i, j] rows are (e_i e_j)·M_k and (e_i M_k)(e_j M_k).  Three
-        contractions for the whole stack, whatever its length."""
+    def commutant(self, alg, A):
+        """(rref basis, pivots) of the x that commute with every row of
+        ``A``: the null space of :meth:`commutators`, x @ it = 0."""
+        return kernel_modp(self.commutators(alg, A).T, self.p)
+
+    def product_failures(self, src, tgt, Ms, anti):
+        """The (m, d, d) mask of the basis pairs (i, j) where m(e_i e_j) !=
+        m(e_i) m(e_j), or m(e_j) m(e_i) when ``anti``, for a stack of maps
+        from ``src`` to ``tgt``: ``Ms`` is (m, d, e), each M_k a matrix on
+        coordinate rows.  Three contractions for the whole stack, whatever
+        its length: the sides' [k, i, j] rows are (e_i e_j)·M_k and
+        (e_i M_k)(e_j M_k)."""
         p, Ms = self.p, self.array(Ms)
         m, d, _ = Ms.shape
-        left = src.constants.reshape(d * d, d) @ Ms % p
+        left = (src.constants.reshape(d * d, d) @ Ms % p).reshape(m, d, d, -1)
         # T[k, i, b] = (e_i M_k)·f_b for f_b the basis of tgt
         T = np.einsum("kia,abl->kibl", Ms, tgt.constants) % p
         right = np.einsum("kibl,kjb->kijl", T, Ms) % p
-        return left.reshape(m, d, d, -1), right
+        if anti:
+            right = right.transpose(0, 2, 1, 3)
+        return np.any(left != right, axis=3)
 
     def twisted_blocks(self, alg, Ss, alpha, opposite):
         """The blocks (m, d, h, d) whose [k, i, j] row is (e_i · s)·alpha,
@@ -830,12 +879,32 @@ class ModP(_Field):
         X = np.einsum(spec, C, self.array(Ss)) % p
         return X @ self.mult_matrices(alg, alpha)[1] % p
 
+    def associates_and_commutes(self, alg, a):
+        """Whether a·b = b·a for every basis element b and a(bc) =
+        (ba)c = b(ac) = (bc)a for every basis pair (b, c), all pairs at
+        once: L = R, then the four sides' (i, j) rows a(e_i e_j),
+        (e_i a)e_j, e_i(a e_j) and (e_i e_j)a, for (L, R) =
+        :meth:`mult_matrices`."""
+        L, R = self.mult_matrices(alg, a)
+        if not np.array_equal(L, R):
+            return False
+        eye = self.eye(alg.dim)
+        sides = (self.mapped_products(alg, L), self.products(alg, R, eye),
+                 self.products(alg, eye, L), self.mapped_products(alg, R))
+        return all(np.array_equal(sides[0], side) for side in sides[1:])
+
     def associator_witness(self, alg):
         """The first basis triple (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k)."""
         C, p = alg.constants, self.p
         left = np.einsum("ijm,mkl->ijkl", C, C) % p
         right = np.einsum("jkm,iml->ijkl", C, C) % p
         bad = np.argwhere(np.any(left != right, axis=3))
+        return tuple(bad[0].tolist()) if bad.size else None
+
+    def commutator_witness(self, alg):
+        """The first basis pair (i, j) with e_i e_j != e_j e_i."""
+        C = alg.constants
+        bad = np.argwhere(np.any(C != C.transpose(1, 0, 2), axis=2))
         return tuple(bad[0].tolist()) if bad.size else None
 
     def simplicity(self, alg):
@@ -874,15 +943,21 @@ class Rational(_Field):
     constants as numerators over one common denominator, in sparse loops
     (two full constant tensors are never contracted: the dense object-array
     einsum is orders of magnitude slower).  Each output coordinate becomes
-    one Fraction.  A Fraction given to the backend passes through unchanged.
+    one Fraction, and only where it leaves the backend: a step whose
+    result another step reads (the products inside ``twisted_blocks``, the
+    sides of ``product_failures`` and ``associates_and_commutes``, the
+    commutator equations of ``commutant``) keeps integer rows over one
+    denominator, and checks compare integers, a/u = b/v as a·v = b·u.  A
+    Fraction given to the backend passes through unchanged.
     """
 
     dtype = object
     modulus = None
 
     def reduce(self, M):
-        M = np.asarray(M, dtype=object)
-        return np.array([_fraction(x) for x in M.flat], dtype=object).reshape(M.shape)
+        """``M`` as a new object array of Fractions: :func:`_fraction` on
+        every entry, called from numpy's loop rather than a Python one."""
+        return np.asarray(_FRACTIONS(np.asarray(M, dtype=object)), dtype=object)
 
     def zeros(self, shape):
         # Fractions are immutable, so every entry can be the one ZERO
@@ -917,10 +992,30 @@ class Rational(_Field):
         rows = kernel_frac(A, width)
         return rows, tuple(next(c for c, x in enumerate(row) if x) for row in rows)
 
+    def equal(self, X, Y):
+        """The boolean array X == Y, for arrays that broadcast together,
+        compared as integers: X·dx and Y·dy over their common denominators,
+        cross-multiplied."""
+        (X, dx), (Y, dy) = _int_array(X), _int_array(Y)
+        return X * dy == Y * dx
+
     def matmul(self, X, Y):
         """X @ Y, on integer arrays; stacks of matrices multiply pairwise."""
         (X, dx), (Y, dy) = _int_array(X), _int_array(Y)
         return _fraction_array(X @ Y, dx * dy)
+
+    def unit(self, alg):
+        """See :meth:`ModP.unit`.  The equations are integer rows read
+        off the product table in one pass, with the right-hand side den·δ
+        for den the table's denominator, so no Fraction is made before the
+        elimination."""
+        table, d = alg._table, alg.dim
+        A = [[0] * d for _ in range(2 * d * d)]
+        for i, j, k, n in table.entries():           # e_i e_j has n at e_k
+            A[j * d + k][i] += n                     # in e·e_j
+            A[(d + i) * d + k][j] += n               # in e_i·e
+        rhs = [table.den * (j == k) for j in range(d) for k in range(d)]
+        return self.solve(np.array(A, dtype=object), np.array(rhs + rhs, dtype=object))
 
     def mul_coords(self, alg, x, y):
         """x·y on coordinate tuples: one Fraction per output coordinate."""
@@ -935,16 +1030,9 @@ class Rational(_Field):
         return [_fractions(row, den) for row in _products_int(table.terms, xs, ys)]
 
     def mapped_products(self, alg, M):
-        table = alg._table
+        """See :meth:`ModP.mapped_products`; one pass over the table."""
         Ms, dm = _scaled(M)
-        nonzero = [[(l, x) for l, x in enumerate(row) if x] for row in Ms]
-        d, width = alg.dim, len(Ms[0])
-        out = [[0] * width for _ in range(d * d)]
-        for i, j, k, n in table.entries():
-            row = out[i * d + j]
-            for l, x in nonzero[k]:
-                row[l] += n * x
-        return _fraction_array(out, table.den * dm)
+        return _fraction_array(_mapped_int(alg._table, Ms), alg._table.den * dm)
 
     def _mult_ints(self, alg, a):
         """(L, R, den): :meth:`mult_matrices` as integer rows over den, in
@@ -975,26 +1063,78 @@ class Rational(_Field):
                 [[r - l for l, r in zip(Lr, Rr)] for Lr, Rr in zip(L, R)], den))
         return np.hstack(blocks) if blocks else self.zeros((alg.dim, 0))
 
-    def homomorphism_sides(self, src, tgt, Ms):
-        """See :meth:`ModP.homomorphism_sides`; one map at a time, sparse."""
-        d = src.dim
-        left = [self.mapped_products(src, M) for M in Ms]
-        right = [self.array(self.products(tgt, M, M)) for M in Ms]
-        return (np.stack(left).reshape(len(Ms), d, d, -1),
-                np.stack(right).reshape(len(Ms), d, d, -1))
+    def commutant(self, alg, A):
+        """See :meth:`ModP.commutant`.  The equations are the columns of
+        :meth:`commutators` as integer rows: row (r, l) holds the l-th
+        coordinate of e_i·a − a·e_i at i, for a the r-th row of ``A``
+        scaled by the rows' common denominator.  Scaling by a positive
+        integer leaves the null space as it is, so no Fraction is made
+        before the elimination; one pass over the table's entries builds
+        the equations of every row."""
+        d = alg.dim
+        rows, _ = _scaled(A)
+        at = [[] for _ in range(d)]          # at[j]: (r, a_j) for each row r with a_j != 0
+        for r, a in enumerate(rows):
+            for j, x in enumerate(a):
+                if x:
+                    at[j].append((r, x))
+        equations = [[0] * d for _ in range(len(rows) * d)]
+        for i, j, k, n in alg._table.entries():      # e_i e_j has n at e_k
+            for r, x in at[j]:
+                equations[r * d + k][i] += x * n     # in e_i·a
+            for r, x in at[i]:
+                equations[r * d + k][j] -= x * n     # in a·e_j
+        return self.kernel(equations, d)
+
+    def product_failures(self, src, tgt, Ms, anti):
+        """See :meth:`ModP.product_failures`; one map at a time, on integer
+        rows.  For M over dm, the left side (e_i e_j)·M is integers over
+        den_src·dm and the right side (e_i M)(e_j M) integers over
+        den_tgt·dm², so a/u = b/v is checked as a·v = b·u."""
+        d, bad = src.dim, []
+        for M in Ms:
+            ints, dm = _scaled(M)
+            left = np.array(_mapped_int(src._table, ints), dtype=object).reshape(d, d, -1)
+            right = np.array(_products_int(tgt._table.terms, ints, ints),
+                             dtype=object).reshape(d, d, -1)
+            if anti:
+                right = right.transpose(1, 0, 2)
+            bad.append(np.any(left * (tgt._table.den * dm) != right * src._table.den,
+                              axis=2))
+        return np.array(bad, dtype=bool).reshape(len(Ms), d, d)
 
     def twisted_blocks(self, alg, Ss, alpha, opposite):
-        """See :meth:`ModP.twisted_blocks`; one map at a time, sparse."""
-        d, eye, blocks = alg.dim, self.eye(alg.dim), []
+        """See :meth:`ModP.twisted_blocks`; one map at a time, sparse.  The
+        products e_i·s (or s·e_i) stay integer rows over den·ds, so each
+        block makes its Fractions once, over den²·ds·d_alpha."""
+        table, d = alg._table, alg.dim
+        eye = _identity_ints(d)
+        (alpha,), da = _scaled([alpha])
+        blocks = []
         for S in Ss:
+            S, ds = _scaled(S)
             h = len(S)
             if opposite:
-                X = self.array(self.products(alg, S, eye)).reshape(h, d, d).transpose(1, 0, 2)
+                X = _products_int(table.terms, S, eye)        # row j·d + i: s_j·e_i
+                X = [X[j * d + i] for i in range(d) for j in range(h)]
             else:
-                X = self.array(self.products(alg, eye, S))
-            blocks.append(self.array(self.products(alg, X.reshape(-1, d), [alpha])
-                                     ).reshape(d, h, d))
+                X = _products_int(table.terms, eye, S)        # row i·h + j: e_i·s_j
+            blocks.append(_fraction_array(_products_int(table.terms, X, [alpha]),
+                                          table.den * table.den * ds * da).reshape(d, h, d))
         return np.stack(blocks)
+
+    def associates_and_commutes(self, alg, a):
+        """See :meth:`ModP.associates_and_commutes`, on integer rows: L and
+        R share one denominator den·d_a, for den the table's and d_a that
+        of ``a``, and the four sides share den²·d_a, so they are equal as
+        values iff they are equal as integers."""
+        L, R, _ = self._mult_ints(alg, a)
+        if L != R:
+            return False
+        table, eye = alg._table, _identity_ints(alg.dim)
+        side = _mapped_int(table, L)
+        return (side == _products_int(table.terms, R, eye)
+                == _products_int(table.terms, eye, L) == _mapped_int(table, R))
 
     def associator_witness(self, alg):
         """The first basis triple (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k),
@@ -1013,6 +1153,13 @@ class Rational(_Field):
                     if any(acc):
                         return i, j, k
         return None
+
+    def commutator_witness(self, alg):
+        """The first basis pair (i, j) with e_i e_j != e_j e_i, compared on
+        the integer table, whose cells list their nonzero (k, n) in order."""
+        d, terms = alg.dim, alg._table.terms
+        return next(((i, j) for i in range(d) for j in range(d)
+                     if terms[i][j] != terms[j][i]), None)
 
     def simplicity(self, alg):
         """See :class:`_Field`: (True, "reduction mod q", None) for the
@@ -1045,7 +1192,7 @@ class Rational(_Field):
         last one added (those at new pivots, which with the old basis span
         the new one) by every e_i on both sides, and merges the products."""
         d = alg.dim
-        eye = [[int(i == j) for j in range(d)] for i in range(d)]
+        eye = _identity_ints(d)
         rows, pivots = self.rref(seed, d)
         frontier = rows
         while frontier and len(pivots) < d:

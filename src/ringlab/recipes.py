@@ -292,6 +292,10 @@ def _build(doc, path):
         group = _parse_group(doc["group"], f"{path}/group")
         aspec = doc["alpha"]
         if isinstance(aspec, str) and aspec.startswith("bales:"):
+            # the signed cocycle reads a morphism's bits: an XOR group's
+            if not (isinstance(doc["group"], str) and doc["group"].startswith("xor:")):
+                raise SchemaError(f"{path}/alpha",
+                                  "the bales: cocycle needs an XOR group xor:<n>")
             return twisted_group_ring(base, group, lambda g, h: bales_alpha(g, h))
         table = {}
         mors = list(group.morphisms)

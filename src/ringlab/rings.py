@@ -248,15 +248,16 @@ class TableRing(Ring):
                               self.neg_table[self.mul_table[b.data, block]]]
 
     def _probe(self):
-        n, add, mul = self.n, self.add_table, self.mul_table
+        n, mul = self.n, self.mul_table
         assoc, assoc_wit = True, None
-        for a in range(n):
-            left = mul[mul[a], :]          # (a b) c
-            right = mul[a][mul]            # a (b c)
-            if not np.array_equal(left, right):
-                b, c = np.argwhere(left != right)[0]
-                assoc, assoc_wit = False, (self.element(a), self.element(int(b)), self.element(int(c)))
-                break
+        gens = self._additive_generators()
+        # the product distributes over the sum, so the associator
+        # (ab)c − a(bc) is additive in each argument: it vanishes on every
+        # triple iff it vanishes on the triples of additive generators.
+        # Only a failure scans all n³ triples, for the first witness
+        if not np.array_equal(mul[mul[np.ix_(gens, gens)]][:, :, gens],
+                              mul[gens][:, mul[np.ix_(gens, gens)]]):
+            assoc, assoc_wit = False, tuple(self.element(x) for x in self._first_associator())
         comm = bool(np.array_equal(mul, mul.T))
         comm_wit = None
         if not comm:
@@ -269,6 +270,36 @@ class TableRing(Ring):
                 unital, unit = True, self.element(e)
                 break
         return PropertyReport(assoc, assoc_wit, comm, comm_wit, unital, unit, n)
+
+    def _additive_generators(self):
+        """A generating set of (R, +), greedily in index order: each index
+        outside the span so far joins it.  The span H grows to H + <x>, a
+        union of at least two cosets of H, so there are at most log₂ n."""
+        add = self.add_table
+        inside = np.zeros(self.n, dtype=bool)
+        inside[self.zero_index] = True
+        gens = []
+        for x in range(self.n):
+            if inside[x]:
+                continue
+            gens.append(x)
+            H, shift = np.flatnonzero(inside), x
+            while not inside[shift]:               # the cosets H + k·x
+                inside[add[H, shift]] = True
+                shift = int(add[shift, x])
+        return gens
+
+    def _first_associator(self):
+        """The first triple (a, b, c) of indices, in row-major order, with
+        (ab)c != a(bc), or None: a scan of all n³ triples."""
+        mul = self.mul_table
+        for a in range(self.n):
+            left = mul[mul[a], :]          # (a b) c
+            right = mul[a][mul]            # a (b c)
+            if not np.array_equal(left, right):
+                b, c = np.argwhere(left != right)[0]
+                return a, int(b), int(c)
+        return None
 
     def opposite(self):
         return TableRing(self.add_table, self.mul_table.T.copy(), self.zero_index,
@@ -446,17 +477,16 @@ class StructureAlgebra(Ring):
         return False, tuple(self.basis_element(i) for i in bad)
 
     def _probe_commutative(self):
-        C = self.constants
-        bad = np.argwhere(np.any(C != C.transpose(1, 0, 2), axis=2))
-        if bad.size:
-            i, j = bad[0].tolist()
-            return False, (self.basis_element(i), self.basis_element(j))
-        return True, None
+        bad = self.F.commutator_witness(self)
+        if bad is None:
+            return True, None
+        return False, tuple(self.basis_element(i) for i in bad)
 
     def find_unit(self):
         """The two-sided unit, or None: one linear solve on the field
-        backend (:meth:`ringlab.linalg._Field.unit`)."""
-        e = self.F.unit(self.constants)
+        backend (:meth:`ringlab.linalg.ModP.unit`, or over Q on the
+        integer product table)."""
+        e = self.F.unit(self)
         return None if e is None else Element(self, self.F.coords(e))
 
     def opposite(self):

@@ -186,6 +186,8 @@ F4 = {"kind": "scalar", "ring": "F4"}
       "action": ["id", {"matrix": [[1.5, 0], [0, 1]]}]}, "/action"),
     ({"kind": "cayley_tower", "base": "Q", "levels": 1, "alpha": [0.5]}, "/alpha"),
     ({"kind": "cayley_dickson", "base": "Q", "alpha": [False]}, "/alpha"),
+    ({"kind": "twisted_group_ring", "base": "Q", "group": "Z2xZ2", "alpha": "bales:"},
+     "/alpha"),
 ], ids=["F6", "F0", "Fp:x", "tower-levels", "constants", "twisted-alpha",
         "frobenius-Z2xZ2", "skew-action", "crossed-sigma", "crossed-twists",
         "tower-alpha", "matrix-alphas", "dynamics-action", "matrix-size-0",
@@ -194,7 +196,8 @@ F4 = {"kind": "scalar", "ring": "F4"}
         "flavor-custom", "twist-name", "alphas-key-range", "ore-delta-perm",
         "crossed-groupoid", "size-float", "size-bool", "points-float", "levels-bool",
         "dim-float", "zero-bool", "alpha-bool-float", "constants-float-Q",
-        "constants-fraction-Fp", "matrix-float", "tower-alpha-float", "doubling-alpha-bool"])
+        "constants-fraction-Fp", "matrix-float", "tower-alpha-float", "doubling-alpha-bool",
+        "bales-Z2xZ2"])
 def test_malformed_recipe_exits_2(tmp_path, capsys, doc, path):
     with pytest.raises(SchemaError) as err:
         build_recipe(parse_recipe_text(json.dumps(doc)))

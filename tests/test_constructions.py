@@ -16,9 +16,11 @@ from ringlab import (GF, QQ, RingMap, bales_alpha, bales_twisted_ring,
                      enumerate_subring_ideals, functions_ring, is_A_invariant,
                      make_structure_algebra, pair_groupoid)
 from ringlab import ideals, linalg
-from ringlab.constructions.crossed import CrossedSystem, crossed_product
+from ringlab.constructions.crossed import (CrossedSystem, _associates_and_commutes, _is_unit,
+                                          crossed_product)
 from ringlab.ideals import first_invariant_ideal
-from ringlab.rings import convert_to_table, direct_sum_algebra
+from ringlab.rings import convert_to_table, direct_sum_algebra, probe_properties
+from ringlab.subgroups import Subspace
 from ringlab.constructions import doubling
 from ringlab.errors import (AlphaNotCentralUnit, CoherenceViolation,
                             CriterionDisagreement, InfiniteScalarField, NotAnAction,
@@ -500,6 +502,127 @@ def rational_crossed_systems(draw):
 @given(rational_crossed_systems())
 def test_stacked_checks_match_element_loops_over_q_and_groupoids(sys):
     _assert_matches_element_loops(sys)
+
+
+# rationals with the denominators 1, 2, 3 and 5, so the integer paths of the
+# Q backend scale by different denominators on the two sides they compare
+_DENOMINATOR_RATIONALS = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3, 5]))
+
+
+def _rational_rows(draw, rows, cols):
+    return np.array(draw(st.lists(_DENOMINATOR_RATIONALS, min_size=rows * cols,
+                                  max_size=rows * cols)), dtype=object).reshape(rows, cols)
+
+
+def _reference_first_product_failure(m):
+    """The first basis pair (i, j) with m(e_i e_j) != m(e_i) m(e_j), or
+    m(e_j) m(e_i) when the map is anti, one Element product at a time."""
+    span = m.source.spanning_elements()
+    return next(((i, j) for i, a in enumerate(span) for j, b in enumerate(span)
+                 if m.apply(a * b) != ((m.apply(b) * m.apply(a)) if m.anti
+                                       else (m.apply(a) * m.apply(b)))), None)
+
+
+def _reference_twisted_blocks(alg, S, alpha, opposite):
+    """The [i, j] rows (e_i·s)·alpha, or (s·e_i)·alpha, for s the j-th row
+    of S, one Element product at a time."""
+    a = alg.element(alpha)
+    return [[(((alg.element(s) * e) if opposite else (e * alg.element(s))) * a).data
+             for s in S] for e in alg.spanning_elements()]
+
+
+def _reference_commuting_span(ring, elements):
+    """The x with x·b = b·x for each b, as the rref null space of the
+    equations Σ x_i (e_i b − b e_i) = 0, built from Element products."""
+    columns = [[(e * b - b * e).data[k] for e in ring.spanning_elements()]
+               for b in elements for k in range(ring.dim)]
+    return ring.F.kernel(columns, ring.dim)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_q_integer_paths_match_fraction_references(data):
+    d = data.draw(st.integers(1, 3))
+    alg = make_structure_algebra(d, QQ, _rational_rows(data.draw, d * d, d).reshape(d, d, d))
+    if data.draw(st.booleans()):
+        # a unital algebra (Q, Q(i), Q^3) on a random basis P: C' = P P C P^-1
+        unital = {1: field_algebra(QQ), 2: cayley_tower(QQ, 1).rings[1],
+                  3: functions_ring(3, QQ)}[d]
+        P = np.tril(_rational_rows(data.draw, d, d), -1) + np.diag(
+            [data.draw(_DENOMINATOR_RATIONALS.filter(bool)) for _ in range(d)])
+        C = np.einsum("ia,jb,abc,ck->ijk", P, P, unital.constants,
+                      unital.F.solve(P, unital.F.eye(d)))
+        alg = make_structure_algebra(d, QQ, C)
+    F = alg.F
+    # the unit, against the solve on the Fraction constants
+    C = alg.constants
+    reference = F.solve(np.vstack([C.transpose(1, 2, 0).reshape(d * d, d),
+                                   C.transpose(0, 2, 1).reshape(d * d, d)]),
+                        np.tile(F.eye(d).ravel(), 2))
+    report = probe_properties(alg)
+    unit = report.unit
+    assert (None if unit is None else list(unit.data)) == \
+        (None if reference is None else reference.tolist())
+    # the commutativity witness, compared on the integer table
+    span = alg.spanning_elements()
+    assert report.commutative_witness == next(((x, y) for x in span for y in span
+                                                if x * y != y * x), None)
+    # both sides of the homomorphism check, on a random map, straight or anti
+    m = RingMap(alg, alg, matrix=_rational_rows(data.draw, d, d), anti=data.draw(st.booleans()))
+    assert m.first_product_failure() == _reference_first_product_failure(m)
+    # the alpha verdicts, on a random element and on the unit when there is one
+    elements = [alg.element(_rational_rows(data.draw, 1, d)[0])]
+    elements += [unit] if unit is not None else []
+    for a in elements:
+        assert _associates_and_commutes(alg, a) == _reference_associates_and_commutes(alg, a)
+        assert _is_unit(alg, a) == _reference_is_unit(alg, a)
+    # twisted blocks of a stack of two maps
+    h, opposite = data.draw(st.integers(1, 3)), data.draw(st.booleans())
+    stack = np.array([_rational_rows(data.draw, h, d) for _ in range(2)])
+    alpha = _rational_rows(data.draw, 1, d)[0]
+    blocks = F.twisted_blocks(alg, stack, alpha, opposite)
+    assert [block.tolist() for block in blocks] == \
+        [[list(map(list, row)) for row in _reference_twisted_blocks(alg, S, alpha, opposite)]
+         for S in stack]
+    # commuting spans, the center among them
+    assert ideals.commuting_span(alg, elements).key() == \
+        Subspace(alg, *_reference_commuting_span(alg, elements)).key()
+    spanning = alg.spanning_elements()
+    assert ideals.center(alg).span.key() == \
+        Subspace(alg, *_reference_commuting_span(alg, spanning)).key()
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.sampled_from([Fraction(-1), Fraction(1, 2), Fraction(-3, 5), Fraction(2, 3)]),
+                min_size=1, max_size=3))
+def test_q_doubling_conjugation_matches_the_fraction_reference(alphas):
+    """The extended conjugation of each doubling reverses products, and
+    the same matrix read as a straight map fails at the reference's pair."""
+    for cd in cayley_tower(QQ, len(alphas), alphas=alphas).doublings:
+        conj = cd.extended_sigma
+        assert conj.first_product_failure() is None
+        assert _reference_first_product_failure(conj) is None
+        straight = RingMap(conj.source, conj.target, matrix=conj.matrix)
+        assert straight.first_product_failure() == _reference_first_product_failure(straight)
+
+
+def test_q_tower_compares_no_fractions(monkeypatch):
+    """Building and validating the sedenion tower over Q compares its
+    values as integers inside the backend: Fraction.__eq__ is never
+    called (10,755 times when the sides were Fraction arrays)."""
+    calls = []
+
+    def counted(*args, _original=Fraction.__eq__):
+        calls.append(args)
+        return _original(*args)
+
+    monkeypatch.setattr(Fraction, "__eq__", counted)
+    tower = cayley_tower(QQ, 4)
+    reports = [validate_crossed_system(cd.system) for cd in tower.doublings]
+    monkeypatch.undo()
+    assert all(ok for report in reports for _, ok, _ in report)
+    assert [r.dim for r in tower.rings] == [1, 2, 4, 8, 16]
+    assert calls == []
 
 
 def test_missing_base_ring_is_a_failed_item():

@@ -499,11 +499,11 @@ def test_without_trials_density_gives_the_same_verdicts(monkeypatch):
 
 
 def test_unit_modp():
-    assert linalg.ModP(3).unit(full_matrix_algebra(2, GF(3)).constants).tolist() == [1, 0, 0, 1]
+    assert linalg.ModP(3).unit(full_matrix_algebra(2, GF(3))).tolist() == [1, 0, 0, 1]
     # F_3[x]/(x^2) on the basis x, 1 + x; its radical x·F_3 alone has no unit
     C = np.array([[[0, 0], [1, 0]], [[1, 0], [1, 1]]])
-    assert linalg.ModP(3).unit(C).tolist() == [2, 1]
-    assert linalg.ModP(3).unit(C[:1, :1, :1]) is None
+    assert linalg.ModP(3).unit(make_structure_algebra(2, GF(3), C)).tolist() == [2, 1]
+    assert linalg.ModP(3).unit(make_structure_algebra(1, GF(3), C[:1, :1, :1])) is None
 
 
 def _rotation_ring():

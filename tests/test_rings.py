@@ -176,6 +176,61 @@ def test_convert_to_table_equals_the_product_order(alg):
     assert table.add_table.tolist() == add and table.mul_table.tolist() == mul
 
 
+def _reference_associativity(ring):
+    """(associative, witness) of a table ring, one triple at a time in
+    row-major order: the scan the generator check replaces."""
+    mul = ring.mul_table.tolist()
+    for a, b, c in itertools.product(range(ring.n), repeat=3):
+        if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
+            return False, (ring.element(a), ring.element(b), ring.element(c))
+    return True, None
+
+
+@st.composite
+def _table_rings(draw):
+    """Tables of random F_p algebras (rarely associative), of associative
+    ones (matrices, functions, truncated polynomials, Z/n and their sums),
+    with their indices relabelled at random, so the generators the probe
+    picks are not the algebra's basis and zero is not index 0."""
+    from ringlab.rings import (TableRing, convert_to_table, direct_sum_algebra,
+                               full_matrix_algebra, functions_ring,
+                               truncated_polynomial_ring)
+    associative = [full_matrix_algebra(2, GF(2)), functions_ring(3, GF(2)),
+                   truncated_polynomial_ring(3, 2),
+                   direct_sum_algebra([truncated_polynomial_ring(2, 2), functions_ring(1, GF(2))])]
+    choice = draw(st.integers(0, 2))
+    if choice == 0:
+        ring = convert_to_table(draw(_small_fp_algebras()))
+    elif choice == 1:
+        ring = convert_to_table(draw(st.sampled_from(associative)))
+    else:
+        ring = zmod_ring(draw(st.integers(1, 30)))
+    perm = np.array(draw(st.permutations(range(ring.n))))   # old index -> new
+    inverse = np.argsort(perm)
+    return TableRing(perm[ring.add_table[np.ix_(inverse, inverse)]],
+                     perm[ring.mul_table[np.ix_(inverse, inverse)]], perm[ring.zero_index])
+
+
+@given(_table_rings())
+@settings(max_examples=60, deadline=None)
+def test_table_associativity_on_generators_matches_the_full_scan(ring):
+    gens = ring._additive_generators()
+    assert len(gens) <= ring.n.bit_length() - 1          # at most log2 n
+    report = probe_properties(ring)
+    assert (report.associative, report.associative_witness) == _reference_associativity(ring)
+
+
+def test_a_prime_order_table_ring_scans_no_triple(monkeypatch):
+    from ringlab.rings import TableRing
+    scans = []
+    scan = TableRing._first_associator
+    monkeypatch.setattr(TableRing, "_first_associator",
+                        lambda self: scans.append(self.n) or scan(self))
+    ring = zmod_ring(1021)
+    assert probe_properties(ring).associative and ring._additive_generators() == [1]
+    assert scans == []
+
+
 def test_every_enumeration_over_q_raises():
     from ringlab.ideals import (enumerate_ideals, enumerate_subring_ideals,
                                 first_proper_line_ideal, first_stable_ideal,
