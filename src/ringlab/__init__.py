@@ -37,7 +37,7 @@ from .constructions import (CrossedProduct, CrossedSystem, RingMap,
                             twisted_group_ring, validate_crossed_system)
 from .ore import (SigmaDerivationData, SkewPolynomial,
                   check_A_invariance_truncated, commutator_degree_drop,
-                  is_sigma_delta_invariant, is_sigma_delta_simple, ore_degree_map,
+                  commutator_drop_failure, is_sigma_delta_invariant, is_sigma_delta_simple, ore_degree_map,
                   ore_mul, s_coefficients, validate_sigma_derivation)
 from .certify import (Certificate, certify_built, certify_cayley,
                       certify_crossed_product, certify_dynamics,

@@ -11,7 +11,17 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import ValidationFailure
+from .errors import TooLarge, ValidationFailure
+
+# the most morphisms a stock group or groupoid may have: a group's
+# composition table has order² entries, and validating it scans order³
+# triples (about 15 s at the cap)
+MORPHISM_CAP = 256
+
+
+def _refuse_past_cap(name, order):
+    if order > MORPHISM_CAP:
+        raise TooLarge(f"{name} has more than {MORPHISM_CAP} morphisms")
 
 
 class FiniteCategory:
@@ -137,6 +147,7 @@ def group_from_table(elements, table, identity, inverse, name="group"):
 
 
 def cyclic_group(n: int) -> FiniteCategory:
+    _refuse_past_cap(f"Z{n}", n)
     els = tuple(range(n))
     table = {(a, b): (a + b) % n for a in els for b in els}
     inv = {a: (-a) % n for a in els}
@@ -157,6 +168,8 @@ def abelian_group(orders) -> FiniteCategory:
 
 def xor_group(nbits: int) -> FiniteCategory:
     """The elementary abelian 2-group on n bits: integers under XOR."""
+    # 2^nbits is not formed past the cap, whatever nbits is
+    _refuse_past_cap(f"xor:{nbits}", 2 ** min(nbits, MORPHISM_CAP.bit_length()))
     els = tuple(range(2 ** nbits))
     table = {(a, b): a ^ b for a in els for b in els}
     inv = {a: a for a in els}
@@ -165,6 +178,7 @@ def xor_group(nbits: int) -> FiniteCategory:
 
 def pair_groupoid(n: int) -> FiniteCategory:
     """Objects 0..n-1; morphisms (i,j): j -> i with (i,j)(j,k) = (i,k)."""
+    _refuse_past_cap(f"pair:{n}", n * n)
     objs = tuple(range(n))
     mors = tuple((i, j) for i in range(n) for j in range(n))
     dom = {(i, j): j for (i, j) in mors}

@@ -1,6 +1,6 @@
 """Certificate pipelines: run a structural simplicity statement on a concrete
-instance, record which premises were verified (or sampled, or assumed), state
-the conclusion, and cross-check it against the simplicity oracle whenever one
+instance, record which premises were verified (or assumed), state the
+conclusion, and cross-check it against the simplicity oracle whenever one
 exists.
 
 :func:`certify_built` produces every certificate of a built object, and
@@ -43,7 +43,7 @@ from .subgroups import full_subgroup, product_span, triple_product_span, zero_su
 @dataclass
 class Premise:
     name: str
-    status: str                  # "verified" | "failed" | "sampled" | "assumed"
+    status: str                  # "verified" | "failed" | "assumed"
     detail: object = None
 
     def __repr__(self):
@@ -66,7 +66,7 @@ class Certificate:
 
     @property
     def conditional(self):
-        return any(p.status in ("assumed", "sampled") for p in self.premises)
+        return any(p.status == "assumed" for p in self.premises)
 
     def failed_premises(self):
         return [p for p in self.premises if p.status == "failed"]

@@ -1,21 +1,25 @@
 """Skew polynomials over a finite base ring: x·b = sigma(b)·x + delta(b).
 
-The polynomial ring itself is infinite, so every global claim here is
-degree-truncated and says so; the base ring B, its endomorphism sigma and
-the twisted derivation delta (delta(bc) = sigma(b)delta(c) + delta(b)c) are
-validated exactly.  Polynomials are coefficient sequences over B with no
-trailing zeros; the degree-plus-one map sends 0 to 0.
+The base ring B, its endomorphism sigma and the twisted derivation delta
+(delta(bc) = sigma(b)delta(c) + delta(b)c) are validated exactly.  The
+polynomial ring itself is infinite, so every claim about it is proved up to
+a degree and says so: :func:`commutator_drop_failure` proves the degree
+map's commutator drop for every polynomial of degree at most ``max_deg``
+(4 by default), by checking identities additive in the polynomial on the
+monomials h·x^i with h an additive generator of B, and
+:func:`check_A_invariance_truncated` decides B·x^n·I ⊆ I·A for n ≤ n_max.
+Polynomials are coefficient sequences over B with no trailing zeros; the
+degree-plus-one map sends 0 to 0.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .constructions.crossed import RingMap
 from .errors import CriterionDisagreement, PreconditionUnmet, ShapeMismatch
-from .ideals import (DEFAULT_ELEMENT_CAP, DEFAULT_SEED, IdealBasis, _random_element,
-                     center, first_stable_ideal, is_stable)
+from .ideals import (DEFAULT_ELEMENT_CAP, IdealBasis, center, first_stable_ideal,
+                     is_stable)
 from .rings import Element, Ring
 
 
@@ -182,29 +186,6 @@ def ore_degree_map(p: SkewPolynomial) -> int:
     return 0 if p.is_zero() else p.degree() + 1
 
 
-def random_polynomial(data, rng, max_deg, monic=False):
-    """A polynomial of random degree at most ``max_deg`` whose coefficients
-    are :func:`ringlab.ideals._random_element` draws; the top one is the
-    unit when ``monic`` or when it was drawn zero."""
-    deg = rng.randrange(max_deg + 1)
-    coeffs = [_random_element(data.base, rng) for _ in range(deg + 1)]
-    if monic or coeffs[-1].is_zero():
-        coeffs[-1] = data.unit
-    return SkewPolynomial(data, coeffs)
-
-
-def assert_associativity_sample(data, samples=1000, seed=DEFAULT_SEED, max_deg=3):
-    """ore_mul is associative on random triples whenever B is associative."""
-    rng = random.Random(seed)
-    for _ in range(samples):
-        p = random_polynomial(data, rng, max_deg)
-        q = random_polynomial(data, rng, max_deg)
-        r = random_polynomial(data, rng, max_deg)
-        if (p * q) * r != p * (q * r):
-            return False, (p, q, r)
-    return True, None
-
-
 # ---------------------------------------------------------------------------
 # invariance and simplicity of the base
 # ---------------------------------------------------------------------------
@@ -248,43 +229,96 @@ def commutator_degree_drop(a: SkewPolynomial, b, data: SigmaDerivationData):
 
     Only for differential data (sigma = id).  For b = "x" the input must be
     monic and the commutator is checked against -sum delta(b_i) x^i; for
-    central b the top coefficient is checked to cancel.
+    central b against its expansion in the s-coefficients.
     """
-    if not data.sigma.is_identity():
-        raise PreconditionUnmet("commutator calculus here requires sigma = id")
+    _require_identity_sigma(data)
     if a.is_zero():
         raise PreconditionUnmet("a must be nonzero")
-    n = a.degree()
     if isinstance(b, str) and b == "x":
         if not a.is_monic():
             raise PreconditionUnmet("the x-commutator form needs a monic polynomial")
         x = data.x()
         comm = a * x - x * a
         expected = SkewPolynomial(
-            data, [-data.delta.apply(a.coeff(i)) for i in range(n)])
+            data, [-data.delta.apply(a.coeff(i)) for i in range(a.degree())])
         if comm != expected:
             raise CriterionDisagreement("x-commutator does not match the closed form")
     else:
-        zb = center(data.base)
-        if not zb.contains(b):
+        if not center(data.base).contains(b):
             raise PreconditionUnmet("b must be central in the base ring")
-        pb = data.constant(b)
-        comm = a * pb - pb * a
-        expected_coeffs = [data.base.zero()] * (n + 1)
-        for i in range(n + 1):
-            bi = a.coeff(i)
-            s = s_coefficients(i, b, data)     # s[0] multiplies x^i
-            for j in range(i + 1):
-                expected_coeffs[j] = expected_coeffs[j] + bi * s[i - j]
-            expected_coeffs[i] = expected_coeffs[i] - b * bi
-        if comm != SkewPolynomial(data, expected_coeffs):
-            raise CriterionDisagreement("commutator does not match the expansion")
-        if not comm.is_zero() and comm.degree() >= n:
-            top = a.leading() * s_coefficients(n, b, data)[0] - b * a.leading()
-            if top.is_zero():
-                raise CriterionDisagreement("top coefficient cancels but degree did not drop")
+        comm = _central_commutator(a, b, data)
     drop = ore_degree_map(comm) < ore_degree_map(a)
     return drop, comm
+
+
+def _require_identity_sigma(data):
+    if not data.sigma.is_identity():
+        raise PreconditionUnmet("commutator calculus here requires sigma = id")
+
+
+def _central_commutator(a, b, data):
+    """a·b − b·a, checked against sum_i a_i (x^i b) − b a_i x^i with x^i b
+    expanded in the s-coefficients."""
+    n = a.degree()
+    pb = data.constant(b)
+    comm = a * pb - pb * a
+    expected_coeffs = [data.base.zero()] * (n + 1)
+    for i in range(n + 1):
+        bi = a.coeff(i)
+        s = s_coefficients(i, b, data)     # s[0] multiplies x^i
+        for j in range(i + 1):
+            expected_coeffs[j] = expected_coeffs[j] + bi * s[i - j]
+        expected_coeffs[i] = expected_coeffs[i] - b * bi
+    if comm != SkewPolynomial(data, expected_coeffs):
+        raise CriterionDisagreement("commutator does not match the expansion")
+    return comm
+
+
+def _monomial(data, h, i):
+    """h·x^i."""
+    return SkewPolynomial(data, [data.base.zero()] * i + [h])
+
+
+def commutator_drop_failure(data: SigmaDerivationData, max_deg=4):
+    """The first (a, b) at which the degree map d = deg + 1 fails to drop
+    under a commutator, with b = "x" or b central; None proves that it
+    drops up to degree ``max_deg``.
+
+    Only for differential data (sigma = id).  The checks run on the
+    monomials a = h·x^i, i ≤ max_deg, with h in
+    ``base.additive_generators()``:
+
+    - a·x − x·a = −sum_j delta(a_j) x^j;
+    - for each b spanning the centre Z(B), a·b − b·a matches its
+      expansion (:func:`commutator_degree_drop`) and loses its x^i
+      coefficient.
+
+    B's product is biadditive and delta additive, so both sides of both
+    identities are additive in a (linear, over an algebra), and holding on
+    the monomials they hold for every a of degree at most ``max_deg``.
+    delta(1) = 0 is checked first (a = 1, b = "x", as [1, x] = −delta(1));
+    with it a monic a of degree n ≤ max_deg has [a, x] of degree below n,
+    so d([a, x]) < d(a).  The x^n coefficient of [a, b] is a_n·b − b·a_n,
+    which depends only on the top coefficient a_n, so its cancellation on
+    the monomials gives d([a, b]) < d(a) for every nonzero a.
+    """
+    _require_identity_sigma(data)
+    if not data.delta.apply(data.unit).is_zero():
+        return data.constant(data.unit), "x"
+    x, zb = data.x(), center(data.base).spanning()
+    for i in range(max_deg + 1):
+        for h in data.base.additive_generators():
+            a = _monomial(data, h, i)
+            if a * x - x * a != _monomial(data, -data.delta.apply(h), i):
+                return a, "x"
+            for b in zb:
+                try:
+                    comm = _central_commutator(a, b, data)
+                except CriterionDisagreement:
+                    return a, b
+                if ore_degree_map(comm) > i:
+                    return a, b
+    return None
 
 
 def check_A_invariance_truncated(I: IdealBasis, data: SigmaDerivationData,
@@ -311,55 +345,3 @@ def degree_one_escape_witness(I: IdealBasis, data: SigmaDerivationData):
         if not I.contains(sb) or not I.contains(db):
             return v, SkewPolynomial(data, (db, sb))
     return None
-
-
-# ---------------------------------------------------------------------------
-# sampled degree-map evidence for the polynomial ring itself
-# ---------------------------------------------------------------------------
-
-@dataclass
-class CommutatorSampleReport:
-    samples: int
-    seed: int
-    max_degree: int
-    top_coefficient_failures: int
-    drop_failures: int
-    x_form_failures: int
-
-    @property
-    def clean(self):
-        return (self.top_coefficient_failures == 0 and self.drop_failures == 0
-                and self.x_form_failures == 0)
-
-
-def degree_map_commutator_samples(data: SigmaDerivationData, samples=1000,
-                                  seed=DEFAULT_SEED, max_deg=4) -> CommutatorSampleReport:
-    """Sampled evidence for the degree-drop condition on random monic
-    polynomials: central commutators lose their top coefficient and the
-    x-commutator matches its closed form.  Evidence only, never a proof."""
-    if not data.sigma.is_identity():
-        raise PreconditionUnmet("sampling requires sigma = id")
-    rng = random.Random(seed)
-    zb = center(data.base).spanning()
-    top_fail = drop_fail = x_fail = 0
-    for _ in range(samples):
-        a = random_polynomial(data, rng, max_deg, monic=True)
-        da = ore_degree_map(a)
-        for b in zb:
-            try:
-                drop, comm = commutator_degree_drop(a, b, data)
-            except CriterionDisagreement:
-                top_fail += 1
-                continue
-            if not comm.is_zero() and comm.degree() >= a.degree():
-                top_fail += 1
-            if not drop:
-                drop_fail += 1
-        try:
-            drop, comm = commutator_degree_drop(a, "x", data)
-        except CriterionDisagreement:
-            x_fail += 1
-            continue
-        if not drop:
-            drop_fail += 1
-    return CommutatorSampleReport(samples, seed, max_deg, top_fail, drop_fail, x_fail)

@@ -129,15 +129,20 @@ def _is_cyclic_spec(spec):
 
 
 def _parse_group(spec, path):
-    if isinstance(spec, str):
-        if _is_cyclic_spec(spec):
-            return cyclic_group(int(spec[1:]))
-        if spec.startswith("xor:"):
-            return xor_group(int(spec[4:]))
-        if spec == "Z2xZ2":
-            return abelian_group((2, 2))
-        if spec.startswith("pair:"):
-            return pair_groupoid(int(spec[5:]))
+    if spec == "Z2xZ2":
+        return abelian_group((2, 2))
+    for prefix, build, least in (("Z", cyclic_group, 1), ("xor:", xor_group, 0),
+                                 ("pair:", pair_groupoid, 1)):
+        if isinstance(spec, str) and spec.startswith(prefix):
+            size = spec[len(prefix):]
+            try:
+                n = int(size) if size.isascii() and size.isdigit() else -1
+            except ValueError:                  # more digits than int() reads
+                n = -1
+            if n < least:
+                raise SchemaError(path, f"bad group size in {spec!r}: expected an "
+                                        f"integer of at least {least}")
+            return build(n)
     raise SchemaError(path, f"unknown group spec {spec!r}")
 
 

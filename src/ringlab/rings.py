@@ -142,6 +142,12 @@ class Ring:
         """A finite additive spanning set (basis, or every element)."""
         raise NotImplementedError
 
+    def additive_generators(self):
+        """Few elements that decide an identity additive in each argument
+        (linear, for an algebra): a basis, or for a table ring a generating
+        set of (R, +)."""
+        return self.spanning_elements()
+
     def enumerate_elements(self, cap=DEFAULT_ELEMENT_CAP):
         return [a for block in self.element_blocks(cap)
                 for a in self.block_elements(block)]
@@ -250,7 +256,7 @@ class TableRing(Ring):
     def _probe(self):
         n, mul = self.n, self.mul_table
         assoc, assoc_wit = True, None
-        gens = self._additive_generators()
+        gens = [g.data for g in self.additive_generators()]
         # the product distributes over the sum, so the associator
         # (ab)c − a(bc) is additive in each argument: it vanishes on every
         # triple iff it vanishes on the triples of additive generators.
@@ -271,7 +277,7 @@ class TableRing(Ring):
                 break
         return PropertyReport(assoc, assoc_wit, comm, comm_wit, unital, unit, n)
 
-    def _additive_generators(self):
+    def additive_generators(self):
         """A generating set of (R, +), greedily in index order: each index
         outside the span so far joins it.  The span H grows to H + <x>, a
         union of at least two cosets of H, so there are at most log₂ n."""
@@ -287,7 +293,7 @@ class TableRing(Ring):
             while not inside[shift]:               # the cosets H + k·x
                 inside[add[H, shift]] = True
                 shift = int(add[shift, x])
-        return gens
+        return [Element(self, x) for x in gens]
 
     def _first_associator(self):
         """The first triple (a, b, c) of indices, in row-major order, with

@@ -188,6 +188,13 @@ F4 = {"kind": "scalar", "ring": "F4"}
     ({"kind": "cayley_dickson", "base": "Q", "alpha": [False]}, "/alpha"),
     ({"kind": "twisted_group_ring", "base": "Q", "group": "Z2xZ2", "alpha": "bales:"},
      "/alpha"),
+    ({"kind": "skew_group_ring", "base": "Fp:2", "group": "xor:x", "action": "frobenius"},
+     "/group"),
+    ({"kind": "skew_group_ring", "base": "Fp:2", "group": "pair:y", "action": "frobenius"},
+     "/group"),
+    ({"kind": "skew_group_ring", "base": "Fp:2", "group": "xor:-1", "action": "frobenius"},
+     "/group"),
+    ({"kind": "twisted_group_ring", "base": "Q", "group": "Z0", "alpha": [[]]}, "/group"),
 ], ids=["F6", "F0", "Fp:x", "tower-levels", "constants", "twisted-alpha",
         "frobenius-Z2xZ2", "skew-action", "crossed-sigma", "crossed-twists",
         "tower-alpha", "matrix-alphas", "dynamics-action", "matrix-size-0",
@@ -197,7 +204,8 @@ F4 = {"kind": "scalar", "ring": "F4"}
         "crossed-groupoid", "size-float", "size-bool", "points-float", "levels-bool",
         "dim-float", "zero-bool", "alpha-bool-float", "constants-float-Q",
         "constants-fraction-Fp", "matrix-float", "tower-alpha-float", "doubling-alpha-bool",
-        "bales-Z2xZ2"])
+        "bales-Z2xZ2", "group-xor-letter", "group-pair-letter", "group-xor-negative",
+        "group-Z0"])
 def test_malformed_recipe_exits_2(tmp_path, capsys, doc, path):
     with pytest.raises(SchemaError) as err:
         build_recipe(parse_recipe_text(json.dumps(doc)))
@@ -256,6 +264,26 @@ def test_zmod_past_the_table_cap_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == "error: table ring size 4097 exceeds cap 4096\n"
+
+
+@pytest.mark.parametrize("group", ["Z257", "xor:9", "pair:17"])
+def test_a_group_past_the_morphism_cap_exits_2(tmp_path, capsys, group):
+    # refused before its composition table is built: one past the cap of 256
+    doc = {"kind": "skew_group_ring", "base": "Fp:2", "group": group, "action": "frobenius"}
+    code = main(["check", _write(tmp_path, "big-group.json", doc)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {group} has more than 256 morphisms\n"
+
+
+def test_a_group_size_of_5000_digits_exits_2(tmp_path, capsys):
+    # a bad size where int() limits its digits (CPython 3.10.7 and later),
+    # and past the morphism cap where it does not
+    doc = {"kind": "skew_group_ring", "base": "Fp:2", "group": "Z" + "9" * 5000,
+           "action": "frobenius"}
+    code = main(["check", _write(tmp_path, "digits.json", doc)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and "Traceback" not in captured.err
 
 
 def test_a_check_past_the_cap_keeps_the_report(tmp_path, capsys):

@@ -1,26 +1,23 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ringlab import (GF, RingMap, SigmaDerivationData, center,
                      check_A_invariance_truncated, commutator_degree_drop,
-                     ideal_closure, is_sigma_delta_invariant,
+                     commutator_drop_failure, ideal_closure, is_sigma_delta_invariant,
                      is_sigma_delta_simple, ore_degree_map, ore_mul,
                      s_coefficients, truncated_polynomial_ring,
                      validate_sigma_derivation, zmod_ring, gf_extension,
                      QQ, enumerate_ideals,
                      field_algebra, functions_ring, make_structure_algebra)
 from ringlab.corpus import ORE_CORPUS, build_ore_f5, build_ore_m2f2_inner, build_ore_z4
-from ringlab.errors import (InfiniteScalarField, PreconditionUnmet, ShapeMismatch,
-                            TooLarge)
+from ringlab.errors import (CriterionDisagreement, InfiniteScalarField,
+                            PreconditionUnmet, ShapeMismatch, TooLarge)
 from ringlab.ideals import first_invariant_ideal
-from ringlab.ore import (SkewPolynomial, assert_associativity_sample,
-                         degree_map_commutator_samples,
-                         degree_one_escape_witness, random_polynomial)
-from ringlab import linalg
+from ringlab.ore import SkewPolynomial, _monomial, degree_one_escape_witness
+from ringlab import linalg, ore
 from ringlab.rings import convert_to_table
-import random
 
 
 def _ddy(p, k):
@@ -29,6 +26,49 @@ def _ddy(p, k):
     for i in range(1, k):
         m[i, i - 1] = i
     return SigmaDerivationData(b, RingMap.identity(b), RingMap(b, b, matrix=m))
+
+
+def _elements(B):
+    """Any element of a table ring or of an F_p algebra."""
+    if B.is_table:
+        return st.integers(0, B.n - 1).map(B.element)
+    return st.lists(st.integers(0, B.modulus - 1), min_size=B.dim,
+                    max_size=B.dim).map(B.element)
+
+
+@st.composite
+def polynomials(draw, data, max_deg=3, monic=False):
+    """A polynomial of degree at most ``max_deg``; its top coefficient is
+    the unit when ``monic`` or when it was drawn zero."""
+    coeffs = draw(st.lists(_elements(data.base), min_size=1, max_size=max_deg + 1))
+    if monic or coeffs[-1].is_zero():
+        coeffs[-1] = data.unit
+    return SkewPolynomial(data, coeffs)
+
+
+def associativity_failure(data, max_deg=3):
+    """The first triple (x^i, h·x^j, k), with i, j ≤ max_deg and h, k
+    additive generators of the base, at which ore_mul is not associative;
+    None proves (pq)r = p(qr) whenever p and q have degree at most max_deg.
+
+    The associator is additive in each argument (linear, over an algebra),
+    so triples of monomials g·x^i, h·x^j, k·x^l decide it.  A left factor g
+    of the base comes out of both sides, because the base is associative,
+    and a right factor x^l only shifts degrees."""
+    gens = data.base.additive_generators()
+    for i in range(max_deg + 1):
+        p = _monomial(data, data.unit, i)
+        for j in range(max_deg + 1):
+            for h in gens:
+                q = _monomial(data, h, j)
+                for k in gens:
+                    r = data.constant(k)
+                    if (p * q) * r != p * (q * r):
+                        return p, q, r
+    return None
+
+
+_F5 = build_ore_f5()
 
 
 def test_validate_formal_derivative():
@@ -71,10 +111,10 @@ def test_defining_relation():
     assert xy.coeffs[0] == data.base.basis_element(0)
 
 
-def test_multiplication_by_one_and_degree():
-    data = build_ore_f5()
-    rng = random.Random(7)
-    p = random_polynomial(data, rng, 3)
+@settings(max_examples=30, deadline=None)
+@given(polynomials(_F5))
+def test_multiplication_by_one_and_degree(p):
+    data = _F5
     one = data.constant(data.unit)
     assert p * one == p and one * p == p
     assert ore_degree_map(SkewPolynomial(data, ())) == 0
@@ -89,8 +129,7 @@ def test_associativity_spot_check():
     x = data.x()
     y = data.constant(data.base.basis_element(1))
     assert (x * (x * y)) == ((x * x) * y)
-    ok, witness = assert_associativity_sample(data, samples=150)
-    assert ok, witness
+    assert associativity_failure(data) is None
 
 
 def test_s_coefficients():
@@ -150,14 +189,12 @@ def test_commutator_with_x():
         commutator_degree_drop(SkewPolynomial(data, (y, y)), "x", data)
 
 
-def test_monic_commutator_degree_bound():
-    data = build_ore_f5()
-    rng = random.Random(11)
-    for _ in range(50):
-        a = random_polynomial(data, rng, 4, monic=True)
-        drop, comm = commutator_degree_drop(a, "x", data)
-        if not comm.is_zero():
-            assert comm.degree() <= a.degree() - 1
+@settings(max_examples=50, deadline=None)
+@given(polynomials(_F5, 4, monic=True))
+def test_monic_commutator_degree_bound(a):
+    drop, comm = commutator_degree_drop(a, "x", _F5)
+    if not comm.is_zero():
+        assert comm.degree() <= a.degree() - 1
 
 
 def test_truncated_invariance():
@@ -173,91 +210,96 @@ def test_truncated_invariance():
     assert escapes
 
 
-def test_degree_of_products():
-    data = build_ore_f5()
-    rng = random.Random(3)
-    for _ in range(60):
-        p = random_polynomial(data, rng, 3)
-        q = random_polynomial(data, rng, 3)
-        prod = p * q
-        if p.is_zero() or q.is_zero():
-            assert prod.is_zero()
-            continue
-        assert prod.is_zero() or prod.degree() <= p.degree() + q.degree()
-        lead = p.leading() * q.leading()   # sigma = id twist
-        if not lead.is_zero():
-            assert prod.degree() == p.degree() + q.degree()
+@settings(max_examples=60, deadline=None)
+@given(polynomials(_F5), polynomials(_F5))
+def test_degree_of_products(p, q):
+    prod = p * q
+    assert prod.is_zero() or prod.degree() <= p.degree() + q.degree()
+    lead = p.leading() * q.leading()   # sigma = id twist
+    if not lead.is_zero():
+        assert prod.degree() == p.degree() + q.degree()
 
 
-def test_ore_mul_distributes():
-    data = build_ore_f5()
-    rng = random.Random(19)
-    for _ in range(40):
-        p = random_polynomial(data, rng, 3)
-        q = random_polynomial(data, rng, 3)
-        r = random_polynomial(data, rng, 3)
-        assert p * (q + r) == p * q + p * r
-        assert (p + q) * r == p * r + q * r
+@settings(max_examples=40, deadline=None)
+@given(polynomials(_F5), polynomials(_F5), polynomials(_F5))
+def test_ore_mul_distributes(p, q, r):
+    assert p * (q + r) == p * q + p * r
+    assert (p + q) * r == p * r + q * r
 
 
-def test_monic_commutator_drop_for_full_base_set():
+_ORE = [(name, build()) for name, build in ORE_CORPUS]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_monic_commutator_drop_for_full_base_set(draws):
     # for delta-simple differential data the degree drops against every base
     # element (monic top coefficients cancel) and against x
-    for name, build in ORE_CORPUS:
-        data = build()
+    for name, data in _ORE:
         if not data.sigma.is_identity():
             continue
         if not is_sigma_delta_simple(data).simple:
             continue
-        rng = random.Random(5)
-        for _ in range(25):
-            a = random_polynomial(data, rng, 3, monic=True)
-            da = ore_degree_map(a)
-            for b in data.base.spanning_elements():
-                pb = data.constant(b)
-                assert ore_degree_map(a * pb - pb * a) < da, name
-            drop, _ = commutator_degree_drop(a, "x", data)
-            assert drop, name
+        a = draws.draw(polynomials(data, 3, monic=True))
+        da = ore_degree_map(a)
+        for b in data.base.spanning_elements():
+            pb = data.constant(b)
+            assert ore_degree_map(a * pb - pb * a) < da, name
+        drop, _ = commutator_degree_drop(a, "x", data)
+        assert drop, name
 
 
-def test_samplers_run_over_q():
-    # Q and Q × Q with sigma = id and delta = 0: the samplers draw small
-    # integer coordinates, as the simplicity witness search does
+def test_exact_checks_run_over_q():
+    # Q and Q × Q with sigma = id and delta = 0: the monomials run over a
+    # basis, and both identities are linear over Q
     for base in (field_algebra(QQ), functions_ring(2, QQ)):
         zero = np.zeros((base.dim, base.dim), dtype=np.int64)
         data = SigmaDerivationData(base, RingMap.identity(base), RingMap(base, base, matrix=zero))
-        assert assert_associativity_sample(data, samples=20) == (True, None)
-        report = degree_map_commutator_samples(data, samples=20)
-        assert report.samples == 20 and report.clean
-        rng = random.Random(1)
-        assert any(c != data.unit and not c.is_zero()
-                   for _ in range(5) for c in random_polynomial(data, rng, 3).coeffs)
+        assert commutator_drop_failure(data) is None
+        assert associativity_failure(data) is None
 
 
-def test_random_polynomials_draw_the_same_coefficients():
-    # one randrange per coordinate (F_p) or per element (tables), in order
-    for data in (build_ore_f5(), _ddy(2, 3), build_ore_m2f2_inner(), build_ore_z4()):
-        B = data.base
-        for seed in range(5):
-            rng, ref = random.Random(seed), random.Random(seed)
-            for monic in (False, True):
-                got = random_polynomial(data, rng, 3, monic=monic)
-                deg = ref.randrange(4)
-                coeffs = [B.element(ref.randrange(B.n)) if B.is_table else
-                          B.element(tuple(ref.randrange(B.modulus) for _ in range(B.dim)))
-                          for _ in range(deg + 1)]
-                if monic or coeffs[-1].is_zero():
-                    coeffs[-1] = data.unit
-                assert got == SkewPolynomial(data, coeffs)
+def test_exact_checks_hold_on_the_ore_corpus():
+    for name, data in _ORE:
+        assert associativity_failure(data) is None, name
+        if data.sigma.is_identity():
+            assert commutator_drop_failure(data) is None, name
+        else:
+            with pytest.raises(PreconditionUnmet):
+                commutator_drop_failure(data)
 
 
-def test_commutator_samples_clean_on_corpus():
-    for name, build in ORE_CORPUS:
-        data = build()
-        if not data.sigma.is_identity():
-            continue
-        rep = degree_map_commutator_samples(data, samples=60)
-        assert rep.clean, name
+def test_a_wrong_product_gives_each_exact_check_a_witness(monkeypatch):
+    data = build_ore_f5()
+    B = data.base
+    x_power_times, ore_mul = ore.x_power_times, ore.ore_mul
+    with monkeypatch.context() as m:
+        # x·c read as c·x + delta(c) + c: delta + id is no derivation
+        shifted = SigmaDerivationData(B, data.sigma, RingMap(
+            B, B, matrix=data.delta.matrix + np.eye(B.dim, dtype=np.int64)))
+        m.setattr(ore, "x_power_times", lambda d, i, b: x_power_times(shifted, i, b))
+        p, q, r = associativity_failure(data)
+        assert (p * q) * r != p * (q * r)
+        a, b = commutator_drop_failure(data)
+        assert b == "x" and a * data.x() - data.x() * a != SkewPolynomial(
+            data, [-data.delta.apply(c) for c in a.coeffs])
+    with monkeypatch.context() as m:
+        # a constant right factor of a polynomial of degree 2 or more
+        # multiplied on the left: the x-commutators hold, the central ones
+        # do not
+        m.setattr(ore, "ore_mul", lambda p, q: ore_mul(q, p)
+                  if len(p.coeffs) > 2 and len(q.coeffs) == 1 else ore_mul(p, q))
+        p, q, r = associativity_failure(data)
+        assert (p * q) * r != p * (q * r)
+        a, b = commutator_drop_failure(data)
+        assert b != "x" and center(B).contains(b)
+        with pytest.raises(CriterionDisagreement):
+            commutator_degree_drop(a, b, data)
+    assert associativity_failure(data) is None and commutator_drop_failure(data) is None
+    # delta(1) != 0: [1, x] = -delta(1) is the witness
+    bad = SigmaDerivationData(B, data.sigma, RingMap(
+        B, B, matrix=data.delta.matrix + np.eye(B.dim, dtype=np.int64)))
+    assert commutator_drop_failure(bad) == (bad.constant(bad.unit), "x")
 
 
 def test_inner_derivation_base():
@@ -279,8 +321,27 @@ def _upper_triangular(p):
          [[0, 0, 0], [0, 0, 0], [0, 0, 1]]])
 
 
+def _additive_table_map(draw, B):
+    """The map sending each additive generator of a table ring to a drawn
+    element, extended along sums: additive on the strategy's table rings,
+    whose additive groups are cyclic or of exponent 2."""
+    image = {B.zero_index: B.zero_index}
+    for g in B.additive_generators():
+        t = draw(st.integers(0, B.n - 1))
+        frontier = list(image)
+        while frontier:
+            y = frontier.pop()
+            z = int(B.add_table[y, g.data])
+            if z not in image:
+                image[z] = int(B.add_table[image[y], t])
+                frontier.append(z)
+    return RingMap(B, B, perm=[image[i] for i in range(B.n)])
+
+
 def _random_self_map(draw, B):
     if B.is_table:
+        if draw(st.booleans()):
+            return _additive_table_map(draw, B)
         return RingMap(B, B, perm=draw(st.lists(st.integers(0, B.n - 1),
                                                 min_size=B.n, max_size=B.n)))
     p, d = B.modulus, B.dim
@@ -328,6 +389,22 @@ def test_sigma_delta_simplicity_matches_the_ideal_enumeration(data):
     assert v.simple == (ref is None)
     if not v.simple:
         assert v.witness.key() == ref.key() and v.witness.of_subring is None
+
+
+@settings(max_examples=80, deadline=None)
+@given(sigma_delta_data(), st.integers(1, 3))
+def test_exact_associativity_matches_the_validator(data, max_deg):
+    # the coefficients of (x·b)·c = x·(bc) are sigma(b)sigma(c) = sigma(bc)
+    # and sigma(b)delta(c) + delta(b)c = delta(bc); over an associative base
+    # those two make the whole extension associative
+    assume(data.sigma.is_additive() and data.delta.is_additive())
+    report = {name: ok for name, ok, _ in validate_sigma_derivation(data)}
+    witness = associativity_failure(data, max_deg)
+    assert (witness is None) == (report["sigma multiplicative"]
+                                 and report["twisted Leibniz rule"])
+    if witness is not None:
+        p, q, r = witness
+        assert (p * q) * r != p * (q * r)
 
 
 def test_sigma_delta_simplicity_keeps_its_size_and_field_limits(monkeypatch):
