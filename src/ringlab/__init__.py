@@ -8,7 +8,7 @@ maps, and certificate pipelines that cross-check structural simplicity
 statements against the oracles.
 """
 
-from .scalars import GF, QQ, IntegersMod
+from .linalg import GF, QQ
 from .rings import (Element, PropertyReport, Ring, StructureAlgebra, TableRing,
                     enumerate_elements, field_algebra, full_matrix_algebra,
                     functions_ring, gf_extension, make_structure_algebra,

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
 from .errors import TooLarge, ValidationFailure
 
 # the most morphisms a stock group or groupoid may have: a group's
-# composition table has order² entries, and validating it scans order³
-# triples (about 15 s at the cap)
+# composition table has order² entries, and validating associativity
+# compares order³ triples
 MORPHISM_CAP = 256
 
 
@@ -104,29 +106,49 @@ class FiniteCategory:
                     gh = self.compose_table.get((g, h))
                     if gh is None:
                         problems.append(f"missing composition ({g!r},{h!r})")
-                    elif self.cod[gh] != self.cod[g] or self.dom[gh] != self.dom[h]:
+                    elif self.cod.get(gh) != self.cod[g] or self.dom.get(gh) != self.dom[h]:
                         problems.append(f"composition ({g!r},{h!r}) has wrong endpoints")
         for g in self.morphisms:
-            if self.compose_table.get((g, self.identity[self.dom[g]])) != g:
+            if self.compose_table.get((g, self.identity.get(self.dom[g]))) != g:
                 problems.append(f"right identity fails at {g!r}")
-            if self.compose_table.get((self.identity[self.cod[g]], g)) != g:
+            if self.compose_table.get((self.identity.get(self.cod[g]), g)) != g:
                 problems.append(f"left identity fails at {g!r}")
-        for g, h, k in itertools.product(self.morphisms, repeat=3):
-            if self.composable(g, h) and self.composable(h, k):
-                if self.compose(self.compose(g, h), k) != self.compose(g, self.compose(h, k)):
-                    problems.append(f"composition not associative at ({g!r},{h!r},{k!r})")
-                    break
+        bad = self._associativity_failure()
+        if bad is not None:
+            problems.append("composition not associative at ({!r},{!r},{!r})".format(*bad))
         if self.inverse is not None:
             for g in self.morphisms:
                 gi = self.inverse.get(g)
                 if gi is None:
                     problems.append(f"missing inverse for {g!r}")
                     continue
-                if (self.compose_table.get((g, gi)) != self.identity[self.cod[g]]
-                        or self.compose_table.get((gi, g)) != self.identity[self.dom[g]]):
+                if (self.compose_table.get((g, gi)) != self.identity.get(self.cod[g])
+                        or self.compose_table.get((gi, g)) != self.identity.get(self.dom[g])):
                     problems.append(f"inverse law fails at {g!r}")
         if problems:
             raise ValidationFailure(problems)
+
+    def _associativity_failure(self):
+        """The first triple (g, h, k), in ``itertools.product`` order, with
+        g∘h and h∘k composable where (g∘h)∘k and g∘(h∘k) are both in the
+        table and differ, or None.  On the table T of morphism indices, m
+        (their number) where a composition is undefined, the triples of
+        each g are one array comparison of T[T[g, h], k] with T[g, T[h, k]]."""
+        mors, m = self.morphisms, len(self.morphisms)
+        index = {g: i for i, g in enumerate(mors)}
+        T = np.full((m + 1, m + 1), m)
+        for (g, h), gh in self.compose_table.items():
+            if g in index and h in index and gh in index:
+                T[index[g], index[h]] = index[gh]
+        composable = np.array([[self.composable(g, h) for h in mors] for g in mors])
+        for g in range(m):
+            left, right = T[T[g, :m]][:, :m], T[g][T[:m, :m]]      # [h, k]
+            bad = (composable[g][:, None] & composable & (left != right)
+                   & (left < m) & (right < m))
+            if bad.any():
+                h, k = np.argwhere(bad)[0].tolist()
+                return mors[g], mors[h], mors[k]
+        return None
 
     def __repr__(self):
         return (f"FiniteCategory({self.name}: {len(self.objects)} objects, "

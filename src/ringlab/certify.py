@@ -129,7 +129,7 @@ def recognize_field(ring, cap=DEFAULT_ELEMENT_CAP, seed=DEFAULT_SEED):
     A field is a commutative, associative, unital ring that is simple.  Past
     the cap the answer is None.  Otherwise :func:`is_simple` decides, as it
     always does for table rings and F_p algebras; only where it is
-    Inconclusive is the field backend asked (``is_field``: Q algebras of
+    Inconclusive is the field backend asked (``is_field_algebra``: Q algebras of
     dimension 1 and 2).  The zero ring has R·R = 0, so it is no field.
     """
     props = ring.probe_properties()
@@ -141,7 +141,7 @@ def recognize_field(ring, cap=DEFAULT_ELEMENT_CAP, seed=DEFAULT_SEED):
     v = is_simple(ring, cap=cap, seed=seed)
     if v.status != "Inconclusive":
         return v.is_simple
-    return ring.F.is_field(ring, props.unit.data)
+    return ring.F.is_field_algebra(ring, props.unit.data)
 
 
 def _simple_status(ring, cap=DEFAULT_ELEMENT_CAP, seed=DEFAULT_SEED, hint=None):
@@ -883,7 +883,6 @@ def survey_finite_dynamics(max_points=4, max_group_order=6, field_orders=(2, 3),
     isomorphism.
     """
     from .constructions.dynamics import dynamics_skew_group_ring
-    from .scalars import GF
     survey = DynamicsSurvey()
     for m in range(1, max_points + 1):
         for kind, order, cat in _abelian_groups_upto(max_group_order):
@@ -893,7 +892,7 @@ def survey_finite_dynamics(max_points=4, max_group_order=6, field_orders=(2, 3),
                 for action in _actions_on(kind, cat, m):
                     survey.instances += 1
                     key, pi = _conjugacy_key(action, morphisms, m)
-                    dyn = dynamics_skew_group_ring(m, cat, action, GF(p))
+                    dyn = dynamics_skew_group_ring(m, cat, action, linalg.GF(p))
                     expected = dyn.minimal and dyn.faithful
                     if not dyn.faithful:
                         survey.nonfaithful_total += 1

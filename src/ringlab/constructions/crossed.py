@@ -355,7 +355,7 @@ class CrossedProduct(GradedRing):
         A = self.ring
         if A.is_algebra:
             off = self.offsets[g]
-            coords = [A.field.zero] * A.dim
+            coords = [A.F.zero] * A.dim
             for i, x in enumerate(b.data):
                 coords[off + i] = x
             return A.element(coords)
@@ -420,13 +420,9 @@ def _crossed_algebra(sys, kind_tag, notes):
     pivots, without a row reduction.
     """
     cat = sys.cat
-    field_dom = None
-    for e in cat.objects:
-        f = sys.base[e].field
-        if field_dom is None:
-            field_dom = f
-        elif f != field_dom:
-            raise ShapeMismatch("base rings must share the scalar field")
+    F = sys.base[cat.objects[0]].F
+    if any(sys.base[e].F != F for e in cat.objects):
+        raise ShapeMismatch("base rings must share the scalar field")
     offsets, dims = {}, {}
     at = 0
     for g in cat.morphisms:
@@ -435,7 +431,6 @@ def _crossed_algebra(sys, kind_tag, notes):
         dims[g] = B.dim
         at += B.dim
     total = at
-    F = sys.base[cat.objects[0]].F
     C = F.zeros((total, total, total))
     # block (g, h): e_i u_g · e_j u_h = (e_i *_g,h sigma_g(e_j)) alpha u_gh,
     # the rows of sigma_g's matrix being the sigma_g(e_j)
@@ -452,7 +447,7 @@ def _crossed_algebra(sys, kind_tag, notes):
     for (g, h), key in keys.items():
         og, oh, ogh = offsets[g], offsets[h], offsets[cat.compose(g, h)]
         C[og:og + dims[g], oh:oh + dims[h], ogh:ogh + dims[g]] = blocks[key]
-    A = StructureAlgebra(field_dom, total, C)
+    A = StructureAlgebra(F, total, C)
     eye = F.eye(total)
     components = {g: Subspace(A, eye[offsets[g]:offsets[g] + dims[g]],
                               range(offsets[g], offsets[g] + dims[g]))

@@ -95,7 +95,7 @@ def cayley_dickson(B: Ring, sigma: RingMap, alpha: Element) -> CayleyDoubling:
 
 def _char_two(B):
     if B.is_algebra:
-        return B.field.char == 2
+        return B.modulus == 2
     unit = B.probe_properties().unit
     if unit is None:
         return False
@@ -162,7 +162,7 @@ def _interleave(cd: CayleyDoubling):
     C = A.constants[np.ix_(old_index, old_index, old_index)]
     flip = (neg[:, None, None] ^ neg[None, :, None] ^ neg[None, None, :]) & C.astype(bool)
     C[flip] = -C[flip]
-    newA = StructureAlgebra(A.field, 2 * d, C)
+    newA = StructureAlgebra(A.F, 2 * d, C)
     # extended conjugation: diagonal sigma ⊕ (-1) interleaves to a diagonal
     M = np.diag(A.F.array([[s, -1] for s in signs]).ravel())
     return newA, RingMap(newA, newA, matrix=M, anti=True)

@@ -27,7 +27,7 @@ from .ideals import DEFAULT_ELEMENT_CAP, DEFAULT_SEED, is_simple
 from .ore import SigmaDerivationData
 from .rings import (field_algebra, full_matrix_algebra, gf_extension,
                     ring_of, truncated_polynomial_ring, zmod_ring)
-from .scalars import GF, QQ
+from .linalg import GF, QQ
 from .subgroups import subspace_from_vectors
 
 

@@ -224,7 +224,7 @@ def _materialize_subring(B: Subring):
     C = B.table[:, :, list(span.pivots)]
     if not (F.matmul(C.reshape(k * k, k), rows) == B.table.reshape(k * k, ring.dim)).all():
         raise RingMismatch("span is not multiplicatively closed")
-    sub = StructureAlgebra(ring.field, k, C)
+    sub = StructureAlgebra(ring.F, k, C)
 
     def embed(e):
         return ring.element(F.matmul(e.data, rows))

@@ -1,14 +1,18 @@
-"""Exact linear algebra over the two scalar fields, F_p and Q.
+"""The two scalar fields, F_p and Q, and exact linear algebra over them.
 
-This is the only module that knows how a field's vectors are stored and
-reduced.  Each field has one backend object, and both backends have the same
-small method set:
+This is the only module that knows how a field's scalars and vectors are
+stored and reduced.  Each field is one object, its backend, and both
+backends have the same small method set: the scalar arithmetic (``name``,
+``zero``, ``one``, ``coerce``, ``add``, ``neg``, ``mul``, ``inv``, ``div``)
+and the vector methods of :class:`_Field`.
 
-* ``ModP(p)``: F_p, rows are 2-D int64 arrays with entries in [0, p),
+* ``GF(p)``, the one ``ModP(p)`` for a prime p: F_p, scalars are Python
+  ints in [0, p), rows are 2-D int64 arrays with entries in [0, p),
   reduced by vectorized numpy elimination, for p up to ``MAX_MODULUS``,
   below which no sum the kernels form overflows int64;
-* ``Rational``: Q, rows are tuples of ``Fraction``s, matrices are numpy
-  object arrays of ``Fraction``s.  Inside, it works on Python ints: rows are
+* ``QQ`` (``RATIONAL``), the one ``Rational``: Q, scalars are
+  ``Fraction``s, rows are tuples of them, matrices are numpy object arrays
+  of them.  Inside, it works on Python ints: rows are
   scaled to integers and reduced by fraction-free Gauss-Jordan elimination,
   and products read one integer table per algebra (``product_table``: the
   constants as numerators over a common denominator).  Between its own
@@ -20,10 +24,10 @@ small method set:
   null space it reduces from integer rows (``commutant``) makes none
   along the way.
 
-A structure algebra picks its backend once, from its scalar field
-(:func:`backend`); every caller then works through it and never asks which
-field it is on: the backends also own ideal closure, enumeration, random
-elements, the Q field test and the JSON form (see :class:`_Field`).
+A structure algebra's field is its backend; every caller works through it
+and never asks which field it is on: the backends also own ideal closure,
+enumeration, random elements, the Q field test and the JSON form (see
+:class:`_Field`).
 Matrices are numpy arrays in both cases, so shape-level code
 (transpose, slicing, ``@``) is shared, and the backend's ``reduce`` takes the
 place of ``% p``.  Subspaces are kept in reduced row echelon form, which is
@@ -72,8 +76,10 @@ loops over the stack, on integer rows.
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
+from functools import cache
 from math import gcd, isqrt, lcm
 from typing import NamedTuple
 
@@ -680,7 +686,9 @@ def _identity_ints(d):
 class _Field:
     """The methods both backends share, written once on top of the kernels.
 
-    Subclasses provide ``dtype``, ``modulus``, ``reduce``, ``coords``,
+    Subclasses provide the scalar arithmetic (``name``, ``zero``, ``one``,
+    ``coerce``, ``add``, ``neg``, ``mul``, ``inv``), ``dtype``,
+    ``modulus``, ``reduce``, ``coords``,
     ``rows``, ``key``, ``rref``, ``member``, ``merge``, ``kernel``,
     ``equal``, ``unit``, ``mul_coords``, ``products``, ``mapped_products``,
     ``mult_matrices``, ``commutators``, ``commutant``, ``product_failures``,
@@ -695,12 +703,15 @@ class _Field:
     ``random_coords`` and ``json``.
     """
 
-    def is_field(self, alg, unit):
+    def is_field_algebra(self, alg, unit):
         """Is the commutative associative algebra ``alg`` with unit ``unit``
         a field?  Asked only where :func:`ringlab.ideals.is_simple` is
         undecided; None, undecided too, unless a backend has a test of its
-        own (:meth:`Rational.is_field`)."""
+        own (:meth:`Rational.is_field_algebra`)."""
         return None
+
+    def div(self, a, b):
+        return self.mul(a, self.inv(b))
 
     def array(self, x):
         """``x`` as a numpy array of this field's dtype (not reduced)."""
@@ -763,13 +774,41 @@ class ModP(_Field):
     """
 
     dtype = np.int64
+    zero, one = 0, 1
 
     def __init__(self, p):
         if p > MAX_MODULUS:
             raise TooLarge(f"prime {p} exceeds the largest supported modulus "
                            f"{MAX_MODULUS} of int64 arithmetic mod p")
         self.modulus = self.p = p
+        self.name = f"Fp:{p}"
 
+    def __eq__(self, other):
+        return isinstance(other, ModP) and other.p == self.p
+
+    def __hash__(self):
+        return hash(("Fp", self.p))
+
+    # -- scalars: Python ints in [0, p) -------------------------------------
+    def coerce(self, x):
+        """``x`` (an int, or a string such as "13") reduced mod p."""
+        return int(x) % self.p
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def neg(self, a):
+        return -a % self.p
+
+    def mul(self, a, b):
+        return a * b % self.p
+
+    def inv(self, a):
+        if not a % self.p:
+            raise ZeroDivisionError(f"0 is not invertible mod {self.p}")
+        return pow(a, -1, self.p)
+
+    # -- vectors and matrices -----------------------------------------------
     def reduce(self, M):
         return np.asarray(M, dtype=np.int64) % self.p
 
@@ -953,7 +992,22 @@ class Rational(_Field):
 
     dtype = object
     modulus = None
+    name = "Q"
+    zero, one = ZERO, ONE
 
+    # -- scalars: Fractions in lowest terms ---------------------------------
+    # coerce reads an int, a Fraction or a string such as "1/2"
+    coerce = staticmethod(_fraction)
+    add = staticmethod(operator.add)
+    neg = staticmethod(operator.neg)
+    mul = staticmethod(operator.mul)
+
+    def inv(self, a):
+        if not a:
+            raise ZeroDivisionError("0 is not invertible in Q")
+        return 1 / _fraction(a)
+
+    # -- vectors and matrices -----------------------------------------------
     def reduce(self, M):
         """``M`` as a new object array of Fractions: :func:`_fraction` on
         every entry, called from numpy's loop rather than a Python one."""
@@ -1209,10 +1263,11 @@ class Rational(_Field):
         # small coordinates keep the exact arithmetic cheap
         return tuple(rng.randint(-2, 2) for _ in range(d))
 
-    def is_field(self, alg, unit):
-        """See :meth:`_Field.is_field`.  True in dimension 1.  In dimension
-        2, for u the first basis vector independent of 1 and u² = γ + βu,
-        iff the discriminant β² + 4γ is not a square.  None above that."""
+    def is_field_algebra(self, alg, unit):
+        """See :meth:`_Field.is_field_algebra`.  True in dimension 1.  In
+        dimension 2, for u the first basis vector independent of 1 and
+        u² = γ + βu, iff the discriminant β² + 4γ is not a square.  None
+        above that."""
         if alg.dim > 2:
             return None
         if alg.dim == 1:
@@ -1230,9 +1285,20 @@ class Rational(_Field):
 # algebra can split at one of them (5 = (2+i)(2-i) splits Q(i))
 LIFT_PRIMES = (3, 5, 7, 11)
 
-RATIONAL = Rational()
+RATIONAL = QQ = Rational()
 
 
-def backend(field):
-    """The backend of a scalar field (Q or a prime field F_p)."""
-    return RATIONAL if field.char == 0 else ModP(field.n)
+def is_prime(n: int) -> bool:
+    """Trial division: run it only on n up to ``MAX_MODULUS``."""
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+@cache
+def GF(p: int) -> ModP:
+    """The prime field F_p, one object per p.  TooLarge past
+    ``MAX_MODULUS`` before any primality test, ValueError for p not prime."""
+    field = ModP(p)
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    return field
+

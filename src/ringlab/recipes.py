@@ -2,8 +2,10 @@
 
 A recipe is a tree with a "kind" discriminator; child recipes describe base
 rings.  A scalar is a JSON integer or a string the field parses ("p/q" over
-Q); a float or a bool is refused.  Scalar domains are "Q", "Fp:<prime>",
-"Zn:<n>", and "F<q>" for small prime powers q.
+Q); a float or a bool is refused.  Scalar specs are "Q", "Fp:<prime>",
+"Zn:<n>", and "F<q>" for small prime powers q.  Where a field is needed
+(a structure algebra's, a tower's base, a dynamics system's) "Zn:<n>" must
+name a prime and means "Fp:<n>"; as a ring it is the table ring Z/n.
 Cocycles are explicit tables or "bales:<n>"; actions are permutation arrays.
 """
 
@@ -21,10 +23,10 @@ from .constructions import (RingMap, bales_alpha, cayley_dickson,
                             matrix_ring, skew_group_ring, twisted_group_ring)
 from .constructions.crossed import _int_times
 from .errors import ParseError, SchemaError, UnknownKind
+from .linalg import GF, QQ
 from .ore import SigmaDerivationData
 from .rings import (Ring, field_algebra, gf_extension, make_structure_algebra,
                     make_table_ring, ring_of, zmod_ring)
-from .scalars import GF, QQ, IntegersMod
 
 KNOWN_KINDS = ("scalar", "table_ring", "structure_algebra", "cayley_dickson",
                "cayley_tower", "twisted_group_ring", "skew_group_ring",
@@ -94,34 +96,49 @@ def _validate_node(doc, path):
 # building
 # ---------------------------------------------------------------------------
 
-def _parse_domain(spec, path):
+def _scalar_spec(spec, path):
+    """The one parser of scalar specs: "Q", "Fp:<p>", "Zn:<n>" and "F<q>",
+    as (head, n) with head "Q", "Fp:", "Zn:" or "F" (n is None for "Q")."""
+    if spec == "Q":
+        return "Q", None
+    for head in ("Fp:", "Zn:", "F"):
+        if isinstance(spec, str) and spec.startswith(head) \
+                and (head != "F" or spec[1:].isdigit()):
+            try:
+                return head, int(spec[len(head):])
+            except ValueError as exc:      # not an integer, or more digits than int() reads
+                raise SchemaError(path, f"bad scalar spec {spec!r}: {exc}") from None
+    raise SchemaError(path, f"unknown scalar spec {spec!r}")
+
+
+def _field(spec, path):
+    """The field a scalar spec names: Q, or F_p as "Fp:p" or "Zn:p" for a
+    prime p.  ``GF`` refuses a p past ``linalg.MAX_MODULUS`` before it tests
+    primality."""
+    head, n = _scalar_spec(spec, path)
+    if head == "Q":
+        return QQ
+    if head == "F":
+        raise SchemaError(path, f"expected a field, \"Q\" or \"Fp:<prime>\", got {spec!r}")
     try:
-        if spec == "Q":
-            return QQ
-        if isinstance(spec, str) and spec.startswith("Fp:"):
-            return GF(int(spec[3:]))
-        if isinstance(spec, str) and spec.startswith("Zn:"):
-            return IntegersMod(int(spec[3:]))
+        return GF(n)
     except ValueError as exc:
-        raise SchemaError(path, f"bad scalar domain {spec!r}: {exc}") from None
-    raise SchemaError(path, f"unknown scalar domain {spec!r}")
+        raise SchemaError(path, f"bad scalar field {spec!r}: {exc}") from None
 
 
-def _build_scalar_ring(spec, path):
-    """"Q", "Fp:p", "Zn:n" or "F<q>" as a ring."""
+def _scalar_ring(spec, path):
+    """A scalar spec as a ring: Z/n for "Zn:n", GF(q) as an algebra over its
+    prime field for "F<q>", and the field as a 1-dimensional algebra for the
+    others."""
+    head, n = _scalar_spec(spec, path)
     try:
-        if spec == "Q":
-            return field_algebra(QQ)
-        if isinstance(spec, str) and spec.startswith("Fp:"):
-            return field_algebra(GF(int(spec[3:])))
-        if isinstance(spec, str) and spec.startswith("Zn:"):
-            return zmod_ring(int(spec[3:]))
-        if isinstance(spec, str) and spec.startswith("F") and spec[1:].isdigit():
-            alg, _ = gf_extension(int(spec[1:]))
-            return alg
+        if head == "Zn:":
+            return zmod_ring(n)
+        if head == "F":
+            return gf_extension(n)[0]
     except ValueError as exc:
         raise SchemaError(path, f"bad scalar ring {spec!r}: {exc}") from None
-    raise SchemaError(path, f"unknown scalar ring {spec!r}")
+    return field_algebra(_field(spec, path))
 
 
 def _is_cyclic_spec(spec):
@@ -148,16 +165,14 @@ def _parse_group(spec, path):
 
 def _coerce_scalar(dom, value, path):
     """A recipe scalar in ``dom``: a JSON integer, or a string the field
-    parses ("1/2" over Q).  A float or a bool is refused, never truncated,
+    reads ("1/2" over Q).  A float or a bool is refused, never truncated,
     read as 0 or 1, or taken as a binary fraction."""
-    if type(value) is int:
+    if type(value) is not int and not isinstance(value, str):
+        raise SchemaError(path, f"expected an integer or a string scalar, got {value!r}")
+    try:
         return dom.coerce(value)
-    if isinstance(value, str):
-        try:
-            return dom.parse(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(path, f"bad scalar {value!r}: {exc}") from None
-    raise SchemaError(path, f"expected an integer or a string scalar, got {value!r}")
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(path, f"bad scalar {value!r}: {exc}") from None
 
 
 def _integer(doc, key, path):
@@ -212,15 +227,18 @@ def _unit_multiple(base, value, path):
         if type(value) is not int:
             raise SchemaError(path, f"expected an integer, got {value!r}")
         return _int_times(base, value % base.n, unit)
-    return base.scalar_mul(_coerce_scalar(base.field, value, path), unit)
+    return base.scalar_mul(_coerce_scalar(base.F, value, path), unit)
 
 
-def _frobenius(base_spec):
-    """The Frobenius matrix of an "F<q>" scalar base, or None for any other base."""
-    spec = base_spec.get("ring") if isinstance(base_spec, dict) else base_spec
-    if isinstance(spec, str) and spec.startswith("F") and spec[1:].isdigit():
-        return gf_extension(int(spec[1:]))[1]
-    return None
+def _frobenius(base_spec, path):
+    """The Frobenius matrix of an "F<q>" scalar base, or None for any other
+    base (read after the base is built, so its spec parses)."""
+    if isinstance(base_spec, dict):
+        if base_spec["kind"] != "scalar":
+            return None
+        base_spec = base_spec["ring"]
+    head, q = _scalar_spec(base_spec, path)
+    return gf_extension(q)[1] if head == "F" else None
 
 
 def _ring_map(ring, spec, path, frobenius=None):
@@ -233,7 +251,7 @@ def _ring_map(ring, spec, path, frobenius=None):
     if isinstance(spec, dict) and "matrix" in spec:
         if ring.is_table:
             raise SchemaError(path, "a matrix map needs a structure algebra")
-        rows = [[_coerce_scalar(ring.field, x, path) for x in row]
+        rows = [[_coerce_scalar(ring.F, x, path) for x in row]
                 for row in _array(spec["matrix"], (ring.dim, ring.dim), path)]
         return RingMap(ring, ring, matrix=rows, anti=bool(spec.get("anti", False)))
     if isinstance(spec, dict) and "perm" in spec:
@@ -252,22 +270,22 @@ def build_recipe(recipe: Recipe):
 def _build(doc, path):
     kind = doc["kind"]
     if kind == "scalar":
-        return _build_scalar_ring(doc["ring"], f"{path}/ring")
+        return _scalar_ring(doc["ring"], f"{path}/ring")
     if kind == "table_ring":
         n = len(doc["add"]) if isinstance(doc["add"], list) else 0
         add, mul = (np.array(_indices(doc[key], (n, n), f"{path}/{key}"))
                     for key in ("add", "mul"))
         return make_table_ring(add, mul, _integer(doc, "zero", path) if "zero" in doc else 0)
     if kind == "structure_algebra":
-        dom = _parse_domain(doc["field"], f"{path}/field")
+        dom = _field(doc["field"], f"{path}/field")
         d = _integer(doc, "dim", path)
         C = [[[_coerce_scalar(dom, x, f"{path}/constants") for x in vec]
               for vec in plane]
              for plane in _array(doc["constants"], (d, d, d), f"{path}/constants")]
         return make_structure_algebra(d, dom, C)
     if kind == "cayley_tower":
-        dom = _parse_domain(doc["base"], f"{path}/base") if isinstance(doc["base"], str) \
-            else _parse_domain(doc["base"].get("ring", "Q"), f"{path}/base")
+        dom = _field(doc["base"] if isinstance(doc["base"], str)
+                     else doc["base"].get("ring", "Q"), f"{path}/base")
         levels = _size(doc, "levels", path, least=0)
         alphas = doc.get("alpha")
         if alphas is not None:
@@ -287,7 +305,7 @@ def _build(doc, path):
             sigma = _ring_map(base, sigma, f"{path}/sigma")
         aspec = doc.get("alpha", -1)
         if isinstance(aspec, list) and base.is_algebra:
-            alpha = base.element([_coerce_scalar(base.field, x, f"{path}/alpha")
+            alpha = base.element([_coerce_scalar(base.F, x, f"{path}/alpha")
                                   for x in _array(aspec, (base.dim,), f"{path}/alpha")])
         else:
             alpha = _unit_multiple(base, aspec, f"{path}/alpha")
@@ -318,7 +336,8 @@ def _build(doc, path):
             if not _is_cyclic_spec(doc["group"]):
                 raise SchemaError(f"{path}/action",
                                   "the frobenius action needs a cyclic group Z<n>")
-            gen = _ring_map(base, aspec, f"{path}/action", frobenius=_frobenius(doc["base"]))
+            gen = _ring_map(base, aspec, f"{path}/action",
+                            frobenius=_frobenius(doc["base"], f"{path}/base"))
             e = group.identity[group.objects[0]]
             maps[e] = RingMap.identity(base)
             for g in group.morphisms:
@@ -345,7 +364,7 @@ def _build(doc, path):
                               f"so it needs a group, not a groupoid with "
                               f"{len(group.objects)} objects")
         mors = list(group.morphisms)
-        frob = _frobenius(doc["base"])
+        frob = _frobenius(doc["base"], f"{path}/base")
         n = len(mors)
         sigma = {g: _ring_map(base, spec, f"{path}/sigma", frobenius=frob)
                  for g, spec in zip(mors, _array(doc["sigma"], (n,), f"{path}/sigma"))}
@@ -388,7 +407,7 @@ def _build(doc, path):
     if kind == "ore_extension":
         base = _child_ring(doc["base"], f"{path}/base")
         sigma = _ring_map(base, doc["sigma"], f"{path}/sigma",
-                          frobenius=_frobenius(doc["base"]))
+                          frobenius=_frobenius(doc["base"], f"{path}/base"))
         dspec = doc["delta"]
         if dspec == "zero":
             if base.is_algebra:
@@ -400,7 +419,7 @@ def _build(doc, path):
         return SigmaDerivationData(base, sigma, delta)
     if kind == "dynamics":
         group = _parse_group(doc["group"], f"{path}/group")
-        dom = _parse_domain(doc["field"], f"{path}/field")
+        dom = _field(doc["field"], f"{path}/field")
         mors = list(group.morphisms)
         points = _size(doc, "points", path)
         action = {g: tuple(row) for g, row in
@@ -411,7 +430,7 @@ def _build(doc, path):
 
 def _child_ring(spec, path):
     if isinstance(spec, str):
-        return _build_scalar_ring(spec, path)
+        return _scalar_ring(spec, path)
     if isinstance(spec, dict):
         built = _build(spec, path)
         ring = ring_of(built)

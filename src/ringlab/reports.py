@@ -160,7 +160,7 @@ def build_summary(built):
            "unital": props.unital}
     if ring.is_algebra:
         out["dimension"] = ring.dim
-        out["field"] = ring.field.name
+        out["field"] = ring.F.name
     if getattr(built, "notes", ()):
         out["notes"] = list(built.notes)
     flags = getattr(built, "minimal", None)

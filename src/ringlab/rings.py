@@ -11,7 +11,8 @@ Two representations:
 * ``StructureAlgebra``: a finite-dimensional algebra over Q or F_p given by
   structure constants c[i][j][k] (basis_i · basis_j = sum_k c[i][j][k]
   basis_k).  Bilinearity makes distributivity automatic; any constants give
-  a valid algebra.
+  a valid algebra.  Its field ``F`` (``linalg.QQ`` or ``linalg.GF(p)``) is
+  its backend: it does both the scalar and the linear algebra.
 
 Rings and elements are immutable after construction and safe to share;
 property probes cache their (idempotent) results on the ring: ``_props``
@@ -24,13 +25,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import log
 
 import numpy as np
 
 from . import linalg
 from .errors import (DistributivityViolation, NotAbelianGroup, RingMismatch,
                      ShapeMismatch, TooLarge)
-from .scalars import GF, IntegersMod
+from .linalg import GF
 
 DEFAULT_ELEMENT_CAP = 2 ** 20
 TABLE_SIZE_CAP = 4096
@@ -386,15 +388,11 @@ class StructureAlgebra(Ring):
 
     def __init__(self, field, dim, constants):
         super().__init__()
-        if isinstance(field, IntegersMod) and not field.is_field:
-            raise ShapeMismatch("structure algebras need a field (Q or F_p)")
-        self.field = field
+        self.F = field
         self.dim = int(dim)
         if self.dim < 1:
             raise ShapeMismatch("dimension must be positive")
-        # the field's linear-algebra backend, chosen once (see linalg)
-        self.F = linalg.backend(field)
-        self.modulus = self.F.modulus
+        self.modulus = field.modulus
         try:
             C = self.F.array(constants)
         except ValueError as exc:
@@ -411,25 +409,25 @@ class StructureAlgebra(Ring):
 
     # -- elements -----------------------------------------------------
     def element(self, coords) -> Element:
-        coords = tuple(self.field.coerce(x) for x in coords)
+        coords = tuple(self.F.coerce(x) for x in coords)
         if len(coords) != self.dim:
             raise ShapeMismatch(f"expected {self.dim} coordinates")
         return Element(self, coords)
 
     def basis_element(self, i) -> Element:
-        coords = [self.field.zero] * self.dim
-        coords[i] = self.field.one
+        coords = [self.F.zero] * self.dim
+        coords[i] = self.F.one
         return Element(self, tuple(coords))
 
     def zero(self):
-        return Element(self, (self.field.zero,) * self.dim)
+        return Element(self, (self.F.zero,) * self.dim)
 
     def add(self, a, b):
-        f = self.field
+        f = self.F
         return Element(self, tuple(f.add(x, y) for x, y in zip(a.data, b.data)))
 
     def neg(self, a):
-        f = self.field
+        f = self.F
         return Element(self, tuple(f.neg(x) for x in a.data))
 
     def mul(self, a, b):
@@ -442,7 +440,7 @@ class StructureAlgebra(Ring):
         return self.F.mul_coords(self, x, y)
 
     def scalar_mul(self, s, a):
-        f = self.field
+        f = self.F
         s = f.coerce(s)
         return Element(self, tuple(f.mul(s, x) for x in a.data))
 
@@ -496,7 +494,7 @@ class StructureAlgebra(Ring):
         return None if e is None else Element(self, self.F.coords(e))
 
     def opposite(self):
-        return StructureAlgebra(self.field, self.dim,
+        return StructureAlgebra(self.F, self.dim,
                                 self.constants.transpose(1, 0, 2).copy())
 
 
@@ -537,8 +535,7 @@ def index_blocks(indices):
 
 def field_algebra(domain) -> StructureAlgebra:
     """The scalar field itself, as a 1-dimensional algebra."""
-    one = domain.one
-    return StructureAlgebra(domain, 1, [[[one]]])
+    return StructureAlgebra(domain, 1, [[[domain.one]]])
 
 
 _IRREDUCIBLE = {
@@ -557,23 +554,10 @@ def gf_extension(q: int):
     Returns (algebra, frobenius) where frobenius is the matrix of x -> x^p
     on the power basis 1, t, ..., t^(k-1), rows indexed by input basis.
     """
-    p = None
-    for cand in (2, 3, 5, 7, 11, 13):
-        k = 0
-        m = q
-        while m > 1 and m % cand == 0:
-            m //= cand
-            k += 1
-        if m == 1 and k >= 1:
-            p = cand
-            break
-    if p is None:
+    p = next((c for c in (2, 3, 5, 7, 11, 13) if q % c == 0), None)
+    k = round(log(q, p)) if p and q else 0
+    if p is None or p ** k != q:
         raise ValueError(f"{q} is not a small prime power")
-    k = 0
-    m = q
-    while m > 1:
-        m //= p
-        k += 1
     dom = GF(p)
     if k == 1:
         alg = field_algebra(dom)
@@ -636,8 +620,8 @@ def direct_sum_algebra(factors):
     The result remembers the factor slices (``product_factors``) so that
     structural shortcuts (e.g. ideals of a product of fields) stay available.
     """
-    field = factors[0].field
-    if any(f.field != field for f in factors):
+    field = factors[0].F
+    if any(f.F != field for f in factors):
         raise ShapeMismatch("factors must share the scalar field")
     dims = [f.dim for f in factors]
     d = sum(dims)

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from ringlab import linalg
 from ringlab.cli import main
 from ringlab.errors import ParseError, SchemaError, UnknownKind
 from ringlab.recipes import build_recipe, parse_recipe_text
@@ -322,6 +323,33 @@ def test_modulus_past_int64_arithmetic_exits_2(tmp_path, capsys):
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: prime 4000000007 exceeds")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("check", {"kind": "scalar", "ring": "Fp:2305843009213693951"}),
+    ("certify", {"kind": "dynamics", "points": 2, "group": "Z2", "action": [[0, 1], [1, 0]],
+                 "field": "Zn:2305843009213693951"}),
+], ids=["Fp-scalar", "Zn-field"])
+def test_a_huge_prime_exits_2_before_its_primality_test(monkeypatch, tmp_path, capsys,
+                                                       command, doc):
+    # trial division of 2^61 - 1 would run for hours: the modulus limit is
+    # checked first, so no primality test runs
+    def trial_division(n):
+        raise AssertionError(f"is_prime({n}) called")
+    monkeypatch.setattr(linalg, "is_prime", trial_division)
+    code = main([command, _write(tmp_path, "huge-p.json", doc)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: prime 2305843009213693951 exceeds")
+
+
+def test_a_composite_zn_field_exits_2_at_its_path(tmp_path, capsys):
+    doc = {"kind": "structure_algebra", "field": "Zn:6", "dim": 1, "constants": [[[1]]]}
+    code = main(["build", _write(tmp_path, "z6-field.json", doc)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: /field: bad scalar field 'Zn:6': 6 is not prime\n"
+
 
 def test_certify_ore_recipe(tmp_path, capsys):
     path = _write(tmp_path, "ore.json",

@@ -6,8 +6,8 @@ element, how to recognize a field, how to print a vector) is a backend
 method, so no caller branches on the field.  A ``modulus is None`` /
 ``is not None`` test may appear only in the three functions listed below,
 where it asks about the field itself: is it finite, is a Q-only argument
-available, is an F_p-only decision asked for.  Only ``linalg`` and
-``scalars`` import ``fractions``.
+available, is an F_p-only decision asked for.  Only ``linalg``, whose
+backends are the fields themselves, imports ``fractions``.
 
 Each allow-list entry must still occur, so the lists only shrink with the
 code.
@@ -25,7 +25,7 @@ MODULUS_TESTS = {
     ("certify.py", "simple_by_density"): "F_p-only decision",
 }
 
-FRACTIONS_IMPORTERS = {"linalg.py", "scalars.py"}
+FRACTIONS_IMPORTERS = {"linalg.py"}
 
 
 def _modules():

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -37,6 +38,50 @@ def test_category_validation():
                        {("e", "e"): "e", ("e", "g"): "g", ("g", "e"): "g",
                         ("g", "g"): "g"},  # g*g = g but g is not idempotent-safe
                        {"a": "e"}, inverse={"e": "e", "g": "g"})
+
+
+def _first_nonassociative_triple(cat):
+    """The reference: every triple in ``itertools.product`` order, one at a
+    time, skipping those with an undefined composition."""
+    table = cat.compose_table
+    for g, h, k in itertools.product(cat.morphisms, repeat=3):
+        if cat.composable(g, h) and cat.composable(h, k):
+            left, right = table.get((table.get((g, h)), k)), table.get((g, table.get((h, k))))
+            if left is not None and right is not None and left != right:
+                return g, h, k
+    return None
+
+
+def test_category_validation_names_the_first_failure():
+    # every one-entry change or deletion in the Z3 and pair:2 tables; a
+    # deleted entry is a ValidationFailure that names it
+    for cat in (cyclic_group(3), pair_groupoid(2)):
+        for key in cat.compose_table:
+            for value in (None,) + cat.morphisms:
+                table = dict(cat.compose_table)
+                if value is None:
+                    del table[key]
+                else:
+                    table[key] = value
+                broken = FiniteCategory(cat.objects, cat.morphisms, cat.dom, cat.cod, table,
+                                        cat.identity, inverse=cat.inverse, validate=False)
+                bad = _first_nonassociative_triple(broken)
+                assert broken._associativity_failure() == bad
+                if value == cat.compose_table[key]:
+                    continue
+                with pytest.raises(ValidationFailure) as err:
+                    broken._validate()
+                if value is None:
+                    assert "missing composition ({!r},{!r})".format(*key) in err.value.items
+                if bad is not None:
+                    assert "composition not associative at ({!r},{!r},{!r})".format(*bad) \
+                        in err.value.items
+
+
+def test_a_group_at_the_morphism_cap_builds_in_under_a_second():
+    start = time.process_time()
+    cyclic_group(256)
+    assert time.process_time() - start < 1.0
 
 
 def test_pair_groupoid_structure():

@@ -750,7 +750,7 @@ def _reference_materialized_subring(B):
         mul = [[pos[int(ring.mul_table[a, b])] for b in members] for a in members]
         sub = TableRing(add, mul, pos[ring.zero_index], _validated=True)
         return sub, lambda e: ring.element(members[e.data]), lambda e: sub.element(pos[e.data])
-    rows, f = span.spanning(), ring.field
+    rows, f = span.spanning(), ring.F
     C = []
     for a in rows:
         assert all(span.contains(a * b) for b in rows)

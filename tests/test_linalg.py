@@ -10,7 +10,7 @@ from ringlab import (cayley_tower, cyclic_group, dynamics_skew_group_ring, full_
 from ringlab.errors import TooLarge
 from ringlab.ideals import IdealBasis, first_proper_line_ideal
 from ringlab.rings import StructureAlgebra, direct_sum_algebra, functions_ring
-from ringlab.scalars import GF, QQ
+from ringlab.linalg import GF, QQ
 from ringlab.subgroups import Subspace, subspace_from_vectors
 
 

@@ -407,6 +407,37 @@ def test_exact_associativity_matches_the_validator(data, max_deg):
         assert (p * q) * r != p * (q * r)
 
 
+def _leibniz_scan(data):
+    """The twisted Leibniz rule on every pair of spanning elements (every
+    pair of elements of a table ring): (holds, first failing pair)."""
+    span = data.base.spanning_elements()
+    for a in span:
+        for b in span:
+            if data.delta.apply(a * b) != (data.sigma.apply(a) * data.delta.apply(b)
+                                           + data.delta.apply(a) * b):
+                return False, (a, b)
+    return True, None
+
+
+@settings(max_examples=80, deadline=None)
+@given(sigma_delta_data())
+def test_the_leibniz_rule_on_generators_matches_the_full_scan(data):
+    # additive sigma and delta are checked on pairs of additive generators,
+    # and the full scan runs only for a failure's first witness
+    report = validate_sigma_derivation(data)
+    assert report[-1] == ("twisted Leibniz rule",) + _leibniz_scan(data)
+
+
+def test_the_leibniz_rule_on_a_large_table_ring_reads_its_generators(monkeypatch):
+    B = zmod_ring(256)
+    data = SigmaDerivationData(B, RingMap.identity(B), RingMap(B, B, perm=[0] * 256))
+    calls = []
+    apply = RingMap.apply
+    monkeypatch.setattr(RingMap, "apply", lambda m, x: calls.append(x) or apply(m, x))
+    assert validate_sigma_derivation(data)[-1] == ("twisted Leibniz rule", True, None)
+    assert len(calls) < 100                         # the full scan makes 4 x 65,536
+
+
 def test_sigma_delta_simplicity_keeps_its_size_and_field_limits(monkeypatch):
     data = _ddy(3, 3)                                # base of 27 elements
     # Norton's test proves the base irreducible under its multiplications,
