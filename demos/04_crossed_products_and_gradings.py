@@ -11,7 +11,7 @@ from ringlab import (GF, RingMap, cyclic_group, dynamics_skew_group_ring,
                      field_algebra, support_degree_map, verify_degree_map)
 
 f4, frobenius = gf_extension(4)
-sg_maps = {0: RingMap.identity(f4), 1: RingMap(f4, f4, matrix=frobenius)}
+sg_maps = {0: RingMap.identity(f4), 1: RingMap(f4, f4, frobenius)}
 from ringlab import skew_group_ring
 cp = skew_group_ring(f4, cyclic_group(2), sg_maps)
 print("F4 x Z2 size:", cp.ring.size(), " simple:", is_simple(cp.ring))

@@ -15,7 +15,7 @@ base = truncated_polynomial_ring(5, 5)
 ddy = np.zeros((5, 5), dtype=np.int64)
 for i in range(1, 5):
     ddy[i, i - 1] = i
-data = SigmaDerivationData(base, RingMap.identity(base), RingMap(base, base, matrix=ddy))
+data = SigmaDerivationData(base, RingMap.identity(base), RingMap(base, base, ddy))
 print("validation:", all(ok for _, ok, _ in validate_sigma_derivation(data)))
 
 y = base.basis_element(1)

@@ -92,7 +92,12 @@ class FiniteCategory:
 
     # -- validation -----------------------------------------------------
     def _validate(self):
-        problems = []
+        # every check below reads both endpoints of every morphism
+        problems = [f"morphism {g!r} has no {side}" for g in self.morphisms
+                    for side, ends in (("domain", self.dom), ("codomain", self.cod))
+                    if g not in ends]
+        if problems:
+            raise ValidationFailure(problems)
         for e in self.objects:
             i = self.identity.get(e)
             if i is None or self.dom.get(i) != e or self.cod.get(i) != e:

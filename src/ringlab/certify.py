@@ -126,18 +126,15 @@ def _oracle_cross_check(cert: Certificate, ring, cap, seed, evidence=None):
 def recognize_field(ring, cap=DEFAULT_ELEMENT_CAP, seed=DEFAULT_SEED):
     """True/False when decidable, None otherwise.
 
-    A field is a commutative, associative, unital ring that is simple.  Past
-    the cap the answer is None.  Otherwise :func:`is_simple` decides, as it
-    always does for table rings and F_p algebras; only where it is
+    A field is a commutative, associative, unital ring that is simple.
+    :func:`is_simple` decides, as it does for table rings and, at any size,
+    for F_p algebras that Norton's test decides; only where it is
     Inconclusive is the field backend asked (``is_field_algebra``: Q algebras of
     dimension 1 and 2).  The zero ring has R·R = 0, so it is no field.
     """
     props = ring.probe_properties()
     if not (props.commutative and props.unital and props.associative):
         return False
-    size = ring.size()
-    if size is not None and size > cap:
-        return None
     v = is_simple(ring, cap=cap, seed=seed)
     if v.status != "Inconclusive":
         return v.is_simple
@@ -468,7 +465,7 @@ def _sigma_simple_premise(cd: CayleyDoubling, cap, seed, base_hint=None):
     if st == "Simple":
         return Premise(name, "verified", f"base simple ({detail})")
     factors = getattr(B, "product_factors", None)
-    if factors and B.modulus is None:
+    if factors:
         # a product of fields: the only ideals are spanned by factor blocks
         from .subgroups import subspace_from_vectors
         blocks = [subspace_from_vectors(B, np.eye(B.dim, dtype=np.int64)[off:off + dim])
@@ -947,16 +944,15 @@ def survey_finite_dynamics(max_points=4, max_group_order=6, field_orders=(2, 3),
 # ---------------------------------------------------------------------------
 
 def simple_by_density(ring: StructureAlgebra) -> bool:
-    """Exact simplicity decision for an F_p algebra without element scans.
+    """Exact simplicity decision for an algebra without element scans: its
+    field backend's ``simplicity``, the decision :func:`is_simple` reads.
 
     Ideals are the invariant subspaces of the left/right multiplication
     operators, so the ring is simple iff its square is nonzero and its
-    space is an irreducible module under them.  Norton's irreducibility
-    test decides that (:func:`ringlab.linalg.norton_modp`), the same test
-    :func:`is_simple` runs, and answers None when none of its trials
-    decides.  It keeps its name because the benchmark tracer
-    (``perfbench/tracer.py``) counts its calls under it.
+    space is an irreducible module under them.  Over F_p Norton's
+    irreducibility test decides that (:func:`ringlab.linalg.norton_modp`),
+    and answers None when none of its trials decides.  It keeps its name
+    because the benchmark tracer (``perfbench/tracer.py``) counts its calls
+    under it.
     """
-    if not (ring.is_algebra and ring.modulus is not None):
-        raise ValueError("density decision needs an F_p structure algebra")
-    return linalg.norton_modp(ring.constants, ring.modulus)[0]
+    return ring.F.simplicity(ring)[0]

@@ -9,6 +9,18 @@ of B_c(g) to every composable pair, and a per-pair multiplication twist
 
 on composable pairs and zero otherwise.  The canonical grading has
 A_g = B_c(g)·u_g and is locally unital with 1_{A_e} = 1_{B_e} u_e.
+
+A ``RingMap`` takes one operator, whose kind its source ring fixes: an
+index table on a table ring, a matrix acting on coordinate rows on a
+structure algebra.
+
+``CrossedProduct.offsets`` places each block B_c(g)·u_g.  Over structure
+algebras the blocks are consecutive coordinate ranges and the offset is
+the first coordinate of u_g's block.  Over table rings an element is a
+mixed-radix number with one digit per morphism, the index of its
+component in B_c(g): the offset is that digit's radix weight, so the
+digit of x at g is x // offsets[g] % |B_c(g)|, and b·u_g is the ring's
+zero with its g digit moved from the zero of B_c(g) to b.
 """
 
 from __future__ import annotations
@@ -22,10 +34,10 @@ from ..categories import FiniteCategory
 from ..errors import ShapeMismatch, TooLarge, ValidationFailure
 from ..gradings import GradedRing, Grading
 from ..ideals import IdealBasis, Subring, first_stable_ideal, is_stable
-from ..rings import DEFAULT_ELEMENT_CAP, Element, Ring, StructureAlgebra, TableRing
+from ..rings import (DEFAULT_ELEMENT_CAP, TABLE_SIZE_CAP, Element, Ring,
+                     StructureAlgebra, TableRing)
 from ..subgroups import Subspace, TableSubgroup
 
-TABLE_PRODUCT_CAP = 4096
 # entries of a crossed product's tables built at once (see _crossed_table)
 TABLE_SLAB = 1 << 16
 
@@ -33,22 +45,20 @@ TABLE_SLAB = 1 << 16
 class RingMap:
     """An extensional additive map between rings, possibly anti-multiplicative.
 
-    Structure algebras carry a (source_dim x target_dim) matrix acting on
-    coordinate rows; table rings carry an index map.
+    ``operator`` is the map's one operator, of the kind its source ring
+    fixes: out of a table ring an index table (``perm``, the image of each
+    index), out of a structure algebra a (source_dim x target_dim) matrix
+    acting on coordinate rows (``matrix``).  The other of the two is None.
     """
 
-    def __init__(self, source, target, matrix=None, perm=None, anti=False):
+    def __init__(self, source, target, operator, anti=False):
         self.source = source
         self.target = target
         self.anti = bool(anti)
-        if matrix is not None:
-            self.matrix = source.F.reduce(matrix)
-            self.perm = None
-        elif perm is not None:
-            self.perm = tuple(int(x) for x in perm)
-            self.matrix = None
+        if source.is_table:
+            self.perm, self.matrix = tuple(int(x) for x in operator), None
         else:
-            raise ShapeMismatch("a map needs a matrix or an index table")
+            self.perm, self.matrix = None, source.F.reduce(operator)
 
     @property
     def operator(self):
@@ -59,8 +69,8 @@ class RingMap:
     @classmethod
     def identity(cls, ring):
         if ring.is_table:
-            return cls(ring, ring, perm=range(ring.n))
-        return cls(ring, ring, matrix=np.eye(ring.dim, dtype=np.int64))
+            return cls(ring, ring, range(ring.n))
+        return cls(ring, ring, np.eye(ring.dim, dtype=np.int64))
 
     def apply(self, elt: Element) -> Element:
         if elt.ring is not self.source:
@@ -76,9 +86,9 @@ class RingMap:
         anti = self.anti != other.anti
         if self.perm is not None:
             perm = [self.perm[other.perm[i]] for i in range(other.source.n)]
-            return RingMap(other.source, self.target, perm=perm, anti=anti)
+            return RingMap(other.source, self.target, perm, anti=anti)
         return RingMap(other.source, self.target,
-                       matrix=other.source.F.matmul(other.matrix, self.matrix), anti=anti)
+                       other.source.F.matmul(other.matrix, self.matrix), anti=anti)
 
     def equals(self, other: "RingMap") -> bool:
         if self.perm is not None:
@@ -347,50 +357,21 @@ def _hard_failures(report):
 class CrossedProduct(GradedRing):
     system: CrossedSystem
     kind_tag: str
-    offsets: dict                    # morphism -> block offset
+    offsets: dict                    # morphism -> coordinate offset, or radix weight
     notes: tuple = ()
 
     def embed(self, g, b: Element) -> Element:
         """b·u_g for b in the base ring at c(g)."""
-        A = self.ring
+        A, off = self.ring, self.offsets[g]
         if A.is_algebra:
-            off = self.offsets[g]
             coords = [A.F.zero] * A.dim
-            for i, x in enumerate(b.data):
-                coords[off + i] = x
+            coords[off:off + len(b.data)] = b.data
             return A.element(coords)
-        combo = [self.system.base[self.system.cat.cod[m]].zero_index
-                 for m in self.system.cat.morphisms]
-        combo[self.grading.order.index(g)] = b.data
-        return A.element(self._tuple_to_index(tuple(combo)))
-
-    def project(self, g, a: Element) -> Element:
-        """The u_g coordinate of ``a`` as an element of the base at c(g)."""
-        comp = self.grading.component_of(a, g)
-        B = self.system.base[self.system.cat.cod[g]]
-        if self.ring.is_algebra:
-            off = self.offsets[g]
-            return B.element(comp.data[off:off + B.dim])
-        combo = self._index_to_tuple(comp.data)
-        return B.element(combo[self.grading.order.index(g)])
+        base = self.system.base[self.system.cat.cod[g]]
+        return A.element(A.zero_index + off * (b.data - base.zero_index))
 
     def base_subring(self) -> Subring:
         return self.grading.zero_part_subring()
-
-    def _tuple_to_index(self, combo):
-        idx = 0
-        for m, c in zip(self.system.cat.morphisms, combo):
-            idx = idx * self.system.base[self.system.cat.cod[m]].n + c
-        return idx
-
-    def _index_to_tuple(self, idx):
-        sizes = [self.system.base[self.system.cat.cod[m]].n
-                 for m in self.system.cat.morphisms]
-        combo = []
-        for s in reversed(sizes):
-            combo.append(idx % s)
-            idx //= s
-        return tuple(reversed(combo))
 
 
 def crossed_product(sys: CrossedSystem, validate=True, kind_tag="crossed_product",
@@ -457,15 +438,16 @@ def _crossed_algebra(sys, kind_tag, notes):
 
 
 def _crossed_table(sys, kind_tag, notes):
-    """The crossed product of table rings on mixed-radix tuples, one digit
-    per morphism.  Both tables are written into int32 arrays a slab of rows
+    """The crossed product of table rings on mixed-radix numbers, one digit
+    per morphism (see the module docstring); the radix weights are its
+    ``offsets``.  Both tables are written into int32 arrays a slab of rows
     at a time, so no temporary is as large as a table."""
     cat = sys.cat
     mors = list(cat.morphisms)
     bases = [sys.base[cat.cod[g]] for g in mors]
     sizes = [B.n for B in bases]
     total = math.prod(sizes)
-    if total > TABLE_PRODUCT_CAP:
+    if total > TABLE_SIZE_CAP:
         raise TooLarge(f"crossed product would have {total} elements")
     pos = {g: t for t, g in enumerate(mors)}
     weights = [math.prod(sizes[t + 1:]) for t in range(len(mors))]
@@ -502,7 +484,7 @@ def _crossed_table(sys, kind_tag, notes):
     components = {g: TableSubgroup(A, np.flatnonzero(np.delete(at_zero, t, axis=1).all(axis=1)))
                   for t, g in enumerate(mors)}
     grading = Grading(A, cat, components)
-    return CrossedProduct(A, grading, sys, kind_tag, {}, tuple(notes))
+    return CrossedProduct(A, grading, sys, kind_tag, dict(zip(mors, weights)), tuple(notes))
 
 
 # ---------------------------------------------------------------------------
@@ -519,9 +501,7 @@ def skew_group_ring(B: Ring, G: FiniteCategory, sigma: dict,
     maps = {}
     for g in G.morphisms:
         sg = sigma[g]
-        if not isinstance(sg, RingMap):
-            sg = RingMap(B, B, matrix=sg) if B.is_algebra else RingMap(B, B, perm=sg)
-        maps[g] = sg
+        maps[g] = sg if isinstance(sg, RingMap) else RingMap(B, B, sg)
     problems = []
     for g in G.morphisms:
         if maps[g].anti or not maps[g].is_bijective():
@@ -578,24 +558,28 @@ def is_G_invariant(cp: CrossedProduct, I: IdealBasis) -> bool:
 
 
 def _action_maps(cp: CrossedProduct, B: Subring):
-    """x ↦ embed_c(g) sigma_g(project_d(g) x) on the ambient ring, one per
-    morphism: a matrix on coordinate rows for an algebra, an index array
-    (read only on the base B) for a table ring.  An ideal I of B splits
-    into its components because the bases are unital, so this maps I into
-    I exactly when sigma_g(I_d(g)) ⊆ I_c(g) (:func:`is_G_invariant`)."""
+    """x ↦ embed_c(g) sigma_g(x_d(g)) on the ambient ring, one per
+    morphism, for x_e the u_e component of x: a matrix on coordinate rows
+    for an algebra, an index array (read only on the base B) for a table
+    ring, where x_e is one digit of x.  An ideal I of B splits into its
+    components because the bases are unital, so this maps I into I exactly
+    when sigma_g(I_d(g)) ⊆ I_c(g) (:func:`is_G_invariant`)."""
     A, cat, sys = cp.ring, cp.system.cat, cp.system
     maps = []
     for g in cat.morphisms:
         e, f = cat.identity[cat.dom[g]], cat.identity[cat.cod[g]]
+        sigma = sys.sigma[g]
         if A.is_algebra:
-            S = sys.sigma[g].matrix
+            S = sigma.matrix
             M = A.F.zeros((A.dim, A.dim))
             M[cp.offsets[e]:cp.offsets[e] + S.shape[0],
               cp.offsets[f]:cp.offsets[f] + S.shape[1]] = S
         else:
+            xs = np.fromiter(B.span.members, dtype=np.int64)
+            digits = xs // cp.offsets[e] % sigma.source.n
             M = np.zeros(A.n, dtype=np.int64)
-            for x in B.span.members:
-                M[x] = cp.embed(f, sys.sigma[g].apply(cp.project(e, A.element(x)))).data
+            M[xs] = A.zero_index + cp.offsets[f] * (
+                np.asarray(sigma.perm)[digits] - sigma.target.zero_index)
         maps.append(M)
     return maps
 

@@ -70,7 +70,7 @@ def dynamics_skew_group_ring(npoints: int, G: FiniteCategory, action: dict,
     B = _functions_ring(npoints, field_dom)
     eye = np.eye(npoints, dtype=np.int64)
     # row x is delta_{s(g)(x)}, the image of delta_x
-    maps = {g: RingMap(B, B, matrix=eye[list(perms[g])]) for g in mors}
+    maps = {g: RingMap(B, B, eye[list(perms[g])]) for g in mors}
     obj = G.objects[0]
     sys = CrossedSystem(G, {obj: B}, maps, name=f"dynamics:{npoints}pt-{G.name}")
     cp = crossed_product(sys, kind_tag="dynamics")

@@ -38,7 +38,7 @@ from .subgroups import subspace_from_vectors
 def build_f4_frobenius_ring():
     f4, frob = gf_extension(4)
     return skew_group_ring(f4, cyclic_group(2),
-                           {0: RingMap.identity(f4), 1: RingMap(f4, f4, matrix=frob)},
+                           {0: RingMap.identity(f4), 1: RingMap(f4, f4, frob)},
                            name="F4 x Z2 (frobenius)")
 
 
@@ -108,7 +108,7 @@ def _ddy_data(p, k):
     m = np.zeros((k, k), dtype=np.int64)
     for i in range(1, k):
         m[i, i - 1] = i
-    return SigmaDerivationData(b, RingMap.identity(b), RingMap(b, b, matrix=m))
+    return SigmaDerivationData(b, RingMap.identity(b), RingMap(b, b, m))
 
 
 def build_ore_f2():
@@ -126,8 +126,8 @@ def build_ore_f5():
 def build_ore_f4_frobenius():
     f4, frob = gf_extension(4)
     zero = np.zeros((2, 2), dtype=np.int64)
-    return SigmaDerivationData(f4, RingMap(f4, f4, matrix=frob),
-                               RingMap(f4, f4, matrix=zero))
+    return SigmaDerivationData(f4, RingMap(f4, f4, frob),
+                               RingMap(f4, f4, zero))
 
 
 def build_ore_m2f2_inner():
@@ -138,14 +138,14 @@ def build_ore_m2f2_inner():
     for i in range(d):
         b = m2.basis_element(i)
         m[i, :] = (e12 * b - b * e12).data
-    return SigmaDerivationData(m2, RingMap.identity(m2), RingMap(m2, m2, matrix=m))
+    return SigmaDerivationData(m2, RingMap.identity(m2), RingMap(m2, m2, m))
 
 
 def build_ore_z4():
     z4 = zmod_ring(4)
     ident = list(range(4))
-    return SigmaDerivationData(z4, RingMap(z4, z4, perm=ident),
-                               RingMap(z4, z4, perm=[0, 0, 0, 0]))
+    return SigmaDerivationData(z4, RingMap(z4, z4, ident),
+                               RingMap(z4, z4, [0, 0, 0, 0]))
 
 
 ORE_CORPUS = [

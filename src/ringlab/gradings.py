@@ -167,14 +167,9 @@ def validate_grading(ring, cat, components) -> Grading:
     total = zero_subgroup(ring)
     for g in cat.morphisms:
         c = comps[g]
-        joined = total.join(c)
-        if ring.is_algebra:
-            if joined.measure() != total.measure() + c.measure():
-                raise NotDirectSum(f"component of {g!r} overlaps the others")
-        else:
-            if joined.measure() != total.measure() * c.measure():
-                raise NotDirectSum(f"component of {g!r} overlaps the others")
-        total = joined
+        if not total.intersect(c).is_zero():
+            raise NotDirectSum(f"component of {g!r} overlaps the others")
+        total = total.join(c)
     if not total.is_full():
         raise NotDirectSum("components do not span the ring")
     for g in cat.morphisms:
@@ -265,24 +260,20 @@ def grading_flags(grading: Grading) -> GradingFlags:
 def _pairing_nondegenerate(ring, comp, inv_comp, side):
     """No nonzero x in comp kills all of inv_comp (x·inv = 0, resp. inv·x = 0).
 
-    The offending set is a subgroup, so checking it is zero is exact and
-    needs no element enumeration.
+    On an algebra the offending set is a subspace, so one rank decides it
+    with no element enumeration; on a table ring one index of ``mul_table``
+    tests every member of comp at once.
     """
-    xs = comp.spanning()
-    ws = inv_comp.spanning()
-    if not ws:
-        return False
     if ring.is_table:
-        for x in comp.elements():
-            if x.is_zero():
-                continue
-            if side == "right" and all((x * w).is_zero() for w in ws):
-                return False
-            if side == "left" and all((w * x).is_zero() for w in ws):
-                return False
-        return True
+        # row x holds the products of x with every w
+        X, W = sorted(comp.members), sorted(inv_comp.members)
+        P = ring.mul_table[np.ix_(X, W)] if side == "right" else ring.mul_table[np.ix_(W, X)].T
+        killed = (P == ring.zero_index).all(axis=1)
+        return not (killed & (np.array(X) != ring.zero_index)).any()
     F = ring.F
-    X, W = [x.data for x in xs], [w.data for w in ws]
+    X, W = [x.data for x in comp.spanning()], [w.data for w in inv_comp.spanning()]
+    if not W:
+        return False
     # column b holds the products of x_b with every w: no nonzero
     # combination of the columns may vanish
     if side == "right":

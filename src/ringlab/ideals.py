@@ -40,8 +40,8 @@ from .errors import (BNotCommutative, CriterionDisagreement, InfiniteScalarField
 from .rings import (DEFAULT_ELEMENT_CAP, StructureAlgebra,
                     TableRing)
 from .subgroups import (AddSubgroup, Subspace, TableSubgroup, additive_span,
-                        full_subgroup, product_span, subspace_from_vectors,
-                        distinct_indices, zero_subgroup)
+                        full_subgroup, product_span, distinct_indices,
+                        zero_subgroup)
 
 DEFAULT_WITNESS_SAMPLES = 24
 DEFAULT_SEED = 0xC0FFEE
@@ -299,17 +299,15 @@ def _lines(p, k):
             yield (0,) * lead + (1,) + tail
 
 
-def _principal_generators(ring):
-    """One generator of a principal ideal per line of a finite ring, up to
-    scalars, in a fixed order; every ideal is a join of their principal
-    ideals.  An F_p algebra has one per line of F_p^d, in the order of
-    :func:`_lines`; a table ring one per cyclic subgroup, by index
-    (:func:`_cyclic_generators`).  Raises InfiniteScalarField over Q."""
-    if ring.size() is None:
-        raise InfiniteScalarField("cannot enumerate ideals over Q")
+def _line_seeds(ring, span):
+    """One generator per line of the finite additive subgroup ``span``, up
+    to scalars, in a fixed order; every ideal inside it is a join of their
+    closures.  Over F_p one coordinate vector over ``span``'s rref rows per
+    line of F_p^k, in the order of :func:`_lines`; in a table ring one
+    member per cyclic subgroup, by index (:func:`_cyclic_generators`)."""
     if ring.is_table:
-        return _cyclic_generators(ring, range(ring.n))
-    return _lines(ring.modulus, ring.dim)
+        return _cyclic_generators(ring, sorted(span.members))
+    return _lines(ring.F.p, span.dim)
 
 
 def _cyclic_generators(ring, members):
@@ -333,13 +331,15 @@ def _cyclic_generators(ring, members):
 
 
 def first_proper_line_ideal(ring, last=None):
-    """The first proper principal ideal of a generator of
-    :func:`_principal_generators` (a line of an F_p algebra, or an element
-    of a table ring), each closed by :func:`principal_ideal`, as a span;
-    None when every one is the whole ring.  This is the one walk over
-    principal ideals.  With ``last``, a line generator of an F_p algebra,
-    the walk ends after that line."""
-    for g in _principal_generators(ring):
+    """The first proper principal ideal of a generator of :func:`_line_seeds`
+    of the whole ring (a line of an F_p algebra, or an element of a table
+    ring), each closed by :func:`principal_ideal`, as a span; None when
+    every one is the whole ring.  This is the one walk over principal
+    ideals.  With ``last``, a line generator of an F_p algebra, the walk
+    ends after that line.  Raises InfiniteScalarField over Q."""
+    if ring.size() is None:
+        raise InfiniteScalarField("cannot enumerate ideals over Q")
+    for g in _line_seeds(ring, full_subgroup(ring)):
         span = principal_ideal(ring, ring.element(g)).span
         if not span.is_full():
             return span
@@ -376,11 +376,10 @@ def _line_closures(ring, B: Subring | None, maps, cap, lattice=False):
     ambient span when the test finds it, None when the test is undecided;
     it is None for a table ring, which has no such test.
 
-    The seeds are one coordinate vector over B's rref rows per line of B,
-    in the order of :func:`_lines`, for an F_p algebra, and one nonzero
-    element of B per cyclic subgroup for a table ring
-    (:func:`_cyclic_generators`: the maps are additive); there are none
-    when ``decision`` is True.  ``close(seed, bound=None)`` is the
+    The seeds are :func:`_line_seeds` of B: one coordinate vector over B's
+    rref rows per line of B for an F_p algebra, and one nonzero element of
+    B per cyclic subgroup for a table ring (the maps are additive); there
+    are none when ``decision`` is True.  ``close(seed, bound=None)`` is the
     smallest ideal of B that holds
     the seed and that every map sends into itself, as an ambient span, or
     None past ``bound`` members (dimensions).  ``maps`` send B into B: d×d
@@ -401,13 +400,13 @@ def _line_closures(ring, B: Subring | None, maps, cap, lattice=False):
     if ring.size() is None:
         raise InfiniteScalarField("cannot enumerate ideals over Q")
     span = full_subgroup(ring) if B is None else B.span
-    size = span.measure() if ring.is_table else ring.modulus ** span.measure()
+    size = span.size()
     decision = None
     if not ring.is_table:
         # the operators act on coordinates over B's rref rows, where they are
         # k×k: a coordinate vector c is the element c @ rows, and the pivot
         # entries of an element of B are its coordinates
-        p, rows, pivots = ring.modulus, span.rows, list(span.pivots)
+        p, rows, pivots = ring.F.p, span.rows, list(span.pivots)
         k = len(pivots)
         C = ring.constants if B is None else B.table[:, :, pivots]
         ops = np.concatenate([linalg.multiplications_modp(C, p)]
@@ -433,7 +432,7 @@ def _line_closures(ring, B: Subring | None, maps, cap, lattice=False):
 
         def close(x, bound=None):
             return _table_closure(ring, [x], ops, bound)
-        return span, None, _cyclic_generators(ring, members.tolist()), close
+        return span, None, _line_seeds(ring, span), close
     algebra = None
 
     def close(line, bound=None):
@@ -447,7 +446,7 @@ def _line_closures(ring, B: Subring | None, maps, cap, lattice=False):
         if bound is not None and len(found) > bound:
             return None
         return ambient(basis, found)
-    return span, decision, _lines(p, k), close
+    return span, decision, _line_seeds(ring, span), close
 
 
 def enumerate_subring_ideals(ring, B: Subring | None, cap=DEFAULT_ELEMENT_CAP):
@@ -521,13 +520,6 @@ class SimpleVerdict:
         return "Simple"
 
 
-def _random_element(ring, rng):
-    """An index of a table ring, or the coordinates the backend draws."""
-    if ring.is_table:
-        return ring.element(rng.randrange(ring.n))
-    return ring.element(ring.F.random_coords(rng, ring.dim))
-
-
 def is_simple(ring, cap=DEFAULT_ELEMENT_CAP, seed=DEFAULT_SEED,
               samples=DEFAULT_WITNESS_SAMPLES) -> SimpleVerdict:
     """Simplicity oracle.
@@ -575,8 +567,12 @@ def _is_simple_uncached(ring, cap, seed, samples) -> SimpleVerdict:
     # R·R = 0 exactly when every product of basis elements is 0
     products = ring.mul_table != ring.zero_index if ring.is_table else ring.constants
     if not products.any():
-        return SimpleVerdict("NotSimple", _proper_from_square_zero(ring),
-                             reason="R*R = 0")
+        # every additive subgroup is an ideal: the first proper one that a
+        # spanning element generates, or None when there is none
+        spans = (additive_span(ring, [v]) for v in ring.spanning_elements() if not v.is_zero())
+        sub = next((sub for sub in spans if not sub.is_full()), None)
+        return SimpleVerdict("NotSimple", None if sub is None else IdealBasis(
+            ring, sub, check=False), reason="R*R = 0")
     simple, reason, submodule = ((None, None, None) if ring.is_table
                                  else ring.F.simplicity(ring))
     if simple:
@@ -596,11 +592,13 @@ def _is_simple_uncached(ring, cap, seed, samples) -> SimpleVerdict:
         return SimpleVerdict("NotSimple", IdealBasis(ring, sub, check=False))
     if submodule is not None:
         return SimpleVerdict("NotSimple", _subspace_ideal(ring, submodule))
-    # witness search; the seeded candidates are drawn lazily, because most
-    # searches stop at their first candidate
+    # witness search, on an algebra: a table ring has returned above.  The
+    # seeded candidates are drawn lazily, because most searches stop at
+    # their first candidate
     rng = random.Random(seed)
-    candidates = itertools.chain(ring.spanning_elements(),
-                                 (_random_element(ring, rng) for _ in range(samples)))
+    candidates = itertools.chain(
+        ring.spanning_elements(),
+        (ring.element(ring.F.random_coords(rng, ring.dim)) for _ in range(samples)))
     for v in candidates:
         if v.is_zero():
             continue
@@ -610,22 +608,6 @@ def _is_simple_uncached(ring, cap, seed, samples) -> SimpleVerdict:
     reason = ("infinite scalar field; use certify pipelines" if size is None
               else f"size {size} exceeds cap {cap}")
     return SimpleVerdict("Inconclusive", reason=reason)
-
-
-def _proper_from_square_zero(ring):
-    # with R·R = 0 every additive subgroup is an ideal; take a proper
-    # 1-generator one, or None when there is none
-    if ring.is_table:
-        for i in range(ring.n):
-            if i != ring.zero_index:
-                sub = additive_span(ring, [ring.element(i)])
-                if not sub.is_full():
-                    return IdealBasis(ring, sub, check=False)
-    else:
-        sub = subspace_from_vectors(ring, [ring.basis_element(0).data])
-        if not sub.is_full():
-            return IdealBasis(ring, sub, check=False)
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,10 @@ and the vector methods of :class:`_Field`.
   along the way.
 
 A structure algebra's field is its backend; every caller works through it
-and never asks which field it is on: the backends also own ideal closure,
-enumeration, random elements, the Q field test and the JSON form (see
-:class:`_Field`).
+and never asks which field it is on: the backends also own the number of
+elements (``size``), ideal closure, enumeration, random elements, the Q
+field test and the JSON form (see :class:`_Field`).  A backend has no
+``modulus``: F_p's prime is ``GF(p).p``.
 Matrices are numpy arrays in both cases, so shape-level code
 (transpose, slicing, ``@``) is shared, and the backend's ``reduce`` takes the
 place of ``% p``.  Subspaces are kept in reduced row echelon form, which is
@@ -688,7 +689,8 @@ class _Field:
 
     Subclasses provide the scalar arithmetic (``name``, ``zero``, ``one``,
     ``coerce``, ``add``, ``neg``, ``mul``, ``inv``), ``dtype``,
-    ``modulus``, ``reduce``, ``coords``,
+    ``size`` (the number of vectors of length n: p^n, or None over Q),
+    ``reduce``, ``coords``,
     ``rows``, ``key``, ``rref``, ``member``, ``merge``, ``kernel``,
     ``equal``, ``unit``, ``mul_coords``, ``products``, ``mapped_products``,
     ``mult_matrices``, ``commutators``, ``commutant``, ``product_failures``,
@@ -780,7 +782,7 @@ class ModP(_Field):
         if p > MAX_MODULUS:
             raise TooLarge(f"prime {p} exceeds the largest supported modulus "
                            f"{MAX_MODULUS} of int64 arithmetic mod p")
-        self.modulus = self.p = p
+        self.p = p
         self.name = f"Fp:{p}"
 
     def __eq__(self, other):
@@ -809,6 +811,9 @@ class ModP(_Field):
         return pow(a, -1, self.p)
 
     # -- vectors and matrices -----------------------------------------------
+    def size(self, n):
+        return self.p ** n
+
     def reduce(self, M):
         return np.asarray(M, dtype=np.int64) % self.p
 
@@ -961,7 +966,7 @@ class ModP(_Field):
 
     def element_blocks(self, rows, cap):
         """:func:`combinations_modp` of ``rows``; TooLarge past ``cap``."""
-        total = self.p ** len(rows)
+        total = self.size(len(rows))
         if total > cap:
             raise TooLarge(f"{total} elements exceeds cap {cap}")
         return combinations_modp(rows, self.p)
@@ -991,7 +996,6 @@ class Rational(_Field):
     """
 
     dtype = object
-    modulus = None
     name = "Q"
     zero, one = ZERO, ONE
 
@@ -1008,6 +1012,9 @@ class Rational(_Field):
         return 1 / _fraction(a)
 
     # -- vectors and matrices -----------------------------------------------
+    def size(self, n):
+        return None
+
     def reduce(self, M):
         """``M`` as a new object array of Fractions: :func:`_fraction` on
         every entry, called from numpy's loop rather than a Python one."""

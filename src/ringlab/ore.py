@@ -62,7 +62,7 @@ def validate_sigma_derivation(data: SigmaDerivationData):
         report.append(("sigma additive", sigma_additive, None))
         report.append(("delta additive", delta_additive, None))
     # plain multiplicativity, even for an anti map
-    plain = RingMap(B, B, matrix=data.sigma.matrix, perm=data.sigma.perm)
+    plain = RingMap(B, B, data.sigma.operator)
     bad = plain.first_product_failure()
     report.append(("sigma multiplicative", bad is None,
                    None if bad is None else (span[bad[0]], span[bad[1]])))

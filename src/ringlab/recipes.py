@@ -247,18 +247,18 @@ def _ring_map(ring, spec, path, frobenius=None):
     if spec == "frobenius":
         if frobenius is None:
             raise SchemaError(path, "frobenius is only available on F_q bases")
-        return RingMap(ring, ring, matrix=frobenius)
+        return RingMap(ring, ring, frobenius)
     if isinstance(spec, dict) and "matrix" in spec:
         if ring.is_table:
             raise SchemaError(path, "a matrix map needs a structure algebra")
         rows = [[_coerce_scalar(ring.F, x, path) for x in row]
                 for row in _array(spec["matrix"], (ring.dim, ring.dim), path)]
-        return RingMap(ring, ring, matrix=rows, anti=bool(spec.get("anti", False)))
+        return RingMap(ring, ring, rows, anti=bool(spec.get("anti", False)))
     if isinstance(spec, dict) and "perm" in spec:
         if not ring.is_table:
             raise SchemaError(path, "an index map needs a table ring")
         perm = _indices(spec["perm"], (ring.n,), path, bound=ring.n)
-        return RingMap(ring, ring, perm=perm, anti=bool(spec.get("anti", False)))
+        return RingMap(ring, ring, perm, anti=bool(spec.get("anti", False)))
     raise SchemaError(path, f"unknown map spec {spec!r}")
 
 
@@ -411,9 +411,9 @@ def _build(doc, path):
         dspec = doc["delta"]
         if dspec == "zero":
             if base.is_algebra:
-                delta = RingMap(base, base, matrix=np.zeros((base.dim, base.dim), dtype=np.int64))
+                delta = RingMap(base, base, np.zeros((base.dim, base.dim), dtype=np.int64))
             else:
-                delta = RingMap(base, base, perm=[base.zero_index] * base.n)
+                delta = RingMap(base, base, [base.zero_index] * base.n)
         else:
             delta = _ring_map(base, dspec, f"{path}/delta")
         return SigmaDerivationData(base, sigma, delta)

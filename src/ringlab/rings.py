@@ -12,7 +12,14 @@ Two representations:
   structure constants c[i][j][k] (basis_i · basis_j = sum_k c[i][j][k]
   basis_k).  Bilinearity makes distributivity automatic; any constants give
   a valid algebra.  Its field ``F`` (``linalg.QQ`` or ``linalg.GF(p)``) is
-  its backend: it does both the scalar and the linear algebra.
+  its backend: it does both the scalar and the linear algebra, and callers
+  read the field from it (``F.p``, ``F.size``), never a copy on the ring.
+
+A ring's representation fixes the kind of every operator on it: a map out
+of a table ring (``constructions.crossed.RingMap``, and the maps that
+``ideals`` closes under) is an index table, one out of an algebra a matrix
+acting on coordinate rows.  ``RingMap`` takes the one operator and reads
+its kind from its source ring, so no caller chooses it.
 
 Rings and elements are immutable after construction and safe to share;
 property probes cache their (idempotent) results on the ring: ``_props``
@@ -392,7 +399,6 @@ class StructureAlgebra(Ring):
         self.dim = int(dim)
         if self.dim < 1:
             raise ShapeMismatch("dimension must be positive")
-        self.modulus = field.modulus
         try:
             C = self.F.array(constants)
         except ValueError as exc:
@@ -446,7 +452,7 @@ class StructureAlgebra(Ring):
 
     # -- structure ----------------------------------------------------
     def size(self):
-        return None if self.modulus is None else self.modulus ** self.dim
+        return self.F.size(self.dim)
 
     def spanning_elements(self):
         return [self.basis_element(i) for i in range(self.dim)]
@@ -645,7 +651,7 @@ def convert_to_table(alg: StructureAlgebra, cap=TABLE_SIZE_CAP) -> TableRing:
     """Materialize an F_p structure algebra as a table ring (never over Q),
     on its elements in ``element_blocks`` (``itertools.product``) order."""
     digits = np.concatenate(list(alg.element_blocks(cap)))
-    p, total = alg.modulus, len(digits)
+    p, total = alg.F.p, len(digits)
     weights = p ** np.arange(alg.dim - 1, -1, -1, dtype=np.int64)
 
     def to_index(mat):

@@ -59,6 +59,10 @@ class AddSubgroup:
         """Size (table) or dimension (subspace)."""
         raise NotImplementedError
 
+    def size(self):
+        """Number of elements, or None when infinite (over Q)."""
+        raise NotImplementedError
+
     def contains_subgroup(self, other) -> bool:
         return all(self.contains(x) for x in other.spanning())
 
@@ -101,6 +105,9 @@ class TableSubgroup(AddSubgroup):
         return tuple(sorted(self.members))
 
     def measure(self):
+        return len(self.members)
+
+    def size(self):
         return len(self.members)
 
     def __repr__(self):
@@ -159,6 +166,9 @@ class Subspace(AddSubgroup):
     def measure(self):
         return self.dim
 
+    def size(self):
+        return self.ring.F.size(self.dim)
+
     def __repr__(self):
         return f"Subspace(dim={self.dim} of {self.ring.dim})"
 
@@ -176,7 +186,8 @@ def zero_subgroup(ring):
 def full_subgroup(ring):
     if ring.is_table:
         return TableSubgroup(ring, range(ring.n))
-    return subspace_from_vectors(ring, [b.data for b in ring.spanning_elements()])
+    # the identity rows are already in rref
+    return Subspace(ring, ring.F.eye(ring.dim), range(ring.dim))
 
 
 def subspace_from_vectors(ring: StructureAlgebra, vectors):

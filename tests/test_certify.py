@@ -277,7 +277,7 @@ def test_sigma_simple_but_not_simple_base():
         for j in range(2):
             swap[i][2 + i] = 1
             swap[2 + i][i] = 1
-    sigma = RingMap(B, B, matrix=swap)
+    sigma = RingMap(B, B, swap)
     sigma.anti = True  # commutative base: also an anti-automorphism
     alpha = B.scalar_mul(-1, B.probe_properties().unit)
     cd = cayley_dickson(B, sigma, alpha)
@@ -337,7 +337,7 @@ def test_abelian_group_center_field_branch():
     cert = certify_crossed_product(group_ring)
     assert "center is a field" in cert.statement
     assert cert.verdict == "NotSimple" and cert.oracle == "agrees"
-    conj_i = RingMap(h3, h3, matrix=np.diag(np.array([1, 1, 2, 2], dtype=np.int64)))
+    conj_i = RingMap(h3, h3, np.diag(np.array([1, 1, 2, 2], dtype=np.int64)))
     skew = skew_group_ring(h3, cyclic_group(2),
                            {0: RingMap.identity(h3), 1: conj_i})
     cert = certify_crossed_product(skew)
@@ -513,6 +513,11 @@ def test_recognize_field():
     # the zero ring is commutative, associative and unital (1 = 0), but
     # R·R = 0, so it is no field
     assert recognize_field(zmod_ring(1)) is False
+    # past the cap is_simple still decides by Norton's test, and so does
+    # field recognition
+    assert ideals.is_simple(gf_extension(9)[0], cap=2).is_simple
+    assert recognize_field(gf_extension(9)[0], cap=2) is True
+    assert recognize_field(direct_sum_algebra([field_algebra(GF(3))] * 2), cap=2) is False
 
 
 def test_simple_status_falls_back_to_field_recognition():

@@ -47,7 +47,7 @@ def test_unit_times_unit_is_alpha():
 def test_frobenius_skew_ring():
     f4, frob = gf_extension(4)
     sg = skew_group_ring(f4, cyclic_group(2),
-                         {0: RingMap.identity(f4), 1: RingMap(f4, f4, matrix=frob)})
+                         {0: RingMap.identity(f4), 1: RingMap(f4, f4, frob)})
     assert sg.ring.size() == 16
     assert is_simple(sg.ring).is_simple
     report = validate_crossed_system(sg.system)
@@ -65,7 +65,7 @@ def test_validation_catches_bad_alpha_and_sigma():
     f4, frob = gf_extension(4)
     broken = np.array([[1, 1], [0, 1]], dtype=np.int64)  # additive but not multiplicative
     sys = CrossedSystem(z2, {"*": f4},
-                        {0: RingMap.identity(f4), 1: RingMap(f4, f4, matrix=broken)})
+                        {0: RingMap.identity(f4), 1: RingMap(f4, f4, broken)})
     report = validate_crossed_system(sys)
     bad = [name for name, ok, _ in report if not ok and "warning" not in name]
     assert any("multiplicative" in name for name in bad)
@@ -122,7 +122,7 @@ def test_cayley_dickson_complex():
 
 def test_cayley_dickson_rejects_bad_inputs():
     b = field_algebra(QQ)
-    flip = RingMap(b, b, matrix=[[2]])  # squares to 4, not an involution
+    flip = RingMap(b, b, [[2]])  # squares to 4, not an involution
     with pytest.raises(SigmaNotInvolutive):
         cayley_dickson(b, flip, b.scalar_mul(-1, b.probe_properties().unit))
     with pytest.raises(AlphaNotCentralUnit):
@@ -209,7 +209,7 @@ def test_matrix_ring_over_z4():
 def test_matrix_ring_coherence():
     f4, frob = gf_extension(4)
     with pytest.raises(CoherenceViolation):
-        matrix_ring(2, f4, sigmas={(0, 1): RingMap(f4, f4, matrix=frob),
+        matrix_ring(2, f4, sigmas={(0, 1): RingMap(f4, f4, frob),
                                    (1, 0): RingMap.identity(f4)})
 
 
@@ -381,17 +381,17 @@ def _random_map(draw, B, C):
     anti = draw(st.booleans())
     if B.is_algebra:
         if B.dim == C.dim and draw(st.booleans()):
-            return RingMap(B, C, matrix=np.eye(B.dim, dtype=np.int64), anti=anti)
+            return RingMap(B, C, np.eye(B.dim, dtype=np.int64), anti=anti)
         M = draw(st.lists(st.integers(0, B.F.p - 1), min_size=B.dim * C.dim,
                           max_size=B.dim * C.dim))
-        return RingMap(B, C, matrix=np.array(M).reshape(B.dim, C.dim), anti=anti)
+        return RingMap(B, C, np.array(M).reshape(B.dim, C.dim), anti=anti)
     # x -> kx, or any map fixing 0: with 0 fixed the products of homogeneous
     # elements are exactly the block tables, additive or not
     k = draw(st.integers(0, C.n - 1))
     perm = draw(st.sampled_from([[(k * x) % C.n for x in range(B.n)],
                                  [0] + draw(st.lists(st.integers(0, C.n - 1),
                                                      min_size=B.n - 1, max_size=B.n - 1))]))
-    return RingMap(B, C, perm=perm, anti=anti)
+    return RingMap(B, C, perm, anti=anti)
 
 
 def _random_element(draw, B):
@@ -475,7 +475,7 @@ def _rational_map(draw, B, C):
     else:
         M = np.array(draw(st.lists(_SMALL_RATIONALS, min_size=d * d, max_size=d * d)),
                      dtype=object).reshape(d, d)
-    return RingMap(B, C, matrix=M, anti=anti)
+    return RingMap(B, C, M, anti=anti)
 
 
 @st.composite
@@ -568,7 +568,7 @@ def test_q_integer_paths_match_fraction_references(data):
     assert report.commutative_witness == next(((x, y) for x in span for y in span
                                                 if x * y != y * x), None)
     # both sides of the homomorphism check, on a random map, straight or anti
-    m = RingMap(alg, alg, matrix=_rational_rows(data.draw, d, d), anti=data.draw(st.booleans()))
+    m = RingMap(alg, alg, _rational_rows(data.draw, d, d), anti=data.draw(st.booleans()))
     assert m.first_product_failure() == _reference_first_product_failure(m)
     # the alpha verdicts, on a random element and on the unit when there is one
     elements = [alg.element(_rational_rows(data.draw, 1, d)[0])]
@@ -602,7 +602,7 @@ def test_q_doubling_conjugation_matches_the_fraction_reference(alphas):
         conj = cd.extended_sigma
         assert conj.first_product_failure() is None
         assert _reference_first_product_failure(conj) is None
-        straight = RingMap(conj.source, conj.target, matrix=conj.matrix)
+        straight = RingMap(conj.source, conj.target, conj.matrix)
         assert straight.first_product_failure() == _reference_first_product_failure(straight)
 
 
@@ -642,7 +642,7 @@ def test_alpha_verdicts_are_kept_per_base_ring():
     null = make_structure_algebra(1, GF(3), [[[0]]])
     cat = pair_groupoid(2)
     base = {0: f3, 1: null}
-    sigma = {g: RingMap(base[cat.dom[g]], base[cat.cod[g]], matrix=[[1]])
+    sigma = {g: RingMap(base[cat.dom[g]], base[cat.cod[g]], [[1]])
              for g in cat.morphisms}
     alpha = {(g, h): base[cat.cod[g]].element((1,)) for g, h in cat.composable_pairs()}
     sys = CrossedSystem(cat, base, sigma, alpha=alpha)

@@ -40,6 +40,17 @@ def test_category_validation():
                        {"a": "e"}, inverse={"e": "e", "g": "g"})
 
 
+def test_category_validation_names_a_morphism_without_endpoints():
+    # a morphism missing from dom or cod is refused before any check reads
+    # its endpoints (it raised a bare KeyError)
+    table = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 1}
+    for dom, cod, item in (({0: "*"}, {0: "*", 1: "*"}, "morphism 1 has no domain"),
+                           ({0: "*", 1: "*"}, {1: "*"}, "morphism 0 has no codomain")):
+        with pytest.raises(ValidationFailure) as err:
+            FiniteCategory(("*",), (0, 1), dom, cod, table, {"*": 0})
+        assert err.value.items == [item]
+
+
 def _first_nonassociative_triple(cat):
     """The reference: every triple in ``itertools.product`` order, one at a
     time, skipping those with an undefined composition."""
@@ -188,7 +199,7 @@ def _reference_elements(ring):
     if ring.is_table:
         return [ring.element(i) for i in
                 [ring.zero_index] + [i for i in range(ring.n) if i != ring.zero_index]]
-    return [ring.element(c) for c in itertools.product(range(ring.modulus), repeat=ring.dim)]
+    return [ring.element(c) for c in itertools.product(range(ring.F.p), repeat=ring.dim)]
 
 
 def _reference_verdict(dm):
@@ -265,9 +276,9 @@ def _dynamics_support_maps(draw):
 def _frobenius_skew_ring(q, n):
     """F_q ⋊ Z_n, with k acting as the k-th power of the Frobenius."""
     fq, frob = gf_extension(q)
-    p = fq.modulus
+    p = fq.F.p
     return skew_group_ring(fq, cyclic_group(n), {
-        k: RingMap(fq, fq, matrix=np.linalg.matrix_power(np.array(frob), k) % p)
+        k: RingMap(fq, fq, np.linalg.matrix_power(np.array(frob), k) % p)
         for k in range(n)})
 
 
@@ -375,8 +386,7 @@ def test_callable_degree_maps_match_reference(maps):
         assert alg_index(v_alg.witness) == v_table.witness.data
     elif v_alg.status == "D2Violation":
         assert alg_index(v_alg.witness[1]) == v_table.witness[1].data
-        assert alg_dm.ring.modulus ** v_alg.witness[0].measure() == \
-            v_table.witness[0].measure()
+        assert v_alg.witness[0].span.size() == v_table.witness[0].span.size()
 
 
 def _upper_triangular_f2():

@@ -25,14 +25,14 @@ def _ddy(p, k):
     m = np.zeros((k, k), dtype=np.int64)
     for i in range(1, k):
         m[i, i - 1] = i
-    return SigmaDerivationData(b, RingMap.identity(b), RingMap(b, b, matrix=m))
+    return SigmaDerivationData(b, RingMap.identity(b), RingMap(b, b, m))
 
 
 def _elements(B):
     """Any element of a table ring or of an F_p algebra."""
     if B.is_table:
         return st.integers(0, B.n - 1).map(B.element)
-    return st.lists(st.integers(0, B.modulus - 1), min_size=B.dim,
+    return st.lists(st.integers(0, B.F.p - 1), min_size=B.dim,
                     max_size=B.dim).map(B.element)
 
 
@@ -80,7 +80,7 @@ def test_validate_rejects_delta_of_one():
     b = truncated_polynomial_ring(2, 2)
     m = np.zeros((2, 2), dtype=np.int64)
     m[0, 0] = 1  # delta(1) = 1
-    data = SigmaDerivationData(b, RingMap.identity(b), RingMap(b, b, matrix=m))
+    data = SigmaDerivationData(b, RingMap.identity(b), RingMap(b, b, m))
     report = dict((name, ok) for name, ok, _ in validate_sigma_derivation(data))
     assert not report["delta kills the unit"]
     assert not report["twisted Leibniz rule"]
@@ -90,7 +90,7 @@ def test_validate_rejects_non_multiplicative_sigma():
     b = truncated_polynomial_ring(2, 2)
     swap = np.array([[0, 1], [1, 0]], dtype=np.int64)  # 1 <-> y
     zero = np.zeros((2, 2), dtype=np.int64)
-    data = SigmaDerivationData(b, RingMap(b, b, matrix=swap), RingMap(b, b, matrix=zero))
+    data = SigmaDerivationData(b, RingMap(b, b, swap), RingMap(b, b, zero))
     report = dict((name, ok) for name, ok, _ in validate_sigma_derivation(data))
     assert not report["sigma multiplicative"]
 
@@ -161,7 +161,7 @@ def test_sigma_delta_simplicity():
     # delta = 0 leaves <y> stable
     b = truncated_polynomial_ring(2, 2)
     zero = np.zeros((2, 2), dtype=np.int64)
-    lazy = SigmaDerivationData(b, RingMap.identity(b), RingMap(b, b, matrix=zero))
+    lazy = SigmaDerivationData(b, RingMap.identity(b), RingMap(b, b, zero))
     v = is_sigma_delta_simple(lazy)
     assert not v.simple
     from ringlab.corpus import build_ore_z4
@@ -254,7 +254,7 @@ def test_exact_checks_run_over_q():
     # basis, and both identities are linear over Q
     for base in (field_algebra(QQ), functions_ring(2, QQ)):
         zero = np.zeros((base.dim, base.dim), dtype=np.int64)
-        data = SigmaDerivationData(base, RingMap.identity(base), RingMap(base, base, matrix=zero))
+        data = SigmaDerivationData(base, RingMap.identity(base), RingMap(base, base, zero))
         assert commutator_drop_failure(data) is None
         assert associativity_failure(data) is None
 
@@ -276,7 +276,7 @@ def test_a_wrong_product_gives_each_exact_check_a_witness(monkeypatch):
     with monkeypatch.context() as m:
         # x·c read as c·x + delta(c) + c: delta + id is no derivation
         shifted = SigmaDerivationData(B, data.sigma, RingMap(
-            B, B, matrix=data.delta.matrix + np.eye(B.dim, dtype=np.int64)))
+            B, B, data.delta.matrix + np.eye(B.dim, dtype=np.int64)))
         m.setattr(ore, "x_power_times", lambda d, i, b: x_power_times(shifted, i, b))
         p, q, r = associativity_failure(data)
         assert (p * q) * r != p * (q * r)
@@ -298,7 +298,7 @@ def test_a_wrong_product_gives_each_exact_check_a_witness(monkeypatch):
     assert associativity_failure(data) is None and commutator_drop_failure(data) is None
     # delta(1) != 0: [1, x] = -delta(1) is the witness
     bad = SigmaDerivationData(B, data.sigma, RingMap(
-        B, B, matrix=data.delta.matrix + np.eye(B.dim, dtype=np.int64)))
+        B, B, data.delta.matrix + np.eye(B.dim, dtype=np.int64)))
     assert commutator_drop_failure(bad) == (bad.constant(bad.unit), "x")
 
 
@@ -335,23 +335,23 @@ def _additive_table_map(draw, B):
             if z not in image:
                 image[z] = int(B.add_table[image[y], t])
                 frontier.append(z)
-    return RingMap(B, B, perm=[image[i] for i in range(B.n)])
+    return RingMap(B, B, [image[i] for i in range(B.n)])
 
 
 def _random_self_map(draw, B):
     if B.is_table:
         if draw(st.booleans()):
             return _additive_table_map(draw, B)
-        return RingMap(B, B, perm=draw(st.lists(st.integers(0, B.n - 1),
+        return RingMap(B, B, draw(st.lists(st.integers(0, B.n - 1),
                                                 min_size=B.n, max_size=B.n)))
-    p, d = B.modulus, B.dim
+    p, d = B.F.p, B.dim
     kind = draw(st.sampled_from(["identity", "zero", "random"]))
     if kind == "identity":
         return RingMap.identity(B)
     if kind == "zero":
-        return RingMap(B, B, matrix=np.zeros((d, d), dtype=np.int64))
+        return RingMap(B, B, np.zeros((d, d), dtype=np.int64))
     M = draw(st.lists(st.integers(0, p - 1), min_size=d * d, max_size=d * d))
-    return RingMap(B, B, matrix=np.array(M).reshape(d, d))
+    return RingMap(B, B, np.array(M).reshape(d, d))
 
 
 @st.composite
@@ -372,9 +372,9 @@ def sigma_delta_data(draw):
                                   convert_to_table(functions_ring(2, GF(2)))]))
     sigma = _random_self_map(draw, B)
     if B.is_algebra and draw(st.booleans()):
-        c = draw(st.lists(st.integers(0, B.modulus - 1), min_size=B.dim, max_size=B.dim))
+        c = draw(st.lists(st.integers(0, B.F.p - 1), min_size=B.dim, max_size=B.dim))
         L, R = B.F.mult_matrices(B, c)              # rows c·e_j and e_i·c
-        delta = RingMap(B, B, matrix=L - sigma.matrix @ R)
+        delta = RingMap(B, B, L - sigma.matrix @ R)
     else:
         delta = _random_self_map(draw, B)
     return SigmaDerivationData(B, sigma, delta)
@@ -430,7 +430,7 @@ def test_the_leibniz_rule_on_generators_matches_the_full_scan(data):
 
 def test_the_leibniz_rule_on_a_large_table_ring_reads_its_generators(monkeypatch):
     B = zmod_ring(256)
-    data = SigmaDerivationData(B, RingMap.identity(B), RingMap(B, B, perm=[0] * 256))
+    data = SigmaDerivationData(B, RingMap.identity(B), RingMap(B, B, [0] * 256))
     calls = []
     apply = RingMap.apply
     monkeypatch.setattr(RingMap, "apply", lambda m, x: calls.append(x) or apply(m, x))

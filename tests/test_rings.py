@@ -150,7 +150,7 @@ def test_convert_to_table():
 def _reference_table(alg):
     """The tables of an F_p algebra on its elements in
     ``itertools.product(range(p), repeat=dim)`` order, one pair at a time."""
-    p, d = alg.modulus, alg.dim
+    p, d = alg.F.p, alg.dim
     digits = list(itertools.product(range(p), repeat=d))
     index = {x: i for i, x in enumerate(digits)}
     add = [[index[tuple((a + b) % p for a, b in zip(x, y))] for y in digits] for x in digits]
