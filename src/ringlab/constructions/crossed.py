@@ -33,7 +33,7 @@ import numpy as np
 from ..categories import FiniteCategory
 from ..errors import ShapeMismatch, TooLarge, ValidationFailure
 from ..gradings import GradedRing, Grading
-from ..ideals import IdealBasis, Subring, first_stable_ideal, is_stable
+from ..ideals import IdealBasis, Subring, first_stable_ideal
 from ..rings import (DEFAULT_ELEMENT_CAP, TABLE_SIZE_CAP, Element, Ring,
                      StructureAlgebra, TableRing)
 from ..subgroups import Subspace, TableSubgroup
@@ -552,9 +552,9 @@ def _int_times(B, k, unit):
 
 def is_G_invariant(cp: CrossedProduct, I: IdealBasis) -> bool:
     """sigma_g(I_d(g)) ⊆ I_c(g) for every morphism, I an ideal of the base:
-    I is stable under the action maps (:func:`ringlab.ideals.is_stable`)."""
+    I is stable under the action maps (its span's ``is_stable``)."""
     B = I.of_subring if I.of_subring is not None else cp.base_subring()
-    return is_stable(I.span, _action_maps(cp, B))
+    return I.span.is_stable(_action_maps(cp, B))
 
 
 def _action_maps(cp: CrossedProduct, B: Subring):

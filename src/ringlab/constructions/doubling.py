@@ -24,6 +24,8 @@ from .crossed import (CrossedProduct, CrossedSystem, RingMap,
 
 CLASSICAL_TWISTS = {(0, 0): "straight", (0, 1): "opposite",
                     (1, 0): "straight", (1, 1): "opposite"}
+# the most levels a Cayley tower is built to: level k has dimension 2^k
+TOWER_LEVEL_CAP = 5
 
 
 def bales_alpha(p: int, q: int) -> int:
@@ -163,15 +165,15 @@ def _interleave(cd: CayleyDoubling):
     return newA, RingMap(newA, newA, M, anti=True)
 
 
-def cayley_tower(field_dom, levels: int, alphas=None, cap=5) -> CayleyTower:
+def cayley_tower(field_dom, levels: int, alphas=None) -> CayleyTower:
     """Iterated classical doublings of a field: [B_0, ..., B_levels].
 
     Level k has dimension 2^k, presented on the interleaved basis (so the
     sign tables realize the recursive cocycle literally); conjugation
     extends level by level and the twist defaults to -1 throughout.
     """
-    if levels > cap:
-        raise TooLarge(f"{levels} levels exceeds cap {cap} (dimension 2^{levels})")
+    if levels > TOWER_LEVEL_CAP:
+        raise TooLarge(f"{levels} levels exceeds cap {TOWER_LEVEL_CAP} (dimension 2^{levels})")
     B = field_algebra(field_dom)
     sigma = RingMap.identity(B)
     sigma.anti = True  # conjugation on the base field is the identity

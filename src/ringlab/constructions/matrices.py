@@ -10,18 +10,15 @@ from __future__ import annotations
 
 from ..categories import pair_groupoid
 from ..errors import CoherenceViolation
-from ..rings import Element
 from .crossed import CrossedProduct, CrossedSystem, RingMap, crossed_product
 
 
-def matrix_ring(n: int, bases, sigmas=None, alphas=None, twists=None,
-                name=None) -> CrossedProduct:
+def matrix_ring(n: int, bases, sigmas=None, alphas=None, name=None) -> CrossedProduct:
     """The n x n skew/twisted matrix ring over base rings B_0..B_(n-1).
 
     ``bases`` is one ring (used for every index) or a list of rings;
     ``sigmas`` maps (i,j) to a RingMap B_j -> B_i (identity by default);
-    ``alphas`` maps (i,j,k) to a unit of B_i; ``twists`` maps (i,j,k) to
-    "straight" or "opposite".
+    ``alphas`` maps (i,j,k) to a unit of B_i.
     """
     G = pair_groupoid(n)
     if isinstance(bases, (list, tuple)):
@@ -49,7 +46,6 @@ def matrix_ring(n: int, bases, sigmas=None, alphas=None, twists=None,
                 if not sig[(i, j)].compose(sig[(j, k)]).equals(sig[(i, k)]):
                     raise CoherenceViolation(f"sigma[{i},{j}]sigma[{j},{k}] != sigma[{i},{k}]")
     alpha = {}
-    twist = {}
     for i in range(n):
         for j in range(n):
             for k in range(n):
@@ -62,8 +58,5 @@ def matrix_ring(n: int, bases, sigmas=None, alphas=None, twists=None,
                             raise CoherenceViolation(
                                 f"alpha[{i},{j},{k}] must be the unit when i=j or j=k")
                     alpha[(g, h)] = a
-                if twists is not None and (i, j, k) in twists:
-                    twist[(g, h)] = twists[(i, j, k)]
-    sys = CrossedSystem(G, base, sig, alpha=alpha, twists=twist,
-                        name=name or f"M_{n}")
+    sys = CrossedSystem(G, base, sig, alpha=alpha, name=name or f"M_{n}")
     return crossed_product(sys, kind_tag="matrix_ring")

@@ -15,11 +15,10 @@ import numpy as np
 
 from .errors import (CriterionDisagreement, FilterViolation, NotDirectSum,
                      PreconditionUnmet)
-from .ideals import (DEFAULT_ELEMENT_CAP, IdealBasis, Subring, center,
-                     commuting_span, enumerate_ideals, full_subring,
-                     is_A_invariant, is_simple, principal_ideal)
+from .ideals import (DEFAULT_ELEMENT_CAP, IdealBasis, Subring, enumerate_ideals,
+                     full_subring, is_A_invariant, is_simple, principal_ideal)
 from .rings import Element, Ring
-from .subgroups import (AddSubgroup, additive_span,
+from .subgroups import (AddSubgroup, additive_span, commuting_span,
                         full_subgroup, product_span, zero_subgroup)
 
 
@@ -250,37 +249,11 @@ def grading_flags(grading: Grading) -> GradingFlags:
             inv_comp = grading.components[ginv]
             if comp.is_zero():
                 continue
-            if not _pairing_nondegenerate(ring, comp, inv_comp, side="right"):
+            if not comp.pairing_nondegenerate(inv_comp, "right"):
                 right_nd = False
-            if not _pairing_nondegenerate(ring, comp, inv_comp, side="left"):
+            if not comp.pairing_nondegenerate(inv_comp, "left"):
                 left_nd = False
     return GradingFlags(locally_unital, strongly, left_nd, right_nd)
-
-
-def _pairing_nondegenerate(ring, comp, inv_comp, side):
-    """No nonzero x in comp kills all of inv_comp (x·inv = 0, resp. inv·x = 0).
-
-    On an algebra the offending set is a subspace, so one rank decides it
-    with no element enumeration; on a table ring one index of ``mul_table``
-    tests every member of comp at once.
-    """
-    if ring.is_table:
-        # row x holds the products of x with every w
-        X, W = sorted(comp.members), sorted(inv_comp.members)
-        P = ring.mul_table[np.ix_(X, W)] if side == "right" else ring.mul_table[np.ix_(W, X)].T
-        killed = (P == ring.zero_index).all(axis=1)
-        return not (killed & (np.array(X) != ring.zero_index)).any()
-    F = ring.F
-    X, W = [x.data for x in comp.spanning()], [w.data for w in inv_comp.spanning()]
-    if not W:
-        return False
-    # column b holds the products of x_b with every w: no nonzero
-    # combination of the columns may vanish
-    if side == "right":
-        P = F.array(F.products(ring, X, W)).reshape(len(X), len(W), -1)
-    else:
-        P = F.array(F.products(ring, W, X)).reshape(len(W), len(X), -1).transpose(1, 0, 2)
-    return F.rank(P.reshape(len(X), -1).T, len(X)) == len(X)
 
 
 # ---------------------------------------------------------------------------
@@ -343,11 +316,11 @@ def support_degree_map(grading: Grading, b_choice="center_of_A0") -> DegreeMap:
     elements."""
     ring = grading.ring
     if b_choice == "center_of_A0":
+        # Z(A_0): the elements of A_0 that commute with all of it, found
+        # in the ambient ring
         a0 = grading.zero_part_subring()
-        sub, embed, _ = a0.as_ring()
-        z = center(sub)
-        span = additive_span(ring, [embed(e) for e in z.spanning()])
-        B = Subring(ring, span, check=False)
+        B = Subring(ring, commuting_span(ring, a0.spanning()).intersect(a0.span),
+                    check=False)
         X = B.spanning()
         desc = "support degree map over the center of the object part"
     elif b_choice == "homogeneous_elements":
@@ -380,7 +353,7 @@ def verify_degree_map(dm: DegreeMap, cap=DEFAULT_ELEMENT_CAP) -> DegreeMapVerdic
     for components that do not span.  The only nonzero ideal is A, with
     m_A = 1, so (d2) holds iff some nonzero component A_g meets the
     elements commuting with every b in X: one null space of X's
-    commutators (:func:`ringlab.ideals.commuting_span`; not the
+    commutators (:func:`ringlab.subgroups.commuting_span`; not the
     centralizer of the subring X generates, which can be smaller in a
     non-associative ring), intersected with each component.  When it
     fails, the witness below comes from the scan under the cap; past it

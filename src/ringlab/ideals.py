@@ -4,44 +4,39 @@
 the coordinates of the ambient ring A (``of_subring`` records B); ideals of A
 itself have ``of_subring=None``.
 
+This module keeps the theory and reads no representation.  What depends on
+how a ring is stored is asked of the spans of ``subgroups`` and of the rings
+of ``rings``, which own it.
+
 Every quantifier "for every ideal of B" reads :func:`_line_closures`, the
 closure of each line of B under its multiplications and a set of maps.
 Over F_p it decides first, at any size, by Norton's test on those
 operators (:func:`linalg.irreducible_modp`), as :func:`is_simple` does for
 a whole algebra, and walks lines only for a lattice, or for a witness when
 it is read (:meth:`IdealBasis.deferred`).  Where the property sought is
-stability under maps (G-, σ-δ- and conjugation-invariance), the first
-such ideal is minimal, hence a closure, and :func:`first_stable_ideal`
-never builds the lattice; past the cap, the test's submodule is its
-answer.  Other properties (A-invariance, meeting a
-subring in 0) read the lattice, which :func:`enumerate_subring_ideals`
-joins from the closures: every ideal is the join of the principal ideals
-of its elements, so the enumeration is exhaustive on finite (or capped
-F_p) rings, and an irreducible B has the lattice 0, B at any size.  Over
-Q neither runs; a positive simplicity verdict comes only from a reduction
-mod p that is simple (see :func:`is_simple`).  :func:`is_stable` tests one
-given span for stability.  An algebra's closures run in its field
-backend's ``closure``, so nothing here has a Q path of its own.
+stability under maps (G-, σ-δ- and conjugation-invariance), the first such
+ideal is minimal, hence a closure, and :func:`first_stable_ideal` never
+builds the lattice; past the cap, the test's submodule is its answer.
+Other properties (A-invariance, meeting a subring in 0) read the lattice,
+which :func:`enumerate_subring_ideals` joins from the closures: every ideal
+is the join of the principal ideals of its elements, so the enumeration is
+exhaustive on finite (or capped F_p) rings, and an irreducible B has the
+lattice 0, B at any size.  Over Q neither runs; a positive simplicity
+verdict comes only from a reduction mod p that is simple (see
+:func:`is_simple`).
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
-from functools import cached_property
 
-import numpy as np
-
-from . import linalg
 from .errors import (BNotCommutative, CriterionDisagreement, InfiniteScalarField,
                      NotAInvariant, NotIdealAssociative, RingMismatch, TooLarge)
-from .rings import (DEFAULT_ELEMENT_CAP, StructureAlgebra,
-                    TableRing)
-from .subgroups import (AddSubgroup, Subspace, TableSubgroup, additive_span,
-                        full_subgroup, product_span, distinct_indices,
-                        zero_subgroup)
+from .rings import DEFAULT_ELEMENT_CAP
+from .subgroups import (AddSubgroup, additive_span, commuting_span, full_subgroup,
+                        product_span, span_class, zero_subgroup)
 
 DEFAULT_WITNESS_SAMPLES = 24
 DEFAULT_SEED = 0xC0FFEE
@@ -127,7 +122,6 @@ class Subring:
             prod = product_span(ring, span, span)
             if not span.contains_subgroup(prod):
                 raise RingMismatch("span is not multiplicatively closed")
-        self._as_ring = None
 
     def contains(self, elt):
         return self.span.contains(elt)
@@ -138,32 +132,15 @@ class Subring:
     def measure(self):
         return self.span.measure()
 
-    @cached_property
-    def table(self):
-        """The products of B, the one table that :meth:`is_commutative`,
-        :meth:`as_ring` and :func:`_line_closures` read: for a table ring
-        the ``mul_table`` block of B's sorted members (k×k indices), for an
-        algebra one backend ``products`` of B's rref rows, shaped (k, k, d)
-        with [i, j] the ambient coordinates of row i times row j."""
-        ring, span = self.ring, self.span
-        if ring.is_table:
-            members = sorted(span.members)
-            return ring.mul_table[np.ix_(members, members)]
-        k = span.dim
-        return ring.F.array(ring.F.products(ring, span.rows, span.rows)
-                            ).reshape(k, k, ring.dim)
-
     def is_commutative(self):
-        """Do the spanning elements commute pairwise?  :attr:`table`
-        against its transpose."""
-        T = self.table
+        """Do the spanning elements commute pairwise?  The products of B's
+        span (``products``) against their transpose."""
+        T = self.span.products
         return bool((T == T.swapaxes(0, 1)).all())
 
     def as_ring(self):
         """The subring as a standalone Ring plus embed/project maps."""
-        if self._as_ring is None:
-            self._as_ring = _materialize_subring(self)
-        return self._as_ring
+        return self.span.as_ring()
 
     def __eq__(self, other):
         return isinstance(other, Subring) and other.ring is self.ring and other.span == self.span
@@ -191,155 +168,37 @@ def full_subring(ring) -> Subring:
     return Subring(ring, full_subgroup(ring), check=False)
 
 
-def _materialize_subring(B: Subring):
-    """(ring, embed, project) of B, read off :attr:`Subring.table`.
-
-    A table subring renumbers its members 0..k-1 and remaps the block of
-    each table through one index array.  An algebra subring has the
-    constants of B's products in its rref basis: the pivot entries of an
-    element of B are its coordinates, and one ``matmul`` back onto the rows
-    checks that every product lies in B."""
-    ring, span = B.ring, B.span
-    if ring.is_table:
-        members = sorted(span.members)
-        pos = np.full(ring.n, -1, dtype=np.int32)
-        pos[members] = np.arange(len(members))
-        mul = pos[B.table]
-        if (mul < 0).any():
-            raise RingMismatch("span is not multiplicatively closed")
-        sub = TableRing(pos[ring.add_table[np.ix_(members, members)]], mul,
-                        pos[ring.zero_index], _validated=True)
-
-        def embed(e):
-            return ring.element(members[e.data])
-
-        def project(e):
-            return sub.element(pos[e.data])
-
-        return sub, embed, project
-
-    F, rows, k = ring.F, span.rows, span.dim
-    if k == 0:
-        raise RingMismatch("cannot materialize the zero subring")
-    C = B.table[:, :, list(span.pivots)]
-    if not (F.matmul(C.reshape(k * k, k), rows) == B.table.reshape(k * k, ring.dim)).all():
-        raise RingMismatch("span is not multiplicatively closed")
-    sub = StructureAlgebra(ring.F, k, C)
-
-    def embed(e):
-        return ring.element(F.matmul(e.data, rows))
-
-    def project(e):
-        return sub.element(span.coordinates(e))
-
-    return sub, embed, project
-
-
 # ---------------------------------------------------------------------------
 # ideal closure
 # ---------------------------------------------------------------------------
 
 def ideal_closure(ring, gens) -> IdealBasis:
-    """Smallest ideal of the ring containing ``gens``.
-
-    A table ring closes the generators' indices (:func:`_table_closure`),
-    an algebra their coordinate rows, in its field backend's ``closure``.
-    """
-    if ring.is_table:
-        return IdealBasis(ring, _table_closure(ring, [g.data for g in gens]), check=False)
+    """Smallest ideal of the ring containing ``gens``: :func:`row_ideal`
+    of their data."""
     return row_ideal(ring, [g.data for g in gens])
 
 
 def row_ideal(ring, rows) -> IdealBasis:
-    """The ideal of an algebra that the coordinate rows ``rows`` generate,
-    closed in its field backend's ``closure``: :func:`ideal_closure` with no
-    Element made per row."""
-    return _subspace_ideal(ring, ring.F.closure(ring, rows))
-
-
-def _subspace_ideal(ring, basis):
-    """An ideal of an algebra known to be one, from its (rref basis, pivots)."""
-    return IdealBasis(ring, Subspace(ring, *basis), check=False)
-
-
-def _table_closure(ring, seed_indices, ops=None, bound=None):
-    """Numpy fixpoint closure of an index set under sums and index maps.
-
-    ``ops`` is a list of 2-D index arrays whose rows are maps x ↦ row[x];
-    the closure is the smallest additive subgroup containing the seed that
-    every row maps into itself.  None means products with every element on
-    either side (the rows of ``mul_table`` and of its transpose), whose
-    closure is the ideal the seed generates.  A closure that grows past
-    ``bound`` members is abandoned: the result is None.
-    """
-    from .subgroups import _table_additive_closure
-    if ops is None:
-        ops = (ring.mul_table, ring.mul_table.T)
-    span = _table_additive_closure(ring, seed_indices)
-    while bound is None or len(span.members) <= bound:
-        idx = np.array(sorted(span.members), dtype=np.int64)
-        images = distinct_indices(ring, np.concatenate([op[:, idx].ravel() for op in ops]))
-        fresh = [int(x) for x in images if x not in span.members]
-        if not fresh:
-            return span
-        span = _table_additive_closure(ring, list(span.members) + fresh)
-    return None
+    """The ideal that the element data ``rows`` (coordinate rows of an
+    algebra, closed in its field backend's ``closure``; indices of a table
+    ring) generate: :func:`ideal_closure` with no Element made per row."""
+    return IdealBasis(ring, span_class(ring).closure(ring, rows), check=False)
 
 
 # ---------------------------------------------------------------------------
 # ideal lattice and simplicity
 # ---------------------------------------------------------------------------
 
-def _lines(p, k):
-    """One generator per line of F_p^k: the vector with first nonzero
-    coordinate 1, leading coordinates in increasing position, the tail in
-    ``itertools.product`` order."""
-    for lead in range(k):
-        for tail in itertools.product(range(p), repeat=k - lead - 1):
-            yield (0,) * lead + (1,) + tail
-
-
-def _line_seeds(ring, span):
-    """One generator per line of the finite additive subgroup ``span``, up
-    to scalars, in a fixed order; every ideal inside it is a join of their
-    closures.  Over F_p one coordinate vector over ``span``'s rref rows per
-    line of F_p^k, in the order of :func:`_lines`; in a table ring one
-    member per cyclic subgroup, by index (:func:`_cyclic_generators`)."""
-    if ring.is_table:
-        return _cyclic_generators(ring, sorted(span.members))
-    return _lines(ring.F.p, span.dim)
-
-
-def _cyclic_generators(ring, members):
-    """The nonzero indices of ``members``, in their order, that are no k·a
-    with gcd(k, ord(a)) = 1 for an a yielded before: one generator per
-    cyclic subgroup of a subgroup ``members``.  Such a k·a generates what
-    a does under sums and additive maps (the products with a fixed
-    element among them), because a = k′·(k·a) for k′ the inverse of k
-    modulo ord(a)."""
-    add, zero = ring.add_table, ring.zero_index
-    covered = np.zeros(ring.n, dtype=bool)
-    for a in members:
-        if a == zero or covered[a]:
-            continue
-        yield a
-        multiples = [a]                        # multiples[k - 1] = k·a
-        while multiples[-1] != zero:
-            multiples.append(int(add[multiples[-1], a]))
-        order = len(multiples)
-        covered[[m for k, m in enumerate(multiples, 1) if math.gcd(k, order) == 1]] = True
-
-
 def first_proper_line_ideal(ring, last=None):
-    """The first proper principal ideal of a generator of :func:`_line_seeds`
-    of the whole ring (a line of an F_p algebra, or an element of a table
+    """The first proper principal ideal of a generator of the whole ring's
+    ``line_seeds`` (a line of an F_p algebra, or an element of a table
     ring), each closed by :func:`principal_ideal`, as a span; None when
     every one is the whole ring.  This is the one walk over principal
     ideals.  With ``last``, a line generator of an F_p algebra, the walk
     ends after that line.  Raises InfiniteScalarField over Q."""
     if ring.size() is None:
         raise InfiniteScalarField("cannot enumerate ideals over Q")
-    for g in _line_seeds(ring, full_subgroup(ring)):
+    for g in full_subgroup(ring).line_seeds():
         span = principal_ideal(ring, ring.element(g)).span
         if not span.is_full():
             return span
@@ -365,32 +224,20 @@ def principal_ideal(ring, elt) -> IdealBasis:
 
 def _line_closures(ring, B: Subring | None, maps, cap, lattice=False):
     """(span of B, decision, seeds, close) for B a subring (the whole ring
-    when None).
+    when None), from B's span (``stable_closures``, ``line_seeds``).
 
-    The ideals of B that every map sends into themselves are the subspaces
-    of B invariant under L_b and R_b (b in B: :func:`linalg.multiplications_modp`
-    of B's constants, :attr:`Subring.table` at the pivots) and the maps, as
-    k×k operators over B's rref rows.  Over F_p, ``decision`` is Norton's
-    test on that stack (:func:`linalg.irreducible_modp`), asked first, at
-    any size: True when no proper nonzero one exists, one such ideal as an
-    ambient span when the test finds it, None when the test is undecided;
-    it is None for a table ring, which has no such test.
-
-    The seeds are :func:`_line_seeds` of B: one coordinate vector over B's
-    rref rows per line of B for an F_p algebra, and one nonzero element of
-    B per cyclic subgroup for a table ring (the maps are additive); there
-    are none when ``decision`` is True.  ``close(seed, bound=None)`` is the
-    smallest ideal of B that holds
-    the seed and that every map sends into itself, as an ambient span, or
-    None past ``bound`` members (dimensions).  ``maps`` send B into B: d×d
+    The ideals of B that every map sends into themselves are the additive
+    subgroups of B that L_b and R_b (b in B) and the maps send into
+    themselves.  ``decision`` is Norton's test on those operators over F_p
+    (:func:`linalg.irreducible_modp`), asked first, at any size: True when
+    no proper nonzero one exists, one such ideal as an ambient span when
+    the test finds it, None when it is undecided or B is a table ring.
+    The seeds are one generator per line of B (per cyclic subgroup of a
+    table ring; the maps are additive), none when ``decision`` is True.
+    ``close(seed, bound=None)`` is the smallest ideal of B that holds the
+    seed and that every map sends into itself, as an ambient span, or None
+    past ``bound`` members (dimensions).  ``maps`` send B into B: d×d
     matrices acting on rows (v ↦ v @ M), or index arrays for a table ring.
-
-    Over F_p the closure of c is c·E, for E the unital algebra that the
-    operators generate: :func:`linalg.spin_modp` spins it up once, from the
-    identity, on the first call of ``close``, because a caller that closes
-    one line closes them all, and one whose decision is its answer closes
-    none.  :func:`first_proper_line_ideal` stops at the first proper line
-    and closes each line by :func:`principal_ideal` instead.
 
     Raises InfiniteScalarField over Q.  When B has more than ``cap``
     elements no line is walked: there are no seeds, and a B that the
@@ -400,53 +247,15 @@ def _line_closures(ring, B: Subring | None, maps, cap, lattice=False):
     if ring.size() is None:
         raise InfiniteScalarField("cannot enumerate ideals over Q")
     span = full_subgroup(ring) if B is None else B.span
+    decision, close = span.stable_closures(maps)
+    if decision is True:
+        return span, True, [], None
     size = span.size()
-    decision = None
-    if not ring.is_table:
-        # the operators act on coordinates over B's rref rows, where they are
-        # k×k: a coordinate vector c is the element c @ rows, and the pivot
-        # entries of an element of B are its coordinates
-        p, rows, pivots = ring.F.p, span.rows, list(span.pivots)
-        k = len(pivots)
-        C = ring.constants if B is None else B.table[:, :, pivots]
-        ops = np.concatenate([linalg.multiplications_modp(C, p)]
-                             + [(rows @ ring.F.reduce(m) % p)[None, :, pivots] for m in maps])
-
-        def ambient(basis, found):
-            # an rref basis in coordinates is one in the ambient ring too
-            return Subspace(ring, basis @ rows % p, [pivots[c] for c in found])
-        decision = linalg.irreducible_modp(ops, p)
-        if decision is True:
-            return span, True, [], None
-        if decision is not None:
-            decision = ambient(*decision)
     if size > cap:
         if decision is None or lattice:
             raise TooLarge(f"{size} elements exceeds cap {cap}")
         return span, decision, [], None
-    if ring.is_table:
-        members = np.array(sorted(span.members), dtype=np.int64)
-        mul = ring.mul_table
-        # rows of L_b and of R_b for b in B, then the maps
-        ops = [mul[members], mul[:, members].T] + [np.asarray(m)[None, :] for m in maps]
-
-        def close(x, bound=None):
-            return _table_closure(ring, [x], ops, bound)
-        return span, None, _line_seeds(ring, span), close
-    algebra = None
-
-    def close(line, bound=None):
-        nonlocal algebra
-        if algebra is None:
-            # E is the unital algebra the operators generate, spun up from
-            # the identity
-            algebra = linalg.spin_modp(np.eye(k, dtype=np.int64).reshape(1, -1), ops, p)[0]
-            algebra = algebra.reshape(-1, k, k)
-        basis, found = linalg.rref_modp(np.array(line) @ algebra % p, p)
-        if bound is not None and len(found) > bound:
-            return None
-        return ambient(basis, found)
-    return span, decision, _line_seeds(ring, span), close
+    return span, decision, span.line_seeds(), close
 
 
 def enumerate_subring_ideals(ring, B: Subring | None, cap=DEFAULT_ELEMENT_CAP):
@@ -564,22 +373,17 @@ def is_simple(ring, cap=DEFAULT_ELEMENT_CAP, seed=DEFAULT_SEED,
 
 
 def _is_simple_uncached(ring, cap, seed, samples) -> SimpleVerdict:
-    # R·R = 0 exactly when every product of basis elements is 0
-    products = ring.mul_table != ring.zero_index if ring.is_table else ring.constants
-    if not products.any():
-        # every additive subgroup is an ideal: the first proper one that a
-        # spanning element generates, or None when there is none
+    if ring.products_vanish():
+        # R·R = 0: every additive subgroup is an ideal: the first proper one
+        # that a spanning element generates, or None when there is none
         spans = (additive_span(ring, [v]) for v in ring.spanning_elements() if not v.is_zero())
         sub = next((sub for sub in spans if not sub.is_full()), None)
         return SimpleVerdict("NotSimple", None if sub is None else IdealBasis(
             ring, sub, check=False), reason="R*R = 0")
-    simple, reason, submodule = ((None, None, None) if ring.is_table
-                                 else ring.F.simplicity(ring))
+    simple, reason, submodule = ring.simplicity()
     if simple:
         return SimpleVerdict("Simple", reason=reason)
-    size = ring.size()
-    # a table ring's elements are in memory already, so it counts as finite
-    if ring.is_table or (size is not None and size <= cap):
+    if ring.is_walked(cap):
         if simple is False:
             # Norton's test proves NotSimple, so the walk waits for a
             # reader; the line of the submodule's first row is proper
@@ -591,7 +395,9 @@ def _is_simple_uncached(ring, cap, seed, samples) -> SimpleVerdict:
             return SimpleVerdict("Simple")
         return SimpleVerdict("NotSimple", IdealBasis(ring, sub, check=False))
     if submodule is not None:
-        return SimpleVerdict("NotSimple", _subspace_ideal(ring, submodule))
+        # an ideal already, in a span's own form: (rref basis, pivots)
+        return SimpleVerdict("NotSimple", IdealBasis(
+            ring, span_class(ring)(ring, *submodule), check=False))
     # witness search, on an algebra: a table ring has returned above.  The
     # seeded candidates are drawn lazily, because most searches stop at
     # their first candidate
@@ -605,6 +411,7 @@ def _is_simple_uncached(ring, cap, seed, samples) -> SimpleVerdict:
         ib = principal_ideal(ring, v)
         if not ib.span.is_full():
             return SimpleVerdict("NotSimple", ib)
+    size = ring.size()
     reason = ("infinite scalar field; use certify pipelines" if size is None
               else f"size {size} exceeds cap {cap}")
     return SimpleVerdict("Inconclusive", reason=reason)
@@ -622,25 +429,6 @@ def centralizer(ring, gens_of_b) -> Subring:
     B = (gens_of_b if isinstance(gens_of_b, Subring)
          else subring_closure(ring, list(gens_of_b)))
     return Subring(ring, commuting_span(ring, B.spanning()), check=False)
-
-
-def commuting_span(ring, elements) -> AddSubgroup:
-    """The elements x with x·b = b·x for each b of ``elements``, an
-    additive subgroup because the product is bilinear.  On an algebra, the
-    backend's ``commutant`` of their rows, all of them in one call: the
-    null space of their commutators (over Q reduced from integer rows, with
-    no Fraction made before the elimination); on a table ring, the x whose
-    ``mul_table`` row and column agree at every b.  Unlike
-    :func:`centralizer`, nothing is closed into a subring first, which in
-    a non-associative ring can have fewer elements commuting with it."""
-    if ring.is_table:
-        mul = ring.mul_table
-        commutes = np.ones(ring.n, dtype=bool)
-        for b in elements:
-            commutes &= mul[:, b.data] == mul[b.data]
-        return TableSubgroup(ring, np.flatnonzero(commutes))
-    rows, pivots = ring.F.commutant(ring, [b.data for b in elements])
-    return Subspace(ring, rows, pivots)
 
 
 def center(ring) -> Subring:
@@ -755,20 +543,6 @@ def _least_closure(span, best, seeds, close):
                 best is None or (sub.measure(), sub.key()) < (best.measure(), best.key())):
             best, bound = sub, sub.measure()
     return best
-
-
-def is_stable(span, maps) -> bool:
-    """Does every map send the additive subgroup ``span`` into itself?
-    ``maps`` are what :func:`first_stable_ideal` takes: d×d matrices acting
-    on rows (v ↦ v @ M), or index arrays for a table ring (read only on the
-    members of ``span``)."""
-    ring = span.ring
-    if ring.is_table:
-        members = list(span.members)
-        return all(span.members.issuperset(np.asarray(m)[members].tolist()) for m in maps)
-    F = ring.F
-    rows = F.array(span.rows).reshape(-1, ring.dim)
-    return not any(F.merge(span.rows, span.pivots, F.matmul(rows, m))[2] for m in maps)
 
 
 def _parenthesizations(factors, ring, memo=None):

@@ -688,16 +688,16 @@ class _Field:
     """The methods both backends share, written once on top of the kernels.
 
     Subclasses provide the scalar arithmetic (``name``, ``zero``, ``one``,
-    ``coerce``, ``add``, ``neg``, ``mul``, ``inv``), ``dtype``,
-    ``size`` (the number of vectors of length n: p^n, or None over Q),
-    ``reduce``, ``coords``,
-    ``rows``, ``key``, ``rref``, ``member``, ``merge``, ``kernel``,
-    ``equal``, ``unit``, ``mul_coords``, ``products``, ``mapped_products``,
-    ``mult_matrices``, ``commutators``, ``commutant``, ``product_failures``,
-    ``twisted_blocks``, ``associates_and_commutes``, ``associator_witness``,
-    ``commutator_witness``, and what callers would otherwise branch on the
-    field for: ``simplicity`` (the simplicity decision: (simple, reason,
-    submodule), with ``simple`` True, False or None when undecided,
+    ``coerce``, ``add``, ``neg``, ``mul``, ``inv``), ``dtype``, ``size``
+    (the number of vectors of length n: p^n, or None over Q), ``reduce``,
+    ``coords``, ``rows``, ``key``, ``rref``, ``member``, ``merge``,
+    ``kernel``, ``equal``, ``unit``, ``mul_coords``, ``products``,
+    ``mapped_products``, ``mult_matrices``, ``commutators``, ``commutant``,
+    ``product_failures``, ``twisted_blocks``, ``associates_and_commutes``,
+    ``associator_witness``, ``commutator_witness``, ``products_vanish``
+    (R·R = 0), and what callers would otherwise branch on the field for:
+    ``simplicity`` (the simplicity decision: (simple, reason, submodule),
+    with ``simple`` True, False or None when undecided,
     ``reason`` what to print with a Simple read off anything but the
     algebra itself, and ``submodule`` the (rref basis, pivots) of a proper
     nonzero ideal that proves a False, or None), ``closure`` (the ideal
@@ -950,6 +950,10 @@ class ModP(_Field):
         C = alg.constants
         bad = np.argwhere(np.any(C != C.transpose(1, 0, 2), axis=2))
         return tuple(bad[0].tolist()) if bad.size else None
+
+    def products_vanish(self, alg):
+        """Is every product of ``alg`` zero?  Its constants, at once."""
+        return not alg.constants.any()
 
     def simplicity(self, alg):
         """See :class:`_Field`: :func:`norton_modp`, which shows the proper
@@ -1221,6 +1225,11 @@ class Rational(_Field):
         d, terms = alg.dim, alg._table.terms
         return next(((i, j) for i in range(d) for j in range(d)
                      if terms[i][j] != terms[j][i]), None)
+
+    def products_vanish(self, alg):
+        """See :meth:`ModP.products_vanish`: the product table, which
+        :meth:`simplicity` reads too, lists the nonzero constants."""
+        return not any(map(any, alg._table.terms))
 
     def simplicity(self, alg):
         """See :class:`_Field`: (True, "reduction mod q", None) for the

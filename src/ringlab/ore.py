@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 from .constructions.crossed import RingMap
 from .errors import CriterionDisagreement, PreconditionUnmet, ShapeMismatch
-from .ideals import (DEFAULT_ELEMENT_CAP, IdealBasis, center, first_stable_ideal,
-                     is_stable)
+from .ideals import DEFAULT_ELEMENT_CAP, IdealBasis, center, first_stable_ideal
 from .rings import Element, Ring
 
 
@@ -198,8 +197,8 @@ def ore_degree_map(p: SkewPolynomial) -> int:
 # ---------------------------------------------------------------------------
 
 def is_sigma_delta_invariant(I: IdealBasis, data: SigmaDerivationData) -> bool:
-    """sigma(I) ⊆ I and delta(I) ⊆ I (:func:`ringlab.ideals.is_stable`)."""
-    return is_stable(I.span, [data.sigma.operator, data.delta.operator])
+    """sigma(I) ⊆ I and delta(I) ⊆ I (its span's ``is_stable``)."""
+    return I.span.is_stable([data.sigma.operator, data.delta.operator])
 
 
 @dataclass

@@ -17,6 +17,8 @@ from .ideals import (DEFAULT_ELEMENT_CAP, DEFAULT_SEED, center,
 from .rings import Element, ring_of
 
 VERSION = "0.1.0"
+# the largest table size (or dimension) that ``table_dump`` prints unforced
+DUMP_THRESHOLD = 64
 
 
 def element_json(e: Element):
@@ -170,19 +172,19 @@ def build_summary(built):
     return out
 
 
-def table_dump(built, force=False, threshold=64):
+def table_dump(built, force=False):
     ring = ring_of(built)
     if ring is None:
         return {"error": "no ring to dump"}
     size = ring.size()
     if ring.is_table:
-        if size > threshold and not force:
+        if size > DUMP_THRESHOLD and not force:
             return {"error": f"table of {size} elements exceeds the dump "
-                             f"threshold {threshold}; pass --force to override"}
+                             f"threshold {DUMP_THRESHOLD}; pass --force to override"}
         return {"add": ring.add_table.tolist(), "mul": ring.mul_table.tolist(),
                 "zero": ring.zero_index}
-    if ring.dim > threshold and not force:
+    if ring.dim > DUMP_THRESHOLD and not force:
         return {"error": f"{ring.dim} basis elements exceed the dump threshold "
-                         f"{threshold}; pass --force to override"}
+                         f"{DUMP_THRESHOLD}; pass --force to override"}
     basis = ring.spanning_elements()
     return {"basis_products": [[element_json(a * b) for b in basis] for a in basis]}

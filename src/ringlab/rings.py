@@ -16,10 +16,13 @@ Two representations:
   read the field from it (``F.p``, ``F.size``), never a copy on the ring.
 
 A ring's representation fixes the kind of every operator on it: a map out
-of a table ring (``constructions.crossed.RingMap``, and the maps that
-``ideals`` closes under) is an index table, one out of an algebra a matrix
-acting on coordinate rows.  ``RingMap`` takes the one operator and reads
-its kind from its source ring, so no caller chooses it.
+of a table ring (``constructions.crossed.RingMap``, and the maps that the
+spans of ``subgroups`` close under) is an index table, one out of an
+algebra a matrix acting on coordinate rows.  ``RingMap`` takes the one
+operator and reads its kind from its source ring, so no caller chooses it.
+The ring answers the ring-level half of what ``ideals.is_simple`` asks
+(``products_vanish``, ``simplicity``, ``is_walked``); a table ring has no
+decision and is walked whatever the cap, its elements being in memory.
 
 Rings and elements are immutable after construction and safe to share;
 property probes cache their (idempotent) results on the ring: ``_props``
@@ -81,7 +84,7 @@ class Element:
         return hash((id(self.ring), self.data))
 
     def is_zero(self):
-        return self == self.ring.zero()
+        return self.ring.is_zero(self)
 
     def __repr__(self):
         return f"Element({self.data!r})"
@@ -237,8 +240,21 @@ class TableRing(Ring):
     def mul(self, a, b):
         return Element(self, int(self.mul_table[a.data, b.data]))
 
+    def is_zero(self, a):
+        # read off the data, with no zero built (an algebra's by truth tests)
+        return a.data == self.zero_index
+
     def size(self):
         return self.n
+
+    def products_vanish(self):
+        return not (self.mul_table != self.zero_index).any()
+
+    def simplicity(self):
+        return None, None, None
+
+    def is_walked(self, cap):
+        return True
 
     def spanning_elements(self):
         return [Element(self, i) for i in range(self.n)]
@@ -450,9 +466,21 @@ class StructureAlgebra(Ring):
         s = f.coerce(s)
         return Element(self, tuple(f.mul(s, x) for x in a.data))
 
+    def is_zero(self, a):
+        return not any(a.data)
+
     # -- structure ----------------------------------------------------
     def size(self):
         return self.F.size(self.dim)
+
+    def products_vanish(self):
+        return self.F.products_vanish(self)
+
+    def simplicity(self):
+        return self.F.simplicity(self)
+
+    def is_walked(self, cap):
+        return self.size() is not None and self.size() <= cap
 
     def spanning_elements(self):
         return [self.basis_element(i) for i in range(self.dim)]

@@ -11,12 +11,23 @@ Two flavours behind one interface:
 Span arithmetic (products of spanning sets followed by additive closure) is
 the engine behind every invariance and associativity predicate; spanning
 sets suffice because ring multiplication distributes (is bilinear).
+
+Each span class also answers for its representation what ``ideals``
+quantifies over: its products and ring (``products``, ``as_ring``), line
+seeds, closures under its multiplications and maps with the stable-ideal
+decision (``stable_closures``), stability, pairings and the commutant.
+:func:`span_class` is the one read of the representation here.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+from functools import cache, cached_property
+
 import numpy as np
 
+from . import linalg
 from .errors import RingMismatch
 from .rings import Element, StructureAlgebra, TableRing, index_blocks
 
@@ -79,6 +90,53 @@ class TableSubgroup(AddSubgroup):
         self.ring = ring
         self.members = frozenset(int(m) for m in members)
 
+    @classmethod
+    def full(cls, ring):
+        return cls(ring, range(ring.n))
+
+    @classmethod
+    def spanned(cls, ring, indices):
+        # close the index set under addition; negation follows in a finite group
+        add = ring.add_table
+        current = {ring.zero_index} | {int(i) for i in indices}
+        frontier = np.array(sorted(current), dtype=np.int64)
+        while True:
+            idx = np.array(sorted(current), dtype=np.int64)
+            sums = distinct_indices(ring, add[np.ix_(frontier, idx)])
+            fresh = [s for s in sums.tolist() if s not in current]
+            if not fresh:
+                break
+            current.update(fresh)
+            frontier = np.array(fresh, dtype=np.int64)
+        return cls(ring, current)
+
+    @classmethod
+    def closure(cls, ring, seeds, ops=None, bound=None):
+        """The smallest additive subgroup holding the indices ``seeds`` that
+        every row of each 2-D index array of ``ops`` (a map x ↦ row[x])
+        sends into itself: by default the rows of ``mul_table`` and of its
+        transpose, so the ideal the seeds generate.  None once it has more
+        than ``bound`` members."""
+        ops = (ring.mul_table, ring.mul_table.T) if ops is None else ops
+        span = cls.spanned(ring, seeds)
+        while bound is None or len(span.members) <= bound:
+            idx = np.array(sorted(span.members), dtype=np.int64)
+            images = distinct_indices(ring, np.concatenate([op[:, idx].ravel() for op in ops]))
+            fresh = [int(x) for x in images if x not in span.members]
+            if not fresh:
+                return span
+            span = cls.spanned(ring, list(span.members) + fresh)
+        return None
+
+    @classmethod
+    def commutant(cls, ring, elements):
+        """The x whose ``mul_table`` row and column agree at every b."""
+        mul = ring.mul_table
+        commutes = np.ones(ring.n, dtype=bool)
+        for b in elements:
+            commutes &= mul[:, b.data] == mul[b.data]
+        return cls(ring, np.flatnonzero(commutes))
+
     def contains(self, elt):
         return elt.data in self.members
 
@@ -89,8 +147,7 @@ class TableSubgroup(AddSubgroup):
         return index_blocks(sorted(self.members))
 
     def join(self, other):
-        return additive_span(self.ring,
-                             self.spanning() + other.spanning())
+        return additive_span(self.ring, self.spanning() + other.spanning())
 
     def intersect(self, other):
         return TableSubgroup(self.ring, self.members & other.members)
@@ -110,6 +167,79 @@ class TableSubgroup(AddSubgroup):
     def size(self):
         return len(self.members)
 
+    def product(self, other):
+        ring = self.ring
+        prods = ring.mul_table[np.ix_(sorted(self.members), sorted(other.members))]
+        return TableSubgroup.spanned(ring, distinct_indices(ring, prods).tolist())
+
+    @cached_property
+    def products(self):
+        """The ``mul_table`` block of the sorted members (k×k indices)."""
+        members = sorted(self.members)
+        return self.ring.mul_table[np.ix_(members, members)]
+
+    def as_ring(self):
+        """The members renumbered 0..k-1, each table's block remapped
+        through one index array."""
+        ring, members = self.ring, sorted(self.members)
+        pos = np.full(ring.n, -1, dtype=np.int32)
+        pos[members] = np.arange(len(members))
+        mul = pos[self.products]
+        if (mul < 0).any():
+            raise RingMismatch("span is not multiplicatively closed")
+        sub = TableRing(pos[ring.add_table[np.ix_(members, members)]], mul,
+                        pos[ring.zero_index], _validated=True)
+
+        def embed(e):
+            return ring.element(members[e.data])
+
+        def project(e):
+            return sub.element(pos[e.data])
+
+        return sub, embed, project
+
+    def line_seeds(self):
+        """The nonzero members, by index, that are no k·a with gcd(k,
+        ord(a)) = 1 for an a yielded before: one generator per cyclic
+        subgroup.  Such a k·a generates what a does under sums and additive
+        maps (the products with a fixed element among them), because a =
+        k′·(k·a) for k′ the inverse of k modulo ord(a)."""
+        add, zero = self.ring.add_table, self.ring.zero_index
+        covered = np.zeros(self.ring.n, dtype=bool)
+        for a in sorted(self.members):
+            if a == zero or covered[a]:
+                continue
+            yield a
+            multiples = [a]                        # multiples[k - 1] = k·a
+            while multiples[-1] != zero:
+                multiples.append(int(add[multiples[-1], a]))
+            order = len(multiples)
+            covered[[m for k, m in enumerate(multiples, 1) if math.gcd(k, order) == 1]] = True
+
+    def stable_closures(self, maps):
+        """A table ring has no decision (None); ``close(x, bound)`` is
+        ``closure`` of the member x under the rows of L_b and
+        R_b (b in the span) and the maps."""
+        mul, members = self.ring.mul_table, sorted(self.members)
+        ops = [mul[members], mul[:, members].T] + [np.asarray(m)[None, :] for m in maps]
+
+        def close(x, bound=None):
+            return TableSubgroup.closure(self.ring, [x], ops, bound)
+        return None, close
+
+    def is_stable(self, maps):
+        members = list(self.members)
+        return all(self.members.issuperset(np.asarray(m)[members].tolist()) for m in maps)
+
+    def pairing_nondegenerate(self, other, side):
+        """One index of ``mul_table`` tests every member at once: row x
+        holds the products of x with every w."""
+        ring = self.ring
+        X, W = sorted(self.members), sorted(other.members)
+        P = ring.mul_table[np.ix_(X, W)] if side == "right" else ring.mul_table[np.ix_(W, X)].T
+        killed = (P == ring.zero_index).all(axis=1)
+        return not (killed & (np.array(X) != ring.zero_index)).any()
+
     def __repr__(self):
         return f"TableSubgroup({sorted(self.members)})"
 
@@ -121,6 +251,27 @@ class Subspace(AddSubgroup):
         self.ring = ring
         self.rows = ring.F.rows(rows, ring.dim)
         self.pivots = tuple(pivots)
+
+    @classmethod
+    def full(cls, ring):
+        # the identity rows are already in rref
+        return cls(ring, ring.F.eye(ring.dim), range(ring.dim))
+
+    @classmethod
+    def spanned(cls, ring, rows):
+        return subspace_from_vectors(ring, rows)
+
+    @classmethod
+    def closure(cls, ring, rows):
+        """The ideal the rows generate, in the field backend's ``closure``."""
+        return cls(ring, *ring.F.closure(ring, rows))
+
+    @classmethod
+    def commutant(cls, ring, elements):
+        """The backend's ``commutant`` of their rows, all of them in one
+        call: the null space of their commutators (over Q reduced from
+        integer rows, with no Fraction made before the elimination)."""
+        return cls(ring, *ring.F.commutant(ring, [b.data for b in elements]))
 
     @property
     def dim(self):
@@ -169,6 +320,98 @@ class Subspace(AddSubgroup):
     def size(self):
         return self.ring.F.size(self.dim)
 
+    def product(self, other):
+        ring = self.ring
+        rows = ring.F.products(ring, self.rows, other.rows) if self.dim and other.dim else []
+        return subspace_from_vectors(ring, rows)
+
+    @cached_property
+    def products(self):
+        """One backend ``products`` of the rref rows, shaped (k, k, d) with
+        [i, j] the ambient coordinates of row i times row j."""
+        ring, k = self.ring, self.dim
+        return ring.F.array(ring.F.products(ring, self.rows, self.rows)
+                            ).reshape(k, k, ring.dim)
+
+    def as_ring(self):
+        """The constants of the products in the rref basis, whose
+        coordinates are an element's pivot entries; one ``matmul`` back onto
+        the rows checks that every product lies in the span."""
+        ring, F, rows, k = self.ring, self.ring.F, self.rows, self.dim
+        if k == 0:
+            raise RingMismatch("cannot materialize the zero subring")
+        C = self.products[:, :, list(self.pivots)]
+        if not F.equal(F.matmul(C.reshape(k * k, k), rows),
+                       self.products.reshape(k * k, ring.dim)).all():
+            raise RingMismatch("span is not multiplicatively closed")
+        sub = StructureAlgebra(F, k, C)
+
+        def embed(e):
+            return ring.element(F.matmul(e.data, rows))
+
+        def project(e):
+            return sub.element(self.coordinates(e))
+
+        return sub, embed, project
+
+    def line_seeds(self):
+        """One coordinate vector over the rref rows per line of F_p^k, in
+        the order of :func:`_lines`."""
+        return _lines(self.ring.F.p, self.dim)
+
+    def stable_closures(self, maps):
+        """L_b and R_b (b in the span: its products at the pivots, or the
+        ring's constants when it is everything) and the maps act on
+        coordinates c over the rref rows, the elements c @ rows, as k×k
+        operators; ``decision`` is Norton's test on them.  The closure of c
+        is c·E, for E the unital algebra they generate, spun up from the
+        identity on the first call of ``close``: a caller that closes one
+        line closes them all, and one that reads the decision alone none."""
+        ring, F, rows, pivots = self.ring, self.ring.F, self.rows, list(self.pivots)
+        p, k = F.p, len(pivots)
+        C = ring.constants if self.is_full() else self.products[:, :, pivots]
+        ops = np.concatenate([linalg.multiplications_modp(C, p)]
+                             + [(rows @ F.reduce(m) % p)[None, :, pivots] for m in maps])
+
+        def ambient(basis, found):
+            # an rref basis in coordinates is one in the ambient ring too
+            return Subspace(ring, basis @ rows % p, [pivots[c] for c in found])
+        decision = linalg.irreducible_modp(ops, p)
+        if decision is not None and decision is not True:
+            decision = ambient(*decision)
+
+        @cache
+        def algebra():
+            return linalg.spin_modp(np.eye(k, dtype=np.int64).reshape(1, -1), ops, p
+                                    )[0].reshape(-1, k, k)
+
+        def close(line, bound=None):
+            basis, found = linalg.rref_modp(np.array(line) @ algebra() % p, p)
+            if bound is not None and len(found) > bound:
+                return None
+            return ambient(basis, found)
+        return decision, close
+
+    def is_stable(self, maps):
+        F = self.ring.F
+        rows = F.array(self.rows).reshape(-1, self.ring.dim)
+        return not any(F.merge(self.rows, self.pivots, F.matmul(rows, m))[2] for m in maps)
+
+    def pairing_nondegenerate(self, other, side):
+        """The offending set is a subspace, so one rank decides it with no
+        element enumeration."""
+        ring, F = self.ring, self.ring.F
+        X, W = [x.data for x in self.spanning()], [w.data for w in other.spanning()]
+        if not W:
+            return False
+        # column b holds the products of x_b with every w: no nonzero
+        # combination of the columns may vanish
+        if side == "right":
+            P = F.array(F.products(ring, X, W)).reshape(len(X), len(W), -1)
+        else:
+            P = F.array(F.products(ring, W, X)).reshape(len(W), len(X), -1).transpose(1, 0, 2)
+        return F.rank(P.reshape(len(X), -1).T, len(X)) == len(X)
+
     def __repr__(self):
         return f"Subspace(dim={self.dim} of {self.ring.dim})"
 
@@ -177,17 +420,17 @@ class Subspace(AddSubgroup):
 # constructors and span arithmetic
 # ---------------------------------------------------------------------------
 
+def span_class(ring):
+    """The span class of the ring's representation: the one read of it."""
+    return TableSubgroup if ring.is_table else Subspace
+
+
 def zero_subgroup(ring):
-    if ring.is_table:
-        return TableSubgroup(ring, {ring.zero_index})
-    return subspace_from_vectors(ring, [])
+    return span_class(ring).spanned(ring, [])
 
 
 def full_subgroup(ring):
-    if ring.is_table:
-        return TableSubgroup(ring, range(ring.n))
-    # the identity rows are already in rref
-    return Subspace(ring, ring.F.eye(ring.dim), range(ring.dim))
+    return span_class(ring).full(ring)
 
 
 def subspace_from_vectors(ring: StructureAlgebra, vectors):
@@ -197,9 +440,14 @@ def subspace_from_vectors(ring: StructureAlgebra, vectors):
 
 def additive_span(ring, elements) -> AddSubgroup:
     """Smallest additive subgroup containing the given elements."""
-    if ring.is_algebra:
-        return subspace_from_vectors(ring, [e.data for e in elements])
-    return _table_additive_closure(ring, [e.data for e in elements])
+    return span_class(ring).spanned(ring, [e.data for e in elements])
+
+
+def commuting_span(ring, elements) -> AddSubgroup:
+    """The elements x with x·b = b·x for each b of ``elements`` (additive:
+    the product is bilinear).  Unlike ``ideals.centralizer``, nothing is
+    closed into a subring first, which can have fewer such elements."""
+    return span_class(ring).commutant(ring, elements)
 
 
 def distinct_indices(ring, indices):
@@ -212,43 +460,19 @@ def distinct_indices(ring, indices):
     return np.flatnonzero(seen)
 
 
-def _table_additive_closure(ring, indices):
-    # close the index set under addition; negation follows in a finite group
-    add = ring.add_table
-    current = {ring.zero_index} | {int(i) for i in indices}
-    frontier = np.array(sorted(current), dtype=np.int64)
-    while True:
-        idx = np.array(sorted(current), dtype=np.int64)
-        sums = distinct_indices(ring, add[np.ix_(frontier, idx)])
-        fresh = [s for s in sums.tolist() if s not in current]
-        if not fresh:
-            break
-        current.update(fresh)
-        frontier = np.array(fresh, dtype=np.int64)
-    return TableSubgroup(ring, current)
+def _lines(p, k):
+    """One generator per line of F_p^k: the vector with first nonzero
+    coordinate 1, leading coordinates in increasing position, the tail in
+    ``itertools.product`` order."""
+    for lead in range(k):
+        for tail in itertools.product(range(p), repeat=k - lead - 1):
+            yield (0,) * lead + (1,) + tail
 
 
 def product_span(ring, left, right) -> AddSubgroup:
-    """Additive span of pairwise products of two spanning sets.
-
-    ``left``/``right`` may be AddSubgroups or element lists; distributivity
-    makes the result the full set-product span XY.
-    """
-    if ring.is_table:
-        xi = (sorted(left.members) if isinstance(left, TableSubgroup)
-              else [e.data for e in left])
-        yi = (sorted(right.members) if isinstance(right, TableSubgroup)
-              else [e.data for e in right])
-        if not xi or not yi:
-            return zero_subgroup(ring)
-        prods = distinct_indices(ring, ring.mul_table[np.ix_(xi, yi)])
-        return _table_additive_closure(ring, prods.tolist())
-    xs = left.spanning() if isinstance(left, AddSubgroup) else list(left)
-    ys = right.spanning() if isinstance(right, AddSubgroup) else list(right)
-    if not xs or not ys:
-        return zero_subgroup(ring)
-    return subspace_from_vectors(ring, ring.F.products(
-        ring, [e.data for e in xs], [e.data for e in ys]))
+    """Additive span of pairwise products of two spans: by distributivity,
+    the full set-product span XY."""
+    return left.product(right)
 
 
 def triple_product_span(ring, X, Y, Z) -> AddSubgroup:

@@ -11,7 +11,7 @@ from ringlab import (GF, QQ, RingMap, cayley_dickson, cayley_tower,
                      full_subring, matrix_ring, simple_by_density,
                      skew_group_ring, trivial_grading, zmod_ring)
 from ringlab import (certify, dynamics_skew_group_ring, ideals, is_G_invariant,
-                     is_G_simple, linalg)
+                     is_G_simple, linalg, subgroups)
 from ringlab.categories import group_from_table
 from ringlab.certify import certify_built, minimality_witness_ideal, recognize_field
 from ringlab.cli import main
@@ -70,17 +70,32 @@ def test_sufficiency_on_o_f3_walks_no_line(monkeypatch):
     # the centralizer of O over F_3 is O (d = 8), which Norton's test finds
     # irreducible: its lattice is 0, O without closing any of its 3,280 lines
     walks = []
-    original = ideals._lines
+    original = subgroups._lines
 
     def counted(p, k):
         walks.append(k)
         return original(p, k)
 
-    monkeypatch.setattr(ideals, "_lines", counted)
+    monkeypatch.setattr(subgroups, "_lines", counted)
     tw = bales_twisted_ring(GF(3), 3)
     cert = certify_sufficiency(tw.ring, tw.base_subring(), grading=tw.grading)
     assert cert.verdict == "Simple" and cert.oracle == "agrees"
     assert walks == []
+
+
+def test_doubling_center_that_field_recognition_leaves_open_is_assumed():
+    # the doubling of Q(√2) by α = 3 under the trivial conjugation is the
+    # field Q(√2, √3), its own center: no prime of LIFT_PRIMES is inert in
+    # it and the witness search finds no proper ideal, so is_simple is
+    # Inconclusive, and Q has no field test above dimension 2
+    b = make_structure_algebra(2, QQ, [[[1, 0], [0, 1]], [[0, 1], [2, 0]]])
+    sigma = RingMap.identity(b)
+    sigma.anti = True
+    cd = cayley_dickson(b, sigma, b.element([3, 0]))
+    assert recognize_field(ideals.center(cd.ring).as_ring()[0]) is None
+    premise = certify_cayley(cd).premises[1]
+    assert premise.name == "the center of the double is simple"
+    assert (premise.status, premise.detail) == ("assumed", "center dimension 4")
 
 
 def test_doubling_premise_is_decided_past_the_cap():

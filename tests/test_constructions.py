@@ -20,7 +20,7 @@ from ringlab.constructions.crossed import (CrossedSystem, _associates_and_commut
                                           crossed_product)
 from ringlab.ideals import first_invariant_ideal
 from ringlab.rings import convert_to_table, direct_sum_algebra, probe_properties
-from ringlab.subgroups import Subspace
+from ringlab.subgroups import Subspace, commuting_span
 from ringlab.constructions import doubling
 from ringlab.errors import (AlphaNotCentralUnit, CoherenceViolation,
                             CriterionDisagreement, InfiniteScalarField, NotAnAction,
@@ -585,7 +585,7 @@ def test_q_integer_paths_match_fraction_references(data):
         [[list(map(list, row)) for row in _reference_twisted_blocks(alg, S, alpha, opposite)]
          for S in stack]
     # commuting spans, the center among them
-    assert ideals.commuting_span(alg, elements).key() == \
+    assert commuting_span(alg, elements).key() == \
         Subspace(alg, *_reference_commuting_span(alg, elements)).key()
     spanning = alg.spanning_elements()
     assert ideals.center(alg).span.key() == \

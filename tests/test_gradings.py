@@ -20,9 +20,11 @@ from ringlab import gradings, rings
 from ringlab.errors import (CriterionDisagreement, NotDirectSum, PreconditionUnmet,
                             ValidationFailure)
 from ringlab.gradings import DegreeMap, graded_ideal_associativity
-from ringlab.ideals import IdealBasis, check_ideal_associativity
+from ringlab.corpus import graded_corpus
+from ringlab.ideals import IdealBasis, center, check_ideal_associativity
 from ringlab.rings import convert_to_table, gf_extension
-from ringlab.subgroups import full_subgroup, product_span, subspace_from_vectors
+from ringlab.subgroups import (additive_span, full_subgroup, product_span,
+                               subspace_from_vectors)
 
 
 def _m3f2_graded():
@@ -678,3 +680,19 @@ def test_graded_ideal_associativity_on_crossed_product():
     B = cp.base_subring()
     for I in enumerate_subring_ideals(cp.ring, B):
         assert graded_ideal_associativity(cp.grading, I)
+
+
+def _reference_center_of_a0(grading):
+    """Z(A_0) the long way: A_0 materialized as a ring, its center taken
+    there and embedded back into A."""
+    sub, embed, _ = grading.zero_part_subring().as_ring()
+    return additive_span(grading.ring, [embed(e) for e in center(sub).spanning()])
+
+
+def test_center_of_a0_is_found_in_the_ambient_ring():
+    # Z(A_0) is the part of A_0 that commutes with all of A_0, a canonical
+    # span either way: every graded corpus instance, and M2 over Z/4 as a table
+    built = graded_corpus() + [("M2(Z4) table", matrix_ring(2, zmod_ring(4)))]
+    for name, b in built:
+        B = support_degree_map(b.grading, "center_of_A0").B
+        assert B.span.key() == _reference_center_of_a0(b.grading).key(), name

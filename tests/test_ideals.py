@@ -299,7 +299,7 @@ def test_one_generator_per_cyclic_subgroup_keeps_the_walk(n):
     closures = [principal_ideal(ring, ring.element(i)).span
                 for i in range(ring.n) if i != ring.zero_index]
     generated = [principal_ideal(ring, ring.element(g)).span
-                 for g in ideals._line_seeds(ring, full_subgroup(ring))]
+                 for g in full_subgroup(ring).line_seeds()]
     assert {s.key() for s in generated} == {s.key() for s in closures}
     first = next((s for s in closures if not s.is_full()), None)
     walk = first_proper_line_ideal(ring)
@@ -475,15 +475,15 @@ def test_is_stable_equals_the_element_check(case, data):
     maps += data.draw(st.sampled_from([[], [F.eye(d)]]))
     expected = all(span.contains_coords(F.matmul(F.array(row), M))
                    for M in maps for row in span.rows)
-    assert ideals.is_stable(span, maps) == expected
+    assert span.is_stable(maps) == expected
 
 
 def test_is_stable_on_table_rings():
     z6 = zmod_ring(6)
     evens = ideal_closure(z6, [z6.element(2)]).span
-    assert ideals.is_stable(evens, [[(3 * x) % 6 for x in range(6)]])
-    assert not ideals.is_stable(evens, [[(x + 1) % 6 for x in range(6)]])
-    assert ideals.is_stable(evens, [])
+    assert evens.is_stable([[(3 * x) % 6 for x in range(6)]])
+    assert not evens.is_stable([[(x + 1) % 6 for x in range(6)]])
+    assert evens.is_stable([])
 
 
 def test_centralizers():
@@ -609,7 +609,7 @@ def _principal_ideals(ring):
     one element per cyclic subgroup of a table ring), in the order of the
     walk."""
     return [ideals.principal_ideal(ring, ring.element(g)).span
-            for g in ideals._line_seeds(ring, full_subgroup(ring))]
+            for g in full_subgroup(ring).line_seeds()]
 
 
 def test_first_stable_ideal_takes_the_least_key_among_minimal_ideals():
@@ -1060,7 +1060,7 @@ def test_the_stable_ideal_decision_agrees_with_the_line_walk(case):
     if over is not None:
         assert not over.is_zero() and not over.is_full_in(span)
         IdealBasis(ring, over.span, of_subring=B, check=True)
-        assert ideals.is_stable(over.span, maps)
+        assert over.span.is_stable(maps)
 
 
 def test_certify_dynamics_walks_no_line_until_its_premise_is_read():

@@ -4,7 +4,9 @@
 (``rings.py``).  Every other read of those flags is a branch on the
 representation, and each branch is a place that a third representation, or
 a change to one of the two, has to visit.  ``READS`` pins how many each
-module makes.  A count may only fall: when a change removes a branch, it
+module makes; ``subgroups.span_class`` is the one span-level read, and
+``ideals.py`` makes none and reads no representation at all.  A count may
+only fall: when a change removes a branch, it
 lowers the module's count here in the same change, and a module that no
 longer reads the flags drops out of the list, so a stale entry fails.
 """
@@ -20,13 +22,19 @@ FLAGS = {"is_table", "is_algebra"}
 READS = {
     "constructions/crossed.py": 9,
     "constructions/doubling.py": 1,
-    "gradings.py": 4,
-    "ideals.py": 11,
+    "gradings.py": 3,
     "ore.py": 1,
     "recipes.py": 5,
     "reports.py": 4,
-    "subgroups.py": 4,
+    "subgroups.py": 1,
 }
+
+# what the ideal layer may not read or name: ``ideals.py`` quantifies over
+# ideals through the span and ring methods, so a representation it branched
+# on again (even renamed into an ``isinstance`` test) fails here
+REPRESENTATION = FLAGS | {"mul_table", "add_table", "neg_table", "zero_index",
+                          "members", "rows", "pivots", "constants"}
+CLASSES = {"TableRing", "StructureAlgebra", "TableSubgroup", "Subspace"}
 
 
 def _reads():
@@ -50,3 +58,16 @@ def test_representation_branches_are_pinned_per_module():
     assert not grown, f"representation branches added (pinned, found): {grown}"
     fallen = {m: (n, counts.get(m, 0)) for m, n in READS.items() if counts.get(m, 0) < n}
     assert not fallen, f"lower these pins (pinned, found): {fallen}"
+
+
+def test_the_ideal_layer_reads_no_representation():
+    tree = ast.parse((SRC / "ideals.py").read_text())
+    reads = sorted({node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr in REPRESENTATION})
+    names = sorted({node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name) and node.id in CLASSES}
+                   | {alias.name for node in ast.walk(tree)
+                      if isinstance(node, (ast.Import, ast.ImportFrom))
+                      for alias in node.names if alias.name in CLASSES})
+    assert not reads, f"ideals.py reads the representation: {reads}"
+    assert not names, f"ideals.py names a representation's class: {names}"

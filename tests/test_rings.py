@@ -1,13 +1,16 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringlab import (GF, QQ, cayley_tower, enumerate_elements,
-                     make_structure_algebra, make_table_ring, opposite,
-                     probe_properties, ring_eval, zmod_ring)
+from ringlab import (GF, QQ, RingMap, SigmaDerivationData, cayley_tower,
+                     enumerate_elements, field_algebra, make_structure_algebra,
+                     make_table_ring, opposite, probe_properties, ring_eval,
+                     zmod_ring)
+from ringlab.ore import SkewPolynomial
 from ringlab.errors import (DistributivityViolation, InfiniteScalarField,
                             NotAbelianGroup, RingMismatch, ShapeMismatch)
 
@@ -258,3 +261,27 @@ def test_table_distributivity_holds_exhaustively():
                 ea, eb, ec = r6.element(a), r6.element(b), r6.element(c)
                 assert ea * (eb + ec) == ea * eb + ea * ec
                 assert (ea + eb) * ec == ea * ec + eb * ec
+
+
+def test_is_zero_compares_no_fractions(monkeypatch):
+    # Element.is_zero reads the data: over Q it truth-tests the coordinates,
+    # on the sedenions and in a skew polynomial's trailing-zero strip, where
+    # a zero built as Fraction(0) is not the backend's zero object
+    sedenions = cayley_tower(QQ, 4).rings[4]
+    elements = sedenions.spanning_elements() + [sedenions.zero()]
+    q = field_algebra(QQ)
+    data = SigmaDerivationData(q, RingMap.identity(q), RingMap(q, q, [[0]]))
+    zero = q.element([Fraction(0)])
+    calls = []
+
+    def counted(*args, _original=Fraction.__eq__):
+        calls.append(args)
+        return _original(*args)
+
+    monkeypatch.setattr(Fraction, "__eq__", counted)
+    flags = [e.is_zero() for e in elements]
+    poly = SkewPolynomial(data, [data.unit, zero, zero])
+    monkeypatch.undo()
+    assert flags == [False] * 16 + [True]
+    assert poly.coeffs == (data.unit,)
+    assert calls == []
