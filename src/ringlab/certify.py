@@ -15,15 +15,17 @@ verified premise failure.  Oracle disagreement is fatal for corpus runs.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass, field as dfield, replace
+import os
+from dataclasses import dataclass, field as dfield, fields, replace
 
 import numpy as np
 
 from . import linalg
 from .constructions.crossed import CrossedProduct, _is_unit, is_G_simple
 from .constructions.doubling import CayleyDoubling, CayleyTower
-from .constructions.dynamics import DynamicsRing
+from .constructions.dynamics import DynamicsRing, dynamics_skew_group_ring
 from .errors import CriterionDisagreement, InfiniteScalarField, TooLarge
 from .gradings import (GradedRing, Grading, grading_flags,
                        graded_ideal_associativity, support_degree_map,
@@ -808,12 +810,15 @@ def _perm_power(p, k):
     return out
 
 
+@functools.lru_cache(maxsize=None)
 def _abelian_groups_upto(max_order):
+    """(kind, order, group) of every abelian group of order at most
+    ``max_order``, built once: the survey's helper processes inherit them."""
     from .categories import abelian_group, cyclic_group
     out = [("cyclic", n, cyclic_group(n)) for n in range(1, max_order + 1)]
     if max_order >= 4:
         out.append(("klein", 4, abelian_group((2, 2))))
-    return out
+    return tuple(out)
 
 
 def _actions_on(kind, cat, m):
@@ -834,18 +839,28 @@ def _actions_on(kind, cat, m):
                            for (a, b) in cat.morphisms}
 
 
+@functools.lru_cache(maxsize=None)
+def _relabelings(m):
+    """Every permutation of m points, in ``itertools.permutations`` order, as
+    the rows of one array, and the array of their inverses."""
+    perms = np.array(list(itertools.permutations(range(m))), dtype=np.int64).reshape(-1, m)
+    return perms, np.argsort(perms, axis=1)
+
+
 def _conjugacy_key(action, morphisms, m):
     """Canonical form of an action under relabeling of the points, and the
-    relabeling pi that gives it: the least pi ∘ s ∘ pi^-1 over pi in S_m."""
-    best = None
-    for pi in itertools.permutations(range(m)):
-        inv = [0] * m
-        for x, y in enumerate(pi):
-            inv[y] = x
-        key = tuple(tuple(pi[action[g][inv[x]]] for x in range(m)) for g in morphisms)
-        if best is None or key < best[0]:
-            best = key, pi
-    return best
+    relabeling pi that gives it: the least pi ∘ s ∘ pi^-1 over pi in S_m,
+    the first in ``itertools.permutations`` order among equal keys.  The
+    keys of all m! relabelings are the rows of one array."""
+    perms, invs = _relabelings(m)
+    s = np.array([action[g] for g in morphisms], dtype=np.int64)
+    # keys[k, g·m + x] = perms[k, s[g, invs[k, x]]]
+    moved = s[:, invs].transpose(1, 0, 2).reshape(len(perms), -1)
+    keys = np.take_along_axis(perms, moved, axis=1)
+    least = keys[np.lexsort(keys.T[::-1])[0]]
+    k = np.flatnonzero((keys == least).all(axis=1))[0]
+    return (tuple(map(tuple, least.reshape(len(morphisms), m).tolist())),
+            tuple(perms[k].tolist()))
 
 
 def _verify_conjugate_isomorphism(rep_dyn, rep_pi, dyn, pi, morphisms, m):
@@ -858,6 +873,66 @@ def _verify_conjugate_isomorphism(rep_dyn, rep_pi, dyn, pi, morphisms, m):
         idx[dyn.offsets[g] + np.arange(m)] = rep_dyn.offsets[g] + relabel
     moved = rep_dyn.ring.constants[np.ix_(idx, idx, idx)]
     return bool(np.array_equal(moved, dyn.ring.constants))
+
+
+def _survey_block(m, max_group_order, index, p, scan_cap, seed) -> DynamicsSurvey:
+    """The survey of one block: every action on ``m`` points of the group
+    ``_abelian_groups_upto(max_group_order)[index]``, over F_p.  Conjugacy
+    classes never cross blocks, so blocks are independent."""
+    kind, order, cat = _abelian_groups_upto(max_group_order)[index]
+    morphisms = list(cat.morphisms)
+    survey = DynamicsSurvey()
+    classes = {}
+    for action in _actions_on(kind, cat, m):
+        survey.instances += 1
+        key, pi = _conjugacy_key(action, morphisms, m)
+        dyn = dynamics_skew_group_ring(m, cat, action, linalg.GF(p))
+        expected = dyn.minimal and dyn.faithful
+        if not dyn.faithful:
+            survey.nonfaithful_total += 1
+            if _proper(faithfulness_witness_ideal(dyn)):
+                survey.nonfaithful_witnesses += 1
+            else:
+                survey.failures.append(
+                    (m, kind, p, "non-faithful witness ideal not proper/nonzero"))
+        if key in classes:
+            rep_dyn, rep_pi, rep_simple = classes[key]
+            if (rep_dyn.minimal, rep_dyn.faithful) != (dyn.minimal, dyn.faithful):
+                survey.failures.append((m, kind, p, "conjugate flags differ"))
+                continue
+            if not _verify_conjugate_isomorphism(rep_dyn, rep_pi, dyn, pi, morphisms, m):
+                survey.failures.append((m, kind, p, "conjugacy isomorphism failed"))
+                continue
+            survey.transferred += 1
+            if rep_simple != expected:
+                survey.failures.append((m, kind, p, "transferred verdict mismatch"))
+            continue
+        survey.representatives += 1
+        cert = certify_dynamics(dyn, cap=scan_cap, seed=seed,
+                                instance=f"dyn({m},{kind}{order},F{p})")
+        if cert.oracle == "disagrees":
+            survey.failures.append((m, kind, p, "pipeline/oracle disagreement"))
+        over_cap = dyn.ring.size() > scan_cap
+        if over_cap and not expected:
+            J = (faithfulness_witness_ideal(dyn) if not dyn.faithful
+                 else minimality_witness_ideal(dyn))
+            decided = not _proper(J)
+            survey.witness_refutations += 1
+        else:
+            # the certificate's oracle cross-check cached this verdict; over
+            # the cap it came from the F_p test
+            decided = is_simple(dyn.ring, cap=scan_cap, seed=seed).is_simple
+            if over_cap:
+                survey.density_checks += 1
+            else:
+                survey.oracle_scans += 1
+        if decided != expected:
+            survey.failures.append(
+                (m, kind, p, f"simple={decided} but minimal+faithful={expected}"))
+        if cert.verdict != ("Simple" if expected else "NotSimple"):
+            survey.failures.append((m, kind, p, "pipeline verdict mismatch"))
+        classes[key] = (dyn, pi, decided)
+    return survey
 
 
 def survey_finite_dynamics(max_points=4, max_group_order=6, field_orders=(2, 3),
@@ -874,64 +949,45 @@ def survey_finite_dynamics(max_points=4, max_group_order=6, field_orders=(2, 3),
     ``scan_cap`` and over it, and no line is walked for a witness.
     Conjugate actions transfer their verdict along a verified ring
     isomorphism.
+
+    The survey splits into one block per (points, group, field)
+    (:func:`_survey_block`); conjugate actions share their points, group and
+    field, so no block reads another.  The blocks run on a pool of forked
+    processes, one per CPU this process may use (``os.sched_getaffinity``;
+    one where the platform cannot tell) and at most one per block, largest
+    ring dimension m·|G| first; with one CPU they run in this process.  The
+    helpers are forked, not spawned, so that they start with ringlab
+    imported and the groups built.  The partial surveys are merged in block
+    order, (points, group, field), so the counts and the ``failures`` list
+    do not depend on the number of CPUs, and no option selects it.  An
+    error raised in a block reaches the caller with its type and message,
+    and the pool is shut down and joined before the call returns or raises.
     """
-    from .constructions.dynamics import dynamics_skew_group_ring
+    groups = _abelian_groups_upto(max_group_order)
+    blocks = [(m, max_group_order, i, p, scan_cap, seed)
+              for m in range(1, max_points + 1)
+              for i in range(len(groups))
+              for p in field_orders]
+    # largest ring dimension m·|G| first, so that no large block starts last
+    ordered = sorted(blocks, key=lambda b: b[0] * groups[b[2]][1], reverse=True)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(blocks))
+    if workers <= 1:
+        parts = list(itertools.starmap(_survey_block, ordered))
+    else:
+        # imported here: at module level it would cost every ``import ringlab``
+        import multiprocessing
+        pool = multiprocessing.get_context("fork").Pool(workers)
+        try:
+            parts = pool.starmap(_survey_block, ordered, chunksize=1)
+        finally:
+            pool.terminate()
+            pool.join()
+    parts = dict(zip(ordered, parts))
     survey = DynamicsSurvey()
-    for m in range(1, max_points + 1):
-        for kind, order, cat in _abelian_groups_upto(max_group_order):
-            morphisms = list(cat.morphisms)
-            for p in field_orders:
-                classes = {}
-                for action in _actions_on(kind, cat, m):
-                    survey.instances += 1
-                    key, pi = _conjugacy_key(action, morphisms, m)
-                    dyn = dynamics_skew_group_ring(m, cat, action, linalg.GF(p))
-                    expected = dyn.minimal and dyn.faithful
-                    if not dyn.faithful:
-                        survey.nonfaithful_total += 1
-                        if _proper(faithfulness_witness_ideal(dyn)):
-                            survey.nonfaithful_witnesses += 1
-                        else:
-                            survey.failures.append(
-                                (m, kind, p, "non-faithful witness ideal not proper/nonzero"))
-                    if key in classes:
-                        rep_dyn, rep_pi, rep_simple = classes[key]
-                        if (rep_dyn.minimal, rep_dyn.faithful) != (dyn.minimal, dyn.faithful):
-                            survey.failures.append((m, kind, p, "conjugate flags differ"))
-                            continue
-                        if not _verify_conjugate_isomorphism(rep_dyn, rep_pi, dyn, pi,
-                                                             morphisms, m):
-                            survey.failures.append((m, kind, p, "conjugacy isomorphism failed"))
-                            continue
-                        survey.transferred += 1
-                        if rep_simple != expected:
-                            survey.failures.append((m, kind, p, "transferred verdict mismatch"))
-                        continue
-                    survey.representatives += 1
-                    cert = certify_dynamics(dyn, cap=scan_cap, seed=seed,
-                                            instance=f"dyn({m},{kind}{order},F{p})")
-                    if cert.oracle == "disagrees":
-                        survey.failures.append((m, kind, p, "pipeline/oracle disagreement"))
-                    over_cap = dyn.ring.size() > scan_cap
-                    if over_cap and not expected:
-                        J = (faithfulness_witness_ideal(dyn) if not dyn.faithful
-                             else minimality_witness_ideal(dyn))
-                        decided = not _proper(J)
-                        survey.witness_refutations += 1
-                    else:
-                        # the certificate's oracle cross-check cached this
-                        # verdict; over the cap it came from the F_p test
-                        decided = is_simple(dyn.ring, cap=scan_cap, seed=seed).is_simple
-                        if over_cap:
-                            survey.density_checks += 1
-                        else:
-                            survey.oracle_scans += 1
-                    if decided != expected:
-                        survey.failures.append(
-                            (m, kind, p, f"simple={decided} but minimal+faithful={expected}"))
-                    if cert.verdict != ("Simple" if expected else "NotSimple"):
-                        survey.failures.append((m, kind, p, "pipeline verdict mismatch"))
-                    classes[key] = (dyn, pi, decided)
+    for block in blocks:
+        for f in fields(survey):
+            setattr(survey, f.name, getattr(survey, f.name) + getattr(parts[block], f.name))
     return survey
 
 

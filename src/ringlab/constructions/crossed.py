@@ -273,18 +273,26 @@ def validate_crossed_system(sys: CrossedSystem):
     gets its own two items.  A missing base ring is a failed item, and the
     checks that read the bases are then skipped.
     """
+    return [(name.format(*args), ok, detail)
+            for name, args, ok, detail in _validation_items(sys)]
+
+
+def _validation_items(sys: CrossedSystem):
+    """The items of :func:`validate_crossed_system` as (format string,
+    arguments, ok, detail), so that a check's name is formatted only when
+    it is read: building a crossed product reads the failures alone."""
     cat = sys.cat
-    report = []
+    items = []
     units = {}
     for e in cat.objects:
         if e not in sys.base:
-            report.append((f"base ring at {e!r} present", False, None))
+            items.append(("base ring at {!r} present", (e,), False, None))
             continue
         props = sys.base[e].probe_properties()
         units[e] = props.unit
-        report.append((f"base ring at {e!r} unital", props.unital, None))
+        items.append(("base ring at {!r} unital", (e,), props.unital, None))
     if len(units) < len(cat.objects):
-        return report
+        return items
     placed = [g for g in cat.morphisms
               if sys.sigma[g].source is sys.base[cat.dom[g]]
               and sys.sigma[g].target is sys.base[cat.cod[g]]]
@@ -299,32 +307,32 @@ def validate_crossed_system(sys: CrossedSystem):
     for g in cat.morphisms:
         sg = sys.sigma[g]
         if g not in failures:
-            report.append((f"sigma[{g!r}] endpoints", False, "wrong source/target"))
+            items.append(("sigma[{!r}] endpoints", (g,), False, "wrong source/target"))
             continue
         if sg.perm is not None:
-            report.append((f"sigma[{g!r}] additive", sg.is_additive(), None))
+            items.append(("sigma[{!r}] additive", (g,), sg.is_additive(), None))
         bad = failures[g]
         witness = None if bad is None else tuple(sg.source.spanning_elements()[k] for k in bad)
         kind = "anti-multiplicative" if sg.anti else "multiplicative"
-        report.append((f"sigma[{g!r}] {kind}", bad is None, witness))
+        items.append(("sigma[{!r}] {}", (g, kind), bad is None, witness))
         if g in preserved:
-            report.append((f"sigma[{g!r}] unit-preserving", preserved[g], None))
+            items.append(("sigma[{!r}] unit-preserving", (g,), preserved[g], None))
     for e in cat.objects:
         ide = cat.identity[e]
-        report.append((f"sigma at identity of {e!r} is the identity map",
-                       sys.sigma[ide].is_identity(), None))
+        items.append(("sigma at identity of {!r} is the identity map", (e,),
+                      sys.sigma[ide].is_identity(), None))
     pairs = cat.composable_pairs()
     alpha = {(g, h): sys.alpha_at(g, h) for g, h in pairs}
     for (g, h), a in alpha.items():
         is_unit, central = _alpha_verdicts(sys.base[cat.cod[g]], a)
-        report.append((f"alpha[{g!r},{h!r}] unit", is_unit, a))
-        report.append((f"alpha[{g!r},{h!r}] associates and commutes", central, a))
+        items.append(("alpha[{!r},{!r}] unit", (g, h), is_unit, a))
+        items.append(("alpha[{!r},{!r}] associates and commutes", (g, h), central, a))
     for g in cat.morphisms:
         lc = cat.identity[cat.cod[g]]
         rc = cat.identity[cat.dom[g]]
         u = units[cat.cod[g]]
         norm_ok = (alpha[lc, g] == u) and (alpha[g, rc] == u)
-        report.append((f"alpha normalized at {g!r}", norm_ok, None))
+        items.append(("alpha normalized at {!r}", (g,), norm_ok, None))
     # functoriality is reported, not enforced (twisted systems may bend it);
     # pairs whose maps do not compose, or differ in kind, fail it
     agree = dict.fromkeys(pairs, False)
@@ -340,12 +348,15 @@ def validate_crossed_system(sys: CrossedSystem):
         stacks = zip(*(maps[gh] for gh in group))
         agree.update(zip(group, _compositions_agree(*stacks)))
     for (g, h) in pairs:
-        report.append((f"functoriality at ({g!r},{h!r}) [warning only]", agree[(g, h)], None))
-    return report
+        items.append(("functoriality at ({!r},{!r}) [warning only]", (g, h),
+                      agree[(g, h)], None))
+    return items
 
 
-def _hard_failures(report):
-    return [(name, wit) for name, ok, wit in report
+def _hard_failures(items):
+    """(name, witness) of each failed item of :func:`_validation_items`
+    that is not a warning."""
+    return [(name.format(*args), wit) for name, args, ok, wit in items
             if not ok and "warning only" not in name]
 
 
@@ -377,8 +388,7 @@ class CrossedProduct(GradedRing):
 def crossed_product(sys: CrossedSystem, validate=True, kind_tag="crossed_product",
                     notes=()) -> CrossedProduct:
     if validate:
-        report = validate_crossed_system(sys)
-        bad = _hard_failures(report)
+        bad = _hard_failures(_validation_items(sys))
         if bad:
             raise ValidationFailure(bad)
     cat = sys.cat

@@ -2,11 +2,23 @@
 
 Every validation failure carries a witness (the concrete elements that break
 the law being checked) so reports can re-verify it.
+
+Every error pickles with its type, message and attributes, so one raised in
+a worker process reaches its caller unchanged.
 """
+
+import copyreg
 
 
 class RinglabError(Exception):
     """Base class for all errors raised by this package."""
+
+    def __reduce__(self):
+        # ``args`` holds the formatted message, not the constructor's
+        # arguments, so the copy is made without calling ``__init__``:
+        # ``BaseException.__new__`` restores ``args`` and the state restores
+        # the attributes
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class NotAbelianGroup(RinglabError):

@@ -20,7 +20,7 @@ from ringlab.corpus import (build_f4_frobenius_ring, build_group_algebra,
                             build_nonminimal_dynamics, build_ore_f4_frobenius,
                             build_rotation_dynamics, build_swap_dynamics, tower_q)
 from ringlab.constructions import bales_twisted_ring, twisted_group_ring
-from ringlab.errors import CriterionDisagreement
+from ringlab.errors import CriterionDisagreement, ValidationFailure
 from ringlab.ideals import SimpleVerdict, ideal_closure, principal_ideal
 from ringlab.rings import (direct_sum_algebra, full_matrix_algebra, functions_ring,
                            gf_extension, make_structure_algebra)
@@ -495,6 +495,97 @@ def test_conjugacy_key_returns_its_relabeling():
     assert key == key2
     assert _verify_conjugate_isomorphism(rep, rep_pi, dyn, pi, [e, g], 3)
     assert not _verify_conjugate_isomorphism(rep, ident, dyn, ident, [e, g], 3)
+
+
+def _reference_conjugacy_key(action, morphisms, m):
+    """_conjugacy_key, one relabeling at a time."""
+    best = None
+    for pi in itertools.permutations(range(m)):
+        inv = [0] * m
+        for x, y in enumerate(pi):
+            inv[y] = x
+        key = tuple(tuple(pi[action[g][inv[x]]] for x in range(m)) for g in morphisms)
+        if best is None or key < best[0]:
+            best = key, pi
+    return best
+
+
+def test_conjugacy_key_matches_the_relabeling_loop():
+    from ringlab.certify import _abelian_groups_upto, _actions_on, _conjugacy_key
+    for m in range(1, 6):
+        for kind, order, cat in _abelian_groups_upto(6):
+            morphisms = list(cat.morphisms)
+            for action in _actions_on(kind, cat, m):
+                got = _conjugacy_key(action, morphisms, m)
+                assert got == _reference_conjugacy_key(action, morphisms, m)
+                assert all(type(x) is int for x in itertools.chain(got[1], *got[0]))
+
+
+def _cpus(monkeypatch, n):
+    """Make the survey see ``n`` usable CPUs, whatever this machine has."""
+    import os
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@pytest.mark.parametrize("kwargs", [dict(max_points=3), {},
+                                    dict(max_points=5, field_orders=(2,))],
+                         ids=["3-points", "default", "5-points-F2"])
+def test_survey_on_a_pool_equals_the_survey_in_process(monkeypatch, kwargs):
+    import multiprocessing
+    _cpus(monkeypatch, 2)
+    pooled = certify.survey_finite_dynamics(**kwargs)
+    assert multiprocessing.active_children() == []
+    _cpus(monkeypatch, 1)
+    assert certify.survey_finite_dynamics(**kwargs) == pooled
+    assert pooled.clean and pooled.instances > 0
+
+
+def test_survey_failures_keep_block_order_on_a_pool(monkeypatch):
+    # every transferred verdict fails, so the failures list reads the order
+    # in which the blocks' surveys were merged: (points, group, field)
+    monkeypatch.setattr(certify, "_verify_conjugate_isomorphism", lambda *args: False)
+    groups = certify._abelian_groups_upto(6)
+    blocks = [(m, 6, i, p, 2 ** 15, ideals.DEFAULT_SEED)
+              for m in range(1, 5) for i in range(len(groups)) for p in (2, 3)]
+    parts = [certify._survey_block(*b).failures for b in blocks]
+    assert sum(1 for f in parts if f) > 10
+    _cpus(monkeypatch, 2)
+    pooled = certify.survey_finite_dynamics()
+    assert pooled.failures == [f for part in parts for f in part]
+    _cpus(monkeypatch, 1)
+    assert certify.survey_finite_dynamics() == pooled
+
+
+@pytest.mark.parametrize("error", [CriterionDisagreement("planted in a helper"),
+                                   ValidationFailure(["planted in a helper"])],
+                         ids=lambda e: type(e).__name__)
+def test_an_error_in_a_survey_helper_reaches_the_caller(monkeypatch, error):
+    import multiprocessing
+    from multiprocessing.pool import RemoteTraceback
+
+    def planted(*args, **kwargs):
+        raise error
+
+    # patched before the pool forks, so every helper raises
+    monkeypatch.setattr(certify, "certify_dynamics", planted)
+    _cpus(monkeypatch, 2)
+    with pytest.raises(type(error)) as raised:
+        certify.survey_finite_dynamics(max_points=2)
+    assert str(raised.value) == str(error) and vars(raised.value) == vars(error)
+    assert isinstance(raised.value.__cause__, RemoteTraceback)
+    assert multiprocessing.active_children() == []
+
+
+def test_importing_ringlab_loads_no_multiprocessing():
+    import subprocess
+    import sys
+    from pathlib import Path
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import ringlab, ringlab.cli; "
+            "print(ringlab.__file__.startswith(sys.argv[1]), 'multiprocessing' in sys.modules)")
+    out = subprocess.run([sys.executable, "-I", "-c", code, src], check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.split() == ["True", "False"]
 
 
 def test_dynamics_disagreement_is_typed(monkeypatch, tmp_path, capsys):
