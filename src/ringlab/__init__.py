@@ -31,8 +31,9 @@ from .gradings import (DegreeMap, GradedRing, Grading,
                        verify_degree_map)
 from .constructions import (CrossedProduct, CrossedSystem, RingMap,
                             bales_alpha, bales_twisted_ring, cayley_dickson,
-                            cayley_tower, crossed_product,
-                            dynamics_skew_group_ring, is_G_invariant,
+                            cayley_tower, crossed_product, crossed_products,
+                            dynamics_skew_group_ring, dynamics_skew_group_rings,
+                            is_G_invariant,
                             is_G_simple, matrix_ring, skew_group_ring,
                             twisted_group_ring, validate_crossed_system)
 from .ore import (SigmaDerivationData, SkewPolynomial,

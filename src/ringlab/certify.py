@@ -25,7 +25,7 @@ import numpy as np
 from . import linalg
 from .constructions.crossed import CrossedProduct, _is_unit, is_G_simple
 from .constructions.doubling import CayleyDoubling, CayleyTower
-from .constructions.dynamics import DynamicsRing, dynamics_skew_group_ring
+from .constructions.dynamics import DynamicsRing, dynamics_skew_group_rings
 from .errors import CriterionDisagreement, InfiniteScalarField, TooLarge
 from .gradings import (GradedRing, Grading, grading_flags,
                        graded_ideal_associativity, support_degree_map,
@@ -37,7 +37,7 @@ from .ideals import (DEFAULT_ELEMENT_CAP, DEFAULT_SEED, IdealBasis, Subring,
                      is_A_simple, is_maximal_commutative, is_simple, row_ideal)
 from .ore import (SigmaDerivationData, is_sigma_delta_simple,
                   validate_sigma_derivation)
-from .rings import StructureAlgebra
+from .rings import CONSTANTS_CAP, StructureAlgebra
 from .subgroups import full_subgroup, product_span, triple_product_span, zero_subgroup
 
 
@@ -849,44 +849,84 @@ def _relabelings(m):
 
 def _conjugacy_key(action, morphisms, m):
     """Canonical form of an action under relabeling of the points, and the
-    relabeling pi that gives it: the least pi ∘ s ∘ pi^-1 over pi in S_m,
-    the first in ``itertools.permutations`` order among equal keys.  The
-    keys of all m! relabelings are the rows of one array."""
+    relabeling pi that gives it: the one-action call of
+    :func:`_conjugacy_keys`."""
+    return _conjugacy_keys([action], morphisms, m)[0]
+
+
+def _conjugacy_keys(actions, morphisms, m):
+    """(key, pi) for each action of ``actions`` on m points: the least
+    pi ∘ s ∘ pi^-1 over pi in S_m, and the first pi in
+    ``itertools.permutations`` order among those that give it.  The keys of
+    every action under all m! relabelings are one array, sorted in one
+    stable lexsort with the action first: the first row of each action's
+    run is its least key, from the first relabeling that gives it."""
     perms, invs = _relabelings(m)
-    s = np.array([action[g] for g in morphisms], dtype=np.int64)
-    # keys[k, g·m + x] = perms[k, s[g, invs[k, x]]]
-    moved = s[:, invs].transpose(1, 0, 2).reshape(len(perms), -1)
-    keys = np.take_along_axis(perms, moved, axis=1)
-    least = keys[np.lexsort(keys.T[::-1])[0]]
-    k = np.flatnonzero((keys == least).all(axis=1))[0]
-    return (tuple(map(tuple, least.reshape(len(morphisms), m).tolist())),
-            tuple(perms[k].tolist()))
+    s = np.array([[action[g] for g in morphisms] for action in actions],
+                 dtype=np.int64).reshape(len(actions), len(morphisms), m)
+    # keys[a, k, g·m + x] = perms[k, s[a, g, invs[k, x]]]
+    moved = s[:, :, invs].transpose(0, 2, 1, 3).reshape(len(actions), len(perms), -1)
+    keys = np.take_along_axis(np.broadcast_to(perms, moved.shape[:2] + (m,)), moved, axis=2)
+    rows = keys.reshape(-1, keys.shape[2])
+    action = np.repeat(np.arange(len(actions)), len(perms))
+    order = np.lexsort(np.vstack([rows.T[::-1], action]))
+    first = order[::len(perms)] - np.arange(len(actions)) * len(perms)
+    return [(tuple(map(tuple, keys[a, k].reshape(len(morphisms), m).tolist())),
+             tuple(perms[k].tolist())) for a, k in enumerate(first.tolist())]
 
 
-def _verify_conjugate_isomorphism(rep_dyn, rep_pi, dyn, pi, morphisms, m):
-    """Check that the relabeling rep_pi^-1 ∘ pi, which conjugates the action
-    of ``dyn`` onto that of ``rep_dyn`` when both have the same key, induces
-    a basis relabeling that transports the structure constants exactly."""
-    relabel = np.argsort(rep_pi)[list(pi)]
-    idx = np.zeros(dyn.ring.dim, dtype=np.int64)
-    for g in morphisms:
-        idx[dyn.offsets[g] + np.arange(m)] = rep_dyn.offsets[g] + relabel
-    moved = rep_dyn.ring.constants[np.ix_(idx, idx, idx)]
-    return bool(np.array_equal(moved, dyn.ring.constants))
+def _verify_conjugate_isomorphisms(dyns, pis, pairs, m):
+    """For each pair (r, k) of indices into ``dyns``, systems over one
+    group and m points whose actions have the same key: whether the
+    relabeling pis[r]^-1 ∘ pis[k], which conjugates the action of dyns[k]
+    onto that of dyns[r], induces a basis relabeling that transports the
+    structure constants exactly.  One gather of the stacked constants of
+    as many pairs as ``CONSTANTS_CAP`` admits."""
+    if not pairs:
+        return []
+    offsets = np.array(list(dyns[0].offsets.values()))
+    d = dyns[0].ring.dim
+    inverses = np.argsort(np.array(pis, dtype=np.int64).reshape(len(pis), m), axis=1)
+    where = (offsets[:, None] + np.arange(m)).ravel()
+    per = CONSTANTS_CAP // d ** 3
+    out = []
+    for chunk in (pairs[at:at + per] for at in range(0, len(pairs), per)):
+        relabel = np.array([inverses[r][list(pis[k])] for r, k in chunk]).reshape(-1, m)
+        idx = np.empty((len(chunk), d), dtype=np.int64)
+        idx[:, where] = (offsets[:, None] + relabel[:, None, :]).reshape(len(chunk), -1)
+        reps = np.stack([dyns[r].ring.constants for r, _ in chunk])
+        moved = reps[np.arange(len(chunk))[:, None, None, None], idx[:, :, None, None],
+                     idx[:, None, :, None], idx[:, None, None, :]]
+        same = moved == np.stack([dyns[k].ring.constants for _, k in chunk])
+        out += same.reshape(len(chunk), -1).all(axis=1).tolist()
+    return out
 
 
 def _survey_block(m, max_group_order, index, p, scan_cap, seed) -> DynamicsSurvey:
     """The survey of one block: every action on ``m`` points of the group
     ``_abelian_groups_upto(max_group_order)[index]``, over F_p.  Conjugacy
-    classes never cross blocks, so blocks are independent."""
+    classes never cross blocks, so blocks are independent.
+
+    The block's actions and their conjugacy keys come first.  Its rings are
+    built as one stack (:func:`dynamics_skew_group_rings`), and every
+    conjugate's relabeling onto its class representative, the first action
+    with its key, is checked in one gather of their constants
+    (:func:`_verify_conjugate_isomorphisms`).  The actions are then
+    surveyed in order, so the counts and ``failures`` read as they would
+    one action at a time."""
     kind, order, cat = _abelian_groups_upto(max_group_order)[index]
     morphisms = list(cat.morphisms)
+    actions = list(_actions_on(kind, cat, m))
+    keys, pis = zip(*_conjugacy_keys(actions, morphisms, m))
+    dyns = dynamics_skew_group_rings(m, cat, actions, linalg.GF(p))
+    first = {}
+    reps = [first.setdefault(key, k) for k, key in enumerate(keys)]
+    conjugates = [(r, k) for k, r in enumerate(reps) if r != k]
+    verified = dict(zip(conjugates, _verify_conjugate_isomorphisms(dyns, pis, conjugates, m)))
     survey = DynamicsSurvey()
-    classes = {}
-    for action in _actions_on(kind, cat, m):
+    decided_at = {}
+    for k, dyn in enumerate(dyns):
         survey.instances += 1
-        key, pi = _conjugacy_key(action, morphisms, m)
-        dyn = dynamics_skew_group_ring(m, cat, action, linalg.GF(p))
         expected = dyn.minimal and dyn.faithful
         if not dyn.faithful:
             survey.nonfaithful_total += 1
@@ -895,16 +935,17 @@ def _survey_block(m, max_group_order, index, p, scan_cap, seed) -> DynamicsSurve
             else:
                 survey.failures.append(
                     (m, kind, p, "non-faithful witness ideal not proper/nonzero"))
-        if key in classes:
-            rep_dyn, rep_pi, rep_simple = classes[key]
+        r = reps[k]
+        if r != k:
+            rep_dyn = dyns[r]
             if (rep_dyn.minimal, rep_dyn.faithful) != (dyn.minimal, dyn.faithful):
                 survey.failures.append((m, kind, p, "conjugate flags differ"))
                 continue
-            if not _verify_conjugate_isomorphism(rep_dyn, rep_pi, dyn, pi, morphisms, m):
+            if not verified[r, k]:
                 survey.failures.append((m, kind, p, "conjugacy isomorphism failed"))
                 continue
             survey.transferred += 1
-            if rep_simple != expected:
+            if decided_at[r] != expected:
                 survey.failures.append((m, kind, p, "transferred verdict mismatch"))
             continue
         survey.representatives += 1
@@ -931,7 +972,7 @@ def _survey_block(m, max_group_order, index, p, scan_cap, seed) -> DynamicsSurve
                 (m, kind, p, f"simple={decided} but minimal+faithful={expected}"))
         if cert.verdict != ("Simple" if expected else "NotSimple"):
             survey.failures.append((m, kind, p, "pipeline verdict mismatch"))
-        classes[key] = (dyn, pi, decided)
+        decided_at[k] = decided
     return survey
 
 

@@ -25,6 +25,7 @@ zero with its g digit moved from the zero of B_c(g) to b.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -34,8 +35,8 @@ from ..categories import FiniteCategory
 from ..errors import ShapeMismatch, TooLarge, ValidationFailure
 from ..gradings import GradedRing, Grading
 from ..ideals import IdealBasis, Subring, first_stable_ideal
-from ..rings import (DEFAULT_ELEMENT_CAP, TABLE_SIZE_CAP, Element, Ring,
-                     StructureAlgebra, TableRing)
+from ..rings import (CONSTANTS_CAP, DEFAULT_ELEMENT_CAP, TABLE_SIZE_CAP, Element,
+                     Ring, StructureAlgebra, TableRing)
 from ..subgroups import Subspace, TableSubgroup
 
 # entries of a crossed product's tables built at once (see _crossed_table)
@@ -97,7 +98,7 @@ class RingMap:
                 and bool(self.source.F.equal(self.matrix, other.matrix).all()))
 
     def is_identity(self):
-        return self.source is self.target and self.equals(RingMap.identity(self.source))
+        return _identities([self])[0]
 
     def is_bijective(self):
         if self.perm is not None:
@@ -168,17 +169,21 @@ def _maps_to(maps, x: Element, y: Element):
 def _compositions_agree(maps_g, maps_h, maps_gh):
     """For composable stacks (sigma_h's target is sigma_g's source, each
     stack of one kind and shape): whether sigma_g ∘ sigma_h equals sigma_gh,
-    the anti flags included, per pair.  One composition of the stacks: a
-    batched matmul of the matrices, or indexing the tables by the tables."""
-    G, H, GH = _stack(maps_g), _stack(maps_h), _stack(maps_gh)
-    if maps_g[0].perm is not None:
-        equal = np.take_along_axis(G, H, axis=1) == GH
-    else:
-        F = maps_h[0].source.F
-        equal = F.equal(F.matmul(H, G), GH)
-    equal = equal.reshape(len(GH), -1).all(axis=1).tolist()
+    the anti flags included, per pair (:func:`_compose_stacks`)."""
+    equal = _compose_stacks(_stack(maps_g), _stack(maps_h), _stack(maps_gh), maps_h[0])
     return [eq and (g.anti != h.anti) == gh.anti
-            for eq, g, h, gh in zip(equal, maps_g, maps_h, maps_gh)]
+            for eq, g, h, gh in zip(equal.tolist(), maps_g, maps_h, maps_gh)]
+
+
+def _compose_stacks(G, H, GH, m):
+    """Whether G ∘ H equals GH for stacked operators of the kind of the
+    map ``m``, per entry of the leading axes: index tables composed by
+    indexing the tables by the tables, matrices on rows by one batched
+    matmul, H first."""
+    if m.perm is not None:
+        return (np.take_along_axis(G, H, axis=-1) == GH).all(axis=-1)
+    F = m.source.F
+    return F.equal(F.matmul(H, G), GH).all(axis=(-2, -1))
 
 
 @dataclass
@@ -260,97 +265,170 @@ def validate_crossed_system(sys: CrossedSystem):
     """Itemized validation; returns a list of (check, ok, detail) triples.
 
     No identity is checked one element product at a time, or one map at a
-    time.  The sigmas that share their source, target, kind and anti flag
-    are checked as one stack on every spanning pair at once
+    time.  The sigmas that share their source, target, kind, shape and anti
+    flag are checked as one stack on every spanning pair at once
     (:func:`_product_failures`): contractions of the stacked matrices for
     an algebra, one fancy index of the stacked tables for a table ring; a
     failure's detail is the first failing pair in row-major order.  Their
-    unit images are one product of the stack too.  Functoriality composes
-    every composable pair at once, a stack per shape
-    (:func:`_compositions_agree`).  Each (base ring, alpha) is checked for
-    being a unit and for associating and commuting once per ring, whatever
-    the system (``Ring._alpha_verdicts``), and every composable pair still
-    gets its own two items.  A missing base ring is a failed item, and the
-    checks that read the bases are then skipped.
+    unit images are one product of the stack too, and so is the check that
+    the identity morphisms act as identities (:func:`_identities`).
+    Functoriality composes every composable pair at once, a stack per
+    class of maps (:func:`_functoriality`).  Each (base ring, alpha) is checked
+    for being a unit and for associating and commuting once per ring,
+    whatever the system (``Ring._alpha_verdicts``), and every composable
+    pair still gets its own two items.  A missing base ring is a failed
+    item, and the checks that read the bases are then skipped.  This is the
+    one-system call of :func:`_validation_items`, which stacks the maps of
+    many systems over one category and base.
     """
     return [(name.format(*args), ok, detail)
-            for name, args, ok, detail in _validation_items(sys)]
+            for name, args, ok, detail in _validation_items([sys])[0]]
 
 
-def _validation_items(sys: CrossedSystem):
-    """The items of :func:`validate_crossed_system` as (format string,
-    arguments, ok, detail), so that a check's name is formatted only when
-    it is read: building a crossed product reads the failures alone."""
-    cat = sys.cat
-    items = []
-    units = {}
+def _validation_items(systems):
+    """The items of :func:`validate_crossed_system` for each of
+    ``systems``, which share their category and base ring objects, as
+    (format string, arguments, ok, detail), so that a check's name is
+    formatted only when it is read: building a crossed product reads the
+    failures alone.
+
+    The checks run once for all the systems: every system's sigmas that
+    share source, target, kind, shape and anti flag are one stack for
+    :func:`_product_failures` and :func:`_maps_to`, their identity maps one
+    stack per class (:func:`_map_class`, :func:`_identities`), and every
+    system's composable pairs one stack per class of their three maps
+    (:func:`_functoriality`).
+    """
+    first = systems[0]
+    cat, base = first.cat, first.base
+    head, units = [], {}
     for e in cat.objects:
-        if e not in sys.base:
-            items.append(("base ring at {!r} present", (e,), False, None))
+        if e not in base:
+            head.append(("base ring at {!r} present", (e,), False, None))
             continue
-        props = sys.base[e].probe_properties()
+        props = base[e].probe_properties()
         units[e] = props.unit
-        items.append(("base ring at {!r} unital", (e,), props.unital, None))
+        head.append(("base ring at {!r} unital", (e,), props.unital, None))
     if len(units) < len(cat.objects):
-        return items
-    placed = [g for g in cat.morphisms
-              if sys.sigma[g].source is sys.base[cat.dom[g]]
-              and sys.sigma[g].target is sys.base[cat.cod[g]]]
+        return [list(head) for _ in systems]
+    placed = [(k, g) for k, sys in enumerate(systems) for g in cat.morphisms
+              if sys.sigma[g].source is base[cat.dom[g]]
+              and sys.sigma[g].target is base[cat.cod[g]]]
     failures, preserved = {}, {}
-    for group in _groups(placed, lambda g: (sys.sigma[g].source, sys.sigma[g].target,
-                                            sys.sigma[g].anti, sys.sigma[g].perm is None)):
-        maps = [sys.sigma[g] for g in group]
+    for group in _groups(placed, lambda kg: _map_class(systems[kg[0]].sigma[kg[1]])
+                         + (systems[kg[0]].sigma[kg[1]].anti,)):
+        maps = [systems[k].sigma[g] for k, g in group]
         failures.update(zip(group, _product_failures(maps)))
-        u, v = units[cat.dom[group[0]]], units[cat.cod[group[0]]]
+        g = group[0][1]
+        u, v = units[cat.dom[g]], units[cat.cod[g]]
         if u is not None and v is not None:
             preserved.update(zip(group, _maps_to(maps, u, v)))
-    for g in cat.morphisms:
-        sg = sys.sigma[g]
-        if g not in failures:
-            items.append(("sigma[{!r}] endpoints", (g,), False, "wrong source/target"))
-            continue
-        if sg.perm is not None:
-            items.append(("sigma[{!r}] additive", (g,), sg.is_additive(), None))
-        bad = failures[g]
-        witness = None if bad is None else tuple(sg.source.spanning_elements()[k] for k in bad)
-        kind = "anti-multiplicative" if sg.anti else "multiplicative"
-        items.append(("sigma[{!r}] {}", (g, kind), bad is None, witness))
-        if g in preserved:
-            items.append(("sigma[{!r}] unit-preserving", (g,), preserved[g], None))
-    for e in cat.objects:
-        ide = cat.identity[e]
-        items.append(("sigma at identity of {!r} is the identity map", (e,),
-                      sys.sigma[ide].is_identity(), None))
+    identities = {}
+    at_objects = [(k, e) for k in range(len(systems)) for e in cat.objects]
+    for group in _groups(at_objects, lambda ke: _map_class(
+            systems[ke[0]].sigma[cat.identity[ke[1]]])):
+        maps = [systems[k].sigma[cat.identity[e]] for k, e in group]
+        identities.update(zip(group, _identities(maps)))
     pairs = cat.composable_pairs()
-    alpha = {(g, h): sys.alpha_at(g, h) for g, h in pairs}
-    for (g, h), a in alpha.items():
-        is_unit, central = _alpha_verdicts(sys.base[cat.cod[g]], a)
-        items.append(("alpha[{!r},{!r}] unit", (g, h), is_unit, a))
-        items.append(("alpha[{!r},{!r}] associates and commutes", (g, h), central, a))
-    for g in cat.morphisms:
-        lc = cat.identity[cat.cod[g]]
-        rc = cat.identity[cat.dom[g]]
-        u = units[cat.cod[g]]
-        norm_ok = (alpha[lc, g] == u) and (alpha[g, rc] == u)
-        items.append(("alpha normalized at {!r}", (g,), norm_ok, None))
-    # functoriality is reported, not enforced (twisted systems may bend it);
-    # pairs whose maps do not compose, or differ in kind, fail it
-    agree = dict.fromkeys(pairs, False)
-    maps = {(g, h): (sys.sigma[g], sys.sigma[h], sys.sigma[cat.compose(g, h)])
-            for g, h in pairs}
-    composable = [(g, h) for (g, h), (sg, sh, sgh) in maps.items()
-                  if sh.target is sg.source and sgh.source is sh.source
-                  and sgh.target is sg.target
-                  and (sg.perm is None) == (sh.perm is None) == (sgh.perm is None)]
-    for group in _groups(composable, lambda gh: (maps[gh][1].source, maps[gh][1].target,
-                                                 maps[gh][0].target,
-                                                 maps[gh][0].perm is None)):
-        stacks = zip(*(maps[gh] for gh in group))
-        agree.update(zip(group, _compositions_agree(*stacks)))
-    for (g, h) in pairs:
-        items.append(("functoriality at ({!r},{!r}) [warning only]", (g, h),
-                      agree[(g, h)], None))
-    return items
+    agree = _functoriality(systems, pairs)
+    at_cod = [base[cat.cod[g]] for g, _ in pairs]
+    normal = [(g, (cat.identity[cat.cod[g]], g), (g, cat.identity[cat.dom[g]]),
+               units[cat.cod[g]]) for g in cat.morphisms]
+    out = []
+    for k, sys in enumerate(systems):
+        items = list(head)
+        for g in cat.morphisms:
+            sg = sys.sigma[g]
+            if (k, g) not in failures:
+                items.append(("sigma[{!r}] endpoints", (g,), False, "wrong source/target"))
+                continue
+            if sg.perm is not None:
+                items.append(("sigma[{!r}] additive", (g,), sg.is_additive(), None))
+            bad = failures[k, g]
+            witness = None if bad is None else tuple(sg.source.spanning_elements()[i]
+                                                     for i in bad)
+            kind = "anti-multiplicative" if sg.anti else "multiplicative"
+            items.append(("sigma[{!r}] {}", (g, kind), bad is None, witness))
+            if (k, g) in preserved:
+                items.append(("sigma[{!r}] unit-preserving", (g,), preserved[k, g], None))
+        items += [("sigma at identity of {!r} is the identity map", (e,), identities[k, e], None)
+                  for e in cat.objects]
+        alpha = {gh: sys.alpha_at(*gh) for gh in pairs}
+        for gh, B, a in zip(pairs, at_cod, alpha.values()):
+            is_unit, central = _alpha_verdicts(B, a)
+            items += (("alpha[{!r},{!r}] unit", gh, is_unit, a),
+                      ("alpha[{!r},{!r}] associates and commutes", gh, central, a))
+        items += [("alpha normalized at {!r}", (g,), alpha[left] == u and alpha[right] == u,
+                   None) for g, left, right, u in normal]
+        items += [("functoriality at ({!r},{!r}) [warning only]", gh, ok, None)
+                  for gh, ok in zip(pairs, agree[k])]
+        out.append(items)
+    return out
+
+
+def _map_class(m):
+    """What maps stacked as one array share: source, target, kind and
+    shape."""
+    return (m.source, m.target, m.perm is None,
+            m.matrix.shape if m.perm is None else (len(m.perm),))
+
+
+def _identities(maps):
+    """:meth:`RingMap.is_identity` of each map of ``maps``, which share
+    their source, target, kind and shape: one comparison of the stacked
+    operators with the identity's."""
+    m = maps[0]
+    S = m.source
+    shape = (S.n,) if m.perm is not None else (S.dim, S.dim)
+    if m.target is not S or _map_class(m)[3] != shape:
+        return [False] * len(maps)
+    stack = _stack(maps)
+    same = stack == np.arange(S.n) if m.perm is not None else S.F.equal(stack, S.F.eye(S.dim))
+    return same.reshape(len(maps), -1).all(axis=1).tolist()
+
+
+def _functoriality(systems, pairs):
+    """For each system, whether sigma_g ∘ sigma_h = sigma_gh, the anti
+    flags included, at each composable pair of ``pairs``.  Functoriality is
+    reported, not enforced (twisted systems may bend it); pairs whose maps
+    do not compose, or differ in kind, fail it.
+
+    Systems whose maps agree in source, target, kind and shape, morphism by
+    morphism, are checked together: their maps are one stack per morphism,
+    and the pairs whose three maps fall in the same classes are one
+    composition of those stacks (:func:`_compose_stacks`)."""
+    cat = systems[0].cat
+    mors = cat.morphisms
+    at = {g: t for t, g in enumerate(mors)}
+    where = [(at[g], at[h], at[cat.compose(g, h)]) for g, h in pairs]
+    agree = np.zeros((len(systems), len(pairs)), dtype=bool)
+    for ks in _groups(range(len(systems)), lambda k: tuple(
+            _map_class(systems[k].sigma[g]) for g in mors)):
+        classes = [_map_class(systems[ks[0]].sigma[g]) for g in mors]
+        anti = np.array([[systems[k].sigma[g].anti for k in ks] for g in mors]).reshape(len(mors), -1)
+        # the maps of each class's morphisms as one (systems, morphisms, ...) stack
+        members = {}
+        for t, c in enumerate(classes):
+            members.setdefault(c, []).append(t)
+        local = {t: i for ts in members.values() for i, t in enumerate(ts)}
+        stacks = {}
+        for c, ts in members.items():
+            stack = _stack([systems[k].sigma[mors[t]] for t in ts for k in ks])
+            stacks[c] = stack.reshape(len(ts), len(ks), *stack.shape[1:]).swapaxes(0, 1)
+        composable = [q for q, (g, h, gh) in enumerate(where)
+                      if classes[h][1] is classes[g][0] and classes[gh][0] is classes[h][0]
+                      and classes[gh][1] is classes[g][1]
+                      and classes[g][2] == classes[h][2] == classes[gh][2]]
+        block = np.zeros((len(ks), len(pairs)), dtype=bool)
+        for qs in _groups(composable, lambda q: tuple(map(classes.__getitem__, where[q]))):
+            g, h, gh = zip(*(where[q] for q in qs))
+            equal = _compose_stacks(*(stacks[classes[ts[0]]][:, [local[t] for t in ts]]
+                                      for ts in (g, h, gh)),
+                                    systems[ks[0]].sigma[mors[h[0]]])
+            flags = (anti[list(g)] != anti[list(h)]) == anti[list(gh)]
+            block[:, qs] = equal & flags.T
+        agree[ks] = block
+    return agree.tolist()
 
 
 def _hard_failures(items):
@@ -387,64 +465,132 @@ class CrossedProduct(GradedRing):
 
 def crossed_product(sys: CrossedSystem, validate=True, kind_tag="crossed_product",
                     notes=()) -> CrossedProduct:
+    """The crossed product of one system: the one-system call of
+    :func:`crossed_products`."""
+    return crossed_products([sys], kind_tag, notes, validate)[0]
+
+
+def crossed_products(systems, kind_tag="crossed_product", notes=(),
+                     validate=True) -> list:
+    """The crossed products of ``systems``, which share their category and
+    their base ring objects, in order, built together.
+
+    Over structure algebras the budget comes first: a product of dimension
+    d with d³ past ``rings.CONSTANTS_CAP`` raises TooLarge before anything
+    is allocated (:func:`_layout`).  Then the systems are validated
+    together (:func:`_validation_items`), and the first system, in order,
+    with a failed item that is not a warning raises the ValidationFailure
+    it raises alone.  Over structure algebras the constants of all the
+    systems are built as stacks (:func:`_crossed_algebras`); over table
+    rings each system is tabulated in turn (:func:`_crossed_table`).
+    """
+    systems = list(systems)
+    if not systems:
+        return []
+    cat, base = systems[0].cat, systems[0].base
+    if any(sys.cat is not cat or sys.base.keys() != base.keys()
+           or any(sys.base[e] is not base[e] for e in base) for sys in systems):
+        raise ShapeMismatch("stacked crossed systems must share their category and base rings")
+    bases = [base[e] for e in cat.objects if e in base]
+    algebras = all(B.is_algebra for B in bases)
+    if algebras and len(bases) == len(cat.objects):
+        _layout(cat, tuple(base[cat.cod[g]].dim for g in cat.morphisms))
     if validate:
-        bad = _hard_failures(_validation_items(sys))
-        if bad:
-            raise ValidationFailure(bad)
-    cat = sys.cat
-    bases = [sys.base[e] for e in cat.objects]
-    if all(b.is_algebra for b in bases):
-        return _crossed_algebra(sys, kind_tag, notes)
-    if all(b.is_table for b in bases):
-        return _crossed_table(sys, kind_tag, notes)
+        for items in _validation_items(systems):
+            bad = _hard_failures(items)
+            if bad:
+                raise ValidationFailure(bad)
+    if algebras:
+        return _crossed_algebras(systems, kind_tag, notes)
+    if all(B.is_table for B in bases):
+        return [_crossed_table(sys, kind_tag, notes) for sys in systems]
     raise ShapeMismatch("base rings must all be table rings or all algebras")
 
 
-def _crossed_algebra(sys, kind_tag, notes):
-    """The crossed product of structure algebras, block (g, h) of its
-    constants at rows u_g, columns u_h and depth u_gh.
+@functools.lru_cache(maxsize=64)
+def _layout(cat, dims):
+    """Where the blocks of a crossed product of algebras over ``cat`` go,
+    for ``dims`` the dimension of B_c(g) of each morphism g in order:
+    (offsets, total, positions, sizes, within).  u_g's block starts at
+    coordinate offsets[g], of ``total``.  Block (g, h) of the constants,
+    rows u_g, columns u_h and depth u_gh, has sizes[q] entries for q the
+    pair's place in ``composable_pairs``, and ``positions`` holds the flat
+    places in the d³ constants of every block's entries, block after block
+    in row-major order, with ``within`` each entry's place in its block.
+    TooLarge when d³ passes ``CONSTANTS_CAP``, before anything is
+    allocated.  Cached per (category, base dimensions)."""
+    total = sum(dims)
+    if total ** 3 > CONSTANTS_CAP:
+        raise TooLarge(f"crossed product would have {total ** 3} structure constants, "
+                       f"past the cap {CONSTANTS_CAP}")
+    at = {g: t for t, g in enumerate(cat.morphisms)}
+    start, width = np.cumsum((0,) + dims[:-1]), np.array(dims)
+    g, h, gh = np.array([(at[g], at[h], at[cat.compose(g, h)])
+                         for g, h in cat.composable_pairs()]).reshape(-1, 3).T
+    sizes = width[g] * width[h] * width[g]
+    first = np.cumsum(sizes) - sizes
+    positions = np.empty(sizes.sum(), dtype=np.int64)
+    # the blocks of one shape (dim B_c(g), dim B_c(h)) at once
+    for a, b in set(zip(width[g].tolist(), width[h].tolist())):
+        q = np.flatnonzero((width[g] == a) & (width[h] == b))
+        rows = start[g[q]][:, None, None, None] + np.arange(a)[:, None, None]
+        columns = start[h[q]][:, None, None, None] + np.arange(b)[:, None]
+        depth = start[gh[q]][:, None, None, None] + np.arange(a)
+        positions[first[q][:, None] + np.arange(a * b * a)] = (
+            (rows * total + columns) * total + depth).reshape(len(q), -1)
+    within = np.arange(len(positions)) - np.repeat(first, sizes)
+    offsets = dict(zip(cat.morphisms, start.tolist()))
+    return offsets, total, positions, sizes, within
 
-    A block depends on g, the pair's twist and its alpha only, and the
-    blocks of every sigma_g sharing the base at c(g), the twist and the
-    alpha are one stack for the backend's ``twisted_blocks``.  Each
-    component is a slice of identity rows, so its span is built with its
-    pivots, without a row reduction.
+
+def _crossed_algebras(systems, kind_tag, notes):
+    """The crossed products of structure algebras, block (g, h) of each
+    one's constants at rows u_g, columns u_h and depth u_gh.
+
+    A block depends on the system, g, the pair's twist and its alpha only,
+    and the blocks of every system's sigma_g sharing the base at c(g), the
+    twist and the alpha are one stack for the backend's ``twisted_blocks``.
+    The constants of as many systems as ``CONSTANTS_CAP`` admits are one
+    array, filled by one scatter of the blocks through the positions of
+    :func:`_layout`.  Each component is a slice of identity rows, so its
+    span is built with its pivots, without a row reduction.
     """
-    cat = sys.cat
-    F = sys.base[cat.objects[0]].F
-    if any(sys.base[e].F != F for e in cat.objects):
+    cat, base = systems[0].cat, systems[0].base
+    F = base[cat.objects[0]].F
+    if any(base[e].F != F for e in cat.objects):
         raise ShapeMismatch("base rings must share the scalar field")
-    offsets, dims = {}, {}
-    at = 0
-    for g in cat.morphisms:
-        B = sys.base[cat.cod[g]]
-        offsets[g] = at
-        dims[g] = B.dim
-        at += B.dim
-    total = at
-    C = F.zeros((total, total, total))
-    # block (g, h): e_i u_g · e_j u_h = (e_i *_g,h sigma_g(e_j)) alpha u_gh,
-    # the rows of sigma_g's matrix being the sigma_g(e_j)
-    keys = {(g, h): (g, sys.twist_at(g, h), sys.alpha_at(g, h).data)
-            for g, h in cat.composable_pairs()}
-    blocks = {}
-    for group in _groups(dict.fromkeys(keys.values()),
-                         lambda k: (sys.base[cat.cod[k[0]]], k[1], k[2],
-                                    sys.sigma[k[0]].matrix.shape)):
-        g, twist, alpha = group[0]
-        stack = np.array([sys.sigma[k[0]].matrix for k in group])
-        blocks.update(zip(group, F.twisted_blocks(sys.base[cat.cod[g]], stack, alpha,
-                                                  twist == "opposite")))
-    for (g, h), key in keys.items():
-        og, oh, ogh = offsets[g], offsets[h], offsets[cat.compose(g, h)]
-        C[og:og + dims[g], oh:oh + dims[h], ogh:ogh + dims[g]] = blocks[key]
-    A = StructureAlgebra(F, total, C)
-    eye = F.eye(total)
-    components = {g: Subspace(A, eye[offsets[g]:offsets[g] + dims[g]],
-                              range(offsets[g], offsets[g] + dims[g]))
-                  for g in cat.morphisms}
-    grading = Grading(A, cat, components)
-    return CrossedProduct(A, grading, sys, kind_tag, offsets, tuple(notes))
+    dims = tuple(base[cat.cod[g]].dim for g in cat.morphisms)
+    offsets, total, positions, sizes, within = _layout(cat, dims)
+    spans = [(g, range(offsets[g], offsets[g] + dim)) for g, dim in zip(cat.morphisms, dims)]
+    pairs = cat.composable_pairs()
+    size = total ** 3
+    per = CONSTANTS_CAP // size
+    products = []
+    for chunk in (systems[at:at + per] for at in range(0, len(systems), per)):
+        # block (g, h): e_i u_g · e_j u_h = (e_i *_g,h sigma_g(e_j)) alpha u_gh,
+        # the rows of sigma_g's matrix being the sigma_g(e_j)
+        keys = [[(k, g, sys.twist_at(g, h), sys.alpha_at(g, h).data) for g, h in pairs]
+                for k, sys in enumerate(chunk)]
+        starts, blocks, filled = {}, [], 0
+        for group in _groups(dict.fromkeys(key for row in keys for key in row),
+                             lambda key: (base[cat.cod[key[1]]], key[2], key[3],
+                                          chunk[key[0]].sigma[key[1]].matrix.shape)):
+            _, g, twist, alpha = group[0]
+            stack = np.array([chunk[k].sigma[g].matrix for k, g, _, _ in group])
+            X = F.twisted_blocks(base[cat.cod[g]], stack, alpha, twist == "opposite")
+            blocks.append(X.reshape(-1))
+            starts.update(zip(group, range(filled, filled + X.size, X[0].size)))
+            filled += X.size
+        source = np.array([[starts[key] for key in row] for row in keys], dtype=np.int64)
+        C = F.zeros((len(chunk), size))
+        C[:, positions] = np.concatenate(blocks)[np.repeat(source, sizes, axis=1) + within]
+        for sys, constants in zip(chunk, C):
+            A = StructureAlgebra(F, total, constants.reshape(total, total, total))
+            eye = F.eye(total)
+            components = {g: Subspace(A, eye[r.start:r.stop], r) for g, r in spans}
+            products.append(CrossedProduct(A, Grading(A, cat, components), sys, kind_tag,
+                                           dict(offsets), tuple(notes)))
+    return products
 
 
 def _crossed_table(sys, kind_tag, notes):

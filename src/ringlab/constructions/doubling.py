@@ -18,6 +18,7 @@ import numpy as np
 from ..categories import cyclic_group, xor_group
 from ..errors import (AlphaNotCentralUnit, CriterionDisagreement, ShapeMismatch,
                       SigmaNotInvolutive, TooLarge)
+from ..linalg import nonzero
 from ..rings import Element, Ring, StructureAlgebra, field_algebra
 from .crossed import (CrossedProduct, CrossedSystem, RingMap,
                       _alpha_verdicts, crossed_product, twisted_group_ring)
@@ -154,10 +155,11 @@ def _interleave(cd: CayleyDoubling):
     old_index = np.arange(2 * d).reshape(2, d).T.ravel()
     # the signs are their own inverses, so they also convert coordinates.
     # Each is ±1, so multiplying the constants by the sign tensor s_i·s_j·s_k
-    # negates the nonzero entries where an odd number of the three is -1
+    # negates the nonzero entries where an odd number of the three is -1,
+    # found from their numerators (no Fraction is truth-tested)
     neg = np.stack([np.zeros(d, dtype=bool), ~A.F.equal(signs, 1)], axis=1).ravel()
     C = A.constants[np.ix_(old_index, old_index, old_index)]
-    flip = (neg[:, None, None] ^ neg[None, :, None] ^ neg[None, None, :]) & C.astype(bool)
+    flip = (neg[:, None, None] ^ neg[None, :, None] ^ neg[None, None, :]) & nonzero(C)
     C[flip] = -C[flip]
     newA = StructureAlgebra(A.F, 2 * d, C)
     # extended conjugation: diagonal sigma ⊕ (-1) interleaves to a diagonal

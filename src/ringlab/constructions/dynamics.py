@@ -16,7 +16,7 @@ import numpy as np
 from ..categories import FiniteCategory
 from ..errors import NotAnAction
 from ..rings import functions_ring
-from .crossed import CrossedProduct, CrossedSystem, RingMap, crossed_product
+from .crossed import CrossedProduct, CrossedSystem, RingMap, crossed_products
 
 
 @dataclass
@@ -45,45 +45,63 @@ def _functions_ring(npoints, field_dom):
 def dynamics_skew_group_ring(npoints: int, G: FiniteCategory, action: dict,
                              field_dom) -> DynamicsRing:
     """B ⋊ G for B = functions({0..npoints-1} -> k) and the permutation
-    action; returns the ring, grading and the minimal/faithful flags.  B is
-    the one functions ring per (npoints, k) (:func:`_functions_ring`)."""
+    action; returns the ring, grading and the minimal/faithful flags: the
+    one-action call of :func:`dynamics_skew_group_rings`."""
+    return dynamics_skew_group_rings(npoints, G, [action], field_dom)[0]
+
+
+def dynamics_skew_group_rings(npoints: int, G: FiniteCategory, actions,
+                              field_dom) -> list:
+    """B ⋊ G for each action of ``actions`` on the same points and group,
+    over B = functions({0..npoints-1} -> k), the one functions ring per
+    (npoints, k) (:func:`_functions_ring`).
+
+    The actions are one (actions, |G|, npoints) array: composition is
+    checked for every action and pair at once, and NotAnAction names the
+    first fault of the first action, in order, that is not one.  Their
+    systems share the category and the base, so they are validated and
+    built as one stack (:func:`crossed_products`).  The orbit of point 0
+    is its images under G, and an action is faithful when no morphism but
+    the identity fixes every point.
+    """
     if not G.is_group():
         raise NotAnAction("dynamics need a group")
-    e = G.identity[G.objects[0]]
-    perms = {}
-    for g in G.morphisms:
-        p = tuple(int(x) for x in action[g])
-        if sorted(p) != list(range(npoints)):
-            raise NotAnAction(f"action of {g!r} is not a permutation")
-        perms[g] = p
-    if perms[e] != tuple(range(npoints)):
-        raise NotAnAction("identity must act trivially")
-    # every pair at once: composed[g, h, x] = s(g)(s(h)(x)) against s(gh)(x)
     mors = list(G.morphisms)
     pos = {g: t for t, g in enumerate(mors)}
-    P = np.array([perms[g] for g in mors], dtype=np.int64)
+    e = pos[G.identity[G.objects[0]]]
+    ident = tuple(range(npoints))
+    perms = [{g: tuple(int(x) for x in action[g]) for g in mors} for action in actions]
+    faults = [next((f"action of {g!r} is not a permutation" for g in mors
+                    if tuple(sorted(p[g])) != ident), None) for p in perms]
+    # every action and pair at once: composed[k, g, h, x] = s(g)(s(h)(x))
+    # against s(gh)(x); an action that is not made of permutations reads
+    # as the trivial one here, having failed already
+    P = np.array([[p[g] for g in mors] if fault is None else [ident] * len(mors)
+                  for p, fault in zip(perms, faults)], dtype=np.int64
+                 ).reshape(len(perms), len(mors), npoints)
     GH = np.array([[pos[G.compose(g, h)] for h in mors] for g in mors], dtype=np.int64)
-    bad = np.argwhere(np.any(P[:, P] != P[GH], axis=2))
-    if bad.size:
-        g, h = (mors[t] for t in bad[0])
-        raise NotAnAction(f"action fails to compose at ({g!r},{h!r})")
+    composed = np.take_along_axis(P[:, :, None, :], P[:, None, :, :], axis=3)
+    bad = (composed != P[:, GH]).any(axis=3)
+    trivial = (P[:, e] == ident).all(axis=1).tolist()
+    composes = (~bad.any(axis=(1, 2))).tolist()
+    for k, fault in enumerate(faults):
+        if fault is None and not trivial[k]:
+            fault = "identity must act trivially"
+        elif fault is None and not composes[k]:
+            g, h = (mors[t] for t in np.argwhere(bad[k])[0])
+            fault = f"action fails to compose at ({g!r},{h!r})"
+        if fault is not None:
+            raise NotAnAction(fault)
     B = _functions_ring(npoints, field_dom)
-    eye = np.eye(npoints, dtype=np.int64)
-    # row x is delta_{s(g)(x)}, the image of delta_x
-    maps = {g: RingMap(B, B, eye[list(perms[g])]) for g in mors}
     obj = G.objects[0]
-    sys = CrossedSystem(G, {obj: B}, maps, name=f"dynamics:{npoints}pt-{G.name}")
-    cp = crossed_product(sys, kind_tag="dynamics")
-    orbit = {0}
-    frontier = [0]
-    while frontier:
-        x = frontier.pop()
-        for g in G.morphisms:
-            y = perms[g][x]
-            if y not in orbit:
-                orbit.add(y)
-                frontier.append(y)
-    faithful = all(perms[g] != perms[e] for g in G.morphisms if g != e)
-    return DynamicsRing(cp.ring, cp.grading, cp.system, cp.kind_tag, cp.offsets,
-                        cp.notes, npoints=npoints, action=perms,
-                        orbit=frozenset(orbit), faithful=faithful)
+    # row x is delta_{s(g)(x)}, the image of delta_x
+    eye = np.eye(npoints, dtype=np.int64)
+    systems = [CrossedSystem(G, {obj: B}, {g: RingMap(B, B, eye[row]) for g, row in zip(mors, Pk)},
+                             name=f"dynamics:{npoints}pt-{G.name}") for Pk in P]
+    # no morphism but the identity acts as the identity does
+    faithful = (P != P[:, e:e + 1]).any(axis=2).sum(axis=1) == len(mors) - 1
+    return [DynamicsRing(cp.ring, cp.grading, cp.system, cp.kind_tag, cp.offsets, cp.notes,
+                         npoints=npoints, action=p, orbit=frozenset(Pk[:, 0].tolist()),
+                         faithful=bool(f))
+            for cp, p, Pk, f in zip(crossed_products(systems, kind_tag="dynamics"),
+                                    perms, P, faithful)]

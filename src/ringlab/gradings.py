@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,12 +41,11 @@ class Grading:
         self.components = dict(components)
         self.order = list(cat.morphisms)
         if ring.is_algebra:
-            rows, self._slices = [], []
+            self._slices, at = [], 0
             for g in self.order:
-                span = self.components[g].rows
-                self._slices.append(slice(len(rows), len(rows) + len(span)))
-                rows.extend(span)
-            self._basis = ring.F.matrix(rows, ring.dim)
+                k = len(self.components[g].rows)
+                self._slices.append(slice(at, at + k))
+                at += k
             # solved for on the first call, so an undecomposed grading costs
             # no row reduction
             self._inverse = None
@@ -69,6 +69,13 @@ class Grading:
         if len(table) != ring.n:
             raise NotDirectSum("components do not decompose every element uniquely")
         return np.array([table[i] for i in range(ring.n)], dtype=np.int64)
+
+    @cached_property
+    def _basis(self):
+        """Algebra: the components' rows stacked in ``order``, built on the
+        first decomposition."""
+        rows = [row for g in self.order for row in self.components[g].rows]
+        return self.ring.F.matrix(rows, self.ring.dim)
 
     def _coefficients(self, rows):
         """Algebra: coefficients c with c @ basis = row, one row per row."""

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from .errors import (BNotCommutative, CriterionDisagreement, InfiniteScalarField,
                      NotAInvariant, NotIdealAssociative, RingMismatch, TooLarge)
 from .rings import DEFAULT_ELEMENT_CAP
-from .subgroups import (AddSubgroup, additive_span, commuting_span, full_subgroup,
+from .subgroups import (AddSubgroup, additive_span, full_subgroup,
                         product_span, span_class, zero_subgroup)
 
 DEFAULT_WITNESS_SAMPLES = 24
@@ -133,10 +133,9 @@ class Subring:
         return self.span.measure()
 
     def is_commutative(self):
-        """Do the spanning elements commute pairwise?  The products of B's
-        span (``products``) against their transpose."""
-        T = self.span.products
-        return bool((T == T.swapaxes(0, 1)).all())
+        """Do the spanning elements commute pairwise?  The span's
+        ``products_commute``."""
+        return self.span.products_commute()
 
     def as_ring(self):
         """The subring as a standalone Ring plus embed/project maps."""
@@ -424,11 +423,12 @@ def _is_simple_uncached(ring, cap, seed, samples) -> SimpleVerdict:
 def centralizer(ring, gens_of_b) -> Subring:
     """C_A(B): everything commuting with B.  ``gens_of_b`` is B as a
     :class:`Subring`, or elements that are closed into B first.  x commutes
-    with B iff x commutes with B's additive spanning set:
-    :func:`commuting_span` of it."""
+    with B iff x commutes with B's additive spanning set: its span's
+    ``centralizer``, which over F_p shares one contraction with the span's
+    ``products`` (:meth:`ringlab.subgroups.Subspace.centralizer`)."""
     B = (gens_of_b if isinstance(gens_of_b, Subring)
          else subring_closure(ring, list(gens_of_b)))
-    return Subring(ring, commuting_span(ring, B.spanning()), check=False)
+    return Subring(ring, B.span.centralizer(), check=False)
 
 
 def center(ring) -> Subring:

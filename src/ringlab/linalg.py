@@ -224,14 +224,11 @@ def spin_modp(seed_rows, ops, p):
     return rows, pivots
 
 
-def multiplications_modp(C, p, rows=None):
-    """L_b and R_b for each row b of ``rows`` (each basis vector e_i when
-    None: L_{e_i} = C[i], R_{e_i} = C[:, i]), as the (2k, d, d) stack that
-    :func:`spin_modp` takes: v @ L_b = b·v and v @ R_b = v·b."""
-    if rows is None:
-        return np.concatenate([C, C.transpose(1, 0, 2)])
-    return np.concatenate([np.tensordot(rows, C, axes=(1, 0)),      # (k, j, m): b·e_j
-                           np.tensordot(rows, C, axes=(1, 1))]) % p  # (k, i, m): e_i·b
+def multiplications_modp(C, p):
+    """L_{e_i} = C[i] and R_{e_i} = C[:, i] for each basis vector e_i, as
+    the (2d, d, d) stack that :func:`spin_modp` takes: v @ L_b = b·v and
+    v @ R_b = v·b."""
+    return np.concatenate([C, C.transpose(1, 0, 2)])
 
 
 # rows per block of enumerated elements: large enough that numpy, not the
@@ -440,6 +437,13 @@ def _fraction(x):
 
 # :func:`_fraction` as a numpy ufunc on object arrays
 _FRACTIONS = np.frompyfunc(_fraction, 1, 1)
+_NUMERATORS = np.frompyfunc(operator.attrgetter("numerator"), 1, 1)
+
+
+def nonzero(X):
+    """The mask of the nonzero entries of an array of ints or of rationals,
+    read off the numerators: no Fraction is compared or truth-tested."""
+    return (_NUMERATORS(X) if X.dtype == object else X).astype(bool)
 
 
 def _rational(x):
@@ -631,9 +635,10 @@ def product_table(C):
     """The sparse integer product table of structure constants ``C`` (a
     d×d×d array of ints or Fractions): (terms, den) with den the lcm of the
     denominators and terms[i][j] the tuple of (k, n) with C[i, j, k] = n /
-    den ≠ 0.  Over F_p den is 1 and n the residue."""
+    den ≠ 0.  Over F_p den is 1 and n the residue.  The nonzero constants
+    are found from their numerators (:func:`nonzero`)."""
     d = len(C)
-    index = np.argwhere(C.astype(bool))
+    index = np.argwhere(nonzero(C))
     (values,), den = _scaled([C[tuple(index.T)].tolist()])
     cells = {}
     for (i, j, k), n in zip(index.tolist(), values):
@@ -691,7 +696,9 @@ class _Field:
     ``coerce``, ``add``, ``neg``, ``mul``, ``inv``), ``dtype``, ``size``
     (the number of vectors of length n: p^n, or None over Q), ``reduce``,
     ``coords``, ``rows``, ``key``, ``rref``, ``member``, ``merge``,
-    ``kernel``, ``equal``, ``unit``, ``mul_coords``, ``products``,
+    ``kernel``, ``equal``, ``unit``, ``mul_coords``, ``left_multiplications``
+    (a stack a span computes once and hands to ``products`` and
+    ``commutant``; None over Q, which has none), ``products``,
     ``mapped_products``, ``mult_matrices``, ``commutators``, ``commutant``,
     ``product_failures``, ``twisted_blocks``, ``associates_and_commutes``,
     ``associator_witness``, ``commutator_witness``, ``products_vanish``
@@ -817,6 +824,10 @@ class ModP(_Field):
     def reduce(self, M):
         return np.asarray(M, dtype=np.int64) % self.p
 
+    def zeros(self, shape):
+        # zero is reduced already: no pass of ``% p`` over the array
+        return np.zeros(shape, dtype=np.int64)
+
     def coords(self, v):
         """A vector as a coordinate tuple of Python ints."""
         return tuple(np.asarray(v).tolist())
@@ -862,9 +873,16 @@ class ModP(_Field):
         p = self.p
         return tuple(v % p for v in _products_int(alg._table.terms, [x], [y])[0])
 
-    def products(self, alg, X, Y):
-        """Rows x·y for every x in X and y in Y (x-major)."""
-        T = np.tensordot(self.array(X), alg.constants, axes=(1, 0)) % self.p   # (m, j, k)
+    def left_multiplications(self, alg, X):
+        """The (k, d, d) stack of L_x, row j x·e_j, for the k rows x of
+        ``X``: one contraction with the constants, which a span computes
+        once and hands to both :meth:`products` and :meth:`commutators`."""
+        return np.tensordot(self.rows(X, alg.dim), alg.constants, axes=(1, 0)) % self.p
+
+    def products(self, alg, X, Y, left=None):
+        """Rows x·y for every x in X and y in Y (x-major); ``left``, when
+        given, is :meth:`left_multiplications` of X."""
+        T = self.left_multiplications(alg, X) if left is None else left   # (m, j, k)
         return (np.einsum("mjk,nj->mnk", T, self.array(Y)) % self.p).reshape(-1, alg.dim)
 
     def mapped_products(self, alg, M):
@@ -879,21 +897,21 @@ class ModP(_Field):
         return (np.tensordot(a, alg.constants, axes=(0, 0)) % self.p,
                 np.tensordot(alg.constants, a, axes=(1, 0)) % self.p)
 
-    def commutators(self, alg, A):
+    def commutators(self, alg, A, left=None):
         """The (d, k·d) matrix whose b-th block of d columns is R_b − L_b,
         for (L_b, R_b) = :meth:`mult_matrices` of the b-th of the k rows of
         ``A``: row i holds every e_i·b − b·e_i, so x commutes with every
-        row iff x @ it = 0.  One :func:`multiplications_modp` contraction
-        for all the rows."""
+        row iff x @ it = 0.  Two contractions for all the rows, or one when
+        ``left`` is :meth:`left_multiplications` of A already."""
         A = self.rows(A, alg.dim)
-        k = len(A)
-        M = multiplications_modp(alg.constants, self.p, A)
-        return ((M[k:] - M[:k]) % self.p).transpose(1, 0, 2).reshape(alg.dim, -1)
+        L = self.left_multiplications(alg, A) if left is None else left
+        R = np.tensordot(A, alg.constants, axes=(1, 1))
+        return ((R - L) % self.p).transpose(1, 0, 2).reshape(alg.dim, -1)
 
-    def commutant(self, alg, A):
+    def commutant(self, alg, A, left=None):
         """(rref basis, pivots) of the x that commute with every row of
         ``A``: the null space of :meth:`commutators`, x @ it = 0."""
-        return kernel_modp(self.commutators(alg, A).T, self.p)
+        return kernel_modp(self.commutators(alg, A, left).T, self.p)
 
     def product_failures(self, src, tgt, Ms, anti):
         """The (m, d, d) mask of the basis pairs (i, j) where m(e_i e_j) !=
@@ -1086,7 +1104,12 @@ class Rational(_Field):
         """x·y on coordinate tuples: one Fraction per output coordinate."""
         return self.products(alg, [x], [y])[0]
 
-    def products(self, alg, X, Y):
+    def left_multiplications(self, alg, X):
+        """None: over Q products and commutators are read off the sparse
+        integer table row by row, so there is no dense stack to share."""
+        return None
+
+    def products(self, alg, X, Y, left=None):
         """Rows x·y for every x in X and y in Y (x-major), as tuples."""
         table = alg._table
         xs, dx = _scaled(X)
@@ -1118,7 +1141,7 @@ class Rational(_Field):
         L, R, den = self._mult_ints(alg, a)
         return _fraction_array(L, den), _fraction_array(R, den)
 
-    def commutators(self, alg, A):
+    def commutators(self, alg, A, left=None):
         """See :meth:`ModP.commutators`; one row at a time, each R − L
         subtracted over ints."""
         blocks = []
@@ -1128,7 +1151,7 @@ class Rational(_Field):
                 [[r - l for l, r in zip(Lr, Rr)] for Lr, Rr in zip(L, R)], den))
         return np.hstack(blocks) if blocks else self.zeros((alg.dim, 0))
 
-    def commutant(self, alg, A):
+    def commutant(self, alg, A, left=None):
         """See :meth:`ModP.commutant`.  The equations are the columns of
         :meth:`commutators` as integer rows: row (r, l) holds the l-th
         coordinate of e_i·a − a·e_i at i, for a the r-th row of ``A``

@@ -46,6 +46,11 @@ from .linalg import GF
 
 DEFAULT_ELEMENT_CAP = 2 ** 20
 TABLE_SIZE_CAP = 4096
+# the most structure constants (d³ for an algebra of dimension d) that a
+# crossed product may have, checked before they are allocated: 16 MB of
+# int64, d up to 128.  The largest built today have d = 63 (Z3 acting on
+# 21 points) and d = 64 (M8(F2))
+CONSTANTS_CAP = 1 << 21
 
 
 class Element:

@@ -178,6 +178,16 @@ class TableSubgroup(AddSubgroup):
         members = sorted(self.members)
         return self.ring.mul_table[np.ix_(members, members)]
 
+    def products_commute(self):
+        """Do the members commute pairwise?  ``products`` against its
+        transpose."""
+        T = self.products
+        return bool((T == T.T).all())
+
+    def centralizer(self):
+        """The x that commute with every member (:meth:`commutant`)."""
+        return TableSubgroup.commutant(self.ring, self.spanning())
+
     def as_ring(self):
         """The members renumbered 0..k-1, each table's block remapped
         through one index array."""
@@ -326,12 +336,35 @@ class Subspace(AddSubgroup):
         return subspace_from_vectors(ring, rows)
 
     @cached_property
+    def _left(self):
+        """The backend's ``left_multiplications`` of the rref rows, the one
+        contraction with the constants that ``products`` and ``centralizer``
+        share."""
+        return self.ring.F.left_multiplications(self.ring, self.rows)
+
+    @cached_property
     def products(self):
-        """One backend ``products`` of the rref rows, shaped (k, k, d) with
-        [i, j] the ambient coordinates of row i times row j."""
+        """The products of the rref rows, shaped (k, k, d) with [i, j] the
+        ambient coordinates of row i times row j: the ring's constants when
+        the span is everything (its rref rows are the identity), else one
+        backend ``products``."""
         ring, k = self.ring, self.dim
-        return ring.F.array(ring.F.products(ring, self.rows, self.rows)
+        if self.is_full():
+            return ring.constants
+        return ring.F.array(ring.F.products(ring, self.rows, self.rows, self._left)
                             ).reshape(k, k, ring.dim)
+
+    def products_commute(self):
+        """Do the rref rows commute pairwise?  ``products`` against its
+        transpose, compared by the backend (over Q as integers)."""
+        T = self.products
+        return bool(self.ring.F.equal(T, T.swapaxes(0, 1)).all())
+
+    def centralizer(self):
+        """The x that commute with every element of the span: the backend's
+        ``commutant`` of the rref rows, reading ``_left``."""
+        ring = self.ring
+        return Subspace(ring, *ring.F.commutant(ring, self.rows, self._left))
 
     def as_ring(self):
         """The constants of the products in the rref basis, whose
@@ -369,7 +402,7 @@ class Subspace(AddSubgroup):
         line closes them all, and one that reads the decision alone none."""
         ring, F, rows, pivots = self.ring, self.ring.F, self.rows, list(self.pivots)
         p, k = F.p, len(pivots)
-        C = ring.constants if self.is_full() else self.products[:, :, pivots]
+        C = self.products[:, :, pivots]
         ops = np.concatenate([linalg.multiplications_modp(C, p)]
                              + [(rows @ F.reduce(m) % p)[None, :, pivots] for m in maps])
 

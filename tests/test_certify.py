@@ -123,6 +123,25 @@ def test_the_21_point_system_is_certified_past_the_cap():
     assert cert.premises[2].status == "failed"
 
 
+def test_the_base_span_contracts_its_rows_with_the_constants_once(monkeypatch):
+    # the commutativity premise (the span's products), the action-simple
+    # premise (its stable closures) and maximal commutativity (its
+    # centralizer) all read one stack of left multiplications of B's rows
+    cycles = {k: tuple(3 * (x // 3) + (x + k) % 3 for x in range(21)) for k in range(3)}
+    dyn = dynamics_skew_group_ring(21, cyclic_group(3), cycles, GF(2))
+    calls = []
+    left = linalg.ModP.left_multiplications
+
+    def counted(self, alg, X):
+        calls.append(len(X))
+        return left(self, alg, X)
+
+    monkeypatch.setattr(linalg.ModP, "left_multiplications", counted)
+    cert = certify_dynamics(dyn)
+    assert cert.verdict == "NotSimple"
+    assert calls == [21]
+
+
 def test_sufficiency_with_a_zero_centralizer():
     # e0·e1 = e0 and all other products 0: the center C is 0, whose only
     # ideal is 0, and A·C·A = 0
@@ -471,7 +490,7 @@ def test_pipelines_hand_their_evidence_to_the_oracle_rule(monkeypatch):
 
 def test_conjugacy_key_returns_its_relabeling():
     from ringlab.certify import (_abelian_groups_upto, _actions_on, _conjugacy_key,
-                                 _verify_conjugate_isomorphism)
+                                 _verify_conjugate_isomorphisms)
     from ringlab.constructions import dynamics_skew_group_ring
     count = 0
     for m in range(1, 5):
@@ -493,8 +512,8 @@ def test_conjugacy_key_returns_its_relabeling():
     (key, rep_pi), (key2, pi) = (_conjugacy_key(a, [e, g], 3) for a in actions)
     rep, dyn = (dynamics_skew_group_ring(3, cat, a, GF(2)) for a in actions)
     assert key == key2
-    assert _verify_conjugate_isomorphism(rep, rep_pi, dyn, pi, [e, g], 3)
-    assert not _verify_conjugate_isomorphism(rep, ident, dyn, ident, [e, g], 3)
+    assert _verify_conjugate_isomorphisms([rep, dyn], [rep_pi, pi], [(0, 1)], 3) == [True]
+    assert _verify_conjugate_isomorphisms([rep, dyn], [ident, ident], [(0, 1)], 3) == [False]
 
 
 def _reference_conjugacy_key(action, morphisms, m):
@@ -511,14 +530,19 @@ def _reference_conjugacy_key(action, morphisms, m):
 
 
 def test_conjugacy_key_matches_the_relabeling_loop():
-    from ringlab.certify import _abelian_groups_upto, _actions_on, _conjugacy_key
+    from ringlab.certify import (_abelian_groups_upto, _actions_on, _conjugacy_key,
+                                 _conjugacy_keys)
     for m in range(1, 6):
         for kind, order, cat in _abelian_groups_upto(6):
             morphisms = list(cat.morphisms)
-            for action in _actions_on(kind, cat, m):
+            actions = list(_actions_on(kind, cat, m))
+            reference = [_reference_conjugacy_key(a, morphisms, m) for a in actions]
+            for action, want in zip(actions, reference):
                 got = _conjugacy_key(action, morphisms, m)
-                assert got == _reference_conjugacy_key(action, morphisms, m)
+                assert got == want
                 assert all(type(x) is int for x in itertools.chain(got[1], *got[0]))
+            # a whole block's keys at once, as the survey computes them
+            assert _conjugacy_keys(actions, morphisms, m) == reference
 
 
 def _cpus(monkeypatch, n):
@@ -543,7 +567,8 @@ def test_survey_on_a_pool_equals_the_survey_in_process(monkeypatch, kwargs):
 def test_survey_failures_keep_block_order_on_a_pool(monkeypatch):
     # every transferred verdict fails, so the failures list reads the order
     # in which the blocks' surveys were merged: (points, group, field)
-    monkeypatch.setattr(certify, "_verify_conjugate_isomorphism", lambda *args: False)
+    monkeypatch.setattr(certify, "_verify_conjugate_isomorphisms",
+                        lambda dyns, pis, pairs, m: [False] * len(pairs))
     groups = certify._abelian_groups_upto(6)
     blocks = [(m, 6, i, p, 2 ** 15, ideals.DEFAULT_SEED)
               for m in range(1, 5) for i in range(len(groups)) for p in (2, 3)]

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -265,6 +266,25 @@ def test_zmod_past_the_table_cap_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == "error: table ring size 4097 exceeds cap 4096\n"
+
+
+def test_a_matrix_ring_past_the_constants_budget_exits_2(monkeypatch, tmp_path, capsys):
+    # M16(F4), 512-dimensional over F_2: 512³ structure constants, 1 GB of
+    # int64, refused before anything is allocated; an array of more than
+    # 2^24 entries fails the test rather than being made
+    zeros = linalg._Field.zeros
+
+    def bounded(self, shape):
+        assert math.prod(shape) <= 1 << 24, f"allocated {shape}"
+        return zeros(self, shape)
+
+    monkeypatch.setattr(linalg._Field, "zeros", bounded)
+    doc = {"kind": "matrix_ring", "size": 16, "base": {"kind": "scalar", "ring": "F4"}}
+    code = main(["certify", _write(tmp_path, "m16-f4.json", doc)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("error: crossed product would have 134217728 structure "
+                            "constants, past the cap 2097152\n")
 
 
 @pytest.mark.parametrize("group", ["Z257", "xor:9", "pair:17"])

@@ -16,8 +16,10 @@ from ringlab import (GF, QQ, RingMap, bales_alpha, bales_twisted_ring,
                      enumerate_subring_ideals, functions_ring, is_A_invariant,
                      make_structure_algebra, pair_groupoid)
 from ringlab import ideals, linalg
+from ringlab.constructions import crossed
 from ringlab.constructions.crossed import (CrossedSystem, _associates_and_commutes, _is_unit,
-                                          crossed_product)
+                                          crossed_product, crossed_products)
+from ringlab.constructions.dynamics import dynamics_skew_group_rings
 from ringlab.ideals import first_invariant_ideal
 from ringlab.rings import convert_to_table, direct_sum_algebra, probe_properties
 from ringlab.subgroups import Subspace, commuting_span
@@ -729,6 +731,177 @@ def test_crossed_build_composes_no_maps_and_reduces_no_components(monkeypatch):
     dyn = dynamics_skew_group_ring(4, cyclic_group(4), rotation, GF(3))
     assert all(ok for _, ok, _ in validate_crossed_system(dyn.system))
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# many systems over one category and base, built as one stack
+# ---------------------------------------------------------------------------
+
+def _stacked_element(draw, B):
+    if B.is_table or B.F != QQ:
+        return _random_element(draw, B)
+    unit = B.probe_properties().unit
+    if unit is not None and draw(st.booleans()):
+        return unit
+    return B.element(draw(st.lists(_SMALL_RATIONALS, min_size=B.dim, max_size=B.dim)))
+
+
+@st.composite
+def stacked_crossed_systems(draw):
+    """One to four systems over one category and one dict of base rings
+    (F_2 or F_3 algebras, Q algebras, Z/n or small table rings; one ring
+    for every object as often as not), each with its own maps, alphas and
+    twists: random ones, which mostly fail validation, or, over unital
+    bases shared by every object, the identity maps with random twists and
+    no alpha given, which pass."""
+    cat = draw(st.sampled_from([cyclic_group(1), cyclic_group(2), cyclic_group(3),
+                                pair_groupoid(2)]))
+    kind = draw(st.sampled_from(["Fp", "Q", "Zn", "table"]))
+    p, d = draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)]))
+    n = draw(st.sampled_from([2, 3, 4, 6]))
+
+    def new_base():
+        if kind == "Fp":
+            return _random_algebra(draw, p, d)
+        if kind == "Q":
+            return _rational_algebra(draw, min(d, 2))
+        if kind == "Zn":
+            return zmod_ring(n)
+        # at most 4 elements, so that the product stays under its size cap
+        return convert_to_table(_random_algebra(draw, p, 1 if p == 3 else min(d, 2)))
+
+    if draw(st.booleans()):
+        shared = new_base()
+        base = {e: shared for e in cat.objects}
+    else:
+        base = {e: new_base() for e in cat.objects}
+    random_map = _rational_map if kind == "Q" else _random_map
+    plain_ok = all(base[cat.dom[g]] is base[cat.cod[g]] for g in cat.morphisms) and all(
+        B.probe_properties().unit is not None for B in base.values())
+    mode = draw(st.sampled_from(["random", "plain", "mixed"])) if plain_ok else "random"
+    pairs = list(cat.composable_pairs())
+    systems = []
+    for _ in range(draw(st.integers(1, 4))):
+        twists = {(g, h): draw(st.sampled_from(["straight", "opposite"])) for g, h in pairs}
+        if mode == "plain" or (mode == "mixed" and draw(st.booleans())):
+            sigma = {g: RingMap.identity(base[cat.dom[g]]) for g in cat.morphisms}
+            systems.append(CrossedSystem(cat, base, sigma, twists=twists))
+            continue
+        sigma = {g: random_map(draw, base[cat.dom[g]], base[cat.cod[g]])
+                 for g in cat.morphisms}
+        alpha = {(g, h): _stacked_element(draw, base[cat.cod[g]]) for g, h in pairs}
+        systems.append(CrossedSystem(cat, base, sigma, alpha=alpha, twists=twists))
+    return systems
+
+
+def _assert_same_products(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        cat = a.system.cat
+        assert a.system is b.system and a.offsets == b.offsets
+        if a.ring.is_algebra:
+            assert a.ring.F == b.ring.F and np.array_equal(a.ring.constants, b.ring.constants)
+        else:
+            assert a.ring.zero_index == b.ring.zero_index
+            assert np.array_equal(a.ring.add_table, b.ring.add_table)
+            assert np.array_equal(a.ring.mul_table, b.ring.mul_table)
+        assert all(a.grading.components[g].key() == b.grading.components[g].key()
+                   for g in cat.morphisms)
+
+
+def _build(call):
+    try:
+        return call()
+    except ValidationFailure as exc:
+        return exc
+
+
+@settings(max_examples=50, deadline=None)
+@given(stacked_crossed_systems())
+def test_stacked_crossed_products_equal_the_one_by_one_builds(systems):
+    for sys, items in zip(systems, crossed._validation_items(systems)):
+        report = [(name.format(*args), ok, detail) for name, args, ok, detail in items]
+        assert repr(report) == repr(validate_crossed_system(sys)) == repr(_reference_report(sys))
+    _assert_same_products(crossed_products(systems, validate=False),
+                          [crossed_product(sys, validate=False) for sys in systems])
+    # validated: the first system that fails raises what it raises alone
+    alone = [_build(lambda sys=sys: crossed_product(sys)) for sys in systems]
+    stacked = _build(lambda: crossed_products(systems))
+    failed = [r for r in alone if isinstance(r, ValidationFailure)]
+    if failed:
+        assert isinstance(stacked, ValidationFailure) and str(stacked) == str(failed[0])
+    else:
+        _assert_same_products(stacked, alone)
+        for sys, cp in zip(systems, stacked):
+            _check_crossed_products(sys, cp)
+
+
+def _count_backend_calls(monkeypatch, names):
+    calls = []
+    for name in names:
+        def counted(self, *args, _name=name, _fn=getattr(linalg.ModP, name)):
+            calls.append(_name)
+            return _fn(self, *args)
+        monkeypatch.setattr(linalg.ModP, name, counted)
+    return calls
+
+
+def test_a_survey_block_makes_as_many_stacked_calls_whatever_its_actions(monkeypatch):
+    from ringlab import certify
+    calls = _count_backend_calls(monkeypatch, ("product_failures", "twisted_blocks"))
+    made = {}
+    # the trivial group on 1 point (1 action), the Klein group on 4 points (52)
+    for m, index in ((1, 0), (4, 6)):
+        calls.clear()
+        survey = certify._survey_block(m, 6, index, 2, 2 ** 15, ideals.DEFAULT_SEED)
+        made[survey.instances] = sorted(calls)
+    assert made == {1: ["product_failures", "twisted_blocks"],
+                    52: ["product_failures", "twisted_blocks"]}
+
+
+def test_stacks_past_the_constants_budget_are_built_in_chunks(monkeypatch):
+    from ringlab import certify
+    from ringlab.certify import _abelian_groups_upto, _actions_on
+    kind, _, klein = _abelian_groups_upto(6)[6]
+    actions = list(_actions_on(kind, klein, 3))
+    block = (3, 6, 6, 3, 2 ** 15, ideals.DEFAULT_SEED)
+    whole = certify._survey_block(*block)
+    rings = dynamics_skew_group_rings(3, klein, actions, GF(3))
+    # room for the constants of two systems (d = 12) per stack
+    monkeypatch.setattr(crossed, "CONSTANTS_CAP", 2 * 12 ** 3)
+    monkeypatch.setattr(certify, "CONSTANTS_CAP", 2 * 12 ** 3)
+    calls = _count_backend_calls(monkeypatch, ("twisted_blocks",))
+    chunked = dynamics_skew_group_rings(3, klein, actions, GF(3))
+    assert len(actions) == 10 and len(calls) == 5
+    assert all(np.array_equal(a.ring.constants, b.ring.constants)
+               for a, b in zip(rings, chunked))
+    assert certify._survey_block(*block) == whole
+    assert whole.transferred > 0
+
+
+def test_q_tower_tables_and_commutativity_test_no_fractions(monkeypatch):
+    """``product_table``, ``Subring.is_commutative`` and ``_interleave`` on
+    the sedenion tower over Q read numerators and compare integers: no
+    Fraction is compared or truth-tested (4,681 ``__eq__`` and 13,457
+    ``__bool__`` calls when they did)."""
+    from ringlab.ideals import Subring
+    from ringlab.subgroups import full_subgroup
+    tower = cayley_tower(QQ, 4)
+    calls = []
+    for name in ("__eq__", "__bool__"):
+        def counted(*args, _name=name, _original=getattr(Fraction, name)):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(Fraction, name, counted)
+    commutative = [Subring(ring, full_subgroup(ring)).is_commutative() for ring in tower.rings]
+    tables = [linalg.product_table(ring.constants) for ring in tower.rings]
+    interleaved = [doubling._interleave(cd)[0] for cd in tower.doublings]
+    monkeypatch.undo()
+    assert calls == []
+    assert commutative == [True, True, False, False, False]
+    assert [sum(1 for _ in t.entries()) for t in tables] == [d * d for d in (1, 2, 4, 8, 16)]
+    assert all(np.array_equal(a.constants, b.constants)
+               for a, b in zip(interleaved, tower.rings[1:]))
 
 
 # ---------------------------------------------------------------------------
