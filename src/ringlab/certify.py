@@ -38,7 +38,8 @@ from .ideals import (DEFAULT_ELEMENT_CAP, DEFAULT_SEED, IdealBasis, Subring,
 from .ore import (SigmaDerivationData, is_sigma_delta_simple,
                   validate_sigma_derivation)
 from .rings import CONSTANTS_CAP, StructureAlgebra
-from .subgroups import full_subgroup, product_span, triple_product_span, zero_subgroup
+from .subgroups import (full_subgroup, product_span, subspace_from_vectors,
+                        triple_product_span, zero_subgroup)
 
 
 @dataclass
@@ -468,7 +469,6 @@ def _sigma_simple_premise(cd: CayleyDoubling, cap, seed, base_hint=None):
     factors = getattr(B, "product_factors", None)
     if factors:
         # a product of fields: the only ideals are spanned by factor blocks
-        from .subgroups import subspace_from_vectors
         blocks = [subspace_from_vectors(B, np.eye(B.dim, dtype=np.int64)[off:off + dim])
                   for off, dim in factors]
         for block in blocks:
@@ -629,8 +629,14 @@ def certify_matrix(mr: CrossedProduct, cap=DEFAULT_ELEMENT_CAP,
 
 def faithfulness_witness_ideal(dyn: DynamicsRing):
     """For g acting trivially, the span of b(u_h - u_hg): a proper nonzero
-    ideal (coefficient sums along cosets of g vanish).  Closed once per ring
-    object, which keeps it (None for a faithful action)."""
+    ideal (coefficient sums along cosets of g vanish).  Found once per ring
+    object, which keeps it (None for a faithful action).
+
+    The span is the ideal with no closure.  As g acts trivially, u_g
+    commutes with the base, so the two-sided ideal R(1 − u_g)R is spanned
+    by e_x u_h (1 − u_g) e_y u_h' = e_x u_h e_y (1 − u_g) u_h', which is 0
+    or e_x u_h (1 − u_g) u_h' = e_x u_hh' − e_x u_hgh': the generators
+    :func:`_faithfulness_witness_ideal` lists, so one rref of them is it."""
     if not hasattr(dyn, "_faithfulness_witness"):
         dyn._faithfulness_witness = _faithfulness_witness_ideal(dyn)
     return dyn._faithfulness_witness
@@ -653,7 +659,7 @@ def _faithfulness_witness_ideal(dyn: DynamicsRing):
     rows = np.zeros((r.size, dyn.ring.dim), dtype=np.int64)
     rows[r, offs[pair, 0] + x] = 1
     rows[r, offs[pair, 1] + x] = -1
-    return row_ideal(dyn.ring, rows)
+    return IdealBasis(dyn.ring, subspace_from_vectors(dyn.ring, rows), check=False)
 
 
 def minimality_witness_ideal(dyn: DynamicsRing):

@@ -38,7 +38,10 @@ routines are pure; nothing mutates its inputs.
 The row-reduction kernels (``rref_modp``, ``reduce_rows_modp``,
 ``merge_modp``, ``kernel_modp``, ``rref_frac``, ``merge_frac``,
 ``kernel_frac``) are module-level functions; the backends look them up by
-name at call time.  So do the F_p decisions built on them.
+name at call time.  So do the F_p decisions built on them.  Reducing rows
+against an rref basis is one product, R − R[:, pivots] @ basis, and a
+null space is one elimination in both fields: of A with its columns
+reversed, whose free columns give the kernel's rref rows directly.
 ``irreducible_modp`` is the one F_p irreducibility decision: Norton's test
 (the MeatAxe) on any stack of operators, which finds a proper invariant
 subspace, proves there is none, or is undecided, without enumerating
@@ -62,8 +65,8 @@ built on first use: a sparse loop over ints, with one ``% p`` or one
 vectors under a stack of operators (ideal closures, Norton's test) and,
 from the identity, the unital algebra a stack generates (the closure
 algebra E of a subring's lines).  Each round grows one rref basis through
-``merge_modp``, which reduces the candidates against the basis once,
-eliminates only their remainders, and back-substitutes that fresh block into
+``merge_modp``, which reduces the candidates against the basis in one
+product, eliminates only their remainders, and back-substitutes that fresh block into
 the basis; the block is the next round's frontier.  The basis itself is never eliminated again.
 The operators of an algebra's multiplications, L_b and R_b, come from
 ``multiplications_modp``, and its unit from the backends' ``unit``.
@@ -126,14 +129,17 @@ def rref_modp(mat, p):
 
 
 def reduce_rows_modp(rows, basis, pivots, p):
-    """Eliminate ``rows`` against an rref ``basis``; returns the remainders."""
+    """Eliminate ``rows`` against an rref ``basis``; returns the remainders.
+
+    One product: R − R[:, pivots] @ basis.  Each basis row is zero at every
+    other pivot column, so clearing one pivot never changes a row's entry
+    at another, and the coefficients are R's own entries at the pivots.
+    The largest sum it forms is width·(p−1)², inside :class:`ModP`'s bound.
+    """
     R = np.array(rows, dtype=np.int64).reshape(-1, basis.shape[1] if basis.size else np.shape(rows)[-1]) % p
-    for ri, c in enumerate(pivots):
-        coef = R[:, c]
-        nz = np.nonzero(coef)[0]
-        if nz.size:
-            R[nz] = (R[nz] - np.outer(coef[nz], basis[ri])) % p
-    return R
+    if not pivots:
+        return R
+    return (R - R[:, list(pivots)] @ basis) % p
 
 
 def member_modp(vec, basis, pivots, p):
@@ -148,7 +154,8 @@ def merge_modp(basis, pivots, newrows, p):
     did not grow).
 
     The basis is never eliminated again.  The rows are reduced against it
-    once, and only their nonzero remainders are row-reduced, to ``fresh``.
+    in one product (:func:`reduce_rows_modp`), and only their nonzero
+    remainders are row-reduced, to ``fresh``.
     The rows of ``fresh`` vanish in every pivot column of the basis, so
     subtracting B[:, fresh pivots] @ fresh from the basis rows B that are
     nonzero in those columns clears them and leaves the old pivots as they
@@ -169,24 +176,29 @@ def merge_modp(basis, pivots, newrows, p):
 
 
 def kernel_modp(A, p):
-    """Right kernel {x : A x = 0} over F_p, returned as rref rows.  Zero
-    equations are dropped before the elimination, whose every step costs
-    a pass over all the rows (a centralizer's equations are mostly zero)."""
+    """Right kernel {x : A x = 0} over F_p, returned as (rref rows, pivots),
+    from one elimination.  Zero equations are dropped before it, whose
+    every step costs a pass over all the rows (a centralizer's equations
+    are mostly zero).
+
+    A is reduced with its columns reversed, to R.  For each free column f,
+    the kernel row has 1 at f and −R[:, f] at the pivot columns (read back
+    through the reversal).  A row of R is zero left of its pivot, so in
+    the original order every other nonzero of that row lies right of f:
+    the rows, taken by increasing f, are already the canonical rref of the
+    null space, with the free columns as pivots.
+    """
     A = np.array(A, dtype=np.int64) % p
     n = A.shape[1]
-    R, pivots = rref_modp(A[A.any(axis=1)], p)
+    R, pivots = rref_modp(A[A.any(axis=1), ::-1], p)
     pivset = set(pivots)
-    free = [c for c in range(n) if c not in pivset]
-    rows = []
-    for f in free:
-        v = np.zeros(n, dtype=np.int64)
-        v[f] = 1
-        for ri, c in enumerate(pivots):
-            v[c] = (-int(R[ri, f])) % p
-        rows.append(v)
-    if not rows:
-        return np.zeros((0, n), dtype=np.int64), ()
-    return rref_modp(np.array(rows), p)
+    # the free columns in reversed coordinates, largest first: the kernel
+    # rows in order of their pivots in the original ones
+    free = [c for c in range(n - 1, -1, -1) if c not in pivset]
+    K = np.zeros((len(free), n), dtype=np.int64)
+    K[:, list(pivots)] = -R[:, free].T % p
+    K[np.arange(len(free)), free] = 1
+    return K[:, ::-1].copy(), tuple(n - 1 - c for c in free)
 
 
 def spin_modp(seed_rows, ops, p):
@@ -352,8 +364,9 @@ def _norton_trial(gens, p, rng):
     for x in it, (x g)·w = x·(w gᵀ) = 0, since W is invariant under gᵀ.
     """
     m, d, _ = gens.shape
-    X, Y, Z = (np.tensordot([rng.randrange(p) for _ in range(m)], gens, axes=(0, 0)) % p
-               for _ in range(3))
+    # the coefficients of X, then of Y, then of Z, contracted at once
+    X, Y, Z = np.tensordot([[rng.randrange(p) for _ in range(m)] for _ in range(3)],
+                           gens, axes=(1, 0)) % p
     theta = (X + Y @ Z) % p
     power = theta
     for k in range(1, d + 1):
@@ -375,9 +388,10 @@ def _norton_trial(gens, p, rng):
         krylov.append(krylov[-1] @ theta % p)
     degree = len(rref_modp(np.array(krylov), p)[1])
     f, _ = kernel_modp(np.array(krylov[:degree + 1]).T, p)
+    eye = np.eye(d, dtype=np.int64)
     f_theta = np.zeros((d, d), dtype=np.int64)
     for c in f[0][::-1].tolist():
-        f_theta = (f_theta @ theta + c * np.eye(d, dtype=np.int64)) % p
+        f_theta = (f_theta @ theta + c * eye) % p
     w, _ = kernel_modp(f_theta, p)
     dual, pivots = spin_modp(w[:1], gens.transpose(0, 2, 1), p)
     if len(pivots) < d:
@@ -602,21 +616,25 @@ def merge_frac(basis, pivots, newrows):
 
 
 def kernel_frac(rows, n):
-    """Right kernel {x : A x = 0} over Q for the matrix with the given rows.
-
-    Each free column f of the rref R gives the kernel vector with -1 at f
-    and R[ri, f] at the pivot c_ri of each row: no Fraction arithmetic."""
-    R, pivots = rref_frac(rows, width=n)
-    pivset = set(pivots)
+    """Right kernel {x : A x = 0} over Q for the matrix with the given rows,
+    as rref rows, from one elimination: :func:`kernel_modp`'s construction
+    on the integer basis (:func:`_echelon_int`) of the rows with their
+    columns reversed.  Its row b with pivot c has R[ri, f] = b[f] / b[c],
+    so each kernel entry is one Fraction(−b[f], b[c]): no Fraction
+    arithmetic."""
+    basis = _echelon_int((list(row)[::-1] for row in rows), n)
     out = []
-    for f in range(n):
-        if f not in pivset:
-            v = [0] * n
-            v[f] = -1
-            for ri, c in enumerate(pivots):
-                v[c] = R[ri][f]
-            out.append(v)
-    return rref_frac(out, width=n)[0] if out else ()
+    # f and c are reversed coordinates; the free columns largest first give
+    # the kernel rows in order of their pivots in the original ones
+    for f in range(n - 1, -1, -1):
+        if f not in basis:
+            v = [ZERO] * n
+            v[f] = ONE
+            for c, b in basis.items():
+                if b[f]:
+                    v[c] = Fraction(-b[f], b[c])
+            out.append(tuple(v[::-1]))
+    return tuple(out)
 
 
 class ProductTable(NamedTuple):

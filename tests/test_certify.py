@@ -1,6 +1,7 @@
 import itertools
 import json
 
+import numpy as np
 import pytest
 
 from ringlab import (GF, QQ, RingMap, cayley_dickson, cayley_tower,
@@ -579,6 +580,49 @@ def test_survey_failures_keep_block_order_on_a_pool(monkeypatch):
     assert pooled.failures == [f for part in parts for f in part]
     _cpus(monkeypatch, 1)
     assert certify.survey_finite_dynamics() == pooled
+
+
+def _closed_witnesses(monkeypatch):
+    """Check each faithfulness witness against the ideal closure of its
+    rows, which leaves an ideal as it is; returns the count of checks."""
+    checked = []
+    find = certify._faithfulness_witness_ideal
+
+    def closed(dyn):
+        J = find(dyn)
+        if J is not None:
+            K = ideals.row_ideal(dyn.ring, J.span.rows)
+            assert K.span.pivots == J.span.pivots
+            assert np.array_equal(K.span.rows, J.span.rows)
+            checked.append(dyn)
+        return J
+
+    monkeypatch.setattr(certify, "_faithfulness_witness_ideal", closed)
+    return checked
+
+
+@pytest.mark.parametrize("kwargs", [{}, dict(max_points=5, field_orders=(2,))],
+                         ids=["default", "5-points-F2"])
+def test_survey_faithfulness_witnesses_are_their_closures(monkeypatch, kwargs):
+    # in this process, so that the patch sees every block
+    _cpus(monkeypatch, 1)
+    checked = _closed_witnesses(monkeypatch)
+    survey = certify.survey_finite_dynamics(**kwargs)
+    assert survey.clean and survey.nonfaithful_witnesses == survey.nonfaithful_total
+    assert len(checked) == survey.nonfaithful_total
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=["F2", "F3", "Q"])
+def test_faithfulness_witness_of_a_non_central_kernel_is_its_closure(monkeypatch, field):
+    # S3 acts on 2 points through the sign, so the first g acting trivially
+    # is a 3-cycle, which is not central: u_g still commutes with the base
+    s3, natural, _ = _s3_on_three_points()
+    inversions = {g: sum(g[i] > g[j] for i in range(3) for j in range(i + 1, 3))
+                  for g in natural}
+    sign = {g: (0, 1) if n % 2 == 0 else (1, 0) for g, n in inversions.items()}
+    checked = _closed_witnesses(monkeypatch)
+    J = certify.faithfulness_witness_ideal(dynamics_skew_group_ring(2, s3, sign, field))
+    assert len(checked) == 1 and certify._proper(J)
 
 
 @pytest.mark.parametrize("error", [CriterionDisagreement("planted in a helper"),

@@ -682,6 +682,47 @@ def test_graded_ideal_associativity_on_crossed_product():
         assert graded_ideal_associativity(cp.grading, I)
 
 
+def _graded_words(grading, I):
+    comps = [grading.components[g] for g in grading.cat.morphisms]
+    return [list(tup[:pos]) + [I.span] + list(tup[pos:])
+            for n in range(2, 4) for tup in itertools.product(comps, repeat=n)
+            for pos in range(n + 1)]
+
+
+def test_graded_ideal_associativity_evaluates_words_only_on_a_nonassociative_ring(monkeypatch):
+    from ringlab import ideals
+    calls = []
+    parenthesizations = ideals._parenthesizations
+
+    def counted(*args):
+        calls.append(args)
+        return parenthesizations(*args)
+
+    monkeypatch.setattr(ideals, "_parenthesizations", counted)
+    # M3(F2) graded by blocks is associative: the probe settles every word
+    ring, grading = _m3f2_graded()
+    assert ring.probe_properties().associative
+    for rows in ([[1] + [0] * 8], np.eye(9, dtype=np.int64)[[2, 5]].tolist()):
+        I = IdealBasis(ring, subspace_from_vectors(ring, rows), check=False)
+        assert graded_ideal_associativity(grading, I) == \
+            _reference_associates(ring, _graded_words(grading, I))
+    assert calls == []
+    # e0·e1 = e1 and e1·e1 = e0, graded by Z2 with e1 odd, is not:
+    # (e1 e1) e1 = e1 but e1 (e1 e1) = e1 e0 = 0, and every word is evaluated
+    ring = make_structure_algebra(2, GF(2), [[[0, 0], [0, 1]], [[0, 0], [1, 0]]])
+    grading = validate_grading(ring, cyclic_group(2),
+                               {0: subspace_from_vectors(ring, [[1, 0]]),
+                                1: subspace_from_vectors(ring, [[0, 1]])})
+    assert not ring.probe_properties().associative
+    verdicts = []
+    for rows in ([[1, 0]], [[0, 1]], [[1, 0], [0, 1]]):
+        I = IdealBasis(ring, subspace_from_vectors(ring, rows), check=False)
+        got = graded_ideal_associativity(grading, I)
+        assert got == _reference_associates(ring, _graded_words(grading, I))
+        verdicts.append(got)
+    assert calls and False in verdicts
+
+
 def _reference_center_of_a0(grading):
     """Z(A_0) the long way: A_0 materialized as a ring, its center taken
     there and embedded back into A."""

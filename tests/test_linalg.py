@@ -109,6 +109,104 @@ def test_kernel_modp(rows):
         assert not ((A @ v) % p).any()
 
 
+def _reference_reduce_rows(rows, basis, pivots, p):
+    """reduce_rows_modp one pivot at a time."""
+    R = np.array(rows, dtype=np.int64).reshape(-1, basis.shape[1]) % p
+    for ri, c in enumerate(pivots):
+        coef = R[:, c]
+        nz = np.nonzero(coef)[0]
+        if nz.size:
+            R[nz] = (R[nz] - np.outer(coef[nz], basis[ri])) % p
+    return R
+
+
+def _reference_kernel_modp(A, p):
+    """kernel_modp by two eliminations: the rref of A, one kernel row per
+    free column, and the rref of those rows."""
+    R, pivots = linalg.rref_modp(A, p)
+    n = A.shape[1]
+    rows = []
+    for f in (c for c in range(n) if c not in pivots):
+        v = np.zeros(n, dtype=np.int64)
+        v[f] = 1
+        for ri, c in enumerate(pivots):
+            v[c] = -int(R[ri, f]) % p
+        rows.append(v)
+    return linalg.rref_modp(np.array(rows).reshape(-1, n), p)
+
+
+def _reference_kernel_frac(rows, n):
+    """kernel_frac by two eliminations, as (rows, pivots)."""
+    R, pivots = linalg.rref_frac(rows, width=n)
+    out = []
+    for f in (c for c in range(n) if c not in pivots):
+        v = [0] * n
+        v[f] = -1
+        for ri, c in enumerate(pivots):
+            v[c] = R[ri][f]
+        out.append(v)
+    return linalg.rref_frac(out, width=n) if out else ((), ())
+
+
+@st.composite
+def _kernel_inputs(draw):
+    """(A, p): an m×n matrix over F_p, m ≤ 7 and 1 ≤ n ≤ 7, for p one of
+    2, 3, 5, 7 and 2097143, the largest prime below MAX_MODULUS.  It has no
+    rows, is zero, is random, has full rank min(m, n) (L @ E for L
+    unitriangular and E a partial permutation) or rank below it (a product
+    through k < min(m, n) dimensions)."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 2097143]))
+    m, n = draw(st.integers(0, 7)), draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(["empty", "zero", "random", "full rank", "rank deficient"]))
+
+    def matrix(rows, cols):
+        return np.array(draw(st.lists(st.integers(0, p - 1), min_size=rows * cols,
+                                      max_size=rows * cols)), dtype=np.int64).reshape(rows, cols)
+
+    if kind == "empty":
+        return np.zeros((0, n), dtype=np.int64), p
+    if kind == "zero":
+        return np.zeros((m, n), dtype=np.int64), p
+    if kind == "random":
+        return matrix(m, n), p
+    if kind == "full rank":
+        L = np.tril(matrix(m, m), -1) + np.eye(m, dtype=np.int64)
+        E = np.zeros((m, n), dtype=np.int64)
+        cols = draw(st.permutations(range(n)))[:min(m, n)]
+        E[np.arange(len(cols)), cols] = 1
+        return L @ E % p, p
+    k = draw(st.integers(0, max(0, min(m, n) - 1)))
+    return matrix(m, k) @ matrix(k, n) % p, p
+
+
+@given(_kernel_inputs())
+@settings(max_examples=300, deadline=None)
+def test_one_product_and_one_elimination_equal_the_reference_loops(matrix):
+    A, p = matrix
+    m, n = A.shape
+    # reduce_rows_modp: A and the unit rows against the rref of A, and A
+    # against the rref of its first rows
+    for basis_rows, rows in ((A, np.vstack([A, np.eye(n, dtype=np.int64)])),
+                             (A[:(m + 1) // 2], A)):
+        basis, pivots = linalg.rref_modp(basis_rows, p)
+        got = linalg.reduce_rows_modp(rows, basis, pivots, p)
+        want = _reference_reduce_rows(rows, basis, pivots, p)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    K, pivots = linalg.kernel_modp(A, p)
+    want, want_pivots = _reference_kernel_modp(A, p)
+    assert K.dtype == want.dtype and K.shape == want.shape
+    assert K.tobytes() == want.tobytes() and pivots == want_pivots
+    assert all(type(c) is int for c in pivots)
+    assert not (A @ K.T % p).any()
+    # the same integer matrix over Q
+    rows = A.tolist()
+    K = linalg.kernel_frac(rows, n)
+    want, want_pivots = _reference_kernel_frac(rows, n)
+    assert K == want and _all_fractions(K)
+    assert QQ.kernel(rows, n) == (want, want_pivots)
+
+
 @given(st.lists(st.lists(st.integers(-5, 5), min_size=3, max_size=3),
                 min_size=1, max_size=4))
 @settings(max_examples=60, deadline=None)
