@@ -23,7 +23,7 @@ from dataclasses import dataclass, field as dfield, fields, replace
 import numpy as np
 
 from . import linalg
-from .constructions.crossed import CrossedProduct, _is_unit, is_G_simple
+from .constructions.crossed import CrossedProduct, is_G_simple
 from .constructions.doubling import CayleyDoubling, CayleyTower
 from .constructions.dynamics import DynamicsRing, dynamics_skew_group_rings
 from .errors import CriterionDisagreement, InfiniteScalarField, TooLarge
@@ -34,7 +34,7 @@ from .ideals import (DEFAULT_ELEMENT_CAP, DEFAULT_SEED, IdealBasis, Subring,
                      center, centralizer, check_ideal_associativity,
                      enumerate_ideals, enumerate_subring_ideals, ideal_closure,
                      first_stable_ideal, identity_property, is_A_invariant,
-                     is_A_simple, is_maximal_commutative, is_simple, row_ideal)
+                     is_A_simple, is_maximal_commutative, is_simple)
 from .ore import (SigmaDerivationData, is_sigma_delta_simple,
                   validate_sigma_derivation)
 from .rings import CONSTANTS_CAP, StructureAlgebra
@@ -569,7 +569,7 @@ def certify_twisted(tw: CrossedProduct, cap=DEFAULT_ELEMENT_CAP,
             if h == e:
                 continue
             diff = tw.system.alpha_at(g, h) - tw.system.alpha_at(h, g)
-            if not diff.is_zero() and _is_unit(B, diff):
+            if not diff.is_zero() and B.is_unit(diff):
                 found = h
                 break
         if found is None:
@@ -665,13 +665,16 @@ def _faithfulness_witness_ideal(dyn: DynamicsRing):
 def minimality_witness_ideal(dyn: DynamicsRing):
     """Functions vanishing on a proper invariant subset, crossed with the
     group: a proper nonzero ideal when the action is not minimal (None when
-    it is).  The subset is the complement of the orbit of point 0, which
-    the ring keeps; the ideal is closed once per ring object, which keeps it."""
+    it is).  The subset is the complement S of the orbit of point 0, which
+    the ring keeps.  The span of the e_x u_g (x in S) is the ideal with no
+    closure: S is invariant, so a product of e_x u_g with any e_y u_h, on
+    either side, is 0 or an e_z u_k with z in S, and one rref of those rows
+    is it.  Found once per ring object, which keeps it."""
     if not hasattr(dyn, "_minimality_witness"):
-        dyn._minimality_witness = None if dyn.minimal else row_ideal(
-            dyn.ring, dyn.ring.F.eye(dyn.ring.dim)[
+        dyn._minimality_witness = None if dyn.minimal else IdealBasis(
+            dyn.ring, subspace_from_vectors(dyn.ring, dyn.ring.F.eye(dyn.ring.dim)[
                 [dyn.offsets[g] + x for x in range(dyn.npoints) if x not in dyn.orbit
-                 for g in dyn.system.cat.morphisms]])
+                 for g in dyn.system.cat.morphisms]]), check=False)
     return dyn._minimality_witness
 
 

@@ -10,9 +10,9 @@ of B_c(g) to every composable pair, and a per-pair multiplication twist
 on composable pairs and zero otherwise.  The canonical grading has
 A_g = B_c(g)·u_g and is locally unital with 1_{A_e} = 1_{B_e} u_e.
 
-A ``RingMap`` takes one operator, whose kind its source ring fixes: an
-index table on a table ring, a matrix acting on coordinate rows on a
-structure algebra.
+A ``RingMap`` holds one operator, an index array out of a table ring or a
+matrix out of an algebra, and asks its source ring every question about it,
+so validation and the constructions are written once for both.
 
 ``CrossedProduct.offsets`` places each block B_c(g)·u_g.  Over structure
 algebras the blocks are consecutive coordinate ranges and the offset is
@@ -20,7 +20,9 @@ the first coordinate of u_g's block.  Over table rings an element is a
 mixed-radix number with one digit per morphism, the index of its
 component in B_c(g): the offset is that digit's radix weight, so the
 digit of x at g is x // offsets[g] % |B_c(g)|, and b·u_g is the ring's
-zero with its g digit moved from the zero of B_c(g) to b.
+zero with its g digit moved from the zero of B_c(g) to b.  That layout is
+read in two places side by side: ``CrossedProduct.embed`` and
+``CrossedProduct.block_operator``.
 """
 
 from __future__ import annotations
@@ -47,73 +49,52 @@ class RingMap:
     """An extensional additive map between rings, possibly anti-multiplicative.
 
     ``operator`` is the map's one operator, of the kind its source ring
-    fixes: out of a table ring an index table (``perm``, the image of each
-    index), out of a structure algebra a (source_dim x target_dim) matrix
-    acting on coordinate rows (``matrix``).  The other of the two is None.
+    fixes: an int64 index array (the image of each index) out of a table
+    ring, a reduced (source_dim x target_dim) matrix acting on coordinate
+    rows out of a structure algebra.  The source ring answers every
+    question that depends on the kind (``rings.Ring``'s operators).
     """
 
     def __init__(self, source, target, operator, anti=False):
         self.source = source
         self.target = target
         self.anti = bool(anti)
-        if source.is_table:
-            self.perm, self.matrix = tuple(int(x) for x in operator), None
-        else:
-            self.perm, self.matrix = None, source.F.reduce(operator)
-
-    @property
-    def operator(self):
-        """The matrix, or the index table: a map as
-        :func:`ringlab.ideals.first_stable_ideal` takes it."""
-        return self.matrix if self.perm is None else self.perm
+        self.operator = source.coerce_operator(operator)
 
     @classmethod
     def identity(cls, ring):
-        if ring.is_table:
-            return cls(ring, ring, range(ring.n))
-        return cls(ring, ring, np.eye(ring.dim, dtype=np.int64))
+        return cls(ring, ring, ring.scalar_operator(1))
 
     def apply(self, elt: Element) -> Element:
         if elt.ring is not self.source:
             raise ShapeMismatch("element is not in the map's source ring")
-        if self.perm is not None:
-            return self.target.element(self.perm[elt.data])
-        return self.target.element(self.source.F.matmul(elt.data, self.matrix))
+        return self.target.element(self.source.apply_operators(self.operator, elt.data))
 
     def compose(self, other: "RingMap") -> "RingMap":
         """self ∘ other (apply ``other`` first)."""
         if other.target is not self.source:
             raise ShapeMismatch("maps do not compose")
-        anti = self.anti != other.anti
-        if self.perm is not None:
-            perm = [self.perm[other.perm[i]] for i in range(other.source.n)]
-            return RingMap(other.source, self.target, perm, anti=anti)
         return RingMap(other.source, self.target,
-                       other.source.F.matmul(other.matrix, self.matrix), anti=anti)
+                       other.source.compose_operators(self.operator, other.operator),
+                       anti=self.anti != other.anti)
 
     def equals(self, other: "RingMap") -> bool:
-        if self.perm is not None:
-            return other.perm is not None and self.perm == other.perm
-        return (other.matrix is not None and self.matrix.shape == other.matrix.shape
-                and bool(self.source.F.equal(self.matrix, other.matrix).all()))
+        return (self.operator.shape == other.operator.shape
+                and bool(self.source.equal_operators(self.operator, other.operator)))
 
     def is_identity(self):
         return _identities([self])[0]
 
     def is_bijective(self):
-        if self.perm is not None:
-            return sorted(self.perm) == list(range(self.source.n))
-        if self.source.dim != self.target.dim:
-            return False
-        return self.source.F.rank(self.matrix, self.target.dim) == self.source.dim
+        return self.source.operator_bijective(self.operator)
+
+    def additivity(self):
+        """m(a + b) = m(a) + m(b) on every pair, or None when there is
+        nothing to check (a matrix map is additive)."""
+        return self.source.operator_additive(self.operator, self.target)
 
     def is_additive(self):
-        """m(a + b) = m(a) + m(b) for every pair (a matrix map always is)."""
-        if self.perm is None:
-            return True
-        perm = np.asarray(self.perm)
-        return bool(np.array_equal(perm[self.source.add_table],
-                                   self.target.add_table[np.ix_(perm, perm)]))
+        return self.additivity() is not False
 
     def first_product_failure(self):
         """The first pair (i, j), in row-major order, of spanning elements x
@@ -126,30 +107,16 @@ class RingMap:
 
 
 def _stack(maps):
-    """The index tables (m, n) or the matrices (m, d, e) of maps of one kind
-    and shape, as one array."""
-    if maps[0].perm is not None:
-        return np.array([m.perm for m in maps], dtype=np.int64)
-    return np.array([m.matrix for m in maps])
+    """The operators of maps of one source and shape, as one array."""
+    return np.array([m.operator for m in maps])
 
 
 def _product_failures(maps):
     """:meth:`RingMap.first_product_failure` of every map in ``maps``, which
-    share their source, target, kind and anti flag, checked as one stack on
-    every pair at once.
-
-    For a table ring both sides are one fancy index of the stacked index
-    tables on ``mul_table``; for an algebra the backend's
-    ``product_failures`` compares them, on the stacked matrices (over Q
-    as integer rows, with no Fraction made or compared).
-    """
-    S, T, stack = maps[0].source, maps[0].target, _stack(maps)
-    if maps[0].perm is not None:
-        left = stack[:, S.mul_table]
-        right = T.mul_table[stack[:, :, None], stack[:, None, :]]
-        bad = left != (right.transpose(0, 2, 1) if maps[0].anti else right)
-    else:
-        bad = S.F.product_failures(S, T, stack, maps[0].anti)
+    share their source, target, shape and anti flag, checked as one stack
+    on every pair at once (the source ring's ``product_failures``)."""
+    S, T = maps[0].source, maps[0].target
+    bad = S.product_failures(_stack(maps), T, maps[0].anti)
     n = bad.shape[1]
     bad = bad.reshape(len(maps), n * n)
     first = bad.argmax(axis=1).tolist()
@@ -157,33 +124,21 @@ def _product_failures(maps):
 
 
 def _maps_to(maps, x: Element, y: Element):
-    """Whether each map of ``maps`` (one source, target and kind) sends x to
-    y: one index, or one product, of the stack."""
-    stack = _stack(maps)
-    if maps[0].perm is not None:
-        return (stack[:, x.data] == y.data).tolist()
-    F = x.ring.F
-    return F.equal(F.matmul(F.array(x.data), stack), F.array(y.data)).all(axis=1).tolist()
+    """Whether each map of ``maps`` (one source, target and shape) sends x
+    to y: the images of the block [x] are compared with [y] as operators."""
+    images = x.ring.apply_operators(_stack(maps), [x.data])
+    return y.ring.equal_operators(images, [y.data]).tolist()
 
 
 def _compositions_agree(maps_g, maps_h, maps_gh):
     """For composable stacks (sigma_h's target is sigma_g's source, each
-    stack of one kind and shape): whether sigma_g ∘ sigma_h equals sigma_gh,
-    the anti flags included, per pair (:func:`_compose_stacks`)."""
-    equal = _compose_stacks(_stack(maps_g), _stack(maps_h), _stack(maps_gh), maps_h[0])
+    stack of one source and shape): whether sigma_g ∘ sigma_h equals
+    sigma_gh, the anti flags included, per pair."""
+    S = maps_h[0].source
+    equal = S.equal_operators(S.compose_operators(_stack(maps_g), _stack(maps_h)),
+                              _stack(maps_gh))
     return [eq and (g.anti != h.anti) == gh.anti
             for eq, g, h, gh in zip(equal.tolist(), maps_g, maps_h, maps_gh)]
-
-
-def _compose_stacks(G, H, GH, m):
-    """Whether G ∘ H equals GH for stacked operators of the kind of the
-    map ``m``, per entry of the leading axes: index tables composed by
-    indexing the tables by the tables, matrices on rows by one batched
-    matmul, H first."""
-    if m.perm is not None:
-        return (np.take_along_axis(G, H, axis=-1) == GH).all(axis=-1)
-    F = m.source.F
-    return F.equal(F.matmul(H, G), GH).all(axis=(-2, -1))
 
 
 @dataclass
@@ -213,43 +168,13 @@ class CrossedSystem:
 # validation
 # ---------------------------------------------------------------------------
 
-def _is_unit(ring, a: Element):
-    """Two-sided invertibility of ``a`` (exact; works without associativity)."""
-    unit = ring.probe_properties().unit
-    if unit is None:
-        return False
-    if ring.is_table:
-        # one x with a·x = 1 = x·a
-        return bool(np.any((ring.mul_table[a.data] == unit.data)
-                           & (ring.mul_table[:, a.data] == unit.data)))
-    # one x with a·x = 1 and x·a = 1: stack both linear systems
-    F = ring.F
-    L, R = F.mult_matrices(ring, a.data)       # rows a·e_j and e_i·a
-    return F.solve(np.vstack([L.T, R.T]), F.array(unit.data + unit.data)) is not None
-
-
-def _associates_and_commutes(ring, a: Element) -> bool:
-    """alpha(bc) = (b alpha)c = b(alpha c) = (bc)alpha on spanning pairs,
-    and alpha b = b alpha on spanning elements, all pairs at once: on a
-    table ring by indexing ``mul_table``, on an algebra by the backend's
-    ``associates_and_commutes`` (over Q on integer rows, with no Fraction
-    made or compared)."""
-    if ring.is_algebra:
-        return ring.F.associates_and_commutes(ring, a.data)
-    mul, x = ring.mul_table, a.data
-    if not np.array_equal(mul[x], mul[:, x]):
-        return False
-    sides = (mul[x][mul], mul[mul[:, x]], mul[:, mul[x]], mul[:, x][mul])
-    return all(np.array_equal(sides[0], side) for side in sides[1:])
-
-
 def _alpha_verdicts(ring, a: Element):
     """(a is a unit, a associates and commutes), decided once per base ring
     and alpha and kept on the ring, so every system over it shares them."""
     verdicts = ring._alpha_verdicts.get(a.data)
     if verdicts is None:
-        verdicts = ring._alpha_verdicts[a.data] = (_is_unit(ring, a),
-                                                   _associates_and_commutes(ring, a))
+        verdicts = ring._alpha_verdicts[a.data] = (ring.is_unit(a),
+                                                   ring.associates_and_commutes(a))
     return verdicts
 
 
@@ -265,8 +190,8 @@ def validate_crossed_system(sys: CrossedSystem):
     """Itemized validation; returns a list of (check, ok, detail) triples.
 
     No identity is checked one element product at a time, or one map at a
-    time.  The sigmas that share their source, target, kind, shape and anti
-    flag are checked as one stack on every spanning pair at once
+    time.  The sigmas that share their source, target, shape and anti flag
+    are checked as one stack on every spanning pair at once
     (:func:`_product_failures`): contractions of the stacked matrices for
     an algebra, one fancy index of the stacked tables for a table ring; a
     failure's detail is the first failing pair in row-major order.  Their
@@ -293,7 +218,7 @@ def _validation_items(systems):
     failures alone.
 
     The checks run once for all the systems: every system's sigmas that
-    share source, target, kind, shape and anti flag are one stack for
+    share source, target, shape and anti flag are one stack for
     :func:`_product_failures` and :func:`_maps_to`, their identity maps one
     stack per class (:func:`_map_class`, :func:`_identities`), and every
     system's composable pairs one stack per class of their three maps
@@ -342,8 +267,9 @@ def _validation_items(systems):
             if (k, g) not in failures:
                 items.append(("sigma[{!r}] endpoints", (g,), False, "wrong source/target"))
                 continue
-            if sg.perm is not None:
-                items.append(("sigma[{!r}] additive", (g,), sg.is_additive(), None))
+            additive = sg.additivity()
+            if additive is not None:
+                items.append(("sigma[{!r}] additive", (g,), additive, None))
             bad = failures[k, g]
             witness = None if bad is None else tuple(sg.source.spanning_elements()[i]
                                                      for i in bad)
@@ -367,36 +293,34 @@ def _validation_items(systems):
 
 
 def _map_class(m):
-    """What maps stacked as one array share: source, target, kind and
+    """What maps stacked as one array share: source, target and operator
     shape."""
-    return (m.source, m.target, m.perm is None,
-            m.matrix.shape if m.perm is None else (len(m.perm),))
+    return m.source, m.target, m.operator.shape
 
 
 def _identities(maps):
     """:meth:`RingMap.is_identity` of each map of ``maps``, which share
-    their source, target, kind and shape: one comparison of the stacked
+    their source, target and shape: one comparison of the stacked
     operators with the identity's."""
     m = maps[0]
     S = m.source
-    shape = (S.n,) if m.perm is not None else (S.dim, S.dim)
-    if m.target is not S or _map_class(m)[3] != shape:
+    identity = S.scalar_operator(1)
+    if m.target is not S or m.operator.shape != identity.shape:
         return [False] * len(maps)
-    stack = _stack(maps)
-    same = stack == np.arange(S.n) if m.perm is not None else S.F.equal(stack, S.F.eye(S.dim))
-    return same.reshape(len(maps), -1).all(axis=1).tolist()
+    return S.equal_operators(_stack(maps), identity).tolist()
 
 
 def _functoriality(systems, pairs):
     """For each system, whether sigma_g ∘ sigma_h = sigma_gh, the anti
     flags included, at each composable pair of ``pairs``.  Functoriality is
     reported, not enforced (twisted systems may bend it); pairs whose maps
-    do not compose, or differ in kind, fail it.
+    do not compose, or differ in kind (an index array has one axis, a
+    matrix two), fail it.
 
-    Systems whose maps agree in source, target, kind and shape, morphism by
+    Systems whose maps agree in source, target and shape, morphism by
     morphism, are checked together: their maps are one stack per morphism,
     and the pairs whose three maps fall in the same classes are one
-    composition of those stacks (:func:`_compose_stacks`)."""
+    composition of those stacks, out of the source of sigma_h."""
     cat = systems[0].cat
     mors = cat.morphisms
     at = {g: t for t, g in enumerate(mors)}
@@ -418,13 +342,14 @@ def _functoriality(systems, pairs):
         composable = [q for q, (g, h, gh) in enumerate(where)
                       if classes[h][1] is classes[g][0] and classes[gh][0] is classes[h][0]
                       and classes[gh][1] is classes[g][1]
-                      and classes[g][2] == classes[h][2] == classes[gh][2]]
+                      and len(classes[g][2]) == len(classes[h][2]) == len(classes[gh][2])]
         block = np.zeros((len(ks), len(pairs)), dtype=bool)
         for qs in _groups(composable, lambda q: tuple(map(classes.__getitem__, where[q]))):
             g, h, gh = zip(*(where[q] for q in qs))
-            equal = _compose_stacks(*(stacks[classes[ts[0]]][:, [local[t] for t in ts]]
-                                      for ts in (g, h, gh)),
-                                    systems[ks[0]].sigma[mors[h[0]]])
+            G, H, GH = (stacks[classes[ts[0]]][:, [local[t] for t in ts]]
+                        for ts in (g, h, gh))
+            S = classes[h[0]][0]
+            equal = S.equal_operators(S.compose_operators(G, H), GH)
             flags = (anti[list(g)] != anti[list(h)]) == anti[list(gh)]
             block[:, qs] = equal & flags.T
         agree[ks] = block
@@ -459,6 +384,24 @@ class CrossedProduct(GradedRing):
         base = self.system.base[self.system.cat.cod[g]]
         return A.element(A.zero_index + off * (b.data - base.zero_index))
 
+    def block_operator(self, blocks):
+        """x ↦ the sum of op(x_g)·u_h over the (g, h, op) of ``blocks``, for
+        x_g the u_g component of x, op an operator B_c(g) -> B_c(h) and the
+        h distinct, as an operator on the product: op placed at rows u_g and
+        columns u_h of a matrix, or on a table ring each index's g digit
+        sent through op into its h digit (see the module docstring)."""
+        A, off, cod = self.ring, self.offsets, self.system.cat.cod
+        if A.is_algebra:
+            M = A.F.zeros((A.dim, A.dim))
+            for g, h, op in blocks:
+                M[off[g]:off[g] + op.shape[0], off[h]:off[h] + op.shape[1]] = op
+            return M
+        M = np.full(A.n, A.zero_index)
+        for g, h, op in blocks:
+            digits = np.arange(A.n) // off[g] % len(op)
+            M += off[h] * (op[digits] - self.system.base[cod[h]].zero_index)
+        return M
+
     def base_subring(self) -> Subring:
         return self.grading.zero_part_subring()
 
@@ -491,18 +434,17 @@ def crossed_products(systems, kind_tag="crossed_product", notes=(),
     if any(sys.cat is not cat or sys.base.keys() != base.keys()
            or any(sys.base[e] is not base[e] for e in base) for sys in systems):
         raise ShapeMismatch("stacked crossed systems must share their category and base rings")
-    bases = [base[e] for e in cat.objects if e in base]
-    algebras = all(B.is_algebra for B in bases)
-    if algebras and len(bases) == len(cat.objects):
+    algebra = [base[e].is_algebra for e in cat.objects if e in base]
+    if all(algebra) and len(algebra) == len(cat.objects):
         _layout(cat, tuple(base[cat.cod[g]].dim for g in cat.morphisms))
     if validate:
         for items in _validation_items(systems):
             bad = _hard_failures(items)
             if bad:
                 raise ValidationFailure(bad)
-    if algebras:
+    if all(algebra):
         return _crossed_algebras(systems, kind_tag, notes)
-    if all(B.is_table for B in bases):
+    if not any(algebra):
         return [_crossed_table(sys, kind_tag, notes) for sys in systems]
     raise ShapeMismatch("base rings must all be table rings or all algebras")
 
@@ -574,9 +516,9 @@ def _crossed_algebras(systems, kind_tag, notes):
         starts, blocks, filled = {}, [], 0
         for group in _groups(dict.fromkeys(key for row in keys for key in row),
                              lambda key: (base[cat.cod[key[1]]], key[2], key[3],
-                                          chunk[key[0]].sigma[key[1]].matrix.shape)):
+                                          chunk[key[0]].sigma[key[1]].operator.shape)):
             _, g, twist, alpha = group[0]
-            stack = np.array([chunk[k].sigma[g].matrix for k, g, _, _ in group])
+            stack = _stack([chunk[k].sigma[g] for k, g, _, _ in group])
             X = F.twisted_blocks(base[cat.cod[g]], stack, alpha, twist == "opposite")
             blocks.append(X.reshape(-1))
             starts.update(zip(group, range(filled, filled + X.size, X[0].size)))
@@ -615,8 +557,8 @@ def _crossed_table(sys, kind_tag, notes):
     blocks = [[] for _ in mors]
     for (g, h) in cat.composable_pairs():
         mul = sys.base[cat.cod[g]].mul_table
-        perm = np.asarray(sys.sigma[g].perm)
-        skewed = mul[perm].T if sys.twist_at(g, h) == "opposite" else mul[:, perm]
+        image = sys.sigma[g].operator
+        skewed = mul[image].T if sys.twist_at(g, h) == "opposite" else mul[:, image]
         blocks[pos[cat.compose(g, h)]].append(
             (mul[skewed, sys.alpha_at(g, h).data], pos[g], pos[h]))
     add = np.empty((total, total), dtype=np.int32)
@@ -654,14 +596,10 @@ def skew_group_ring(B: Ring, G: FiniteCategory, sigma: dict,
     if not G.is_group():
         raise ShapeMismatch("skew group rings need a group")
     e = G.objects[0]
-    maps = {}
-    for g in G.morphisms:
-        sg = sigma[g]
-        maps[g] = sg if isinstance(sg, RingMap) else RingMap(B, B, sg)
-    problems = []
-    for g in G.morphisms:
-        if maps[g].anti or not maps[g].is_bijective():
-            problems.append(f"sigma[{g!r}] is not an automorphism")
+    maps = {g: sigma[g] if isinstance(sigma[g], RingMap) else RingMap(B, B, sigma[g])
+            for g in G.morphisms}
+    problems = [f"sigma[{g!r}] is not an automorphism" for g in G.morphisms
+                if maps[g].anti or not maps[g].is_bijective()]
     # every pair composed at once; an anti map already fails above
     pairs = G.composable_pairs()
     agree = _compositions_agree(*zip(*((maps[g], maps[h], maps[G.compose(g, h)])
@@ -686,20 +624,11 @@ def twisted_group_ring(B: Ring, G: FiniteCategory, alpha,
         for h in G.morphisms:
             val = alpha(g, h) if callable(alpha) else alpha[(g, h)]
             if not isinstance(val, Element):
-                unit = B.probe_properties().unit
-                val = B.scalar_mul(val, unit) if B.is_algebra else _int_times(B, val, unit)
+                val = B.scalar_mul(val, B.probe_properties().unit)
             table[(g, h)] = val
     sys = CrossedSystem(G, {e: B}, maps, alpha=table,
                         name=name or f"{G.name}-twisted group ring")
     return crossed_product(sys, kind_tag="twisted_group_ring")
-
-
-def _int_times(B, k, unit):
-    acc = B.zero()
-    step = unit if k >= 0 else -unit
-    for _ in range(abs(int(k))):
-        acc = acc + step
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -709,35 +638,18 @@ def _int_times(B, k, unit):
 def is_G_invariant(cp: CrossedProduct, I: IdealBasis) -> bool:
     """sigma_g(I_d(g)) ⊆ I_c(g) for every morphism, I an ideal of the base:
     I is stable under the action maps (its span's ``is_stable``)."""
-    B = I.of_subring if I.of_subring is not None else cp.base_subring()
-    return I.span.is_stable(_action_maps(cp, B))
+    return I.span.is_stable(_action_maps(cp))
 
 
-def _action_maps(cp: CrossedProduct, B: Subring):
-    """x ↦ embed_c(g) sigma_g(x_d(g)) on the ambient ring, one per
-    morphism, for x_e the u_e component of x: a matrix on coordinate rows
-    for an algebra, an index array (read only on the base B) for a table
-    ring, where x_e is one digit of x.  An ideal I of B splits into its
-    components because the bases are unital, so this maps I into I exactly
-    when sigma_g(I_d(g)) ⊆ I_c(g) (:func:`is_G_invariant`)."""
-    A, cat, sys = cp.ring, cp.system.cat, cp.system
-    maps = []
-    for g in cat.morphisms:
-        e, f = cat.identity[cat.dom[g]], cat.identity[cat.cod[g]]
-        sigma = sys.sigma[g]
-        if A.is_algebra:
-            S = sigma.matrix
-            M = A.F.zeros((A.dim, A.dim))
-            M[cp.offsets[e]:cp.offsets[e] + S.shape[0],
-              cp.offsets[f]:cp.offsets[f] + S.shape[1]] = S
-        else:
-            xs = np.fromiter(B.span.members, dtype=np.int64)
-            digits = xs // cp.offsets[e] % sigma.source.n
-            M = np.zeros(A.n, dtype=np.int64)
-            M[xs] = A.zero_index + cp.offsets[f] * (
-                np.asarray(sigma.perm)[digits] - sigma.target.zero_index)
-        maps.append(M)
-    return maps
+def _action_maps(cp: CrossedProduct):
+    """x ↦ sigma_g(x_d(g))·u_c(g) on the ambient ring, one operator per
+    morphism (:meth:`CrossedProduct.block_operator`), for x_e the u_e
+    component of x.  An ideal I of the base B splits into its components
+    because the bases are unital, so this maps I into I exactly when
+    sigma_g(I_d(g)) ⊆ I_c(g) (:func:`is_G_invariant`)."""
+    cat = cp.system.cat
+    return [cp.block_operator([(cat.identity[cat.dom[g]], cat.identity[cat.cod[g]],
+                                cp.system.sigma[g].operator)]) for g in cat.morphisms]
 
 
 def is_G_simple(cp: CrossedProduct, cap=None):
@@ -752,5 +664,5 @@ def is_G_simple(cp: CrossedProduct, cap=None):
     the invariant ideal the test found.  The ideal lattice is not
     enumerated."""
     B = cp.base_subring()
-    I = first_stable_ideal(cp.ring, B, _action_maps(cp, B), cap=cap or DEFAULT_ELEMENT_CAP)
+    I = first_stable_ideal(cp.ring, B, _action_maps(cp), cap=cap or DEFAULT_ELEMENT_CAP)
     return I is None, I

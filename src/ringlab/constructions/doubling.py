@@ -100,21 +100,10 @@ def cayley_dickson(B: Ring, sigma: RingMap, alpha: Element) -> CayleyDoubling:
 
 
 def _extend_conjugation(cd: CayleyDoubling) -> RingMap:
-    """sigma(a + b·u) = sigma(a) - b·u on the double: a block-diagonal
-    matrix on an algebra; on a table ring, the index map that sends the
-    digits (a, b) of each element (``offsets`` are their radix weights) to
-    (sigma(a), -b)."""
-    A, B = cd.ring, cd.base
-    if A.is_algebra:
-        d = B.dim
-        M = A.F.zeros((2 * d, 2 * d))
-        M[:d, :d] = cd.sigma.matrix
-        M[d:, d:] = -A.F.eye(d)
-        return RingMap(A, A, M, anti=True)
-    wa, wb = cd.offsets[0], cd.offsets[1]
-    idx = np.arange(A.n)
-    return RingMap(A, A, wa * np.asarray(cd.sigma.perm)[idx // wa % B.n]
-                   + wb * B.neg_table[idx // wb % B.n], anti=True)
+    """sigma(a + b·u) = sigma(a) - b·u on the double: the block operator
+    with sigma on the u_0 component and negation on the u_1 component."""
+    M = cd.block_operator([(0, 0, cd.sigma.operator), (1, 1, cd.base.scalar_operator(-1))])
+    return RingMap(cd.ring, cd.ring, M, anti=True)
 
 
 def _assert_anti_automorphism(A, m: RingMap):
@@ -133,8 +122,8 @@ class CayleyTower:
 
 def _diagonal_signs(m: RingMap):
     """The diagonal of a diagonal matrix map, or None."""
-    signs = np.diag(m.matrix)
-    return signs if m.source.F.equal(np.diag(signs), m.matrix).all() else None
+    signs = np.diag(m.operator)
+    return signs if m.source.F.equal(np.diag(signs), m.operator).all() else None
 
 
 def _interleave(cd: CayleyDoubling):

@@ -21,7 +21,6 @@ from .categories import abelian_group, cyclic_group, pair_groupoid, xor_group
 from .constructions import (RingMap, bales_alpha, cayley_dickson,
                             cayley_tower, dynamics_skew_group_ring,
                             matrix_ring, skew_group_ring, twisted_group_ring)
-from .constructions.crossed import _int_times
 from .errors import ParseError, SchemaError, UnknownKind
 from .linalg import GF, QQ
 from .ore import SigmaDerivationData
@@ -163,15 +162,15 @@ def _parse_group(spec, path):
     raise SchemaError(path, f"unknown group spec {spec!r}")
 
 
-def _coerce_scalar(dom, value, path):
-    """A recipe scalar in ``dom``: a JSON integer, or a string the field
+def _coerce_scalar(coerce, value, path):
+    """A recipe scalar read by ``coerce``: a JSON integer, or a string it
     reads ("1/2" over Q).  A float or a bool is refused, never truncated,
     read as 0 or 1, or taken as a binary fraction."""
     if type(value) is not int and not isinstance(value, str):
         raise SchemaError(path, f"expected an integer or a string scalar, got {value!r}")
     try:
-        return dom.coerce(value)
-    except (ValueError, ZeroDivisionError) as exc:
+        return coerce(value)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise SchemaError(path, f"bad scalar {value!r}: {exc}") from None
 
 
@@ -218,16 +217,12 @@ def _indices(value, shape, path, bound=None):
 
 
 def _unit_multiple(base, value, path):
-    """The recipe scalar ``value`` times the unit of ``base``: k·1, for an
-    integer k, on a table ring, where n·1 = 0 for n its size."""
+    """The recipe scalar ``value`` times the unit of ``base``: the ring's
+    ``scalar_mul`` reads it (a table ring an integer only)."""
     unit = base.probe_properties().unit
     if unit is None:
         raise SchemaError(path, "the base ring has no unit")
-    if base.is_table:
-        if type(value) is not int:
-            raise SchemaError(path, f"expected an integer, got {value!r}")
-        return _int_times(base, value % base.n, unit)
-    return base.scalar_mul(_coerce_scalar(base.F, value, path), unit)
+    return _coerce_scalar(lambda k: base.scalar_mul(k, unit), value, path)
 
 
 def _frobenius(base_spec, path):
@@ -251,7 +246,7 @@ def _ring_map(ring, spec, path, frobenius=None):
     if isinstance(spec, dict) and "matrix" in spec:
         if ring.is_table:
             raise SchemaError(path, "a matrix map needs a structure algebra")
-        rows = [[_coerce_scalar(ring.F, x, path) for x in row]
+        rows = [[_coerce_scalar(ring.F.coerce, x, path) for x in row]
                 for row in _array(spec["matrix"], (ring.dim, ring.dim), path)]
         return RingMap(ring, ring, rows, anti=bool(spec.get("anti", False)))
     if isinstance(spec, dict) and "perm" in spec:
@@ -279,7 +274,7 @@ def _build(doc, path):
     if kind == "structure_algebra":
         dom = _field(doc["field"], f"{path}/field")
         d = _integer(doc, "dim", path)
-        C = [[[_coerce_scalar(dom, x, f"{path}/constants") for x in vec]
+        C = [[[_coerce_scalar(dom.coerce, x, f"{path}/constants") for x in vec]
               for vec in plane]
              for plane in _array(doc["constants"], (d, d, d), f"{path}/constants")]
         return make_structure_algebra(d, dom, C)
@@ -289,7 +284,7 @@ def _build(doc, path):
         levels = _size(doc, "levels", path, least=0)
         alphas = doc.get("alpha")
         if alphas is not None:
-            alphas = [_coerce_scalar(dom, a, f"{path}/alpha")
+            alphas = [_coerce_scalar(dom.coerce, a, f"{path}/alpha")
                       for a in _array(alphas, (levels,), f"{path}/alpha")]
         return cayley_tower(dom, levels, alphas=alphas)
     if kind == "cayley_dickson":
@@ -305,7 +300,7 @@ def _build(doc, path):
             sigma = _ring_map(base, sigma, f"{path}/sigma")
         aspec = doc.get("alpha", -1)
         if isinstance(aspec, list) and base.is_algebra:
-            alpha = base.element([_coerce_scalar(base.F, x, f"{path}/alpha")
+            alpha = base.element([_coerce_scalar(base.F.coerce, x, f"{path}/alpha")
                                   for x in _array(aspec, (base.dim,), f"{path}/alpha")])
         else:
             alpha = _unit_multiple(base, aspec, f"{path}/alpha")
@@ -338,16 +333,11 @@ def _build(doc, path):
                                   "the frobenius action needs a cyclic group Z<n>")
             gen = _ring_map(base, aspec, f"{path}/action",
                             frobenius=_frobenius(doc["base"], f"{path}/base"))
-            e = group.identity[group.objects[0]]
-            maps[e] = RingMap.identity(base)
+            # cyclic convention: morphism k acts by frobenius^k
             for g in group.morphisms:
-                if g == e:
-                    continue
-                # cyclic convention: morphism k acts by frobenius^k
-                mk = RingMap.identity(base)
+                maps[g] = RingMap.identity(base)
                 for _ in range(int(g)):
-                    mk = gen.compose(mk)
-                maps[g] = mk
+                    maps[g] = gen.compose(maps[g])
         else:
             mors = list(group.morphisms)
             _array(aspec, (len(mors),), f"{path}/action")
@@ -410,10 +400,7 @@ def _build(doc, path):
                           frobenius=_frobenius(doc["base"], f"{path}/base"))
         dspec = doc["delta"]
         if dspec == "zero":
-            if base.is_algebra:
-                delta = RingMap(base, base, np.zeros((base.dim, base.dim), dtype=np.int64))
-            else:
-                delta = RingMap(base, base, [base.zero_index] * base.n)
+            delta = RingMap(base, base, base.scalar_operator(0))
         else:
             delta = _ring_map(base, dspec, f"{path}/delta")
         return SigmaDerivationData(base, sigma, delta)

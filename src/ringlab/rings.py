@@ -17,12 +17,14 @@ Two representations:
 
 A ring's representation fixes the kind of every operator on it: a map out
 of a table ring (``constructions.crossed.RingMap``, and the maps that the
-spans of ``subgroups`` close under) is an index table, one out of an
-algebra a matrix acting on coordinate rows.  ``RingMap`` takes the one
-operator and reads its kind from its source ring, so no caller chooses it.
-The ring answers the ring-level half of what ``ideals.is_simple`` asks
-(``products_vanish``, ``simplicity``, ``is_walked``); a table ring has no
-decision and is walked whatever the cap, its elements being in memory.
+spans of ``subgroups`` close under) is an index array, one out of an
+algebra a matrix acting on coordinate rows.  ``RingMap`` holds the one
+operator, and the ring answers every question whose answer depends on its
+kind (coercion, application, composition, comparison, ...: see ``Ring``),
+so the constructions do not branch on it.  The ring answers the
+ring-level half of what ``ideals.is_simple`` asks (``products_vanish``,
+``simplicity``, ``is_walked``); a table ring has no decision and is walked
+whatever the cap, its elements being in memory.
 
 Rings and elements are immutable after construction and safe to share;
 property probes cache their (idempotent) results on the ring: ``_props``
@@ -194,6 +196,16 @@ class Ring:
         """The block of commutators x·b − b·x, for x in ``block``."""
         raise NotImplementedError
 
+    # -- operators ----------------------------------------------------
+    # A map out of a ring is one operator of the kind the ring fixes (see
+    # the module docstring), and the source ring answers every question
+    # that depends on the kind, for one operator or a stack along leading
+    # axes: coerce_operator, scalar_operator(k) (x ↦ k·x: the identity,
+    # zero, negation), apply_operators (to element data or a block),
+    # compose_operators(G, H) (G ∘ H), equal_operators, operator_bijective,
+    # operator_additive (None: nothing to check) and product_failures (per
+    # spanning pair).  is_unit and associates_and_commutes are exact.
+
     def probe_properties(self) -> PropertyReport:
         if self._props is None:
             self._props = self._probe()
@@ -282,6 +294,66 @@ class TableRing(Ring):
     def block_commutators(self, block, b):
         return self.add_table[self.mul_table[block, b.data],
                               self.neg_table[self.mul_table[b.data, block]]]
+
+    def scalar_mul(self, k, a):
+        return Element(self, int(self._multiple(k, a.data)))
+
+    def _multiple(self, k, x):
+        """k·x for an integer k and an index or index array x: k read mod n
+        (n·x = 0), then doubled and added bit by bit from the top, at most
+        2·log₂ n sums."""
+        if not isinstance(k, (int, np.integer)):
+            raise TypeError(f"expected an integer, got {k!r}")
+        k = int(k) % self.n
+        if not k:
+            return np.full(np.shape(x), self.zero_index)
+        acc = x
+        for bit in bin(k)[3:]:
+            acc = self.add_table[acc, acc]
+            if bit == "1":
+                acc = self.add_table[acc, x]
+        return acc
+
+    # -- operators: index arrays --------------------------------------
+    def coerce_operator(self, op):
+        return np.array(op, dtype=np.int64)
+
+    def scalar_operator(self, k):
+        return self._multiple(k, np.arange(self.n))
+
+    def apply_operators(self, ops, x):
+        return ops[..., x]
+
+    def compose_operators(self, G, H):
+        return np.take_along_axis(G, H, axis=-1)
+
+    def equal_operators(self, A, B):
+        return (A == np.asarray(B)).all(axis=-1)
+
+    def operator_bijective(self, op):
+        return sorted(op.tolist()) == list(range(self.n))
+
+    def operator_additive(self, op, target):
+        return bool(np.array_equal(op[self.add_table], target.add_table[np.ix_(op, op)]))
+
+    def product_failures(self, ops, target, anti):
+        right = target.mul_table[ops[:, :, None], ops[:, None, :]]
+        return ops[:, self.mul_table] != (right.transpose(0, 2, 1) if anti else right)
+
+    def is_unit(self, a):
+        """One x with a·x = 1 = x·a."""
+        unit = self.probe_properties().unit
+        return unit is not None and bool(np.any((self.mul_table[a.data] == unit.data)
+                                                & (self.mul_table[:, a.data] == unit.data)))
+
+    def associates_and_commutes(self, a):
+        """a(bc) = (ba)c = b(ac) = (bc)a and ab = ba on every pair, by
+        indexing ``mul_table``."""
+        mul, x = self.mul_table, a.data
+        if not np.array_equal(mul[x], mul[:, x]):
+            return False
+        sides = (mul[x][mul], mul[mul[:, x]], mul[:, mul[x]], mul[:, x][mul])
+        return all(np.array_equal(sides[0], side) for side in sides[1:])
 
     def _probe(self):
         n, mul = self.n, self.mul_table
@@ -504,6 +576,43 @@ class StructureAlgebra(Ring):
 
     def block_commutators(self, block, b):
         return self.F.reduce(block @ self.F.commutators(self, [b.data]))
+
+    # -- operators: matrices on coordinate rows -----------------------
+    def coerce_operator(self, op):
+        return self.F.reduce(op)
+
+    def scalar_operator(self, k):
+        return self.F.reduce(k * np.eye(self.dim, dtype=np.int64))
+
+    def apply_operators(self, ops, x):
+        return self.F.matmul(x, ops)
+
+    def compose_operators(self, G, H):
+        return self.F.matmul(H, G)
+
+    def equal_operators(self, A, B):
+        return self.F.equal(A, B).all(axis=(-2, -1))
+
+    def operator_bijective(self, op):
+        return op.shape[0] == op.shape[1] and self.F.rank(op, op.shape[1]) == op.shape[0]
+
+    def operator_additive(self, op, target):
+        return None
+
+    def product_failures(self, ops, target, anti):
+        # over Q on integer rows, with no Fraction made or compared
+        return self.F.product_failures(self, target, ops, anti)
+
+    def is_unit(self, a):
+        """One x with a·x = 1 and x·a = 1: both linear systems stacked."""
+        unit = self.probe_properties().unit
+        if unit is None:
+            return False
+        L, R = self.F.mult_matrices(self, a.data)       # rows a·e_j and e_i·a
+        return self.F.solve(np.vstack([L.T, R.T]), self.F.array(unit.data + unit.data)) is not None
+
+    def associates_and_commutes(self, a):
+        return self.F.associates_and_commutes(self, a.data)
 
     def _probe(self):
         assoc, assoc_wit = self._probe_associative()

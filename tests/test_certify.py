@@ -403,7 +403,8 @@ def test_minimality_witness_reads_the_orbit_and_is_closed_once(monkeypatch):
     monkeypatch.setattr(linalg.ModP, "closure", counted)
     first = minimality_witness_ideal(dyn)
     assert first.measure() == 2 and minimality_witness_ideal(dyn) is first
-    assert len(closures) == 1
+    # its rows already span the ideal: one rref, no closure
+    assert len(closures) == 0
     assert minimality_witness_ideal(build_rotation_dynamics()) is None
 
 
@@ -583,21 +584,26 @@ def test_survey_failures_keep_block_order_on_a_pool(monkeypatch):
 
 
 def _closed_witnesses(monkeypatch):
-    """Check each faithfulness witness against the ideal closure of its
-    rows, which leaves an ideal as it is; returns the count of checks."""
-    checked = []
-    find = certify._faithfulness_witness_ideal
+    """Check each faithfulness witness, and each minimality witness once
+    per ring, against the ideal closure of its rows, which leaves an ideal
+    as it is; returns the rings checked, per kind of witness."""
+    checked = {"faithfulness": [], "minimality": []}
 
-    def closed(dyn):
-        J = find(dyn)
-        if J is not None:
-            K = ideals.row_ideal(dyn.ring, J.span.rows)
-            assert K.span.pivots == J.span.pivots
-            assert np.array_equal(K.span.rows, J.span.rows)
-            checked.append(dyn)
-        return J
+    def closed(find, kind):
+        def check(dyn):
+            J = find(dyn)
+            if J is not None and not any(d is dyn for d in checked[kind]):
+                K = ideals.row_ideal(dyn.ring, J.span.rows)
+                assert K.span.pivots == J.span.pivots
+                assert np.array_equal(K.span.rows, J.span.rows)
+                checked[kind].append(dyn)
+            return J
+        return check
 
-    monkeypatch.setattr(certify, "_faithfulness_witness_ideal", closed)
+    monkeypatch.setattr(certify, "_faithfulness_witness_ideal",
+                        closed(certify._faithfulness_witness_ideal, "faithfulness"))
+    monkeypatch.setattr(certify, "minimality_witness_ideal",
+                        closed(certify.minimality_witness_ideal, "minimality"))
     return checked
 
 
@@ -609,7 +615,8 @@ def test_survey_faithfulness_witnesses_are_their_closures(monkeypatch, kwargs):
     checked = _closed_witnesses(monkeypatch)
     survey = certify.survey_finite_dynamics(**kwargs)
     assert survey.clean and survey.nonfaithful_witnesses == survey.nonfaithful_total
-    assert len(checked) == survey.nonfaithful_total
+    assert len(checked["faithfulness"]) == survey.nonfaithful_total
+    assert checked["minimality"]
 
 
 @pytest.mark.parametrize("field", [GF(2), GF(3), QQ], ids=["F2", "F3", "Q"])
@@ -622,7 +629,7 @@ def test_faithfulness_witness_of_a_non_central_kernel_is_its_closure(monkeypatch
     sign = {g: (0, 1) if n % 2 == 0 else (1, 0) for g, n in inversions.items()}
     checked = _closed_witnesses(monkeypatch)
     J = certify.faithfulness_witness_ideal(dynamics_skew_group_ring(2, s3, sign, field))
-    assert len(checked) == 1 and certify._proper(J)
+    assert len(checked["faithfulness"]) == 1 and certify._proper(J)
 
 
 @pytest.mark.parametrize("error", [CriterionDisagreement("planted in a helper"),

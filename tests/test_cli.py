@@ -499,6 +499,34 @@ Q_SHA256 = {
     "certify": ({"kind": "matrix_ring", "size": 2, "base": Q_DIAGONAL}, [],
                 "3400dda1bd7478b6c9eb7a9e60053e1acdb2b18db180cc37ff0438c850d9f2a6"),
 }
+# recipes over table rings, with the sha256 of the stdout of `certify` and of
+# `check --checks CHECKS`: F4 written out as tables with the Frobenius as an
+# index map, so that a skew group ring runs an index map other than the
+# identity, a doubling, a matrix ring and a twisted group ring with a
+# nontrivial cocycle
+F4_TABLE = {"kind": "table_ring",
+            "add": [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]],
+            "mul": [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]]}
+TABLE_SHA256 = {
+    "skew_group_ring-F4-table": (
+        {"kind": "skew_group_ring", "base": F4_TABLE, "group": "Z2",
+         "action": ["id", {"perm": [0, 1, 3, 2]}]},
+        "074c89c6cb4e9bd2cb89462067c77f935da9334a684337e14adf8e0a07cc1fe2",
+        "ae93d55bfe55a8567b42ed3f16b714318be3ec32e87ae16977df60b3909915f5"),
+    "cayley_dickson-Z3": (
+        {"kind": "cayley_dickson", "base": {"kind": "scalar", "ring": "Zn:3"}},
+        "d684b7b3e815038b7f0725c51610c4d96824cf85dbe7fd2a25584593cd0cc489",
+        "1e493a943cf864904ce53af86a9b0680674fbaded656bec488930a9a483d8a90"),
+    "matrix_ring-M2Z4": (
+        {"kind": "matrix_ring", "size": 2, "base": {"kind": "scalar", "ring": "Zn:4"}},
+        "c757ef1b18b2522c09a66d33f769a285570727cf6d0663bae72dbcd9fe1d5751",
+        "6266d068f237b5aa1eb9afe1e18fa06be22e316142fae8aed2c12d292dc181b4"),
+    "twisted_group_ring-Z4-Z2": (
+        {"kind": "twisted_group_ring", "base": "Zn:4", "group": "Z2",
+         "alpha": [[1, 1], [1, 3]]},
+        "30fba37f87557bb71f5bbc000c9d73b72f89f35da0d54307986d156e0da2acd3",
+        "d82b34abffc5aa5e19ff1924d5e3bb1865e46e7daf7c6e1188703c2a67e610e0"),
+}
 DEMOS = pathlib.Path(__file__).resolve().parents[1] / "demos"
 DEMO_SHA256 = {
     "01_finite_rings_and_probes": "666d65d1e41ec2b3cd1c0d12b8704e11af0cd813647ff66a65a703f2f6bb3bc8",
@@ -543,6 +571,17 @@ def test_q_output_is_byte_identical(command, tmp_path, capsys):
     assert main([command, path, *extra]) == 0
     out = capsys.readouterr().out
     assert "NotSimple" in out and _sha256(out) == digest
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_SHA256))
+@pytest.mark.parametrize("command", ["certify", "check"])
+def test_table_base_output_is_byte_identical(name, command, tmp_path, capsys):
+    recipe, certify_digest, check_digest = TABLE_SHA256[name]
+    path = _write(tmp_path, "table.json", recipe)
+    extra = ["--checks", CHECKS] if command == "check" else []
+    assert main([command, path, *extra]) == 0
+    digest = check_digest if command == "check" else certify_digest
+    assert _sha256(capsys.readouterr().out) == digest
 
 
 def test_every_demo_is_pinned():

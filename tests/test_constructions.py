@@ -17,8 +17,7 @@ from ringlab import (GF, QQ, RingMap, bales_alpha, bales_twisted_ring,
                      make_structure_algebra, pair_groupoid)
 from ringlab import ideals, linalg
 from ringlab.constructions import crossed
-from ringlab.constructions.crossed import (CrossedSystem, _associates_and_commutes, _is_unit,
-                                          crossed_product, crossed_products)
+from ringlab.constructions.crossed import CrossedSystem, crossed_product, crossed_products
 from ringlab.constructions.dynamics import dynamics_skew_group_rings
 from ringlab.ideals import first_invariant_ideal
 from ringlab.rings import convert_to_table, direct_sum_algebra, probe_properties
@@ -312,7 +311,7 @@ def _reference_report(sys):
     for g in cat.morphisms:
         sg = sys.sigma[g]
         src = sys.base[cat.dom[g]]
-        if sg.perm is not None:
+        if src.is_table:
             add_ok = all(
                 sg.apply(src.element(a) + src.element(b)) ==
                 sg.apply(src.element(a)) + sg.apply(src.element(b))
@@ -576,8 +575,8 @@ def test_q_integer_paths_match_fraction_references(data):
     elements = [alg.element(_rational_rows(data.draw, 1, d)[0])]
     elements += [unit] if unit is not None else []
     for a in elements:
-        assert _associates_and_commutes(alg, a) == _reference_associates_and_commutes(alg, a)
-        assert _is_unit(alg, a) == _reference_is_unit(alg, a)
+        assert alg.associates_and_commutes(a) == _reference_associates_and_commutes(alg, a)
+        assert alg.is_unit(a) == _reference_is_unit(alg, a)
     # twisted blocks of a stack of two maps
     h, opposite = data.draw(st.integers(1, 3)), data.draw(st.booleans())
     stack = np.array([_rational_rows(data.draw, h, d) for _ in range(2)])
@@ -604,7 +603,7 @@ def test_q_doubling_conjugation_matches_the_fraction_reference(alphas):
         conj = cd.extended_sigma
         assert conj.first_product_failure() is None
         assert _reference_first_product_failure(conj) is None
-        straight = RingMap(conj.source, conj.target, conj.matrix)
+        straight = RingMap(conj.source, conj.target, conj.operator)
         assert straight.first_product_failure() == _reference_first_product_failure(straight)
 
 

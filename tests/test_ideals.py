@@ -934,7 +934,7 @@ def _crossed_cases(draw):
     r = _order(M, p)
     cp = skew_group_ring(B, cyclic_group(r), {g: _power(M, g, p) for g in range(r)})
     sub = cp.base_subring()
-    return cp.ring, sub, _action_maps(cp, sub)
+    return cp.ring, sub, _action_maps(cp)
 
 
 @st.composite
@@ -1071,7 +1071,7 @@ def test_certify_dynamics_walks_no_line_until_its_premise_is_read():
     B = dyn.base_subring()
     with pytest.MonkeyPatch.context() as m:
         _walk_alone(m)
-        walked = ideals.first_stable_ideal(dyn.ring, B, _action_maps(dyn, B))
+        walked = ideals.first_stable_ideal(dyn.ring, B, _action_maps(dyn))
     with pytest.MonkeyPatch.context() as m:
         closed, _, spun = _count_line_closures(m)
         cert = certify.certify_dynamics(dyn)

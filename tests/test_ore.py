@@ -276,7 +276,7 @@ def test_a_wrong_product_gives_each_exact_check_a_witness(monkeypatch):
     with monkeypatch.context() as m:
         # x·c read as c·x + delta(c) + c: delta + id is no derivation
         shifted = SigmaDerivationData(B, data.sigma, RingMap(
-            B, B, data.delta.matrix + np.eye(B.dim, dtype=np.int64)))
+            B, B, data.delta.operator + np.eye(B.dim, dtype=np.int64)))
         m.setattr(ore, "x_power_times", lambda d, i, b: x_power_times(shifted, i, b))
         p, q, r = associativity_failure(data)
         assert (p * q) * r != p * (q * r)
@@ -298,7 +298,7 @@ def test_a_wrong_product_gives_each_exact_check_a_witness(monkeypatch):
     assert associativity_failure(data) is None and commutator_drop_failure(data) is None
     # delta(1) != 0: [1, x] = -delta(1) is the witness
     bad = SigmaDerivationData(B, data.sigma, RingMap(
-        B, B, data.delta.matrix + np.eye(B.dim, dtype=np.int64)))
+        B, B, data.delta.operator + np.eye(B.dim, dtype=np.int64)))
     assert commutator_drop_failure(bad) == (bad.constant(bad.unit), "x")
 
 
@@ -374,7 +374,7 @@ def sigma_delta_data(draw):
     if B.is_algebra and draw(st.booleans()):
         c = draw(st.lists(st.integers(0, B.F.p - 1), min_size=B.dim, max_size=B.dim))
         L, R = B.F.mult_matrices(B, c)              # rows c·e_j and e_i·c
-        delta = RingMap(B, B, L - sigma.matrix @ R)
+        delta = RingMap(B, B, L - sigma.operator @ R)
     else:
         delta = _random_self_map(draw, B)
     return SigmaDerivationData(B, sigma, delta)

@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -6,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringlab import (GF, QQ, RingMap, SigmaDerivationData, cayley_tower,
-                     enumerate_elements, field_algebra, make_structure_algebra,
-                     make_table_ring, opposite, probe_properties, ring_eval,
-                     zmod_ring)
+from ringlab import (GF, QQ, RingMap, SigmaDerivationData, cayley_tower, cyclic_group,
+                     enumerate_elements, field_algebra, functions_ring,
+                     make_structure_algebra, make_table_ring, opposite,
+                     probe_properties, ring_eval, twisted_group_ring, zmod_ring)
 from ringlab.ore import SkewPolynomial
+from ringlab.rings import convert_to_table
 from ringlab.errors import (DistributivityViolation, InfiniteScalarField,
                             NotAbelianGroup, RingMismatch, ShapeMismatch)
 
@@ -285,3 +287,44 @@ def test_is_zero_compares_no_fractions(monkeypatch):
     assert flags == [False] * 16 + [True]
     assert poly.coeffs == (data.unit,)
     assert calls == []
+
+
+@pytest.mark.parametrize("ring", [zmod_ring(6), convert_to_table(functions_ring(2, GF(3)))],
+                         ids=["Z6", "F3xF3-table"])
+def test_table_scalar_mul_is_the_k_fold_sum(ring):
+    n = ring.n
+    for k in range(-2 * n, 2 * n + 1):
+        images = []
+        for a in ring.enumerate_elements():
+            step, total = (a if k >= 0 else -a), ring.zero()
+            for _ in range(abs(k)):
+                total = total + step
+            assert ring.scalar_mul(k, a) == total
+            images.append(total.data)
+        assert ring.scalar_operator(k).tolist() == images
+    with pytest.raises(TypeError):
+        ring.scalar_mul("1/2", ring.zero())
+
+
+def test_a_huge_integer_multiple_is_read_mod_n():
+    # 10^18 + 1 = 1 mod 4: adding the unit that many times would not return
+    z4 = zmod_ring(4)
+    k = 10 ** 18 + 1
+    start = time.perf_counter()
+    assert z4.scalar_mul(k, z4.element(1)) == z4.element(1)
+    tw = twisted_group_ring(z4, cyclic_group(2), lambda g, h: k)
+    assert time.perf_counter() - start < 1
+    assert tw.system.alpha_at(1, 1) == z4.element(1)
+
+
+def test_a_ring_map_holds_one_operator_of_its_source_kind():
+    z4, f3 = zmod_ring(4), field_algebra(GF(3))
+    index, matrix = RingMap(z4, z4, (0, 3, 2, 1)), RingMap(f3, f3, [[5]])
+    for m in (index, matrix):
+        assert set(vars(m)) == {"source", "target", "anti", "operator"}
+    assert index.operator.dtype == np.int64 and index.operator.tolist() == [0, 3, 2, 1]
+    assert matrix.operator.tolist() == [[2]]
+    assert index.compose(index).equals(RingMap.identity(z4))
+    assert matrix.compose(matrix).is_identity() and not matrix.is_identity()
+    assert index.apply(z4.element(1)) == z4.element(3)
+
