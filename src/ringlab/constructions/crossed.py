@@ -93,9 +93,6 @@ class RingMap:
         nothing to check (a matrix map is additive)."""
         return self.source.operator_additive(self.operator, self.target)
 
-    def is_additive(self):
-        return self.additivity() is not False
-
     def first_product_failure(self):
         """The first pair (i, j), in row-major order, of spanning elements x
         (basis vectors, or every element of a table ring) with
@@ -596,10 +593,14 @@ def skew_group_ring(B: Ring, G: FiniteCategory, sigma: dict,
     if not G.is_group():
         raise ShapeMismatch("skew group rings need a group")
     e = G.objects[0]
-    maps = {g: sigma[g] if isinstance(sigma[g], RingMap) else RingMap(B, B, sigma[g])
-            for g in G.morphisms}
-    problems = [f"sigma[{g!r}] is not an automorphism" for g in G.morphisms
-                if maps[g].anti or not maps[g].is_bijective()]
+    maps = {}
+    for g in G.morphisms:
+        sg = sigma[g]
+        maps[g] = sg if isinstance(sg, RingMap) else RingMap(B, B, sg)
+    problems = []
+    for g in G.morphisms:
+        if maps[g].anti or not maps[g].is_bijective():
+            problems.append(f"sigma[{g!r}] is not an automorphism")
     # every pair composed at once; an anti map already fails above
     pairs = G.composable_pairs()
     agree = _compositions_agree(*zip(*((maps[g], maps[h], maps[G.compose(g, h)])
