@@ -402,6 +402,17 @@ class CrossedProduct(GradedRing):
     def base_subring(self) -> Subring:
         return self.grading.zero_part_subring()
 
+    @functools.cached_property
+    def action_maps(self):
+        """x ↦ sigma_g(x_d(g))·u_c(g) on the ambient ring, one operator per
+        morphism (:meth:`block_operator`), for x_e the u_e component of x,
+        built once per product.  An ideal I of the base B splits into its
+        components because the bases are unital, so this maps I into I
+        exactly when sigma_g(I_d(g)) ⊆ I_c(g) (:func:`is_G_invariant`)."""
+        cat = self.system.cat
+        return [self.block_operator([(cat.identity[cat.dom[g]], cat.identity[cat.cod[g]],
+                                      self.system.sigma[g].operator)]) for g in cat.morphisms]
+
 
 def crossed_product(sys: CrossedSystem, validate=True, kind_tag="crossed_product",
                     notes=()) -> CrossedProduct:
@@ -639,18 +650,7 @@ def twisted_group_ring(B: Ring, G: FiniteCategory, alpha,
 def is_G_invariant(cp: CrossedProduct, I: IdealBasis) -> bool:
     """sigma_g(I_d(g)) ⊆ I_c(g) for every morphism, I an ideal of the base:
     I is stable under the action maps (its span's ``is_stable``)."""
-    return I.span.is_stable(_action_maps(cp))
-
-
-def _action_maps(cp: CrossedProduct):
-    """x ↦ sigma_g(x_d(g))·u_c(g) on the ambient ring, one operator per
-    morphism (:meth:`CrossedProduct.block_operator`), for x_e the u_e
-    component of x.  An ideal I of the base B splits into its components
-    because the bases are unital, so this maps I into I exactly when
-    sigma_g(I_d(g)) ⊆ I_c(g) (:func:`is_G_invariant`)."""
-    cat = cp.system.cat
-    return [cp.block_operator([(cat.identity[cat.dom[g]], cat.identity[cat.cod[g]],
-                                cp.system.sigma[g].operator)]) for g in cat.morphisms]
+    return I.span.is_stable(cp.action_maps)
 
 
 def is_G_simple(cp: CrossedProduct, cap=None):
@@ -665,5 +665,5 @@ def is_G_simple(cp: CrossedProduct, cap=None):
     the invariant ideal the test found.  The ideal lattice is not
     enumerated."""
     B = cp.base_subring()
-    I = first_stable_ideal(cp.ring, B, _action_maps(cp), cap=cap or DEFAULT_ELEMENT_CAP)
+    I = first_stable_ideal(cp.ring, B, cp.action_maps, cap=cap or DEFAULT_ELEMENT_CAP)
     return I is None, I

@@ -50,6 +50,10 @@ class InfiniteScalarField(RinglabError):
     pass
 
 
+class NotARing(RinglabError):
+    pass
+
+
 class BNotCommutative(RinglabError):
     pass
 

@@ -151,6 +151,18 @@ class Grading:
             self._vertex_units = out
         return self._vertex_units
 
+    @cached_property
+    def nondegeneracy(self):
+        """(left, right) over a groupoid: does every nonzero x in every A_g
+        have A_{g^-1}·x != 0, and x·A_{g^-1} != 0?  One rank per nonzero
+        component and side, once per grading; (None, None) off a groupoid."""
+        if not self.cat.is_groupoid:
+            return None, None
+        pairs = [(c, self.components[self.cat.inverse[g]])
+                 for g, c in self.components.items() if not c.is_zero()]
+        return tuple(all(c.pairing_nondegenerate(inv, side) for c, inv in pairs)
+                     for side in ("left", "right"))
+
     def homogeneous_spanning(self):
         """Spanning elements of every component, flattened."""
         out = []
@@ -247,20 +259,7 @@ def grading_flags(grading: Grading) -> GradingFlags:
         if prod != grading.components[cat.compose(g, h)]:
             strongly = False
             break
-    left_nd = right_nd = None
-    if cat.is_groupoid:
-        left_nd = right_nd = True
-        for g in cat.morphisms:
-            ginv = cat.inverse[g]
-            comp = grading.components[g]
-            inv_comp = grading.components[ginv]
-            if comp.is_zero():
-                continue
-            if not comp.pairing_nondegenerate(inv_comp, "right"):
-                right_nd = False
-            if not comp.pairing_nondegenerate(inv_comp, "left"):
-                left_nd = False
-    return GradingFlags(locally_unital, strongly, left_nd, right_nd)
+    return GradingFlags(locally_unital, strongly, *grading.nondegeneracy)
 
 
 # ---------------------------------------------------------------------------
@@ -351,13 +350,31 @@ def verify_degree_map(dm: DegreeMap, cap=DEFAULT_ELEMENT_CAP) -> DegreeMapVerdic
     Only if: apply (d2) to an a of degree m_I.
 
     A support map, d(a) = |Supp(a)| (:func:`support_degree_map`), needs
-    no element scan on a ring that :func:`is_simple` (cached, and over F_p
-    Norton's test, at any size) calls Simple.  (d1) holds because the
-    grading is a direct sum: the coefficients c of a on the stacked
-    component bases are linear with c @ basis = a, and a table ring
-    refuses a non-unique decomposition when it is tabulated, so d(a) = 0
-    iff a = 0; d is still read once on zero, which raises NotDirectSum
-    for components that do not span.  The only nonzero ideal is A, with
+    no scan for (d1), as the grading is a direct sum (c @ basis = a for
+    the coefficients c on the stacked component bases; a table ring
+    refuses a non-unique decomposition when it is tabulated): d is read
+    once on zero, which raises NotDirectSum for components that do not
+    span.  Nor for (d2), at any size and over Q, when the premises of
+    this lemma hold (:func:`_lemma_applies`).
+
+    **Lemma.**  Let the grading be by a groupoid and X lie in A_0 and
+    commute with all of A_0.  If every nonzero x in every A_g has
+    x·A_{g^-1} != 0, or every such x has A_{g^-1}·x != 0
+    (``Grading.nondegeneracy``), the support map satisfies (d2).
+    **Proof** (on the right; the left mirrors it).  Take a nonzero a in an
+    ideal I, g in Supp(a) and c in A_{g^-1} with a_g·c != 0, and let a' =
+    a·c, in I.  Each a_h·c lies in A_{hg^-1} or is 0, and h ↦ hg^-1 is
+    injective, so d(a') <= d(a); at the identity e = gg^-1 only h = g
+    contributes, so a'_e = a_g·c != 0.  For b in X, a'_h·b and b·a'_h lie
+    in A_h (b is a sum over the identities), so a'b − ba' has the
+    component a'_h·b − b·a'_h at h: 0 off Supp(a'), and 0 at e, where b
+    commutes with a'_e in A_0.  So d(a'b − ba') <= d(a') − 1 < d(a).  No
+    associativity and no unit is used.
+
+    A support map outside the lemma (X of homogeneous elements, a
+    category that is no groupoid, a degenerate grading) needs no element
+    scan on a ring that :func:`is_simple` (cached, and over F_p Norton's
+    test, at any size) calls Simple.  The only nonzero ideal is A, with
     m_A = 1, so (d2) holds iff some nonzero component A_g meets the
     elements commuting with every b in X: one null space of X's
     commutators (:func:`ringlab.subgroups.commuting_span`; not the
@@ -369,11 +386,11 @@ def verify_degree_map(dm: DegreeMap, cap=DEFAULT_ELEMENT_CAP) -> DegreeMapVerdic
 
     Everything else scans, and raises TooLarge past the cap (an
     InfiniteScalarField over Q): (d1) for a map that is not a support
-    map, then (d2) for it and for a support map on a ring that is not, or
-    not provably, Simple.  Reduction to principal ideals: for an ideal I
-    and nonzero a in I, a witness found inside <a> also lies in I, and
-    conversely (d2) applied to I at a yields a witness valid for <a>
-    evaluated at a.
+    map, then (d2) for it and for a support map outside the lemma on a
+    ring that is not, or not provably, Simple.  Reduction to principal
+    ideals: for an ideal I and nonzero a in I, a witness found inside <a>
+    also lies in I, and conversely (d2) applied to I at a yields a witness
+    valid for <a> evaluated at a.
 
     Elements are checked a block at a time (``Ring.element_blocks``), so
     degrees come from ``DegreeMap.degrees`` and products from block
@@ -394,6 +411,8 @@ def verify_degree_map(dm: DegreeMap, cap=DEFAULT_ELEMENT_CAP) -> DegreeMapVerdic
         return DegreeMapVerdict("D1Violation", zero)
     whole = None                      # A when the ring is simple, else False
     if isinstance(dm.d, _SupportDegree):
+        if _lemma_applies(dm):
+            return DegreeMapVerdict("Valid")
         whole = _whole_if_simple(ring, cap)
         if whole:
             grading = dm.d.grading
@@ -431,6 +450,18 @@ def verify_degree_map(dm: DegreeMap, cap=DEFAULT_ELEMENT_CAP) -> DegreeMapVerdic
                 return DegreeMapVerdict("D2Violation", (ideal, a))
             scanned.add((ideal.key(), da[i]))
     return DegreeMapVerdict("Valid")
+
+
+def _lemma_applies(dm):
+    """The premises of the lemma in :func:`verify_degree_map`, for a
+    support map: a grading nondegenerate on some side (None off a
+    groupoid), and X inside A_0, which lies in X's commutant."""
+    grading = dm.d.grading
+    if not any(grading.nondegeneracy):
+        return False
+    A0 = grading.zero_part_subring().span
+    return (all(A0.contains(x) for x in dm.X)
+            and commuting_span(dm.ring, dm.X).contains_subgroup(A0))
 
 
 def _whole_if_simple(ring, cap):

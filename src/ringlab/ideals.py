@@ -33,8 +33,9 @@ import random
 from dataclasses import dataclass
 
 from .errors import (BNotCommutative, CriterionDisagreement, InfiniteScalarField,
-                     NotAInvariant, NotIdealAssociative, RingMismatch, TooLarge)
-from .rings import DEFAULT_ELEMENT_CAP
+                     NotAInvariant, NotARing, NotIdealAssociative, RingMismatch,
+                     TooLarge)
+from .rings import DEFAULT_ELEMENT_CAP, Ring
 from .subgroups import (AddSubgroup, additive_span, full_subgroup,
                         product_span, span_class, zero_subgroup)
 
@@ -286,7 +287,15 @@ def enumerate_subring_ideals(ring, B: Subring | None, cap=DEFAULT_ELEMENT_CAP):
 def enumerate_ideals(ring, cap=DEFAULT_ELEMENT_CAP):
     """Every two-sided ideal of the ring, exactly once, in (measure, key)
     order: :func:`enumerate_subring_ideals` with B the whole ring."""
-    return enumerate_subring_ideals(ring, None, cap)
+    return enumerate_subring_ideals(_require_ring(ring), None, cap)
+
+
+def _require_ring(ring):
+    """``ring``, or NotARing naming what it is, say a built construction."""
+    if not isinstance(ring, Ring):
+        hint = "; pass its .ring" if hasattr(ring, "ring") else ""
+        raise NotARing(f"expected a ring, got a {type(ring).__name__}{hint}")
+    return ring
 
 
 class SimpleVerdict:
@@ -360,7 +369,7 @@ def is_simple(ring, cap=DEFAULT_ELEMENT_CAP, seed=DEFAULT_SEED,
 
     Verdicts are cached on the (immutable) ring per (cap, seed, samples).
     """
-    cache = getattr(ring, "_simple_cache", None)
+    cache = getattr(_require_ring(ring), "_simple_cache", None)
     if cache is None:
         cache = ring._simple_cache = {}
     key = (cap, seed, samples)
@@ -432,7 +441,7 @@ def centralizer(ring, gens_of_b) -> Subring:
 
 
 def center(ring) -> Subring:
-    return centralizer(ring, ring.spanning_elements())
+    return centralizer(ring, _require_ring(ring).spanning_elements())
 
 
 def is_maximal_commutative(ring, B: Subring) -> bool:

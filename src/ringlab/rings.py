@@ -49,9 +49,9 @@ from .linalg import GF
 DEFAULT_ELEMENT_CAP = 2 ** 20
 TABLE_SIZE_CAP = 4096
 # the most structure constants (d³ for an algebra of dimension d) that a
-# crossed product may have, checked before they are allocated: 16 MB of
-# int64, d up to 128.  The largest built today have d = 63 (Z3 acting on
-# 21 points) and d = 64 (M8(F2))
+# crossed product or a direct sum may have, checked before they are
+# allocated: 16 MB of int64, d up to 128.  The largest built today have
+# d = 63 (Z3 acting on 21 points) and d = 64 (M8(F2))
 CONSTANTS_CAP = 1 << 21
 
 
@@ -767,12 +767,16 @@ def direct_sum_algebra(factors):
 
     The result remembers the factor slices (``product_factors``) so that
     structural shortcuts (e.g. ideals of a product of fields) stay available.
+    TooLarge when d³ passes ``CONSTANTS_CAP``, before anything is allocated.
     """
     field = factors[0].F
     if any(f.F != field for f in factors):
         raise ShapeMismatch("factors must share the scalar field")
     dims = [f.dim for f in factors]
     d = sum(dims)
+    if d ** 3 > CONSTANTS_CAP:
+        raise TooLarge(f"direct sum would have {d ** 3} structure constants, "
+                       f"past the cap {CONSTANTS_CAP}")
     offs = np.cumsum([0] + dims)
     C = factors[0].F.zeros((d, d, d))
     for t, f in enumerate(factors):

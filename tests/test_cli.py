@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -309,16 +310,47 @@ def test_a_group_size_of_5000_digits_exits_2(tmp_path, capsys):
 
 def test_a_check_past_the_cap_keeps_the_report(tmp_path, capsys):
     # Z3 acting on 21 points as seven 3-cycles over F2 is not simple (2^63
-    # elements), so its degree map is scanned and the scan raises TooLarge;
-    # the other checks still run, the report is printed, and the exit is 2
+    # elements), and its base has 2^21 elements, so the invariance check's
+    # walk of the base's ideals raises TooLarge; the other checks still
+    # run, the report is printed, and the exit is 2.  Its degree map needs
+    # no scan: the grading is nondegenerate (the lemma of
+    # verify_degree_map), so center and degree-map alone exit 0
     cycles = [[3 * (x // 3) + (x + g) % 3 for x in range(21)] for g in range(3)]
     path = _write(tmp_path, "z3-21.json", {"kind": "dynamics", "points": 21, "group": "Z3",
                                            "action": cycles, "field": "Fp:2"})
-    code, doc = _run(capsys, "check", path, "--checks", "center,degree-map")
+    code, doc = _run(capsys, "check", path, "--checks", "center,invariance")
     assert code == 2
     assert doc["results"] == {
         "center": {"kind": "dimension", "measure": 7},
-        "degree-map": {"error": "9223372036854775808 elements exceeds cap 1048576"}}
+        "invariance": {"error": "2097152 elements exceeds cap 1048576"}}
+    start = time.process_time()
+    code, doc = _run(capsys, "check", path, "--checks", "center,degree-map")
+    assert time.process_time() - start < 5
+    assert code == 0
+    assert doc["results"] == {
+        "center": {"kind": "dimension", "measure": 7},
+        "degree-map": {"status": "Valid", "witness": None}}
+
+
+def test_a_degree_map_over_q_is_proved_without_a_scan(tmp_path, capsys):
+    # Z2 swapping two of three points over Q: no element can be enumerated,
+    # and the nondegenerate grading proves the support map valid
+    path = _write(tmp_path, "q-3pt.json", {"kind": "dynamics", "points": 3, "group": "Z2",
+                                           "action": [[0, 1, 2], [1, 0, 2]], "field": "Q"})
+    code, doc = _run(capsys, "check", path, "--checks", "degree-map")
+    assert code == 0
+    assert doc["results"] == {"degree-map": {"status": "Valid", "witness": None}}
+
+
+def test_a_dynamics_recipe_past_the_constants_budget_exits_2(tmp_path, capsys):
+    # 129 points: the functions ring alone would have 129^3 > 2^21
+    # structure constants, refused before they are allocated
+    doc = {"kind": "dynamics", "points": 129, "group": "Z2",
+           "action": [list(range(129)), [1, 0] + list(range(2, 129))], "field": "Fp:2"}
+    code = main(["check", _write(tmp_path, "129-points.json", doc)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("error: direct sum would have 2146689 structure constants")
 
 
 def test_a_check_over_q_keeps_the_report(tmp_path, capsys):

@@ -267,6 +267,33 @@ def test_g_simplicity():
     assert not ok and wit is not None
 
 
+def test_the_invariance_check_builds_the_action_maps_once(monkeypatch):
+    # the maps depend on the product only: every ideal the invariance check
+    # asks about, and is_G_simple after it, reads one list
+    import pathlib
+    from ringlab.recipes import build_recipe, parse_recipe_text
+    from ringlab.reports import run_checks
+    recipe = pathlib.Path(__file__).parent.parent / "perfbench/recipes/dynamics-4pt-Z2-F3.json"
+    cp = build_recipe(parse_recipe_text(recipe.read_text()))
+    operators = []
+    original = crossed.CrossedProduct.block_operator
+    monkeypatch.setattr(crossed.CrossedProduct, "block_operator",
+                        lambda cp, blocks: operators.append(cp) or original(cp, blocks))
+    results, _ = run_checks(cp, ["invariance"])
+    assert len(results["invariance"]["ideals"]) > 1 and results["invariance"]["equivalence_holds"]
+    assert not is_G_simple(cp)[0]
+    # one operator per morphism of Z2, in one build
+    assert operators == [cp, cp]
+
+
+def test_a_direct_sum_past_the_constants_budget_is_refused():
+    # 128 points have 128^3 = 2^21 constants, the cap; 129 are refused
+    # before anything is allocated
+    assert functions_ring(128, GF(2)).dim == 128
+    with pytest.raises(TooLarge, match="direct sum would have 2146689 structure constants"):
+        functions_ring(129, GF(2))
+
+
 # ---------------------------------------------------------------------------
 # batched crossed-system validation and construction, against the element
 # loops they replace

@@ -33,3 +33,16 @@ def test_error_round_trips_through_pickle(cls, protocol):
     assert str(copy) == str(err) and copy.args == err.args
     assert vars(copy) == vars(err)
 
+
+@pytest.mark.parametrize("name", ["is_simple", "enumerate_ideals", "center"])
+def test_a_built_construction_is_not_taken_for_a_ring(name):
+    # a built crossed product carries its ring as .ring: the ring functions
+    # name the type they got and point there, with a typed error rather
+    # than an AttributeError from deep inside
+    import ringlab
+    from ringlab.corpus import build_rotation_dynamics
+    from ringlab.errors import NotARing
+    built = build_rotation_dynamics()
+    with pytest.raises(NotARing, match=r"^expected a ring, got a DynamicsRing; pass its \.ring$"):
+        getattr(ringlab, name)(built)
+    getattr(ringlab, name)(built.ring)

@@ -1,5 +1,7 @@
 import itertools
+import pathlib
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -537,6 +539,96 @@ def test_not_simple_degree_map_still_closes_principal_ideals(monkeypatch):
                                     lambda a: 0 if a.is_zero() else 1, "flat"))
     assert v.status == "D2Violation" and not v.witness[0].span.is_full()
     assert v.witness[1] in closed
+
+
+_LEMMA_GROUPS = {"Z2": lambda: cyclic_group(2), "Z3": lambda: cyclic_group(3),
+                 "Z2xZ2": lambda: abelian_group((2, 2))}
+
+
+def _random_graded_algebra(cat, p, dims, seed, density, killed):
+    """A random algebra over F_p graded by the group ``cat``: A_g spanned by
+    dims[t] basis vectors for g the t-th morphism, constants drawn (each
+    nonzero with probability ``density``) only where A_g·A_h lands in
+    A_gh, and A_g·A_{g^-1} = 0 for every g in ``killed``, so that
+    degenerate gradings occur too."""
+    order = list(cat.morphisms)
+    at = np.cumsum([0] + dims)
+    rng = np.random.default_rng(seed)
+    C = np.zeros((at[-1],) * 3, dtype=np.int64)
+    for s, g in enumerate(order):
+        for t, h in enumerate(order):
+            if g in killed and h == cat.inverse[g]:
+                continue
+            u = order.index(cat.compose(g, h))
+            shape = (dims[s], dims[t], dims[u])
+            C[at[s]:at[s + 1], at[t]:at[t + 1], at[u]:at[u + 1]] = (
+                rng.integers(0, p, size=shape) * (rng.random(shape) < density))
+    ring = make_structure_algebra(int(at[-1]), GF(p), C)
+    return validate_grading(ring, cat, {g: [ring.basis_element(i) for i in range(at[s], at[s + 1])]
+                                        for s, g in enumerate(order)})
+
+
+@st.composite
+def _random_gradings(draw):
+    """Gradings by Z2, Z3 or Z2xZ2 over F2 or F3 with at most 8 elements
+    per component, some of them degenerate."""
+    cat = _LEMMA_GROUPS[draw(st.sampled_from(sorted(_LEMMA_GROUPS)))]()
+    p = draw(st.sampled_from([2, 3]))
+    n = len(cat.morphisms)
+    dims = draw(st.lists(st.sampled_from(range(4 if p == 2 else 2)), min_size=n, max_size=n))
+    if not any(dims):
+        dims[0] = 1
+    return _random_graded_algebra(cat, p, dims, draw(st.integers(0, 2 ** 32 - 1)),
+                                  draw(st.sampled_from([0.3, 0.7, 1.0])),
+                                  draw(st.sets(st.sampled_from(cat.morphisms), max_size=1)))
+
+
+@given(_random_gradings())
+@settings(max_examples=300, deadline=None)
+def test_the_nondegeneracy_lemma_agrees_with_the_scan(grading):
+    # the lemma applies exactly when the grading is nondegenerate on some
+    # side (X, the center of A_0, lies in A_0 and commutes with it), and
+    # then the element scan must find the support map valid too
+    dm = support_degree_map(grading, "center_of_A0")
+    assert gradings._lemma_applies(dm) == grading_flags(grading).nondegenerate_some_side
+    proved = verify_degree_map(dm)
+    with mock.patch.object(gradings, "_lemma_applies", lambda dm: False):
+        scanned = verify_degree_map(dm)
+    assert (proved.status, repr(proved.witness)) == (scanned.status, repr(scanned.witness))
+
+
+def test_random_gradings_reach_both_sides_of_the_lemma():
+    # the property above sees nondegenerate gradings and degenerate ones
+    # (a killed product A_g·A_{g^-1}), and degenerate ones that the scan
+    # finds valid and ones it does not
+    cat = cyclic_group(2)
+    full = _random_graded_algebra(cat, 2, [2, 2], 0, 1.0, set())
+    assert grading_flags(full).nondegenerate_some_side
+    for seed, status in ((0, "D2Violation"), (1, "Valid")):
+        killed = _random_graded_algebra(cat, 2, [1, 1], seed, 1.0, {1})
+        assert not grading_flags(killed).nondegenerate_some_side
+        assert verify_degree_map(support_degree_map(killed, "center_of_A0")).status == status
+
+
+def test_recipe_degree_map_checks_scan_no_element(monkeypatch):
+    # every perfbench recipe that carries a grading is nondegenerate, so its
+    # degree-map check proves the support map valid with no element block
+    # of the ring or of a span, and no principal ideal closed
+    from ringlab.recipes import build_recipe, parse_recipe_text
+    from ringlab.reports import run_checks
+    from ringlab.subgroups import TableSubgroup
+    counts = _count_scans(monkeypatch)
+    for cls in (rings.TableRing, TableSubgroup):
+        monkeypatch.setattr(cls, "element_blocks", lambda *args, **kwargs: pytest.fail("scan"))
+    graded = []
+    for path in sorted(pathlib.Path(__file__).parent.parent.glob("perfbench/recipes/*.json")):
+        built = build_recipe(parse_recipe_text(path.read_text()))
+        if getattr(built, "grading", None) is not None:
+            results, _ = run_checks(built, ["degree-map"])
+            assert results == {"degree-map": {"status": "Valid", "witness": None}}, path.name
+            graded.append(path.stem)
+    assert len(graded) == 6
+    assert counts == {"principal_ideal": 0, "element_blocks": 0}
 
 
 def test_criterion_disagreement_is_typed(monkeypatch):

@@ -22,7 +22,6 @@ from ringlab import (RingMap, SigmaDerivationData, cayley_dickson, certify, corp
                      cyclic_group, ideal_intersection_property, ideals, linalg,
                      skew_group_ring, truncated_polynomial_ring)
 from ringlab.constructions import bales_twisted_ring
-from ringlab.constructions.crossed import _action_maps
 from ringlab.certify import recognize_field
 from ringlab.cli import main
 from ringlab.recipes import build_recipe, parse_recipe_text
@@ -934,7 +933,7 @@ def _crossed_cases(draw):
     r = _order(M, p)
     cp = skew_group_ring(B, cyclic_group(r), {g: _power(M, g, p) for g in range(r)})
     sub = cp.base_subring()
-    return cp.ring, sub, _action_maps(cp)
+    return cp.ring, sub, cp.action_maps
 
 
 @st.composite
@@ -1071,7 +1070,7 @@ def test_certify_dynamics_walks_no_line_until_its_premise_is_read():
     B = dyn.base_subring()
     with pytest.MonkeyPatch.context() as m:
         _walk_alone(m)
-        walked = ideals.first_stable_ideal(dyn.ring, B, _action_maps(dyn))
+        walked = ideals.first_stable_ideal(dyn.ring, B, dyn.action_maps)
     with pytest.MonkeyPatch.context() as m:
         closed, _, spun = _count_line_closures(m)
         cert = certify.certify_dynamics(dyn)
