@@ -37,7 +37,7 @@ from .ideals import (DEFAULT_ELEMENT_CAP, DEFAULT_SEED, IdealBasis, Subring,
                      is_A_simple, is_maximal_commutative, is_simple)
 from .ore import (SigmaDerivationData, is_sigma_delta_simple,
                   validate_sigma_derivation)
-from .rings import CONSTANTS_CAP, StructureAlgebra
+from .rings import CONSTANTS_CAP, StructureAlgebra, require_ring
 from .subgroups import (full_subgroup, product_span, subspace_from_vectors,
                         triple_product_span, zero_subgroup)
 
@@ -134,13 +134,11 @@ def recognize_field(ring, cap=DEFAULT_ELEMENT_CAP, seed=DEFAULT_SEED):
     Inconclusive is the field backend asked (``is_field_algebra``: Q algebras of
     dimension 1 and 2).  The zero ring has R·R = 0, so it is no field.
     """
-    props = ring.probe_properties()
+    props = require_ring(ring).probe_properties()
     if not (props.commutative and props.unital and props.associative):
         return False
-    v = is_simple(ring, cap=cap, seed=seed)
-    if v.status != "Inconclusive":
-        return v.is_simple
-    return ring.F.is_field_algebra(ring, props.unit.data)
+    simple = is_simple(ring, cap=cap, seed=seed).holds
+    return simple if simple is not None else ring.F.is_field_algebra(ring, props.unit.data)
 
 
 def _simple_status(ring, cap=DEFAULT_ELEMENT_CAP, seed=DEFAULT_SEED, hint=None):
@@ -238,8 +236,8 @@ def certify_necessity(ring, B: Subring, grading: Grading | None = None,
                             bad[0] if bad else None))
     sv = is_simple(ring, cap=cap, seed=seed)
     premises.append(Premise("the ring is simple",
-                            "verified" if sv.is_simple else "failed",
-                            None if sv.is_simple else sv))
+                            "verified" if sv.holds else "failed",
+                            None if sv.holds else sv))
     cert = Certificate(instance, "necessity",
                        "simplicity forces the base to be invariantly simple",
                        premises, None, meta={"cap": cap, "seed": seed})
@@ -288,8 +286,8 @@ def certify_sufficiency(ring, B: Subring, degree_map=None,
     else:
         dv = verify_degree_map(dm, cap=cap)
         premises.append(Premise(f"degree map valid ({dm.description})",
-                                "verified" if dv.valid else "failed",
-                                None if dv.valid else dv))
+                                "verified" if dv.holds else "failed",
+                                None if dv.holds else dv))
     cert = Certificate(instance, "sufficiency",
                        "invariantly simple centralizer with a degree map forces simplicity",
                        premises, None, meta={"cap": cap, "seed": seed})
@@ -395,9 +393,10 @@ def certify_crossed_product(cp: CrossedProduct, cap=DEFAULT_ELEMENT_CAP,
         for (g, h) in cat.composable_pairs())
     nonzero = all(not p.unit.is_zero() for p in props_b)
     premises = []
-    _, wit = is_G_simple(cp, cap)
+    g_simple = is_G_simple(cp, cap)
     premises.append(Premise("the base is action-simple (no nontrivial invariant ideal)",
-                            "failed" if wit else "verified", wit))
+                            "verified" if g_simple.holds else "failed",
+                            g_simple.deferred_witness))
     statement = "action-simple base forces simplicity"
     verdict = None
     is_iff = False
@@ -409,7 +408,7 @@ def certify_crossed_product(cp: CrossedProduct, cap=DEFAULT_ELEMENT_CAP,
         mc = is_maximal_commutative(ring, B)
         premises.append(Premise("the base is maximal commutative",
                                 "verified" if mc else "failed"))
-        verdict = "Simple" if (wit is None and mc) else "NotSimple"
+        verdict = "Simple" if (g_simple.holds and mc) else "NotSimple"
     elif cat.is_group() and cat.is_abelian_group() and alpha_trivial and all(
             p.associative and p.unital for p in props_b):
         is_iff = True
@@ -422,14 +421,14 @@ def certify_crossed_product(cp: CrossedProduct, cap=DEFAULT_ELEMENT_CAP,
         if zf is None:
             verdict = None
         else:
-            verdict = "Simple" if (wit is None and zf) else "NotSimple"
+            verdict = "Simple" if (g_simple.holds and zf) else "NotSimple"
     else:
-        if wit is None and cat.is_groupoid and nonzero and B.is_commutative() \
+        if g_simple.holds and cat.is_groupoid and nonzero and B.is_commutative() \
                 and is_maximal_commutative(ring, B):
             premises.append(Premise("the base is maximal commutative", "verified"))
             verdict = "Simple"
             statement = "groupoid crossed product with maximal commutative action-simple base"
-        elif wit is None and cat.is_groupoid and cat.is_locally_abelian() and cat.is_connected():
+        elif g_simple.holds and cat.is_groupoid and cat.is_locally_abelian() and cat.is_connected():
             centers = _vertex_premise(cp.grading, "every vertex center is simple",
                                       _vertex_center, cap, seed)
             premises.append(centers)
@@ -456,12 +455,12 @@ def _sigma_simple_premise(cd: CayleyDoubling, cap, seed, base_hint=None):
     name = "the base has no nontrivial conjugation-stable ideal"
     sigma = [cd.sigma.operator]
     try:
-        I = first_stable_ideal(B, None, sigma, cap=cap)
+        stable = first_stable_ideal(B, None, sigma, cap=cap)
     except (TooLarge, InfiniteScalarField):
         pass
     else:
-        if I is not None:
-            return Premise(name, "failed", I)
+        if not stable.holds:
+            return Premise(name, "failed", stable.deferred_witness)
         return Premise(name, "verified", "ideal enumeration")
     st, detail = _simple_status(B, cap=cap, seed=seed, hint=base_hint)
     if st == "Simple":
@@ -693,10 +692,11 @@ def certify_dynamics(dyn: DynamicsRing, cap=DEFAULT_ELEMENT_CAP,
                         "verified" if cat.is_abelian_group() else "failed"),
                 Premise("the base (functions on the space) is commutative",
                         "verified" if B.is_commutative() else "failed")]
-    g_simple, gwit = is_G_simple(dyn, cap)
+    g_simple = is_G_simple(dyn, cap)
     premises.append(Premise("the base is action-simple",
-                            "verified" if g_simple else "failed", gwit))
-    if g_simple != dyn.minimal:
+                            "verified" if g_simple.holds else "failed",
+                            g_simple.deferred_witness))
+    if g_simple.holds != dyn.minimal:
         raise CriterionDisagreement("action-simplicity must match minimality on finite sets")
     premises.append(Premise("action-simple iff minimal (checked both ways)", "verified",
                             f"minimal={dyn.minimal}"))
@@ -710,7 +710,7 @@ def certify_dynamics(dyn: DynamicsRing, cap=DEFAULT_ELEMENT_CAP,
     # verdict rests on action-simple and maximal commutative alone
     if mc and not dyn.faithful:
         raise CriterionDisagreement("maximal commutativity must imply faithfulness")
-    agree = (g_simple and mc) == (dyn.minimal and dyn.faithful)
+    agree = (g_simple.holds and mc) == (dyn.minimal and dyn.faithful)
     if cat.is_abelian_group():
         if dyn.minimal and dyn.faithful and not mc:
             raise CriterionDisagreement("minimal+faithful must force maximal commutativity")
@@ -720,7 +720,7 @@ def certify_dynamics(dyn: DynamicsRing, cap=DEFAULT_ELEMENT_CAP,
                             "and faithful (checked on the instance)",
                             "verified" if agree else "failed",
                             f"faithful={dyn.faithful}"))
-    verdict = "Simple" if (g_simple and mc) else "NotSimple"
+    verdict = "Simple" if (g_simple.holds and mc) else "NotSimple"
     cert = Certificate(instance, "dynamics",
                        "the skew group ring of a finite system is simple iff the "
                        "action is minimal and faithful",
@@ -767,10 +767,9 @@ def certify_built(built, cap=DEFAULT_ELEMENT_CAP, seed=DEFAULT_SEED,
     if isinstance(built, SigmaDerivationData):
         premises = [Premise(name, "verified" if ok else "failed", witness)
                     for name, ok, witness in validate_sigma_derivation(built)]
-        verdict = is_sigma_delta_simple(built, cap=cap)
         return [Certificate(instance, "ore-base",
                             "sigma-delta-simplicity of the coefficient ring", premises,
-                            "SigmaDeltaSimple" if verdict.simple else "NotSigmaDeltaSimple")]
+                            is_sigma_delta_simple(built, cap=cap).status)]
     if isinstance(built, CayleyTower):
         return certify_tower(built, cap=cap, seed=seed, instance=instance)
     if isinstance(built, CrossedProduct):
@@ -971,7 +970,7 @@ def _survey_block(m, max_group_order, index, p, scan_cap, seed) -> DynamicsSurve
         else:
             # the certificate's oracle cross-check cached this verdict; over
             # the cap it came from the F_p test
-            decided = is_simple(dyn.ring, cap=scan_cap, seed=seed).is_simple
+            decided = is_simple(dyn.ring, cap=scan_cap, seed=seed).holds is True
             if over_cap:
                 survey.density_checks += 1
             else:
@@ -1057,4 +1056,4 @@ def simple_by_density(ring: StructureAlgebra) -> bool:
     because the benchmark tracer (``perfbench/tracer.py``) counts its calls
     under it.
     """
-    return ring.F.simplicity(ring)[0]
+    return ring.F.simplicity(ring).holds

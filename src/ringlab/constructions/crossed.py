@@ -36,7 +36,7 @@ import numpy as np
 from ..categories import FiniteCategory
 from ..errors import ShapeMismatch, TooLarge, ValidationFailure
 from ..gradings import GradedRing, Grading
-from ..ideals import IdealBasis, Subring, first_stable_ideal
+from ..ideals import IdealBasis, Subring, Verdict, first_stable_ideal
 from ..rings import (CONSTANTS_CAP, DEFAULT_ELEMENT_CAP, TABLE_SIZE_CAP, Element,
                      Ring, StructureAlgebra, TableRing)
 from ..subgroups import Subspace, TableSubgroup
@@ -653,17 +653,14 @@ def is_G_invariant(cp: CrossedProduct, I: IdealBasis) -> bool:
     return I.span.is_stable(cp.action_maps)
 
 
-def is_G_simple(cp: CrossedProduct, cap=None):
-    """No nontrivial G-invariant ideal of the base; returns (bool, witness).
-
-    Norton's test on the base's multiplications and the action decides
-    first, at any size over F_p (:func:`ringlab.ideals.first_stable_ideal`),
-    and the bool is its answer.  Within ``cap`` the witness is the first
-    G-invariant ideal in the order of ``enumerate_subring_ideals``, the
-    least stable closure of a line of the base, found on the first read of
-    its span (a caller that reads only the bool walks no line); past it,
-    the invariant ideal the test found.  The ideal lattice is not
-    enumerated."""
-    B = cp.base_subring()
-    I = first_stable_ideal(cp.ring, B, cp.action_maps, cap=cap or DEFAULT_ELEMENT_CAP)
-    return I is None, I
+def is_G_simple(cp: CrossedProduct, cap=DEFAULT_ELEMENT_CAP) -> Verdict:
+    """No nontrivial G-invariant ideal of the base: the verdict of
+    :func:`ringlab.ideals.first_stable_ideal` on the base and the action
+    maps, named "GSimple"/"NotGSimple".  Norton's test decides first, at
+    any size over F_p.  Within ``cap`` the witness is the first G-invariant
+    ideal in the order of ``enumerate_subring_ideals``, found on the first
+    read of ``witness`` (reading only ``holds``, or ``deferred_witness``,
+    walks no line); past it, the invariant ideal the test found."""
+    verdict = first_stable_ideal(cp.ring, cp.base_subring(), cp.action_maps, cap=cap)
+    verdict.names = ("GSimple", "NotGSimple")
+    return verdict

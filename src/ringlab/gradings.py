@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import (CriterionDisagreement, FilterViolation, NotDirectSum,
                      PreconditionUnmet)
-from .ideals import (DEFAULT_ELEMENT_CAP, IdealBasis, Subring, enumerate_ideals,
+from .ideals import (DEFAULT_ELEMENT_CAP, IdealBasis, Subring, Verdict, enumerate_ideals,
                      full_subring, is_A_invariant, is_simple, principal_ideal)
 from .rings import Element, Ring
 from .subgroups import (AddSubgroup, additive_span, commuting_span,
@@ -154,14 +154,19 @@ class Grading:
     @cached_property
     def nondegeneracy(self):
         """(left, right) over a groupoid: does every nonzero x in every A_g
-        have A_{g^-1}·x != 0, and x·A_{g^-1} != 0?  One rank per nonzero
-        component and side, once per grading; (None, None) off a groupoid."""
+        have A_{g^-1}·x != 0, and x·A_{g^-1} != 0?  Once per grading;
+        (None, None) off a groupoid.  The block of products A_g·A_{g^-1}
+        answers the right side of g and the left side of g^-1 (the span's
+        ``pairing_nondegenerate``), so each block is computed once."""
         if not self.cat.is_groupoid:
             return None, None
-        pairs = [(c, self.components[self.cat.inverse[g]])
-                 for g, c in self.components.items() if not c.is_zero()]
-        return tuple(all(c.pairing_nondegenerate(inv, side) for c, inv in pairs)
-                     for side in ("left", "right"))
+        left = right = True
+        for g, c in self.components.items():
+            if not (left or right):
+                break
+            right_g, left_inverse = c.pairing_nondegenerate(self.components[self.cat.inverse[g]])
+            left, right = left and left_inverse, right and right_g
+        return left, right
 
     def homogeneous_spanning(self):
         """Spanning elements of every component, flattened."""
@@ -304,17 +309,9 @@ class _SupportDegree:
         return int(self.grading.support_matrix([a.data])[0].sum())
 
 
-@dataclass
-class DegreeMapVerdict:
-    status: str                  # "Valid" | "D1Violation" | "D2Violation"
-    witness: object = None
-
-    @property
-    def valid(self):
-        return self.status == "Valid"
-
-    def __repr__(self):
-        return self.status if self.valid else f"{self.status}({self.witness!r})"
+# the statuses of a degree map's verdict, by the condition that fails
+D1 = ("Valid", "D1Violation")
+D2 = ("Valid", "D2Violation")
 
 
 def support_degree_map(grading: Grading, b_choice="center_of_A0") -> DegreeMap:
@@ -338,10 +335,12 @@ def support_degree_map(grading: Grading, b_choice="center_of_A0") -> DegreeMap:
     return DegreeMap(ring, B, X, _SupportDegree(grading), desc, grading=grading)
 
 
-def verify_degree_map(dm: DegreeMap, cap=DEFAULT_ELEMENT_CAP) -> DegreeMapVerdict:
+def verify_degree_map(dm: DegreeMap, cap=DEFAULT_ELEMENT_CAP) -> Verdict:
     """Check (d1), d(a) = 0 iff a = 0, and (d2): every nonzero a in a
     nonzero ideal I has an a' in I, a' != 0, with d(a') <= d(a) and
-    d(a'b − ba') < d(a) for every b in X.
+    d(a'b − ba') < d(a) for every b in X.  A :class:`ringlab.ideals.Verdict`
+    named "Valid", or "D1Violation" (witness: the failing element) or
+    "D2Violation" (witness: (its ideal, the failing element)).
 
     (d2) asks one question per ideal.  Let m_I be the least degree of a
     nonzero element of I.  Then (d2) holds iff every nonzero ideal I has
@@ -408,28 +407,27 @@ def verify_degree_map(dm: DegreeMap, cap=DEFAULT_ELEMENT_CAP) -> DegreeMapVerdic
     ring = dm.ring
     zero = ring.zero()
     if dm.degree(zero) != 0:
-        return DegreeMapVerdict("D1Violation", zero)
+        return Verdict(False, zero, names=D1)
     whole = None                      # A when the ring is simple, else False
     if isinstance(dm.d, _SupportDegree):
         if _lemma_applies(dm):
-            return DegreeMapVerdict("Valid")
+            return Verdict(True, names=D1)
         whole = _whole_if_simple(ring, cap)
         if whole:
             grading = dm.d.grading
             commuting = commuting_span(ring, dm.X)
             if any(not c.intersect(commuting).is_zero() for c in grading.components.values()):
-                return DegreeMapVerdict("Valid")
+                return Verdict(True, names=D1)
             size = ring.size()
             if size is None or size > cap:
                 a = next(x for g in grading.order for x in grading.components[g].spanning()
                          if not x.is_zero())
-                return DegreeMapVerdict("D2Violation", (whole, a))
+                return Verdict(False, (whole, a), names=D2)
     else:
         for block in ring.element_blocks(cap):
             bad = np.flatnonzero((dm.degrees(block) == 0) == ring.block_nonzero(block))
             if bad.size:
-                return DegreeMapVerdict("D1Violation",
-                                        ring.block_elements(block[bad[:1]])[0])
+                return Verdict(False, ring.block_elements(block[bad[:1]])[0], names=D1)
     scanned = set()                   # (ideal key, d(a)) pairs that passed
     for block in ring.element_blocks(cap):
         block = block[ring.block_nonzero(block)]
@@ -447,9 +445,9 @@ def verify_degree_map(dm: DegreeMap, cap=DEFAULT_ELEMENT_CAP) -> DegreeMapVerdic
                 continue
             if not any(_qualifying(dm, cands, da[i]).any()
                        for cands in ideal.span.element_blocks(cap)):
-                return DegreeMapVerdict("D2Violation", (ideal, a))
+                return Verdict(False, (ideal, a), names=D2)
             scanned.add((ideal.key(), da[i]))
-    return DegreeMapVerdict("Valid")
+    return Verdict(True, names=D1)
 
 
 def _lemma_applies(dm):
@@ -466,7 +464,7 @@ def _lemma_applies(dm):
 
 def _whole_if_simple(ring, cap):
     """A as an ideal when :func:`is_simple` says Simple, else False."""
-    return (is_simple(ring, cap=cap).is_simple
+    return (is_simple(ring, cap=cap).holds is True
             and IdealBasis(ring, full_subgroup(ring), check=False))
 
 
@@ -508,21 +506,9 @@ def _groupoid_candidates_qualify(dm, block, da):
 # intersection property, componentwise invariance, local units
 # ---------------------------------------------------------------------------
 
-@dataclass
-class IntersectionVerdict:
-    status: str                  # "Holds" | "Fails"
-    witness: IdealBasis | None = None
-
-    @property
-    def holds(self):
-        return self.status == "Holds"
-
-    def __repr__(self):
-        return self.status if self.holds else f"Fails({self.witness!r})"
-
-
-def ideal_intersection_property(ring, S, cap=DEFAULT_ELEMENT_CAP) -> IntersectionVerdict:
-    """Every nonzero ideal of the ring meets S nontrivially.  The witness is
+def ideal_intersection_property(ring, S, cap=DEFAULT_ELEMENT_CAP) -> Verdict:
+    """Every nonzero ideal of the ring meets S nontrivially: a
+    :class:`ringlab.ideals.Verdict` named "Holds"/"Fails".  The witness is
     the first that does not, in the order of
     :func:`ringlab.ideals.enumerate_ideals`: a minimal one, since the ideals
     inside it meet S in 0 too.  The whole ring is the lattice's last ideal,
@@ -530,7 +516,7 @@ def ideal_intersection_property(ring, S, cap=DEFAULT_ELEMENT_CAP) -> Intersectio
     span = S.span if isinstance(S, (Subring, IdealBasis)) else S
     I = next((I for I in enumerate_ideals(ring, cap=cap)
               if not I.is_zero() and I.span.intersect(span).is_zero()), None)
-    return IntersectionVerdict("Holds") if I is None else IntersectionVerdict("Fails", I)
+    return Verdict(I is None, I, names=("Holds", "Fails"))
 
 
 @dataclass

@@ -9,8 +9,8 @@ how a ring is stored is asked of the spans of ``subgroups`` and of the rings
 of ``rings``, which own it.
 
 Every quantifier "for every ideal of B" reads :func:`_line_closures`, the
-closure of each line of B under its multiplications and a set of maps.
-Over F_p it decides first, at any size, by Norton's test on those
+decision on the lines of B closed under its multiplications and a set of
+maps.  Over F_p it decides first, at any size, by Norton's test on those
 operators (:func:`linalg.irreducible_modp`), as :func:`is_simple` does for
 a whole algebra, and walks lines only for a lattice, or for a witness when
 it is read (:meth:`IdealBasis.deferred`).  Where the property sought is
@@ -23,19 +23,21 @@ is the join of the principal ideals of its elements, so the enumeration is
 exhaustive on finite (or capped F_p) rings, and an irreducible B has the
 lattice 0, B at any size.  Over Q neither runs; a positive simplicity
 verdict comes only from a reduction mod p that is simple (see
-:func:`is_simple`).
+:func:`is_simple`).  Every decided question answers with one
+:class:`Verdict`: ``holds``, the witness, and ``decided_by``, the oracle
+that decided it.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import (BNotCommutative, CriterionDisagreement, InfiniteScalarField,
-                     NotAInvariant, NotARing, NotIdealAssociative, RingMismatch,
+                     NotAInvariant, NotIdealAssociative, RingMismatch,
                      TooLarge)
-from .rings import DEFAULT_ELEMENT_CAP, Ring
+from .rings import DEFAULT_ELEMENT_CAP, require_ring
 from .subgroups import (AddSubgroup, additive_span, full_subgroup,
                         product_span, span_class, zero_subgroup)
 
@@ -222,40 +224,42 @@ def principal_ideal(ring, elt) -> IdealBasis:
     return ideal_closure(ring, [elt])
 
 
-def _line_closures(ring, B: Subring | None, maps, cap, lattice=False):
-    """(span of B, decision, seeds, close) for B a subring (the whole ring
-    when None), from B's span (``stable_closures``, ``line_seeds``).
+def _line_closures(span, maps, cap, lattice=False):
+    """The :class:`ringlab.linalg.Decision` on the ideals of B, the subring
+    with the span ``span``, that every map sends into themselves: the
+    additive subgroups of B that L_b and R_b (b in B) and the maps send
+    into themselves.  ``maps`` send B into B: d×d matrices acting on rows
+    (v ↦ v @ M), or index arrays for a table ring.
 
-    The ideals of B that every map sends into themselves are the additive
-    subgroups of B that L_b and R_b (b in B) and the maps send into
-    themselves.  ``decision`` is Norton's test on those operators over F_p
-    (:func:`linalg.irreducible_modp`), asked first, at any size: True when
-    no proper nonzero one exists, one such ideal as an ambient span when
-    the test finds it, None when it is undecided or B is a table ring.
-    The seeds are one generator per line of B (per cyclic subgroup of a
-    table ring; the maps are additive), none when ``decision`` is True.
-    ``close(seed, bound=None)`` is the smallest ideal of B that holds the
-    seed and that every map sends into itself, as an ambient span, or None
-    past ``bound`` members (dimensions).  ``maps`` send B into B: d×d
-    matrices acting on rows (v ↦ v @ M), or index arrays for a table ring.
+    It is the span's ``stable_closures``: Norton's test on those operators
+    over F_p (:func:`linalg.irreducible_modp`), asked first, at any size,
+    with one such ideal as an ambient span when it finds one, and undecided
+    on a table ring.  ``close(seed, bound=None)`` is set when lines are to
+    be walked, over ``span.line_seeds()`` (one generator per line of B, per
+    cyclic subgroup of a table ring; the maps are additive): the smallest
+    ideal of B that holds the seed and that every map sends into itself, as
+    an ambient span, or None past ``bound`` members (dimensions).
 
-    Raises InfiniteScalarField over Q.  When B has more than ``cap``
-    elements no line is walked: there are no seeds, and a B that the
-    decision leaves undecided (or reducible, with ``lattice``, for a caller
-    that needs every ideal) raises TooLarge.
+    This is where a stable-ideal question is decided: by "norton" within
+    the cap (a witness is then the walk's), by "norton-past-cap" when B has
+    more than ``cap`` elements and no line is walked, and by "line-walk"
+    when the test leaves it undecided.  Raises InfiniteScalarField over Q.
+    Past the cap, a B that the test leaves undecided (or reducible, with
+    ``lattice``, for a caller that needs every ideal) raises TooLarge.
     """
-    if ring.size() is None:
+    if span.ring.size() is None:
         raise InfiniteScalarField("cannot enumerate ideals over Q")
-    span = full_subgroup(ring) if B is None else B.span
-    decision, close = span.stable_closures(maps)
-    if decision is True:
-        return span, True, [], None
+    decision = span.stable_closures(maps)
+    if decision.holds:
+        return replace(decision, close=None)
     size = span.size()
     if size > cap:
-        if decision is None or lattice:
+        if decision.holds is None or lattice:
             raise TooLarge(f"{size} elements exceeds cap {cap}")
-        return span, decision, [], None
-    return span, decision, span.line_seeds(), close
+        return replace(decision, close=None, decided_by="norton-past-cap")
+    if decision.holds is None:
+        return replace(decision, decided_by="line-walk")
+    return decision
 
 
 def enumerate_subring_ideals(ring, B: Subring | None, cap=DEFAULT_ELEMENT_CAP):
@@ -266,8 +270,9 @@ def enumerate_subring_ideals(ring, B: Subring | None, cap=DEFAULT_ELEMENT_CAP):
     size, the lattice is 0 and B, and no line is walked; a reducible or
     undecided B over ``cap`` raises TooLarge, because its lattice needs the
     walk."""
-    span, decision, seeds, close = _line_closures(ring, B, [], cap, lattice=True)
-    principal = [span] if decision is True else map(close, seeds)
+    span = full_subgroup(ring) if B is None else B.span
+    decision = _line_closures(span, [], cap, lattice=True)
+    principal = [span] if decision.holds else map(decision.close, span.line_seeds())
     zero = zero_subgroup(ring)
     lattice = {zero.key(): zero}
     # the joins of the principal ideals so far are closed under joins, so one
@@ -287,68 +292,72 @@ def enumerate_subring_ideals(ring, B: Subring | None, cap=DEFAULT_ELEMENT_CAP):
 def enumerate_ideals(ring, cap=DEFAULT_ELEMENT_CAP):
     """Every two-sided ideal of the ring, exactly once, in (measure, key)
     order: :func:`enumerate_subring_ideals` with B the whole ring."""
-    return enumerate_subring_ideals(_require_ring(ring), None, cap)
+    return enumerate_subring_ideals(ring, None, cap)
 
 
-def _require_ring(ring):
-    """``ring``, or NotARing naming what it is, say a built construction."""
-    if not isinstance(ring, Ring):
-        hint = "; pass its .ring" if hasattr(ring, "ring") else ""
-        raise NotARing(f"expected a ring, got a {type(ring).__name__}{hint}")
-    return ring
+@dataclass(slots=True)
+class Verdict:
+    """The answer to a decided question, and what decided it: simplicity
+    (:func:`is_simple`), a nontrivial ideal of B stable under maps
+    (:func:`first_stable_ideal`, behind G-, σ-δ- and conjugation-
+    simplicity), A-simplicity (:func:`is_A_simple`), a degree map's
+    validity and the ideal intersection property (``gradings``).
 
+    ``holds`` is True, False, or None when undecided.  A False has a
+    ``witness``: a proper nonzero ideal, or what the question names.  One
+    that a decision proved before it was found is an
+    :meth:`IdealBasis.deferred`; reading :attr:`witness` finds it (so a
+    disagreement between Norton's test and the line walk is raised there),
+    while ``deferred_witness`` holds it unfound, for a report that may
+    never be printed.  ``reason`` is "R*R = 0", "reduction mod q" or why
+    the verdict is undecided.  ``decided_by``, set for :func:`is_simple`
+    and the stable-ideal questions and never printed, names the oracle:
+    "products-vanish", "norton" (within the cap, where a witness is the
+    line walk's), "norton-past-cap" (whose submodule is the witness),
+    "reduction-mod-q", "line-walk" or "witness-search"; only the decision
+    sites write it (``tests/test_verdict_guard.py``).  ``names`` are the
+    statuses of a True and a False; an undecided verdict is
+    "Inconclusive"."""
 
-class SimpleVerdict:
-    """``status`` is "Simple", "NotSimple" or "Inconclusive".  The witness
-    of a NotSimple is a proper nonzero ideal: the first proper line's
-    principal ideal on a finite ring, Norton's submodule on an F_p algebra
-    over the element cap, and otherwise (over Q, or past the cap when no
-    Norton trial decides) the principal ideal a witness search found.  It
-    is None only for R·R = 0 without a proper nonzero ideal: an algebra of
-    dimension 1, or a table ring of prime order or of order 1.  A witness
-    that Norton's test proved before it was found is an
-    :meth:`IdealBasis.deferred`; reading :attr:`witness` finds it, so a
-    disagreement between the test and the line walk is raised there.
-    ``reason`` is "R*R = 0", "reduction mod q" (a Q-algebra proved simple
-    by a reduction) or why the verdict is Inconclusive, and None
-    otherwise."""
-
-    def __init__(self, status, witness: IdealBasis | None = None,
-                 reason: str | None = None):
-        self.status = status
-        self.reason = reason
-        self._witness = witness
+    holds: bool | None
+    deferred_witness: object = None
+    reason: str | None = None
+    decided_by: str | None = None
+    names: tuple = ("Simple", "NotSimple")
 
     @property
     def witness(self):
-        if self._witness is not None:
-            self._witness.span        # a deferred witness is found here
-        return self._witness
+        if isinstance(self.deferred_witness, IdealBasis):
+            self.deferred_witness.span        # a deferred witness is found here
+        return self.deferred_witness
 
     @property
-    def is_simple(self):
-        return self.status == "Simple"
+    def status(self):
+        return "Inconclusive" if self.holds is None else self.names[0 if self.holds else 1]
 
     def __repr__(self):
-        if self.status == "NotSimple":
-            return f"NotSimple({self.witness!r})"
-        if self.status == "Inconclusive":
+        if self.holds is None:
             return f"Inconclusive({self.reason})"
-        return "Simple"
+        return self.status if self.holds else f"{self.status}({self.witness!r})"
 
 
 def is_simple(ring, cap=DEFAULT_ELEMENT_CAP, seed=DEFAULT_SEED,
-              samples=DEFAULT_WITNESS_SAMPLES) -> SimpleVerdict:
-    """Simplicity oracle.
+              samples=DEFAULT_WITNESS_SAMPLES) -> Verdict:
+    """Simplicity oracle: a :class:`Verdict` named "Simple"/"NotSimple"
+    ("Inconclusive" when undecided), whose ``decided_by`` says which of the
+    steps below decided it.
 
-    R·R = 0 is NotSimple.  Otherwise an algebra asks its field backend's
-    ``simplicity``, at any size: over F_p Norton's irreducibility test
-    (:func:`ringlab.linalg.norton_modp`), the one F_p decision, enumerates
-    nothing, and is undecided only when none of its trials decides; over Q
-    a reduction modulo one of
-    ``linalg.LIFT_PRIMES`` that is simple proves it, and the verdict's
-    reason names the prime, "reduction mod q".  A table ring has no such
-    decision.
+    R·R = 0 is NotSimple ("products-vanish"), with a proper 1-generator
+    subgroup as the witness, or None when there is no proper nonzero ideal
+    (dimension 1, or a table ring of prime order or of order 1).  Otherwise
+    an algebra asks its field backend's ``simplicity``, a
+    :class:`ringlab.linalg.Decision`, at any size: over F_p Norton's
+    irreducibility test (:func:`ringlab.linalg.norton_modp`, "norton"), the
+    one F_p decision, enumerates nothing, and is undecided only when none
+    of its trials decides; over Q a reduction modulo one of
+    ``linalg.LIFT_PRIMES`` that is simple proves it ("reduction-mod-q"),
+    and the verdict's reason names the prime, "reduction mod q".  A table
+    ring has no such decision.
 
     A finite ring (a table ring, whose elements are in memory already, or
     an F_p algebra of at most ``cap`` elements) that the decision calls not
@@ -357,19 +366,19 @@ def is_simple(ring, cap=DEFAULT_ELEMENT_CAP, seed=DEFAULT_SEED,
     ``witness``: the decision proves the verdict, and Norton's submodule
     bounds the walk by the line of its first rref row, whose principal
     ideal lies inside it.  A table ring, or an undecided F_p algebra, is
-    walked at once: Simple iff every nonzero principal ideal is the whole
-    ring.
+    walked at once ("line-walk"): Simple iff every nonzero principal ideal
+    is the whole ring.
 
-    Over the cap, a NotSimple has Norton's submodule as its witness.
-    Everything else (Q without a simple reduction, an F_p algebra that no
-    trial decides) goes to a witness search (basis elements plus
-    ``samples`` seeded pseudorandom elements), where a proper nonzero
-    principal ideal refutes; a failed search answers Inconclusive, never
-    Simple.
+    Over the cap, a NotSimple has Norton's submodule as its witness
+    ("norton-past-cap").  Everything else (Q without a simple reduction,
+    an F_p algebra that no trial decides) goes to a witness search (basis
+    elements plus ``samples`` seeded pseudorandom elements,
+    "witness-search"), where a proper nonzero principal ideal refutes; a
+    failed search answers Inconclusive, never Simple.
 
     Verdicts are cached on the (immutable) ring per (cap, seed, samples).
     """
-    cache = getattr(_require_ring(ring), "_simple_cache", None)
+    cache = getattr(require_ring(ring), "_simple_cache", None)
     if cache is None:
         cache = ring._simple_cache = {}
     key = (cap, seed, samples)
@@ -380,32 +389,31 @@ def is_simple(ring, cap=DEFAULT_ELEMENT_CAP, seed=DEFAULT_SEED,
     return verdict
 
 
-def _is_simple_uncached(ring, cap, seed, samples) -> SimpleVerdict:
+def _is_simple_uncached(ring, cap, seed, samples) -> Verdict:
     if ring.products_vanish():
         # R·R = 0: every additive subgroup is an ideal: the first proper one
         # that a spanning element generates, or None when there is none
         spans = (additive_span(ring, [v]) for v in ring.spanning_elements() if not v.is_zero())
         sub = next((sub for sub in spans if not sub.is_full()), None)
-        return SimpleVerdict("NotSimple", None if sub is None else IdealBasis(
-            ring, sub, check=False), reason="R*R = 0")
-    simple, reason, submodule = ring.simplicity()
-    if simple:
-        return SimpleVerdict("Simple", reason=reason)
+        return Verdict(False, None if sub is None else IdealBasis(ring, sub, check=False),
+                       reason="R*R = 0", decided_by="products-vanish")
+    decision = ring.simplicity()
+    if decision.holds:
+        return Verdict(True, reason=decision.reason, decided_by=decision.decided_by)
     if ring.is_walked(cap):
-        if simple is False:
+        if decision.holds is False:
             # Norton's test proves NotSimple, so the walk waits for a
             # reader; the line of the submodule's first row is proper
-            last = ring.F.coords(submodule[0][0])
-            return SimpleVerdict("NotSimple", IdealBasis.deferred(
-                ring, lambda: _line_witness(ring, last)))
+            last = ring.F.coords(decision.submodule[0][0])
+            return Verdict(False, IdealBasis.deferred(ring, lambda: _line_witness(ring, last)),
+                           decided_by=decision.decided_by)
         sub = first_proper_line_ideal(ring)
-        if sub is None:
-            return SimpleVerdict("Simple")
-        return SimpleVerdict("NotSimple", IdealBasis(ring, sub, check=False))
-    if submodule is not None:
+        return Verdict(sub is None, None if sub is None else IdealBasis(ring, sub, check=False),
+                       decided_by="line-walk")
+    if decision.submodule is not None:
         # an ideal already, in a span's own form: (rref basis, pivots)
-        return SimpleVerdict("NotSimple", IdealBasis(
-            ring, span_class(ring)(ring, *submodule), check=False))
+        return Verdict(False, IdealBasis(ring, span_class(ring)(ring, *decision.submodule),
+                                         check=False), decided_by="norton-past-cap")
     # witness search, on an algebra: a table ring has returned above.  The
     # seeded candidates are drawn lazily, because most searches stop at
     # their first candidate
@@ -418,11 +426,11 @@ def _is_simple_uncached(ring, cap, seed, samples) -> SimpleVerdict:
             continue
         ib = principal_ideal(ring, v)
         if not ib.span.is_full():
-            return SimpleVerdict("NotSimple", ib)
+            return Verdict(False, ib, decided_by="witness-search")
     size = ring.size()
     reason = ("infinite scalar field; use certify pipelines" if size is None
               else f"size {size} exceeds cap {cap}")
-    return SimpleVerdict("Inconclusive", reason=reason)
+    return Verdict(None, reason=reason)
 
 
 # ---------------------------------------------------------------------------
@@ -437,11 +445,11 @@ def centralizer(ring, gens_of_b) -> Subring:
     ``products`` (:meth:`ringlab.subgroups.Subspace.centralizer`)."""
     B = (gens_of_b if isinstance(gens_of_b, Subring)
          else subring_closure(ring, list(gens_of_b)))
-    return Subring(ring, B.span.centralizer(), check=False)
+    return Subring(require_ring(ring), B.span.centralizer(), check=False)
 
 
 def center(ring) -> Subring:
-    return centralizer(ring, _require_ring(ring).spanning_elements())
+    return centralizer(ring, require_ring(ring).spanning_elements())
 
 
 def is_maximal_commutative(ring, B: Subring) -> bool:
@@ -462,26 +470,14 @@ def is_A_invariant(ring, B: Subring, I: IdealBasis) -> bool:
     return IA.contains_subgroup(AI)
 
 
-@dataclass
-class ASimpleVerdict:
-    status: str                  # "ASimple" | "NotASimple"
-    witness: IdealBasis | None = None
-
-    @property
-    def holds(self):
-        return self.status == "ASimple"
-
-    def __repr__(self):
-        return self.status if self.holds else f"NotASimple({self.witness!r})"
-
-
-def is_A_simple(ring, B: Subring, cap=DEFAULT_ELEMENT_CAP, ideals=None) -> ASimpleVerdict:
-    """No non-trivial ideal of B is A-invariant.  ``ideals`` is the ideal
-    list of B when the caller already has it."""
+def is_A_simple(ring, B: Subring, cap=DEFAULT_ELEMENT_CAP, ideals=None) -> Verdict:
+    """No non-trivial ideal of B is A-invariant: a :class:`Verdict` named
+    "ASimple"/"NotASimple", whose witness is the first A-invariant one.
+    ``ideals`` is the ideal list of B when the caller already has it."""
     if ideals is None:
         ideals = enumerate_subring_ideals(ring, B, cap=cap)
     I = first_invariant_ideal(ideals, lambda I: is_A_invariant(ring, B, I))
-    return ASimpleVerdict("ASimple") if I is None else ASimpleVerdict("NotASimple", I)
+    return Verdict(I is None, I, names=("ASimple", "NotASimple"))
 
 
 def first_invariant_ideal(ideals, invariant):
@@ -505,39 +501,43 @@ def first_invariant_ideal(ideals, invariant):
     return None
 
 
-def first_stable_ideal(ring, B: Subring | None, maps, cap=DEFAULT_ELEMENT_CAP):
-    """The first ideal I of B with 0 ≠ I ≠ B that every map sends into I, in
-    the (measure, key) order of :func:`enumerate_subring_ideals` (B is
-    None: the whole ring); None when there is none.
+def first_stable_ideal(ring, B: Subring | None, maps, cap=DEFAULT_ELEMENT_CAP) -> Verdict:
+    """Does B (the whole ring when None) have an ideal I with 0 ≠ I ≠ B
+    that every map sends into I?  A :class:`Verdict` named
+    "NoStableIdeal"/"StableIdeal", decided by :func:`_line_closures`, whose
+    witness is the first such I in the (measure, key) order of
+    :func:`enumerate_subring_ideals`.
 
-    Norton's test on B's multiplications and the maps decides first
-    (:func:`_line_closures`): when it finds no such ideal, at any size, the
-    answer is None and no line is walked.  Otherwise the lattice is never
-    built: the answer is the least closure of a line.  A stable ideal of
-    least measure is minimal, so each of its nonzero elements generates it,
-    and it is the least of the closures and any other stable ideal, such
-    as the one the test found, which the walk starts from.  A closure that
+    When Norton's test finds no such ideal, at any size, the verdict holds
+    and no line is walked.  Otherwise the lattice is never built: the
+    witness is the least closure of a line.  A stable ideal of least
+    measure is minimal, so each of its nonzero elements generates it, and
+    it is the least of the closures and any other stable ideal, such as
+    the one the test found, which the walk starts from.  A closure that
     outgrows the best one so far is abandoned.
 
-    When the test found such an ideal, the answer is decided and the walk
-    waits for a reader: the result is an :meth:`IdealBasis.deferred`,
-    whose span is the least closure, found on its first read (a verdict
-    that only asks ``is None`` walks no line).  An undecided B (a table
-    ring, or a stack the test leaves open) is walked at once.  Over the
-    cap there is no walk, and the ideal the test found is the answer,
-    which need not be the first.  Raises what :func:`_line_closures`
+    When the test found such an ideal, the walk waits for a reader: the
+    witness is an :meth:`IdealBasis.deferred`, found on its first read (a
+    caller that reads only ``holds`` walks no line).  An undecided B (a
+    table ring, or a stack the test leaves open) is walked at once.  Over
+    the cap there is no walk, and the ideal the test found, which need not
+    be the first, is the witness.  Raises what :func:`_line_closures`
     raises.
     """
-    span, decision, seeds, close = _line_closures(ring, B, maps, cap)
-    if decision is True:
-        return None
-    if decision is None:
-        best = _least_closure(span, None, seeds, close)
-        return None if best is None else IdealBasis(ring, best, of_subring=B, check=False)
-    if close is None:
-        return IdealBasis(ring, decision, of_subring=B, check=False)
-    return IdealBasis.deferred(ring, lambda: _least_closure(span, decision, seeds, close),
-                               of_subring=B)
+    span = full_subgroup(ring) if B is None else B.span
+    decision = _line_closures(span, maps, cap)
+    witness = None
+    if decision.holds is None:
+        best = _least_closure(span, None, span.line_seeds(), decision.close)
+        if best is not None:
+            witness = IdealBasis(ring, best, of_subring=B, check=False)
+    elif decision.holds is False and decision.close is None:
+        witness = IdealBasis(ring, decision.submodule, of_subring=B, check=False)
+    elif decision.holds is False:
+        witness = IdealBasis.deferred(ring, lambda: _least_closure(
+            span, decision.submodule, span.line_seeds(), decision.close), of_subring=B)
+    return Verdict(witness is None, witness, decided_by=decision.decided_by,
+                   names=("NoStableIdeal", "StableIdeal"))
 
 
 def _least_closure(span, best, seeds, close):

@@ -46,8 +46,8 @@ reversed, whose free columns give the kernel's rref rows directly.
 (the MeatAxe) on any stack of operators, which finds a proper invariant
 subspace, proves there is none, or is undecided, without enumerating
 elements.  Two questions ask it.  ``norton_modp``, the one F_p simplicity
-decision, asks it on an algebra's multiplications and returns its answer
-alone: a "not simple" comes with the proper submodule it found, which is
+decision, asks it on an algebra's multiplications and returns its
+:class:`Decision`: a "not simple" comes with the proper submodule it found,
 an ideal, and a call that no trial decides is undecided, at any size.
 ``ideals._line_closures`` asks it on a subring's multiplications together
 with maps, for every stable-ideal quantifier.  Each backend's
@@ -83,6 +83,7 @@ from __future__ import annotations
 import operator
 import random
 from fractions import Fraction
+from dataclasses import dataclass
 from functools import cache
 from math import gcd, isqrt, lcm
 from typing import NamedTuple
@@ -290,36 +291,50 @@ NORTON_TRIALS = 16
 NORTON_SPLITS = 8
 
 
+@dataclass(frozen=True, slots=True)
+class Decision:
+    """What a decision procedure found about the subspaces that a stack of
+    operators maps into themselves, the one value of the backends'
+    ``simplicity`` and the spans' ``stable_closures``: ``holds`` is True
+    when no proper nonzero one exists, False when ``submodule`` is one (as
+    (rref basis, pivots), or a span from a span; None for C = 0), and None
+    when undecided.  ``decided_by`` names the procedure (see
+    ``ideals.Verdict``), ``reason`` what to print with a Simple read off
+    anything but the algebra itself, and ``close(seed, bound=None)`` the
+    closure of a line, for a walk that a span's decision leaves open."""
+    holds: bool | None
+    submodule: object = None
+    reason: str | None = None
+    decided_by: str | None = None
+    close: object = None
+
+
 def norton_modp(C, p):
-    """(simple, submodule) for the F_p-algebra with structure constants
-    ``C``: whether it is simple (True or False, or None when no trial
-    decides), and, when it is not, the (rref basis, pivots) of a proper
-    nonzero ideal that proves it, or None when C = 0.
+    """The :class:`Decision` of whether the F_p-algebra with structure
+    constants ``C`` is simple: ``holds`` True or False, or None when no
+    trial decides, and, when it is not, the (rref basis, pivots) of a
+    proper nonzero ideal that proves it, or None when C = 0.
 
     Its ideals are the subspaces of A = F_p^d that the multiplications
     L_{e_i}, R_{e_i} map into themselves, so it is simple iff C ≠ 0 and A is
     an irreducible module under them: :func:`irreducible_modp` on
     :func:`multiplications_modp`, which also decides d = 1.  This is the
-    one F_p simplicity decision; an undecided call, at any d, is
-    (None, None).
+    one F_p simplicity decision; a call that no trial decides, at any d,
+    is undecided.
     """
     C = np.asarray(C, dtype=np.int64) % p
     if not C.any():
-        return False, None
-    found = irreducible_modp(multiplications_modp(C, p), p)
-    if found is None:
-        return None, None
-    if found is True:
-        return True, None
-    return False, found
+        return Decision(False, decided_by="products-vanish")
+    return irreducible_modp(multiplications_modp(C, p), p)
 
 
 def irreducible_modp(ops, p):
     """Norton's irreducibility test (the MeatAxe; Parker 1984, Holt & Rees
     1994) on F_p^k under the (m, k, k) operator stack ``ops``, acting on
-    rows: True when no proper nonzero subspace is invariant under every
-    operator, a proper nonzero invariant subspace as (rref basis, pivots)
-    when one is found, None when ``NORTON_TRIALS`` trials
+    rows, as a :class:`Decision` decided by "norton": ``holds`` True when
+    no proper nonzero subspace is invariant under every operator, False
+    with a proper nonzero invariant subspace as (rref basis, pivots) when
+    one is found, None (undecided) when ``NORTON_TRIALS`` trials
     (:func:`_norton_trial`) are all inconclusive.  A space of dimension
     k ≤ 1 has no proper nonzero subspace, so it is irreducible.
 
@@ -329,13 +344,15 @@ def irreducible_modp(ops, p):
     together with maps (``ideals._line_closures``).
     """
     if ops.shape[-1] <= 1:
-        return True
+        return Decision(True, decided_by="norton")
     rng = random.Random(NORTON_SEED)
     for _ in range(NORTON_TRIALS):
         found = _norton_trial(ops, p, rng)
+        if found is True:
+            return Decision(True, decided_by="norton")
         if found is not None:
-            return found
-    return None
+            return Decision(False, found, decided_by="norton")
+    return Decision(None)
 
 
 def _norton_trial(gens, p, rng):
@@ -721,11 +738,9 @@ class _Field:
     ``product_failures``, ``twisted_blocks``, ``associates_and_commutes``,
     ``associator_witness``, ``commutator_witness``, ``products_vanish``
     (R·R = 0), and what callers would otherwise branch on the field for:
-    ``simplicity`` (the simplicity decision: (simple, reason, submodule),
-    with ``simple`` True, False or None when undecided,
-    ``reason`` what to print with a Simple read off anything but the
-    algebra itself, and ``submodule`` the (rref basis, pivots) of a proper
-    nonzero ideal that proves a False, or None), ``closure`` (the ideal
+    ``simplicity`` (the simplicity decision, a :class:`Decision` whose
+    ``submodule`` is the (rref basis, pivots) of a proper nonzero ideal
+    that proves a False, or None), ``closure`` (the ideal
     seed rows generate), ``element_blocks`` (every combination of rows),
     ``random_coords`` and ``json``.
     """
@@ -995,8 +1010,7 @@ class ModP(_Field):
         """See :class:`_Field`: :func:`norton_modp`, which shows the proper
         submodule it spun up with every False, and is undecided only when
         none of its trials decides."""
-        simple, submodule = norton_modp(alg.constants, self.p)
-        return simple, None, submodule
+        return norton_modp(alg.constants, self.p)
 
     def closure(self, alg, seed):
         """(rref basis, pivots) of the ideal of ``alg`` that the rows
@@ -1273,10 +1287,11 @@ class Rational(_Field):
         return not any(map(any, alg._table.terms))
 
     def simplicity(self, alg):
-        """See :class:`_Field`: (True, "reduction mod q", None) for the
-        first prime q of ``LIFT_PRIMES`` at which the Q-algebra A ``alg``,
-        reduced mod q, is simple by :func:`norton_modp`; (None, None, None),
-        undecided, when no tried prime proves it.
+        """See :class:`_Field`: a True decided by "reduction-mod-q", with
+        the reason "reduction mod q", for the first prime q of
+        ``LIFT_PRIMES`` at which the Q-algebra A ``alg``, reduced mod q, is
+        simple by :func:`norton_modp`; undecided when no tried prime
+        proves it.
 
         A prime dividing a denominator of the constants (so their common
         denominator) is skipped.  For the others the Z_(q)-span Λ of the
@@ -1294,9 +1309,10 @@ class Rational(_Field):
             Cq = np.zeros((d, d, d), dtype=np.int64)
             for i, j, k, n in table.entries():
                 Cq[i, j, k] = n * inv % q
-            if norton_modp(Cq, q)[0]:
-                return True, f"reduction mod {q}", None
-        return None, None, None
+            if norton_modp(Cq, q).holds:
+                return Decision(True, reason=f"reduction mod {q}",
+                                decided_by="reduction-mod-q")
+        return Decision(None)
 
     def closure(self, alg, seed):
         """See :meth:`ModP.closure`.  Each round multiplies the rows the

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .constructions.crossed import RingMap
 from .errors import CriterionDisagreement, PreconditionUnmet, ShapeMismatch
-from .ideals import DEFAULT_ELEMENT_CAP, IdealBasis, center, first_stable_ideal
+from .ideals import DEFAULT_ELEMENT_CAP, IdealBasis, Verdict, center, first_stable_ideal
 from .rings import Element, Ring
 
 
@@ -200,28 +200,18 @@ def is_sigma_delta_invariant(I: IdealBasis, data: SigmaDerivationData) -> bool:
     return I.span.is_stable([data.sigma.operator, data.delta.operator])
 
 
-@dataclass
-class SigmaDeltaVerdict:
-    simple: bool
-    witness: IdealBasis | None = None
-
-    def __repr__(self):
-        return "SigmaDeltaSimple" if self.simple else f"NotSigmaDeltaSimple({self.witness!r})"
-
-
-def is_sigma_delta_simple(data: SigmaDerivationData,
-                          cap=DEFAULT_ELEMENT_CAP) -> SigmaDeltaVerdict:
-    """No nontrivial ideal of the base that sigma and delta map into itself.
-
-    Norton's test on the base's multiplications, sigma and delta decides
-    first, at any size over F_p (:func:`ringlab.ideals.first_stable_ideal`),
-    and ``simple`` is its answer.  Within ``cap`` the witness is the first
-    such ideal in the order of ``enumerate_ideals``, the least closure of a
-    line of the base, found on the first read of its span; past it, the
-    stable ideal the test found."""
-    I = first_stable_ideal(data.base, None, [data.sigma.operator, data.delta.operator],
-                           cap=cap)
-    return SigmaDeltaVerdict(I is None, I)
+def is_sigma_delta_simple(data: SigmaDerivationData, cap=DEFAULT_ELEMENT_CAP) -> Verdict:
+    """No nontrivial ideal of the base that sigma and delta map into itself:
+    the verdict of :func:`ringlab.ideals.first_stable_ideal` on the base,
+    sigma and delta, named "SigmaDeltaSimple"/"NotSigmaDeltaSimple".
+    Norton's test decides first, at any size over F_p.  Within ``cap`` the
+    witness is the first such ideal in the order of ``enumerate_ideals``,
+    found on the first read of ``witness``; past it, the stable ideal the
+    test found."""
+    verdict = first_stable_ideal(data.base, None, [data.sigma.operator, data.delta.operator],
+                                 cap=cap)
+    verdict.names = ("SigmaDeltaSimple", "NotSigmaDeltaSimple")
+    return verdict
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from math import log
 import numpy as np
 
 from . import linalg
-from .errors import (DistributivityViolation, NotAbelianGroup, RingMismatch,
+from .errors import (DistributivityViolation, NotAbelianGroup, NotARing, RingMismatch,
                      ShapeMismatch, TooLarge)
 from .linalg import GF
 
@@ -268,7 +268,7 @@ class TableRing(Ring):
         return not (self.mul_table != self.zero_index).any()
 
     def simplicity(self):
-        return None, None, None
+        return linalg.Decision(None)
 
     def is_walked(self, cap):
         return True
@@ -615,24 +615,16 @@ class StructureAlgebra(Ring):
         return self.F.associates_and_commutes(self, a.data)
 
     def _probe(self):
-        assoc, assoc_wit = self._probe_associative()
-        comm, comm_wit = self._probe_commutative()
+        # basis triples and pairs suffice by multilinearity
+        assoc_wit = self._basis_elements(self.F.associator_witness(self))
+        comm_wit = self._basis_elements(self.F.commutator_witness(self))
         unit = self.find_unit()
-        return PropertyReport(assoc, assoc_wit, comm, comm_wit,
+        return PropertyReport(assoc_wit is None, assoc_wit, comm_wit is None, comm_wit,
                               unit is not None, unit, self.size())
 
-    def _probe_associative(self):
-        # basis triples suffice by trilinearity
-        bad = self.F.associator_witness(self)
-        if bad is None:
-            return True, None
-        return False, tuple(self.basis_element(i) for i in bad)
-
-    def _probe_commutative(self):
-        bad = self.F.commutator_witness(self)
-        if bad is None:
-            return True, None
-        return False, tuple(self.basis_element(i) for i in bad)
+    def _basis_elements(self, indices):
+        """The basis elements at ``indices``, or None when there are none."""
+        return None if indices is None else tuple(self.basis_element(i) for i in indices)
 
     def find_unit(self):
         """The two-sided unit, or None: one linear solve on the field
@@ -658,16 +650,24 @@ def ring_of(built):
     return built if isinstance(built, Ring) else getattr(built, "ring", None)
 
 
+def require_ring(ring):
+    """``ring``, or NotARing naming what it is, say a built construction."""
+    if not isinstance(ring, Ring):
+        hint = "; pass its .ring" if hasattr(ring, "ring") else ""
+        raise NotARing(f"expected a ring, got a {type(ring).__name__}{hint}")
+    return ring
+
+
 def probe_properties(ring: Ring) -> PropertyReport:
-    return ring.probe_properties()
+    return require_ring(ring).probe_properties()
 
 
 def opposite(ring: Ring) -> Ring:
-    return ring.opposite()
+    return require_ring(ring).opposite()
 
 
 def enumerate_elements(ring: Ring, cap=DEFAULT_ELEMENT_CAP):
-    return ring.enumerate_elements(cap)
+    return require_ring(ring).enumerate_elements(cap)
 
 
 def index_blocks(indices):

@@ -23,13 +23,14 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 from functools import cache, cached_property
 
 import numpy as np
 
 from . import linalg
 from .errors import RingMismatch
-from .rings import Element, StructureAlgebra, TableRing, index_blocks
+from .rings import Element, StructureAlgebra, TableRing, index_blocks, require_ring
 
 
 class AddSubgroup:
@@ -227,28 +228,30 @@ class TableSubgroup(AddSubgroup):
             covered[[m for k, m in enumerate(multiples, 1) if math.gcd(k, order) == 1]] = True
 
     def stable_closures(self, maps):
-        """A table ring has no decision (None); ``close(x, bound)`` is
-        ``closure`` of the member x under the rows of L_b and
-        R_b (b in the span) and the maps."""
+        """A table ring has no decision: an undecided :class:`Decision`
+        whose ``close(x, bound)`` is ``closure`` of the member x under the
+        rows of L_b and R_b (b in the span) and the maps."""
         mul, members = self.ring.mul_table, sorted(self.members)
         ops = [mul[members], mul[:, members].T] + [np.asarray(m)[None, :] for m in maps]
 
         def close(x, bound=None):
             return TableSubgroup.closure(self.ring, [x], ops, bound)
-        return None, close
+        return linalg.Decision(None, close=close)
 
     def is_stable(self, maps):
         members = list(self.members)
         return all(self.members.issuperset(np.asarray(m)[members].tolist()) for m in maps)
 
-    def pairing_nondegenerate(self, other, side):
-        """One index of ``mul_table`` tests every member at once: row x
-        holds the products of x with every w."""
+    def pairing_nondegenerate(self, other):
+        """(does every nonzero x of this span have x·other != 0, does every
+        nonzero w of ``other`` have self·w != 0)?  One index of
+        ``mul_table`` tests every member of both at once: cell (x, w)
+        holds x·w."""
         ring = self.ring
         X, W = sorted(self.members), sorted(other.members)
-        P = ring.mul_table[np.ix_(X, W)] if side == "right" else ring.mul_table[np.ix_(W, X)].T
-        killed = (P == ring.zero_index).all(axis=1)
-        return not (killed & (np.array(X) != ring.zero_index)).any()
+        killed = ring.mul_table[np.ix_(X, W)] == ring.zero_index
+        return (not (killed.all(axis=1) & (np.array(X) != ring.zero_index)).any(),
+                not (killed.all(axis=0) & (np.array(W) != ring.zero_index)).any())
 
     def __repr__(self):
         return f"TableSubgroup({sorted(self.members)})"
@@ -396,10 +399,12 @@ class Subspace(AddSubgroup):
         """L_b and R_b (b in the span: its products at the pivots, or the
         ring's constants when it is everything) and the maps act on
         coordinates c over the rref rows, the elements c @ rows, as k×k
-        operators; ``decision`` is Norton's test on them.  The closure of c
-        is c·E, for E the unital algebra they generate, spun up from the
-        identity on the first call of ``close``: a caller that closes one
-        line closes them all, and one that reads the decision alone none."""
+        operators; the :class:`ringlab.linalg.Decision` is Norton's test on
+        them, with its submodule as an ambient span.  Its ``close`` is the
+        closure of c, c·E for E the unital algebra they generate, spun up
+        from the identity on the first call of ``close``: a caller that
+        closes one line closes them all, and one that reads the decision
+        alone none."""
         ring, F, rows, pivots = self.ring, self.ring.F, self.rows, list(self.pivots)
         p, k = F.p, len(pivots)
         C = self.products[:, :, pivots]
@@ -410,8 +415,6 @@ class Subspace(AddSubgroup):
             # an rref basis in coordinates is one in the ambient ring too
             return Subspace(ring, basis @ rows % p, [pivots[c] for c in found])
         decision = linalg.irreducible_modp(ops, p)
-        if decision is not None and decision is not True:
-            decision = ambient(*decision)
 
         @cache
         def algebra():
@@ -423,27 +426,28 @@ class Subspace(AddSubgroup):
             if bound is not None and len(found) > bound:
                 return None
             return ambient(basis, found)
-        return decision, close
+        if decision.holds is False:
+            return replace(decision, submodule=ambient(*decision.submodule), close=close)
+        return replace(decision, close=close)
 
     def is_stable(self, maps):
         F = self.ring.F
         rows = F.array(self.rows).reshape(-1, self.ring.dim)
         return not any(F.merge(self.rows, self.pivots, F.matmul(rows, m))[2] for m in maps)
 
-    def pairing_nondegenerate(self, other, side):
-        """The offending set is a subspace, so one rank decides it with no
-        element enumeration."""
+    def pairing_nondegenerate(self, other):
+        """See :meth:`TableSubgroup.pairing_nondegenerate`.  Each offending
+        set is a subspace, so one block of products and one rank per side
+        decide both with no element enumeration."""
         ring, F = self.ring, self.ring.F
         X, W = [x.data for x in self.spanning()], [w.data for w in other.spanning()]
-        if not W:
-            return False
-        # column b holds the products of x_b with every w: no nonzero
-        # combination of the columns may vanish
-        if side == "right":
-            P = F.array(F.products(ring, X, W)).reshape(len(X), len(W), -1)
-        else:
-            P = F.array(F.products(ring, W, X)).reshape(len(W), len(X), -1).transpose(1, 0, 2)
-        return F.rank(P.reshape(len(X), -1).T, len(X)) == len(X)
+        if not X or not W:
+            return not X, not W
+        # P[a, b] = x_a·w_b: no nonzero combination of the x_a (of the w_b)
+        # may have only zero products
+        P = F.array(F.products(ring, X, W)).reshape(len(X), len(W), -1)
+        return (F.rank(P.reshape(len(X), -1).T, len(X)) == len(X),
+                F.rank(P.transpose(1, 0, 2).reshape(len(W), -1).T, len(W)) == len(W))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim} of {self.ring.dim})"
@@ -454,8 +458,9 @@ class Subspace(AddSubgroup):
 # ---------------------------------------------------------------------------
 
 def span_class(ring):
-    """The span class of the ring's representation: the one read of it."""
-    return TableSubgroup if ring.is_table else Subspace
+    """The span class of the ring's representation: the one read of it,
+    and so the one place that refuses what is not a ring (NotARing)."""
+    return TableSubgroup if require_ring(ring).is_table else Subspace
 
 
 def zero_subgroup(ring):

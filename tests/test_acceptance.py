@@ -90,7 +90,7 @@ def test_criterion_05_frobenius_crossed_product():
     from ringlab.corpus import build_f4_frobenius_ring
     cp = build_f4_frobenius_ring()
     oracle = is_simple(cp.ring)
-    assert oracle.is_simple
+    assert oracle.holds
     cert = certify_crossed_product(cp)
     assert cert.verdict == "Simple" and cert.oracle == "agrees"
     by_name = {p.name: p.status for p in cert.premises}
@@ -190,7 +190,7 @@ def test_criterion_09_degree_maps():
             continue
         dm = support_degree_map(grading, "center_of_A0")
         verdict = verify_degree_map(dm)
-        assert verdict.valid, name
+        assert verdict.holds, name
         verified.append(name)
     assert len(verified) >= 6
     proved, monomials = [], 0
@@ -217,7 +217,7 @@ def test_criterion_10_intersection_property():
         if not (flags.left_nondegenerate or flags.right_nondegenerate):
             continue
         dm = support_degree_map(grading, "center_of_A0")
-        if not verify_degree_map(dm).valid:
+        if not verify_degree_map(dm).holds:
             continue
         C = centralizer(ring, dm.B.spanning())
         for I in enumerate_ideals(ring):

@@ -22,7 +22,7 @@ from ringlab.corpus import (build_f4_frobenius_ring, build_group_algebra,
                             build_rotation_dynamics, build_swap_dynamics, tower_q)
 from ringlab.constructions import bales_twisted_ring, twisted_group_ring
 from ringlab.errors import CriterionDisagreement, ValidationFailure
-from ringlab.ideals import SimpleVerdict, ideal_closure, principal_ideal
+from ringlab.ideals import Verdict, ideal_closure, principal_ideal
 from ringlab.rings import (direct_sum_algebra, full_matrix_algebra, functions_ring,
                            gf_extension, make_structure_algebra)
 
@@ -117,8 +117,8 @@ def test_the_21_point_system_is_certified_past_the_cap():
     # ideal, and the certificate is NotSimple with an agreeing oracle
     cycles = {k: tuple(3 * (x // 3) + (x + k) % 3 for x in range(21)) for k in range(3)}
     dyn = dynamics_skew_group_ring(21, cyclic_group(3), cycles, GF(2))
-    ok, wit = is_G_simple(dyn)
-    assert not ok and wit.measure() == 3 and is_G_invariant(dyn, wit)
+    v = is_G_simple(dyn)
+    assert not v.holds and v.witness.measure() == 3 and is_G_invariant(dyn, v.witness)
     cert = certify_dynamics(dyn)
     assert cert.verdict == "NotSimple" and cert.oracle == "agrees"
     assert cert.premises[2].status == "failed"
@@ -453,17 +453,22 @@ _WHOLE = principal_ideal(_Z4, _Z4.element(1))
 ])
 def test_oracle_rule(monkeypatch, status, verdict, evidence, oracle, detail):
     monkeypatch.setattr(certify, "is_simple",
-                        lambda ring, cap, seed: SimpleVerdict(status, reason="why not"))
+                        lambda ring, cap, seed: _stub_verdict(status, "why not"))
     cert = certify.Certificate("x", "p", "s", [], verdict)
     certify._oracle_cross_check(cert, _Z4, 1, 0, evidence=evidence)
     assert (cert.oracle, cert.oracle_detail) == (oracle, detail)
+
+
+def _stub_verdict(status, reason):
+    """An ``is_simple`` verdict whose status is ``status``."""
+    return Verdict({"Simple": True, "NotSimple": False}.get(status), reason=reason)
 
 
 def _stub_oracle(monkeypatch, target, status):
     """``is_simple`` answers ``status`` on ``target`` and as before elsewhere."""
     real = certify.is_simple
     monkeypatch.setattr(certify, "is_simple", lambda ring, cap, seed: (
-        SimpleVerdict(status, reason="stubbed") if ring is target
+        _stub_verdict(status, "stubbed") if ring is target
         else real(ring, cap=cap, seed=seed)))
 
 
@@ -700,7 +705,7 @@ def test_recognize_field():
     assert recognize_field(zmod_ring(1)) is False
     # past the cap is_simple still decides by Norton's test, and so does
     # field recognition
-    assert ideals.is_simple(gf_extension(9)[0], cap=2).is_simple
+    assert ideals.is_simple(gf_extension(9)[0], cap=2).holds
     assert recognize_field(gf_extension(9)[0], cap=2) is True
     assert recognize_field(direct_sum_algebra([field_algebra(GF(3))] * 2), cap=2) is False
 

@@ -33,7 +33,7 @@ def test_group_algebra_is_plain_group_ring():
     ga = skew_group_ring(b, cyclic_group(2), {g: RingMap.identity(b) for g in (0, 1)})
     one, u = ga.ring.basis_element(0), ga.ring.basis_element(1)
     assert u * u == one
-    assert not is_simple(ga.ring).is_simple
+    assert not is_simple(ga.ring).holds
 
 
 def test_unit_times_unit_is_alpha():
@@ -50,7 +50,7 @@ def test_frobenius_skew_ring():
     sg = skew_group_ring(f4, cyclic_group(2),
                          {0: RingMap.identity(f4), 1: RingMap(f4, f4, frob)})
     assert sg.ring.size() == 16
-    assert is_simple(sg.ring).is_simple
+    assert is_simple(sg.ring).holds
     report = validate_crossed_system(sg.system)
     assert all(ok for name, ok, _ in report)
 
@@ -217,7 +217,7 @@ def test_matrix_ring_coherence():
 def test_twisted_matrix_ring_still_simple():
     from ringlab.corpus import build_twisted_matrix_f3
     mr = build_twisted_matrix_f3()
-    assert is_simple(mr.ring).is_simple
+    assert is_simple(mr.ring).holds
 
 
 def test_dynamics_flags_and_sizes():
@@ -230,7 +230,7 @@ def test_dynamics_flags_and_sizes():
     assert not two.minimal
     swap = dynamics_skew_group_ring(2, cyclic_group(2), {0: (0, 1), 1: (1, 0)}, GF(3))
     assert swap.minimal and swap.faithful
-    assert is_simple(swap.ring).is_simple
+    assert is_simple(swap.ring).holds
 
 
 def test_dynamics_rejects_non_actions():
@@ -261,10 +261,10 @@ def test_action_invariance_equals_ring_invariance():
 
 def test_g_simplicity():
     from ringlab.corpus import build_f4_frobenius_ring, build_nonminimal_dynamics
-    ok, wit = is_G_simple(build_f4_frobenius_ring())
-    assert ok and wit is None
-    ok, wit = is_G_simple(build_nonminimal_dynamics())
-    assert not ok and wit is not None
+    v = is_G_simple(build_f4_frobenius_ring())
+    assert v.holds and v.witness is None
+    v = is_G_simple(build_nonminimal_dynamics())
+    assert not v.holds and v.witness is not None
 
 
 def test_the_invariance_check_builds_the_action_maps_once(monkeypatch):
@@ -281,7 +281,7 @@ def test_the_invariance_check_builds_the_action_maps_once(monkeypatch):
                         lambda cp, blocks: operators.append(cp) or original(cp, blocks))
     results, _ = run_checks(cp, ["invariance"])
     assert len(results["invariance"]["ideals"]) > 1 and results["invariance"]["equivalence_holds"]
-    assert not is_G_simple(cp)[0]
+    assert not is_G_simple(cp).holds
     # one operator per morphism of Z2, in one build
     assert operators == [cp, cp]
 
@@ -990,7 +990,8 @@ def _reference_g_simple(cp):
 @given(unital_crossed_systems())
 def test_g_simplicity_matches_the_ideal_enumeration(sys):
     cp = crossed_product(sys, validate=False)
-    ok, wit = is_G_simple(cp)
+    v = is_G_simple(cp)
+    ok, wit = v.holds, v.witness
     ref_ok, ref_wit = _reference_g_simple(cp)
     assert ok == ref_ok
     if not ok:
@@ -1014,10 +1015,10 @@ def _count_enumerations(monkeypatch):
 def test_g_simplicity_enumerates_no_ideals(monkeypatch):
     calls = _count_enumerations(monkeypatch)
     rotation = {k: tuple((x + k) % 4 for x in range(4)) for k in range(4)}
-    assert is_G_simple(dynamics_skew_group_ring(4, cyclic_group(4), rotation, GF(3)))[0]
+    assert is_G_simple(dynamics_skew_group_ring(4, cyclic_group(4), rotation, GF(3))).holds
     swap = {0: (0, 1, 2, 3), 1: (1, 0, 3, 2)}
-    ok, wit = is_G_simple(dynamics_skew_group_ring(4, cyclic_group(2), swap, GF(3)))
-    assert not ok and wit.measure() == 2
+    v = is_G_simple(dynamics_skew_group_ring(4, cyclic_group(2), swap, GF(3)))
+    assert not v.holds and v.witness.measure() == 2
     assert calls == []
 
 
@@ -1025,14 +1026,17 @@ def test_g_simplicity_keeps_its_size_and_field_limits(monkeypatch):
     from ringlab.corpus import build_nonminimal_dynamics
     dyn = build_nonminimal_dynamics()            # base F_2^3, 8 elements
     # past the cap Norton's test decides; its submodule is the witness
-    ok, wit = is_G_simple(dyn, cap=7)
-    assert not ok and 0 < wit.measure() < 3 and is_G_invariant(dyn, wit)
+    v = is_G_simple(dyn, cap=7)
+    assert not v.holds and 0 < v.witness.measure() < 3 and is_G_invariant(dyn, v.witness)
     with monkeypatch.context() as m:
         # an undecided test leaves only the line walk, which the cap stops
         m.setattr(linalg, "_norton_trial", lambda gens, p, rng: None)
         with pytest.raises(TooLarge):
             is_G_simple(dyn, cap=7)
-        assert not is_G_simple(dyn, cap=8)[0]
+        # a cap of 0 is a cap, not a request for the default
+        with pytest.raises(TooLarge):
+            is_G_simple(dyn, cap=0)
+        assert not is_G_simple(dyn, cap=8).holds
     q = field_algebra(QQ)
     over_q = skew_group_ring(q, cyclic_group(2), {g: RingMap.identity(q) for g in (0, 1)})
     with pytest.raises(InfiniteScalarField):

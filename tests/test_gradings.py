@@ -169,7 +169,7 @@ def test_vertex_units_are_embedded_base_units():
 def test_verify_degree_map_valid_on_m3():
     m3, gr = _m3f2_graded()
     dm = support_degree_map(gr, "center_of_A0")
-    assert verify_degree_map(dm).valid
+    assert verify_degree_map(dm).holds
 
 
 def test_degree_map_d1_violation():
@@ -318,7 +318,7 @@ def test_a_simple_lie_algebra_keeps_its_d2_witness():
     sl2 = make_structure_algebra(3, GF(5), [[[0, 0, 0], [0, 0, 1], [3, 0, 0]],
                                             [[0, 0, 4], [0, 0, 0], [0, 2, 0]],
                                             [[2, 0, 0], [0, 3, 0], [0, 0, 0]]])
-    assert is_simple(sl2).is_simple
+    assert is_simple(sl2).holds
     v = verify_degree_map(support_degree_map(trivial_grading(sl2), "homogeneous_elements"))
     assert v.status == "D2Violation"
     assert repr(v.witness) == "(IdealBasis(Subspace(dim=3 of 3)), Element((0, 0, 1)))"
@@ -330,7 +330,7 @@ def test_a_simple_ring_support_map_scans_nothing(monkeypatch):
     # (d2) and no principal ideal is closed
     dm = support_degree_map(matrix_ring(3, field_algebra(GF(3))).grading, "center_of_A0")
     counts = _count_scans(monkeypatch)
-    assert verify_degree_map(dm).valid
+    assert verify_degree_map(dm).holds
     assert counts == {"principal_ideal": 0, "element_blocks": 0}
 
 
@@ -343,7 +343,7 @@ def test_support_maps_past_the_cap_on_a_simple_ring(monkeypatch, n, field):
     # as the witness, all without a scan
     mr = matrix_ring(n, field_algebra(field))
     counts = _count_scans(monkeypatch)
-    assert verify_degree_map(support_degree_map(mr.grading, "center_of_A0")).valid
+    assert verify_degree_map(support_degree_map(mr.grading, "center_of_A0")).holds
     v = verify_degree_map(support_degree_map(mr.grading, "homogeneous_elements"))
     assert counts == {"principal_ideal": 0, "element_blocks": 0}
     first = mr.grading.components[mr.grading.order[0]].spanning()[0]
@@ -435,7 +435,7 @@ def test_exhaustive_scan_settles_what_the_candidates_cannot(monkeypatch):
         return original(span, *args, **kwargs)
 
     monkeypatch.setattr(Subspace, "element_blocks", counted)
-    assert verify_degree_map(dm).valid
+    assert verify_degree_map(dm).holds
     assert scanned and all(span.is_full() for span in scanned)
     assert _reference_verdict(dm)[0] == "Valid"
 
@@ -456,7 +456,7 @@ def test_degree_map_check_works_on_blocks(monkeypatch):
                         counting("decompose", gradings.Grading.decompose))
     monkeypatch.setattr(rings.StructureAlgebra, "mul_coords",
                         counting("mul_coords", rings.StructureAlgebra.mul_coords))
-    assert verify_degree_map(dm).valid
+    assert verify_degree_map(dm).holds
     assert calls["decompose"] < 100 and calls["mul_coords"] < 100
 
 
@@ -496,11 +496,11 @@ def test_each_principal_ideal_and_degree_is_scanned_once(monkeypatch):
     dyn = build_rotation_dynamics()
     dm = support_degree_map(dyn.grading, "homogeneous_elements")
     counts = _count_scans(monkeypatch)
-    assert verify_degree_map(dm).valid
+    assert verify_degree_map(dm).holds
     assert counts == {"principal_ideal": 0, "element_blocks": 0}
     callable_dm = DegreeMap(dm.ring, dm.B, dm.X, lambda a: len(dyn.grading.support(a)),
                             "support as a callable", grading=dyn.grading)
-    assert verify_degree_map(callable_dm).valid
+    assert verify_degree_map(callable_dm).holds
     # two of the ring (d1, then d2) and one of A for the 3 pairs
     assert counts == {"principal_ideal": 0, "element_blocks": 2 + 3}
 

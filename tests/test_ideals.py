@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -96,13 +97,13 @@ def test_is_simple_matches_ideal_count():
     for ring in (zmod_ring(4), zmod_ring(6), zmod_ring(5),
                  full_matrix_algebra(2, GF(2)), full_matrix_algebra(2, GF(3))):
         verdict = is_simple(ring)
-        assert verdict.is_simple == (len(enumerate_ideals(ring)) == 2)
+        assert verdict.holds == (len(enumerate_ideals(ring)) == 2)
 
 
 def test_is_simple_verdicts():
     v = is_simple(zmod_ring(4))
     assert v.status == "NotSimple" and sorted(v.witness.span.members) == [0, 2]
-    assert is_simple(full_matrix_algebra(2, GF(2))).is_simple
+    assert is_simple(full_matrix_algebra(2, GF(2))).holds
     sq = cayley_tower(QQ, 4).rings[4]
     v = is_simple(sq)
     assert v.status == "Simple" and v.reason == "reduction mod 3"
@@ -165,8 +166,8 @@ def test_density_agrees_with_line_walk(ring):
     # Norton's test, the one F_p decision, decides every example, and
     # is_simple reads it
     simple = bool(ring.constants.any()) and first_proper_line_ideal(ring) is None
-    assert linalg.norton_modp(ring.constants, ring.F.p)[0] == simple
-    assert is_simple(ring).is_simple == simple
+    assert linalg.norton_modp(ring.constants, ring.F.p).holds == simple
+    assert is_simple(ring).holds == simple
 
 
 def _undecided(m):
@@ -187,7 +188,7 @@ def test_density_decides_only_simple_algebras_over_the_cap(monkeypatch):
     # under the cap an undecided algebra is decided by the line walk
     with monkeypatch.context() as m:
         _undecided(m)
-        assert linalg.norton_modp(full_matrix_algebra(2, GF(3)).constants, 3) == (None, None)
+        assert linalg.norton_modp(full_matrix_algebra(2, GF(3)).constants, 3) == linalg.Decision(None)
         assert is_simple(full_matrix_algebra(2, GF(3))).status == "Simple"
         v = is_simple(functions_ring(2, GF(3)))
         assert v.status == "NotSimple" and v.witness.span.rows.tolist() == [[1, 0]]
@@ -207,8 +208,8 @@ def _count_closures(monkeypatch):
 
 def test_simple_verdicts_close_no_ideal(monkeypatch):
     calls = _count_closures(monkeypatch)
-    assert is_simple(full_matrix_algebra(3, GF(3))).is_simple
-    assert is_simple(bales_twisted_ring(GF(3), 3).ring).is_simple
+    assert is_simple(full_matrix_algebra(3, GF(3))).holds
+    assert is_simple(bales_twisted_ring(GF(3), 3).ring).holds
     assert calls == []
 
 
@@ -216,7 +217,7 @@ def test_over_the_cap_a_simple_algebra_is_decided_after_its_first_candidate(monk
     # the F_p decision proves M3(F3) simple before any candidate is tried,
     # so none of the 33 candidates is closed
     calls = _count_closures(monkeypatch)
-    assert is_simple(full_matrix_algebra(3, GF(3)), cap=4096).is_simple
+    assert is_simple(full_matrix_algebra(3, GF(3)), cap=4096).holds
     assert len(calls) == 0
 
 
@@ -286,7 +287,7 @@ def test_a_prime_order_table_ring_closes_one_principal_ideal(monkeypatch):
         return original(r, a)
 
     monkeypatch.setattr(ideals, "principal_ideal", counted)
-    assert is_simple(ring).is_simple
+    assert is_simple(ring).holds
     assert closed == [1]
 
 
@@ -317,7 +318,7 @@ def test_density_and_line_walk_disagreement_is_typed(monkeypatch, tmp_path, caps
     # it not simple, with the line of e_0 as its submodule, contradicts the
     # walk when the witness is read
     line = (np.eye(4, dtype=np.int64)[:1], (0,))
-    monkeypatch.setattr(linalg, "norton_modp", lambda constants, p: (False, line))
+    monkeypatch.setattr(linalg, "norton_modp", lambda constants, p: linalg.Decision(False, line))
     v = is_simple(full_matrix_algebra(2, GF(2)))
     with pytest.raises(CriterionDisagreement):
         v.witness
@@ -380,6 +381,26 @@ def test_q_sum_of_fields_has_a_q_witness():
     assert v.status == "NotSimple"
     assert v.witness.measure() == 1 and not v.witness.span.is_full()
     assert all(isinstance(x, Fraction) for row in v.witness.spanning() for x in row.data)
+
+
+def test_is_simple_says_what_decided_it():
+    # one ring per oracle; an undecided verdict names none
+    zeros = np.zeros((2, 2, 2), dtype=int).tolist()
+    N = math.prod(linalg.LIFT_PRIMES)
+    cases = [(make_structure_algebra(2, GF(3), zeros), {}, "NotSimple", "products-vanish"),
+             (full_matrix_algebra(2, GF(2)), {}, "Simple", "norton"),
+             (functions_ring(2, GF(3)), {}, "NotSimple", "norton"),
+             (functions_ring(2, GF(3)), {"cap": 2}, "NotSimple", "norton-past-cap"),
+             (zmod_ring(4), {}, "NotSimple", "line-walk"),
+             (field_algebra(QQ), {}, "Simple", "reduction-mod-q"),
+             (direct_sum_algebra([field_algebra(QQ)] * 2), {}, "NotSimple", "witness-search"),
+             (make_structure_algebra(2, QQ, [[[1, 0], [0, 1]], [[0, 1], [N, 0]]]), {},
+              "Inconclusive", None)]
+    for ring, kwargs, status, decided_by in cases:
+        v = is_simple(ring, **kwargs)
+        assert (v.status, v.decided_by) == (status, decided_by)
+        assert repr(v).startswith(status)
+        assert decided_by is None or decided_by not in repr(v)
 
 
 def test_lift_skips_a_prime_dividing_a_denominator():
@@ -623,7 +644,7 @@ def test_first_stable_ideal_takes_the_least_key_among_minimal_ideals():
     first = next(s for s in _principal_ideals(ring) if s.measure() == 2)
     expected = next(I for I in enumerate_ideals(ring) if not I.is_zero())
     assert expected.measure() == 2 and first.key() != expected.key()
-    assert ideals.first_stable_ideal(ring, None, []).key() == expected.key()
+    assert ideals.first_stable_ideal(ring, None, []).witness.key() == expected.key()
 
 
 def test_the_zero_subring_has_only_the_zero_ideal():
@@ -632,7 +653,7 @@ def test_the_zero_subring_has_only_the_zero_ideal():
     for ring in (A, zmod_ring(4)):
         zero = Subring(ring, zero_subgroup(ring))
         assert [I.is_zero() for I in enumerate_subring_ideals(ring, zero)] == [True]
-        assert ideals.first_stable_ideal(ring, zero, []) is None
+        assert ideals.first_stable_ideal(ring, zero, []).witness is None
         assert is_A_simple(ring, zero).holds
 
 
@@ -872,19 +893,18 @@ def test_the_closure_algebra_is_spun_up_in_bounded_memory():
     tracemalloc.start()
     try:
         # E is spun up on the first close, so the window spans it
-        _, decision, seeds, close = ideals._line_closures(ring, None, [], 2 ** 17)
-        first = close(next(seeds))
+        decision = ideals._line_closures(full_subgroup(ring), [], 2 ** 17)
+        first = decision.close(next(full_subgroup(ring).line_seeds()))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2 ** 20
-    assert decision is not True
+    assert decision.holds is not True
     # the first line, e_0 of M4(F2), generates the factor M4(F2)
     assert first.measure() == 16 and not first.is_full()
     # M4(F2) itself is irreducible: no E is built and no line is walked
-    _, decision, seeds, close = ideals._line_closures(full_matrix_algebra(4, GF(2)),
-                                                       None, [], 2 ** 16)
-    assert decision is True and list(seeds) == [] and close is None
+    decision = ideals._line_closures(full_subgroup(full_matrix_algebra(4, GF(2))), [], 2 ** 16)
+    assert decision.holds is True and decision.close is None
 
 
 # ---------------------------------------------------------------------------
@@ -987,7 +1007,7 @@ def _doubling_cases(draw):
 
 def _walk_alone(m):
     """Leave every stable-ideal question to the line walk."""
-    m.setattr(linalg, "irreducible_modp", lambda ops, p: None)
+    m.setattr(linalg, "irreducible_modp", lambda ops, p: linalg.Decision(None))
 
 
 def _key(I):
@@ -1004,14 +1024,14 @@ def _count_line_closures(m):
                                 linalg.spin_modp)
 
     def counted_lines(*args, **kwargs):
-        span, decision, seeds, close = lines(*args, **kwargs)
-        if close is None:
-            return span, decision, seeds, close
+        decision = lines(*args, **kwargs)
+        if decision.close is None:
+            return decision
 
         def counted_close(seed, bound=None):
             closed.append(seed)
-            return close(seed, bound)
-        return span, decision, seeds, counted_close
+            return decision.close(seed, bound)
+        return dataclasses.replace(decision, close=counted_close)
 
     def counted_irreducible(ops, p):
         decisions.append(irreducible(ops, p))
@@ -1036,7 +1056,7 @@ def test_the_stable_ideal_decision_agrees_with_the_line_walk(case):
         decided = ideals.first_stable_ideal(ring, B, maps)
     # a decided answer closes no line and spins up no E until it is read,
     # and an irreducible B none at all
-    if decisions[-1] is not None:
+    if decisions[-1].holds is not None:
         assert closed == [] and spun == []
     lattice = enumerate_subring_ideals(ring, B)
     with pytest.MonkeyPatch.context() as m:
@@ -1044,9 +1064,9 @@ def test_the_stable_ideal_decision_agrees_with_the_line_walk(case):
         walked = ideals.first_stable_ideal(ring, B, maps)
         walked_lattice = enumerate_subring_ideals(ring, B)
     # read only now, after the eager walk, whose answer it must equal
-    assert _key(decided) == _key(walked)
-    if decisions[-1] is not None:
-        assert bool(closed) == (decided is not None)
+    assert _key(decided.witness) == _key(walked.witness)
+    if decisions[-1].holds is not None:
+        assert bool(closed) == (not decided.holds)
     assert [I.key() for I in lattice] == [I.key() for I in walked_lattice]
     # past the cap no line is walked: an undecided B raises TooLarge, and a
     # decided one gets Norton's submodule, or None when it is irreducible
@@ -1055,11 +1075,32 @@ def test_the_stable_ideal_decision_agrees_with_the_line_walk(case):
         over = ideals.first_stable_ideal(ring, B, maps, cap=span.size() - 1)
     except TooLarge:
         return
-    assert (over is None) == (walked is None)
-    if over is not None:
+    assert over.holds == walked.holds
+    if not over.holds:
+        over = over.witness
         assert not over.is_zero() and not over.is_full_in(span)
         IdealBasis(ring, over.span, of_subring=B, check=True)
         assert over.span.is_stable(maps)
+
+
+@given(_small_algebras(), st.integers(0, 2), st.booleans(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_decided_by_norton_exactly_when_no_line_is_closed(ring, nmaps, undecided, data):
+    # random F_2/F_3 algebras, with no maps or with random linear maps, and
+    # Norton's test left undecided half of the time: the verdict names
+    # Norton's test exactly when the call closed no line, and the walk
+    # otherwise
+    p, d = ring.F.p, ring.dim
+    square = st.lists(st.integers(0, p - 1), min_size=d * d, max_size=d * d)
+    maps = [np.array(data.draw(square)).reshape(d, d) for _ in range(nmaps)]
+    with pytest.MonkeyPatch.context() as m:
+        if undecided:
+            _walk_alone(m)
+        closed, _, _ = _count_line_closures(m)
+        verdict = ideals.first_stable_ideal(ring, None, maps)
+    assert verdict.decided_by in ("norton", "line-walk")
+    assert (verdict.decided_by == "norton") == (closed == [])
+    assert (verdict.decided_by == "norton") == (not undecided)
 
 
 def test_certify_dynamics_walks_no_line_until_its_premise_is_read():
@@ -1070,7 +1111,7 @@ def test_certify_dynamics_walks_no_line_until_its_premise_is_read():
     B = dyn.base_subring()
     with pytest.MonkeyPatch.context() as m:
         _walk_alone(m)
-        walked = ideals.first_stable_ideal(dyn.ring, B, dyn.action_maps)
+        walked = ideals.first_stable_ideal(dyn.ring, B, dyn.action_maps).witness
     with pytest.MonkeyPatch.context() as m:
         closed, _, spun = _count_line_closures(m)
         cert = certify.certify_dynamics(dyn)

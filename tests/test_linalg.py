@@ -489,7 +489,7 @@ def test_norton_agrees_with_density_and_the_line_walk(algebra):
     C, p = algebra
     ring = make_structure_algebra(len(C), GF(p), C.tolist())
     simple = bool(C.any()) and first_proper_line_ideal(ring) is None
-    assert linalg.norton_modp(C, p)[0] is simple
+    assert linalg.norton_modp(C, p).holds is simple
 
 
 @given(_norton_algebras())
@@ -499,7 +499,8 @@ def test_norton_shows_a_proper_ideal_exactly_when_a_line_is_proper(algebra):
     C, p = algebra
     ring = make_structure_algebra(len(C), GF(p), C.tolist())
     walk = first_proper_line_ideal(ring) if C.any() else None
-    simple, submodule = linalg.norton_modp(C, p)
+    decision = linalg.norton_modp(C, p)
+    simple, submodule = decision.holds, decision.submodule
     assert simple is not None
     assert (submodule is not None) == (walk is not None)
     if submodule is None:
@@ -559,7 +560,7 @@ def test_norton_decides_m5_f2_on_a_random_basis():
     while len(linalg.rref_modp(P, 2)[1]) < 25:
         P = rng.integers(0, 2, (25, 25))
     C = _change_basis(full_matrix_algebra(5, GF(2)).constants, P, 2)
-    assert linalg.norton_modp(C, 2)[0] is True
+    assert linalg.norton_modp(C, 2).holds is True
 
 
 def test_norton_proves_nothing_from_a_null_space_of_two_summands():
@@ -574,7 +575,7 @@ def test_norton_proves_nothing_from_a_null_space_of_two_summands():
         for _ in range(40):
             P = rng.integers(0, 2, (d, d))
             if len(linalg.rref_modp(P, 2)[1]) == d:
-                assert linalg.norton_modp(_change_basis(C, P, 2), 2)[0] is False
+                assert linalg.norton_modp(_change_basis(C, P, 2), 2).holds is False
 
 
 def test_without_trials_density_gives_the_same_verdicts(monkeypatch):
@@ -587,10 +588,10 @@ def test_without_trials_density_gives_the_same_verdicts(monkeypatch):
                 (gf_extension(8)[0].constants, 2),
                 (_rotation_ring().constants, 2),
                 (direct_sum_algebra([full_matrix_algebra(2, GF(2))] * 2).constants, 2)]
-    verdicts = [linalg.norton_modp(C, p)[0] for C, p in algebras]
+    verdicts = [linalg.norton_modp(C, p).holds for C, p in algebras]
     assert verdicts == [True, False, True, True, False, False]
     monkeypatch.setattr(linalg, "NORTON_TRIALS", 0)
-    assert all(linalg.norton_modp(C, p) == (None, None) for C, p in algebras)
+    assert all(linalg.norton_modp(C, p) == linalg.Decision(None) for C, p in algebras)
     rings = [make_structure_algebra(len(C), GF(p), C.tolist()) for C, p in algebras]
     assert [is_simple(ring).status for ring in rings] == \
         ["Simple" if v else "NotSimple" for v in verdicts]

@@ -156,19 +156,19 @@ def test_sigma_delta_invariance():
 
 
 def test_sigma_delta_simplicity():
-    assert is_sigma_delta_simple(_ddy(2, 2)).simple
-    assert is_sigma_delta_simple(_ddy(3, 3)).simple
+    assert is_sigma_delta_simple(_ddy(2, 2)).holds
+    assert is_sigma_delta_simple(_ddy(3, 3)).holds
     # delta = 0 leaves <y> stable
     b = truncated_polynomial_ring(2, 2)
     zero = np.zeros((2, 2), dtype=np.int64)
     lazy = SigmaDerivationData(b, RingMap.identity(b), RingMap(b, b, zero))
     v = is_sigma_delta_simple(lazy)
-    assert not v.simple
+    assert not v.holds
     from ringlab.corpus import build_ore_z4
     v = is_sigma_delta_simple(build_ore_z4())
-    assert not v.simple and sorted(v.witness.span.members) == [0, 2]
+    assert not v.holds and sorted(v.witness.span.members) == [0, 2]
     from ringlab.corpus import build_ore_f4_frobenius
-    assert is_sigma_delta_simple(build_ore_f4_frobenius()).simple
+    assert is_sigma_delta_simple(build_ore_f4_frobenius()).holds
 
 
 def test_commutator_with_central_element():
@@ -238,7 +238,7 @@ def test_monic_commutator_drop_for_full_base_set(draws):
     for name, data in _ORE:
         if not data.sigma.is_identity():
             continue
-        if not is_sigma_delta_simple(data).simple:
+        if not is_sigma_delta_simple(data).holds:
             continue
         a = draws.draw(polynomials(data, 3, monic=True))
         da = ore_degree_map(a)
@@ -305,7 +305,7 @@ def test_a_wrong_product_gives_each_exact_check_a_witness(monkeypatch):
 def test_inner_derivation_base():
     data = build_ore_m2f2_inner()
     assert all(ok for _, ok, _ in validate_sigma_derivation(data))
-    assert is_sigma_delta_simple(data).simple
+    assert is_sigma_delta_simple(data).holds
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +386,8 @@ def test_sigma_delta_simplicity_matches_the_ideal_enumeration(data):
     v = is_sigma_delta_simple(data)
     ref = first_invariant_ideal(enumerate_ideals(data.base),
                                 lambda I: is_sigma_delta_invariant(I, data))
-    assert v.simple == (ref is None)
-    if not v.simple:
+    assert v.holds == (ref is None)
+    if not v.holds:
         assert v.witness.key() == ref.key() and v.witness.of_subring is None
 
 
@@ -443,13 +443,13 @@ def test_sigma_delta_simplicity_keeps_its_size_and_field_limits(monkeypatch):
     data = _ddy(3, 3)                                # base of 27 elements
     # Norton's test proves the base irreducible under its multiplications,
     # sigma and delta, at any size
-    assert is_sigma_delta_simple(data, cap=26).simple
+    assert is_sigma_delta_simple(data, cap=26).holds
     with monkeypatch.context() as m:
         # an undecided test leaves only the line walk, which the cap stops
         m.setattr(linalg, "_norton_trial", lambda gens, p, rng: None)
         with pytest.raises(TooLarge):
             is_sigma_delta_simple(data, cap=26)
-        assert is_sigma_delta_simple(data, cap=27).simple
+        assert is_sigma_delta_simple(data, cap=27).holds
     q = field_algebra(QQ)
     with pytest.raises(InfiniteScalarField):
         is_sigma_delta_simple(SigmaDerivationData(q, RingMap.identity(q), RingMap.identity(q)))
