@@ -3,6 +3,12 @@ instance, record which premises were verified (or assumed), state the
 conclusion, and cross-check it against the simplicity oracle whenever one
 exists.
 
+A premise holds one tri-state, ``holds``, as an :class:`ringlab.ideals.Verdict`
+does: True when the instance verifies it, False when it fails, None when it
+is assumed.  Pipelines hand a boolean or a verdict's ``holds`` straight to
+:class:`Premise` and decide on ``holds``; the report's word for it is
+derived in one place, :attr:`Premise.status`.
+
 :func:`certify_built` produces every certificate of a built object, and
 :func:`_oracle_cross_check` alone writes a simplicity certificate's oracle
 fields, from the evidence a pipeline hands it (necessity, whose oracle is
@@ -31,7 +37,7 @@ from .gradings import (GradedRing, Grading, grading_flags,
                        graded_ideal_associativity, support_degree_map,
                        verify_degree_map)
 from .ideals import (DEFAULT_ELEMENT_CAP, DEFAULT_SEED, IdealBasis, Subring,
-                     center, centralizer, check_ideal_associativity,
+                     Verdict, center, centralizer, check_ideal_associativity,
                      enumerate_ideals, enumerate_subring_ideals, ideal_closure,
                      first_stable_ideal, identity_property, is_A_invariant,
                      is_A_simple, is_maximal_commutative, is_simple)
@@ -44,9 +50,20 @@ from .subgroups import (full_subgroup, product_span, subspace_from_vectors,
 
 @dataclass
 class Premise:
+    """A premise of a certificate's statement, checked on the instance.
+    ``holds`` is True (verified), False (failed) or None (assumed: not
+    decided on the instance); ``detail`` is its witness or reason."""
+
     name: str
-    status: str                  # "verified" | "failed" | "assumed"
+    holds: bool | None
     detail: object = None
+
+    @property
+    def status(self):
+        """The report's word for ``holds``, derived here and nowhere else."""
+        if self.holds is None:
+            return "assumed"
+        return "verified" if self.holds else "failed"
 
     def __repr__(self):
         extra = f": {self.detail!r}" if self.detail is not None else ""
@@ -68,10 +85,10 @@ class Certificate:
 
     @property
     def conditional(self):
-        return any(p.status == "assumed" for p in self.premises)
+        return any(p.holds is None for p in self.premises)
 
     def failed_premises(self):
-        return [p for p in self.premises if p.status == "failed"]
+        return [p for p in self.premises if p.holds is False]
 
     def to_json(self):
         return {
@@ -108,11 +125,11 @@ def _oracle_cross_check(cert: Certificate, ring, cap, seed, evidence=None):
     leaves it unavailable.
     """
     v = is_simple(ring, cap=cap, seed=seed)
-    if v.status == "Simple" and evidence is not None:
+    if v.holds and evidence is not None:
         found = ("disagrees", evidence if isinstance(evidence, str) else v.status)
-    elif v.status == "Inconclusive" and isinstance(evidence, IdealBasis) and _proper(evidence):
+    elif v.holds is None and isinstance(evidence, IdealBasis) and _proper(evidence):
         found = ("agrees", "explicit proper ideal re-verified")
-    elif v.status == "Inconclusive":
+    elif v.holds is None:
         found = ("unavailable", v.reason)
     elif cert.verdict in ("Simple", "NotSimple"):
         found = ("agrees" if v.status == cert.verdict else "disagrees", v.status)
@@ -141,25 +158,23 @@ def recognize_field(ring, cap=DEFAULT_ELEMENT_CAP, seed=DEFAULT_SEED):
     return simple if simple is not None else ring.F.is_field_algebra(ring, props.unit.data)
 
 
-def _simple_status(ring, cap=DEFAULT_ELEMENT_CAP, seed=DEFAULT_SEED, hint=None):
-    """("Simple"|"NotSimple"|"Unknown", detail) using the oracle, field
-    recognition, or an explicit hint from an earlier certificate.  The
-    detail of an oracle verdict is its witness ideal when NotSimple, and its
-    reason when Simple ("reduction mod q" over Q, None over F_p)."""
+def _simplicity(ring, cap=DEFAULT_ELEMENT_CAP, seed=DEFAULT_SEED, hint=None) -> Verdict:
+    """:func:`is_simple`'s verdict on the ring, or, where that is undecided,
+    a Simple one whose reason is "field" (:func:`recognize_field`) or
+    "carried from an earlier certificate" (``hint`` "Simple")."""
     v = is_simple(ring, cap=cap, seed=seed)
-    if v.status != "Inconclusive":
-        return v.status, v.witness if v.status == "NotSimple" else v.reason
-    fr = recognize_field(ring, cap=cap, seed=seed)
-    if fr is True:
-        return "Simple", "field"
-    if hint == "Simple":
-        return "Simple", "carried from an earlier certificate"
-    return "Unknown", v.reason
+    if v.holds is None and recognize_field(ring, cap=cap, seed=seed) is True:
+        return Verdict(True, reason="field")
+    if v.holds is None and hint == "Simple":
+        return Verdict(True, reason="carried from an earlier certificate")
+    return v
 
 
-def _premise_status(st):
-    """The premise status of a simplicity status from :func:`_simple_status`."""
-    return {"Simple": "verified", "NotSimple": "failed"}.get(st, "assumed")
+def _simple_premise(name, v: Verdict) -> Premise:
+    """Premise ``name`` of a simplicity verdict: its witness ideal is the
+    detail when the ring is not simple, else its reason ("reduction mod q"
+    or "field", None over F_p, or why it is undecided)."""
+    return Premise(name, v.holds, v.witness if v.holds is False else v.reason)
 
 
 def _proper(J):
@@ -167,11 +182,12 @@ def _proper(J):
     return J is not None and not J.is_zero() and not J.span.is_full()
 
 
-def _z_is_field(ring, cap=DEFAULT_ELEMENT_CAP, seed=DEFAULT_SEED):
-    """The center as a subring plus a True/False/None field verdict."""
+def _center_premise(name, ring, cap, seed) -> Premise:
+    """Premise ``name``: the center of the ring is a field, undecided where
+    :func:`recognize_field` is; the detail is the center's dimension."""
     z = center(ring)
-    sub, _, _ = z.as_ring()
-    return z, recognize_field(sub, cap=cap, seed=seed)
+    return Premise(name, recognize_field(z.as_ring()[0], cap=cap, seed=seed),
+                   f"center dimension {z.measure()}")
 
 
 def _non_invariant_meet(ring, S: Subring, cap):
@@ -187,12 +203,11 @@ def _non_invariant_meet(ring, S: Subring, cap):
 def _vertex_premise(grading: Grading, name, ring_at, cap, seed) -> Premise:
     """Premise ``name``: ``ring_at(A_e)`` is simple for the vertex subring
     A_e of every object e; the detail lists the status per vertex."""
-    vd = []
-    for e in grading.cat.objects:
-        sub, _, _ = grading.vertex_subring(e).as_ring()
-        vd.append((e, _simple_status(ring_at(sub), cap=cap, seed=seed)[0]))
-    ok = all(st == "Simple" for _, st in vd)
-    return Premise(name, "verified" if ok else "failed", vd)
+    verdicts = {e: _simplicity(ring_at(grading.vertex_subring(e).as_ring()[0]),
+                               cap=cap, seed=seed) for e in grading.cat.objects}
+    return Premise(name, all(v.holds for v in verdicts.values()),
+                   [(e, "Unknown" if v.holds is None else v.status)
+                    for e, v in verdicts.items()])
 
 
 def _vertex_center(sub):
@@ -214,8 +229,7 @@ def certify_necessity(ring, B: Subring, grading: Grading | None = None,
     bad = [I for I in ideals_of_B
            if not check_ideal_associativity(ring, B, I, copies=2)]
     premises.append(Premise("extension is ideal associative (two copies, all ideals of B)",
-                            "failed" if bad else "verified",
-                            bad[0] if bad else None))
+                            not bad, bad[0] if bad else None))
     if grading is not None:
         comp = zero_subgroup(ring)
         objects = {grading.cat.identity[e] for e in grading.cat.objects}
@@ -225,23 +239,21 @@ def certify_necessity(ring, B: Subring, grading: Grading | None = None,
         ok = (B.span.join(comp).is_full()
               and comp.contains_subgroup(product_span(ring, B.span, comp)))
         premises.append(Premise("B is a direct summand as a left B-module "
-                                "(graded complement)",
-                                "verified" if ok else "failed"))
+                                "(graded complement)", ok))
     else:
         premises.append(Premise("B is a direct summand as a left B-module",
-                                "assumed", "no grading supplied"))
+                                None, "no grading supplied"))
     bad = [I for I in ideals_of_B if not identity_property(I, B, side="right")]
     premises.append(Premise("every ideal of B has the right identity property",
-                            "failed" if bad else "verified",
-                            bad[0] if bad else None))
+                            not bad, bad[0] if bad else None))
     sv = is_simple(ring, cap=cap, seed=seed)
-    premises.append(Premise("the ring is simple",
-                            "verified" if sv.holds else "failed",
+    # an undecided oracle fails this premise: the statement needs it proved
+    premises.append(Premise("the ring is simple", sv.holds is True,
                             None if sv.holds else sv))
     cert = Certificate(instance, "necessity",
                        "simplicity forces the base to be invariantly simple",
                        premises, None, meta={"cap": cap, "seed": seed})
-    if all(p.status in ("verified", "assumed") for p in premises):
+    if not cert.failed_premises():
         asv = is_A_simple(ring, B, ideals=ideals_of_B)
         cert.verdict = "ASimple"
         cert.oracle = "agrees" if asv.holds else "disagrees"
@@ -263,35 +275,31 @@ def certify_sufficiency(ring, B: Subring, degree_map=None,
     premises = []
     C = centralizer(ring, B.spanning())
     closed = C.span.contains_subgroup(product_span(ring, C.span, C.span))
-    premises.append(Premise("the centralizer of B is multiplicatively closed",
-                            "verified" if closed else "failed"))
+    premises.append(Premise("the centralizer of B is multiplicatively closed", closed))
     if closed:
-        wit = is_A_simple(ring, C, cap=cap).witness
+        csv = is_A_simple(ring, C, cap=cap)
         premises.append(Premise("the centralizer is invariantly simple",
-                                "failed" if wit else "verified", wit))
+                                csv.holds, csv.witness))
         bad = _non_invariant_meet(ring, C, cap)
         premises.append(Premise("every intersection of the centralizer with an "
-                                "ideal is invariant",
-                                "failed" if bad else "verified", bad))
+                                "ideal is invariant", bad is None, bad))
     aca = triple_product_span(ring, full_subgroup(ring), C.span, full_subgroup(ring))
-    premises.append(Premise("A·C·A = A", "verified" if aca.is_full() else "failed"))
+    premises.append(Premise("A·C·A = A", aca.is_full()))
     dm = degree_map
     if dm is None and grading is not None:
         dm = support_degree_map(grading, "center_of_A0")
         if dm.B.span != B.span:
             dm = support_degree_map(grading, "homogeneous_elements")
     if dm is None:
-        premises.append(Premise("a degree map exists", "assumed",
-                                "no candidate supplied"))
+        premises.append(Premise("a degree map exists", None, "no candidate supplied"))
     else:
         dv = verify_degree_map(dm, cap=cap)
         premises.append(Premise(f"degree map valid ({dm.description})",
-                                "verified" if dv.holds else "failed",
-                                None if dv.holds else dv))
+                                dv.holds, None if dv.holds else dv))
     cert = Certificate(instance, "sufficiency",
                        "invariantly simple centralizer with a degree map forces simplicity",
                        premises, None, meta={"cap": cap, "seed": seed})
-    if all(p.status in ("verified", "assumed") for p in premises):
+    if not cert.failed_premises():
         cert.verdict = "Simple"
     _oracle_cross_check(cert, ring, cap, seed)
     return cert
@@ -309,8 +317,8 @@ def certify_groupoid_graded(ring, grading: Grading, cap=DEFAULT_ELEMENT_CAP,
     vertex centers are simple (strong + connected + locally abelian)."""
     cat = grading.cat
     flags = grading_flags(grading)
-    premises = [Premise("grading over a groupoid", "verified" if cat.is_groupoid else "failed"),
-                Premise("locally unital", "verified" if flags.locally_unital else "failed")]
+    premises = [Premise("grading over a groupoid", cat.is_groupoid),
+                Premise("locally unital", flags.locally_unital)]
     cert = Certificate(instance, "groupoid-graded",
                        "vertex-level data forces simplicity",
                        premises, None, meta={"cap": cap, "seed": seed})
@@ -326,9 +334,9 @@ def certify_groupoid_graded(ring, grading: Grading, cap=DEFAULT_ELEMENT_CAP,
     if flags.strongly_graded and cat.is_connected() and proper_vertices:
         vertices = _vertex_premise(grading, "every vertex subring is simple",
                                    lambda sub: sub, cap, seed)
-        premises.append(Premise("strong grading over a connected groupoid", "verified"))
+        premises.append(Premise("strong grading over a connected groupoid", True))
         premises.append(vertices)
-        if vertices.status == "verified":
+        if vertices.holds:
             cert.verdict = "Simple"
             cert.notes += ("variant: simple vertex subrings",)
             _oracle_cross_check(cert, ring, cap, seed)
@@ -337,17 +345,16 @@ def certify_groupoid_graded(ring, grading: Grading, cap=DEFAULT_ELEMENT_CAP,
     ideals_of_B = enumerate_subring_ideals(ring, B, cap=cap)
     asv = is_A_simple(ring, B, ideals=ideals_of_B)
     premises.append(Premise("the object part is invariantly simple",
-                            "verified" if asv.holds else "failed",
-                            None if asv.holds else asv.witness))
+                            asv.holds, asv.witness))
 
     # variant 2: non-degenerate + maximal commutative object part
     if asv.holds and flags.nondegenerate_some_side and B.is_commutative() \
             and is_maximal_commutative(ring, B):
         bad = _non_invariant_meet(ring, B, cap)
-        premises.append(Premise("grading non-degenerate on one side", "verified"))
-        premises.append(Premise("object part maximal commutative", "verified"))
+        premises.append(Premise("grading non-degenerate on one side", True))
+        premises.append(Premise("object part maximal commutative", True))
         premises.append(Premise("ideal intersections with the object part are invariant",
-                                "failed" if bad else "verified", bad))
+                                bad is None, bad))
         if not bad:
             cert.verdict = "Simple"
             cert.notes += ("variant: maximal commutative object part",)
@@ -359,13 +366,13 @@ def certify_groupoid_graded(ring, grading: Grading, cap=DEFAULT_ELEMENT_CAP,
     if asv.holds and flags.strongly_graded and cat.is_connected() and cat.is_locally_abelian():
         gia = all(graded_ideal_associativity(grading, I) for I in ideals_of_B)
         premises.append(Premise("graded ideal associativity (words up to four factors)",
-                                "verified" if gia else "failed"))
+                                gia))
         centers = _vertex_premise(grading, "every vertex center is simple",
                                   _vertex_center, cap, seed)
         premises.append(centers)
         premises.append(Premise("groupoid locally abelian (vertex groups abelian; "
-                                "interpreted)", "verified"))
-        if gia and centers.status == "verified":
+                                "interpreted)", True))
+        if gia and centers.holds:
             cert.verdict = "Simple"
             cert.notes += ("variant: simple vertex centers",)
     _oracle_cross_check(cert, ring, cap, seed)
@@ -395,8 +402,7 @@ def certify_crossed_product(cp: CrossedProduct, cap=DEFAULT_ELEMENT_CAP,
     premises = []
     g_simple = is_G_simple(cp, cap)
     premises.append(Premise("the base is action-simple (no nontrivial invariant ideal)",
-                            "verified" if g_simple.holds else "failed",
-                            g_simple.deferred_witness))
+                            g_simple.holds, g_simple.deferred_witness))
     statement = "action-simple base forces simplicity"
     verdict = None
     is_iff = False
@@ -406,33 +412,28 @@ def certify_crossed_product(cp: CrossedProduct, cap=DEFAULT_ELEMENT_CAP,
         statement = ("skew group ring over a commutative base: simple iff the base is "
                      "action-simple and maximal commutative")
         mc = is_maximal_commutative(ring, B)
-        premises.append(Premise("the base is maximal commutative",
-                                "verified" if mc else "failed"))
+        premises.append(Premise("the base is maximal commutative", mc))
         verdict = "Simple" if (g_simple.holds and mc) else "NotSimple"
     elif cat.is_group() and cat.is_abelian_group() and alpha_trivial and all(
             p.associative and p.unital for p in props_b):
         is_iff = True
         statement = ("skew group ring over an abelian group: simple iff the base is "
                      "action-simple and the center is a field")
-        z, zf = _z_is_field(ring, cap=cap, seed=seed)
-        premises.append(Premise("the center is a field",
-                                "verified" if zf else ("failed" if zf is False else "assumed"),
-                                f"center dimension {z.measure()}"))
-        if zf is None:
-            verdict = None
-        else:
-            verdict = "Simple" if (g_simple.holds and zf) else "NotSimple"
+        zf = _center_premise("the center is a field", ring, cap, seed)
+        premises.append(zf)
+        if zf.holds is not None:
+            verdict = "Simple" if (g_simple.holds and zf.holds) else "NotSimple"
     else:
         if g_simple.holds and cat.is_groupoid and nonzero and B.is_commutative() \
                 and is_maximal_commutative(ring, B):
-            premises.append(Premise("the base is maximal commutative", "verified"))
+            premises.append(Premise("the base is maximal commutative", True))
             verdict = "Simple"
             statement = "groupoid crossed product with maximal commutative action-simple base"
         elif g_simple.holds and cat.is_groupoid and cat.is_locally_abelian() and cat.is_connected():
             centers = _vertex_premise(cp.grading, "every vertex center is simple",
                                       _vertex_center, cap, seed)
             premises.append(centers)
-            if centers.status == "verified":
+            if centers.holds:
                 verdict = "Simple"
                 statement = ("locally abelian connected groupoid crossed product "
                              "with simple vertex centers")
@@ -459,12 +460,11 @@ def _sigma_simple_premise(cd: CayleyDoubling, cap, seed, base_hint=None):
     except (TooLarge, InfiniteScalarField):
         pass
     else:
-        if not stable.holds:
-            return Premise(name, "failed", stable.deferred_witness)
-        return Premise(name, "verified", "ideal enumeration")
-    st, detail = _simple_status(B, cap=cap, seed=seed, hint=base_hint)
-    if st == "Simple":
-        return Premise(name, "verified", f"base simple ({detail})")
+        return Premise(name, stable.holds,
+                       "ideal enumeration" if stable.holds else stable.deferred_witness)
+    v = _simplicity(B, cap=cap, seed=seed, hint=base_hint)
+    if v.holds:
+        return Premise(name, True, f"base simple ({v.reason})")
     factors = getattr(B, "product_factors", None)
     if factors:
         # a product of fields: the only ideals are spanned by factor blocks
@@ -473,7 +473,7 @@ def _sigma_simple_premise(cd: CayleyDoubling, cap, seed, base_hint=None):
         for block in blocks:
             sub, _, _ = Subring(B, block, check=False).as_ring()
             if recognize_field(sub, cap=cap, seed=seed) is not True:
-                return Premise(name, "assumed", "factors not recognized as fields")
+                return Premise(name, None, "factors not recognized as fields")
         n = len(blocks)
         for mask in range(1, 2 ** n - 1):
             span = zero_subgroup(B)
@@ -481,11 +481,12 @@ def _sigma_simple_premise(cd: CayleyDoubling, cap, seed, base_hint=None):
                 if mask >> t & 1:
                     span = span.join(blocks[t])
             if span.is_stable(sigma):
-                return Premise(name, "failed", f"stable factor combination {mask:b}")
-        return Premise(name, "verified",
+                return Premise(name, False, f"stable factor combination {mask:b}")
+        return Premise(name, True,
                        "factor-combination scan over a product of fields "
                        "(base itself is not simple)")
-    return Premise(name, "assumed", detail)
+    # neither simplicity of the base nor a product of fields decides it
+    return replace(_simple_premise(name, v), holds=None)
 
 
 def certify_cayley(cd: CayleyDoubling, base_hint=None, cap=DEFAULT_ELEMENT_CAP,
@@ -495,20 +496,17 @@ def certify_cayley(cd: CayleyDoubling, base_hint=None, cap=DEFAULT_ELEMENT_CAP,
     forces conjugation-stable simplicity of the base."""
     ring = cd.ring
     premises = [_sigma_simple_premise(cd, cap, seed, base_hint=base_hint)]
-    z, zf = _z_is_field(ring, cap=cap, seed=seed)
-    premises.append(Premise("the center of the double is simple",
-                            "verified" if zf else ("failed" if zf is False else "assumed"),
-                            f"center dimension {z.measure()}"))
+    premises.append(_center_premise("the center of the double is simple", ring, cap, seed))
     cert = Certificate(instance, "doubling",
                        "conjugation-stable simple base with simple center forces simplicity",
                        premises, None,
                        meta={"cap": cap, "seed": seed}, notes=cd.notes)
-    if all(p.status in ("verified", "assumed") for p in premises):
+    if not cert.failed_premises():
         cert.verdict = "Simple"
     # simplicity of the double forces the premise (the necessity direction)
     _oracle_cross_check(cert, ring, cap, seed,
                         evidence="double is simple but a conjugation-stable ideal exists"
-                        if premises[0].status == "failed" else None)
+                        if premises[0].holds is False else None)
     return cert
 
 
@@ -550,13 +548,10 @@ def certify_twisted(tw: CrossedProduct, cap=DEFAULT_ELEMENT_CAP,
     cat = tw.system.cat
     obj = cat.objects[0]
     B = tw.system.base[obj]
-    premises = [Premise("the group is abelian",
-                        "verified" if cat.is_abelian_group() else "failed")]
-    st, det = _simple_status(B, cap=cap, seed=seed)
-    premises.append(Premise("the base ring is simple", _premise_status(st), det))
-    zsub, _, _ = center(B).as_ring()
-    stz, detz = _simple_status(zsub, cap=cap, seed=seed)
-    premises.append(Premise("the center of the base is simple", _premise_status(stz), detz))
+    premises = [Premise("the group is abelian", cat.is_abelian_group()),
+                _simple_premise("the base ring is simple", _simplicity(B, cap=cap, seed=seed)),
+                _simple_premise("the center of the base is simple",
+                                _simplicity(center(B).as_ring()[0], cap=cap, seed=seed))]
     e = cat.identity[obj]
     witnesses = {}
     missing = []
@@ -576,12 +571,11 @@ def certify_twisted(tw: CrossedProduct, cap=DEFAULT_ELEMENT_CAP,
         else:
             witnesses[g] = found
     premises.append(Premise("every non-identity g has h with alpha(g,h)-alpha(h,g) a unit",
-                            "failed" if missing else "verified",
-                            missing or witnesses))
+                            not missing, missing or witnesses))
     cert = Certificate(instance, "twisted-group",
                        "anticommutative enough cocycle over a simple base forces simplicity",
                        premises, None, meta={"cap": cap, "seed": seed})
-    if all(p.status in ("verified", "assumed") for p in premises):
+    if not cert.failed_premises():
         cert.verdict = "Simple"
     _oracle_cross_check(cert, tw.ring, cap, seed)
     return cert
@@ -599,11 +593,11 @@ def certify_matrix(mr: CrossedProduct, cap=DEFAULT_ELEMENT_CAP,
     premises = []
     bad = None
     for i in cat.objects:
-        st, det = _simple_status(mr.system.base[i], cap=cap, seed=seed)
-        premises.append(Premise(f"base ring at index {i} is simple",
-                                _premise_status(st), det))
-        if st == "NotSimple" and bad is None and _proper(det):
-            bad = (i, det)
+        premise = _simple_premise(f"base ring at index {i} is simple",
+                                  _simplicity(mr.system.base[i], cap=cap, seed=seed))
+        premises.append(premise)
+        if premise.holds is False and bad is None and _proper(premise.detail):
+            bad = (i, premise.detail)
     cert = Certificate(instance, "matrix",
                        "a matrix ring is simple iff every diagonal base ring is simple",
                        premises, None, meta={"cap": cap, "seed": seed, "iff": True})
@@ -616,7 +610,7 @@ def certify_matrix(mr: CrossedProduct, cap=DEFAULT_ELEMENT_CAP,
         cert.notes += (f"witness: matrix ideal over the non-simple base at {i} "
                        f"(proper={proper})",)
         cert.verdict = "NotSimple" if proper else None
-    elif all(p.status in ("verified", "assumed") for p in premises):
+    elif not cert.failed_premises():
         cert.verdict = "Simple"
     _oracle_cross_check(cert, mr.ring, cap, seed, evidence=J)
     return cert
@@ -688,21 +682,18 @@ def certify_dynamics(dyn: DynamicsRing, cap=DEFAULT_ELEMENT_CAP,
     ring = dyn.ring
     cat = dyn.system.cat
     B = dyn.base_subring()
-    premises = [Premise("the group is abelian",
-                        "verified" if cat.is_abelian_group() else "failed"),
+    premises = [Premise("the group is abelian", cat.is_abelian_group()),
                 Premise("the base (functions on the space) is commutative",
-                        "verified" if B.is_commutative() else "failed")]
+                        B.is_commutative())]
     g_simple = is_G_simple(dyn, cap)
-    premises.append(Premise("the base is action-simple",
-                            "verified" if g_simple.holds else "failed",
+    premises.append(Premise("the base is action-simple", g_simple.holds,
                             g_simple.deferred_witness))
     if g_simple.holds != dyn.minimal:
         raise CriterionDisagreement("action-simplicity must match minimality on finite sets")
-    premises.append(Premise("action-simple iff minimal (checked both ways)", "verified",
+    premises.append(Premise("action-simple iff minimal (checked both ways)", True,
                             f"minimal={dyn.minimal}"))
     mc = is_maximal_commutative(ring, B)
-    premises.append(Premise("the base is maximal commutative",
-                            "verified" if mc else "failed"))
+    premises.append(Premise("the base is maximal commutative", mc))
     # maximal commutativity = fixed-point-free action; it implies faithful.
     # For an abelian group minimal+faithful forces it (a faithful transitive
     # abelian action is regular), so the conjunctions agree instance by
@@ -717,8 +708,7 @@ def certify_dynamics(dyn: DynamicsRing, cap=DEFAULT_ELEMENT_CAP,
         if not agree:
             raise CriterionDisagreement("premise conjunction must match minimal+faithful")
     premises.append(Premise("action-simple and maximal commutative iff minimal "
-                            "and faithful (checked on the instance)",
-                            "verified" if agree else "failed",
+                            "and faithful (checked on the instance)", agree,
                             f"faithful={dyn.faithful}"))
     verdict = "Simple" if (g_simple.holds and mc) else "NotSimple"
     cert = Certificate(instance, "dynamics",
@@ -765,8 +755,7 @@ def certify_built(built, cap=DEFAULT_ELEMENT_CAP, seed=DEFAULT_SEED,
     (the extension is infinite).  Anything else gets none.
     """
     if isinstance(built, SigmaDerivationData):
-        premises = [Premise(name, "verified" if ok else "failed", witness)
-                    for name, ok, witness in validate_sigma_derivation(built)]
+        premises = [Premise(*item) for item in validate_sigma_derivation(built)]
         return [Certificate(instance, "ore-base",
                             "sigma-delta-simplicity of the coefficient ring", premises,
                             is_sigma_delta_simple(built, cap=cap).status)]

@@ -11,6 +11,7 @@ Cocycles are explicit tables or "bales:<n>"; actions are permutation arrays.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -21,11 +22,11 @@ from .categories import abelian_group, cyclic_group, pair_groupoid, xor_group
 from .constructions import (RingMap, bales_alpha, cayley_dickson,
                             cayley_tower, dynamics_skew_group_ring,
                             matrix_ring, skew_group_ring, twisted_group_ring)
-from .errors import ParseError, SchemaError, UnknownKind
+from .errors import ParseError, SchemaError, TooLarge, UnknownKind
 from .linalg import GF, QQ
 from .ore import SigmaDerivationData
-from .rings import (Ring, field_algebra, gf_extension, make_structure_algebra,
-                    make_table_ring, ring_of, zmod_ring)
+from .rings import (CONSTANTS_CAP, Ring, field_algebra, gf_extension,
+                    make_structure_algebra, make_table_ring, ring_of, zmod_ring)
 
 KNOWN_KINDS = ("scalar", "table_ring", "structure_algebra", "cayley_dickson",
                "cayley_tower", "twisted_group_ring", "skew_group_ring",
@@ -216,6 +217,23 @@ def _indices(value, shape, path, bound=None):
     return value
 
 
+def _pair_table(value, group, path, read):
+    """``{(g, h): read(value[i][j], path)}`` over the i-th and j-th morphisms
+    g, h of the group, if ``value`` is a square array over them; else a
+    SchemaError."""
+    mors = list(group.morphisms)
+    _array(value, (len(mors), len(mors)), path)
+    return {(g, h): read(value[i][j], path)
+            for i, g in enumerate(mors) for j, h in enumerate(mors)}
+
+
+def _twist(value, path):
+    if value not in ("straight", "opposite"):
+        raise SchemaError(path, f"unknown twist {value!r}, "
+                          "expected \"straight\" or \"opposite\"")
+    return value
+
+
 def _unit_multiple(base, value, path):
     """The recipe scalar ``value`` times the unit of ``base``: the ring's
     ``scalar_mul`` reads it (a table ring an integer only)."""
@@ -274,6 +292,9 @@ def _build(doc, path):
     if kind == "structure_algebra":
         dom = _field(doc["field"], f"{path}/field")
         d = _integer(doc, "dim", path)
+        if d ** 3 > CONSTANTS_CAP:
+            raise TooLarge(f"structure algebra would have {d ** 3} structure constants, "
+                           f"past the cap {CONSTANTS_CAP}")
         C = [[[_coerce_scalar(dom.coerce, x, f"{path}/constants") for x in vec]
               for vec in plane]
              for plane in _array(doc["constants"], (d, d, d), f"{path}/constants")]
@@ -315,12 +336,8 @@ def _build(doc, path):
                 raise SchemaError(f"{path}/alpha",
                                   "the bales: cocycle needs an XOR group xor:<n>")
             return twisted_group_ring(base, group, lambda g, h: bales_alpha(g, h))
-        table = {}
-        mors = list(group.morphisms)
-        _array(aspec, (len(mors), len(mors)), f"{path}/alpha")
-        for i, g in enumerate(mors):
-            for j, h in enumerate(mors):
-                table[(g, h)] = _unit_multiple(base, aspec[i][j], f"{path}/alpha")
+        table = _pair_table(aspec, group, f"{path}/alpha",
+                            functools.partial(_unit_multiple, base))
         return twisted_group_ring(base, group, lambda g, h: table[(g, h)])
     if kind == "skew_group_ring":
         base = _child_ring(doc["base"], f"{path}/base")
@@ -355,26 +372,13 @@ def _build(doc, path):
                               f"{len(group.objects)} objects")
         mors = list(group.morphisms)
         frob = _frobenius(doc["base"], f"{path}/base")
-        n = len(mors)
         sigma = {g: _ring_map(base, spec, f"{path}/sigma", frobenius=frob)
-                 for g, spec in zip(mors, _array(doc["sigma"], (n,), f"{path}/sigma"))}
-        alpha = {}
-        if "alpha" in doc:
-            _array(doc["alpha"], (n, n), f"{path}/alpha")
-            for i, g in enumerate(mors):
-                for j, h in enumerate(mors):
-                    alpha[(g, h)] = _unit_multiple(base, doc["alpha"][i][j],
-                                                   f"{path}/alpha")
-        twists = {}
-        if "twists" in doc:
-            _array(doc["twists"], (n, n), f"{path}/twists")
-            for i, g in enumerate(mors):
-                for j, h in enumerate(mors):
-                    twist = doc["twists"][i][j]
-                    if twist not in ("straight", "opposite"):
-                        raise SchemaError(f"{path}/twists", f"unknown twist {twist!r}, "
-                                          "expected \"straight\" or \"opposite\"")
-                    twists[(g, h)] = twist
+                 for g, spec in zip(mors, _array(doc["sigma"], (len(mors),), f"{path}/sigma"))}
+        alpha = (_pair_table(doc["alpha"], group, f"{path}/alpha",
+                             functools.partial(_unit_multiple, base))
+                 if "alpha" in doc else {})
+        twists = (_pair_table(doc["twists"], group, f"{path}/twists", _twist)
+                  if "twists" in doc else {})
         obj = group.objects[0]
         sys = CrossedSystem(group, {obj: base}, sigma, alpha=alpha, twists=twists)
         return crossed_product(sys)

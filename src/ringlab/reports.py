@@ -33,9 +33,9 @@ def ideal_json(ib):
 
 
 def simplicity_json(verdict):
-    if verdict.status == "Simple":
+    if verdict.holds:
         return "Simple"
-    if verdict.status == "NotSimple":
+    if verdict.holds is False:
         return {"NotSimple": {"witness": ideal_json(verdict.witness)
                               if verdict.witness else None,
                               "reason": verdict.reason}}

@@ -10,6 +10,11 @@ A-simplicity on the same lattice.  An assignment to either attribute, a
 keyword argument of either name and a ``setattr`` with either name all count
 as writes.
 
+A premise holds a tri-state ``holds``, and ``certify.Premise.status`` alone
+turns it into the words "verified", "failed" and "assumed": no other code in
+the package spells them, and no module decides anything by comparing a
+``.status`` with one of them.
+
 Each allow-list entry must still occur, so the lists only shrink with the
 code.
 """
@@ -33,6 +38,13 @@ CERTIFICATE_DICTS = {
 }
 
 CERTIFICATE_MODULES = {"certify.py"}
+
+PREMISE_WORDS = {"verified", "failed", "assumed"}
+
+# (file, enclosing function) -> why it spells a premise status word
+PREMISE_WORD_SPELLERS = {
+    ("certify.py", "Premise.status"): "the report's word for a premise's holds",
+}
 
 
 def _modules():
@@ -63,6 +75,18 @@ def _builds_certificate(node):
     return isinstance(node, ast.Call) and (
         (isinstance(node.func, ast.Name) and node.func.id == "Certificate")
         or (isinstance(node.func, ast.Attribute) and node.func.attr == "Certificate"))
+
+
+def _is_premise_word(node):
+    return isinstance(node, ast.Constant) and node.value in PREMISE_WORDS
+
+
+def _compares_status_with_premise_word(node):
+    if not isinstance(node, ast.Compare):
+        return False
+    operands = [node.left, *node.comparators]
+    return (any(isinstance(o, ast.Attribute) and o.attr == "status" for o in operands)
+            and any(_is_premise_word(n) for o in operands for n in ast.walk(o)))
 
 
 def _find(tree, predicate):
@@ -105,3 +129,11 @@ def test_only_certificate_to_json_writes_a_certificate_dict():
 def test_certificates_are_built_only_in_certify():
     builders = {name for name, tree in _modules() if _find(tree, _builds_certificate)}
     assert builders == CERTIFICATE_MODULES, sorted(builders ^ CERTIFICATE_MODULES)
+
+
+def test_only_premise_status_spells_the_premise_status_words():
+    _check_allow_list(_is_premise_word, PREMISE_WORD_SPELLERS, "premise status word")
+
+
+def test_no_module_compares_a_status_with_a_premise_status_word():
+    _check_allow_list(_compares_status_with_premise_word, {}, "premise status comparison")

@@ -99,6 +99,38 @@ def test_doubling_center_that_field_recognition_leaves_open_is_assumed():
     assert (premise.status, premise.detail) == ("assumed", "center dimension 4")
 
 
+def _q_sqrt2_sqrt3():
+    # Q(√2, √3) as the doubling of Q(√2) by α = 3 under the trivial
+    # conjugation: is_simple is Inconclusive on it, and field recognition too
+    b = make_structure_algebra(2, QQ, [[[1, 0], [0, 1]], [[0, 1], [2, 0]]])
+    sigma = RingMap.identity(b)
+    sigma.anti = True
+    return cayley_dickson(b, sigma, b.element([3, 0])).ring
+
+
+def test_matrix_bases_that_no_oracle_decides_are_assumed():
+    cert = certify_matrix(matrix_ring(2, _q_sqrt2_sqrt3()))
+    assert [(p.status, p.detail) for p in cert.premises] == [
+        ("assumed", "infinite scalar field; use certify pipelines")] * 2
+    assert cert.verdict == "Simple" and cert.conditional
+
+
+@pytest.mark.parametrize("hint, status, detail", [
+    (None, "assumed", "infinite scalar field; use certify pipelines"),
+    ("Simple", "verified", "base simple (carried from an earlier certificate)")])
+def test_an_undecided_doubling_base_is_assumed_unless_carried(hint, status, detail):
+    # the doubling of Q(√2, √3) by α = 5 under the trivial conjugation:
+    # its base is undecided and no product of fields, so only a hint from
+    # an earlier certificate verifies the conjugation premise
+    K = _q_sqrt2_sqrt3()
+    tau = RingMap.identity(K)
+    tau.anti = True
+    cd = cayley_dickson(K, tau, K.scalar_mul(5, K.probe_properties().unit))
+    premise = certify._sigma_simple_premise(cd, ideals.DEFAULT_ELEMENT_CAP,
+                                            ideals.DEFAULT_SEED, base_hint=hint)
+    assert (premise.status, premise.detail) == (status, detail)
+
+
 def test_doubling_premise_is_decided_past_the_cap():
     # the conjugation premise asks Norton's test at any size over F_p: past
     # the cap, the base of each level gets a decided premise, never "assumed"
@@ -715,7 +747,8 @@ def test_simple_status_falls_back_to_field_recognition():
     # simple and the oracle is Inconclusive; the ring is a field
     ring = make_structure_algebra(2, QQ, [[[1, 0], [0, 1]], [[0, 1], [15, 0]]])
     assert ideals.is_simple(ring).status == "Inconclusive"
-    assert certify._simple_status(ring) == ("Simple", "field")
+    v = certify._simplicity(ring)
+    assert (v.holds, v.reason) == (True, "field")
 
 
 def test_density_criterion():

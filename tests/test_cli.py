@@ -353,6 +353,17 @@ def test_a_dynamics_recipe_past_the_constants_budget_exits_2(tmp_path, capsys):
     assert captured.err.startswith("error: direct sum would have 2146689 structure constants")
 
 
+def test_a_structure_algebra_past_the_constants_budget_exits_2(tmp_path, capsys):
+    # dimension 129: 129^3 > 2^21 structure constants, refused before the
+    # constants array is read, so its shape is never checked
+    doc = {"kind": "structure_algebra", "field": "Fp:2", "dim": 129, "constants": []}
+    code = main(["check", _write(tmp_path, "dim-129.json", doc)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and "Traceback" not in captured.err
+    assert captured.err == ("error: structure algebra would have 2146689 structure "
+                            "constants, past the cap 2097152\n")
+
+
 def test_a_check_over_q_keeps_the_report(tmp_path, capsys):
     # the invariance check needs the ideal lattice, which Q does not have;
     # the other checks still run, the report is printed, and the exit is 2
