@@ -277,7 +277,9 @@ class DegreeMap:
 
     ``X`` is an additive spanning set of the subring B; commuting with X is
     enough to commute with B, so the degree-drop condition (checked against
-    X) certifies the ideal-intersection argument.
+    X) certifies the ideal-intersection argument.  A support map
+    (:func:`support_degree_map`) carries its grading in ``d``, as
+    ``d.grading``; any other ``d`` is a plain callable.
     """
 
     ring: object
@@ -285,7 +287,6 @@ class DegreeMap:
     X: list
     d: object                    # callable Element -> int
     description: str
-    grading: Grading | None = None
 
     def degree(self, a):
         return self.d(a)
@@ -332,7 +333,7 @@ def support_degree_map(grading: Grading, b_choice="center_of_A0") -> DegreeMap:
         desc = "support degree map over homogeneous elements"
     else:
         raise ValueError("b_choice must be center_of_A0 or homogeneous_elements")
-    return DegreeMap(ring, B, X, _SupportDegree(grading), desc, grading=grading)
+    return DegreeMap(ring, B, X, _SupportDegree(grading), desc)
 
 
 def verify_degree_map(dm: DegreeMap, cap=DEFAULT_ELEMENT_CAP) -> Verdict:
@@ -395,10 +396,10 @@ def verify_degree_map(dm: DegreeMap, cap=DEFAULT_ELEMENT_CAP) -> Verdict:
     degrees come from ``DegreeMap.degrees`` and products from block
     arithmetic: over F_p, [a, b] = a·(R_b − L_b) is one matrix product for
     the whole block.  (d1) runs over every block before (d2) starts.  For
-    (d2) each a first tries a' = a itself; those that fail try the groupoid
-    candidates a·c, c spanning A_{g^-1} for g in Supp(a), when a has no
-    object component.  Only elements still unsettled scan all of <a>; the
-    scan depends on <a> and d(a) alone, so each such pair is scanned once.
+    (d2) each a first tries a' = a itself; only those that fail scan all of
+    <a>, which holds every candidate a' that (d2) can offer, the lemma's
+    a·c among them.  The scan depends on <a> and d(a) alone, so each such
+    pair is scanned once.
     The ring's :func:`is_simple` verdict is read once, at the first
     unsettled element (before any scan for a support map); when it is
     Simple, <a> is A for every a and no principal ideal is closed.
@@ -432,11 +433,7 @@ def verify_degree_map(dm: DegreeMap, cap=DEFAULT_ELEMENT_CAP) -> Verdict:
     for block in ring.element_blocks(cap):
         block = block[ring.block_nonzero(block)]
         da = dm.degrees(block)
-        settled = _qualifying(dm, block, da)
-        if not settled.all():
-            rest = ~settled
-            settled[rest] = _groupoid_candidates_qualify(dm, block[rest], da[rest])
-        for i in np.flatnonzero(~settled):
+        for i in np.flatnonzero(~_qualifying(dm, block, da)):
             a = ring.block_elements(block[i:i + 1])[0]
             if whole is None:
                 whole = _whole_if_simple(ring, cap)
@@ -480,26 +477,6 @@ def _qualifying(dm, cands, bound):
             break
         ok[ok] = dm.degrees(ring.block_commutators(cands[ok], b)) < bound[ok]
     return ok
-
-
-def _groupoid_candidates_qualify(dm, block, da):
-    """Mask of the elements a of the block for which some a·c qualifies,
-    c spanning A_{g^-1} for g in Supp(a), when a has no object component.
-    These candidates lie in <a>, so they settle (d2) without scanning it."""
-    found = np.zeros(len(block), dtype=bool)
-    grading = dm.grading
-    if grading is None or not grading.cat.is_groupoid or not len(block):
-        return found
-    cat = grading.cat
-    supp = grading.support_matrix(block)
-    objects = {cat.identity[e] for e in cat.objects}
-    eligible = ~supp[:, [g in objects for g in grading.order]].any(axis=1)
-    for j, g in enumerate(grading.order):
-        for c in grading.components[cat.inverse[g]].spanning():
-            rows = eligible & supp[:, j] & ~found
-            if rows.any():
-                found[rows] = _qualifying(dm, dm.ring.block_mul(block[rows], c), da[rows])
-    return found
 
 
 # ---------------------------------------------------------------------------

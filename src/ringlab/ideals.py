@@ -427,10 +427,7 @@ def _is_simple_uncached(ring, cap, seed, samples) -> Verdict:
         ib = principal_ideal(ring, v)
         if not ib.span.is_full():
             return Verdict(False, ib, decided_by="witness-search")
-    size = ring.size()
-    reason = ("infinite scalar field; use certify pipelines" if size is None
-              else f"size {size} exceeds cap {cap}")
-    return Verdict(None, reason=reason)
+    return Verdict(None, reason=decision.reason or f"size {ring.size()} exceeds cap {cap}")
 
 
 # ---------------------------------------------------------------------------

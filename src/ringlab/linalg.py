@@ -300,7 +300,8 @@ class Decision:
     (rref basis, pivots), or a span from a span; None for C = 0), and None
     when undecided.  ``decided_by`` names the procedure (see
     ``ideals.Verdict``), ``reason`` what to print with a Simple read off
-    anything but the algebra itself, and ``close(seed, bound=None)`` the
+    anything but the algebra itself, or with an undecided Q-algebra that
+    no witness search refutes, and ``close(seed, bound=None)`` the
     closure of a line, for a walk that a span's decision leaves open."""
     holds: bool | None
     submodule: object = None
@@ -1299,7 +1300,9 @@ class Rational(_Field):
         I of A meets Λ in a saturated ideal, a direct summand of rank dim I,
         whose image is a proper nonzero ideal of Λ/qΛ.  So simplicity mod q
         proves simplicity over Q.  The converse fails (Q(i) splits mod 5), so
-        an undecided call says nothing about A.
+        an undecided call says nothing about A; its reason names the primes
+        tried, for the Inconclusive verdict that a failed witness search
+        leaves.
         """
         table, d = alg._table, alg.dim
         for q in LIFT_PRIMES:
@@ -1312,7 +1315,10 @@ class Rational(_Field):
             if norton_modp(Cq, q).holds:
                 return Decision(True, reason=f"reduction mod {q}",
                                 decided_by="reduction-mod-q")
-        return Decision(None)
+        primes = ", ".join(map(str, LIFT_PRIMES))
+        return Decision(None, reason=f"infinite scalar field: no reduction mod {primes} "
+                                     "proves the algebra simple, and no proper principal "
+                                     "ideal was found")
 
     def closure(self, alg, seed):
         """See :meth:`ModP.closure`.  Each round multiplies the rows the

@@ -188,10 +188,6 @@ class Ring:
         """Boolean mask of the nonzero elements of a block."""
         raise NotImplementedError
 
-    def block_mul(self, block, c):
-        """The block of products x·c, for x in ``block``."""
-        raise NotImplementedError
-
     def block_commutators(self, block, b):
         """The block of commutators x·b − b·x, for x in ``block``."""
         raise NotImplementedError
@@ -287,9 +283,6 @@ class TableRing(Ring):
 
     def block_nonzero(self, block):
         return block != self.zero_index
-
-    def block_mul(self, block, c):
-        return self.mul_table[block, c.data]
 
     def block_commutators(self, block, b):
         return self.add_table[self.mul_table[block, b.data],
@@ -570,9 +563,6 @@ class StructureAlgebra(Ring):
 
     def block_nonzero(self, block):
         return block.any(axis=1)
-
-    def block_mul(self, block, c):
-        return self.F.reduce(block @ self.F.mult_matrices(self, c.data)[1])
 
     def block_commutators(self, block, b):
         return self.F.reduce(block @ self.F.commutators(self, [b.data]))

@@ -30,7 +30,8 @@ import numpy as np
 
 from . import linalg
 from .errors import RingMismatch
-from .rings import Element, StructureAlgebra, TableRing, index_blocks, require_ring
+from .rings import (DEFAULT_ELEMENT_CAP, Element, StructureAlgebra, TableRing, index_blocks,
+                    require_ring)
 
 
 class AddSubgroup:
@@ -43,11 +44,11 @@ class AddSubgroup:
         """Additive generators, as Elements."""
         raise NotImplementedError
 
-    def elements(self, cap=1 << 20):
+    def elements(self, cap=DEFAULT_ELEMENT_CAP):
         return [a for block in self.element_blocks(cap)
                 for a in self.ring.block_elements(block)]
 
-    def element_blocks(self, cap=1 << 20):
+    def element_blocks(self, cap=DEFAULT_ELEMENT_CAP):
         """Every element, as blocks of the ring (see ``Ring.element_blocks``)."""
         raise NotImplementedError
 
@@ -144,7 +145,7 @@ class TableSubgroup(AddSubgroup):
     def spanning(self):
         return [self.ring.element(i) for i in sorted(self.members)]
 
-    def element_blocks(self, cap=1 << 20):
+    def element_blocks(self, cap=DEFAULT_ELEMENT_CAP):
         return index_blocks(sorted(self.members))
 
     def join(self, other):
@@ -307,7 +308,7 @@ class Subspace(AddSubgroup):
     def spanning(self):
         return [Element(self.ring, self.ring.F.coords(row)) for row in self.rows]
 
-    def element_blocks(self, cap=1 << 20):
+    def element_blocks(self, cap=DEFAULT_ELEMENT_CAP):
         return self.ring.F.element_blocks(self.rows, cap)
 
     def join(self, other):

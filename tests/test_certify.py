@@ -99,6 +99,11 @@ def test_doubling_center_that_field_recognition_leaves_open_is_assumed():
     assert (premise.status, premise.detail) == ("assumed", "center dimension 4")
 
 
+# the reason of an Inconclusive is_simple over Q
+_Q_UNDECIDED = ("infinite scalar field: no reduction mod 3, 5, 7, 11 proves the algebra "
+                "simple, and no proper principal ideal was found")
+
+
 def _q_sqrt2_sqrt3():
     # Q(√2, √3) as the doubling of Q(√2) by α = 3 under the trivial
     # conjugation: is_simple is Inconclusive on it, and field recognition too
@@ -111,12 +116,12 @@ def _q_sqrt2_sqrt3():
 def test_matrix_bases_that_no_oracle_decides_are_assumed():
     cert = certify_matrix(matrix_ring(2, _q_sqrt2_sqrt3()))
     assert [(p.status, p.detail) for p in cert.premises] == [
-        ("assumed", "infinite scalar field; use certify pipelines")] * 2
+        ("assumed", _Q_UNDECIDED)] * 2
     assert cert.verdict == "Simple" and cert.conditional
 
 
 @pytest.mark.parametrize("hint, status, detail", [
-    (None, "assumed", "infinite scalar field; use certify pipelines"),
+    (None, "assumed", _Q_UNDECIDED),
     ("Simple", "verified", "base simple (carried from an earlier certificate)")])
 def test_an_undecided_doubling_base_is_assumed_unless_carried(hint, status, detail):
     # the doubling of Q(√2, √3) by α = 5 under the trivial conjugation:

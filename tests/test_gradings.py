@@ -174,9 +174,8 @@ def test_verify_degree_map_valid_on_m3():
 
 def test_degree_map_d1_violation():
     r4 = zmod_ring(4)
-    gr = trivial_grading(r4)
     dm = DegreeMap(r4, full_subring(r4), full_subring(r4).spanning(),
-                   lambda a: 1, "constant-one map", grading=gr)
+                   lambda a: 1, "constant-one map")
     assert verify_degree_map(dm).status == "D1Violation"
 
 
@@ -248,8 +247,8 @@ def _assert_matches_reference(dm):
 def _dynamics_support_maps(draw):
     """Support maps of B ⋊ Z_n for a random action on at most 3 points,
     rings of at most 512 elements so the reference stays fast.  Some are
-    weighted, d(a) = sum of w_g over Supp(a), a callable that keeps the
-    grading, so the groupoid candidates a·c can fail too."""
+    weighted, d(a) = sum of w_g over Supp(a), a callable that only the
+    element scan decides."""
     p = draw(st.sampled_from([2, 3]))
     n = draw(st.sampled_from([2, 3]))
     points = draw(st.integers(1, 3))
@@ -274,7 +273,7 @@ def _dynamics_support_maps(draw):
         st.integers(1, 3), min_size=n, max_size=n))))
     return DegreeMap(dm.ring, dm.B, dm.X,
                      lambda a: sum(weights[g] for g in dyn.grading.support(a)),
-                     "weighted support", grading=dyn.grading)
+                     "weighted support")
 
 
 def _frobenius_skew_ring(q, n):
@@ -419,9 +418,8 @@ def test_d1_violation_wins_over_an_earlier_d2_violation():
 
 def test_exhaustive_scan_settles_what_the_candidates_cannot(monkeypatch):
     # M2(F2), X = {E11}: E12 fails as its own a' ([E12, E11] = E12 keeps its
-    # degree) and there is no grading to offer a·c; the scan of <E12>, the
-    # whole ring (M2(F2) is simple), finds E11 of degree 1, which commutes
-    # with E11
+    # degree); the scan of <E12>, the whole ring (M2(F2) is simple), finds
+    # E11 of degree 1, which commutes with E11
     from ringlab.subgroups import Subspace
     m2 = full_matrix_algebra(2, GF(2))
     e11 = m2.basis_element(0)
@@ -499,7 +497,7 @@ def test_each_principal_ideal_and_degree_is_scanned_once(monkeypatch):
     assert verify_degree_map(dm).holds
     assert counts == {"principal_ideal": 0, "element_blocks": 0}
     callable_dm = DegreeMap(dm.ring, dm.B, dm.X, lambda a: len(dyn.grading.support(a)),
-                            "support as a callable", grading=dyn.grading)
+                            "support as a callable")
     assert verify_degree_map(callable_dm).holds
     # two of the ring (d1, then d2) and one of A for the 3 pairs
     assert counts == {"principal_ideal": 0, "element_blocks": 2 + 3}
@@ -542,22 +540,23 @@ def test_not_simple_degree_map_still_closes_principal_ideals(monkeypatch):
 
 
 _LEMMA_GROUPS = {"Z2": lambda: cyclic_group(2), "Z3": lambda: cyclic_group(3),
-                 "Z2xZ2": lambda: abelian_group((2, 2))}
+                 "Z2xZ2": lambda: abelian_group((2, 2)), "pair:2": lambda: pair_groupoid(2)}
 
 
 def _random_graded_algebra(cat, p, dims, seed, density, killed):
-    """A random algebra over F_p graded by the group ``cat``: A_g spanned by
-    dims[t] basis vectors for g the t-th morphism, constants drawn (each
+    """A random algebra over F_p graded by the groupoid ``cat``: A_g spanned
+    by dims[t] basis vectors for g the t-th morphism, constants drawn (each
     nonzero with probability ``density``) only where A_g·A_h lands in
-    A_gh, and A_g·A_{g^-1} = 0 for every g in ``killed``, so that
-    degenerate gradings occur too."""
+    A_gh, A_g·A_h = 0 when g and h are not composable, and
+    A_g·A_{g^-1} = 0 for every g in ``killed``, so that degenerate
+    gradings occur too."""
     order = list(cat.morphisms)
     at = np.cumsum([0] + dims)
     rng = np.random.default_rng(seed)
     C = np.zeros((at[-1],) * 3, dtype=np.int64)
     for s, g in enumerate(order):
         for t, h in enumerate(order):
-            if g in killed and h == cat.inverse[g]:
+            if not cat.composable(g, h) or g in killed and h == cat.inverse[g]:
                 continue
             u = order.index(cat.compose(g, h))
             shape = (dims[s], dims[t], dims[u])
@@ -570,8 +569,9 @@ def _random_graded_algebra(cat, p, dims, seed, density, killed):
 
 @st.composite
 def _random_gradings(draw):
-    """Gradings by Z2, Z3 or Z2xZ2 over F2 or F3 with at most 8 elements
-    per component, some of them degenerate."""
+    """Gradings by Z2, Z3, Z2xZ2 or the pair groupoid on two objects over
+    F2 or F3 with at most 8 elements per component, some of them
+    degenerate."""
     cat = _LEMMA_GROUPS[draw(st.sampled_from(sorted(_LEMMA_GROUPS)))]()
     p = draw(st.sampled_from([2, 3]))
     n = len(cat.morphisms)
