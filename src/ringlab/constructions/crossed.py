@@ -23,6 +23,11 @@ digit of x at g is x // offsets[g] % |B_c(g)|, and b·u_g is the ring's
 zero with its g digit moved from the zero of B_c(g) to b.  That layout is
 read in two places side by side: ``CrossedProduct.embed`` and
 ``CrossedProduct.block_operator``.
+
+Functoriality, sigma_g ∘ sigma_h = sigma_gh, is one check on one system
+(``_functoriality``), computed only where it is read: a warning of
+``validate_crossed_system``, and a requirement of ``skew_group_ring`` and
+``matrices.matrix_ring``.  Building a crossed product does not compute it.
 """
 
 from __future__ import annotations
@@ -127,17 +132,6 @@ def _maps_to(maps, x: Element, y: Element):
     return y.ring.equal_operators(images, [y.data]).tolist()
 
 
-def _compositions_agree(maps_g, maps_h, maps_gh):
-    """For composable stacks (sigma_h's target is sigma_g's source, each
-    stack of one source and shape): whether sigma_g ∘ sigma_h equals
-    sigma_gh, the anti flags included, per pair."""
-    S = maps_h[0].source
-    equal = S.equal_operators(S.compose_operators(_stack(maps_g), _stack(maps_h)),
-                              _stack(maps_gh))
-    return [eq and (g.anti != h.anti) == gh.anti
-            for eq, g, h, gh in zip(equal.tolist(), maps_g, maps_h, maps_gh)]
-
-
 @dataclass
 class CrossedSystem:
     cat: FiniteCategory
@@ -193,33 +187,35 @@ def validate_crossed_system(sys: CrossedSystem):
     an algebra, one fancy index of the stacked tables for a table ring; a
     failure's detail is the first failing pair in row-major order.  Their
     unit images are one product of the stack too, and so is the check that
-    the identity morphisms act as identities (:func:`_identities`).
-    Functoriality composes every composable pair at once, a stack per
-    class of maps (:func:`_functoriality`).  Each (base ring, alpha) is checked
-    for being a unit and for associating and commuting once per ring,
-    whatever the system (``Ring._alpha_verdicts``), and every composable
-    pair still gets its own two items.  A missing base ring is a failed
-    item, and the checks that read the bases are then skipped.  This is the
-    one-system call of :func:`_validation_items`, which stacks the maps of
-    many systems over one category and base.
+    the identity morphisms act as identities (:func:`_identities`).  Each
+    (base ring, alpha) is checked for being a unit and for associating and
+    commuting once per ring, whatever the system (``Ring._alpha_verdicts``),
+    and every composable pair still gets its own two items.  These are the
+    one-system items of :func:`_validation_items`.  After them come the
+    functoriality items, one per composable pair, which are warnings
+    (:func:`_functoriality`).  A missing base ring is a failed item, and
+    the checks that read the bases, functoriality included, are then
+    skipped.
     """
-    return [(name.format(*args), ok, detail)
-            for name, args, ok, detail in _validation_items([sys])[0]]
+    items = [(name.format(*args), ok, detail)
+             for name, args, ok, detail in _validation_items([sys])[0]]
+    if all(e in sys.base for e in sys.cat.objects):
+        items += [(f"functoriality at ({g!r},{h!r}) [warning only]", ok, None)
+                  for (g, h), ok in zip(sys.cat.composable_pairs(), _functoriality(sys))]
+    return items
 
 
 def _validation_items(systems):
-    """The items of :func:`validate_crossed_system` for each of
-    ``systems``, which share their category and base ring objects, as
-    (format string, arguments, ok, detail), so that a check's name is
-    formatted only when it is read: building a crossed product reads the
-    failures alone.
+    """The items of :func:`validate_crossed_system` but its functoriality
+    warnings, for each of ``systems``, which share their category and base
+    ring objects, as (format string, arguments, ok, detail), so that a
+    check's name is formatted only when it is read: building a crossed
+    product reads the failures alone, and each one fails the build.
 
     The checks run once for all the systems: every system's sigmas that
     share source, target, shape and anti flag are one stack for
-    :func:`_product_failures` and :func:`_maps_to`, their identity maps one
-    stack per class (:func:`_map_class`, :func:`_identities`), and every
-    system's composable pairs one stack per class of their three maps
-    (:func:`_functoriality`).
+    :func:`_product_failures` and :func:`_maps_to`, and their identity maps
+    one stack per class (:func:`_map_class`, :func:`_identities`).
     """
     first = systems[0]
     cat, base = first.cat, first.base
@@ -252,7 +248,6 @@ def _validation_items(systems):
         maps = [systems[k].sigma[cat.identity[e]] for k, e in group]
         identities.update(zip(group, _identities(maps)))
     pairs = cat.composable_pairs()
-    agree = _functoriality(systems, pairs)
     at_cod = [base[cat.cod[g]] for g, _ in pairs]
     normal = [(g, (cat.identity[cat.cod[g]], g), (g, cat.identity[cat.dom[g]]),
                units[cat.cod[g]]) for g in cat.morphisms]
@@ -283,8 +278,6 @@ def _validation_items(systems):
                       ("alpha[{!r},{!r}] associates and commutes", gh, central, a))
         items += [("alpha normalized at {!r}", (g,), alpha[left] == u and alpha[right] == u,
                    None) for g, left, right, u in normal]
-        items += [("functoriality at ({!r},{!r}) [warning only]", gh, ok, None)
-                  for gh, ok in zip(pairs, agree[k])]
         out.append(items)
     return out
 
@@ -307,57 +300,42 @@ def _identities(maps):
     return S.equal_operators(_stack(maps), identity).tolist()
 
 
-def _functoriality(systems, pairs):
-    """For each system, whether sigma_g ∘ sigma_h = sigma_gh, the anti
-    flags included, at each composable pair of ``pairs``.  Functoriality is
-    reported, not enforced (twisted systems may bend it); pairs whose maps
-    do not compose, or differ in kind (an index array has one axis, a
-    matrix two), fail it.
+def _functoriality(sys: CrossedSystem):
+    """Whether sigma_g ∘ sigma_h = sigma_gh, the anti flags included, at
+    each composable pair of the system's category, in order, read as
+    :meth:`RingMap.compose` and :meth:`RingMap.equals` read it: a pair whose
+    maps do not compose (sigma_h's target is not sigma_g's source), differ
+    in kind (an index array has one axis, a matrix two), or whose composite
+    differs from sigma_gh in shape fails.  The pairs whose three maps share
+    their classes (:func:`_map_class`) are one composition of stacks, out
+    of the source of sigma_h.
 
-    Systems whose maps agree in source, target and shape, morphism by
-    morphism, are checked together: their maps are one stack per morphism,
-    and the pairs whose three maps fall in the same classes are one
-    composition of those stacks, out of the source of sigma_h."""
-    cat = systems[0].cat
-    mors = cat.morphisms
-    at = {g: t for t, g in enumerate(mors)}
-    where = [(at[g], at[h], at[cat.compose(g, h)]) for g, h in pairs]
-    agree = np.zeros((len(systems), len(pairs)), dtype=bool)
-    for ks in _groups(range(len(systems)), lambda k: tuple(
-            _map_class(systems[k].sigma[g]) for g in mors)):
-        classes = [_map_class(systems[ks[0]].sigma[g]) for g in mors]
-        anti = np.array([[systems[k].sigma[g].anti for k in ks] for g in mors]).reshape(len(mors), -1)
-        # the maps of each class's morphisms as one (systems, morphisms, ...) stack
-        members = {}
-        for t, c in enumerate(classes):
-            members.setdefault(c, []).append(t)
-        local = {t: i for ts in members.values() for i, t in enumerate(ts)}
-        stacks = {}
-        for c, ts in members.items():
-            stack = _stack([systems[k].sigma[mors[t]] for t in ts for k in ks])
-            stacks[c] = stack.reshape(len(ts), len(ks), *stack.shape[1:]).swapaxes(0, 1)
-        composable = [q for q, (g, h, gh) in enumerate(where)
-                      if classes[h][1] is classes[g][0] and classes[gh][0] is classes[h][0]
-                      and classes[gh][1] is classes[g][1]
-                      and len(classes[g][2]) == len(classes[h][2]) == len(classes[gh][2])]
-        block = np.zeros((len(ks), len(pairs)), dtype=bool)
-        for qs in _groups(composable, lambda q: tuple(map(classes.__getitem__, where[q]))):
-            g, h, gh = zip(*(where[q] for q in qs))
-            G, H, GH = (stacks[classes[ts[0]]][:, [local[t] for t in ts]]
-                        for ts in (g, h, gh))
-            S = classes[h[0]][0]
-            equal = S.equal_operators(S.compose_operators(G, H), GH)
-            flags = (anti[list(g)] != anti[list(h)]) == anti[list(gh)]
-            block[:, qs] = equal & flags.T
-        agree[ks] = block
-    return agree.tolist()
+    Functoriality is computed only where it is read: reported, not
+    enforced, by :func:`validate_crossed_system` (twisted systems may bend
+    it), and enforced by :func:`skew_group_ring` and
+    :func:`~ringlab.constructions.matrices.matrix_ring`.
+    """
+    cat, sigma = sys.cat, sys.sigma
+    triples = [(sigma[g], sigma[h], sigma[cat.compose(g, h)]) for g, h in cat.composable_pairs()]
+    agree = [False] * len(triples)
+    for qs in _groups(range(len(triples)), lambda q: tuple(map(_map_class, triples[q]))):
+        g, h, gh = zip(*(triples[q] for q in qs))
+        S = h[0].source
+        if h[0].target is not g[0].source or not (
+                g[0].operator.ndim == h[0].operator.ndim == gh[0].operator.ndim):
+            continue
+        composed = S.compose_operators(_stack(g), _stack(h))
+        if composed.shape[1:] != gh[0].operator.shape:
+            continue
+        equal = S.equal_operators(composed, _stack(gh)).tolist()
+        for q, eq, a, b, c in zip(qs, equal, g, h, gh):
+            agree[q] = eq and (a.anti != b.anti) == c.anti
+    return agree
 
 
 def _hard_failures(items):
-    """(name, witness) of each failed item of :func:`_validation_items`
-    that is not a warning."""
-    return [(name.format(*args), wit) for name, args, ok, wit in items
-            if not ok and "warning only" not in name]
+    """(name, witness) of each failed item of :func:`_validation_items`."""
+    return [(name.format(*args), wit) for name, args, ok, wit in items if not ok]
 
 
 # ---------------------------------------------------------------------------
@@ -429,11 +407,12 @@ def crossed_products(systems, kind_tag="crossed_product", notes=(),
     Over structure algebras the budget comes first: a product of dimension
     d with d³ past ``rings.CONSTANTS_CAP`` raises TooLarge before anything
     is allocated (:func:`_layout`).  Then the systems are validated
-    together (:func:`_validation_items`), and the first system, in order,
-    with a failed item that is not a warning raises the ValidationFailure
-    it raises alone.  Over structure algebras the constants of all the
-    systems are built as stacks (:func:`_crossed_algebras`); over table
-    rings each system is tabulated in turn (:func:`_crossed_table`).
+    together (:func:`_validation_items`, which leaves out the functoriality
+    warnings), and the first system, in order, with a failed item raises
+    the ValidationFailure it raises alone.  Over structure algebras the
+    constants of all the systems are built as stacks
+    (:func:`_crossed_algebras`); over table rings each system is tabulated
+    in turn (:func:`_crossed_table`).
     """
     systems = list(systems)
     if not systems:
@@ -600,7 +579,9 @@ def _crossed_table(sys, kind_tag, notes):
 def skew_group_ring(B: Ring, G: FiniteCategory, sigma: dict,
                     name=None) -> CrossedProduct:
     """Crossed product with trivial cocycle; sigma must be a group action by
-    ring automorphisms."""
+    ring automorphisms: each map bijective and not anti, and every pair
+    composing (:func:`_functoriality`), else a ValidationFailure names
+    each fault."""
     if not G.is_group():
         raise ShapeMismatch("skew group rings need a group")
     e = G.objects[0]
@@ -612,14 +593,12 @@ def skew_group_ring(B: Ring, G: FiniteCategory, sigma: dict,
     for g in G.morphisms:
         if maps[g].anti or not maps[g].is_bijective():
             problems.append(f"sigma[{g!r}] is not an automorphism")
-    # every pair composed at once; an anti map already fails above
-    pairs = G.composable_pairs()
-    agree = _compositions_agree(*zip(*((maps[g], maps[h], maps[G.compose(g, h)])
-                                       for g, h in pairs)))
-    problems += [f"action fails at ({g!r},{h!r})" for (g, h), ok in zip(pairs, agree) if not ok]
+    sys = CrossedSystem(G, {e: B}, maps, name=name or f"{G.name}-skew group ring")
+    # an anti map already fails above
+    problems += [f"action fails at ({g!r},{h!r})"
+                 for (g, h), ok in zip(G.composable_pairs(), _functoriality(sys)) if not ok]
     if problems:
         raise ValidationFailure(problems)
-    sys = CrossedSystem(G, {e: B}, maps, name=name or f"{G.name}-skew group ring")
     return crossed_product(sys, kind_tag="skew_group_ring")
 
 

@@ -9,8 +9,9 @@ by central associating units alpha_ijk (normalized when i = j or j = k).
 from __future__ import annotations
 
 from ..categories import pair_groupoid
-from ..errors import CoherenceViolation
-from .crossed import CrossedProduct, CrossedSystem, RingMap, crossed_product
+from ..errors import CoherenceViolation, ShapeMismatch
+from .crossed import (CrossedProduct, CrossedSystem, RingMap, _functoriality,
+                      crossed_product)
 
 
 def matrix_ring(n: int, bases, sigmas=None, alphas=None, name=None) -> CrossedProduct:
@@ -18,7 +19,11 @@ def matrix_ring(n: int, bases, sigmas=None, alphas=None, name=None) -> CrossedPr
 
     ``bases`` is one ring (used for every index) or a list of rings;
     ``sigmas`` maps (i,j) to a RingMap B_j -> B_i (identity by default);
-    ``alphas`` maps (i,j,k) to a unit of B_i.
+    ``alphas`` maps (i,j,k) to a unit of B_i.  Coherence is the system's
+    functoriality (:func:`~ringlab.constructions.crossed._functoriality`),
+    read at the pairs ((i,j), (j,k)) in (i, j, k) order: the first that
+    fails raises ShapeMismatch when its maps do not compose, and
+    CoherenceViolation otherwise.
     """
     G = pair_groupoid(n)
     if isinstance(bases, (list, tuple)):
@@ -40,12 +45,13 @@ def matrix_ring(n: int, bases, sigmas=None, alphas=None, name=None) -> CrossedPr
     for i in range(n):
         if not sig[(i, i)].is_identity():
             raise CoherenceViolation(f"sigma[{i},{i}] must be the identity")
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if not sig[(i, j)].compose(sig[(j, k)]).equals(sig[(i, k)]):
-                    raise CoherenceViolation(f"sigma[{i},{j}]sigma[{j},{k}] != sigma[{i},{k}]")
-    alpha = {}
+    sys = CrossedSystem(G, base, sig, name=name or f"M_{n}")
+    for (g, h), ok in zip(G.composable_pairs(), _functoriality(sys)):
+        if not ok:
+            if sig[h].target is not sig[g].source:
+                raise ShapeMismatch("maps do not compose")
+            (i, j), k = g, h[1]
+            raise CoherenceViolation(f"sigma[{i},{j}]sigma[{j},{k}] != sigma[{i},{k}]")
     for i in range(n):
         for j in range(n):
             for k in range(n):
@@ -57,6 +63,5 @@ def matrix_ring(n: int, bases, sigmas=None, alphas=None, name=None) -> CrossedPr
                         if a != unit:
                             raise CoherenceViolation(
                                 f"alpha[{i},{j},{k}] must be the unit when i=j or j=k")
-                    alpha[(g, h)] = a
-    sys = CrossedSystem(G, base, sig, alpha=alpha, name=name or f"M_{n}")
+                    sys.alpha[(g, h)] = a
     return crossed_product(sys, kind_tag="matrix_ring")

@@ -254,6 +254,14 @@ def _frobenius(base_spec, path):
     return gf_extension(q)[1] if head == "F" else None
 
 
+def _anti(spec, path):
+    """A map spec's "anti" flag: a JSON boolean, false when absent."""
+    anti = spec.get("anti", False)
+    if type(anti) is not bool:
+        raise SchemaError(path, f"expected a boolean \"anti\", got {anti!r}")
+    return anti
+
+
 def _ring_map(ring, spec, path, frobenius=None):
     if spec == "id":
         return RingMap.identity(ring)
@@ -266,12 +274,12 @@ def _ring_map(ring, spec, path, frobenius=None):
             raise SchemaError(path, "a matrix map needs a structure algebra")
         rows = [[_coerce_scalar(ring.F.coerce, x, path) for x in row]
                 for row in _array(spec["matrix"], (ring.dim, ring.dim), path)]
-        return RingMap(ring, ring, rows, anti=bool(spec.get("anti", False)))
+        return RingMap(ring, ring, rows, anti=_anti(spec, path))
     if isinstance(spec, dict) and "perm" in spec:
         if not ring.is_table:
             raise SchemaError(path, "an index map needs a table ring")
         perm = _indices(spec["perm"], (ring.n,), path, bound=ring.n)
-        return RingMap(ring, ring, perm, anti=bool(spec.get("anti", False)))
+        return RingMap(ring, ring, perm, anti=_anti(spec, path))
     raise SchemaError(path, f"unknown map spec {spec!r}")
 
 
@@ -300,8 +308,13 @@ def _build(doc, path):
              for plane in _array(doc["constants"], (d, d, d), f"{path}/constants")]
         return make_structure_algebra(d, dom, C)
     if kind == "cayley_tower":
-        dom = _field(doc["base"] if isinstance(doc["base"], str)
-                     else doc["base"].get("ring", "Q"), f"{path}/base")
+        spec = doc["base"]
+        if isinstance(spec, dict) and spec["kind"] == "scalar":
+            spec = spec["ring"]
+        elif not isinstance(spec, str):
+            raise SchemaError(f"{path}/base", "a tower's base must be a scalar spec "
+                              "or a scalar recipe")
+        dom = _field(spec, f"{path}/base")
         levels = _size(doc, "levels", path, least=0)
         alphas = doc.get("alpha")
         if alphas is not None:
@@ -387,6 +400,9 @@ def _build(doc, path):
         n = _size(doc, "size", path)
         alphas = None
         if "alphas" in doc:
+            if not isinstance(doc["alphas"], dict):
+                raise SchemaError(f"{path}/alphas", "expected an object mapping "
+                                  "\"i,j,k\" to a scalar")
             alphas = {}
             for key, val in doc["alphas"].items():
                 try:
@@ -413,8 +429,9 @@ def _build(doc, path):
         dom = _field(doc["field"], f"{path}/field")
         mors = list(group.morphisms)
         points = _size(doc, "points", path)
+        # no bound: a point out of range is NotAnAction's to name
         action = {g: tuple(row) for g, row in
-                  zip(mors, _array(doc["action"], (len(mors), points), f"{path}/action"))}
+                  zip(mors, _indices(doc["action"], (len(mors), points), f"{path}/action"))}
         return dynamics_skew_group_ring(points, group, action, dom)
     raise UnknownKind(kind)
 

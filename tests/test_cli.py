@@ -198,6 +198,18 @@ F4 = {"kind": "scalar", "ring": "F4"}
     ({"kind": "skew_group_ring", "base": "Fp:2", "group": "xor:-1", "action": "frobenius"},
      "/group"),
     ({"kind": "twisted_group_ring", "base": "Q", "group": "Z0", "alpha": [[]]}, "/group"),
+    ({"kind": "matrix_ring", "size": 2, "base": "Fp:3", "alphas": [1]}, "/alphas"),
+    ({"kind": "cayley_tower", "base": 5, "levels": 1}, "/base"),
+    ({"kind": "cayley_tower", "base": {"kind": "structure_algebra", "field": "Fp:3", "dim": 1,
+                                       "constants": [[[1]]]}, "levels": 1}, "/base"),
+    ({"kind": "dynamics", "points": 2, "group": "Z2", "action": [[0, 1], ["a", 0]],
+      "field": "Fp:3"}, "/action"),
+    ({"kind": "dynamics", "points": 2, "group": "Z2", "action": [[0, 1], [1, 0.5]],
+      "field": "Fp:3"}, "/action"),
+    ({"kind": "dynamics", "points": 2, "group": "Z2", "action": [[0, 1], [True, 0]],
+      "field": "Fp:3"}, "/action"),
+    ({"kind": "skew_group_ring", "base": F4, "group": "Z2",
+      "action": ["id", {"matrix": [[1, 0], [1, 1]], "anti": "yes"}]}, "/action"),
 ], ids=["F6", "F0", "Fp:x", "tower-levels", "constants", "twisted-alpha",
         "frobenius-Z2xZ2", "skew-action", "crossed-sigma", "crossed-twists",
         "tower-alpha", "matrix-alphas", "dynamics-action", "matrix-size-0",
@@ -208,7 +220,9 @@ F4 = {"kind": "scalar", "ring": "F4"}
         "dim-float", "zero-bool", "alpha-bool-float", "constants-float-Q",
         "constants-fraction-Fp", "matrix-float", "tower-alpha-float", "doubling-alpha-bool",
         "bales-Z2xZ2", "group-xor-letter", "group-pair-letter", "group-xor-negative",
-        "group-Z0"])
+        "group-Z0", "matrix-alphas-list", "tower-base-int", "tower-base-algebra",
+        "dynamics-action-string", "dynamics-action-float", "dynamics-action-bool",
+        "anti-string"])
 def test_malformed_recipe_exits_2(tmp_path, capsys, doc, path):
     with pytest.raises(SchemaError) as err:
         build_recipe(parse_recipe_text(json.dumps(doc)))

@@ -25,7 +25,8 @@ from ringlab.subgroups import Subspace, commuting_span
 from ringlab.constructions import doubling
 from ringlab.errors import (AlphaNotCentralUnit, CoherenceViolation,
                             CriterionDisagreement, InfiniteScalarField, NotAnAction,
-                            SigmaNotInvolutive, TooLarge, ValidationFailure)
+                            ShapeMismatch, SigmaNotInvolutive, TooLarge,
+                            ValidationFailure)
 
 
 def test_group_algebra_is_plain_group_ring():
@@ -209,9 +210,19 @@ def test_matrix_ring_over_z4():
 
 def test_matrix_ring_coherence():
     f4, frob = gf_extension(4)
-    with pytest.raises(CoherenceViolation):
+    with pytest.raises(CoherenceViolation, match=r"sigma\[0,1\]sigma\[1,0\] != sigma\[0,0\]"):
         matrix_ring(2, f4, sigmas={(0, 1): RingMap(f4, f4, frob),
                                    (1, 0): RingMap.identity(f4)})
+
+
+def test_matrix_ring_maps_that_do_not_compose():
+    # sigma[1,0] starts at a copy of F4, so sigma[0,1]sigma[1,0] composes
+    # and equals sigma[0,0] operator for operator, and the first pair whose
+    # maps do not compose, ((1,0), (0,0)), raises ShapeMismatch
+    f4, _ = gf_extension(4)
+    copy = make_structure_algebra(2, GF(2), f4.constants.tolist())
+    with pytest.raises(ShapeMismatch, match="maps do not compose"):
+        matrix_ring(2, f4, sigmas={(1, 0): RingMap(copy, f4, np.eye(2, dtype=np.int64))})
 
 
 def test_twisted_matrix_ring_still_simple():
@@ -845,9 +856,16 @@ def _build(call):
 @settings(max_examples=50, deadline=None)
 @given(stacked_crossed_systems())
 def test_stacked_crossed_products_equal_the_one_by_one_builds(systems):
+    # the stacked items are the report but its trailing functoriality
+    # warnings, which only validate_crossed_system computes
     for sys, items in zip(systems, crossed._validation_items(systems)):
-        report = [(name.format(*args), ok, detail) for name, args, ok, detail in items]
-        assert repr(report) == repr(validate_crossed_system(sys)) == repr(_reference_report(sys))
+        stacked = [(name.format(*args), ok, detail) for name, args, ok, detail in items]
+        report = validate_crossed_system(sys)
+        warnings = report[len(stacked):]
+        assert repr(stacked) == repr(report[:len(stacked)])
+        assert len(warnings) == len(sys.cat.composable_pairs())
+        assert all(name.endswith("[warning only]") for name, _, _ in warnings)
+        assert repr(report) == repr(_reference_report(sys))
     _assert_same_products(crossed_products(systems, validate=False),
                           [crossed_product(sys, validate=False) for sys in systems])
     # validated: the first system that fails raises what it raises alone
@@ -860,6 +878,25 @@ def test_stacked_crossed_products_equal_the_one_by_one_builds(systems):
         _assert_same_products(stacked, alone)
         for sys, cp in zip(systems, stacked):
             _check_crossed_products(sys, cp)
+
+
+def test_building_never_computes_functoriality(monkeypatch):
+    def refused(*args):
+        raise AssertionError("functoriality computed")
+
+    monkeypatch.setattr(crossed, "_functoriality", refused)
+    rotations = [{0: (0, 1, 2), 1: (1, 2, 0), 2: (2, 0, 1)},
+                 {0: (0, 1, 2), 1: (0, 1, 2), 2: (0, 1, 2)}]
+    built = dynamics_skew_group_rings(3, cyclic_group(3), rotations, GF(2))
+    twisted_group_ring(field_algebra(GF(3)), cyclic_group(2), lambda g, h: 1)
+    B, Z2 = field_algebra(GF(3)), cyclic_group(2)
+    bad = CrossedSystem(Z2, {Z2.objects[0]: B}, {g: RingMap.identity(B) for g in Z2.morphisms},
+                        alpha={(1, 1): B.zero()})
+    with pytest.raises(ValidationFailure, match="alpha"):
+        crossed_product(bad)
+    # the report still reads it
+    with pytest.raises(AssertionError, match="functoriality computed"):
+        validate_crossed_system(built[0].system)
 
 
 def _count_backend_calls(monkeypatch, names):
