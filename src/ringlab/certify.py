@@ -981,10 +981,10 @@ def survey_finite_dynamics(max_points=4, max_group_order=6, field_orders=(2, 3),
 
     Negative cases are refuted by explicit witness ideals (any size);
     positive cases are confirmed by :func:`is_simple`, whose F_p decision
-    (``linalg.norton_modp``) runs first at any size.  The certificates'
-    oracle cross-checks read only the verdict: on a ring that is not
-    simple, the proper submodule of Norton's test decides it, under
-    ``scan_cap`` and over it, and no line is walked for a witness.
+    (Norton's test, ``linalg.irreducible_modp``) runs first at any size.
+    The certificates' oracle cross-checks read only the verdict: on a ring
+    that is not simple, the proper submodule of Norton's test decides it,
+    under ``scan_cap`` and over it, and no line is walked for a witness.
     Conjugate actions transfer their verdict along a verified ring
     isomorphism.
 
@@ -1034,15 +1034,17 @@ def survey_finite_dynamics(max_points=4, max_group_order=6, field_orders=(2, 3),
 # ---------------------------------------------------------------------------
 
 def simple_by_density(ring: StructureAlgebra) -> bool:
-    """Exact simplicity decision for an algebra without element scans: its
-    field backend's ``simplicity``, the decision :func:`is_simple` reads.
+    """Exact simplicity decision for an algebra without element scans: the
+    decision :func:`is_simple` reads, the whole ring's span's
+    ``irreducible`` with no maps, once R·R ≠ 0.
 
     Ideals are the invariant subspaces of the left/right multiplication
     operators, so the ring is simple iff its square is nonzero and its
     space is an irreducible module under them.  Over F_p Norton's
-    irreducibility test decides that (:func:`ringlab.linalg.norton_modp`),
-    and answers None when none of its trials decides.  It keeps its name
-    because the benchmark tracer (``perfbench/tracer.py``) counts its calls
-    under it.
+    irreducibility test decides that (:func:`ringlab.linalg.irreducible_modp`),
+    and answers None when none of its trials decides; over Q a simple
+    reduction modulo a prime proves it, and None is the answer otherwise.
+    It keeps its name because the benchmark tracer
+    (``perfbench/tracer.py``) counts its calls under it.
     """
-    return ring.F.simplicity(ring).holds
+    return full_subgroup(ring).irreducible([]).holds and not ring.products_vanish()

@@ -7,7 +7,8 @@
     ringlab corpus                       cross-check the built-in corpus
 
 Exit codes: 0 ok, 1 failed expectation or pipeline/oracle disagreement,
-2 usage or recipe errors, or a check past the element cap or over Q where
+2 usage or recipe errors (a check name outside ``CHECK_NAMES`` among them,
+refused before the recipe is read), or a check past the element cap or over Q where
 it needs finitely many elements (``check`` still prints its report, with the
 error as that check's result).
 """
@@ -22,10 +23,9 @@ from .certify import certify_built
 from .errors import CriterionDisagreement, RinglabError
 from .ideals import DEFAULT_ELEMENT_CAP, DEFAULT_SEED, is_simple
 from .recipes import build_recipe, parse_recipe
-from .reports import Report, build_summary, run_checks, simplicity_json, table_dump
+from .reports import (CHECK_NAMES, Report, build_summary, known_checks, run_checks,
+                      simplicity_json, table_dump)
 from .rings import ring_of
-
-CHECK_NAMES = ("simplicity", "center", "invariance", "grading", "degree-map")
 
 
 def _parser():
@@ -83,6 +83,9 @@ def _dispatch(args, t0) -> int:
     if not args.recipe:
         print("error: this command needs a recipe file", file=sys.stderr)
         return 2
+    if args.command == "check":
+        # a misspelled check is refused before the recipe is built
+        names = known_checks([n.strip() for n in args.checks.split(",") if n.strip()])
     recipe = parse_recipe(args.recipe)
     built = build_recipe(recipe)
     report = Report(recipe_digest=recipe.digest, seed=args.seed, caps=caps)
@@ -94,7 +97,6 @@ def _dispatch(args, t0) -> int:
         if "error" in report.results["table"]:
             exit_code = 2
     elif args.command == "check":
-        names = [n.strip() for n in args.checks.split(",") if n.strip()]
         results, failed = run_checks(built, names, cap=args.cap, seed=args.seed)
         report.results.update(results)
         if failed:

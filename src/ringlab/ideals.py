@@ -10,21 +10,26 @@ of ``rings``, which own it.
 
 Every quantifier "for every ideal of B" reads :func:`_line_closures`, the
 decision on the lines of B closed under its multiplications and a set of
-maps.  Over F_p it decides first, at any size, by Norton's test on those
-operators (:func:`linalg.irreducible_modp`), as :func:`is_simple` does for
-a whole algebra, and walks lines only for a lattice, or for a witness when
-it is read (:meth:`IdealBasis.deferred`).  Where the property sought is
-stability under maps (G-, σ-δ- and conjugation-invariance), the first such
-ideal is minimal, hence a closure, and :func:`first_stable_ideal` never
-builds the lattice; past the cap, the test's submodule is its answer.
-Other properties (A-invariance, meeting a subring in 0) read the lattice,
-which :func:`enumerate_subring_ideals` joins from the closures: every ideal
-is the join of the principal ideals of its elements, so the enumeration is
+maps: B's span's ``irreducible``, which hands its product constants and
+the maps to its field backend.  Over F_p that decides first, at any size,
+by Norton's test on those operators (:func:`linalg.irreducible_modp`).
+Simplicity is the same question with B the whole ring, no maps and R·R ≠
+0, and :func:`is_simple` asks the whole ring's span for that decision.
+Lines are walked only for a lattice, or for a witness when it is read
+(:meth:`IdealBasis.deferred`), by the span's ``line_closure``, which is
+no part of the decision.  Where the property sought is stability under
+maps (G-, σ-δ- and conjugation-invariance), the first such ideal is
+minimal, hence a closure, and :func:`first_stable_ideal` never builds the
+lattice; past the cap, the test's submodule is its answer.  Other
+properties (A-invariance, meeting a subring in 0) read the lattice, which
+:func:`enumerate_subring_ideals` joins from the closures: every ideal is
+the join of the principal ideals of its elements, so the enumeration is
 exhaustive on finite (or capped F_p) rings, and an irreducible B has the
 lattice 0, B at any size.  Over Q neither runs; a positive simplicity
 verdict comes only from a reduction mod p that is simple (see
 :func:`is_simple`).  Every decided question answers with one
-:class:`Verdict`: ``holds``, the witness, and ``decided_by``, the oracle
+:class:`Verdict` (defined in ``linalg``, where the decisions are made, and
+re-exported here): ``holds``, the witness, and ``decided_by``, the oracle
 that decided it.
 """
 
@@ -32,11 +37,12 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .errors import (BNotCommutative, CriterionDisagreement, InfiniteScalarField,
                      NotAInvariant, NotIdealAssociative, RingMismatch,
                      TooLarge)
+from .linalg import Verdict
 from .rings import DEFAULT_ELEMENT_CAP, require_ring
 from .subgroups import (AddSubgroup, additive_span, full_subgroup,
                         product_span, span_class, zero_subgroup)
@@ -225,20 +231,20 @@ def principal_ideal(ring, elt) -> IdealBasis:
 
 
 def _line_closures(span, maps, cap, lattice=False):
-    """The :class:`ringlab.linalg.Decision` on the ideals of B, the subring
-    with the span ``span``, that every map sends into themselves: the
-    additive subgroups of B that L_b and R_b (b in B) and the maps send
-    into themselves.  ``maps`` send B into B: d×d matrices acting on rows
-    (v ↦ v @ M), or index arrays for a table ring.
+    """The :class:`Verdict` on the ideals of B, the subring with the span
+    ``span``, that every map sends into themselves: the additive subgroups
+    of B that L_b and R_b (b in B) and the maps send into themselves.
+    ``maps`` send B into B: d×d matrices acting on rows (v ↦ v @ M), or
+    index arrays for a table ring.
 
-    It is the span's ``stable_closures``: Norton's test on those operators
-    over F_p (:func:`linalg.irreducible_modp`), asked first, at any size,
-    with one such ideal as an ambient span when it finds one, and undecided
-    on a table ring.  ``close(seed, bound=None)`` is set when lines are to
-    be walked, over ``span.line_seeds()`` (one generator per line of B, per
-    cyclic subgroup of a table ring; the maps are additive): the smallest
-    ideal of B that holds the seed and that every map sends into itself, as
-    an ambient span, or None past ``bound`` members (dimensions).
+    It is the span's ``irreducible``: its field backend's decision on its
+    product constants and the maps, over F_p Norton's test on those
+    operators (:func:`linalg.irreducible_modp`), asked first, at any size,
+    with one such ideal as an ambient span for its witness when it finds
+    one, and undecided on a table ring.  A caller that walks lines asks
+    the span for ``line_closure(maps)`` apart, over ``span.line_seeds()``
+    (one generator per line of B, per cyclic subgroup of a table ring; the
+    maps are additive).
 
     This is where a stable-ideal question is decided: by "norton" within
     the cap (a witness is then the walk's), by "norton-past-cap" when B has
@@ -249,14 +255,14 @@ def _line_closures(span, maps, cap, lattice=False):
     """
     if span.ring.size() is None:
         raise InfiniteScalarField("cannot enumerate ideals over Q")
-    decision = span.stable_closures(maps)
+    decision = span.irreducible(maps)
     if decision.holds:
-        return replace(decision, close=None)
+        return decision
     size = span.size()
     if size > cap:
         if decision.holds is None or lattice:
             raise TooLarge(f"{size} elements exceeds cap {cap}")
-        return replace(decision, close=None, decided_by="norton-past-cap")
+        return replace(decision, decided_by="norton-past-cap")
     if decision.holds is None:
         return replace(decision, decided_by="line-walk")
     return decision
@@ -272,7 +278,7 @@ def enumerate_subring_ideals(ring, B: Subring | None, cap=DEFAULT_ELEMENT_CAP):
     walk."""
     span = full_subgroup(ring) if B is None else B.span
     decision = _line_closures(span, [], cap, lattice=True)
-    principal = [span] if decision.holds else map(decision.close, span.line_seeds())
+    principal = [span] if decision.holds else map(span.line_closure([]), span.line_seeds())
     zero = zero_subgroup(ring)
     lattice = {zero.key(): zero}
     # the joins of the principal ideals so far are closed under joins, so one
@@ -295,52 +301,6 @@ def enumerate_ideals(ring, cap=DEFAULT_ELEMENT_CAP):
     return enumerate_subring_ideals(ring, None, cap)
 
 
-@dataclass(slots=True)
-class Verdict:
-    """The answer to a decided question, and what decided it: simplicity
-    (:func:`is_simple`), a nontrivial ideal of B stable under maps
-    (:func:`first_stable_ideal`, behind G-, σ-δ- and conjugation-
-    simplicity), A-simplicity (:func:`is_A_simple`), a degree map's
-    validity and the ideal intersection property (``gradings``).
-
-    ``holds`` is True, False, or None when undecided.  A False has a
-    ``witness``: a proper nonzero ideal, or what the question names.  One
-    that a decision proved before it was found is an
-    :meth:`IdealBasis.deferred`; reading :attr:`witness` finds it (so a
-    disagreement between Norton's test and the line walk is raised there),
-    while ``deferred_witness`` holds it unfound, for a report that may
-    never be printed.  ``reason`` is "R*R = 0", "reduction mod q" or why
-    the verdict is undecided.  ``decided_by``, set for :func:`is_simple`
-    and the stable-ideal questions and never printed, names the oracle:
-    "products-vanish", "norton" (within the cap, where a witness is the
-    line walk's), "norton-past-cap" (whose submodule is the witness),
-    "reduction-mod-q", "line-walk" or "witness-search"; only the decision
-    sites write it (``tests/test_verdict_guard.py``).  ``names`` are the
-    statuses of a True and a False; an undecided verdict is
-    "Inconclusive"."""
-
-    holds: bool | None
-    deferred_witness: object = None
-    reason: str | None = None
-    decided_by: str | None = None
-    names: tuple = ("Simple", "NotSimple")
-
-    @property
-    def witness(self):
-        if isinstance(self.deferred_witness, IdealBasis):
-            self.deferred_witness.span        # a deferred witness is found here
-        return self.deferred_witness
-
-    @property
-    def status(self):
-        return "Inconclusive" if self.holds is None else self.names[0 if self.holds else 1]
-
-    def __repr__(self):
-        if self.holds is None:
-            return f"Inconclusive({self.reason})"
-        return self.status if self.holds else f"{self.status}({self.witness!r})"
-
-
 def is_simple(ring, cap=DEFAULT_ELEMENT_CAP, seed=DEFAULT_SEED,
               samples=DEFAULT_WITNESS_SAMPLES) -> Verdict:
     """Simplicity oracle: a :class:`Verdict` named "Simple"/"NotSimple"
@@ -349,15 +309,16 @@ def is_simple(ring, cap=DEFAULT_ELEMENT_CAP, seed=DEFAULT_SEED,
 
     R·R = 0 is NotSimple ("products-vanish"), with a proper 1-generator
     subgroup as the witness, or None when there is no proper nonzero ideal
-    (dimension 1, or a table ring of prime order or of order 1).  Otherwise
-    an algebra asks its field backend's ``simplicity``, a
-    :class:`ringlab.linalg.Decision`, at any size: over F_p Norton's
-    irreducibility test (:func:`ringlab.linalg.norton_modp`, "norton"), the
-    one F_p decision, enumerates nothing, and is undecided only when none
-    of its trials decides; over Q a reduction modulo one of
-    ``linalg.LIFT_PRIMES`` that is simple proves it ("reduction-mod-q"),
-    and the verdict's reason names the prime, "reduction mod q".  A table
-    ring has no such decision.
+    (dimension 1, or a table ring of prime order or of order 1).
+    Otherwise simplicity is the stable-ideal decision with B the whole
+    ring and no maps: the whole ring's span's ``irreducible``, the
+    decision that :func:`enumerate_ideals` reads, at any size.  Over F_p
+    it is Norton's irreducibility test (:func:`ringlab.linalg.irreducible_modp`,
+    "norton") on the ring's multiplications, which enumerates nothing and
+    is undecided only when none of its trials decides; over Q a reduction
+    modulo one of ``linalg.LIFT_PRIMES`` that is simple proves it
+    ("reduction-mod-q"), and the verdict's reason names the prime,
+    "reduction mod q".  A table ring's span has no decision.
 
     A finite ring (a table ring, whose elements are in memory already, or
     an F_p algebra of at most ``cap`` elements) that the decision calls not
@@ -397,23 +358,23 @@ def _is_simple_uncached(ring, cap, seed, samples) -> Verdict:
         sub = next((sub for sub in spans if not sub.is_full()), None)
         return Verdict(False, None if sub is None else IdealBasis(ring, sub, check=False),
                        reason="R*R = 0", decided_by="products-vanish")
-    decision = ring.simplicity()
+    decision = full_subgroup(ring).irreducible([])
     if decision.holds:
-        return Verdict(True, reason=decision.reason, decided_by=decision.decided_by)
+        return decision
     if ring.is_walked(cap):
         if decision.holds is False:
             # Norton's test proves NotSimple, so the walk waits for a
             # reader; the line of the submodule's first row is proper
-            last = ring.F.coords(decision.submodule[0][0])
-            return Verdict(False, IdealBasis.deferred(ring, lambda: _line_witness(ring, last)),
-                           decided_by=decision.decided_by)
+            last = decision.witness.spanning()[0].data
+            return replace(decision, deferred_witness=IdealBasis.deferred(
+                ring, lambda: _line_witness(ring, last)))
         sub = first_proper_line_ideal(ring)
         return Verdict(sub is None, None if sub is None else IdealBasis(ring, sub, check=False),
                        decided_by="line-walk")
-    if decision.submodule is not None:
-        # an ideal already, in a span's own form: (rref basis, pivots)
-        return Verdict(False, IdealBasis(ring, span_class(ring)(ring, *decision.submodule),
-                                         check=False), decided_by="norton-past-cap")
+    if decision.holds is False:
+        # an ideal already, as an ambient span
+        return Verdict(False, IdealBasis(ring, decision.witness, check=False),
+                       decided_by="norton-past-cap")
     # witness search, on an algebra: a table ring has returned above.  The
     # seeded candidates are drawn lazily, because most searches stop at
     # their first candidate
@@ -507,7 +468,9 @@ def first_stable_ideal(ring, B: Subring | None, maps, cap=DEFAULT_ELEMENT_CAP) -
 
     When Norton's test finds no such ideal, at any size, the verdict holds
     and no line is walked.  Otherwise the lattice is never built: the
-    witness is the least closure of a line.  A stable ideal of least
+    witness is the least closure of a line, by the span's
+    ``line_closure(maps)``, which the verdict does not carry: it is taken
+    here, when the question is decided.  A stable ideal of least
     measure is minimal, so each of its nonzero elements generates it, and
     it is the least of the closures and any other stable ideal, such as
     the one the test found, which the walk starts from.  A closure that
@@ -525,25 +488,26 @@ def first_stable_ideal(ring, B: Subring | None, maps, cap=DEFAULT_ELEMENT_CAP) -
     decision = _line_closures(span, maps, cap)
     witness = None
     if decision.holds is None:
-        best = _least_closure(span, None, span.line_seeds(), decision.close)
+        best = _least_closure(span, None, span.line_closure(maps))
         if best is not None:
             witness = IdealBasis(ring, best, of_subring=B, check=False)
-    elif decision.holds is False and decision.close is None:
-        witness = IdealBasis(ring, decision.submodule, of_subring=B, check=False)
+    elif decision.holds is False and span.size() > cap:
+        witness = IdealBasis(ring, decision.witness, of_subring=B, check=False)
     elif decision.holds is False:
+        close = span.line_closure(maps)
         witness = IdealBasis.deferred(ring, lambda: _least_closure(
-            span, decision.submodule, span.line_seeds(), decision.close), of_subring=B)
+            span, decision.witness, close), of_subring=B)
     return Verdict(witness is None, witness, decided_by=decision.decided_by,
                    names=("NoStableIdeal", "StableIdeal"))
 
 
-def _least_closure(span, best, seeds, close):
+def _least_closure(span, best, close):
     """The least of ``best`` (a stable ideal of B, or None) and the
-    closures of ``seeds`` that are not all of B (``span``), in (measure,
-    key) order; None when there is none."""
+    closures (``close``) of the line seeds of B (``span``) that are not
+    all of B, in (measure, key) order; None when there is none."""
     # past the bound a closure is all of B, or larger than the best one
     bound = span.measure() - 1 if best is None else best.measure()
-    for seed in seeds:
+    for seed in span.line_seeds():
         sub = close(seed, bound)
         if sub is not None and (
                 best is None or (sub.measure(), sub.key()) < (best.measure(), best.key())):

@@ -45,16 +45,21 @@ reversed, whose free columns give the kernel's rref rows directly.
 ``irreducible_modp`` is the one F_p irreducibility decision: Norton's test
 (the MeatAxe) on any stack of operators, which finds a proper invariant
 subspace, proves there is none, or is undecided, without enumerating
-elements.  Two questions ask it.  ``norton_modp``, the one F_p simplicity
-decision, asks it on an algebra's multiplications and returns its
-:class:`Decision`: a "not simple" comes with the proper submodule it found,
-an ideal, and a call that no trial decides is undecided, at any size.
-``ideals._line_closures`` asks it on a subring's multiplications together
-with maps, for every stable-ideal quantifier.  Each backend's
-``simplicity`` is the one simplicity decision that ``ideals.is_simple``
-reads, and through it field recognition and the degree-map scan: ``ModP``
-runs ``norton_modp``, and ``Rational`` runs it on reductions modulo
-``LIFT_PRIMES``, which can prove a Q-algebra simple.
+elements.  Each backend's ``irreducible`` is the one stable-ideal
+decision.  A span hands it the constants of its products and the maps
+that its ideals must be stable under, both on coordinates over its rref
+rows, and gets a :class:`Verdict`, the one result type of every decided
+question.  ``ModP`` builds the stack of L_b, R_b and the maps and runs
+``irreducible_modp`` on it: a False comes with the proper submodule it
+found, and a call that no trial decides is undecided, at any size.
+``Rational`` runs it on reductions modulo ``LIFT_PRIMES``, which can
+prove that there is no such subspace, never that there is.  Every
+stable-ideal quantifier of ``ideals`` asks it, and so does
+``ideals.is_simple``: simplicity is that question for the whole ring,
+with no maps, once R·R ≠ 0.  The walk over lines that a lattice or a
+witness needs is apart from the decision: ``ModP.lines`` yields one
+generator per line of F_p^k, and a line's closure is its images under
+``ModP.closure_algebra``, the unital algebra E that the stack generates.
 Where elements must be enumerated, ``combinations_modp`` yields them as
 fixed-size blocks of rows, so scans over them are matrix products.  A
 structure algebra's products (``mul_coords``) run on its ``product_table``,
@@ -80,6 +85,7 @@ loops over the stack, on integer rows.
 
 from __future__ import annotations
 
+import itertools
 import operator
 import random
 from fractions import Fraction
@@ -291,69 +297,81 @@ NORTON_TRIALS = 16
 NORTON_SPLITS = 8
 
 
-@dataclass(frozen=True, slots=True)
-class Decision:
-    """What a decision procedure found about the subspaces that a stack of
-    operators maps into themselves, the one value of the backends'
-    ``simplicity`` and the spans' ``stable_closures``: ``holds`` is True
-    when no proper nonzero one exists, False when ``submodule`` is one (as
-    (rref basis, pivots), or a span from a span; None for C = 0), and None
-    when undecided.  ``decided_by`` names the procedure (see
-    ``ideals.Verdict``), ``reason`` what to print with a Simple read off
-    anything but the algebra itself, or with an undecided Q-algebra that
-    no witness search refutes, and ``close(seed, bound=None)`` the
-    closure of a line, for a walk that a span's decision leaves open."""
+@dataclass(slots=True)
+class Verdict:
+    """The answer to a decided question, and what decided it: whether a
+    span has no nontrivial subspace that its multiplications and a set of
+    maps send into itself (:func:`irreducible_modp`, the backends'
+    ``irreducible`` and the spans' ``irreducible``), simplicity
+    (``ideals.is_simple``), a nontrivial ideal of B stable under maps
+    (``ideals.first_stable_ideal``, behind G-, σ-δ- and conjugation-
+    simplicity), A-simplicity (``ideals.is_A_simple``), a degree map's
+    validity and the ideal intersection property (``gradings``).
+
+    ``holds`` is True, False, or None when undecided.  A False has a
+    ``witness``: a proper nonzero ideal or invariant subspace, or what the
+    question names.  One that a decision proved before it was found is an
+    ``ideals.IdealBasis.deferred``, whose span is found on its first read:
+    reading :attr:`witness` reads it (so a disagreement between Norton's
+    test and the line walk is raised there), while ``deferred_witness``
+    holds it unfound, for a report that may never be printed.  ``reason``
+    is "R*R = 0", "reduction mod q" or why the verdict is undecided.
+    ``decided_by``, set for the decisions and never printed, names the
+    oracle: "products-vanish", "norton" (within the cap, where a witness
+    is the line walk's), "norton-past-cap" (whose submodule is the
+    witness), "reduction-mod-q", "line-walk" or "witness-search"; only the
+    decision sites write it (``tests/test_verdict_guard.py``).  ``names``
+    are the statuses of a True and a False; an undecided verdict is
+    "Inconclusive"."""
+
     holds: bool | None
-    submodule: object = None
+    deferred_witness: object = None
     reason: str | None = None
     decided_by: str | None = None
-    close: object = None
+    names: tuple = ("Simple", "NotSimple")
 
+    @property
+    def witness(self):
+        # reading a deferred ideal's span finds it; other witnesses have
+        # no span, or one that is already there
+        getattr(self.deferred_witness, "span", None)
+        return self.deferred_witness
 
-def norton_modp(C, p):
-    """The :class:`Decision` of whether the F_p-algebra with structure
-    constants ``C`` is simple: ``holds`` True or False, or None when no
-    trial decides, and, when it is not, the (rref basis, pivots) of a
-    proper nonzero ideal that proves it, or None when C = 0.
+    @property
+    def status(self):
+        return "Inconclusive" if self.holds is None else self.names[0 if self.holds else 1]
 
-    Its ideals are the subspaces of A = F_p^d that the multiplications
-    L_{e_i}, R_{e_i} map into themselves, so it is simple iff C ≠ 0 and A is
-    an irreducible module under them: :func:`irreducible_modp` on
-    :func:`multiplications_modp`, which also decides d = 1.  This is the
-    one F_p simplicity decision; a call that no trial decides, at any d,
-    is undecided.
-    """
-    C = np.asarray(C, dtype=np.int64) % p
-    if not C.any():
-        return Decision(False, decided_by="products-vanish")
-    return irreducible_modp(multiplications_modp(C, p), p)
+    def __repr__(self):
+        if self.holds is None:
+            return f"Inconclusive({self.reason})"
+        return self.status if self.holds else f"{self.status}({self.witness!r})"
 
 
 def irreducible_modp(ops, p):
     """Norton's irreducibility test (the MeatAxe; Parker 1984, Holt & Rees
     1994) on F_p^k under the (m, k, k) operator stack ``ops``, acting on
-    rows, as a :class:`Decision` decided by "norton": ``holds`` True when
+    rows, as a :class:`Verdict` decided by "norton": ``holds`` True when
     no proper nonzero subspace is invariant under every operator, False
-    with a proper nonzero invariant subspace as (rref basis, pivots) when
-    one is found, None (undecided) when ``NORTON_TRIALS`` trials
-    (:func:`_norton_trial`) are all inconclusive.  A space of dimension
-    k ≤ 1 has no proper nonzero subspace, so it is irreducible.
+    with a proper nonzero invariant subspace as (rref basis, pivots) its
+    witness when one is found, None (undecided) when ``NORTON_TRIALS``
+    trials (:func:`_norton_trial`) are all inconclusive.  A space of
+    dimension k ≤ 1 has no proper nonzero subspace, so it is irreducible.
 
     It decides with a few spin-ups of single vectors and never builds the
-    algebra the operators generate.  The stack is what is asked: an
-    algebra's multiplications (:func:`norton_modp`), or those of a subring
-    together with maps (``ideals._line_closures``).
+    algebra the operators generate.  The stack is what is asked: the
+    multiplications of a span together with maps (:meth:`ModP.irreducible`),
+    which for the whole ring and no maps is its simplicity.
     """
     if ops.shape[-1] <= 1:
-        return Decision(True, decided_by="norton")
+        return Verdict(True, decided_by="norton")
     rng = random.Random(NORTON_SEED)
     for _ in range(NORTON_TRIALS):
         found = _norton_trial(ops, p, rng)
         if found is True:
-            return Decision(True, decided_by="norton")
+            return Verdict(True, decided_by="norton")
         if found is not None:
-            return Decision(False, found, decided_by="norton")
-    return Decision(None)
+            return Verdict(False, found, decided_by="norton")
+    return Verdict(None)
 
 
 def _norton_trial(gens, p, rng):
@@ -739,11 +757,15 @@ class _Field:
     ``product_failures``, ``twisted_blocks``, ``associates_and_commutes``,
     ``associator_witness``, ``commutator_witness``, ``products_vanish``
     (R·R = 0), and what callers would otherwise branch on the field for:
-    ``simplicity`` (the simplicity decision, a :class:`Decision` whose
-    ``submodule`` is the (rref basis, pivots) of a proper nonzero ideal
-    that proves a False, or None), ``closure`` (the ideal
-    seed rows generate), ``element_blocks`` (every combination of rows),
-    ``random_coords`` and ``json``.
+    ``irreducible`` (the stable-ideal decision on a span's product
+    constants and maps, a :class:`Verdict` whose witness is the (rref
+    basis, pivots) of a proper nonzero stable subspace that proves a
+    False), ``closure`` (the ideal seed rows generate), ``element_blocks``
+    (every combination of rows), ``random_coords`` and ``json``.  The line
+    walk is F_p's alone (``ideals`` refuses Q before it walks): ``ModP``
+    also has ``lines`` (one generator per line of F_p^k) and
+    ``closure_algebra`` (the algebra E whose images of a line are its
+    closure under the products and maps).
     """
 
     def is_field_algebra(self, alg, unit):
@@ -1007,11 +1029,36 @@ class ModP(_Field):
         """Is every product of ``alg`` zero?  Its constants, at once."""
         return not alg.constants.any()
 
-    def simplicity(self, alg):
-        """See :class:`_Field`: :func:`norton_modp`, which shows the proper
-        submodule it spun up with every False, and is undecided only when
-        none of its trials decides."""
-        return norton_modp(alg.constants, self.p)
+    def _operators(self, C, maps):
+        """The (2k + m, k, k) stack of L_{e_i}, R_{e_i} for the constants
+        ``C`` on k coordinates (:func:`multiplications_modp`), and the m
+        k×k ``maps``, all acting on rows."""
+        return np.concatenate([multiplications_modp(C, self.p)]
+                              + [self.array(m)[None] for m in maps])
+
+    def irreducible(self, C, maps):
+        """See :class:`_Field`: :func:`irreducible_modp` on
+        :meth:`_operators`, which shows the proper submodule it spun up
+        with every False, and is undecided only when none of its trials
+        decides."""
+        return irreducible_modp(self._operators(C, maps), self.p)
+
+    def lines(self, k):
+        """One generator per line of F_p^k: the vector with first nonzero
+        coordinate 1, leading coordinates in increasing position, the tail
+        in ``itertools.product`` order."""
+        for lead in range(k):
+            for tail in itertools.product(range(self.p), repeat=k - lead - 1):
+                yield (0,) * lead + (1,) + tail
+
+    def closure_algebra(self, C, maps):
+        """The unital algebra E that :meth:`_operators` generates, as its
+        (n, k, k) stack of basis matrices: the spin-up of the identity.  The
+        closure of a line c, the smallest subspace that holds it and that
+        every operator maps into itself, is c·E."""
+        k = len(C)
+        return spin_modp(np.eye(k, dtype=np.int64).reshape(1, -1),
+                         self._operators(C, maps), self.p)[0].reshape(-1, k, k)
 
     def closure(self, alg, seed):
         """(rref basis, pivots) of the ideal of ``alg`` that the rows
@@ -1283,42 +1330,44 @@ class Rational(_Field):
                      if terms[i][j] != terms[j][i]), None)
 
     def products_vanish(self, alg):
-        """See :meth:`ModP.products_vanish`: the product table, which
-        :meth:`simplicity` reads too, lists the nonzero constants."""
-        return not any(map(any, alg._table.terms))
+        """See :meth:`ModP.products_vanish`: the scan of the constants stops
+        at the first nonzero numerator, and builds no product table."""
+        return not any(x.numerator for x in alg.constants.flat)
 
-    def simplicity(self, alg):
+    def irreducible(self, C, maps):
         """See :class:`_Field`: a True decided by "reduction-mod-q", with
         the reason "reduction mod q", for the first prime q of
-        ``LIFT_PRIMES`` at which the Q-algebra A ``alg``, reduced mod q, is
-        simple by :func:`norton_modp`; undecided when no tried prime
-        proves it.
+        ``LIFT_PRIMES`` at which the reduction of the constants ``C`` is
+        simple: its products are nonzero and :meth:`ModP.irreducible` finds
+        no proper nonzero ideal; undecided when no tried prime proves it.
 
         A prime dividing a denominator of the constants (so their common
         denominator) is skipped.  For the others the Z_(q)-span Λ of the
         basis is a ring, and Λ/qΛ is the reduction.  A proper nonzero ideal
         I of A meets Λ in a saturated ideal, a direct summand of rank dim I,
         whose image is a proper nonzero ideal of Λ/qΛ.  So simplicity mod q
-        proves simplicity over Q.  The converse fails (Q(i) splits mod 5), so
-        an undecided call says nothing about A; its reason names the primes
-        tried, for the Inconclusive verdict that a failed witness search
-        leaves.
+        proves that A has no proper nonzero ideal, and then none that the
+        ``maps`` send into itself: they only add operators, so they are not
+        reduced.  The converse fails (Q(i) splits mod 5), so an undecided
+        call says nothing; its reason names the primes tried, for the
+        Inconclusive verdict that a failed witness search leaves.  Only the
+        nonzero constants are scaled to integers, read off their numerators
+        (:func:`nonzero`).
         """
-        table, d = alg._table, alg.dim
+        X = np.ravel(C)
+        index = np.flatnonzero(nonzero(X))
+        (ints,), den = _scaled([X[index].tolist()])
         for q in LIFT_PRIMES:
-            if table.den % q == 0:
+            if den % q == 0:
                 continue
-            inv = pow(table.den, -1, q)
-            Cq = np.zeros((d, d, d), dtype=np.int64)
-            for i, j, k, n in table.entries():
-                Cq[i, j, k] = n * inv % q
-            if norton_modp(Cq, q).holds:
-                return Decision(True, reason=f"reduction mod {q}",
-                                decided_by="reduction-mod-q")
+            Cq = np.zeros(np.shape(C), dtype=np.int64)
+            Cq.flat[index] = np.array(ints, dtype=object) * pow(den, -1, q) % q
+            if Cq.any() and GF(q).irreducible(Cq, []).holds:
+                return Verdict(True, reason=f"reduction mod {q}", decided_by="reduction-mod-q")
         primes = ", ".join(map(str, LIFT_PRIMES))
-        return Decision(None, reason=f"infinite scalar field: no reduction mod {primes} "
-                                     "proves the algebra simple, and no proper principal "
-                                     "ideal was found")
+        return Verdict(None, reason=f"infinite scalar field: no reduction mod {primes} "
+                                    "proves the algebra simple, and no proper principal "
+                                    "ideal was found")
 
     def closure(self, alg, seed):
         """See :meth:`ModP.closure`.  Each round multiplies the rows the

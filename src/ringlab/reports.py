@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dfield
 
-from .errors import InfiniteScalarField, TooLarge
+from .errors import InfiniteScalarField, RinglabError, TooLarge
 from .gradings import grading_flags, support_degree_map, verify_degree_map
 from .ideals import (DEFAULT_ELEMENT_CAP, DEFAULT_SEED, center,
                      enumerate_subring_ideals, is_A_invariant, is_simple)
@@ -19,6 +19,8 @@ from .rings import Element, ring_of
 VERSION = "0.1.0"
 # the largest table size (or dimension) that ``table_dump`` prints unforced
 DUMP_THRESHOLD = 64
+# the named checks of ``run_checks``
+CHECK_NAMES = ("simplicity", "center", "invariance", "grading", "degree-map")
 
 
 def element_json(e: Element):
@@ -86,14 +88,26 @@ class Report:
 # named checks
 # ---------------------------------------------------------------------------
 
+def known_checks(names):
+    """``names``, when there is at least one and each is in
+    ``CHECK_NAMES``; else RinglabError, with a message that names the
+    known checks."""
+    unknown = [n for n in names if n not in CHECK_NAMES]
+    if unknown or not names:
+        what = f"unknown check {unknown[0]!r}" if unknown else "no check named"
+        raise RinglabError(f"{what}; the checks are {', '.join(CHECK_NAMES)}")
+    return names
+
+
 def run_checks(built, names, cap=DEFAULT_ELEMENT_CAP, seed=DEFAULT_SEED):
     """Run the named predicates on a built object.  Returns the results dict
     and the names of the checks that raised TooLarge or InfiniteScalarField
     (a check that needs more elements than the cap, or finitely many): each
     of those records ``{"error": message}``, and the remaining checks still
-    run."""
+    run.  A name outside ``CHECK_NAMES`` raises RinglabError before any
+    check runs (:func:`known_checks`)."""
     results, failed = {}, []
-    for name in names:
+    for name in known_checks(names):
         try:
             results[name] = _run_check(built, name, cap, seed)
         except (TooLarge, InfiniteScalarField) as exc:
@@ -139,7 +153,6 @@ def _run_check(built, name, cap, seed):
         verdict = verify_degree_map(support_degree_map(grading, "center_of_A0"), cap=cap)
         return {"status": verdict.status,
                 "witness": repr(verdict.witness) if verdict.witness else None}
-    return {"error": f"unknown check {name!r}"}
 
 
 def build_summary(built):

@@ -13,7 +13,8 @@ Two representations:
   basis_k).  Bilinearity makes distributivity automatic; any constants give
   a valid algebra.  Its field ``F`` (``linalg.QQ`` or ``linalg.GF(p)``) is
   its backend: it does both the scalar and the linear algebra, and callers
-  read the field from it (``F.p``, ``F.size``), never a copy on the ring.
+  ask the field through it (``F.size``, ``F.reduce``, ...), never a copy on
+  the ring.
 
 A ring's representation fixes the kind of every operator on it: a map out
 of a table ring (``constructions.crossed.RingMap``, and the maps that the
@@ -23,8 +24,9 @@ operator, and the ring answers every question whose answer depends on its
 kind (coercion, application, composition, comparison, ...: see ``Ring``),
 so the constructions do not branch on it.  The ring answers the
 ring-level half of what ``ideals.is_simple`` asks (``products_vanish``,
-``simplicity``, ``is_walked``); a table ring has no decision and is walked
-whatever the cap, its elements being in memory.
+``is_walked``); the decision itself is its whole span's, in ``subgroups``.
+A table ring has no decision and is walked whatever the cap, its elements
+being in memory.
 
 Rings and elements are immutable after construction and safe to share;
 property probes cache their (idempotent) results on the ring: ``_props``
@@ -262,9 +264,6 @@ class TableRing(Ring):
 
     def products_vanish(self):
         return not (self.mul_table != self.zero_index).any()
-
-    def simplicity(self):
-        return linalg.Decision(None)
 
     def is_walked(self, cap):
         return True
@@ -546,9 +545,6 @@ class StructureAlgebra(Ring):
     def products_vanish(self):
         return self.F.products_vanish(self)
 
-    def simplicity(self):
-        return self.F.simplicity(self)
-
     def is_walked(self, cap):
         return self.size() is not None and self.size() <= cap
 
@@ -787,11 +783,12 @@ def convert_to_table(alg: StructureAlgebra, cap=TABLE_SIZE_CAP) -> TableRing:
     """Materialize an F_p structure algebra as a table ring (never over Q),
     on its elements in ``element_blocks`` (``itertools.product``) order."""
     digits = np.concatenate(list(alg.element_blocks(cap)))
-    p, total = alg.F.p, len(digits)
-    weights = p ** np.arange(alg.dim - 1, -1, -1, dtype=np.int64)
+    # the radix is the number of scalars, p: the backend's size of F_p^1
+    radix, total = alg.F.size(1), len(digits)
+    weights = radix ** np.arange(alg.dim - 1, -1, -1, dtype=np.int64)
 
     def to_index(mat):
-        return (np.asarray(mat) % p) @ weights
+        return alg.F.reduce(mat) @ weights
 
     add = to_index(digits[:, None, :] + digits[None, :, :]).astype(np.int32)
     mul = np.zeros((total, total), dtype=np.int32)

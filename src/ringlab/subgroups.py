@@ -14,14 +14,16 @@ sets suffice because ring multiplication distributes (is bilinear).
 
 Each span class also answers for its representation what ``ideals``
 quantifies over: its products and ring (``products``, ``as_ring``), line
-seeds, closures under its multiplications and maps with the stable-ideal
-decision (``stable_closures``), stability, pairings and the commutant.
+seeds, the stable-ideal decision under its multiplications and maps
+(``irreducible``: the field backend's, on a subspace's product constants
+and maps in coordinates; none on a table ring) and, apart from it, the
+closures of its lines (``line_closure``), stability, pairings and the
+commutant.
 :func:`span_class` is the one read of the representation here.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import replace
 from functools import cache, cached_property
@@ -228,16 +230,20 @@ class TableSubgroup(AddSubgroup):
             order = len(multiples)
             covered[[m for k, m in enumerate(multiples, 1) if math.gcd(k, order) == 1]] = True
 
-    def stable_closures(self, maps):
-        """A table ring has no decision: an undecided :class:`Decision`
-        whose ``close(x, bound)`` is ``closure`` of the member x under the
+    def irreducible(self, maps):
+        """A table ring has no decision: an undecided :class:`Verdict`,
+        with no operator built."""
+        return linalg.Verdict(None)
+
+    def line_closure(self, maps):
+        """``close(x, bound=None)``: ``closure`` of the member x under the
         rows of L_b and R_b (b in the span) and the maps."""
         mul, members = self.ring.mul_table, sorted(self.members)
         ops = [mul[members], mul[:, members].T] + [np.asarray(m)[None, :] for m in maps]
 
         def close(x, bound=None):
             return TableSubgroup.closure(self.ring, [x], ops, bound)
-        return linalg.Decision(None, close=close)
+        return close
 
     def is_stable(self, maps):
         members = list(self.members)
@@ -393,43 +399,45 @@ class Subspace(AddSubgroup):
 
     def line_seeds(self):
         """One coordinate vector over the rref rows per line of F_p^k, in
-        the order of :func:`_lines`."""
-        return _lines(self.ring.F.p, self.dim)
+        the order of the backend's ``lines``."""
+        return self.ring.F.lines(self.dim)
 
-    def stable_closures(self, maps):
-        """L_b and R_b (b in the span: its products at the pivots, or the
-        ring's constants when it is everything) and the maps act on
-        coordinates c over the rref rows, the elements c @ rows, as k×k
-        operators; the :class:`ringlab.linalg.Decision` is Norton's test on
-        them, with its submodule as an ambient span.  Its ``close`` is the
-        closure of c, c·E for E the unital algebra they generate, spun up
-        from the identity on the first call of ``close``: a caller that
-        closes one line closes them all, and one that reads the decision
-        alone none."""
-        ring, F, rows, pivots = self.ring, self.ring.F, self.rows, list(self.pivots)
-        p, k = F.p, len(pivots)
-        C = self.products[:, :, pivots]
-        ops = np.concatenate([linalg.multiplications_modp(C, p)]
-                             + [(rows @ F.reduce(m) % p)[None, :, pivots] for m in maps])
+    def _in_coordinates(self, maps):
+        """L_b and R_b (b in the span) and the maps act on coordinates c
+        over the rref rows, the elements c @ rows: (the constants of the
+        products at the pivots, or the ring's when the span is everything,
+        and each map's k×k matrix, the images of the rows at the pivots)."""
+        F, pivots = self.ring.F, list(self.pivots)
+        return self.products[:, :, pivots], [F.matmul(self.rows, m)[:, pivots] for m in maps]
 
-        def ambient(basis, found):
-            # an rref basis in coordinates is one in the ambient ring too
-            return Subspace(ring, basis @ rows % p, [pivots[c] for c in found])
-        decision = linalg.irreducible_modp(ops, p)
+    def _ambient(self, basis, pivots):
+        # an rref basis in coordinates is one in the ambient ring too
+        return Subspace(self.ring, self.ring.F.matmul(basis, self.rows),
+                        [self.pivots[c] for c in pivots])
 
-        @cache
-        def algebra():
-            return linalg.spin_modp(np.eye(k, dtype=np.int64).reshape(1, -1), ops, p
-                                    )[0].reshape(-1, k, k)
+    def irreducible(self, maps):
+        """The backend's ``irreducible`` on :meth:`_in_coordinates`: the
+        :class:`ringlab.linalg.Verdict` on the subspaces that L_b, R_b and
+        the maps send into themselves, whose witness is one as an ambient
+        span."""
+        verdict = self.ring.F.irreducible(*self._in_coordinates(maps))
+        if verdict.holds is False:
+            return replace(verdict, deferred_witness=self._ambient(*verdict.witness))
+        return verdict
+
+    def line_closure(self, maps):
+        """``close(line, bound=None)``: the closure of the coordinate vector
+        ``line`` under L_b, R_b and the maps, line·E for E the backend's
+        ``closure_algebra``, as an ambient span, or None past ``bound``
+        dimensions.  E is spun up on the first call: a caller that closes
+        one line closes them all, and one that closes none builds nothing."""
+        F = self.ring.F
+        algebra = cache(lambda: F.closure_algebra(*self._in_coordinates(maps)))
 
         def close(line, bound=None):
-            basis, found = linalg.rref_modp(np.array(line) @ algebra() % p, p)
-            if bound is not None and len(found) > bound:
-                return None
-            return ambient(basis, found)
-        if decision.holds is False:
-            return replace(decision, submodule=ambient(*decision.submodule), close=close)
-        return replace(decision, close=close)
+            basis, found = F.rref(F.matmul(line, algebra()), self.dim)
+            return None if bound is not None and len(found) > bound else self._ambient(basis, found)
+        return close
 
     def is_stable(self, maps):
         F = self.ring.F
@@ -497,15 +505,6 @@ def distinct_indices(ring, indices):
     seen = np.zeros(ring.n, dtype=bool)
     seen[indices] = True
     return np.flatnonzero(seen)
-
-
-def _lines(p, k):
-    """One generator per line of F_p^k: the vector with first nonzero
-    coordinate 1, leading coordinates in increasing position, the tail in
-    ``itertools.product`` order."""
-    for lead in range(k):
-        for tail in itertools.product(range(p), repeat=k - lead - 1):
-            yield (0,) * lead + (1,) + tail
 
 
 def product_span(ring, left, right) -> AddSubgroup:

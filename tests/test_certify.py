@@ -12,7 +12,7 @@ from ringlab import (GF, QQ, RingMap, cayley_dickson, cayley_tower,
                      full_subring, matrix_ring, simple_by_density,
                      skew_group_ring, trivial_grading, zmod_ring)
 from ringlab import (certify, dynamics_skew_group_ring, ideals, is_G_invariant,
-                     is_G_simple, linalg, subgroups)
+                     is_G_simple, linalg)
 from ringlab.categories import group_from_table
 from ringlab.certify import certify_built, minimality_witness_ideal, recognize_field
 from ringlab.cli import main
@@ -71,13 +71,13 @@ def test_sufficiency_on_o_f3_walks_no_line(monkeypatch):
     # the centralizer of O over F_3 is O (d = 8), which Norton's test finds
     # irreducible: its lattice is 0, O without closing any of its 3,280 lines
     walks = []
-    original = subgroups._lines
+    original = linalg.ModP.lines
 
-    def counted(p, k):
+    def counted(field, k):
         walks.append(k)
-        return original(p, k)
+        return original(field, k)
 
-    monkeypatch.setattr(subgroups, "_lines", counted)
+    monkeypatch.setattr(linalg.ModP, "lines", counted)
     tw = bales_twisted_ring(GF(3), 3)
     cert = certify_sufficiency(tw.ring, tw.base_subring(), grading=tw.grading)
     assert cert.verdict == "Simple" and cert.oracle == "agrees"

@@ -11,8 +11,9 @@ import pytest
 
 from ringlab import linalg
 from ringlab.cli import main
-from ringlab.errors import ParseError, SchemaError, UnknownKind
+from ringlab.errors import ParseError, RinglabError, SchemaError, UnknownKind
 from ringlab.recipes import build_recipe, parse_recipe_text
+from ringlab.reports import run_checks
 
 
 def _write(tmp_path, name, doc):
@@ -584,6 +585,48 @@ TABLE_SHA256 = {
         "30fba37f87557bb71f5bbc000c9d73b72f89f35da0d54307986d156e0da2acd3",
         "d82b34abffc5aa5e19ff1924d5e3bb1865e46e7daf7c6e1188703c2a67e610e0"),
 }
+# recipes whose reports print what is_simple decides over Q and on the
+# zero ring ("reduction mod q", "field", "assumed", and the reason of an
+# undecided Q verdict), with the sha256 of the stdout of `certify` in JSON
+# and in `--format text`: a Cayley tower over Q, the Bales ring over Q,
+# the doubling of Q(√2) by α = 3, M2(Q(√15)), and the skew group ring and
+# the doubling over the zero ring Z/1
+Q_SQRT2 = {"kind": "structure_algebra", "field": "Q", "dim": 2,
+           "constants": [[[1, 0], [0, 1]], [[0, 1], [2, 0]]]}
+Q_SQRT15 = {"kind": "structure_algebra", "field": "Q", "dim": 2,
+            "constants": [[[1, 0], [0, 1]], [[0, 1], [15, 0]]]}
+ZERO_RING = {"kind": "scalar", "ring": "Zn:1"}
+Q_AND_ZERO_SHA256 = {
+    "cayley_tower-Q-3": (
+        {"kind": "cayley_tower", "base": "Q", "levels": 3},
+        "9b184be37267ebd77c42661e857aec84a838c4ebb0b84f5c7167396af7890392",
+        "9f33984a4f8f930db522eaf2f3beb12d604a095837985e4ff25c35bdf8e8feaf"),
+    "twisted_group_ring-bales3-Q": (
+        {"kind": "twisted_group_ring", "base": "Q", "group": "xor:3", "alpha": "bales:"},
+        "c518096cb907b01cef9ad50dd427d869a7205d1e4702e646b4bccf689fe45ddf",
+        "c711072a17903125cf0fb979ebd22fd70db6988e3161751e4797babd3b5320d1"),
+    "cayley_dickson-Qsqrt2-3": (
+        {"kind": "cayley_dickson", "base": Q_SQRT2, "alpha": 3},
+        "ae060f6919d74970dcb7131f20da80ef6c85669cb5e102d2a9c547d49190a5f0",
+        "c4074c040d47557e1f29ff5f14d1a05fa5c7dc5f5b6a21b0752da439443e63de"),
+    "matrix_ring-M2Qsqrt15": (
+        {"kind": "matrix_ring", "size": 2, "base": Q_SQRT15},
+        "828689ae4b1731b5b4f4a546296f407dfb650032522312f260fbaec7b48ebee2",
+        "33b2550b29c6b4301cabf666b71850536a0db00a0204f5a4bb7026da8ef281cf"),
+    "skew_group_ring-zero": (
+        {"kind": "skew_group_ring", "base": ZERO_RING, "group": "Z2", "action": ["id", "id"]},
+        "7b2dd2430ccf22691e4d33e1b522af3730306a734ada26859be22c2a00ecb067",
+        "2eb10f21191f268ff7a56a9c6553f46bdd23795746985f964c33e153b9cc1335"),
+    "cayley_dickson-zero": (
+        {"kind": "cayley_dickson", "base": ZERO_RING},
+        "c183b9ee97882d6da6e8a51b6c28888c5da9558ff3c20a59c361f49c0d372b87",
+        "da2c589ee0ad3c429e34386310ce16b25ac8677162c53c8d5252404e27f8d18e"),
+}
+# CI's Z6 swap recipe, with the sha256 of the stdout of `check --checks
+# simplicity --cap 8192`
+Z6_SWAP = {"kind": "dynamics", "points": 2, "group": "Z6",
+           "action": [[0, 1], [1, 0], [0, 1], [1, 0], [0, 1], [1, 0]], "field": "Fp:3"}
+Z6_SWAP_SHA256 = "a0b9aa8573df29355e08ec7e1985248fa339e501c97cc1f5fc26a98cb2280e95"
 DEMOS = pathlib.Path(__file__).resolve().parents[1] / "demos"
 DEMO_SHA256 = {
     "01_finite_rings_and_probes": "666d65d1e41ec2b3cd1c0d12b8704e11af0cd813647ff66a65a703f2f6bb3bc8",
@@ -639,6 +682,36 @@ def test_table_base_output_is_byte_identical(name, command, tmp_path, capsys):
     assert main([command, path, *extra]) == 0
     digest = check_digest if command == "check" else certify_digest
     assert _sha256(capsys.readouterr().out) == digest
+
+
+@pytest.mark.parametrize("name", sorted(Q_AND_ZERO_SHA256))
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_q_and_zero_ring_certify_output_is_byte_identical(name, fmt, tmp_path, capsys):
+    recipe, json_digest, text_digest = Q_AND_ZERO_SHA256[name]
+    path = _write(tmp_path, "recipe.json", recipe)
+    assert main(["certify", path, "--format", fmt]) == 0
+    assert _sha256(capsys.readouterr().out) == (json_digest if fmt == "json" else text_digest)
+
+
+def test_z6_swap_check_output_is_byte_identical(tmp_path, capsys):
+    path = _write(tmp_path, "z6-swap.json", Z6_SWAP)
+    assert main(["check", path, "--checks", "simplicity", "--cap", "8192"]) == 0
+    out = capsys.readouterr().out
+    assert "NotSimple" in out and _sha256(out) == Z6_SWAP_SHA256
+
+
+@pytest.mark.parametrize("checks", ["simplicty", ",", "simplicity,centre"])
+def test_an_unknown_check_name_exits_2(checks, tmp_path, capsys):
+    # refused with the known checks named, and no report: on a recipe that
+    # builds, and before a recipe that does not exist is read
+    known = "the checks are simplicity, center, invariance, grading, degree-map"
+    for recipe in (RECIPES / "dynamics-rot3-F2.json", tmp_path / "missing.json"):
+        assert main(["check", str(recipe), "--checks", checks]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and known in captured.err
+    built = build_recipe(parse_recipe_text(json.dumps({"kind": "scalar", "ring": "Zn:5"})))
+    with pytest.raises(RinglabError, match=known):
+        run_checks(built, [c for c in checks.split(",") if c])
 
 
 def test_every_demo_is_pinned():

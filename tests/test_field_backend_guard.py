@@ -3,11 +3,13 @@
 These checks keep it there.  Every choice that depends on the field (how to
 close an ideal, whether elements can be enumerated and how many there are,
 how to draw a random element, how to recognize a field, how to print a
-vector) is a backend method, so no caller branches on the field.  No
-module reads or sets a ``modulus``: the prime of F_p is the backend's
-``p``, and a ring's or a span's size is its ``size()``, which asks the
-backend.  Only ``linalg``, whose backends are the fields themselves,
-imports ``fractions``.
+vector, decide whether a span has a stable subspace and walk its lines)
+is a backend method, so no caller branches on the field.  No module reads
+or sets a ``modulus``: the prime of F_p is the backend's ``p``, and a
+ring's or a span's size is its ``size()``, which asks the backend.  Only
+``linalg`` reads that ``p`` or names an F_p kernel (a ``*_modp``
+function): every other module asks a backend method.  Only ``linalg``,
+whose backends are the fields themselves, imports ``fractions``.
 """
 
 import ast
@@ -54,3 +56,24 @@ def test_fractions_imported_only_where_rationals_are_handled():
                     and any(a.name == "fractions" for a in node.names)):
                 importers.add(name)
     assert importers == FRACTIONS_IMPORTERS, sorted(importers ^ FRACTIONS_IMPORTERS)
+
+
+def _modp_uses(tree):
+    """Lines that read an attribute ``p`` or name a ``*_modp`` function:
+    as an attribute, a name, or an imported name."""
+    found = []
+    for node in ast.walk(tree):
+        names = ([node.attr] if isinstance(node, ast.Attribute)
+                 else [node.id] if isinstance(node, ast.Name)
+                 else [a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                 else [])
+        if any(n.endswith("_modp") for n in names) or (
+                isinstance(node, ast.Attribute) and node.attr == "p"):
+            found.append(node.lineno)
+    return sorted(set(found))
+
+
+def test_only_linalg_runs_the_fp_kernels_or_reads_p():
+    uses = [f"{name}:{line}" for name, tree in _modules() if name != "linalg.py"
+            for line in _modp_uses(tree)]
+    assert not uses, "F_p kernel or prime outside the field backend: " + ", ".join(uses)

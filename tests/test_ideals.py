@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -21,7 +20,7 @@ from ringlab import (GF, QQ, cayley_tower, center, centralizer,
                      make_table_ring, principal_ideal, subring_closure, zmod_ring)
 from ringlab import (RingMap, SigmaDerivationData, cayley_dickson, certify, corpus,
                      cyclic_group, ideal_intersection_property, ideals, linalg,
-                     skew_group_ring, truncated_polynomial_ring)
+                     skew_group_ring, subgroups, truncated_polynomial_ring)
 from ringlab.constructions import bales_twisted_ring
 from ringlab.certify import recognize_field
 from ringlab.cli import main
@@ -166,13 +165,13 @@ def test_density_agrees_with_line_walk(ring):
     # Norton's test, the one F_p decision, decides every example, and
     # is_simple reads it
     simple = bool(ring.constants.any()) and first_proper_line_ideal(ring) is None
-    assert linalg.norton_modp(ring.constants, ring.F.p).holds == simple
+    assert certify.simple_by_density(ring) == simple
     assert is_simple(ring).holds == simple
 
 
 def _undecided(m):
-    """Make every Norton trial inconclusive: norton_modp is then undecided
-    at any dimension."""
+    """Make every Norton trial inconclusive: irreducible_modp is then
+    undecided at any dimension."""
     m.setattr(linalg, "_norton_trial", lambda gens, p, rng: None)
 
 
@@ -188,7 +187,7 @@ def test_density_decides_only_simple_algebras_over_the_cap(monkeypatch):
     # under the cap an undecided algebra is decided by the line walk
     with monkeypatch.context() as m:
         _undecided(m)
-        assert linalg.norton_modp(full_matrix_algebra(2, GF(3)).constants, 3) == linalg.Decision(None)
+        assert full_subgroup(full_matrix_algebra(2, GF(3))).irreducible([]) == linalg.Verdict(None)
         assert is_simple(full_matrix_algebra(2, GF(3))).status == "Simple"
         v = is_simple(functions_ring(2, GF(3)))
         assert v.status == "NotSimple" and v.witness.span.rows.tolist() == [[1, 0]]
@@ -318,7 +317,7 @@ def test_density_and_line_walk_disagreement_is_typed(monkeypatch, tmp_path, caps
     # it not simple, with the line of e_0 as its submodule, contradicts the
     # walk when the witness is read
     line = (np.eye(4, dtype=np.int64)[:1], (0,))
-    monkeypatch.setattr(linalg, "norton_modp", lambda constants, p: linalg.Decision(False, line))
+    monkeypatch.setattr(linalg, "irreducible_modp", lambda ops, p: linalg.Verdict(False, line))
     v = is_simple(full_matrix_algebra(2, GF(2)))
     with pytest.raises(CriterionDisagreement):
         v.witness
@@ -883,7 +882,7 @@ def test_conjugation_premise_matches_the_lattice_scan():
     assert statuses == ["verified"] * 3 + ["failed", "verified"]
 
 
-def test_the_closure_algebra_is_spun_up_in_bounded_memory():
+def test_the_closure_algebra_is_spun_up_in_bounded_memory(monkeypatch):
     # E of M4(F2) ⊕ F2 (k = 17, 34 operators) is 257 flattened 17×17
     # matrices; spinning it up by Kronecker-expanded operators would hold
     # k⁴·m entries (about 23 MB), merging n·m candidates at a time holds a
@@ -894,7 +893,8 @@ def test_the_closure_algebra_is_spun_up_in_bounded_memory():
     try:
         # E is spun up on the first close, so the window spans it
         decision = ideals._line_closures(full_subgroup(ring), [], 2 ** 17)
-        first = decision.close(next(full_subgroup(ring).line_seeds()))
+        close = full_subgroup(ring).line_closure([])
+        first = close(next(full_subgroup(ring).line_seeds()))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -902,9 +902,14 @@ def test_the_closure_algebra_is_spun_up_in_bounded_memory():
     assert decision.holds is not True
     # the first line, e_0 of M4(F2), generates the factor M4(F2)
     assert first.measure() == 16 and not first.is_full()
-    # M4(F2) itself is irreducible: no E is built and no line is walked
-    decision = ideals._line_closures(full_subgroup(full_matrix_algebra(4, GF(2))), [], 2 ** 16)
-    assert decision.holds is True and decision.close is None
+    # M4(F2) itself is irreducible: the decision carries no walk, and no E
+    # is built and no line is walked
+    with monkeypatch.context() as m:
+        closed, _, spun = _count_line_closures(m)
+        decision = ideals._line_closures(full_subgroup(full_matrix_algebra(4, GF(2))), [], 2 ** 16)
+        assert enumerate_ideals(full_matrix_algebra(4, GF(2)), cap=2 ** 16)[-1].span.is_full()
+    assert decision == linalg.Verdict(True, decided_by="norton")
+    assert closed == [] and spun == []
 
 
 # ---------------------------------------------------------------------------
@@ -1007,7 +1012,7 @@ def _doubling_cases(draw):
 
 def _walk_alone(m):
     """Leave every stable-ideal question to the line walk."""
-    m.setattr(linalg, "irreducible_modp", lambda ops, p: linalg.Decision(None))
+    m.setattr(linalg, "irreducible_modp", lambda ops, p: linalg.Verdict(None))
 
 
 def _key(I):
@@ -1015,23 +1020,22 @@ def _key(I):
 
 
 def _count_line_closures(m):
-    """The seeds that every ``close`` of :func:`ideals._line_closures`
-    closes from now on, also after ``m`` is undone; the decisions of
+    """The seeds that every ``close`` of a span's ``line_closure`` taken
+    while ``m`` holds closes, also after ``m`` is undone; the decisions of
     Norton's test while ``m`` holds; and the spin-ups from an identity
     matrix, E's, while ``m`` holds."""
     closed, decisions, spun = [], [], []
-    lines, irreducible, spin = (ideals._line_closures, linalg.irreducible_modp,
-                                linalg.spin_modp)
+    irreducible, spin = linalg.irreducible_modp, linalg.spin_modp
 
-    def counted_lines(*args, **kwargs):
-        decision = lines(*args, **kwargs)
-        if decision.close is None:
-            return decision
+    def counted_lines(line_closure):
+        def counted_line_closure(span, maps):
+            close = line_closure(span, maps)
 
-        def counted_close(seed, bound=None):
-            closed.append(seed)
-            return decision.close(seed, bound)
-        return dataclasses.replace(decision, close=counted_close)
+            def counted_close(seed, bound=None):
+                closed.append(seed)
+                return close(seed, bound)
+            return counted_close
+        return counted_line_closure
 
     def counted_irreducible(ops, p):
         decisions.append(irreducible(ops, p))
@@ -1041,7 +1045,8 @@ def _count_line_closures(m):
         if np.shape(seed_rows)[-1] == ops.shape[1] ** 2:
             spun.append(ops.shape[1])
         return spin(seed_rows, ops, p)
-    m.setattr(ideals, "_line_closures", counted_lines)
+    for span_class in (subgroups.Subspace, subgroups.TableSubgroup):
+        m.setattr(span_class, "line_closure", counted_lines(span_class.line_closure))
     m.setattr(linalg, "irreducible_modp", counted_irreducible)
     m.setattr(linalg, "spin_modp", counted_spin)
     return closed, decisions, spun

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from ringlab import (cayley_tower, cyclic_group, dynamics_skew_group_ring, full_matrix_algebra,
                      gf_extension, is_simple, linalg, make_structure_algebra)
 from ringlab.errors import TooLarge
+from ringlab.certify import simple_by_density
 from ringlab.ideals import IdealBasis, first_proper_line_ideal
 from ringlab.rings import StructureAlgebra, direct_sum_algebra, functions_ring
 from ringlab.linalg import GF, QQ
-from ringlab.subgroups import Subspace, subspace_from_vectors
+from ringlab.subgroups import full_subgroup, subspace_from_vectors
 
 
 def _matrices(p, rows=3, cols=4):
@@ -489,7 +490,7 @@ def test_norton_agrees_with_density_and_the_line_walk(algebra):
     C, p = algebra
     ring = make_structure_algebra(len(C), GF(p), C.tolist())
     simple = bool(C.any()) and first_proper_line_ideal(ring) is None
-    assert linalg.norton_modp(C, p).holds is simple
+    assert simple_by_density(ring) is simple
 
 
 @given(_norton_algebras())
@@ -499,16 +500,16 @@ def test_norton_shows_a_proper_ideal_exactly_when_a_line_is_proper(algebra):
     C, p = algebra
     ring = make_structure_algebra(len(C), GF(p), C.tolist())
     walk = first_proper_line_ideal(ring) if C.any() else None
-    decision = linalg.norton_modp(C, p)
-    simple, submodule = decision.holds, decision.submodule
+    decision = full_subgroup(ring).irreducible([]) if C.any() else linalg.Verdict(False)
+    simple, submodule = decision.holds, decision.witness
     assert simple is not None
     assert (submodule is not None) == (walk is not None)
     if submodule is None:
         return
-    ideal = IdealBasis(ring, Subspace(ring, *submodule), check=True)
+    ideal = IdealBasis(ring, submodule, check=True)
     assert not ideal.is_zero() and not ideal.span.is_full()
     # the walk finds its line no later than that of the first rref row
-    last = tuple(submodule[0][0].tolist())
+    last = tuple(submodule.rows[0].tolist())
     assert first_proper_line_ideal(ring, last).key() == walk.key()
 
 
@@ -560,7 +561,7 @@ def test_norton_decides_m5_f2_on_a_random_basis():
     while len(linalg.rref_modp(P, 2)[1]) < 25:
         P = rng.integers(0, 2, (25, 25))
     C = _change_basis(full_matrix_algebra(5, GF(2)).constants, P, 2)
-    assert linalg.norton_modp(C, 2).holds is True
+    assert simple_by_density(make_structure_algebra(25, GF(2), C.tolist())) is True
 
 
 def test_norton_proves_nothing_from_a_null_space_of_two_summands():
@@ -575,7 +576,8 @@ def test_norton_proves_nothing_from_a_null_space_of_two_summands():
         for _ in range(40):
             P = rng.integers(0, 2, (d, d))
             if len(linalg.rref_modp(P, 2)[1]) == d:
-                assert linalg.norton_modp(_change_basis(C, P, 2), 2).holds is False
+                ring = make_structure_algebra(d, GF(2), _change_basis(C, P, 2).tolist())
+                assert simple_by_density(ring) is False
 
 
 def test_without_trials_density_gives_the_same_verdicts(monkeypatch):
@@ -588,11 +590,11 @@ def test_without_trials_density_gives_the_same_verdicts(monkeypatch):
                 (gf_extension(8)[0].constants, 2),
                 (_rotation_ring().constants, 2),
                 (direct_sum_algebra([full_matrix_algebra(2, GF(2))] * 2).constants, 2)]
-    verdicts = [linalg.norton_modp(C, p).holds for C, p in algebras]
+    rings = [make_structure_algebra(len(C), GF(p), C.tolist()) for C, p in algebras]
+    verdicts = [simple_by_density(ring) for ring in rings]
     assert verdicts == [True, False, True, True, False, False]
     monkeypatch.setattr(linalg, "NORTON_TRIALS", 0)
-    assert all(linalg.norton_modp(C, p) == linalg.Decision(None) for C, p in algebras)
-    rings = [make_structure_algebra(len(C), GF(p), C.tolist()) for C, p in algebras]
+    assert all(full_subgroup(ring).irreducible([]) == linalg.Verdict(None) for ring in rings)
     assert [is_simple(ring).status for ring in rings] == \
         ["Simple" if v else "NotSimple" for v in verdicts]
 

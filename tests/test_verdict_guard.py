@@ -1,8 +1,9 @@
 """What decided a verdict is written only where the decision is made.
 
-``ideals.Verdict.decided_by`` (and ``linalg.Decision.decided_by``, which it
-is copied from) names the oracle that decided a question.  Only the
-decision sites below write it: an assignment to a ``decided_by``
+``linalg.Verdict.decided_by`` (re-exported by ``ideals``) names the oracle
+that decided a question.  ``Verdict`` is the one result type of a decided
+question, so it is the only class that declares a ``decided_by`` field.
+Only the decision sites below write it: an assignment to a ``decided_by``
 attribute, a ``setattr`` with that name, a ``decided_by=`` keyword whose
 value is not another value's ``decided_by`` handed on, and any string
 constant that names an oracle (so a positional argument counts too) are
@@ -18,9 +19,8 @@ from test_certificate_guard import _check_allow_list, _find, _modules
 
 # (file, enclosing function) -> the oracles it decides by
 DECISION_SITES = {
-    ("linalg.py", "norton_modp"): {"products-vanish"},
     ("linalg.py", "irreducible_modp"): {"norton"},
-    ("linalg.py", "Rational.simplicity"): {"reduction-mod-q"},
+    ("linalg.py", "Rational.irreducible"): {"reduction-mod-q"},
     ("ideals.py", "_line_closures"): {"norton-past-cap", "line-walk"},
     ("ideals.py", "_is_simple_uncached"): {"products-vanish", "line-walk", "norton-past-cap",
                                            "witness-search"},
@@ -60,3 +60,17 @@ def test_each_decision_site_writes_its_own_oracles():
             for func, _ in found:
                 written.setdefault((name, func), set()).add(oracle)
     assert written == DECISION_SITES
+
+
+def test_only_verdict_declares_decided_by():
+    declared = set()
+    for name, tree in _modules():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for stmt in cls.body:
+                targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                           else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+                if any(isinstance(t, ast.Name) and t.id == "decided_by" for t in targets):
+                    declared.add((name, cls.name))
+    assert declared == {("linalg.py", "Verdict")}
